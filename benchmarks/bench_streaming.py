@@ -199,7 +199,6 @@ def _memprobe(mode: str, path: str, budget: int) -> dict:
     # leaner kernel tiers (native) shrink the whole-array peak and would
     # make the ratio flap with host toolchain availability.
     env["REPRO_BACKEND"] = "numpy"
-    env.pop("REPRO_SCALAR_CODECS", None)
     out = subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--memprobe", mode, path,
          str(budget)],

@@ -26,6 +26,11 @@ from repro.compressors.streaming import ChunkedCompressor
 from repro.compressors.sz import GPUSZ, SZCompressor
 from repro.compressors.temporal import TemporalCompressor, reference_digest
 from repro.compressors.zfp import CuZFP, ZFPCompressor
+from repro.util.heap import steady_heap
+
+# The codecs live on field-sized temporaries; keep glibc recycling them
+# instead of faulting them in afresh depending on call history.
+steady_heap()
 
 __all__ = [
     "CompressedBuffer",

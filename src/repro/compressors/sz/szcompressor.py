@@ -19,6 +19,7 @@ logarithmic transformation of Section IV-B-4 of the paper.
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import Any
 
@@ -272,10 +273,24 @@ class SZCompressor(Compressor):
         if dtype_code not in _DTYPES:
             raise CorruptStreamError(f"unknown dtype code {dtype_code}")
         dtype = _DTYPES[dtype_code]
-        pos = hsize
-        shape = struct.unpack(f"<{ndim}Q", payload[pos : pos + 8 * ndim])
-        pos += 8 * ndim
+        # Nothing below may allocate or index from a header field that has
+        # not been checked against the shape or the payload length.
+        if not 1 <= ndim <= 3 or block_side < 2 or not 2 <= radius <= 32768:
+            raise CorruptStreamError(
+                f"bad SZ stream geometry (ndim {ndim}, block side "
+                f"{block_side}, radius {radius})"
+            )
+        if not (eb > 0 and math.isfinite(eb)):
+            raise CorruptStreamError(f"bad SZ error bound {eb}")
+        pos = hsize + 8 * ndim
+        if len(payload) < pos:
+            raise CorruptStreamError("SZ stream truncated (shape)")
+        shape = struct.unpack(f"<{ndim}Q", payload[hsize:pos])
+        if nblocks != math.prod(-(-s // block_side) for s in shape) or nblocks == 0:
+            raise CorruptStreamError("SZ block count does not match shape")
         nmode_bytes = -(-nblocks // 8)
+        if len(payload) < pos + nmode_bytes:
+            raise CorruptStreamError("SZ stream truncated (predictor flags)")
         use_reg = (
             np.unpackbits(
                 np.frombuffer(payload[pos : pos + nmode_bytes], dtype=np.uint8),
@@ -286,6 +301,8 @@ class SZCompressor(Compressor):
         pos += nmode_bytes
         n_reg = int(use_reg.sum())
         ncoef = ndim + 1
+        if len(payload) < pos + 4 * ncoef * n_reg + huff_len:
+            raise CorruptStreamError("SZ stream truncated (sections)")
         coefs = np.frombuffer(
             payload[pos : pos + 4 * ncoef * n_reg], dtype=np.float32
         ).reshape(n_reg, ncoef)
@@ -293,6 +310,11 @@ class SZCompressor(Compressor):
         huff_payload = payload[pos : pos + huff_len]
         pos += huff_len
         out_payload = payload[pos:]
+        nvalues = nblocks * block_side**ndim
+        if (out_count > nvalues or out_width > 57
+                or (out_count > 0) != (out_width > 0)
+                or out_count * out_width > 8 * len(out_payload)):
+            raise CorruptStreamError("bad SZ outlier section")
 
         tm = get_telemetry()
         with tm.span("sz.lossless", bytes=len(huff_payload), direction="decompress"):
@@ -300,6 +322,10 @@ class SZCompressor(Compressor):
                 huff_payload = LosslessPipeline().decompress(huff_payload)
         with tm.span("sz.huffman", bytes=len(huff_payload), direction="decompress"):
             symbols = self.huffman.decode(huff_payload)
+            if symbols.size != nvalues:
+                raise CorruptStreamError(
+                    f"SZ symbol count {symbols.size} != {nvalues} block values"
+                )
             outliers = Q.OutlierSection(
                 payload=out_payload, count=out_count, width=out_width
             ).decode()
@@ -365,17 +391,26 @@ class SZCompressor(Compressor):
 
     def _decompress_pwrel(self, payload: bytes) -> np.ndarray:
         hsize = struct.calcsize(_HDR_PWR)
+        if len(payload) < hsize:
+            raise CorruptStreamError("SZ PW_REL stream truncated (header)")
         _magic, version, dtype_code, ndim, pwrel, nzeros, inner_len = struct.unpack(
             _HDR_PWR, payload[:hsize]
         )
         if version != 1:
             raise CorruptStreamError(f"unsupported SZ PW_REL version {version}")
+        if dtype_code not in _DTYPES or not 1 <= ndim <= 3:
+            raise CorruptStreamError(
+                f"bad SZ PW_REL header (dtype code {dtype_code}, ndim {ndim})"
+            )
         dtype = _DTYPES[dtype_code]
-        pos = hsize
-        shape = struct.unpack(f"<{ndim}Q", payload[pos : pos + 8 * ndim])
-        pos += 8 * ndim
-        n = int(np.prod(shape))
+        pos = hsize + 8 * ndim
+        if len(payload) < pos:
+            raise CorruptStreamError("SZ PW_REL stream truncated (shape)")
+        shape = struct.unpack(f"<{ndim}Q", payload[hsize:pos])
+        n = math.prod(shape)
         nsign_bytes = -(-n // 8)
+        if n == 0 or len(payload) < pos + nsign_bytes + 8 * nzeros + inner_len:
+            raise CorruptStreamError("SZ PW_REL stream truncated (sections)")
         neg = np.unpackbits(
             np.frombuffer(payload[pos : pos + nsign_bytes], dtype=np.uint8),
             count=n,
@@ -384,9 +419,13 @@ class SZCompressor(Compressor):
         pos += nsign_bytes
         zeros = np.frombuffer(payload[pos : pos + 8 * nzeros], dtype=np.uint64)
         pos += 8 * nzeros
+        if zeros.size and int(zeros.max()) >= n:
+            raise CorruptStreamError("SZ PW_REL zero index out of range")
         inner = payload[pos : pos + inner_len]
 
         logmag = self._decompress_abs(inner).astype(np.float64)
+        if logmag.shape != shape:
+            raise CorruptStreamError("SZ PW_REL inner stream shape mismatch")
         signs = np.where(neg, -1, 1).astype(np.int8)
         signs[zeros.astype(np.int64)] = 0
         xform = LogTransform(signs=signs.reshape(shape))

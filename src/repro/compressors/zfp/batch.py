@@ -33,8 +33,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import CorruptStreamError
-from repro.telemetry import get_telemetry
-
 from repro.compressors.zfp.blockcodec import EBIAS, EBITS
 
 _U64_ONE = np.uint64(1)
@@ -211,7 +209,6 @@ def encode_blocks(
     offsets = np.zeros(nblocks + 1, dtype=np.uint64)
     np.cumsum(lengths, out=offsets[1:])
     flat_bits, nbits = out.concatenate()
-    get_telemetry().count("zfp.emitted_bits", nbits)
     body = np.packbits(flat_bits, bitorder="big").tobytes()
     return body, nbits, offsets, used_bits
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import CorruptStreamError, DataError
-from repro.telemetry import get_telemetry
 from repro.util.bits import pack_varlen_codes
 
 #: Negabinary conversion mask (alternating bits), as in zfp's NBMASK.
@@ -24,6 +23,9 @@ NBMASK = np.uint64(0xAAAAAAAAAAAAAAAA)
 #: Bits used for the per-block common exponent (covers float64's range).
 EBITS = 12
 EBIAS = 2048
+
+#: Bits every nonzero block spends before its planes: flag + exponent.
+HEADER_BITS = 1 + EBITS
 
 
 def int_to_negabinary(i: np.ndarray) -> np.ndarray:
@@ -38,31 +40,19 @@ def negabinary_to_int(u: np.ndarray) -> np.ndarray:
     return ((u ^ NBMASK) - NBMASK).view(np.int64)
 
 
-def plane_words(u: np.ndarray, nplanes: int, backend: str | None = None) -> np.ndarray:
+def plane_words(u: np.ndarray, nplanes: int) -> np.ndarray:
     """Bit-plane words: ``words[b, k]`` has bit ``i`` = bit ``k`` of
     coefficient ``i`` of block ``b``.
 
-    Dispatches the ``zfp.transpose`` kernel (per-plane reduction in the
-    ``scalar`` tier, an ``unpackbits``/``packbits`` round trip in
-    ``numpy``, a compiled sparse-bit loop in ``native``); ``backend``
-    pins a tier for this call.
-    """
-    from repro.kernels import call
-
-    nblocks, size = u.shape
-    if size > 64:
-        raise DataError("plane words require block size <= 64 coefficients")
-    return call("zfp.transpose", u, nplanes, backend=backend)
-
-
-def _plane_words_numpy(u: np.ndarray, nplanes: int) -> np.ndarray:
-    """(size x nplanes) bit transpose via one ``unpackbits``/``packbits``
+    A (size x nplanes) bit transpose via one ``unpackbits``/``packbits``
     round trip per batch — constant cost in ``nplanes`` instead of one
     pass per plane.  Little-endian byte order makes bit ``k`` of a uint64
     land at flat position ``k`` after ``unpackbits(bitorder="little")``,
     so the transpose is a plain axis swap between the coefficient and
     plane axes."""
     nblocks, size = u.shape
+    if size > 64:
+        raise DataError("plane words require block size <= 64 coefficients")
     u = np.ascontiguousarray(u)
     bits = np.unpackbits(
         u.view(np.uint8).reshape(nblocks, size, 8), axis=2, bitorder="little"
@@ -126,7 +116,6 @@ class _Emitter:
             nbits -= chunk
 
     def pack(self) -> tuple[bytes, int]:
-        get_telemetry().count("zfp.emitted_bits", self.nbits)
         codes = np.array(self.codes, dtype=np.uint64)
         lengths = np.array(self.lengths, dtype=np.int64)
         return pack_varlen_codes(codes, lengths)
@@ -247,6 +236,42 @@ def decode_block_planes(
     return words
 
 
+def _encode_blocks_scalar(
+    words: np.ndarray,
+    nonzero: np.ndarray,
+    e: np.ndarray,
+    size: int,
+    planes: int,
+    budgets: np.ndarray,
+    kmins: np.ndarray,
+    maxbits: int = 0,
+) -> tuple[bytes, int, np.ndarray, np.ndarray]:
+    """Seed per-block reference loop; same contract as
+    :func:`repro.compressors.zfp.batch.encode_blocks`."""
+    nblocks = words.shape[0]
+    fixed_rate = maxbits > 0
+    words_list = words.tolist()
+    emitter = _Emitter()
+    used_bits = np.zeros(nblocks, dtype=np.int64)
+    offsets = np.zeros(nblocks + 1, dtype=np.uint64)
+    for b in range(nblocks):
+        offsets[b] = emitter.nbits
+        if not nonzero[b]:
+            emitter.emit_msb(0, 1)
+            if fixed_rate:
+                emitter.emit_msb(0, maxbits - 1)
+            continue
+        emitter.emit_msb(1, 1)
+        emitter.emit_msb(int(e[b]) + EBIAS, EBITS)
+        used_bits[b] = HEADER_BITS + encode_block_planes(
+            emitter, words_list[b], size, int(budgets[b]),
+            kmin=int(kmins[b]), pad=fixed_rate,
+        )
+    offsets[nblocks] = emitter.nbits
+    body, nbits = emitter.pack()
+    return body, nbits, offsets, used_bits
+
+
 def _decode_blocks_scalar(
     bits: np.ndarray,
     offsets: np.ndarray,
@@ -289,23 +314,11 @@ def _decode_blocks_scalar(
     return words_mat
 
 
-def words_matrix_to_coeffs(
-    words: np.ndarray, size: int, backend: str | None = None
-) -> np.ndarray:
-    """Inverse of :func:`plane_words` over a whole batch
-    (``zfp.transpose_inverse`` kernel).
-
-    ``words`` has shape ``(nblocks, nplanes)``; returns ``(nblocks, size)``
-    negabinary coefficients.
-    """
-    from repro.kernels import call
-
-    return call("zfp.transpose_inverse", words, size, backend=backend)
-
-
-def _words_matrix_numpy(words: np.ndarray, size: int) -> np.ndarray:
-    """Same unpackbits/packbits transpose as :func:`_plane_words_numpy`,
-    in the other direction: plane axis in, coefficient axis out."""
+def words_matrix_to_coeffs(words: np.ndarray, size: int) -> np.ndarray:
+    """Inverse of :func:`plane_words` over a whole batch: ``words`` has
+    shape ``(nblocks, nplanes)``; returns ``(nblocks, size)`` negabinary
+    coefficients.  Same unpackbits/packbits transpose, in the other
+    direction: plane axis in, coefficient axis out."""
     nblocks, nplanes = words.shape
     words = np.ascontiguousarray(words)
     bits = np.unpackbits(

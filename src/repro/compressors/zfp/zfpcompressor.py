@@ -35,12 +35,9 @@ from typing import Any
 import numpy as np
 
 from repro.compressors.base import CompressedBuffer, Compressor, CompressorMode
-from repro.compressors.zfp import batch as B
-from repro.compressors.zfp import blockcodec as BC
-from repro.compressors.zfp import transform as T
+from repro.compressors.zfp.blockcodec import HEADER_BITS
 from repro.errors import CorruptStreamError, DataError
 from repro.telemetry import DEFAULT_BYTE_BUCKETS, get_telemetry
-from repro.util.blocks import block_partition, block_reassemble
 from repro.util.validation import check_dtype, check_shape_nd
 
 _MAGIC = b"ZFR1"
@@ -58,67 +55,26 @@ _MODE_CODES = {
 }
 _CODE_MODES = {v: k for k, v in _MODE_CODES.items()}
 
-#: Effectively-unbounded per-block budget for the variable-rate modes.
-_UNBOUNDED = 1 << 20
 
+def _kmin_rule(
+    mode: CompressorMode, parameter: float, planes: int, ndim: int
+) -> tuple[int, bool]:
+    """The ``(base, per_exponent)`` plane-cutoff rule of the
+    ``zfp.encode`` / ``zfp.decode`` kernels for one stream.
 
-def _accuracy_kmin(tolerance: float, e: int, planes: int, ndim: int) -> int:
-    """Plane cutoff guaranteeing abs error <= tolerance for one block.
-
-    Truncating planes below ``kmin`` perturbs each coefficient by
-    ``< 2^kmin`` lattice units = ``2^(kmin + e - (planes-2))`` in value;
-    the inverse transform amplifies the max coefficient error by at most
-    ``(15/4)^ndim < 4^ndim``, so we solve for kmin with that conservative
-    gain (matching zfp's accuracy-mode bookkeeping in spirit).
+    Fixed-accuracy: truncating planes below ``kmin`` perturbs each
+    coefficient by ``< 2^kmin`` lattice units =
+    ``2^(kmin + e - (planes-2))`` in value; the inverse transform
+    amplifies the max coefficient error by at most ``(15/4)^ndim <
+    4^ndim``, so we solve for kmin with that conservative gain (matching
+    zfp's accuracy-mode bookkeeping in spirit): ``kmin = base - e`` per
+    block, clipped to ``[0, planes]``.
     """
-    gain_log2 = 2 * ndim
-    kmin = math.floor(math.log2(tolerance)) - gain_log2 - e + (planes - 2)
-    return max(0, min(planes, kmin))
-
-
-def _accuracy_kmin_array(
-    tolerance: float, e: np.ndarray, planes: int, ndim: int
-) -> np.ndarray:
-    """Vectorized :func:`_accuracy_kmin` over per-block exponents."""
-    base = math.floor(math.log2(tolerance)) - 2 * ndim + (planes - 2)
-    return np.clip(base - e, 0, planes).astype(np.int64)
-
-
-def _encode_blocks_scalar(
-    words: np.ndarray,
-    nonzero: np.ndarray,
-    e: np.ndarray,
-    size: int,
-    planes: int,
-    budgets: np.ndarray,
-    kmins: np.ndarray,
-    maxbits: int = 0,
-) -> tuple[bytes, int, np.ndarray, np.ndarray]:
-    """Seed per-block reference loop; same contract as
-    :func:`repro.compressors.zfp.batch.encode_blocks`."""
-    nblocks = words.shape[0]
-    header_bits = 1 + BC.EBITS
-    fixed_rate = maxbits > 0
-    words_list = words.tolist()
-    emitter = BC._Emitter()
-    used_bits = np.zeros(nblocks, dtype=np.int64)
-    offsets = np.zeros(nblocks + 1, dtype=np.uint64)
-    for b in range(nblocks):
-        offsets[b] = emitter.nbits
-        if not nonzero[b]:
-            emitter.emit_msb(0, 1)
-            if fixed_rate:
-                emitter.emit_msb(0, maxbits - 1)
-            continue
-        emitter.emit_msb(1, 1)
-        emitter.emit_msb(int(e[b]) + BC.EBIAS, BC.EBITS)
-        used_bits[b] = header_bits + BC.encode_block_planes(
-            emitter, words_list[b], size, int(budgets[b]),
-            kmin=int(kmins[b]), pad=fixed_rate,
-        )
-    offsets[nblocks] = emitter.nbits
-    body, nbits = emitter.pack()
-    return body, nbits, offsets, used_bits
+    if mode is CompressorMode.FIXED_RATE:
+        return 0, False
+    if mode is CompressorMode.FIXED_PRECISION:
+        return planes - int(parameter), False
+    return math.floor(math.log2(parameter)) - 2 * ndim + (planes - 2), True
 
 
 class ZFPCompressor(Compressor):
@@ -130,10 +86,11 @@ class ZFPCompressor(Compressor):
     * ``precision`` — bit planes kept per block (variable rate).
     * ``tolerance`` — absolute error bound (variable rate).
 
-    The bit-plane coder dispatches through the kernel registry
-    (:mod:`repro.kernels`): the scalar per-block reference loops, the
-    vectorized all-blocks kernels of
-    :mod:`repro.compressors.zfp.batch`, or the compiled native tier.
+    This class validates arguments and packs/parses the stream header;
+    the block coding itself is the ``zfp.encode`` / ``zfp.decode``
+    kernel pair of the registry (:mod:`repro.kernels`): the staged
+    scalar and numpy tiers of :mod:`repro.compressors.zfp.staged`, or
+    the fused one-pass native tier.
     All tiers produce **byte-identical** streams.  ``backend`` pins a
     tier for this instance; ``None`` defers to the process selection
     (``REPRO_BACKEND`` / :func:`repro.kernels.use`).  ``batched`` is the
@@ -162,7 +119,7 @@ class ZFPCompressor(Compressor):
 
     @property
     def batched(self) -> bool:
-        """Whether the resolved bit-plane coder is a vectorized tier."""
+        """Whether the resolved block coder is a vectorized tier."""
         from repro import kernels
 
         return kernels.resolve_name("zfp.encode", self._backend) != "scalar"
@@ -176,7 +133,7 @@ class ZFPCompressor(Compressor):
 
     @property
     def backend(self) -> str:
-        """The tier the bit-plane coder resolves to right now."""
+        """The tier the block coder resolves to right now."""
         from repro import kernels
 
         return kernels.resolve_name("zfp.encode", self._backend)
@@ -200,14 +157,13 @@ class ZFPCompressor(Compressor):
 
         size = 4**data.ndim
         planes = _PLANES[_DTYPE_CODES[data.dtype]]
-        header_bits = 1 + BC.EBITS
 
         if mode is CompressorMode.FIXED_RATE:
             maxbits = int(round(rate * size))
-            if maxbits < header_bits + 1:
+            if maxbits < HEADER_BITS + 1:
                 raise DataError(
                     f"rate {rate} too small: needs at least "
-                    f"{(header_bits + 1) / size:.3f} bits/value for the block header"
+                    f"{(HEADER_BITS + 1) / size:.3f} bits/value for the block header"
                 )
             parameter = float(rate)
         elif mode is CompressorMode.FIXED_PRECISION:
@@ -221,58 +177,31 @@ class ZFPCompressor(Compressor):
             maxbits = 0
             parameter = float(tolerance)
 
-        tm = get_telemetry()
-        with tm.span("zfp.transform", bytes=data.nbytes):
-            blocks, grid, _ = block_partition(data, (4,) * data.ndim, mode="edge")
-            nblocks = blocks.shape[0]
-            flat = blocks.reshape(nblocks, size).astype(np.float64)
-
-            amax = np.abs(flat).max(axis=1)
-            nonzero = amax > 0
-            e = np.zeros(nblocks, dtype=np.int64)
-            _, e_nz = np.frexp(amax[nonzero])
-            e[nonzero] = e_nz  # amax < 2**e
-            scale_exp = (planes - 2) - e
-            ints = np.rint(np.ldexp(flat, scale_exp[:, None])).astype(np.int64)
-
-            coeffs = T.forward_transform(ints.reshape(blocks.shape))
-        with tm.span("zfp.reorder", bytes=data.nbytes):
-            perm = T.sequency_order(data.ndim)
-            ordered = coeffs.reshape(nblocks, size)[:, perm]
-            u = BC.int_to_negabinary(ordered)
-
-        fixed_rate = mode is CompressorMode.FIXED_RATE
-        if fixed_rate:
-            budgets = np.full(nblocks, maxbits - header_bits, dtype=np.int64)
-            kmins = np.zeros(nblocks, dtype=np.int64)
-        elif mode is CompressorMode.FIXED_PRECISION:
-            budgets = np.full(nblocks, _UNBOUNDED, dtype=np.int64)
-            kmins = np.full(nblocks, planes - int(precision), dtype=np.int64)
-        else:
-            budgets = np.full(nblocks, _UNBOUNDED, dtype=np.int64)
-            kmins = _accuracy_kmin_array(parameter, e, planes, data.ndim)
         from repro import kernels
 
+        tm = get_telemetry()
         coder = kernels.resolve_name("zfp.encode", self._backend)
-        with tm.span("zfp.bitplane", bytes=data.nbytes, nblocks=nblocks,
-                     mode=mode.value, backend=coder,
-                     batched=coder != "scalar"):
-            words = BC.plane_words(u, planes, backend=self._backend)
-            body, nbits, offsets, used_bits = kernels.call(
-                "zfp.encode", words, nonzero, e, size, planes, budgets,
-                kmins, maxbits=maxbits if fixed_rate else 0,
+        with tm.span("zfp.encode", bytes=data.nbytes, mode=mode.value,
+                     backend=coder, batched=coder != "scalar"):
+            body, nbits, offsets, used_bits, nonzero = kernels.call(
+                "zfp.encode", data, planes, maxbits,
+                _kmin_rule(mode, parameter, planes, data.ndim),
                 backend=self._backend,
             )
-            if fixed_rate and nbits != nblocks * maxbits:
-                raise AssertionError("fixed-rate invariant violated")
+        nblocks = nonzero.size
+        fixed_rate = maxbits > 0
+        if fixed_rate and nbits != nblocks * maxbits:
+            raise AssertionError("fixed-rate invariant violated")
+        zero_blocks = nblocks - int(np.count_nonzero(nonzero))
+        tm.count("zfp.emitted_bits", nbits)
         # Bit-plane truncation stats: bits each block actually coded (before
         # any fixed-rate zero padding) — the quantity Fig. 10's rate knob
         # trades against error.
-        tm.observe_many("zfp.block_used_bits", used_bits[nonzero])
+        coded = used_bits[nonzero]
+        tm.observe_many("zfp.block_used_bits", coded)
         if fixed_rate:
-            tm.count("zfp.padding_bits",
-                     int((np.int64(maxbits) - used_bits[nonzero]).sum()))
-        tm.count("zfp.zero_blocks", int((~nonzero).sum()))
+            tm.count("zfp.padding_bits", int(maxbits * coded.size - coded.sum()))
+        tm.count("zfp.zero_blocks", zero_blocks)
 
         header = struct.pack(
             _HDR,
@@ -288,7 +217,7 @@ class ZFPCompressor(Compressor):
         )
         shape_bytes = struct.pack(f"<{data.ndim}Q", *data.shape)
         offset_bytes = b"" if fixed_rate else offsets.tobytes()
-        payload = header + shape_bytes + offset_bytes + body
+        payload = b"".join((header, shape_bytes, offset_bytes, body))
         tm.count("zfp.bytes_in", data.nbytes)
         tm.count("zfp.bytes_out", len(payload))
         tm.observe("zfp.payload_bytes", len(payload), bounds=DEFAULT_BYTE_BUCKETS)
@@ -300,13 +229,32 @@ class ZFPCompressor(Compressor):
             parameter=parameter,
             meta={
                 "maxbits_per_block": maxbits,
-                "zero_blocks": int((~nonzero).sum()),
+                "zero_blocks": zero_blocks,
                 "body_bits": int(nbits),
             },
         )
 
     def decompress(self, buf: CompressedBuffer | bytes) -> np.ndarray:
         payload = buf.payload if isinstance(buf, CompressedBuffer) else buf
+        args = self._parse(payload)
+        from repro import kernels
+
+        coder = kernels.resolve_name("zfp.decode", self._backend)
+        with get_telemetry().span(
+                "zfp.decode", bytes=len(payload), backend=coder,
+                batched=coder != "scalar"):
+            return kernels.call("zfp.decode", *args, backend=self._backend)
+
+    @staticmethod
+    def _parse(payload: bytes) -> tuple:
+        """The ``zfp.decode`` kernel arguments of a ``ZFR1`` stream:
+        ``(body, offsets | maxbits, shape, dtype, planes, kmin_rule)``.
+
+        Everything a damaged header could turn into a huge allocation, an
+        out-of-range read or a non-``CorruptStreamError`` exception is
+        rejected here, before any kernel sees the stream: the decoders
+        may assume the body covers every block's bit span.
+        """
         hsize = struct.calcsize(_HDR)
         if len(payload) < hsize or payload[:4] != _MAGIC:
             raise CorruptStreamError("bad ZFP stream header")
@@ -319,74 +267,44 @@ class ZFPCompressor(Compressor):
         if mode_code not in _CODE_MODES:
             raise CorruptStreamError(f"unknown ZFP mode code {mode_code}")
         mode = _CODE_MODES[mode_code]
-        dtype = _DTYPES[dtype_code]
-        pos = hsize
-        shape = struct.unpack(f"<{ndim}Q", payload[pos : pos + 8 * ndim])
-        pos += 8 * ndim
-        size = 4**ndim
-        header_bits = 1 + BC.EBITS
-        fixed_rate = mode is CompressorMode.FIXED_RATE
+        if dtype_code not in _DTYPES:
+            raise CorruptStreamError(f"unknown ZFP dtype code {dtype_code}")
+        if not 1 <= ndim <= 3 or planes != _PLANES[dtype_code]:
+            raise CorruptStreamError(
+                f"bad ZFP stream geometry (ndim {ndim}, planes {planes})"
+            )
+        pos = hsize + 8 * ndim
+        if len(payload) < pos:
+            raise CorruptStreamError("ZFP stream truncated (shape)")
+        shape = struct.unpack(f"<{ndim}Q", payload[hsize:pos])
+        if nblocks != math.prod(-(-s // 4) for s in shape) or nblocks == 0:
+            raise CorruptStreamError("ZFP block count does not match shape")
 
-        if fixed_rate:
-            offsets = np.arange(nblocks + 1, dtype=np.int64) * maxbits
+        if mode is CompressorMode.FIXED_RATE:
+            if maxbits < HEADER_BITS + 1:
+                raise CorruptStreamError(f"bad ZFP block size {maxbits} bits")
+            offsets = maxbits
+            total_bits = nblocks * maxbits
         else:
+            if mode is CompressorMode.FIXED_PRECISION:
+                valid = 1 <= parameter <= planes
+            else:
+                valid = 0 < parameter < math.inf
+            if not valid:  # also catches NaN
+                raise CorruptStreamError(f"bad ZFP mode parameter {parameter}")
             if len(payload) < pos + 8 * (nblocks + 1):
                 raise CorruptStreamError("ZFP stream truncated (offset table)")
             offsets = np.frombuffer(
-                payload[pos : pos + 8 * (nblocks + 1)], dtype=np.uint64
+                payload, dtype=np.uint64, count=nblocks + 1, offset=pos
             ).astype(np.int64)
             pos += 8 * (nblocks + 1)
-
-        body = np.frombuffer(payload[pos:], dtype=np.uint8)
-        total_bits = int(offsets[-1])
-        if body.size * 8 < total_bits:
+            if offsets[0] < 0 or np.any(offsets[1:] <= offsets[:-1]):
+                raise CorruptStreamError("non-increasing ZFP block offsets")
+            total_bits = int(offsets[-1])
+        if 8 * (len(payload) - pos) < total_bits:
             raise CorruptStreamError("ZFP stream truncated (body)")
-        bits = np.unpackbits(body, count=total_bits, bitorder="big")
-
-        tm = get_telemetry()
-        from repro import kernels
-
-        coder = kernels.resolve_name("zfp.decode", self._backend)
-        with tm.span("zfp.bitplane", bytes=len(payload), nblocks=nblocks,
-                     direction="decompress", backend=coder,
-                     batched=coder != "scalar"):
-            nonzero, e = B.read_block_headers(bits, offsets)
-            spans = offsets[1:] - offsets[:-1]
-            if fixed_rate:
-                budgets = np.full(
-                    nblocks, maxbits - header_bits, dtype=np.int64
-                )
-                kmins = np.zeros(nblocks, dtype=np.int64)
-            elif mode is CompressorMode.FIXED_PRECISION:
-                budgets = spans - header_bits
-                kmins = np.full(
-                    nblocks, planes - int(parameter), dtype=np.int64
-                )
-            else:
-                budgets = spans - header_bits
-                kmins = _accuracy_kmin_array(parameter, e, planes, ndim)
-            # Trailing zero padding so decode window gathers stay in
-            # range; per-block budgets guarantee it is never decoded.
-            padded = np.concatenate([bits, np.zeros(128, dtype=np.uint8)])
-            words_mat = kernels.call(
-                "zfp.decode", padded, offsets, nonzero, planes, size,
-                budgets, kmins, backend=self._backend,
-            )
-            u = BC.words_matrix_to_coeffs(words_mat, size, backend=self._backend)
-
-        with tm.span("zfp.reorder", direction="decompress"):
-            ordered = BC.negabinary_to_int(u)
-            inv_perm = T.inverse_sequency_order(ndim)
-            coeffs = ordered[:, inv_perm].reshape((nblocks,) + (4,) * ndim)
-        with tm.span("zfp.transform", direction="decompress"):
-            ints = T.inverse_transform(coeffs)
-            scale_exp = -((planes - 2) - e)
-            flat = np.ldexp(ints.reshape(nblocks, size).astype(np.float64), scale_exp[:, None])
-            flat[~nonzero] = 0.0
-
-            grid = tuple(-(-s // 4) for s in shape)
-            arr = block_reassemble(flat.reshape((nblocks,) + (4,) * ndim), grid, shape)
-        return arr.astype(dtype)
+        return (payload[pos:], offsets, shape, _DTYPES[dtype_code], planes,
+                _kmin_rule(mode, parameter, planes, ndim))
 
     @staticmethod
     def _resolve_mode(

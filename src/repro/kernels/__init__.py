@@ -11,9 +11,8 @@ Public surface::
     kernels.set_backend("native")              # process-wide override
 
 Selection precedence: explicit ``backend=`` argument > :func:`use` /
-:func:`set_backend` override > ``REPRO_BACKEND`` env var >
-``REPRO_SCALAR_CODECS`` (deprecated alias for ``scalar``) > ``auto``
-(best available tier per kernel: native > numpy > scalar).
+:func:`set_backend` override > ``REPRO_BACKEND`` env var > ``auto`` (best
+available tier per kernel: native > numpy > scalar).
 
 The override installed by :func:`use` is **process-global**, not
 thread-local, by design: the streaming engine and the service batcher
@@ -27,7 +26,6 @@ from contextlib import contextmanager
 
 from repro.kernels.registry import (
     BACKEND_ENV,
-    LEGACY_SCALAR_ENV,
     TIER_LEVEL,
     TIER_ORDER,
     Backend,
@@ -37,7 +35,6 @@ from repro.kernels.registry import (
 
 __all__ = [
     "BACKEND_ENV",
-    "LEGACY_SCALAR_ENV",
     "TIER_LEVEL",
     "TIER_ORDER",
     "Backend",

@@ -5,7 +5,8 @@ imported lazily by :class:`~repro.kernels.registry.Backend` on first
 use, so this module creates no import cycles and costs nothing until a
 kernel is actually dispatched.
 
-Kernel catalogue (uniform signatures across tiers):
+Kernel catalogue (nine kernels, uniform signatures across tiers; the two
+ZFP contracts are spelled out in :mod:`repro.compressors.zfp.staged`):
 
 ======================  =====================================================
 ``sz.lorenzo``          ``(blocks, error_bound) -> int64 residuals`` — fused
@@ -19,12 +20,11 @@ Kernel catalogue (uniform signatures across tiers):
                         (body, nbits, chunk_offsets)``
 ``huffman.decode``      ``(body, table_sym, table_len, chunk_offsets, n,
                         chunk_size, max_len, total_bits) -> symbols``
-``zfp.transpose``       ``(u, nplanes) -> words`` — bit-plane transpose
-``zfp.transpose_inverse``  ``(words, size) -> u``
-``zfp.encode``          ``(words, nonzero, e, size, planes, budgets, kmins,
-                        maxbits=0) -> (body, nbits, offsets, used_bits)``
-``zfp.decode``          ``(bits, offsets, nonzero, planes, size, budgets,
-                        kmins) -> words``
+``zfp.encode``          ``(data, planes, maxbits, kmin_rule) -> (body, nbits,
+                        offsets, used_bits, nonzero)`` — a whole field to
+                        its block-coded bit blob
+``zfp.decode``          ``(body, offsets | maxbits, shape, dtype, planes,
+                        kmin_rule) -> array``
 ======================  =====================================================
 
 A tier may omit kernels (``native`` has no package-merge: length
@@ -45,11 +45,8 @@ SCALAR_IMPLS = {
     "huffman.canonical": "repro.lossless.huffman:_canonical_codes_scalar",
     "huffman.encode": "repro.lossless.huffman:_encode_chunks_scalar",
     "huffman.decode": "repro.lossless.huffman:_decode_chunks_scalar",
-    "zfp.transpose": "repro.compressors.zfp.blockcodec:_plane_words_scalar",
-    "zfp.transpose_inverse":
-        "repro.compressors.zfp.blockcodec:_words_matrix_scalar",
-    "zfp.encode": "repro.compressors.zfp.zfpcompressor:_encode_blocks_scalar",
-    "zfp.decode": "repro.compressors.zfp.blockcodec:_decode_blocks_scalar",
+    "zfp.encode": "repro.compressors.zfp.staged:encode_scalar",
+    "zfp.decode": "repro.compressors.zfp.staged:decode_scalar",
 }
 
 NUMPY_IMPLS = {
@@ -62,11 +59,8 @@ NUMPY_IMPLS = {
     "huffman.canonical": "repro.lossless.huffman:_canonical_codes_numpy",
     "huffman.encode": "repro.lossless.huffman:_encode_chunks_numpy",
     "huffman.decode": "repro.lossless.huffman:_decode_chunks_numpy",
-    "zfp.transpose": "repro.compressors.zfp.blockcodec:_plane_words_numpy",
-    "zfp.transpose_inverse":
-        "repro.compressors.zfp.blockcodec:_words_matrix_numpy",
-    "zfp.encode": "repro.compressors.zfp.batch:encode_blocks",
-    "zfp.decode": "repro.compressors.zfp.batch:decode_blocks",
+    "zfp.encode": "repro.compressors.zfp.staged:encode_numpy",
+    "zfp.decode": "repro.compressors.zfp.staged:decode_numpy",
 }
 
 NATIVE_IMPLS = {
@@ -75,10 +69,8 @@ NATIVE_IMPLS = {
     "pack.varlen": "repro.kernels.native:pack_varlen",
     "huffman.encode": "repro.kernels.native:huffman_encode",
     "huffman.decode": "repro.kernels.native:huffman_decode",
-    "zfp.transpose": "repro.kernels.native:zfp_plane_words",
-    "zfp.transpose_inverse": "repro.kernels.native:zfp_words_to_coeffs",
-    "zfp.encode": "repro.kernels.native:zfp_encode_blocks",
-    "zfp.decode": "repro.kernels.native:zfp_decode_blocks",
+    "zfp.encode": "repro.kernels.native:zfp_encode",
+    "zfp.decode": "repro.kernels.native:zfp_decode",
 }
 
 

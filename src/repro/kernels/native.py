@@ -1,20 +1,12 @@
 """Native (compiled) kernel tier.
 
-Two flavors, resolved once per process:
+A small C library (:mod:`repro.kernels._csource`) compiled on demand
+with the system C compiler and loaded through :mod:`ctypes`.  The
+shared object is cached under ``$REPRO_KERNEL_CACHE`` (default
+``~/.cache/repro-kernels``) keyed by a hash of the source, the compiler
+and the flags, so compilation happens once per machine, not per process.
 
-``numba``
-    ``@njit`` kernels (:mod:`repro.kernels._numba_impl`), used when the
-    optional ``numba`` extra is installed.  Lazily compiled on first
-    call; numba's on-disk cache makes later processes cheap.
-``cc``
-    A small C library (:mod:`repro.kernels._csource`) compiled on demand
-    with the system C compiler and loaded through :mod:`ctypes`.  The
-    shared object is cached under ``$REPRO_KERNEL_CACHE`` (default
-    ``~/.cache/repro-kernels``) keyed by a hash of the source and the
-    compiler, so compilation happens once per machine, not per process.
-
-``REPRO_NATIVE_FLAVOR={auto,numba,cc}`` pins a flavor; ``auto`` prefers
-numba.  When neither flavor can run (no numba, no compiler, compile
+When the library cannot be built or loaded (no compiler, compile
 failure) every entry point raises
 :class:`~repro.errors.KernelUnavailableError`, which the registry treats
 as "fall back one tier" — importing this module never hard-fails.
@@ -29,6 +21,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import os
 import shutil
 import subprocess
@@ -36,22 +29,41 @@ import tempfile
 
 import numpy as np
 
-from repro.errors import ConfigError, DataError, KernelUnavailableError
+from repro.errors import CorruptStreamError, DataError, KernelUnavailableError
 from repro.kernels._csource import C_SOURCE
-
-#: Pin the native flavor: ``auto`` (default), ``numba``, or ``cc``.
-FLAVOR_ENV = "REPRO_NATIVE_FLAVOR"
 
 #: Directory caching the compiled shared object across processes.
 CACHE_ENV = "REPRO_KERNEL_CACHE"
 
-_EBITS = 12  # blockcodec.EBITS; duplicated to avoid an import cycle
-_EBIAS = 2048
+#: No ``-march``: the cached object must run on every host sharing the
+#: cache.  ``-fwrapv`` makes the ZFP lifting steps' int64 arithmetic wrap
+#: like numpy's instead of being undefined on damaged streams.
+_CFLAGS = ("-O2", "-fwrapv", "-fPIC", "-shared")
 
-_state: dict = {"probed": False, "flavor": None, "impl": None, "error": None}
+_I64, _F64, _INT, _PTR = (
+    ctypes.c_int64, ctypes.c_double, ctypes.c_int, ctypes.c_void_p,
+)
+_SIGNATURES = {
+    "repro_lorenzo_dualquant": ([_PTR, _PTR, _I64, _I64, _I64, _I64, _F64], _I64),
+    "repro_lorenzo_reconstruct": ([_PTR, _I64, _I64, _I64, _I64], None),
+    "repro_pack_varlen": ([_PTR, _PTR, _I64, _PTR], _I64),
+    "repro_huffman_symbol_bits": ([_PTR, _I64, _PTR], _I64),
+    "repro_huffman_encode": ([_PTR, _I64, _PTR, _PTR, _I64, _PTR, _PTR], _I64),
+    "repro_huffman_decode":
+        ([_PTR, _I64, _PTR, _I64, _I64, _I64, _PTR, _PTR, _I64, _I64, _PTR],
+         _I64),
+    "repro_zfp_encode":
+        ([_PTR, _INT, _INT, _PTR, _PTR, _INT, _I64, _I64, _INT,
+          _PTR, _PTR, _PTR, _PTR], _I64),
+    "repro_zfp_decode":
+        ([_PTR, _I64, _PTR, _I64, _PTR, _INT, _INT, _PTR, _PTR, _INT,
+          _I64, _INT], _I64),
+}
+
+_state: dict = {"probed": False, "lib": None, "error": None}
 
 
-# -- flavor resolution -------------------------------------------------------
+# -- build and load ----------------------------------------------------------
 
 
 def _cache_dir() -> str:
@@ -75,7 +87,9 @@ def _build_clib() -> ctypes.CDLL:
     cc = _find_compiler()
     if cc is None:
         raise KernelUnavailableError("no C compiler (cc/gcc/clang) on PATH")
-    digest = hashlib.sha256((cc + "\x00" + C_SOURCE).encode()).hexdigest()[:16]
+    digest = hashlib.sha256(
+        "\x00".join((cc, *_CFLAGS, C_SOURCE)).encode()
+    ).hexdigest()[:16]
     cache = _cache_dir()
     sopath = os.path.join(cache, f"repro_kernels_{digest}.so")
     if not os.path.exists(sopath):
@@ -87,7 +101,7 @@ def _build_clib() -> ctypes.CDLL:
                 with open(src, "w") as fh:
                     fh.write(C_SOURCE)
                 proc = subprocess.run(
-                    [cc, "-O2", "-fPIC", "-shared", "-o", out, src],
+                    [cc, *_CFLAGS, "-o", out, src, "-lm"],
                     capture_output=True, text=True, timeout=300,
                 )
                 if proc.returncode != 0:
@@ -100,142 +114,51 @@ def _build_clib() -> ctypes.CDLL:
         except Exception as exc:
             raise KernelUnavailableError(f"kernel build failed: {exc}") from exc
     try:
-        return ctypes.CDLL(sopath)
+        lib = ctypes.CDLL(sopath)
     except OSError as exc:
         raise KernelUnavailableError(f"cannot load {sopath}: {exc}") from exc
+    for name, (argtypes, restype) in _SIGNATURES.items():
+        fn = getattr(lib, name)
+        fn.argtypes = argtypes
+        fn.restype = restype
+    return lib
 
 
-class _CImpl:
-    """ctypes bindings presenting the same call surface as _numba_impl."""
-
-    def __init__(self, lib: ctypes.CDLL) -> None:
-        self._lib = lib
-        i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-        sigs = {
-            "repro_lorenzo_dualquant": ([ptr, ptr, i64, i64, i64, i64, f64], i64),
-            "repro_lorenzo_reconstruct": ([ptr, i64, i64, i64, i64], None),
-            "repro_pack_varlen": ([ptr, ptr, i64, ptr], i64),
-            "repro_huffman_symbol_bits": ([ptr, i64, ptr], i64),
-            "repro_huffman_encode": ([ptr, i64, ptr, ptr, i64, ptr, ptr], i64),
-            "repro_huffman_decode":
-                ([ptr, i64, ptr, i64, i64, i64, ptr, ptr, i64, i64, ptr], i64),
-            "repro_zfp_plane_words": ([ptr, i64, i64, i64, ptr], None),
-            "repro_zfp_words_to_coeffs": ([ptr, i64, i64, i64, ptr], None),
-            "repro_zfp_encode_blocks":
-                ([ptr, ptr, ptr, i64, i64, i64, ptr, ptr, i64, ptr, ptr, ptr],
-                 None),
-            "repro_zfp_decode_blocks":
-                ([ptr, ptr, ptr, i64, i64, i64, ptr, ptr, ptr], None),
-        }
-        for name, (argtypes, restype) in sigs.items():
-            fn = getattr(lib, name)
-            fn.argtypes = argtypes
-            fn.restype = restype
-
-    @staticmethod
-    def _p(arr: np.ndarray) -> ctypes.c_void_p:
-        return ctypes.c_void_p(arr.ctypes.data)
-
-    def lorenzo_dualquant(self, data, out, nblocks, b0, b1, b2, two_eb):
-        return self._lib.repro_lorenzo_dualquant(
-            self._p(data), self._p(out), nblocks, b0, b1, b2, two_eb)
-
-    def lorenzo_reconstruct(self, q, nblocks, b0, b1, b2):
-        self._lib.repro_lorenzo_reconstruct(self._p(q), nblocks, b0, b1, b2)
-
-    def pack_varlen(self, codes, lengths, out):
-        return self._lib.repro_pack_varlen(
-            self._p(codes), self._p(lengths), codes.size, self._p(out))
-
-    def huffman_symbol_bits(self, symbols, lengths):
-        return self._lib.repro_huffman_symbol_bits(
-            self._p(symbols), symbols.size, self._p(lengths))
-
-    def huffman_encode(self, symbols, codes, lengths, chunk_size,
-                       chunk_offsets, out):
-        return self._lib.repro_huffman_encode(
-            self._p(symbols), symbols.size, self._p(codes), self._p(lengths),
-            chunk_size, self._p(chunk_offsets), self._p(out))
-
-    def huffman_decode(self, body, chunk_offsets, chunk_size, n,
-                       table_sym, table_len, max_len, total_bits, out):
-        return self._lib.repro_huffman_decode(
-            self._p(body), body.size, self._p(chunk_offsets),
-            chunk_offsets.size, chunk_size, n,
-            self._p(table_sym), self._p(table_len), max_len, total_bits,
-            self._p(out))
-
-    def zfp_plane_words(self, u, nblocks, size, nplanes, words):
-        self._lib.repro_zfp_plane_words(
-            self._p(u), nblocks, size, nplanes, self._p(words))
-
-    def zfp_words_to_coeffs(self, words, nblocks, nplanes, size, u):
-        self._lib.repro_zfp_words_to_coeffs(
-            self._p(words), nblocks, nplanes, size, self._p(u))
-
-    def zfp_encode(self, words, nonzero, e, nblocks, size, planes,
-                   budgets, kmins, maxbits, out, pos, used):
-        self._lib.repro_zfp_encode_blocks(
-            self._p(words), self._p(nonzero), self._p(e), nblocks, size,
-            planes, self._p(budgets), self._p(kmins), maxbits,
-            self._p(out), self._p(pos), self._p(used))
-
-    def zfp_decode(self, bits, offsets, nonzero, nblocks, planes, size,
-                   budgets, kmins, words):
-        self._lib.repro_zfp_decode_blocks(
-            self._p(bits), self._p(offsets), self._p(nonzero), nblocks,
-            planes, size, self._p(budgets), self._p(kmins), self._p(words))
-
-
-def _resolve():
-    """Pick and memoize the (flavor, impl) pair for this process."""
-    if _state["probed"]:
-        if _state["error"] is not None:
-            raise _state["error"]
-        return _state["flavor"], _state["impl"]
-    pref = os.environ.get(FLAVOR_ENV, "auto").strip().lower() or "auto"
-    if pref not in ("auto", "numba", "cc"):
-        raise ConfigError(
-            f"{FLAVOR_ENV} must be one of ('auto', 'numba', 'cc'), got {pref!r}"
-        )
-    reasons = []
-    flavor = impl = None
-    if pref in ("auto", "numba"):
+def _resolve() -> ctypes.CDLL:
+    """Build/load the library once per process and memoize the outcome."""
+    if not _state["probed"]:
+        _state["probed"] = True
         try:
-            from repro.kernels import _numba_impl
-
-            flavor, impl = "numba", _numba_impl
+            _state["lib"] = _build_clib()
         except Exception as exc:
-            reasons.append(f"numba: {type(exc).__name__}: {exc}")
-    if impl is None and pref in ("auto", "cc"):
-        try:
-            flavor, impl = "cc", _CImpl(_build_clib())
-        except Exception as exc:
-            reasons.append(f"cc: {exc}")
-    _state["probed"] = True
-    if impl is None:
-        _state["error"] = KernelUnavailableError(
-            "native kernel tier unavailable (" + "; ".join(reasons) + ")"
-        )
+            _state["error"] = KernelUnavailableError(
+                f"native kernel tier unavailable (cc: {exc})"
+            )
+    if _state["error"] is not None:
         raise _state["error"]
-    _state["flavor"], _state["impl"] = flavor, impl
-    return flavor, impl
+    return _state["lib"]
 
 
 def probe() -> None:
-    """Registry availability hook: raises KernelUnavailableError if
-    neither the numba nor the cc flavor can run here."""
+    """Registry availability hook: raises KernelUnavailableError if the
+    C library cannot be built or loaded here."""
     _resolve()
 
 
 def flavor() -> str:
-    """Which native flavor this process resolved to ('numba' or 'cc')."""
-    return _resolve()[0]
+    """The native implementation this process runs (always ``"cc"``);
+    raises :class:`KernelUnavailableError` when there is none."""
+    _resolve()
+    return "cc"
 
 
 def reset() -> None:
-    """Forget the memoized flavor (tests re-probing under new env)."""
-    _state.update(probed=False, flavor=None, impl=None, error=None)
+    """Forget the memoized library (tests re-probing under a new env)."""
+    _state.update(probed=False, lib=None, error=None)
+
+
+def _p(arr: np.ndarray) -> ctypes.c_void_p:
+    return ctypes.c_void_p(arr.ctypes.data)
 
 
 # -- kernel wrappers ---------------------------------------------------------
@@ -250,7 +173,7 @@ def _block_dims(shape: tuple[int, ...]) -> tuple[int, int, int, int]:
 
 def lorenzo_dualquant(blocks: np.ndarray, error_bound: float) -> np.ndarray:
     """Fused prequantize + Lorenzo residual (``sz.lorenzo`` kernel)."""
-    _, impl = _resolve()
+    lib = _resolve()
     if error_bound <= 0 or not np.isfinite(error_bound):
         raise DataError(
             f"error bound must be a positive finite float, got {error_bound}"
@@ -261,9 +184,8 @@ def lorenzo_dualquant(blocks: np.ndarray, error_bound: float) -> np.ndarray:
     out = np.empty(data.shape, dtype=np.int64)
     if data.size:
         nblocks, b0, b1, b2 = _block_dims(data.shape)
-        overflow = impl.lorenzo_dualquant(
-            data.reshape(-1), out.reshape(-1), nblocks, b0, b1, b2,
-            2.0 * error_bound,
+        overflow = lib.repro_lorenzo_dualquant(
+            _p(data), _p(out), nblocks, b0, b1, b2, 2.0 * error_bound,
         )
         if overflow:
             raise DataError(
@@ -274,24 +196,24 @@ def lorenzo_dualquant(blocks: np.ndarray, error_bound: float) -> np.ndarray:
 
 def lorenzo_reconstruct(residual: np.ndarray) -> np.ndarray:
     """Iterated cumulative sum (``sz.lorenzo_inverse`` kernel)."""
-    _, impl = _resolve()
+    lib = _resolve()
     q = np.ascontiguousarray(residual, dtype=np.int64).copy()
     if q.size:
         nblocks, b0, b1, b2 = _block_dims(q.shape)
-        impl.lorenzo_reconstruct(q.reshape(-1), nblocks, b0, b1, b2)
+        lib.repro_lorenzo_reconstruct(_p(q), nblocks, b0, b1, b2)
     return q
 
 
 def pack_varlen(codes: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
     """MSB-first variable-length bit packing (``pack.varlen`` kernel)."""
-    _, impl = _resolve()
+    lib = _resolve()
     if codes.size == 0:
         return b"", 0
     codes = np.ascontiguousarray(codes, dtype=np.uint64)
     lengths = np.ascontiguousarray(lengths, dtype=np.int64)
     total = int(lengths.sum())
     out = np.zeros((total + 7) // 8, dtype=np.uint8)
-    impl.pack_varlen(codes, lengths, out)
+    lib.repro_pack_varlen(_p(codes), _p(lengths), codes.size, _p(out))
     return out.tobytes(), total
 
 
@@ -300,7 +222,7 @@ def huffman_encode(
 ) -> tuple[bytes, int, np.ndarray]:
     """Fused symbol->codeword bit packing plus the per-chunk bit-offset
     table (``huffman.encode`` kernel)."""
-    _, impl = _resolve()
+    lib = _resolve()
     symbols = np.ascontiguousarray(symbols, dtype=np.int64)
     codes = np.ascontiguousarray(codes, dtype=np.uint64)
     len_u8 = np.ascontiguousarray(lengths, dtype=np.uint8)
@@ -309,9 +231,12 @@ def huffman_encode(
     chunk_offsets = np.zeros(nchunks, dtype=np.uint64)
     if n == 0:
         return b"", 0, chunk_offsets
-    total = int(impl.huffman_symbol_bits(symbols, len_u8))
+    total = int(lib.repro_huffman_symbol_bits(_p(symbols), n, _p(len_u8)))
     out = np.zeros((total + 7) // 8, dtype=np.uint8)
-    impl.huffman_encode(symbols, codes, len_u8, chunk_size, chunk_offsets, out)
+    lib.repro_huffman_encode(
+        _p(symbols), n, _p(codes), _p(len_u8), chunk_size,
+        _p(chunk_offsets), _p(out),
+    )
     return out.tobytes(), total, chunk_offsets
 
 
@@ -326,17 +251,16 @@ def huffman_decode(
     total_bits: int,
 ) -> np.ndarray:
     """Chunk-parallel dense-table decode (``huffman.decode`` kernel)."""
-    from repro.errors import CorruptStreamError
-
-    _, impl = _resolve()
+    lib = _resolve()
     body_arr = np.frombuffer(body, dtype=np.uint8)
     table_sym = np.ascontiguousarray(table_sym, dtype=np.int64)
     table_len = np.ascontiguousarray(table_len, dtype=np.int64)
     chunk_offsets = np.ascontiguousarray(chunk_offsets, dtype=np.int64)
     out = np.empty(n, dtype=np.int64)
-    code = impl.huffman_decode(
-        body_arr, chunk_offsets, chunk_size, n, table_sym, table_len,
-        max_len, total_bits, out,
+    code = lib.repro_huffman_decode(
+        _p(body_arr), body_arr.size, _p(chunk_offsets), chunk_offsets.size,
+        chunk_size, n, _p(table_sym), _p(table_len), max_len, total_bits,
+        _p(out),
     )
     if code == 1:
         raise CorruptStreamError("invalid codeword in Huffman stream")
@@ -345,97 +269,67 @@ def huffman_decode(
     return out
 
 
-def zfp_plane_words(u: np.ndarray, nplanes: int) -> np.ndarray:
-    """Bit-plane transpose (``zfp.transpose`` kernel)."""
-    _, impl = _resolve()
-    nblocks, size = u.shape
-    u = np.ascontiguousarray(u, dtype=np.uint64)
-    words = np.zeros((nblocks, nplanes), dtype=np.uint64)
-    if nblocks:
-        impl.zfp_plane_words(u.reshape(-1), nblocks, size, nplanes,
-                             words.reshape(-1))
-    return words
+def _zfp_geometry(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, int]:
+    """(shape as int64 array, sequency permutation, block count)."""
+    from repro.compressors.zfp.transform import sequency_order
+
+    nblocks = math.prod(-(-s // 4) for s in shape)
+    return np.array(shape, dtype=np.int64), sequency_order(len(shape)), nblocks
 
 
-def zfp_words_to_coeffs(words: np.ndarray, size: int) -> np.ndarray:
-    """Inverse bit-plane transpose (``zfp.transpose_inverse`` kernel)."""
-    _, impl = _resolve()
-    nblocks, nplanes = words.shape
-    words = np.ascontiguousarray(words, dtype=np.uint64)
-    u = np.zeros((nblocks, size), dtype=np.uint64)
-    if nblocks:
-        impl.zfp_words_to_coeffs(words.reshape(-1), nblocks, nplanes, size,
-                                 u.reshape(-1))
-    return u
-
-
-def zfp_encode_blocks(
-    words: np.ndarray,
-    nonzero: np.ndarray,
-    e: np.ndarray,
-    size: int,
-    planes: int,
-    budgets: np.ndarray,
-    kmins: np.ndarray,
-    maxbits: int = 0,
-) -> tuple[bytes, int, np.ndarray, np.ndarray]:
-    """Group-testing block coder (``zfp.encode`` kernel); same contract
-    as :func:`repro.compressors.zfp.batch.encode_blocks`."""
-    from repro.telemetry import get_telemetry
-
-    _, impl = _resolve()
-    nblocks = words.shape[0]
-    header_bits = 1 + _EBITS
-    fixed_rate = maxbits > 0
-    capacity = maxbits if fixed_rate else (
-        header_bits + planes * (2 * size + 1) + 2 * size + 8
+def zfp_encode(
+    data: np.ndarray, planes: int, maxbits: int, kmin_rule: tuple[int, bool]
+) -> tuple[bytes, int, np.ndarray, np.ndarray, np.ndarray]:
+    """One-pass fused block coder (``zfp.encode`` kernel); the contract
+    is spelled out in :mod:`repro.compressors.zfp.staged`."""
+    lib = _resolve()
+    data = np.ascontiguousarray(data)
+    shape, perm, nblocks = _zfp_geometry(data.shape)
+    size = 4 ** data.ndim
+    # Worst case per block: header, then per plane at most `size` value
+    # bits, `size` group-test bits and one terminating test bit.
+    block_bits = maxbits if maxbits else 13 + planes * (2 * size + 1)
+    out = np.empty((nblocks * block_bits + 7) // 8, dtype=np.uint8)
+    offsets = np.empty(nblocks + 1, dtype=np.uint64)
+    used_bits = np.empty(nblocks, dtype=np.int64)
+    nonzero = np.empty(nblocks, dtype=np.bool_)
+    nbits = lib.repro_zfp_encode(
+        _p(data), data.dtype == np.float32, data.ndim, _p(shape), _p(perm),
+        planes, maxbits, kmin_rule[0], kmin_rule[1],
+        _p(out), _p(offsets), _p(used_bits), _p(nonzero),
     )
-    words = np.ascontiguousarray(words, dtype=np.uint64)
-    nonzero_u8 = np.ascontiguousarray(nonzero, dtype=np.uint8)
-    e = np.ascontiguousarray(e, dtype=np.int64)
-    budgets = np.ascontiguousarray(budgets, dtype=np.int64)
-    kmins = np.ascontiguousarray(kmins, dtype=np.int64)
-    # The kernel emits straight into the packed MSB-first stream (one
-    # pass, no byte-per-bit staging or gather) — `capacity` is only an
-    # upper bound sizing the zeroed output buffer.
-    out = np.zeros((nblocks * capacity + 7) // 8, dtype=np.uint8)
-    pos = np.zeros(nblocks, dtype=np.int64)
-    used_bits = np.zeros(nblocks, dtype=np.int64)
-    if nblocks:
-        impl.zfp_encode(
-            words.reshape(-1), nonzero_u8, e, nblocks, size, planes,
-            budgets, kmins, maxbits, out, pos, used_bits,
-        )
-    offsets = np.zeros(nblocks + 1, dtype=np.uint64)
-    np.cumsum(pos, out=offsets[1:])
-    total = int(offsets[-1])
-    get_telemetry().count("zfp.emitted_bits", total)
-    body = out[: (total + 7) // 8].tobytes()
-    return body, total, offsets, used_bits
+    return out[: (nbits + 7) // 8].tobytes(), nbits, offsets, used_bits, nonzero
 
 
-def zfp_decode_blocks(
-    bits: np.ndarray,
-    offsets: np.ndarray,
-    nonzero: np.ndarray,
+def zfp_decode(
+    body: bytes,
+    offsets: np.ndarray | int,
+    shape: tuple[int, ...],
+    dtype: np.dtype,
     planes: int,
-    size: int,
-    budgets: np.ndarray,
-    kmins: np.ndarray,
+    kmin_rule: tuple[int, bool],
 ) -> np.ndarray:
-    """Mirror of :func:`zfp_encode_blocks`; same contract as
-    :func:`repro.compressors.zfp.batch.decode_blocks`."""
-    _, impl = _resolve()
-    nblocks = offsets.size - 1
-    bits = np.ascontiguousarray(bits, dtype=np.uint8)
-    offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-    nonzero_u8 = np.ascontiguousarray(nonzero, dtype=np.uint8)
-    budgets = np.ascontiguousarray(budgets, dtype=np.int64)
-    kmins = np.ascontiguousarray(kmins, dtype=np.int64)
-    words = np.zeros((nblocks, planes), dtype=np.uint64)
-    if nblocks:
-        impl.zfp_decode(
-            bits, offsets, nonzero_u8, nblocks, planes, size, budgets,
-            kmins, words.reshape(-1),
-        )
-    return words
+    """Mirror of :func:`zfp_encode` (``zfp.decode`` kernel); the contract
+    is spelled out in :mod:`repro.compressors.zfp.staged`."""
+    lib = _resolve()
+    body_arr = np.frombuffer(body, dtype=np.uint8)
+    shape_arr, perm, nblocks = _zfp_geometry(shape)
+    if isinstance(offsets, int):
+        table, maxbits, end = None, offsets, nblocks * offsets
+    else:
+        table = np.ascontiguousarray(offsets, dtype=np.int64)
+        maxbits, end = 0, int(table[-1])
+    # The kernel reads whole words; never hand it spans the body lacks.
+    if (table is not None and table.size != nblocks + 1) or end > 8 * body_arr.size:
+        raise CorruptStreamError("ZFP stream truncated (body)")
+    out = np.empty(shape, dtype=dtype)
+    code = lib.repro_zfp_decode(
+        _p(body_arr), body_arr.size, None if table is None else _p(table),
+        maxbits, _p(out), out.dtype == np.float32, len(shape), _p(shape_arr),
+        _p(perm), planes, kmin_rule[0], kmin_rule[1],
+    )
+    if code == 1:
+        raise CorruptStreamError("non-increasing ZFP block offsets")
+    if code == 2:
+        raise CorruptStreamError("ZFP block bit budget overrun")
+    return out

@@ -1,8 +1,8 @@
 """Kernel-backend registry: scalar / numpy / native tiers with fallback.
 
 Every codec hot spot in this library (Lorenzo dual-quantization, the
-canonical Huffman codec, the ZFP bit-plane transpose and group-testing
-coder, variable-length bit packing) exists in up to three
+canonical Huffman codec, the ZFP block coder, variable-length bit
+packing) exists in up to three
 implementations:
 
 ``scalar``
@@ -13,10 +13,9 @@ implementations:
     The vectorized batch kernels (PR 2).  Always available; byte-exact
     with ``scalar``.
 ``native``
-    Compiled kernels (:mod:`repro.kernels.native`): numba ``@njit`` when
-    numba is importable, otherwise a small C library compiled on demand
-    with the system C compiler and called through ``ctypes``.  Optional;
-    byte-exact with ``scalar``.
+    Compiled kernels (:mod:`repro.kernels.native`): a small C library
+    compiled on demand with the system C compiler and called through
+    ``ctypes``.  Optional; byte-exact with ``scalar``.
 
 The registry resolves, per kernel, which implementation actually runs:
 
@@ -29,10 +28,6 @@ The registry resolves, per kernel, which implementation actually runs:
    :class:`~repro.errors.ReproError` data/stream error) is tripped for
    that kernel and the call transparently re-dispatches one tier down —
    daemons keep serving, only slower.
-
-``REPRO_SCALAR_CODECS=1`` remains supported as a deprecated alias for
-``REPRO_BACKEND=scalar`` so existing scripts and benchmarks keep
-working unchanged.
 """
 
 from __future__ import annotations
@@ -49,16 +44,11 @@ from repro.telemetry import get_telemetry
 #: Environment variable selecting the backend tier (or ``auto``).
 BACKEND_ENV = "REPRO_BACKEND"
 
-#: Deprecated alias: truthy values mean ``REPRO_BACKEND=scalar``.
-LEGACY_SCALAR_ENV = "REPRO_SCALAR_CODECS"
-
 #: Tier preference for ``auto`` resolution, best first.
 TIER_ORDER = ("native", "numpy", "scalar")
 
 #: Numeric tier levels for the ``kernels.backend{stage=...}`` gauge.
 TIER_LEVEL = {"scalar": 0, "numpy": 1, "native": 2}
-
-_TRUTHY = ("1", "true", "yes", "on")
 
 
 @dataclass
@@ -162,9 +152,6 @@ class KernelRegistry:
                     f"{TIER_ORDER + ('auto',)}, got {raw!r}"
                 )
             return raw
-        legacy = os.environ.get(LEGACY_SCALAR_ENV, "").strip().lower()
-        if legacy in _TRUTHY:
-            return "scalar"
         return "auto"
 
     def set_backend(self, backend: str | None) -> None:

@@ -44,6 +44,11 @@ _MAGIC = b"HUF1"
 #: Serialized record of the sparse code-length table: ``struct "<IB"``.
 _SPARSE_RECORD = np.dtype([("symbol", "<u4"), ("length", "u1")])
 
+#: Largest alphabet the stream format admits (max_len <= 24 bounds the
+#: number of distinct codewords); lets the decoder size its tables from
+#: an untrusted header.
+_MAX_ALPHABET = 1 << 24
+
 
 def package_merge_lengths(freqs: np.ndarray, max_len: int) -> np.ndarray:
     """Optimal length-limited code lengths for ``freqs`` (package-merge).
@@ -284,6 +289,8 @@ class HuffmanCodec:
             alphabet_size = int(symbols.max()) + 1 if symbols.size else 1
         if symbols.size and int(symbols.max()) >= alphabet_size:
             raise DataError("symbol exceeds declared alphabet size")
+        if alphabet_size > _MAX_ALPHABET:
+            raise DataError(f"alphabet size must be <= {_MAX_ALPHABET}")
 
         freqs = np.bincount(symbols, minlength=alphabet_size).astype(np.int64)
         lengths = huffman_lengths(freqs, self.max_len)
@@ -366,6 +373,14 @@ class HuffmanCodec:
         )
         if magic != _MAGIC:
             raise CorruptStreamError("bad Huffman magic")
+        # Bound every header field by the payload before it sizes an
+        # allocation: a symbol costs at least one bit, a dense length
+        # table five bits per alphabet entry (the sparse form is checked
+        # against its own records in _deserialize_lengths).
+        if (not 1 <= max_len <= 24 or chunk_size < 1
+                or alphabet_size > _MAX_ALPHABET
+                or not n <= total_bits <= 8 * len(payload)):
+            raise CorruptStreamError("inconsistent Huffman stream header")
         try:
             pos = hsize
             (lt_len,) = struct.unpack("<I", payload[pos : pos + 4])
@@ -376,19 +391,28 @@ class HuffmanCodec:
             pos += lt_len
             (nchunks,) = struct.unpack("<I", payload[pos : pos + 4])
             pos += 4
+            if nchunks != max(1, -(-n // chunk_size)):
+                raise CorruptStreamError("Huffman chunk count does not match header")
             if len(payload) < pos + 8 * nchunks:
                 raise CorruptStreamError("Huffman stream truncated (offsets)")
             chunk_offsets = np.frombuffer(
                 payload[pos : pos + 8 * nchunks], dtype=np.uint64
             ).astype(np.int64)
             pos += 8 * nchunks
+            if chunk_offsets.min() < 0 or chunk_offsets.max() > total_bits:
+                raise CorruptStreamError("Huffman chunk offset out of range")
         except struct.error as exc:
             raise CorruptStreamError(f"Huffman stream truncated: {exc}") from exc
         body = payload[pos:]
         if n == 0:
             return np.zeros(0, dtype=np.int64)
 
-        codes = canonical_codes(lengths)
+        if int(lengths.max(initial=0)) > max_len:
+            raise CorruptStreamError("code length exceeds declared max_len")
+        try:
+            codes = canonical_codes(lengths)
+        except DataError as exc:  # Kraft sum > 1: no such prefix code
+            raise CorruptStreamError(f"bad Huffman length table: {exc}") from exc
         table_sym, table_len = self._build_decode_table(codes, lengths, max_len)
 
         if len(body) * 8 < total_bits:
@@ -410,8 +434,6 @@ class HuffmanCodec:
         if used.size == 0:
             return table_sym, table_len
         lens = lengths[used].astype(np.int64)
-        if int(lens.max()) > max_len:
-            raise CorruptStreamError("code length exceeds declared max_len")
         spans = 1 << (max_len - lens)
         prefixes = codes[used].astype(np.int64) << (max_len - lens)
         owner = np.repeat(np.arange(used.size), spans)
@@ -490,7 +512,12 @@ def _decode_chunks_scalar(
     for step in range(max_iters):
         active = np.flatnonzero(counts > step)
         idx = cursors[active, None] + window[None, :]
-        keys = bits[idx].astype(np.int64) @ weights
+        try:
+            keys = bits[idx].astype(np.int64) @ weights
+        except IndexError:  # a cursor ran off the padded body
+            raise CorruptStreamError(
+                "Huffman decode overran declared bit length"
+            ) from None
         syms = table_sym[keys]
         lens = table_len[keys]
         if np.any(lens == 0):
@@ -548,9 +575,14 @@ def _decode_chunks_numpy(
             cur_live = cur_live[keep]
             base_live = base_live[keep]
             counts_live = counts_live[keep]
-        entry = fused[
-            bits[cur_live[:, None] + window].astype(np.int64) @ weights
-        ]
+        try:
+            entry = fused[
+                bits[cur_live[:, None] + window].astype(np.int64) @ weights
+            ]
+        except IndexError:  # a cursor ran off the padded body
+            raise CorruptStreamError(
+                "Huffman decode overran declared bit length"
+            ) from None
         lens = entry & 63
         if not complete and not lens.all():
             raise CorruptStreamError("invalid codeword in Huffman stream")

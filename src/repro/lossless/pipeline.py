@@ -57,8 +57,13 @@ class LosslessPipeline:
     def decompress(self, payload: bytes) -> bytes:
         if payload[:4] != _MAGIC:
             raise CorruptStreamError("bad lossless-pipeline magic")
+        if len(payload) < 6:
+            raise CorruptStreamError("lossless-pipeline stream truncated (header)")
         (nlen,) = struct.unpack("<H", payload[4:6])
-        names = payload[6 : 6 + nlen].decode()
+        try:
+            names = payload[6 : 6 + nlen].decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise CorruptStreamError("bad lossless-pipeline stage list") from exc
         stages = [s for s in names.split(",") if s]
         out = payload[6 + nlen :]
         for s in reversed(stages):

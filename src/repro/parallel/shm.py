@@ -70,6 +70,15 @@ class ShmDescriptor:
         return int(np.prod(self.shape, dtype=np.int64)) * np.dtype(self.dtype).itemsize
 
 
+#: Serializes every ``SharedMemory()`` call that depends on what
+#: ``resource_tracker.register`` currently is: the swap in
+#: :func:`_untracked_attach` is process-global, so an unguarded second
+#: thread would either restore the real ``register`` under an attach in
+#: flight (the attach gets tracked, and this process's tracker unlinks
+#: the *publisher's* segment at exit) or lose a create's registration.
+_REGISTER_LOCK = threading.Lock()
+
+
 @contextmanager
 def _untracked_attach() -> "Iterator[None]":
     """Attach without registering with the ``resource_tracker``.
@@ -86,12 +95,13 @@ def _untracked_attach() -> "Iterator[None]":
     """
     from multiprocessing import resource_tracker
 
-    original = resource_tracker.register
-    resource_tracker.register = lambda *args, **kwargs: None  # type: ignore[assignment]
-    try:
-        yield
-    finally:
-        resource_tracker.register = original  # type: ignore[assignment]
+    with _REGISTER_LOCK:
+        original = resource_tracker.register
+        resource_tracker.register = lambda *args, **kwargs: None  # type: ignore[assignment]
+        try:
+            yield
+        finally:
+            resource_tracker.register = original  # type: ignore[assignment]
 
 
 class SharedArray:
@@ -138,7 +148,8 @@ class SharedArray:
         """
         if nbytes <= 0:
             raise DataError("cannot create an empty shared segment")
-        segment = shared_memory.SharedMemory(create=True, size=int(nbytes))
+        with _REGISTER_LOCK:
+            segment = shared_memory.SharedMemory(create=True, size=int(nbytes))
         tm = get_telemetry()
         tm.count("shm.segments_published")
         return cls(segment, (int(nbytes),), np.dtype(np.uint8), owner=True)
@@ -151,7 +162,8 @@ class SharedArray:
             raise DataError("cannot publish an empty array to shared memory")
         tm = get_telemetry()
         with tm.span("shm.publish", bytes=array.nbytes):
-            segment = shared_memory.SharedMemory(create=True, size=array.nbytes)
+            with _REGISTER_LOCK:
+                segment = shared_memory.SharedMemory(create=True, size=array.nbytes)
             handle = cls(segment, array.shape, array.dtype, owner=True)
             handle._array[...] = array
             handle._array.flags.writeable = False

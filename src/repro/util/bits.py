@@ -22,18 +22,6 @@ from repro.errors import CorruptStreamError, DataError
 _MAX_CODE_BITS = 57  # codes are staged in uint64; reads use shifts below 64
 
 
-def _use_scalar() -> bool:
-    """Deprecated: ``True`` when the ``scalar`` kernel tier is selected.
-
-    Kept for backward compatibility with callers that branched on
-    ``REPRO_SCALAR_CODECS`` directly; new code should dispatch through
-    :mod:`repro.kernels` instead.
-    """
-    from repro.kernels import requested_backend
-
-    return requested_backend() == "scalar"
-
-
 def pack_varlen_codes(codes: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
     """Pack variable-length MSB-first codes into a byte string.
 

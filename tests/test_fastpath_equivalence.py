@@ -5,9 +5,8 @@ python loops for batched numpy kernels or compiled native code, but the
 *stream format is the contract*: for any input, any configuration and
 any backend tier the encoder must produce bit-identical payloads, and
 every decoder must accept (and identically decode) streams from any
-encoder.  ``REPRO_SCALAR_CODECS=1`` (the deprecated alias for
-``REPRO_BACKEND=scalar``) forces the seed implementations, which is also
-exactly what ``bench_fastpath.py`` times against; the
+encoder.  ``REPRO_BACKEND=scalar`` forces the seed implementations,
+which is also exactly what ``bench_fastpath.py`` times against; the
 ``TestBackendParityMatrix`` class drives the same contract through the
 registry for the full backend x kernel matrix.
 """
@@ -52,20 +51,15 @@ BACKENDS = backend_params()
 
 @pytest.fixture()
 def scalar_mode(monkeypatch):
-    """Run the wrapped code under the seed scalar implementations.
-
-    Pins ``REPRO_BACKEND`` itself (not just the deprecated alias) so
-    the toggle also works when the whole suite runs under an ambient
-    tier pin, as the CI backend matrix does.
-    """
+    """Run the wrapped code under the seed scalar implementations
+    (also when the whole suite runs under an ambient tier pin, as the CI
+    backend matrix does)."""
 
     def enable():
         monkeypatch.setenv(kernels.BACKEND_ENV, "scalar")
-        monkeypatch.setenv(kernels.LEGACY_SCALAR_ENV, "1")
 
     def disable():
         monkeypatch.delenv(kernels.BACKEND_ENV, raising=False)
-        monkeypatch.delenv(kernels.LEGACY_SCALAR_ENV, raising=False)
 
     disable()
     return enable, disable
@@ -169,7 +163,7 @@ class TestSweepEquivalence:
     """Engine knobs must not change sweep results — only their speed.
 
     The full matrix of transports (shm vs ``REPRO_NO_SHM=1`` pickling)
-    and codec implementations (vectorized vs ``REPRO_SCALAR_CODECS=1``
+    and codec implementations (vectorized vs ``REPRO_BACKEND=scalar``
     seed paths) produces identical records for the same sweep.
     """
 
@@ -181,10 +175,8 @@ class TestSweepEquivalence:
             monkeypatch.delenv("REPRO_NO_SHM", raising=False)
         if scalar:
             monkeypatch.setenv(kernels.BACKEND_ENV, "scalar")
-            monkeypatch.setenv(kernels.LEGACY_SCALAR_ENV, "1")
         else:
             monkeypatch.delenv(kernels.BACKEND_ENV, raising=False)
-            monkeypatch.delenv(kernels.LEGACY_SCALAR_ENV, raising=False)
         sweep = CompressorSweep(
             name="sz", mode="abs", sweep={"error_bound": [0.05, 0.01]}
         )
@@ -271,65 +263,58 @@ class TestBackendParityMatrix:
         assert enc.payload == ref_enc.payload
         assert np.array_equal(out, symbols)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", ["scalar", "numpy"])
     @pytest.mark.parametrize("planes,size", [(32, 16), (52, 64), (52, 4)])
     def test_zfp_transpose_roundtrip(self, backend, planes, size):
+        """The bit-plane transposes are plain helpers of the staged tiers
+        (the native kernel transposes on the fly inside its block loop)."""
+        from repro.compressors.zfp import blockcodec as BC
+
+        forward, inverse = {
+            "scalar": (BC._plane_words_scalar, BC._words_matrix_scalar),
+            "numpy": (BC.plane_words, BC.words_matrix_to_coeffs),
+        }[backend]
         rng = np.random.default_rng(planes + size)
         u = rng.integers(0, 1 << 62, size=(13, size), dtype=np.uint64) & (
             (np.uint64(1) << np.uint64(planes)) - np.uint64(1)
         )
-        ref = kernels.call("zfp.transpose", u, planes, backend="scalar")
-        words = kernels.call("zfp.transpose", u, planes, backend=backend)
-        assert np.array_equal(words, ref)
-        back = kernels.call("zfp.transpose_inverse", words, size, backend=backend)
-        assert np.array_equal(
-            back, kernels.call("zfp.transpose_inverse", ref, size, backend="scalar")
-        )
+        words = forward(u, planes)
+        assert np.array_equal(words, BC._plane_words_scalar(u, planes))
+        assert np.array_equal(inverse(words, size), u)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("maxbits", [0, 210])
     @pytest.mark.parametrize("size,planes", [(4, 32), (16, 32), (64, 52)])
     def test_zfp_coder(self, backend, maxbits, size, planes):
-        rng = np.random.default_rng(size * planes + maxbits)
-        nblocks = 11
-        u = rng.integers(0, 1 << 62, size=(nblocks, size), dtype=np.uint64) & (
-            (np.uint64(1) << np.uint64(planes)) - np.uint64(1)
-        )
-        u[3] = 0  # a zero block in the middle
-        words = kernels.call("zfp.transpose", u, planes, backend="scalar")
-        nonzero = np.array([u[b].any() for b in range(nblocks)])
-        e = rng.integers(-60, 60, size=nblocks).astype(np.int64)
-        header = 13  # 1 flag bit + EBITS
+        """The field-granularity ``zfp.encode`` / ``zfp.decode`` contracts,
+        called directly: all five outputs match the scalar tier's, and
+        either tier's decoder inverts either tier's stream."""
+        ndim = {4: 1, 16: 2, 64: 3}[size]
+        dtype = {32: np.float32, 52: np.float64}[planes]
+        shape = {1: (41,), 2: (9, 14), 3: (5, 6, 9)}[ndim]
+        data = _field(shape, dtype, seed=size * planes + maxbits)
+        data[(slice(4, 8),) * ndim] = 0  # a zero block in the middle
+        # Variable-rate calls exercise the per-exponent cutoff rule.
+        rule = (0, False) if maxbits else (planes - 30, True)
+        ref = kernels.call("zfp.encode", data, planes, maxbits, rule,
+                           backend="scalar")
+        got = kernels.call("zfp.encode", data, planes, maxbits, rule,
+                           backend=backend)
+        body, nbits, offsets, used_bits, nonzero = ref
+        assert bytes(got[0]) == bytes(body) and got[1] == nbits
+        for mine, theirs in zip(got[2:], ref[2:]):
+            assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+        assert not nonzero.all() and nonzero.any()
+        assert offsets[-1] == nbits and (used_bits[~nonzero] == 0).all()
         if maxbits:
-            budgets = np.full(nblocks, maxbits - header, dtype=np.int64)
-        else:
-            budgets = np.full(nblocks, 1 << 20, dtype=np.int64)
-        kmins = rng.integers(0, planes // 2, size=nblocks).astype(np.int64)
-        ref = kernels.call(
-            "zfp.encode", words, nonzero, e, size, planes, budgets, kmins,
-            maxbits=maxbits, backend="scalar",
-        )
-        got = kernels.call(
-            "zfp.encode", words, nonzero, e, size, planes, budgets, kmins,
-            maxbits=maxbits, backend=backend,
-        )
-        assert got[0] == ref[0] and got[1] == ref[1]
-        assert np.array_equal(got[2], ref[2])
-        assert np.array_equal(got[3], ref[3])
+            assert nbits == nonzero.size * maxbits
 
-        body, nbits, offsets, _ = ref
-        bits = np.unpackbits(
-            np.frombuffer(body, dtype=np.uint8), count=nbits, bitorder="big"
-        )
-        padded = np.concatenate([bits, np.zeros(128, dtype=np.uint8)])
-        dec_ref = kernels.call(
-            "zfp.decode", padded, offsets.astype(np.int64), nonzero, planes,
-            size, budgets, kmins, backend="scalar",
-        )
-        dec = kernels.call(
-            "zfp.decode", padded, offsets.astype(np.int64), nonzero, planes,
-            size, budgets, kmins, backend=backend,
-        )
+        layout = maxbits if maxbits else offsets.astype(np.int64)
+        dec_ref = kernels.call("zfp.decode", body, layout, shape,
+                               np.dtype(dtype), planes, rule, backend="scalar")
+        dec = kernels.call("zfp.decode", body, layout, shape,
+                           np.dtype(dtype), planes, rule, backend=backend)
+        assert dec.dtype == dtype and dec.shape == shape
         assert np.array_equal(dec, dec_ref)
 
     # -- whole codecs -------------------------------------------------------
@@ -366,6 +351,43 @@ class TestBackendParityMatrix:
             ZFPCompressor(backend=backend).decompress(ref),
             ZFPCompressor(backend="scalar").decompress(ref),
         )
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_zfp_parity_matrix(self, backend, ndim, dtype):
+        """Every mode x field kind through one tier: payload bytes equal
+        the scalar tier's and reconstructions are bit-equal."""
+        tiny = np.finfo(dtype).tiny
+        big = np.finfo(dtype).max
+        ragged = {1: (13,), 2: (7, 10), 3: (13, 7, 10)}[ndim]
+        extreme = _field(ragged, dtype, seed=9)
+        extreme.reshape(-1)[::3] *= dtype(tiny * 4)      # denormal results
+        extreme.reshape(-1)[1::3] = dtype(big / 16)      # lossy error stays finite
+        extreme.reshape(-1)[2] = -dtype(big / 8)
+        fields = {
+            "aligned": _field((8,) * ndim, dtype, seed=ndim),
+            "ragged": _field(ragged, dtype, seed=ndim + 3),
+            "all-zero": np.zeros(ragged, dtype),
+            "single block": _field((3,) * ndim, dtype, seed=ndim + 6),
+            "extreme": extreme,
+        }
+        modes = [("fixed_rate", {"rate": r}) for r in (3.3, 4.0, 8.0, 16.0)] + [
+            ("fixed_precision", {"precision": 11}),
+            ("fixed_accuracy", {"tolerance": 2.0 ** -7}),
+        ]
+        scalar, tier = ZFPCompressor(backend="scalar"), ZFPCompressor(backend=backend)
+        for label, data in fields.items():
+            for mode, kwargs in modes:
+                if mode == "fixed_rate" and round(kwargs["rate"] * 4**ndim) < 14:
+                    continue  # below the 13-bit block header: DataError on any tier
+                ref = scalar.compress(data, mode=mode, **kwargs)
+                buf = tier.compress(data, mode=mode, **kwargs)
+                assert buf.payload == ref.payload, (label, mode, kwargs)
+                assert buf.meta == ref.meta, (label, mode, kwargs)
+                rec = tier.decompress(ref)
+                assert rec.dtype == dtype and rec.shape == data.shape
+                assert np.array_equal(rec, scalar.decompress(ref)), (label, mode)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_adversarial_zfp_block(self, backend):

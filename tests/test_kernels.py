@@ -56,7 +56,6 @@ def _fresh(native_impl, probe=None):
 class TestSelection:
     def test_default_is_auto(self, monkeypatch):
         monkeypatch.delenv(kernels.BACKEND_ENV, raising=False)
-        monkeypatch.delenv(kernels.LEGACY_SCALAR_ENV, raising=False)
         assert kernels.requested_backend() == "auto"
 
     @pytest.mark.parametrize("value", ["scalar", "numpy", "native", "auto"])
@@ -69,17 +68,8 @@ class TestSelection:
         with pytest.raises(ConfigError, match="REPRO_BACKEND"):
             kernels.requested_backend()
 
-    def test_legacy_scalar_alias(self, monkeypatch):
-        monkeypatch.delenv(kernels.BACKEND_ENV, raising=False)
-        monkeypatch.setenv(kernels.LEGACY_SCALAR_ENV, "1")
-        assert kernels.requested_backend() == "scalar"
-        # The new variable supersedes the deprecated alias.
-        monkeypatch.setenv(kernels.BACKEND_ENV, "numpy")
-        assert kernels.requested_backend() == "numpy"
-
     def test_use_restores_override(self, monkeypatch):
         monkeypatch.delenv(kernels.BACKEND_ENV, raising=False)
-        monkeypatch.delenv(kernels.LEGACY_SCALAR_ENV, raising=False)
         assert kernels.current_override() is None
         with kernels.use("scalar"):
             assert kernels.requested_backend() == "scalar"
@@ -106,10 +96,9 @@ class TestSelection:
             "sz.lorenzo", "sz.lorenzo_inverse", "pack.varlen",
             "huffman.package_merge", "huffman.canonical",
             "huffman.encode", "huffman.decode",
-            "zfp.transpose", "zfp.transpose_inverse",
             "zfp.encode", "zfp.decode",
         }
-        assert set(active.values()) == {"scalar"}
+        assert len(active) == 9 and set(active.values()) == {"scalar"}
 
     def test_numpy_tier_resolves_everywhere(self):
         assert set(kernels.active("numpy").values()) == {"numpy"}
@@ -169,18 +158,6 @@ class TestFallback:
 
 
 class TestNativeTier:
-    def test_flavor_env_validated(self, monkeypatch):
-        from repro.kernels import native
-
-        monkeypatch.setenv(native.FLAVOR_ENV, "fortran")
-        native.reset()
-        try:
-            with pytest.raises(ConfigError, match="REPRO_NATIVE_FLAVOR"):
-                native.probe()
-        finally:
-            monkeypatch.delenv(native.FLAVOR_ENV, raising=False)
-            native.reset()
-
     def test_probe_is_memoized(self):
         from repro.kernels import native
 
@@ -188,7 +165,31 @@ class TestNativeTier:
             native.probe()
         except KernelUnavailableError:
             pytest.skip("native tier unavailable here")
-        assert native.flavor() in ("numba", "cc")
+        assert native.flavor() == "cc"
+        assert native._resolve() is native._resolve()
+
+    def test_no_compiler_degrades_to_numpy(self, monkeypatch, tmp_path):
+        """Without a C compiler the probe fails, every kernel resolves one
+        tier down, and streams stay byte-identical."""
+        from repro.compressors.zfp.zfpcompressor import ZFPCompressor
+        from repro.kernels import native
+
+        data = np.random.default_rng(3).standard_normal((9, 6)).astype(np.float32)
+        reference = ZFPCompressor(backend="scalar").compress(data, rate=8.0)
+        monkeypatch.setenv("PATH", str(tmp_path))
+        monkeypatch.delenv("CC", raising=False)
+        monkeypatch.setenv(native.CACHE_ENV, str(tmp_path))  # no cached .so
+        kernels.reset()
+        try:
+            with pytest.raises(KernelUnavailableError, match="no C compiler"):
+                native.probe()
+            assert set(kernels.active("native").values()) == {"numpy"}
+            codec = ZFPCompressor(backend="native")
+            assert codec.compress(data, rate=8.0).payload == reference.payload
+            assert kernels.last_used()["zfp.encode"] == "numpy"
+        finally:
+            monkeypatch.undo()
+            kernels.reset()
 
 
 class TestTelemetryExport:
@@ -221,7 +222,6 @@ class TestPropagation:
 
     def test_process_map_workers_inherit_override(self, monkeypatch):
         monkeypatch.delenv(kernels.BACKEND_ENV, raising=False)
-        monkeypatch.delenv(kernels.LEGACY_SCALAR_ENV, raising=False)
         with kernels.use("scalar"):
             out = process_map(_worker_backend, list(range(8)), workers=2)
         assert out == ["scalar"] * 8
@@ -268,8 +268,7 @@ class TestPropagation:
         assert kernels.current_override() is None
 
     def test_zfp_batched_compat(self, monkeypatch):
-        monkeypatch.setenv(kernels.LEGACY_SCALAR_ENV, "1")
-        monkeypatch.delenv(kernels.BACKEND_ENV, raising=False)
+        monkeypatch.setenv(kernels.BACKEND_ENV, "scalar")
         from repro.compressors.zfp.zfpcompressor import ZFPCompressor
 
         assert ZFPCompressor().batched is False

@@ -210,3 +210,70 @@ class TestCompressorContracts:
             )
             assert rel.max() <= 0.05 * (1 + 1e-4)
         assert np.all(recon[~nz] == 0)
+
+
+def _mutation_streams():
+    """(codec, payload) for every stream family a damaged header can hit."""
+    rng = np.random.default_rng(0)
+    f3 = (rng.standard_normal((9, 10, 11)) * 10).astype(np.float32)
+    f1 = rng.standard_normal(300)
+    zfp, sz, sz_lz = ZFPCompressor(), SZCompressor(), SZCompressor(lossless=["lzss"])
+    return [
+        (zfp, zfp.compress(f3, rate=6.0).payload),
+        (zfp, zfp.compress(f3, precision=12).payload),
+        (zfp, zfp.compress(f1, tolerance=1e-2).payload),
+        (sz, sz.compress(f3, error_bound=0.05).payload),
+        (sz_lz, sz_lz.compress(f3, error_bound=0.5).payload),
+        (sz, sz.compress(np.abs(f3) + 0.1, mode="pw_rel", pwrel=0.01).payload),
+    ]
+
+
+_MUTATION_STREAMS = _mutation_streams()
+
+#: Fixed-header sizes; all three layouts keep the dtype code in byte 5,
+#: ndim in byte 6 and the shape right after the fixed header.
+_HEADER_SIZES = {b"ZFR1": 29, b"SZR1": 46, b"SZRP": 31}
+
+
+class TestStreamMutation:
+    """Decoders facing damaged bytes: ``CorruptStreamError`` or an array of
+    the shape and dtype the (damaged) header declares — never another
+    exception, never an allocation the payload length cannot justify."""
+
+    @given(
+        st.integers(0, len(_MUTATION_STREAMS) - 1),
+        st.one_of(
+            st.tuples(st.just("truncate"), st.floats(0, 1)),
+            st.tuples(st.just("bit-flip"), st.floats(0, 1), st.integers(0, 7)),
+            # length-lie: a header integer replaced by an arbitrary value
+            st.tuples(st.just("lie"), st.integers(4, 60),
+                      st.binary(min_size=1, max_size=8)),
+        ),
+    )
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_corrupt_or_declared_shape(self, which, mutation):
+        import struct
+
+        from repro.errors import CorruptStreamError
+
+        codec, payload = _MUTATION_STREAMS[which]
+        damaged = bytearray(payload)
+        if mutation[0] == "truncate":
+            damaged = damaged[: int(mutation[1] * len(damaged))]
+        elif mutation[0] == "bit-flip":
+            # bias towards the headers: half the flips land in the first 128 bytes
+            span = len(damaged) if mutation[1] > 0.5 else min(128, len(damaged))
+            damaged[int(mutation[1] * 2 % 1 * (span - 1))] ^= 1 << mutation[2]
+        else:
+            damaged[mutation[1] : mutation[1] + len(mutation[2])] = mutation[2]
+        damaged = bytes(damaged)
+        try:
+            with np.errstate(all="ignore"):  # garbage in, garbage floats out
+                out = codec.decompress(damaged)
+        except CorruptStreamError:
+            return
+        hsize = _HEADER_SIZES[damaged[:4]]
+        shape = struct.unpack(f"<{damaged[6]}Q", damaged[hsize : hsize + 8 * damaged[6]])
+        assert out.shape == shape
+        assert out.dtype == {0: np.float32, 1: np.float64}[damaged[5]]

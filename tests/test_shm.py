@@ -98,6 +98,68 @@ class TestSharedArray:
             pub.unlink()
 
 
+_CONCURRENT_ATTACH = """
+import sys, threading
+from multiprocessing import resource_tracker
+from repro.parallel.shm import SharedArray, ShmDescriptor
+
+descs = [ShmDescriptor(name, (1024,), "|u1") for name in sys.argv[1:]]
+failures = []
+
+def attach_loop(desc):
+    try:
+        for _ in range(300):
+            SharedArray.attach(desc).close()
+    except BaseException as exc:
+        failures.append(repr(exc))
+
+old = sys.getswitchinterval()
+sys.setswitchinterval(1e-6)
+try:
+    threads = [threading.Thread(target=attach_loop, args=(descs[i % len(descs)],))
+               for i in range(16)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(60)
+finally:
+    sys.setswitchinterval(old)
+alive = [t for t in threads if t.is_alive()]
+print("failures", failures, "alive", len(alive),
+      "tracker_pid", resource_tracker._resource_tracker._pid)
+"""
+
+
+class TestConcurrentAttach:
+    def test_threads_attaching_never_start_a_resource_tracker(self):
+        """Executor threads of one daemon attach client segments at once.
+        A tracked attach launches this process's resource tracker, which
+        unlinks the *client's* segments when the daemon exits — so a
+        process that only ever attaches must never own a tracker child."""
+        import os
+        import subprocess
+        import sys
+
+        owners = [SharedArray.create(1024) for _ in range(2)]
+        try:
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+            proc = subprocess.run(
+                [sys.executable, "-c", _CONCURRENT_ATTACH]
+                + [o.name for o in owners],
+                capture_output=True, text=True, timeout=120, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.strip() == (
+                "failures [] alive 0 tracker_pid None"
+            ), proc.stdout + proc.stderr
+            # ...and the publisher's segments survived the attacher's exit.
+            for owner in owners:
+                SharedArray.attach(owner.descriptor()).close()
+        finally:
+            for owner in owners:
+                owner.close()
+
+
 class TestShmEnabled:
     def test_default_enabled(self, monkeypatch):
         monkeypatch.delenv(NO_SHM_ENV, raising=False)

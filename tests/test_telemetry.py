@@ -212,11 +212,29 @@ class TestInstrumentation:
         assert tm.metrics.counter("sz.bytes_in").value == nyx_field.nbytes
 
     def test_zfp_pipeline_stage_spans(self, tm, nyx_field):
-        zfp = ZFPCompressor()
-        zfp.roundtrip(nyx_field, rate=4.0)
-        names = {s.name for s in tm.tracer.finished_spans()}
-        assert {"zfp.transform", "zfp.reorder", "zfp.bitplane"} <= names
+        """Every tier emits the zfp.encode / zfp.decode dispatch spans; the
+        staged tiers nest their three stage spans under them, the native
+        tier is one fused pass with nothing to nest."""
+        stages = {"zfp.transform", "zfp.reorder", "zfp.bitplane"}
+        ZFPCompressor(backend="numpy").roundtrip(nyx_field, rate=4.0)
+        spans = tm.tracer.finished_spans()
+        names = {s.name for s in spans}
+        assert stages | {"zfp.encode", "zfp.decode"} <= names
+        parents = {s.span_id: s.name for s in spans}
+        assert {parents[s.parent_id] for s in spans if s.name in stages} == {
+            "zfp.encode", "zfp.decode"
+        }
         assert tm.metrics.histogram("zfp.block_used_bits").count > 0
+
+        from repro import kernels
+
+        if kernels.resolve_name("zfp.encode", "native") != "native":
+            pytest.skip("native tier unavailable here")
+        tm.tracer.clear()
+        ZFPCompressor(backend="native").roundtrip(nyx_field, rate=4.0)
+        fused = tm.tracer.finished_spans()
+        assert sorted(s.name for s in fused) == ["zfp.decode", "zfp.encode"]
+        assert {s.attrs["backend"] for s in fused} == {"native"}
 
     def test_cbench_attaches_span_tree_to_meta(self, tm, nyx_field):
         bench = CBench({"t": nyx_field}, keep_reconstructions=False)
