@@ -55,7 +55,14 @@ class ProtocolError(ReproError):
 
 
 class ServiceError(ReproError):
-    """The compression service returned an error reply or misbehaved."""
+    """The compression service returned an error reply or misbehaved.
+
+    ``code`` is the machine-readable reply code, where one applies.
+    """
+
+    def __init__(self, *args: object, code: str | None = None) -> None:
+        super().__init__(*args)
+        self.code = code
 
 
 class ServiceBusyError(ServiceError):

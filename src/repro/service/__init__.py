@@ -10,14 +10,20 @@ process start-up and codec warm-up per field.
 * :mod:`repro.service.batch` — bounded admission queue (backpressure),
   request coalescing by configuration, deadline expiry, and dispatch
   through the parallel executor / shared-memory data plane.
-* :mod:`repro.service.server` — the asyncio TCP daemon:
-  COMPRESS/DECOMPRESS/SWEEP/LIST/HEALTH/STATS, graceful drain on
-  SIGTERM, telemetry-backed STATS; :class:`ServiceThread` embeds it.
-* :mod:`repro.service.client` — the blocking :class:`ServiceClient`
-  with connect/busy retry (jittered backoff) and per-call deadlines.
+* :mod:`repro.service.core` — the one connection core of both
+  front-ends (:class:`~repro.service.core.FrameServer`: accept/read
+  loop, pipelined dispatch, request accounting, error replies, HELLO,
+  CANCEL, graceful drain on SIGTERM) and the one thread embedder.
+* :mod:`repro.service.server` — the daemon, a ``FrameServer`` that
+  answers COMPRESS/DECOMPRESS/SWEEP/SESSION_*/LIST/HEALTH/STATS/
+  METRICS; :class:`ServiceThread` embeds it.
+* :mod:`repro.service.client` — one connection type and one table of
+  data-plane requests behind two transports: the blocking
+  :class:`ServiceClient` (connect/busy retry with jittered backoff,
+  per-call deadlines) and the multiplexing :class:`PooledClient`.
 * :mod:`repro.service.cluster` — the multi-node fabric: a
-  :class:`ClusterRouter` front-end spreading requests over N daemon
-  shards by consistent hash (:mod:`repro.service.ring`), with
+  :class:`ClusterRouter`, a ``FrameServer`` that spreads requests over
+  N daemon shards by consistent hash (:mod:`repro.service.ring`), with
   health-gated membership (:mod:`repro.service.membership`), hedging/
   failover, and fleet-wide STATS/METRICS; :class:`ClusterThread`
   embeds it.

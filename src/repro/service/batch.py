@@ -55,7 +55,6 @@ from repro.parallel.executor import process_map, resolve_workers
 from repro.parallel.shm import (
     ShmDescriptor,
     SharedArray,
-    attach_cached,
     attached_view,
     shm_enabled,
 )
@@ -131,12 +130,6 @@ class PendingRequest:
 
 
 # -- module-level (picklable) batch workers ----------------------------------
-
-
-def _materialize(arr: np.ndarray | ShmDescriptor) -> np.ndarray:
-    if isinstance(arr, ShmDescriptor):
-        return attach_cached(arr)
-    return arr
 
 
 @contextmanager
@@ -394,20 +387,15 @@ class Batcher:
         capture = traced
         parent_pid = os.getpid()
         try:
-            if op == "compress":
-                results = await loop.run_in_executor(
-                    None,
-                    partial(
-                        self._run_compress_batch,
-                        group, dispatch_ctxs, capture, parent_pid,
-                    ),
+            if op in ("compress", "decompress"):
+                run_batch = (
+                    self._run_compress_batch if op == "compress"
+                    else self._run_decompress_batch
                 )
-            elif op == "decompress":
                 results = await loop.run_in_executor(
                     None,
                     partial(
-                        self._run_decompress_batch,
-                        group, dispatch_ctxs, capture, parent_pid,
+                        run_batch, group, dispatch_ctxs, capture, parent_pid
                     ),
                 )
             else:  # one sweep per group by construction

@@ -4,15 +4,20 @@
 
     python -m repro.service serve   [--host H] [--port P] [--workers N]
                                     [--max-pending N] [--batch-window-ms MS]
+                                    [--max-batch N]
                                     [--cache DIR] [--cache-max-bytes BYTES]
                                     [--timeout-s S] [--trace-out PATH]
-                                    [--shard-id ID]
+                                    [--max-sessions N] [--session-idle-s S]
+                                    [--shard-id ID] [--backend TIER]
                                     [--log-json] [-v | --quiet]
     python -m repro.service route   [--shards H:P,H:P,...] [--spawn N]
                                     [--host H] [--port P]
                                     [--hedge-after-ms MS] [--fail-after K]
                                     [--recover-after K] [--probe-interval-ms MS]
-                                    [--workers N] [--cache DIR] ...
+                                    [--trace-out PATH]
+                                    [--workers N] [--cache DIR] ...  (the
+                                    other ``serve`` flags, handed to the
+                                    shards that ``--spawn`` starts)
     python -m repro.service compress INPUT.npy --compressor NAME
                                     [--mode abs] [--value 1e-3]
                                     [--out OUT.rsz] [--host H] [--port P]
@@ -56,12 +61,35 @@ from repro.cache import ResultCache
 from repro.errors import ReproError
 from repro.foresight.cli import configure_logging
 from repro.service.client import DEFAULT_PORT, ServiceClient
+from repro.service.cluster import (
+    DEFAULT_ROUTER_PORT,
+    SHARD_FLAGS,
+    ClusterRouter,
+)
+from repro.service.core import FrameServer
 from repro.service.server import CompressionService
 
 
-def _add_endpoint_args(parser: argparse.ArgumentParser) -> None:
+def _add_endpoint_args(
+    parser: argparse.ArgumentParser, port: int = DEFAULT_PORT
+) -> None:
     parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=DEFAULT_PORT)
+    parser.add_argument("--port", type=int, default=port,
+                        help=f"default {port}")
+
+
+def _run(server: FrameServer, verb: str) -> int:
+    """Serve until drained (SIGTERM/SIGINT)."""
+    async def _main() -> None:
+        await server.start()
+        # The bound address is the command's product: parseable by
+        # wrappers that started us with --port 0.
+        print(f"{verb} on {server.host}:{server.port}", flush=True)
+        await server.serve()
+
+    asyncio.run(_main())
+    print("drained", flush=True)
+    return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -80,42 +108,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         trace_out=args.trace_out,
         shard_id=args.shard_id,
         backend=args.backend,
-        pipeline_depth=args.pipeline_depth,
         max_sessions=args.max_sessions,
         session_idle_s=args.session_idle_s,
     )
-
-    async def _main() -> None:
-        await service.start()
-        # The bound address is the serve command's product: parseable by
-        # wrappers that started us with --port 0.
-        print(f"serving on {service.host}:{service.port}", flush=True)
-        await service.serve()
-
-    asyncio.run(_main())
-    print("drained", flush=True)
-    return 0
+    return _run(service, "serving")
 
 
 def _cmd_route(args: argparse.Namespace) -> int:
-    from repro.service.cluster import DEFAULT_ROUTER_PORT, ClusterRouter
-
-    port = DEFAULT_ROUTER_PORT if args.port is None else args.port
-    shard_options = {
-        "workers": args.workers,
-        "max_pending": args.max_pending,
-        "batch_window_ms": args.batch_window_ms,
-        "max_batch": args.max_batch,
-        "timeout_s": args.timeout_s,
-        "cache_dir": args.cache,
-        "cache_max_bytes": args.cache_max_bytes,
-        "backend": args.backend,
-    }
+    shard_options = {key: getattr(args, key) for key in SHARD_FLAGS}
+    shard_options["cache_dir"] = args.cache
     router = ClusterRouter(
         shards=[s for s in (args.shards or "").split(",") if s],
         spawn=args.spawn,
         host=args.host,
-        port=port,
+        port=args.port,
         shard_options={k: v for k, v in shard_options.items() if v is not None},
         hedge_after_s=(
             None if args.hedge_after_ms is None else args.hedge_after_ms / 1e3
@@ -123,18 +129,10 @@ def _cmd_route(args: argparse.Namespace) -> int:
         fail_after=args.fail_after,
         recover_after=args.recover_after,
         probe_interval_s=args.probe_interval_ms / 1e3,
-        pipeline_depth=args.pipeline_depth,
         trace_out=args.trace_out,
     )
 
-    async def _main() -> None:
-        await router.start()
-        print(f"routing on {router.host}:{router.port}", flush=True)
-        await router.serve()
-
-    asyncio.run(_main())
-    print("drained", flush=True)
-    return 0
+    return _run(router, "routing")
 
 
 def _cmd_compress(args: argparse.Namespace) -> int:
@@ -153,24 +151,11 @@ def _cmd_compress(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
+def _cmd_dump(args: argparse.Namespace) -> int:
+    """``stats`` / ``health`` / ``cluster``: that op's reply, as JSON."""
     with ServiceClient(host=args.host, port=args.port) as client:
-        print(json.dumps(client.stats(), indent=2, sort_keys=True))
-    return 0
-
-
-def _cmd_health(args: argparse.Namespace) -> int:
-    with ServiceClient(host=args.host, port=args.port) as client:
-        print(json.dumps(client.health(), indent=2, sort_keys=True))
-    return 0
-
-
-def _cmd_cluster(args: argparse.Namespace) -> int:
-    from repro.service.cluster import DEFAULT_ROUTER_PORT
-
-    port = DEFAULT_ROUTER_PORT if args.port is None else args.port
-    with ServiceClient(host=args.host, port=port) as client:
-        print(json.dumps(client.cluster(), indent=2, sort_keys=True))
+        reply = getattr(client, args.command)()
+    print(json.dumps(reply, indent=2, sort_keys=True))
     return 0
 
 
@@ -197,9 +182,6 @@ def main(argv: list[str] | None = None) -> int:
                             "(default: no cache)")
     serve.add_argument("--cache-max-bytes", default=None, metavar="BYTES",
                        help="bound the result cache (K/M/G suffix allowed)")
-    serve.add_argument("--pipeline-depth", type=int, default=32, metavar="N",
-                       help="max concurrently served frames per connection "
-                            "(default 32)")
     serve.add_argument("--timeout-s", type=float, default=None,
                        help="default per-request deadline in seconds")
     serve.add_argument("--max-sessions", type=int, default=64, metavar="N",
@@ -228,9 +210,7 @@ def main(argv: list[str] | None = None) -> int:
     route = sub.add_parser(
         "route", help="run the cluster router over N shard daemons"
     )
-    route.add_argument("--host", default="127.0.0.1")
-    route.add_argument("--port", type=int, default=None,
-                       help="router port (default 9470)")
+    _add_endpoint_args(route, DEFAULT_ROUTER_PORT)
     route.add_argument("--shards", default=None, metavar="H:P,H:P",
                        help="comma-separated pre-started shard endpoints")
     route.add_argument("--spawn", type=int, default=0, metavar="N",
@@ -242,9 +222,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="consecutive probe misses that drain a shard")
     route.add_argument("--recover-after", type=int, default=2,
                        help="consecutive probe hits that re-admit a shard")
-    route.add_argument("--pipeline-depth", type=int, default=32, metavar="N",
-                       help="max concurrently routed frames per client "
-                            "connection (default 32)")
     route.add_argument("--probe-interval-ms", type=float, default=250.0,
                        help="healthy-shard HEALTH probe cadence (default 250)")
     route.add_argument("--trace-out", default=None, metavar="PATH",
@@ -276,21 +253,15 @@ def main(argv: list[str] | None = None) -> int:
     _add_endpoint_args(compress)
     compress.set_defaults(fn=_cmd_compress)
 
-    stats = sub.add_parser("stats", help="dump daemon statistics")
-    _add_endpoint_args(stats)
-    stats.set_defaults(fn=_cmd_stats)
-
-    health = sub.add_parser("health", help="dump daemon health")
-    _add_endpoint_args(health)
-    health.set_defaults(fn=_cmd_health)
-
-    cluster = sub.add_parser(
-        "cluster", help="dump router topology and membership"
-    )
-    cluster.add_argument("--host", default="127.0.0.1")
-    cluster.add_argument("--port", type=int, default=None,
-                         help="router port (default 9470)")
-    cluster.set_defaults(fn=_cmd_cluster)
+    for name, text, port in (
+        ("stats", "dump daemon statistics", DEFAULT_PORT),
+        ("health", "dump daemon health", DEFAULT_PORT),
+        ("cluster", "dump router topology and membership",
+         DEFAULT_ROUTER_PORT),
+    ):
+        dump = sub.add_parser(name, help=text)
+        _add_endpoint_args(dump, port)
+        dump.set_defaults(fn=_cmd_dump)
 
     args = parser.parse_args(argv)
     if args.command in ("serve", "route"):

@@ -11,18 +11,19 @@ simulation loop needs handled inside —
   a fleet of clients that would otherwise retry in lockstep), honoring
   the server's ``retry_after_ms`` hint, up to ``busy_retries`` times
   before :class:`~repro.errors.ServiceBusyError`;
-* **timeouts**: ``request_timeout_s`` bounds each socket wait;
-  ``timeout_ms`` per call becomes the server-side queue deadline;
+* **timeouts**: ``request_timeout_s`` bounds each socket wait (and,
+  in :class:`PooledClient`, each call on its own); ``timeout_ms`` per
+  call becomes the server-side queue deadline;
 * **zero-copy payload handoff**: against a same-host daemon that
   negotiates the ``shm`` capability (one HELLO round trip on the first
   bulk call), large request payloads travel as pooled shared-memory
   segments and bulk replies come back through a client-owned scratch
   segment — the TCP stream then carries only headers.  Fallback to
   inline bytes is transparent: remote hosts, small arrays,
-  ``REPRO_NO_SHM=1``, pre-capability servers, and any per-request shm
-  error (the client retries the call inline and stops offering
-  segments).  Replies are byte-identical either way.  All segments are
-  owned by the client — published once, reused across calls
+  ``REPRO_NO_SHM=1``, a server that does not grant ``shm``, and any
+  per-request shm error (the client retries the call inline and stops
+  offering segments).  Replies are byte-identical either way.  All
+  segments are owned by the client — published once, reused across calls
   (:class:`repro.parallel.shm.SegmentPool`), unlinked on
   :meth:`~ServiceClient.close`; a crashed client's are reclaimed by its
   ``multiprocessing`` resource tracker;
@@ -63,17 +64,19 @@ to which one it dialed):
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
 import random
 import socket
 import threading
 import time
-from typing import Any, Callable
+import uuid
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from repro.compressors.base import CompressedBuffer, CompressorMode
 from repro.errors import ProtocolError, ServiceBusyError, ServiceError
-from repro.parallel.shm import SegmentPool, shm_enabled
+from repro.parallel.shm import SegmentPool, SharedArray, shm_enabled
 from repro.service import protocol
 from repro.telemetry import context as trace_context
 from repro.telemetry import get_telemetry
@@ -87,60 +90,102 @@ DEFAULT_PORT = 9461
 REPLY_SHM_SLACK = 1 << 12
 
 #: Error codes that mean "this peer cannot attach my segments" — the
-#: client retries inline and stops offering shm on this connection.
+#: client retries inline and stops offering shm.
 _SHM_ERROR_CODES = frozenset({"shm_attach", "shm_unavailable"})
 
+#: The pooled segments staged for one request: ``(request payload,
+#: reply scratch)``, either ``None`` when that direction travels inline.
+Segments = tuple["SharedArray | None", "SharedArray | None"]
+_INLINE: Segments = (None, None)
 
-def _is_loopback(host: str) -> bool:
-    return host == "localhost" or host.startswith("127.") or host == "::1"
+
+class _Request(NamedTuple):
+    """One data-plane request, independent of the transport carrying it.
+
+    ``build(use_shm)`` makes the frame — ``(header, payload, segments)``,
+    bulk data staged in pooled segments when ``use_shm`` — and may be
+    called again to rebuild the frame inline; ``finish(reply, body,
+    segments)`` turns an ``ok`` reply into the call's result.
+    ``nbytes`` is the bulk size that decides whether shm is worth it.
+    """
+
+    nbytes: int
+    build: Callable[[bool], tuple[dict[str, Any], bytes, Segments]]
+    finish: Callable[[dict[str, Any], bytes, Segments], Any]
 
 
-class ServiceClient:
-    """Blocking MSG1 client (see module docstring)."""
+def _header(op: str, timeout_ms: float | None, **fields: Any) -> dict[str, Any]:
+    header = {"op": op, **fields}
+    if timeout_ms is not None:
+        header["timeout_ms"] = float(timeout_ms)
+    return header
 
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = DEFAULT_PORT,
-        *,
-        connect_timeout_s: float = 5.0,
-        request_timeout_s: float = 120.0,
-        busy_retries: int = 8,
-        retry_base_s: float = 0.02,
-        retry_max_s: float = 1.0,
-        seed: int | None = None,
-        shm: bool | None = None,
-    ) -> None:
-        self.host = host
-        self.port = port
-        self.connect_timeout_s = connect_timeout_s
-        self.request_timeout_s = request_timeout_s
-        self.busy_retries = busy_retries
-        self.retry_base_s = retry_base_s
-        self.retry_max_s = retry_max_s
-        #: ``None`` = automatic (loopback peers only); ``False`` forces
-        #: inline payloads; ``True`` offers shm even to non-loopback
-        #: hosts (the error fallback still protects a wrong guess).
-        self.shm = shm
-        self._rng = random.Random(seed)
-        self._sock: socket.socket | None = None
-        self._next_id = 0
-        self._caps: frozenset[str] = frozenset()
-        self._negotiated = False
-        self._shm_broken = False
-        self._segments: SegmentPool | None = None
 
-    # -- connection management --------------------------------------------
+def _reply_error(op: Any, reply: dict[str, Any]) -> ServiceError:
+    """An error reply as the exception the caller sees (``.code`` is the
+    machine-readable reply code)."""
+    code = reply.get("code", "error")
+    return ServiceError(
+        f"{op} failed [{code}]: {reply.get('error')}", code=code
+    )
 
-    def _connect(self) -> socket.socket:
-        if self._sock is not None:
-            return self._sock
-        deadline = time.monotonic() + self.connect_timeout_s
+
+def _shm_reply(reply: dict[str, Any], reply_seg: SharedArray | None):
+    """The bulk reply the server left in the scratch segment, as a uint8
+    view of it — ``None`` when the reply travelled inline."""
+    n = reply.get(protocol.SHM_NBYTES_FIELD)
+    if n is None:
+        return None
+    if (
+        reply_seg is None
+        or not isinstance(n, int)
+        or not 0 <= n <= reply_seg.nbytes
+    ):
+        raise ProtocolError(f"bad {protocol.SHM_NBYTES_FIELD}: {n!r}")
+    return reply_seg.view((n,), np.uint8)
+
+
+def _buffer_from_reply(
+    reply: dict[str, Any], body: bytes, segments: Segments,
+    compressor: str, options: dict[str, Any] | None,
+) -> CompressedBuffer:
+    """A COMPRESS reply as a real :class:`CompressedBuffer`."""
+    view = _shm_reply(reply, segments[1])
+    meta = dict(reply.get("meta") or {})
+    meta["compressor"] = reply.get("compressor", compressor)
+    if options:
+        meta["options"] = dict(options)
+    return CompressedBuffer(
+        payload=body if view is None else view.tobytes(),
+        original_shape=tuple(reply["shape"]),
+        original_dtype=np.dtype(reply["dtype"]),
+        mode=CompressorMode(reply["mode"]),
+        parameter=float(reply["parameter"]),
+        meta=meta,
+    )
+
+
+class _Connection:
+    """One blocking MSG1 socket: dial with backoff, HELLO, frames."""
+
+    def __init__(self, client: "_Client") -> None:
+        self.client = client
+        self.sock: socket.socket | None = None
+        self.caps: frozenset[str] = frozenset()
+        self.negotiated = False
+
+    def open(self) -> socket.socket:
+        """The connected socket — dialed on first use, attempts backing
+        off within the client's ``connect_timeout_s``."""
+        if self.sock is not None:
+            return self.sock
+        client = self.client
+        deadline = time.monotonic() + client.connect_timeout_s
         attempt = 0
         while True:
             try:
                 sock = socket.create_connection(
-                    (self.host, self.port),
+                    (client.host, client.port),
                     timeout=max(0.1, deadline - time.monotonic()),
                 )
                 break
@@ -148,118 +193,323 @@ class ServiceClient:
                 attempt += 1
                 delay = backoff_delay(
                     attempt,
-                    base_s=self.retry_base_s,
-                    cap_s=self.retry_max_s,
+                    base_s=client.retry_base_s,
+                    cap_s=client.retry_max_s,
                     jitter=(0.5, 1.0),
-                    rng=self._rng,
+                    rng=client._rng,
                 )
                 if time.monotonic() + delay >= deadline:
                     raise ServiceError(
-                        f"cannot connect to {self.host}:{self.port}: {exc}"
+                        f"cannot connect to {client.host}:{client.port}: {exc}"
                     ) from exc
                 time.sleep(delay)
-        sock.settimeout(self.request_timeout_s)
+        sock.settimeout(client.request_timeout_s)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._sock = sock
+        self.sock = sock
         return sock
 
-    def _reset(self) -> None:
-        """Drop the socket (the next call redials and renegotiates)."""
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            finally:
-                self._sock = None
-        self._negotiated = False
-        self._caps = frozenset()
+    def negotiate(self) -> frozenset[str]:
+        """HELLO once per connection; the granted capabilities."""
+        if not self.negotiated:
+            want = [protocol.CAP_PIPELINE]
+            if self.client._shm_wanted():
+                want.append(protocol.CAP_SHM)
+            reply, _ = self.roundtrip(
+                {"op": "hello", protocol.CAPS_FIELD: want}
+            )
+            caps = (
+                reply.get(protocol.CAPS_FIELD)
+                if reply.get("status") == "ok" else None
+            )
+            self.caps = frozenset(caps if isinstance(caps, list) else ())
+            self.negotiated = True
+        return self.caps
+
+    def send(self, header: dict[str, Any], payload: bytes = b"") -> None:
+        protocol.write_frame_sock(self.open(), header, payload)
+
+    def recv(self) -> tuple[dict[str, Any], bytes]:
+        return protocol.read_frame_sock(self.sock)
+
+    def roundtrip(
+        self, header: dict[str, Any], payload: bytes = b""
+    ) -> tuple[dict[str, Any], bytes]:
+        """One frame out, one frame in; a broken stream is dropped (the
+        next call redials and renegotiates)."""
+        try:
+            self.send(header, payload)
+            return self.recv()
+        except (OSError, ProtocolError):
+            self.close()
+            raise
 
     def close(self) -> None:
-        """Close the socket and unlink any pooled data-plane segments."""
-        self._reset()
-        if self._segments is not None:
-            self._segments.close()
-            self._segments = None
+        sock, self.sock = self.sock, None
+        self.caps = frozenset()
+        self.negotiated = False
+        if sock is not None:
+            sock.close()
 
-    def __enter__(self) -> "ServiceClient":
-        self._connect()
-        return self
 
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
+@dataclasses.dataclass(eq=False)
+class _Client:
+    """What both clients share: the options (the constructor signature),
+    the shm policy and segment pool, the table of data-plane requests
+    and their blocking entry points, and the reply policies (busy
+    back-off, shm rejection).  A subclass supplies ``_run(request)``."""
 
-    # -- shm negotiation ----------------------------------------------------
+    host: str = "127.0.0.1"
+    port: int = DEFAULT_PORT
+    _: dataclasses.KW_ONLY
+    connect_timeout_s: float = 5.0
+    request_timeout_s: float = 120.0
+    busy_retries: int = 8
+    retry_base_s: float = 0.02
+    retry_max_s: float = 1.0
+    seed: int | None = None
+    #: ``None`` = automatic (loopback peers only); ``False`` forces
+    #: inline payloads; ``True`` offers shm even to non-loopback hosts
+    #: (the error fallback still protects a wrong guess).
+    shm: bool | None = None
+
+    def __post_init__(self) -> None:
+        self._rng = random.Random(self.seed)
+        self._shm_broken = False
+        self._segments = SegmentPool()
+
+    # -- shm policy and staging -----------------------------------------------
 
     def _shm_wanted(self) -> bool:
         if self._shm_broken or not shm_enabled():
             return False
         if self.shm is not None:
             return self.shm
-        return _is_loopback(self.host)
+        return protocol.is_loopback(self.host)
 
-    def _negotiate(self) -> frozenset[str]:
-        """HELLO once per connection; pre-capability servers yield ∅."""
-        sock = self._connect()
-        if self._negotiated:
-            return self._caps
-        want = [protocol.CAP_PIPELINE]
-        if self._shm_wanted():
-            want.append(protocol.CAP_SHM)
+    def _shm_rejected(self, exc: ServiceError, segments: Segments) -> bool:
+        """True when ``exc`` says the peer cannot attach the segments
+        this request offered: stop offering them, resend it inline."""
+        if segments == _INLINE or exc.code not in _SHM_ERROR_CODES:
+            return False
+        self._shm_broken = True
+        return True
+
+    def _stage(
+        self, header: dict[str, Any], data: np.ndarray | None,
+        reply_capacity: int,
+    ) -> Segments:
+        """Stage one request in pooled segments, described in ``header``:
+        ``data`` copied into a request segment, and a scratch segment of
+        ``reply_capacity`` bytes (0: none) offered for the bulk reply."""
+        req = rep = None
         try:
-            protocol.write_frame_sock(
-                sock, {"op": "hello", protocol.CAPS_FIELD: want}
-            )
-            reply, _ = protocol.read_frame_sock(sock)
-        except (OSError, ProtocolError):
-            self._reset()
+            if data is not None:
+                arr = np.ascontiguousarray(data)
+                req = self._segments.acquire(arr.nbytes)
+                req.view(arr.shape, arr.dtype)[...] = arr
+                header[protocol.SHM_FIELD] = protocol.shm_fields(
+                    req.view_descriptor(arr.shape, arr.dtype)
+                )
+            if reply_capacity:
+                rep = self._segments.acquire(reply_capacity)
+                header[protocol.REPLY_SHM_FIELD] = protocol.reply_shm_fields(
+                    rep.name, rep.nbytes
+                )
+        except BaseException:
+            self._release((req, rep))
             raise
-        caps = (
-            reply.get(protocol.CAPS_FIELD)
-            if reply.get("status") == "ok" else None
+        return req, rep
+
+    def _release(self, segments: Segments) -> None:
+        for seg in segments:
+            if seg is not None:
+                self._segments.release(seg)
+
+    def _busy_delay(self, attempt: int, reply: dict[str, Any]) -> float:
+        """How long to wait before re-sending after the ``attempt``-th
+        (0-based) ``busy`` reply; :class:`ServiceBusyError` once the
+        retries are used up."""
+        if attempt >= self.busy_retries:
+            raise ServiceBusyError(
+                f"server still busy after {self.busy_retries} retries"
+            )
+        return backoff_delay(
+            attempt,
+            base_s=self.retry_base_s,
+            cap_s=self.retry_max_s,
+            hint_s=float(reply.get("retry_after_ms", 0)) / 1e3,
+            rng=self._rng,
         )
-        self._caps = frozenset(caps if isinstance(caps, list) else ())
-        self._negotiated = True
-        return self._caps
 
-    def _segment_pool(self) -> SegmentPool:
-        if self._segments is None:
-            self._segments = SegmentPool()
-        return self._segments
+    # -- the data-plane request table -------------------------------------------
 
-    def _use_shm(self, nbytes: int) -> bool:
-        """True when this payload should go through shared memory."""
-        return (
-            nbytes >= protocol.SHM_MIN_BYTES
-            and self._shm_wanted()
-            and protocol.CAP_SHM in self._negotiate()
+    def _array_request(
+        self, op: str, data: np.ndarray, timeout_ms: float | None,
+        fields: dict[str, Any], reply_slack: int | None,
+        finish: Callable[[dict[str, Any], bytes, Segments], Any],
+    ) -> _Request:
+        """A request whose payload is one ndarray (COMPRESS, SWEEP,
+        SESSION_STEP); ``reply_slack=None`` means no bulk reply."""
+        data = np.asarray(data)
+
+        def build(use_shm: bool):
+            header = _header(
+                op, timeout_ms, **fields, **protocol.array_fields(data)
+            )
+            if not use_shm:
+                return header, protocol.pack_array(data), _INLINE
+            capacity = 0 if reply_slack is None else data.nbytes + reply_slack
+            return header, b"", self._stage(header, data, capacity)
+
+        return _Request(data.nbytes, build, finish)
+
+    def _compress_request(
+        self, data, compressor, mode, value, options, timeout_ms
+    ) -> _Request:
+        return self._array_request(
+            "compress", data, timeout_ms,
+            {"compressor": compressor, "mode": mode, "value": float(value),
+             "options": options or {}},
+            REPLY_SHM_SLACK,
+            lambda reply, body, segments: _buffer_from_reply(
+                reply, body, segments, compressor, options
+            ),
         )
 
-    def _shm_body(self, reply: dict[str, Any], body: bytes, reply_seg):
-        """The reply's bulk bytes — from the scratch segment if used."""
-        n = reply.get(protocol.SHM_NBYTES_FIELD)
-        if n is None:
-            return body
-        if (
-            reply_seg is None
-            or not isinstance(n, int)
-            or not 0 <= n <= reply_seg.nbytes
-        ):
-            raise ProtocolError(f"bad {protocol.SHM_NBYTES_FIELD}: {n!r}")
-        return reply_seg.view((n,), np.uint8).tobytes()
+    def _sweep_request(self, data, sweeps, field, timeout_ms) -> _Request:
+        return self._array_request(
+            "sweep", data, timeout_ms, {"field": field, "sweeps": sweeps},
+            None,
+            lambda reply, body, segments: list(reply.get("records") or []),
+        )
+
+    def _session_step_request(
+        self, session_id, data, expect_ref, timeout_ms
+    ) -> _Request:
+        fields = {protocol.SESSION_FIELD: session_id}
+        if expect_ref is not ...:
+            fields["expect_ref"] = expect_ref
+
+        def finish(reply, body, segments):
+            view = _shm_reply(reply, segments[1])
+            return reply, body if view is None else view.tobytes()
+
+        return self._array_request(
+            "session_step", data, timeout_ms, fields, REPLY_SHM_SLACK, finish
+        )
+
+    def _decompress_request(
+        self, buf, compressor, options, timeout_ms
+    ) -> _Request:
+        name = compressor or buf.meta.get("compressor")
+        if not name:
+            raise ServiceError(
+                "decompress needs a compressor (none recorded in buf.meta)"
+            )
+        if options is None:
+            options = buf.meta.get("options") or {}
+        out_shape = tuple(int(s) for s in buf.original_shape)
+        out_dtype = np.dtype(buf.original_dtype)
+        out_nbytes = (
+            int(np.prod(out_shape, dtype=np.int64)) * out_dtype.itemsize
+        )
+        stream = np.frombuffer(buf.payload, dtype=np.uint8)
+
+        def build(use_shm: bool):
+            header = _header(
+                "decompress", timeout_ms, compressor=name, options=options,
+                mode=buf.mode.value, parameter=buf.parameter,
+                dtype=out_dtype.str, shape=list(out_shape),
+            )
+            if not use_shm:
+                return header, buf.payload, _INLINE
+            # Each direction rides a segment only if it is big enough.
+            big_in = stream.nbytes >= protocol.SHM_MIN_BYTES
+            segments = self._stage(
+                header, stream if big_in else None,
+                out_nbytes if out_nbytes >= protocol.SHM_MIN_BYTES else 0,
+            )
+            return header, b"" if big_in else buf.payload, segments
+
+        def finish(reply, body, segments):
+            view = _shm_reply(reply, segments[1])
+            if view is None:
+                return protocol.unpack_array(reply, body).copy()
+            if view.nbytes != out_nbytes:
+                raise ProtocolError(
+                    f"bad {protocol.SHM_NBYTES_FIELD}: {view.nbytes!r}"
+                )
+            return view.view(out_dtype).reshape(out_shape).copy()
+
+        return _Request(max(stream.nbytes, out_nbytes), build, finish)
+
+    # -- the blocking calls both clients offer --------------------------------
+
+    def _run(self, request: _Request) -> Any:
+        """Carry one request to the server and back (the transport)."""
+        raise NotImplementedError
+
+    def compress(
+        self,
+        data: np.ndarray,
+        compressor: str,
+        mode: str = "abs",
+        value: float = 1e-3,
+        options: dict[str, Any] | None = None,
+        timeout_ms: float | None = None,
+    ) -> CompressedBuffer:
+        """Compress ``data`` remotely; returns a real :class:`CompressedBuffer`.
+
+        The buffer is byte-identical to a local
+        ``get_compressor(compressor, **options).compress(...)`` call and
+        interoperates with it — ``meta["compressor"]`` records the codec
+        so :meth:`decompress` can route it back without extra arguments.
+        """
+        return self._run(self._compress_request(
+            data, compressor, mode, value, options, timeout_ms
+        ))
+
+    def decompress(
+        self,
+        buf: CompressedBuffer,
+        compressor: str | None = None,
+        options: dict[str, Any] | None = None,
+        timeout_ms: float | None = None,
+    ) -> np.ndarray:
+        """Decompress a buffer remotely (codec from ``buf.meta`` by default)."""
+        return self._run(self._decompress_request(
+            buf, compressor, options, timeout_ms
+        ))
+
+
+class ServiceClient(_Client):
+    """Blocking MSG1 client (see module docstring)."""
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        self._conn = _Connection(self)
+        self._next_id = 0
+
+    def close(self) -> None:
+        """Close the socket and unlink any pooled data-plane segments."""
+        self._conn.close()
+        self._segments.close()
+        self._segments = SegmentPool()  # the client stays usable
+
+    def __enter__(self) -> "ServiceClient":
+        self._conn.open()
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self.close()
 
     # -- request plumbing ---------------------------------------------------
 
     def _roundtrip(
         self, header: dict[str, Any], payload: bytes
     ) -> tuple[dict[str, Any], bytes]:
-        """One frame out, one frame in; connection errors reset the socket."""
-        sock = self._connect()
-        try:
-            protocol.write_frame_sock(sock, header, payload)
-            return protocol.read_frame_sock(sock)
-        except (OSError, ProtocolError):
-            # The stream is unusable — drop it so the next call redials.
-            self._reset()
-            raise
+        """One frame out, one frame in, read on the calling thread."""
+        return self._conn.roundtrip(header, payload)
 
     def _request(
         self, header: dict[str, Any], payload: bytes = b""
@@ -268,7 +518,7 @@ class ServiceClient:
 
         Traced calls (telemetry enabled, or an ambient trace context)
         run inside a ``client.<op>`` span and carry the context in the
-        header; the untraced path is byte-identical to before.
+        header; the untraced path adds nothing to the header.
         """
         self._next_id += 1
         header = {**header, "id": self._next_id}
@@ -287,191 +537,46 @@ class ServiceClient:
         self, header: dict[str, Any], payload: bytes
     ) -> tuple[dict[str, Any], bytes]:
         """The busy-retry loop around one logical request."""
-        tm = get_telemetry()
-        for attempt in range(self.busy_retries + 1):
+        attempt = 0
+        while True:
             reply, body = self._roundtrip(header, payload)
             status = reply.get("status")
             if status == "ok":
                 return reply, body
-            if status == "busy":
-                if attempt >= self.busy_retries:
-                    break
-                delay = backoff_delay(
-                    attempt,
-                    base_s=self.retry_base_s,
-                    cap_s=self.retry_max_s,
-                    hint_s=float(reply.get("retry_after_ms", 0)) / 1e3,
-                    rng=self._rng,
-                )
-                with tm.span(
-                    "client.busy_wait",
-                    attempt=attempt + 1,
-                    delay_ms=delay * 1e3,
-                    code=reply.get("code", "busy"),
-                ):
-                    time.sleep(delay)
-                continue
-            exc = ServiceError(
-                f"{header.get('op')} failed "
-                f"[{reply.get('code', 'error')}]: {reply.get('error')}"
-            )
-            exc.code = reply.get("code", "error")  # machine-readable
-            raise exc
-        raise ServiceBusyError(
-            f"server still busy after {self.busy_retries} retries"
+            if status != "busy":
+                raise _reply_error(header.get("op"), reply)
+            delay = self._busy_delay(attempt, reply)
+            attempt += 1
+            with get_telemetry().span(
+                "client.busy_wait",
+                attempt=attempt,
+                delay_ms=delay * 1e3,
+                code=reply.get("code", "busy"),
+            ):
+                time.sleep(delay)
+
+    def _run(self, request: _Request) -> Any:
+        """Run one data-plane request: through shared memory when the
+        peer negotiated it (one HELLO on the first eligible call), with
+        one inline retry if the peer then cannot attach the segments."""
+        use_shm = (
+            request.nbytes >= protocol.SHM_MIN_BYTES
+            and self._shm_wanted()
+            and protocol.CAP_SHM in self._conn.negotiate()
         )
+        while True:
+            header, payload, segments = request.build(use_shm)
+            try:
+                reply, body = self._request(header, payload)
+                return request.finish(reply, body, segments)
+            except ServiceError as exc:
+                if not self._shm_rejected(exc, segments):
+                    raise
+                use_shm = False
+            finally:
+                self._release(segments)
 
     # -- operations ---------------------------------------------------------
-
-    def compress(
-        self,
-        data: np.ndarray,
-        compressor: str,
-        mode: str = "abs",
-        value: float = 1e-3,
-        options: dict[str, Any] | None = None,
-        timeout_ms: float | None = None,
-    ) -> CompressedBuffer:
-        """Compress ``data`` remotely; returns a real :class:`CompressedBuffer`.
-
-        The buffer is byte-identical to a local
-        ``get_compressor(compressor, **options).compress(...)`` call and
-        interoperates with it — ``meta["compressor"]`` records the codec
-        so :meth:`decompress` can route it back without extra arguments.
-        """
-        data = np.asarray(data)
-        header: dict[str, Any] = {
-            "op": "compress",
-            "compressor": compressor,
-            "mode": mode,
-            "value": float(value),
-            "options": options or {},
-            **protocol.array_fields(data),
-        }
-        if timeout_ms is not None:
-            header["timeout_ms"] = float(timeout_ms)
-        req_seg = reply_seg = None
-        pool = None
-        try:
-            if self._use_shm(data.nbytes):
-                arr = np.ascontiguousarray(data)
-                pool = self._segment_pool()
-                req_seg = pool.acquire(arr.nbytes)
-                req_seg.view(arr.shape, arr.dtype)[...] = arr
-                header[protocol.SHM_FIELD] = protocol.shm_fields(
-                    req_seg.view_descriptor(arr.shape, arr.dtype)
-                )
-                reply_seg = pool.acquire(arr.nbytes + REPLY_SHM_SLACK)
-                header[protocol.REPLY_SHM_FIELD] = protocol.reply_shm_fields(
-                    reply_seg.name, reply_seg.nbytes
-                )
-                payload = b""
-            else:
-                payload = protocol.pack_array(data)
-            try:
-                reply, body = self._request(header, payload)
-            except ServiceError as exc:
-                if req_seg is not None \
-                        and getattr(exc, "code", None) in _SHM_ERROR_CODES:
-                    self._shm_broken = True
-                    return self.compress(
-                        data, compressor, mode=mode, value=value,
-                        options=options, timeout_ms=timeout_ms,
-                    )
-                raise
-            body = self._shm_body(reply, body, reply_seg)
-        finally:
-            for seg in (req_seg, reply_seg):
-                if seg is not None:
-                    pool.release(seg)
-        meta = dict(reply.get("meta") or {})
-        meta["compressor"] = reply.get("compressor", compressor)
-        if options:
-            meta["options"] = dict(options)
-        return CompressedBuffer(
-            payload=body,
-            original_shape=tuple(reply["shape"]),
-            original_dtype=np.dtype(reply["dtype"]),
-            mode=CompressorMode(reply["mode"]),
-            parameter=float(reply["parameter"]),
-            meta=meta,
-        )
-
-    def decompress(
-        self,
-        buf: CompressedBuffer,
-        compressor: str | None = None,
-        options: dict[str, Any] | None = None,
-        timeout_ms: float | None = None,
-    ) -> np.ndarray:
-        """Decompress a buffer remotely (codec from ``buf.meta`` by default)."""
-        name = compressor or buf.meta.get("compressor")
-        if not name:
-            raise ServiceError(
-                "decompress needs a compressor (none recorded in buf.meta)"
-            )
-        if options is None:
-            options = buf.meta.get("options") or {}
-        header: dict[str, Any] = {
-            "op": "decompress",
-            "compressor": name,
-            "options": options,
-            "mode": buf.mode.value,
-            "parameter": buf.parameter,
-            "dtype": np.dtype(buf.original_dtype).str,
-            "shape": list(buf.original_shape),
-        }
-        if timeout_ms is not None:
-            header["timeout_ms"] = float(timeout_ms)
-        out_shape = tuple(int(s) for s in buf.original_shape)
-        out_dtype = np.dtype(buf.original_dtype)
-        out_nbytes = int(np.prod(out_shape, dtype=np.int64)) * out_dtype.itemsize
-        stream = np.frombuffer(buf.payload, dtype=np.uint8)
-        req_seg = reply_seg = None
-        pool = None
-        try:
-            if self._use_shm(max(stream.nbytes, out_nbytes)):
-                pool = self._segment_pool()
-                if stream.nbytes >= protocol.SHM_MIN_BYTES:
-                    req_seg = pool.acquire(stream.nbytes)
-                    req_seg.view(stream.shape, np.uint8)[...] = stream
-                    header[protocol.SHM_FIELD] = protocol.shm_fields(
-                        req_seg.view_descriptor(stream.shape, np.uint8)
-                    )
-                    payload = b""
-                else:
-                    payload = buf.payload
-                if out_nbytes >= protocol.SHM_MIN_BYTES:
-                    reply_seg = pool.acquire(out_nbytes)
-                    header[protocol.REPLY_SHM_FIELD] = (
-                        protocol.reply_shm_fields(reply_seg.name,
-                                                  reply_seg.nbytes)
-                    )
-            else:
-                payload = buf.payload
-            try:
-                reply, body = self._request(header, payload)
-            except ServiceError as exc:
-                if (req_seg is not None or reply_seg is not None) \
-                        and getattr(exc, "code", None) in _SHM_ERROR_CODES:
-                    self._shm_broken = True
-                    return self.decompress(
-                        buf, compressor=compressor, options=options,
-                        timeout_ms=timeout_ms,
-                    )
-                raise
-            n = reply.get(protocol.SHM_NBYTES_FIELD)
-            if n is not None and reply_seg is not None:
-                if not isinstance(n, int) or n != out_nbytes:
-                    raise ProtocolError(
-                        f"bad {protocol.SHM_NBYTES_FIELD}: {n!r}"
-                    )
-                return reply_seg.view(out_shape, out_dtype).copy()
-            return protocol.unpack_array(reply, body).copy()
-        finally:
-            for seg in (req_seg, reply_seg):
-                if seg is not None:
-                    pool.release(seg)
 
     def sweep(
         self,
@@ -487,43 +592,7 @@ class ServiceClient:
         Repeat sweeps of the same data hit the server's result cache
         (``row["cache"] == "hit"``).
         """
-        data = np.asarray(data)
-        header: dict[str, Any] = {
-            "op": "sweep",
-            "field": field,
-            "sweeps": sweeps,
-            **protocol.array_fields(data),
-        }
-        if timeout_ms is not None:
-            header["timeout_ms"] = float(timeout_ms)
-        req_seg = None
-        pool = None
-        try:
-            if self._use_shm(data.nbytes):
-                arr = np.ascontiguousarray(data)
-                pool = self._segment_pool()
-                req_seg = pool.acquire(arr.nbytes)
-                req_seg.view(arr.shape, arr.dtype)[...] = arr
-                header[protocol.SHM_FIELD] = protocol.shm_fields(
-                    req_seg.view_descriptor(arr.shape, arr.dtype)
-                )
-                payload = b""
-            else:
-                payload = protocol.pack_array(data)
-            try:
-                reply, _ = self._request(header, payload)
-            except ServiceError as exc:
-                if req_seg is not None \
-                        and getattr(exc, "code", None) in _SHM_ERROR_CODES:
-                    self._shm_broken = True
-                    return self.sweep(
-                        data, sweeps, field=field, timeout_ms=timeout_ms
-                    )
-                raise
-        finally:
-            if req_seg is not None:
-                pool.release(req_seg)
-        return list(reply.get("records") or [])
+        return self._run(self._sweep_request(data, sweeps, field, timeout_ms))
 
     # -- stateful sessions (docs/INSITU.md) ---------------------------------
 
@@ -545,20 +614,15 @@ class ServiceClient:
         Returns a :class:`ServiceSession`; use it as a context manager
         so the daemon-side state is torn down deterministically.
         """
-        if session_id is None:
-            import uuid
-
-            session_id = uuid.uuid4().hex
-        header: dict[str, Any] = {
+        reply, _ = self._request({
             "op": "session_open",
-            protocol.SESSION_FIELD: session_id,
+            protocol.SESSION_FIELD: session_id or uuid.uuid4().hex,
             "compressor": compressor,
             "mode": mode,
             "value": float(value),
             "options": options or {},
             "keyframe_every": int(keyframe_every),
-        }
-        reply, _ = self._request(header)
+        })
         return ServiceSession(self, reply)
 
     def session_step(
@@ -577,51 +641,9 @@ class ServiceClient:
         :class:`ServiceSession` wrapper, which tracks the digest chain
         automatically.
         """
-        data = np.asarray(data)
-        header: dict[str, Any] = {
-            "op": "session_step",
-            protocol.SESSION_FIELD: session_id,
-            **protocol.array_fields(data),
-        }
-        if expect_ref is not ...:
-            header["expect_ref"] = expect_ref
-        if timeout_ms is not None:
-            header["timeout_ms"] = float(timeout_ms)
-        req_seg = reply_seg = None
-        pool = None
-        try:
-            if self._use_shm(data.nbytes):
-                arr = np.ascontiguousarray(data)
-                pool = self._segment_pool()
-                req_seg = pool.acquire(arr.nbytes)
-                req_seg.view(arr.shape, arr.dtype)[...] = arr
-                header[protocol.SHM_FIELD] = protocol.shm_fields(
-                    req_seg.view_descriptor(arr.shape, arr.dtype)
-                )
-                reply_seg = pool.acquire(arr.nbytes + REPLY_SHM_SLACK)
-                header[protocol.REPLY_SHM_FIELD] = protocol.reply_shm_fields(
-                    reply_seg.name, reply_seg.nbytes
-                )
-                payload = b""
-            else:
-                payload = protocol.pack_array(data)
-            try:
-                reply, body = self._request(header, payload)
-            except ServiceError as exc:
-                if req_seg is not None \
-                        and getattr(exc, "code", None) in _SHM_ERROR_CODES:
-                    self._shm_broken = True
-                    return self.session_step(
-                        session_id, data, expect_ref=expect_ref,
-                        timeout_ms=timeout_ms,
-                    )
-                raise
-            body = self._shm_body(reply, body, reply_seg)
-        finally:
-            for seg in (req_seg, reply_seg):
-                if seg is not None:
-                    pool.release(seg)
-        return reply, body
+        return self._run(self._session_step_request(
+            session_id, data, expect_ref, timeout_ms
+        ))
 
     def session_close(self, session_id: str) -> dict[str, Any]:
         """Tear down a session; returns its step/byte accounting."""
@@ -733,34 +755,28 @@ class ServiceSession:
 # ---------------------------------------------------------------------------
 
 
+@dataclasses.dataclass(eq=False, slots=True)
 class _Call:
     """One logical request in flight through a :class:`PooledClient`."""
 
-    __slots__ = (
-        "future", "finish", "build", "header", "payload", "segs",
-        "attempt", "deadline", "id",
+    request: _Request
+    future: concurrent.futures.Future = dataclasses.field(
+        default_factory=concurrent.futures.Future
     )
-
-    def __init__(self, future, finish, build, header, payload, segs):
-        self.future = future
-        self.finish = finish
-        self.build = build
-        self.header = header
-        self.payload = payload
-        self.segs = segs
-        self.attempt = 0
-        self.deadline = 0.0
-        self.id = 0
+    header: dict[str, Any] = dataclasses.field(default_factory=dict)
+    payload: bytes = b""
+    segments: Segments = _INLINE
+    attempt: int = 0
+    deadline: float = 0.0
+    id: int = 0
 
 
 class _Channel:
     """One pipelined connection: a send lock, an id→call map, a reader."""
 
-    def __init__(self, owner: "PooledClient", sock: socket.socket,
-                 caps: frozenset[str]) -> None:
+    def __init__(self, owner: "PooledClient", conn: _Connection) -> None:
         self.owner = owner
-        self.sock = sock
-        self.caps = caps
+        self.conn = conn
         self.lock = threading.Lock()
         self.pending: dict[int, _Call] = {}
         self.next_id = 0
@@ -781,7 +797,7 @@ class _Channel:
             call.deadline = time.monotonic() + self.owner.request_timeout_s
             self.pending[call.id] = call
             try:
-                protocol.write_frame_sock(self.sock, call.header, call.payload)
+                self.conn.send(call.header, call.payload)
             except OSError as exc:
                 self.pending.pop(call.id, None)
                 raise ServiceError(f"send failed: {exc}") from exc
@@ -789,24 +805,33 @@ class _Channel:
     def _read_loop(self) -> None:
         while True:
             try:
-                reply, body = protocol.read_frame_sock(self.sock)
+                reply, body = self.conn.recv()
             except socket.timeout:
-                # Idle timeouts are benign (nothing was mid-frame); a
-                # timeout with requests outstanding means the server
-                # went silent past request_timeout_s — fail the channel.
-                with self.lock:
-                    idle = not self.pending and not self.dead
-                if idle:
-                    continue
-                self.fail(ServiceError("request timed out"))
-                return
+                # The connection was silent for request_timeout_s; each
+                # call answers for its own deadline below.
+                reply = None
             except (OSError, ProtocolError) as exc:
                 with self.lock:
                     dead = self.dead
                 if not dead:
                     self.fail(ServiceError(f"connection lost: {exc}"))
                 return
-            self.owner._dispatch(self, reply, body)
+            if reply is not None:
+                self.owner._dispatch(self, reply, body)
+            self._expire()
+
+    def _expire(self) -> None:
+        """Fail every call whose ``request_timeout_s`` has passed — a
+        lost reply must not hang its future while siblings' arrive."""
+        now = time.monotonic()
+        with self.lock:
+            overdue = [c for c in self.pending.values() if c.deadline <= now]
+            for call in overdue:
+                del self.pending[call.id]
+        for call in overdue:
+            self.owner._finish_call(
+                call, error=ServiceError("request timed out")
+            )
 
     def fail(self, exc: Exception) -> None:
         """Kill the channel, failing every in-flight call with ``exc``."""
@@ -818,14 +843,15 @@ class _Channel:
                 calls = list(self.pending.values())
                 self.pending.clear()
             try:
-                self.sock.close()
+                self.conn.sock.close()
             except OSError:
                 pass
         for call in calls:
             self.owner._finish_call(call, error=exc)
 
 
-class PooledClient:
+@dataclasses.dataclass(eq=False)
+class PooledClient(_Client):
     """N requests in flight over M pipelined connections.
 
     Where :class:`ServiceClient` is strictly one-request-at-a-time,
@@ -835,7 +861,9 @@ class PooledClient:
     ``compress_async``/``decompress_async`` return
     :class:`concurrent.futures.Future`; the blocking ``compress``/
     ``decompress`` wrappers just ``.result()`` them, so one pool serves
-    both styles from any number of threads.
+    both styles from any number of threads.  ``request_timeout_s``
+    bounds every call on its own: a reply that never comes fails that
+    call's future, not its siblings'.
 
     The zero-copy data plane is shared with :class:`ServiceClient`:
     one HELLO per connection negotiates capabilities, large payloads
@@ -846,109 +874,37 @@ class PooledClient:
     so a full admission queue never stalls the reader.
     """
 
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = DEFAULT_PORT,
-        *,
-        connections: int = 2,
-        connect_timeout_s: float = 5.0,
-        request_timeout_s: float = 120.0,
-        busy_retries: int = 8,
-        retry_base_s: float = 0.02,
-        retry_max_s: float = 1.0,
-        seed: int | None = None,
-        shm: bool | None = None,
-    ) -> None:
-        if connections < 1:
+    connections: int = dataclasses.field(default=2, kw_only=True)
+
+    def __post_init__(self) -> None:
+        if self.connections < 1:
             raise ValueError("connections must be >= 1")
-        self.host = host
-        self.port = port
-        self.connections = connections
-        self.connect_timeout_s = connect_timeout_s
-        self.request_timeout_s = request_timeout_s
-        self.busy_retries = busy_retries
-        self.retry_base_s = retry_base_s
-        self.retry_max_s = retry_max_s
-        self.shm = shm
-        self._rng = random.Random(seed)
+        super().__post_init__()
         self._lock = threading.Lock()
-        self._channels: list[_Channel | None] = [None] * connections
+        self._channels: list[_Channel | None] = [None] * self.connections
         self._rr = 0
-        self._segments = SegmentPool()
-        self._shm_broken = False
         self._closed = False
 
     # -- connections --------------------------------------------------------
 
-    def _dial(self) -> socket.socket:
-        deadline = time.monotonic() + self.connect_timeout_s
-        attempt = 0
-        while True:
-            try:
-                sock = socket.create_connection(
-                    (self.host, self.port),
-                    timeout=max(0.1, deadline - time.monotonic()),
-                )
-                break
-            except OSError as exc:
-                attempt += 1
-                delay = backoff_delay(
-                    attempt,
-                    base_s=self.retry_base_s,
-                    cap_s=self.retry_max_s,
-                    jitter=(0.5, 1.0),
-                    rng=self._rng,
-                )
-                if time.monotonic() + delay >= deadline:
-                    raise ServiceError(
-                        f"cannot connect to {self.host}:{self.port}: {exc}"
-                    ) from exc
-                time.sleep(delay)
-        sock.settimeout(self.request_timeout_s)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return sock
-
-    def _shm_wanted(self) -> bool:
-        if self._shm_broken or not shm_enabled():
-            return False
-        if self.shm is not None:
-            return self.shm
-        return _is_loopback(self.host)
-
-    def _open_channel(self) -> _Channel:
-        """Dial, HELLO synchronously, then hand the socket to a reader."""
-        sock = self._dial()
-        want = [protocol.CAP_PIPELINE]
-        if self._shm_wanted():
-            want.append(protocol.CAP_SHM)
-        try:
-            protocol.write_frame_sock(
-                sock, {"op": "hello", protocol.CAPS_FIELD: want}
-            )
-            reply, _ = protocol.read_frame_sock(sock)
-        except (OSError, ProtocolError) as exc:
-            sock.close()
-            raise ServiceError(f"capability handshake failed: {exc}") from exc
-        caps = (
-            reply.get(protocol.CAPS_FIELD)
-            if reply.get("status") == "ok" else None
-        )
-        return _Channel(
-            self, sock, frozenset(caps if isinstance(caps, list) else ())
-        )
-
     def _next_channel(self) -> _Channel:
+        """Round-robin over the slots, (re)dialing a missing or dead one:
+        dial, HELLO synchronously, then hand the socket to a reader."""
         with self._lock:
             if self._closed:
                 raise ServiceError("client closed")
             slot = self._rr % self.connections
             self._rr += 1
             chan = self._channels[slot]
-            if chan is not None and not chan.dead:
-                return chan
-            chan = self._open_channel()
-            self._channels[slot] = chan
+            if chan is None or chan.dead:
+                conn = _Connection(self)
+                try:
+                    conn.negotiate()
+                except (OSError, ProtocolError) as exc:
+                    raise ServiceError(
+                        f"capability handshake failed: {exc}"
+                    ) from exc
+                chan = self._channels[slot] = _Channel(self, conn)
             return chan
 
     def close(self) -> None:
@@ -973,20 +929,20 @@ class PooledClient:
 
     # -- completion plumbing (reader / timer threads) -----------------------
 
-    def _release_segs(self, call: _Call) -> None:
-        for seg in call.segs:
-            self._segments.release(seg)
-        call.segs = ()
-
     def _finish_call(
         self, call: _Call, *, reply: dict[str, Any] | None = None,
         body: bytes = b"", error: Exception | None = None,
     ) -> None:
+        """Resolve ``call``'s future and give its segments back."""
+        result = None
         try:
             if error is None:
-                result = call.finish(reply, body, call)
+                result = call.request.finish(reply, body, call.segments)
+        except Exception as exc:  # finish() raised — surface it
+            error = exc
         finally:
-            self._release_segs(call)
+            self._release(call.segments)
+            call.segments = _INLINE
         if error is not None:
             call.future.set_exception(error)
         else:
@@ -1000,78 +956,47 @@ class PooledClient:
 
     def _dispatch(self, chan: _Channel, reply: dict[str, Any],
                   body: bytes) -> None:
-        rid = reply.get("id")
         with chan.lock:
-            call = chan.pending.pop(rid, None)
+            call = chan.pending.pop(reply.get("id"), None)
         if call is None:
             return  # late or duplicate reply — drop it
         status = reply.get("status")
-        if status == "ok":
-            try:
+        try:
+            if status == "ok":
                 self._finish_call(call, reply=reply, body=body)
-            except Exception as exc:  # finish() raised — surface it
-                call.future.set_exception(exc)
-            return
-        if status == "busy":
-            call.attempt += 1
-            if call.attempt > self.busy_retries:
-                self._finish_call(call, error=ServiceBusyError(
-                    f"server still busy after {self.busy_retries} retries"
-                ))
-                return
-            delay = backoff_delay(
-                call.attempt - 1,
-                base_s=self.retry_base_s,
-                cap_s=self.retry_max_s,
-                hint_s=float(reply.get("retry_after_ms", 0)) / 1e3,
-                rng=self._rng,
-            )
-            timer = threading.Timer(delay, self._resend, args=(chan, call))
-            timer.daemon = True
-            timer.start()
-            return
-        code = reply.get("code", "error")
-        if code in _SHM_ERROR_CODES and call.segs:
-            # This peer cannot attach our segments — go inline for good.
-            self._shm_broken = True
-            self._release_segs(call)
-            try:
-                call.header, call.payload, call.segs = call.build(False)
+            elif status == "busy":
+                delay = self._busy_delay(call.attempt, reply)
+                call.attempt += 1
+                timer = threading.Timer(delay, self._resend, args=(chan, call))
+                timer.daemon = True
+                timer.start()
+            else:
+                exc = _reply_error(call.header.get("op"), reply)
+                if not self._shm_rejected(exc, call.segments):
+                    raise exc
+                self._release(call.segments)
+                call.segments = _INLINE
+                call.header, call.payload, call.segments = \
+                    call.request.build(False)
                 chan.send(call)
-            except (ServiceError, ProtocolError) as exc:
-                self._finish_call(call, error=exc)
-            return
-        exc = ServiceError(
-            f"{call.header.get('op')} failed [{code}]: {reply.get('error')}"
-        )
-        exc.code = code
-        self._finish_call(call, error=exc)
+        except (ServiceError, ProtocolError) as exc:
+            self._finish_call(call, error=exc)
 
-    # -- submission ---------------------------------------------------------
-
-    def _submit(
-        self,
-        nbytes: int,
-        build: Callable[[bool], tuple[dict[str, Any], bytes, tuple]],
-        finish: Callable[[dict[str, Any], bytes, _Call], Any],
-    ) -> "concurrent.futures.Future":
-        future: concurrent.futures.Future = concurrent.futures.Future()
-        segs: tuple = ()
+    def _submit(self, request: _Request) -> "concurrent.futures.Future":
+        call = _Call(request)
+        # Not cancellable from here on: a reader or timer thread resolves it.
+        call.future.set_running_or_notify_cancel()
         try:
             chan = self._next_channel()
-            use_shm = (
-                nbytes >= protocol.SHM_MIN_BYTES
+            call.header, call.payload, call.segments = request.build(
+                request.nbytes >= protocol.SHM_MIN_BYTES
                 and self._shm_wanted()
-                and protocol.CAP_SHM in chan.caps
+                and protocol.CAP_SHM in chan.conn.caps
             )
-            header, payload, segs = build(use_shm)
-            call = _Call(future, finish, build, header, payload, segs)
             chan.send(call)
         except Exception as exc:
-            for seg in segs:
-                self._segments.release(seg)
-            future.set_exception(exc)
-        return future
+            self._finish_call(call, error=exc)
+        return call.future
 
     # -- operations ---------------------------------------------------------
 
@@ -1085,56 +1010,9 @@ class PooledClient:
         timeout_ms: float | None = None,
     ) -> "concurrent.futures.Future":
         """Submit a COMPRESS; the future resolves to a CompressedBuffer."""
-        data = np.asarray(data)
-
-        def build(use_shm: bool):
-            header: dict[str, Any] = {
-                "op": "compress",
-                "compressor": compressor,
-                "mode": mode,
-                "value": float(value),
-                "options": options or {},
-                **protocol.array_fields(data),
-            }
-            if timeout_ms is not None:
-                header["timeout_ms"] = float(timeout_ms)
-            if not use_shm:
-                return header, protocol.pack_array(data), ()
-            arr = np.ascontiguousarray(data)
-            req = self._segments.acquire(arr.nbytes)
-            req.view(arr.shape, arr.dtype)[...] = arr
-            header[protocol.SHM_FIELD] = protocol.shm_fields(
-                req.view_descriptor(arr.shape, arr.dtype)
-            )
-            rep = self._segments.acquire(arr.nbytes + REPLY_SHM_SLACK)
-            header[protocol.REPLY_SHM_FIELD] = protocol.reply_shm_fields(
-                rep.name, rep.nbytes
-            )
-            return header, b"", (req, rep)
-
-        def finish(reply: dict[str, Any], body: bytes, call: _Call):
-            n = reply.get(protocol.SHM_NBYTES_FIELD)
-            if n is not None and len(call.segs) == 2:
-                rep = call.segs[1]
-                if not isinstance(n, int) or not 0 <= n <= rep.nbytes:
-                    raise ProtocolError(
-                        f"bad {protocol.SHM_NBYTES_FIELD}: {n!r}"
-                    )
-                body = rep.view((n,), np.uint8).tobytes()
-            meta = dict(reply.get("meta") or {})
-            meta["compressor"] = reply.get("compressor", compressor)
-            if options:
-                meta["options"] = dict(options)
-            return CompressedBuffer(
-                payload=body,
-                original_shape=tuple(reply["shape"]),
-                original_dtype=np.dtype(reply["dtype"]),
-                mode=CompressorMode(reply["mode"]),
-                parameter=float(reply["parameter"]),
-                meta=meta,
-            )
-
-        return self._submit(data.nbytes, build, finish)
+        return self._submit(self._compress_request(
+            data, compressor, mode, value, options, timeout_ms
+        ))
 
     def decompress_async(
         self,
@@ -1144,73 +1022,9 @@ class PooledClient:
         timeout_ms: float | None = None,
     ) -> "concurrent.futures.Future":
         """Submit a DECOMPRESS; the future resolves to an ndarray."""
-        name = compressor or buf.meta.get("compressor")
-        if not name:
-            raise ServiceError(
-                "decompress needs a compressor (none recorded in buf.meta)"
-            )
-        if options is None:
-            options = buf.meta.get("options") or {}
-        out_shape = tuple(int(s) for s in buf.original_shape)
-        out_dtype = np.dtype(buf.original_dtype)
-        out_nbytes = (
-            int(np.prod(out_shape, dtype=np.int64)) * out_dtype.itemsize
-        )
-        stream = np.frombuffer(buf.payload, dtype=np.uint8)
+        return self._submit(self._decompress_request(
+            buf, compressor, options, timeout_ms
+        ))
 
-        def build(use_shm: bool):
-            header: dict[str, Any] = {
-                "op": "decompress",
-                "compressor": name,
-                "options": options,
-                "mode": buf.mode.value,
-                "parameter": buf.parameter,
-                "dtype": out_dtype.str,
-                "shape": list(out_shape),
-            }
-            if timeout_ms is not None:
-                header["timeout_ms"] = float(timeout_ms)
-            if not use_shm:
-                return header, buf.payload, ()
-            segs = []
-            payload = buf.payload
-            if stream.nbytes >= protocol.SHM_MIN_BYTES:
-                req = self._segments.acquire(stream.nbytes)
-                req.view(stream.shape, np.uint8)[...] = stream
-                header[protocol.SHM_FIELD] = protocol.shm_fields(
-                    req.view_descriptor(stream.shape, np.uint8)
-                )
-                segs.append(req)
-                payload = b""
-            if out_nbytes >= protocol.SHM_MIN_BYTES:
-                rep = self._segments.acquire(out_nbytes)
-                header[protocol.REPLY_SHM_FIELD] = protocol.reply_shm_fields(
-                    rep.name, rep.nbytes
-                )
-                segs.append(rep)
-            return header, payload, tuple(segs)
-
-        def finish(reply: dict[str, Any], body: bytes, call: _Call):
-            n = reply.get(protocol.SHM_NBYTES_FIELD)
-            if n is not None:
-                offered = call.header.get(protocol.REPLY_SHM_FIELD) or {}
-                rep = next(
-                    (s for s in call.segs if s.name == offered.get("name")),
-                    None,
-                )
-                if rep is None or not isinstance(n, int) or n != out_nbytes:
-                    raise ProtocolError(
-                        f"bad {protocol.SHM_NBYTES_FIELD}: {n!r}"
-                    )
-                return rep.view(out_shape, out_dtype).copy()
-            return protocol.unpack_array(reply, body).copy()
-
-        return self._submit(max(stream.nbytes, out_nbytes), build, finish)
-
-    def compress(self, *args: Any, **kwargs: Any) -> CompressedBuffer:
-        """Blocking wrapper over :meth:`compress_async`."""
-        return self.compress_async(*args, **kwargs).result()
-
-    def decompress(self, *args: Any, **kwargs: Any) -> np.ndarray:
-        """Blocking wrapper over :meth:`decompress_async`."""
-        return self.decompress_async(*args, **kwargs).result()
+    def _run(self, request: _Request) -> Any:
+        return self._submit(request).result()

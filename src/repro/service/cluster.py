@@ -23,13 +23,19 @@ four things a single process cannot have:
   merely *slow* is hedged after ``hedge_after_s`` (a duplicate goes to
   the next preference, first reply wins, the loser's request id is
   abandoned: its late reply is drained off the shard's pipelined
-  channel with the connection kept — a legacy shard's socket is closed
-  instead — so a late duplicate reply can never be delivered);
+  channel with the connection kept, so a late duplicate reply can
+  never be delivered);
 * **fleet observability** — STATS merges every shard's snapshot into
   one picture, METRICS re-labels every shard's Prometheus exposition
   with ``shard="..."`` (the router itself reports as
   ``shard="router"``), and the CLUSTER op dumps topology, membership
   state, and ring ownership shares.
+
+The client-facing half — accept loop, pipelined dispatch, accounting,
+error replies, HELLO, CANCEL, drain — is
+:class:`repro.service.core.FrameServer`, shared with the daemon; a
+client CANCEL of a stateless routed request abandons its forwards and
+is answered ``cancelled``, exactly as the daemon answers it.
 
 Shards are either **addressed** (a ``host:port`` list — processes some
 init system owns) or **spawned** (``spawn=N`` local subprocesses,
@@ -68,9 +74,7 @@ import hashlib
 import json
 import logging
 import os
-import signal
 import sys
-import threading
 import time
 from collections import deque
 from pathlib import Path
@@ -79,10 +83,10 @@ from typing import Any
 from repro.errors import ProtocolError, ServiceError
 from repro.parallel.shm import shm_enabled
 from repro.service import protocol
+from repro.service.core import Connection, FrameServer, Reply, ServerThread
 from repro.service.membership import MembershipTable
 from repro.service.ring import HashRing
-from repro.service.server import LATENCY_BOUNDS, SPAN_RETENTION, _percentile
-from repro.telemetry import Telemetry, get_telemetry, set_telemetry
+from repro.telemetry import get_telemetry
 from repro.telemetry import context as trace_context
 
 logger = logging.getLogger("repro.service.cluster")
@@ -97,11 +101,14 @@ __all__ = [
 #: Default router port (one above the daemon's 9461 family).
 DEFAULT_ROUTER_PORT = 9470
 
-#: Ops the router answers itself; everything else is forwarded.
-ROUTER_OPS = frozenset({"health", "stats", "metrics", "cluster"})
+#: Budget for dialing a shard and completing the HELLO exchange.
+CONNECT_TIMEOUT_S = 5.0
 
-#: How many recent routed-request latencies the percentile window keeps.
-LATENCY_WINDOW = 4096
+#: Budget for one forwarded request (a shard-side SWEEP can be long).
+FORWARD_TIMEOUT_S = 300.0
+
+#: Budget for one HEALTH probe or fleet STATS/METRICS fan-out leg.
+PROBE_TIMEOUT_S = 2.0
 
 
 def routing_key(header: dict[str, Any], payload: bytes) -> bytes | None:
@@ -154,8 +161,9 @@ def routing_key(header: dict[str, Any], payload: bytes) -> bytes | None:
 class ShardChannel:
     """One pipelined connection to a shard, multiplexed by request id.
 
-    The router assigns its *own* per-channel ids (the client's ``id``
-    is restored on the way back), writes frames under a send lock, and
+    The router assigns its *own* per-channel ids (replies come back
+    without one; the front-end restores the client's ``id``), writes
+    frames under a send lock, and
     a reader task completes per-request futures as replies arrive — in
     any order.  Cancelling a waiter (hedge loser, timeout) just forgets
     its id: when the shard's reply eventually lands, the reader drops
@@ -163,13 +171,10 @@ class ShardChannel:
     late duplicate reply can never reach a client.
     """
 
-    def __init__(self, shard_id: str, host: str, port: int,
-                 max_payload_bytes: int) -> None:
+    def __init__(self, shard_id: str, host: str, port: int) -> None:
         self.shard_id = shard_id
         self.host = host
         self.port = port
-        self.max_payload_bytes = max_payload_bytes
-        self.caps: frozenset[str] = frozenset()
         self._reader: asyncio.StreamReader | None = None
         self._writer: asyncio.StreamWriter | None = None
         self._send_lock = asyncio.Lock()
@@ -184,42 +189,40 @@ class ShardChannel:
     def closed(self) -> bool:
         return self._closed
 
-    async def open(self, connect_timeout_s: float) -> bool:
-        """Dial and HELLO; ``True`` iff the shard speaks pipelining."""
-        self._reader, self._writer = await asyncio.wait_for(
-            asyncio.open_connection(self.host, self.port),
-            timeout=connect_timeout_s,
-        )
-        await protocol.write_frame(
-            self._writer,
-            {"op": "hello", protocol.CAPS_FIELD: [protocol.CAP_PIPELINE]},
-        )
-        frame = await protocol.read_frame(self._reader, self.max_payload_bytes)
-        if frame is None:
-            raise ProtocolError(f"shard {self.shard_id} closed during HELLO")
-        reply, _ = frame
-        caps = (
-            reply.get(protocol.CAPS_FIELD)
-            if reply.get("status") == "ok" else None
-        )
-        self.caps = frozenset(caps if isinstance(caps, list) else ())
-        if protocol.CAP_PIPELINE not in self.caps:
+    async def open(self) -> None:
+        """Dial and HELLO; a shard that does not grant ``pipeline`` (no
+        daemon of this codebase) is a :class:`ProtocolError`."""
+        try:
+            self._reader, self._writer = await asyncio.open_connection(
+                self.host, self.port
+            )
+            await protocol.write_frame(
+                self._writer,
+                {"op": "hello", protocol.CAPS_FIELD: [protocol.CAP_PIPELINE]},
+            )
+            frame = await protocol.read_frame(self._reader)
+            if frame is None:
+                raise ProtocolError(
+                    f"shard {self.shard_id} closed during HELLO"
+                )
+            caps = frame[0].get(protocol.CAPS_FIELD)
+            if not isinstance(caps, list) or protocol.CAP_PIPELINE not in caps:
+                raise ProtocolError(
+                    f"shard {self.shard_id} does not grant "
+                    f"{protocol.CAP_PIPELINE!r}"
+                )
+        except BaseException:
             self.close()
-            return False
+            raise
         self._reader_task = asyncio.get_running_loop().create_task(
             self._read_loop()
         )
-        return True
 
-    async def request(
-        self, header: dict[str, Any], payload: bytes, timeout_s: float
-    ) -> tuple[dict[str, Any], bytes]:
-        """One multiplexed round trip; safe to cancel at any point."""
-        if self._closed:
-            raise ProtocolError(f"channel to {self.shard_id} is closed")
-        loop = asyncio.get_running_loop()
-        client_id = header.get("id")
-        future: asyncio.Future = loop.create_future()
+    async def _send(
+        self, header: dict[str, Any], payload: bytes = b""
+    ) -> tuple[int, asyncio.Future]:
+        """Write one frame under a fresh id; ``(id, reply future)``."""
+        future: asyncio.Future = asyncio.get_running_loop().create_future()
         async with self._send_lock:
             if self._closed:
                 raise ProtocolError(f"channel to {self.shard_id} is closed")
@@ -236,59 +239,43 @@ class ShardChannel:
                     f"channel to {self.shard_id} broke mid-send"
                 ))
                 raise
+        return rid, future
+
+    async def request(
+        self, header: dict[str, Any], payload: bytes, timeout_s: float
+    ) -> tuple[dict[str, Any], bytes]:
+        """One multiplexed round trip; safe to cancel at any point.  The
+        reply comes back without the channel's id — the front-end stamps
+        the client's own on what it sends on."""
+        rid, future = await self._send(header, payload)
         try:
-            reply, body = await asyncio.wait_for(future, timeout=timeout_s)
+            return await asyncio.wait_for(future, timeout=timeout_s)
         except (asyncio.CancelledError, asyncio.TimeoutError):
             # Abandon the id; the reader will drain the late reply and
             # keep the connection.  Tell the shard not to bother if the
             # request is still queued over there.
             if self._pending.pop(rid, None) is not None:
-                self._cancel_soon(rid)
+                asyncio.get_running_loop().create_task(self._cancel(rid))
             raise
-        reply = dict(reply)
-        if client_id is not None:
-            reply["id"] = client_id
-        else:
-            reply.pop("id", None)
-        return reply, body
 
-    def _cancel_soon(self, target: int) -> None:
+    async def _cancel(self, target: int) -> None:
         """Best-effort CANCEL for an abandoned id (fire and forget)."""
-        if self._closed:
-            return
-
-        async def _send() -> None:
-            with contextlib.suppress(OSError, asyncio.CancelledError):
-                async with self._send_lock:
-                    if self._closed:
-                        return
-                    self._next_id += 1
-                    rid = self._next_id
-                    future = asyncio.get_running_loop().create_future()
-                    future.add_done_callback(
-                        lambda f: f.cancelled() or f.exception()
-                    )
-                    self._pending[rid] = future
-                    await protocol.write_frame(
-                        self._writer,
-                        {"op": "cancel", "cancel_id": target, "id": rid},
-                    )
-
-        asyncio.get_running_loop().create_task(_send())
+        with contextlib.suppress(OSError, ProtocolError, asyncio.CancelledError):
+            _, future = await self._send({"op": "cancel", "cancel_id": target})
+            # Nobody awaits the answer; consume it so asyncio stays quiet.
+            future.add_done_callback(lambda f: f.cancelled() or f.exception())
 
     async def _read_loop(self) -> None:
         try:
             while True:
-                frame = await protocol.read_frame(
-                    self._reader, self.max_payload_bytes
-                )
+                frame = await protocol.read_frame(self._reader)
                 if frame is None:
                     self._fail(ProtocolError(
                         f"shard {self.shard_id} closed the channel"
                     ))
                     return
                 reply, body = frame
-                future = self._pending.pop(reply.get("id"), None)
+                future = self._pending.pop(reply.pop("id", None), None)
                 if future is None:
                     # A hedge loser's (or timed-out) reply — drained.
                     self.drains += 1
@@ -298,8 +285,6 @@ class ShardChannel:
                     future.set_result((reply, body))
         except (OSError, ProtocolError) as exc:
             self._fail(exc)
-        except asyncio.CancelledError:
-            raise
 
     def _fail(self, exc: Exception) -> None:
         self._closed = True
@@ -322,13 +307,9 @@ class ShardChannel:
 class ShardHandle:
     """One shard endpoint: identity, optional subprocess, data path.
 
-    A shard that answers HELLO with the ``pipeline`` capability gets
-    one :class:`ShardChannel` — every forward (and probe) multiplexes
-    over it, and hedge losers are drained by id with the connection
-    kept.  A pre-capability shard falls back to the legacy pool of
-    one-request-per-connection ``(reader, writer)`` pairs, where any
-    error or hedge cancellation *discards* the socket — a connection
-    with an unread or half-read reply must never be reused.
+    Every forward (and probe) multiplexes over the shard's one
+    :class:`ShardChannel`, redialed on demand after it broke; hedge
+    losers are drained by id with the connection kept.
     """
 
     def __init__(self, shard_id: str, host: str, port: int, proc=None) -> None:
@@ -337,62 +318,20 @@ class ShardHandle:
         self.port = port
         self.proc = proc  # DaemonProcess for spawned shards, else None
         self.channel: ShardChannel | None = None
-        self.legacy = False  # shard failed HELLO → one-shot connections
         self._channel_lock = asyncio.Lock()
-        self._idle: list[tuple[asyncio.StreamReader, asyncio.StreamWriter]] = []
 
-    async def get_channel(
-        self, connect_timeout_s: float, max_payload_bytes: int
-    ) -> ShardChannel | None:
-        """The live pipelined channel, or ``None`` for a legacy shard."""
-        if self.legacy:
-            return None
+    async def get_channel(self) -> ShardChannel:
+        """The live pipelined channel (dialing it if need be)."""
         if self.channel is not None and not self.channel.closed:
             return self.channel
         async with self._channel_lock:
-            if self.legacy:
-                return None
-            if self.channel is not None and not self.channel.closed:
-                return self.channel
-            channel = ShardChannel(
-                self.shard_id, self.host, self.port, max_payload_bytes
-            )
-            if await channel.open(connect_timeout_s):
+            if self.channel is None or self.channel.closed:
+                channel = ShardChannel(self.shard_id, self.host, self.port)
+                await asyncio.wait_for(channel.open(), CONNECT_TIMEOUT_S)
                 self.channel = channel
-                return channel
-            self.legacy = True
-            logger.info(
-                "shard %s does not pipeline — using legacy connections",
-                self.shard_id,
-            )
-            return None
+            return self.channel
 
-    async def acquire(
-        self, connect_timeout_s: float
-    ) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-        while self._idle:
-            reader, writer = self._idle.pop()
-            if writer.is_closing():
-                continue
-            return reader, writer
-        return await asyncio.wait_for(
-            asyncio.open_connection(self.host, self.port),
-            timeout=connect_timeout_s,
-        )
-
-    def release(self, conn) -> None:
-        reader, writer = conn
-        if not writer.is_closing():
-            self._idle.append((reader, writer))
-
-    def discard(self, conn) -> None:
-        _, writer = conn
-        with contextlib.suppress(Exception):
-            writer.close()
-
-    def close_idle(self) -> None:
-        while self._idle:
-            self.discard(self._idle.pop())
+    def close(self) -> None:
         if self.channel is not None:
             self.channel.close()
             self.channel = None
@@ -402,12 +341,17 @@ class ShardHandle:
         if self.proc is not None:
             out["pid"] = self.proc.pid
             out["spawned"] = True
-        if self.legacy:
-            out["legacy"] = True
-        elif self.channel is not None:
+        if self.channel is not None:
             out["pipelined"] = not self.channel.closed
             out["drains"] = self.channel.drains
         return out
+
+
+#: ``shard_options`` keys that map onto a same-named ``serve`` flag.
+SHARD_FLAGS = (
+    "workers", "max_pending", "batch_window_ms", "max_batch", "timeout_s",
+    "cache_max_bytes", "backend",
+)
 
 
 def _spawn_argv(
@@ -428,30 +372,19 @@ def _spawn_argv(
         # each shard's warm set disjoint, so sharing one directory would
         # only share lock traffic, not hits.
         argv += ["--cache", str(Path(cache_dir) / f"s{index}")]
-    for key, flag in (
-        ("workers", "--workers"),
-        ("max_pending", "--max-pending"),
-        ("batch_window_ms", "--batch-window-ms"),
-        ("max_batch", "--max-batch"),
-        ("timeout_s", "--timeout-s"),
-        ("cache_max_bytes", "--cache-max-bytes"),
-        ("backend", "--backend"),
-    ):
-        if opts.get(key) is not None:
-            argv += [flag, str(opts[key])]
-    unknown = set(opts) - {
-        "workers", "max_pending", "batch_window_ms", "max_batch",
-        "timeout_s", "cache_max_bytes", "backend",
-    }
+    unknown = set(opts) - set(SHARD_FLAGS)
     if unknown:
         raise ServiceError(f"unknown shard option(s): {sorted(unknown)}")
+    for key in SHARD_FLAGS:
+        if opts.get(key) is not None:
+            argv += ["--" + key.replace("_", "-"), str(opts[key])]
     src = Path(repro.__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
     return argv, env
 
 
-class ClusterRouter:
+class ClusterRouter(FrameServer):
     """MSG1 front-end over N daemon shards (see module docstring).
 
     ``shards`` is a list of ``"host:port"`` endpoints to address;
@@ -465,6 +398,14 @@ class ClusterRouter:
     still happens); see ``docs/CLUSTER.md`` for how to pick a budget.
     """
 
+    role = "router"
+    ns = "router"
+    #: Ops the router answers itself (also while draining); everything
+    #: else is forwarded.
+    control_ops = frozenset({"health", "stats", "metrics", "cluster"})
+    #: In-flight forwards get this long (the shard fleet is still up).
+    drain_grace_s = 5.0
+
     def __init__(
         self,
         shards: list[str] | None = None,
@@ -473,36 +414,21 @@ class ClusterRouter:
         host: str = "127.0.0.1",
         port: int = 0,
         shard_options: dict[str, Any] | None = None,
-        replicas: int | None = None,
         probe_interval_s: float = 0.25,
-        probe_timeout_s: float = 2.0,
         fail_after: int = 3,
         recover_after: int = 2,
         hedge_after_s: float | None = None,
-        forward_timeout_s: float = 300.0,
-        connect_timeout_s: float = 5.0,
-        max_payload_bytes: int = protocol.MAX_PAYLOAD_BYTES,
-        pipeline_depth: int = 32,
         trace_out: str | None = None,
     ) -> None:
         if not shards and spawn <= 0:
             raise ServiceError(
                 "a cluster needs shards: pass host:port endpoints or spawn=N"
             )
-        self.host = host
-        self.port = port
+        super().__init__(host, port, trace_out)
         self.spawn = spawn
         self.shard_options = dict(shard_options or {})
-        self.probe_timeout_s = probe_timeout_s
         self.hedge_after_s = hedge_after_s
-        self.forward_timeout_s = forward_timeout_s
-        self.connect_timeout_s = connect_timeout_s
-        self.max_payload_bytes = max_payload_bytes
-        self.pipeline_depth = max(1, int(pipeline_depth))
-        self.trace_out = trace_out
-        self.ring = HashRing(
-            replicas=replicas if replicas is not None else 128
-        )
+        self.ring = HashRing()
         self.membership = MembershipTable(
             fail_after=fail_after,
             recover_after=recover_after,
@@ -510,27 +436,30 @@ class ClusterRouter:
         )
         self.shard_handles: dict[str, ShardHandle] = {}
         self._addressed = list(shards or [])
-        self._server: asyncio.AbstractServer | None = None
-        self._draining = asyncio.Event()
-        self._connections: set[asyncio.Task] = set()
+        self._spawned: list[Any] = []  # every DaemonProcess we created
         self._probe_tasks: list[asyncio.Task] = []
-        self._started = time.perf_counter()
-        self._requests_total = 0
-        self._inflight = 0
         self._rr = 0  # round-robin cursor for keyless forwards
-        self._latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)
-        self._installed_telemetry = False
 
-    # -- lifecycle ---------------------------------------------------------
+    # -- what the connection core asks of a front-end ----------------------
 
-    async def start(self) -> None:
-        """Spawn/register shards, bind, start probes; resolves ``port``."""
-        if get_telemetry().enabled is False:
-            set_telemetry(Telemetry(
-                "router",
-                max_finished=None if self.trace_out else SPAN_RETENTION,
-            ))
-            self._installed_telemetry = True
+    def _caps(self) -> list[str]:
+        """What this router can honor for its clients.
+
+        ``pipeline`` always (dispatch is concurrent per connection).
+        ``shm`` only when every shard is a same-host loopback peer —
+        then a client's request segment is attachable by whichever
+        shard the ring picks, and the router can pass descriptors
+        through untouched.
+        """
+        caps = [protocol.CAP_PIPELINE]
+        if shm_enabled() and self.shard_handles and all(
+            protocol.is_loopback(h.host) for h in self.shard_handles.values()
+        ):
+            caps.append(protocol.CAP_SHM)
+        return caps
+
+    async def _open(self) -> None:
+        """Register/spawn the shards and start their probe loops."""
         for endpoint in self._addressed:
             host, _, port_s = endpoint.rpartition(":")
             try:
@@ -540,29 +469,35 @@ class ClusterRouter:
                     f"bad shard endpoint {endpoint!r} (want host:port)"
                 ) from exc
         if self.spawn > 0:
-            await self._spawn_shards(self.spawn)
-        self._server = await asyncio.start_server(
-            self._on_connection, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+            await self._spawn_shards()
         loop = asyncio.get_running_loop()
-        for shard_id in list(self.shard_handles):
+        for shard_id in self.shard_handles:
             self._probe_tasks.append(
                 loop.create_task(self._probe_loop(shard_id))
             )
-        logger.info(
-            "routing on %s:%d over %d shard(s)",
-            self.host, self.port, len(self.shard_handles),
-        )
 
-    async def _spawn_shards(self, count: int) -> None:
+    async def _close(self) -> None:
+        for task in self._probe_tasks:
+            task.cancel()
+        if self._probe_tasks:
+            await asyncio.gather(*self._probe_tasks, return_exceptions=True)
+        for handle in self.shard_handles.values():
+            handle.close()
+        # Spawned shards drain gracefully (SIGTERM) — concurrently, each
+        # on its own executor thread, since terminate() blocks.
+        if self._spawned:
+            loop = asyncio.get_running_loop()
+            await asyncio.gather(*(
+                loop.run_in_executor(None, p.terminate) for p in self._spawned
+            ))
+
+    async def _spawn_shards(self) -> None:
         from repro.parallel.daemons import DaemonProcess
 
         loop = asyncio.get_running_loop()
-        procs = []
-        for i in range(count):
+        for i in range(self.spawn):
             argv, env = _spawn_argv(i, self.shard_options)
-            procs.append(DaemonProcess(
+            self._spawned.append(DaemonProcess(
                 argv,
                 ready_pattern=r"serving on ([\d.]+):(\d+)",
                 name=f"s{i}",
@@ -570,11 +505,17 @@ class ClusterRouter:
             ))
         # DaemonProcess.start blocks on the child's ready line; numpy
         # import dominates shard start-up, so bring the fleet up in
-        # parallel on executor threads.
+        # parallel on executor threads.  Wait for all of them even if
+        # one fails: _close() must not race a shard that is still
+        # starting.
         matches = await asyncio.gather(
-            *(loop.run_in_executor(None, p.start) for p in procs)
+            *(loop.run_in_executor(None, p.start) for p in self._spawned),
+            return_exceptions=True,
         )
-        for i, (proc, match) in enumerate(zip(procs, matches)):
+        for match in matches:
+            if isinstance(match, BaseException):
+                raise match
+        for i, (proc, match) in enumerate(zip(self._spawned, matches)):
             self._register(ShardHandle(
                 f"s{i}", match.group(1), int(match.group(2)), proc=proc
             ))
@@ -586,78 +527,6 @@ class ClusterRouter:
         if self.membership.add(handle.shard_id) == "admit":
             self.ring.add(handle.shard_id)
         self._update_up_gauge()
-
-    async def serve(self, install_signal_handlers: bool = True) -> None:
-        """Run until drained (SIGTERM/SIGINT or :meth:`request_drain`)."""
-        if self._server is None:
-            await self.start()
-        loop = asyncio.get_running_loop()
-        if install_signal_handlers:
-            for sig in (signal.SIGTERM, signal.SIGINT):
-                with contextlib.suppress(NotImplementedError, ValueError):
-                    loop.add_signal_handler(sig, self.request_drain)
-        await self._draining.wait()
-        await self._shutdown()
-
-    def request_drain(self) -> None:
-        if not self._draining.is_set():
-            logger.info("router drain requested")
-            self._draining.set()
-
-    @property
-    def draining(self) -> bool:
-        return self._draining.is_set()
-
-    async def _shutdown(self) -> None:
-        assert self._server is not None
-        self._server.close()
-        await self._server.wait_closed()
-        for task in self._probe_tasks:
-            task.cancel()
-        if self._probe_tasks:
-            await asyncio.gather(*self._probe_tasks, return_exceptions=True)
-        # In-flight forwards finish and reply (the shard fleet is still
-        # up); parked readers see EOF when their client hangs up.
-        pending = [t for t in self._connections if not t.done()]
-        if pending:
-            await asyncio.wait(pending, timeout=5.0)
-        for task in self._connections:
-            task.cancel()
-        if self._connections:
-            await asyncio.gather(*self._connections, return_exceptions=True)
-        for handle in self.shard_handles.values():
-            handle.close_idle()
-        # Spawned shards drain gracefully (SIGTERM) — concurrently, each
-        # on its own executor thread, since terminate() blocks.
-        spawned = [
-            h.proc for h in self.shard_handles.values() if h.proc is not None
-        ]
-        if spawned:
-            loop = asyncio.get_running_loop()
-            await asyncio.gather(*(
-                loop.run_in_executor(None, p.terminate) for p in spawned
-            ))
-        logger.info("router drained after %d request(s)", self._requests_total)
-        if self.trace_out:
-            self._dump_trace()
-        if self._installed_telemetry:
-            from repro.telemetry import NullTelemetry
-
-            set_telemetry(NullTelemetry())
-            self._installed_telemetry = False
-
-    def _dump_trace(self) -> None:
-        from repro.telemetry import export
-
-        tm = get_telemetry()
-        if not tm.enabled:
-            return
-        spans = tm.tracer.finished_spans()
-        try:
-            export.write_jsonl(self.trace_out, spans)
-            logger.info("wrote %d span(s) to %s", len(spans), self.trace_out)
-        except OSError as exc:  # pragma: no cover - disk full etc.
-            logger.error("could not write %s: %s", self.trace_out, exc)
 
     # -- membership (probe loop + forward evidence) ------------------------
 
@@ -691,188 +560,57 @@ class ClusterRouter:
         while not self.draining:
             await asyncio.sleep(self.membership.probe_delay(shard_id))
             tm.count("router.probes")
-            try:
-                reply, _ = await self._forward_to(
-                    shard_id, {"op": "health"}, b"",
-                    timeout_s=self.probe_timeout_s,
-                )
-                # A draining shard answers ok but refuses new work — gate
-                # it out just like a dead one; it re-admits if it returns.
-                ok = reply.get("status") == "ok" and not reply.get("draining")
-                error = "" if ok else f"draining={reply.get('draining')}"
-            except (OSError, ProtocolError, asyncio.TimeoutError) as exc:
-                ok, error = False, f"{type(exc).__name__}: {exc}"
+            reply, _ = await self._ask(shard_id, "health")
+            # A draining shard answers ok but refuses new work — gate
+            # it out just like a dead one; it re-admits if it returns.
+            ok = reply.get("status") == "ok" and not reply.get("draining")
+            error = "" if ok else (
+                reply.get("error") or f"draining={reply.get('draining')}"
+            )
             if not ok:
                 tm.count("router.probe_failures")
             self._observe(shard_id, ok, error)
 
-    # -- connection handling ----------------------------------------------
+    # -- dispatch ------------------------------------------------------------
 
-    def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    async def _dispatch(
+        self, conn: Connection, op: str, header: dict[str, Any],
+        payload: bytes, reply: Reply,
     ) -> None:
-        task = asyncio.get_running_loop().create_task(
-            self._serve_connection(reader, writer)
-        )
-        self._connections.add(task)
-        task.add_done_callback(self._connections.discard)
-
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        peer = writer.get_extra_info("peername")
-        tm = get_telemetry()
-        loop = asyncio.get_running_loop()
-        send_lock = asyncio.Lock()
-        gate = asyncio.Semaphore(self.pipeline_depth)
-        tasks: set[asyncio.Task] = set()
-        try:
-            while True:
-                try:
-                    frame = await protocol.read_frame(
-                        reader, self.max_payload_bytes
-                    )
-                except ProtocolError as exc:
-                    tm.count("router.protocol_errors")
-                    with contextlib.suppress(Exception):
-                        async with send_lock:
-                            await protocol.write_frame(
-                                writer,
-                                {"status": "error", "code": "protocol",
-                                 "error": str(exc)},
-                            )
-                    return
-                if frame is None:
-                    return
-                header, payload = frame
-                # Pipelined dispatch: each frame is served on its own
-                # task (bounded by pipeline_depth), replies serialized
-                # under send_lock — a slow forward never blocks the
-                # next frame on this connection.
-                await gate.acquire()
-                task = loop.create_task(
-                    self._serve_frame(writer, send_lock, gate, header, payload)
-                )
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
-        except (ConnectionResetError, BrokenPipeError):
-            logger.debug("peer %s reset", peer)
-        finally:
-            for task in list(tasks):
-                task.cancel()
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
-            with contextlib.suppress(Exception):
-                writer.close()
-                await writer.wait_closed()
-
-    async def _serve_frame(
-        self,
-        writer: asyncio.StreamWriter,
-        send_lock: asyncio.Lock,
-        gate: asyncio.Semaphore,
-        header: dict[str, Any],
-        payload: bytes,
-    ) -> None:
-        try:
-            await self._serve_request(writer, send_lock, header, payload)
-        except (ConnectionResetError, BrokenPipeError):
-            pass  # the connection task handles peer teardown
-        finally:
-            gate.release()
-
-    async def _serve_request(
-        self,
-        writer: asyncio.StreamWriter,
-        send_lock: asyncio.Lock,
-        header: dict[str, Any],
-        payload: bytes,
-    ) -> None:
-        tm = get_telemetry()
-        op = str(header.get("op", "")).lower()
-        rid = header.get("id")
-        t0 = time.perf_counter()
-        self._requests_total += 1
-        self._inflight += 1
-        tm.set_gauge("router.requests_inflight", float(self._inflight))
-        tm.count("router.requests")
-        tm.count(f"router.requests.{op or 'unknown'}")
-        tm.count("router.bytes_in", len(payload))
-
-        async def reply(h: dict[str, Any], body: bytes = b"") -> None:
-            if rid is not None:
-                h.setdefault("id", rid)
-            tm.count("router.bytes_out", len(body))
-            async with send_lock:
-                await protocol.write_frame(writer, h, body)
-            latency = time.perf_counter() - t0
-            self._latencies.append(latency)
-            tm.observe(
-                "router.latency_ms", latency * 1e3, bounds=LATENCY_BOUNDS
-            )
-
-        ctx = trace_context.extract(header)
-        try:
-            with trace_context.use(ctx):
-                with tm.span("router.request", op=op, bytes=len(payload)):
-                    if self.draining and op not in ROUTER_OPS:
-                        await reply(
-                            {"status": "busy", "code": "draining",
-                             "retry_after_ms": 50}
-                        )
-                    elif op == "hello":
-                        await reply(self._hello(header))
-                    elif op == "health":
-                        await reply(self._health())
-                    elif op == "cluster":
-                        await reply(self._cluster())
-                    elif op == "stats":
-                        await reply(await self._fleet_stats())
-                    elif op == "metrics":
-                        text, ctype = await self._fleet_metrics()
-                        await reply(
-                            {"status": "ok", "content_type": ctype},
-                            text.encode("utf-8"),
-                        )
-                    else:
-                        fwd = header
-                        if protocol.REPLY_SHM_FIELD in fwd:
-                            # Reply segments are single-writer; hedged
-                            # or failed-over attempts could land on two
-                            # shards, so the router always asks shards
-                            # to reply inline.  Request-side segments
-                            # pass through — concurrent readers are
-                            # harmless.
-                            fwd = {
-                                k: v for k, v in fwd.items()
-                                if k != protocol.REPLY_SHM_FIELD
-                            }
-                            tm.count("router.reply_shm_stripped")
-                        h, body, shard_id = await self._route(
-                            op, fwd, payload
-                        )
-                        h = dict(h)
-                        h.setdefault(protocol.SHARD_FIELD, shard_id)
-                        await reply(h, body)
-        except (ConnectionResetError, BrokenPipeError):
-            raise
-        except ServiceError as exc:
-            tm.count("router.errors")
+        if op == "health":
+            await reply(self._health())
+        elif op == "cluster":
+            await reply(self._cluster())
+        elif op == "stats":
+            await reply(await self._fleet_stats())
+        elif op == "metrics":
+            text, ctype = await self._fleet_metrics()
             await reply(
-                {"status": "error",
-                 "code": getattr(exc, "code", "routing"),
-                 "error": str(exc)}
+                {"status": "ok", "content_type": ctype}, text.encode("utf-8")
             )
-        except Exception as exc:  # noqa: BLE001 — a bug must not kill the router
-            logger.exception("internal error routing %s", op)
-            tm.count("router.errors")
-            await reply(
-                {"status": "error", "code": "internal",
-                 "error": f"{type(exc).__name__}: {exc}"}
-            )
-        finally:
-            self._inflight -= 1
-            tm.set_gauge("router.requests_inflight", float(self._inflight))
+        else:
+            fwd = header
+            if protocol.REPLY_SHM_FIELD in fwd:
+                # Reply segments are single-writer; hedged or failed-over
+                # attempts could land on two shards, so the router always
+                # asks shards to reply inline.  Request-side segments
+                # pass through — concurrent readers are harmless.
+                fwd = {
+                    k: v for k, v in fwd.items()
+                    if k != protocol.REPLY_SHM_FIELD
+                }
+                get_telemetry().count("router.reply_shm_stripped")
+            # A client CANCEL abandons the forwards (each chases its
+            # shard with a CANCEL of its own).  Session ops stay out of
+            # reach: the shard would finish the step regardless and the
+            # client's reference digest would fall behind.
+            sticky = op.startswith("session")
+            with conn.cancellable(
+                None if sticky else header.get("id"), asyncio.current_task()
+            ):
+                h, body, shard_id = await self._route(op, fwd, payload, sticky)
+            h.setdefault(protocol.SHARD_FIELD, shard_id)
+            await reply(h, body)
 
     # -- routing (placement + hedging + failover) --------------------------
 
@@ -882,7 +620,9 @@ class ClusterRouter:
         """Candidate shards for one request, best first."""
         serving = self.membership.serving()
         if not serving:
-            raise ServiceError("no shards available (all drained)")
+            raise ServiceError(
+                "no shards available (all drained)", code="routing"
+            )
         key = routing_key(header, payload)
         if key is None:
             # Keyless forwards (LIST, unknown ops) spread round-robin.
@@ -897,27 +637,26 @@ class ClusterRouter:
         return prefs or serving
 
     async def _route(
-        self, op: str, header: dict[str, Any], payload: bytes
+        self, op: str, header: dict[str, Any], payload: bytes, sticky: bool
     ) -> tuple[dict[str, Any], bytes, str]:
         """Dispatch one request with failover and (optional) hedging.
 
         Returns ``(reply_header, body, shard_id)`` of the first shard
-        whose reply arrived.  Losing hedge attempts are cancelled; on a
-        pipelining shard that just abandons the request id — the late
-        reply is drained by the channel's reader (connection kept, a
-        best-effort CANCEL chases the queued work) — while a legacy
-        shard's socket is closed.  Either way the duplicate-suppression
-        guarantee holds: a reply is only delivered to a waiter the
-        router still has, and it keeps at most one winner.
+        whose reply arrived.  Losing hedge attempts are cancelled, which
+        just abandons their request id — the late reply is drained by
+        the channel's reader (connection kept, a best-effort CANCEL
+        chases the queued work).  The duplicate-suppression guarantee: a
+        reply is only delivered to a waiter the router still has, and it
+        keeps at most one winner.
+
+        ``sticky`` (session ops): the primary shard holds the session's
+        reference snapshot, so hedging or failing over to another shard
+        could only yield a no_session error — or worse, bytes from a
+        different stream.  One candidate, no hedge; if the primary is
+        down the client gets a clean session_lost to reopen from.
         """
         tm = get_telemetry()
         candidates = deque(self._preferences(header, payload))
-        # Session ops are *sticky*: the primary shard holds the session's
-        # reference snapshot, so hedging or failing over to another shard
-        # could only yield a no_session error — or worse, bytes from a
-        # different stream.  One candidate, no hedge; if the primary is
-        # down the client gets a clean session_lost to reopen from.
-        sticky = op.startswith("session")
         if sticky:
             candidates = deque(list(candidates)[:1])
         total = len(candidates)
@@ -976,18 +715,18 @@ class ClusterRouter:
                     launch(hedge=False)
                     continue
                 if sticky:
-                    exc = ServiceError(
+                    raise ServiceError(
                         f"session shard unavailable for {op}: "
                         + "; ".join(errors)
                         + " — the daemon-side session state is gone; "
                         "reopen the session and re-send from its last "
-                        "keyframe"
+                        "keyframe",
+                        code="session_lost",
                     )
-                    exc.code = "session_lost"
-                    raise exc
                 raise ServiceError(
                     f"all {total} shard(s) failed for {op}: "
-                    + "; ".join(errors)
+                    + "; ".join(errors),
+                    code="routing",
                 )
         finally:
             for task in pending:  # duplicate suppression
@@ -999,10 +738,7 @@ class ClusterRouter:
         self, shard_id: str, header: dict[str, Any], payload: bytes,
         hedge: bool,
     ) -> tuple[dict[str, Any], bytes]:
-        tm = get_telemetry()
-        if not tm.enabled and trace_context.current() is None:
-            return await self._forward_to(shard_id, header, payload)
-        with tm.span("router.forward", shard=shard_id, hedge=hedge):
+        with get_telemetry().span("router.forward", shard=shard_id, hedge=hedge):
             # Inject *inside* the span: the shard's service.request then
             # parents under this forward attempt, so a hedged request
             # shows both racing subtrees in one stitched trace.
@@ -1015,69 +751,16 @@ class ClusterRouter:
         shard_id: str,
         header: dict[str, Any],
         payload: bytes,
-        timeout_s: float | None = None,
+        timeout_s: float = FORWARD_TIMEOUT_S,
     ) -> tuple[dict[str, Any], bytes]:
-        """One logical request to one shard, one reply back.
-
-        Pipelining shards multiplex over their :class:`ShardChannel`
-        (cancellation drains the late reply by id and keeps the
-        connection); legacy shards use one pooled connection per
-        request, discarded on any error or cancellation.
-        """
-        handle = self.shard_handles[shard_id]
-        budget = (
-            timeout_s if timeout_s is not None else self.forward_timeout_s
-        )
-        channel = await handle.get_channel(
-            self.connect_timeout_s, self.max_payload_bytes
-        )
-        if channel is not None:
-            return await channel.request(header, payload, budget)
-        conn = await handle.acquire(self.connect_timeout_s)
-        try:
-            reader, writer = conn
-            await protocol.write_frame(writer, header, payload)
-            frame = await asyncio.wait_for(
-                protocol.read_frame(reader, self.max_payload_bytes),
-                timeout=budget,
-            )
-            if frame is None:
-                raise ProtocolError(f"shard {shard_id} closed mid-request")
-        except BaseException:
-            handle.discard(conn)
-            raise
-        handle.release(conn)
-        return frame
+        """One logical request to one shard, one reply back (without an
+        ``id``), multiplexed over the shard's :class:`ShardChannel`;
+        cancellation drains the late reply by id and keeps the
+        connection."""
+        channel = await self.shard_handles[shard_id].get_channel()
+        return await channel.request(header, payload, timeout_s)
 
     # -- control plane (router-served ops) ---------------------------------
-
-    def _router_caps(self) -> frozenset[str]:
-        """What this router can honor for its clients.
-
-        ``pipeline`` always (dispatch is concurrent per connection).
-        ``shm`` only when every shard is a same-host loopback peer —
-        then a client's request segment is attachable by whichever
-        shard the ring picks, and the router can pass descriptors
-        through untouched.
-        """
-        caps = {protocol.CAP_PIPELINE}
-        if shm_enabled() and self.shard_handles and all(
-            h.host == "localhost" or h.host.startswith("127.")
-            or h.host == "::1"
-            for h in self.shard_handles.values()
-        ):
-            caps.add(protocol.CAP_SHM)
-        return frozenset(caps)
-
-    def _hello(self, header: dict[str, Any]) -> dict[str, Any]:
-        want = header.get(protocol.CAPS_FIELD)
-        want = set(want) if isinstance(want, list) else set()
-        granted = sorted(want & self._router_caps())
-        return {
-            "status": "ok",
-            "role": "router",
-            protocol.CAPS_FIELD: granted,
-        }
 
     def _health(self) -> dict[str, Any]:
         serving = self.membership.serving()
@@ -1114,24 +797,27 @@ class ClusterRouter:
             },
         }
 
-    async def _shard_control(self, op: str) -> dict[str, dict[str, Any]]:
+    async def _ask(
+        self, shard_id: str, op: str
+    ) -> tuple[dict[str, Any], bytes]:
+        """One control op to one shard; a loss becomes an error reply."""
+        try:
+            return await self._forward_to(
+                shard_id, {"op": op}, b"", timeout_s=PROBE_TIMEOUT_S
+            )
+        except (OSError, ProtocolError, asyncio.TimeoutError) as exc:
+            return (
+                {"status": "error", "error": f"{type(exc).__name__}: {exc}"},
+                b"",
+            )
+
+    async def _shard_control(
+        self, op: str
+    ) -> dict[str, tuple[dict[str, Any], bytes]]:
         """Fan one control op out to every serving shard; tolerate losses."""
         serving = self.membership.serving()
-
-        async def one(shard_id: str):
-            try:
-                return shard_id, await self._forward_to(
-                    shard_id, {"op": op}, b"", timeout_s=self.probe_timeout_s
-                )
-            except (OSError, ProtocolError, asyncio.TimeoutError) as exc:
-                return shard_id, (
-                    {"status": "error",
-                     "error": f"{type(exc).__name__}: {exc}"},
-                    b"",
-                )
-
-        gathered = await asyncio.gather(*(one(s) for s in serving))
-        return {shard_id: frame for shard_id, frame in gathered}
+        frames = await asyncio.gather(*(self._ask(s, op) for s in serving))
+        return dict(zip(serving, frames))
 
     async def _fleet_stats(self) -> dict[str, Any]:
         """STATS, fleet-wide: per-shard snapshots plus merged totals."""
@@ -1142,16 +828,6 @@ class ClusterRouter:
         fleet_requests = sum(
             int(s.get("requests_total", 0)) for s in per_shard.values()
         )
-        window = list(self._latencies)
-        latency: dict[str, Any] = {
-            "window": len(window), "window_n": len(window)
-        }
-        if window:
-            latency.update(
-                p50_ms=_percentile(window, 50) * 1e3,
-                p99_ms=_percentile(window, 99) * 1e3,
-                mean_ms=sum(window) / len(window) * 1e3,
-            )
         tm = get_telemetry()
         return {
             "status": "ok",
@@ -1159,7 +835,7 @@ class ClusterRouter:
             "uptime_s": time.perf_counter() - self._started,
             "requests_total": self._requests_total,
             "requests_inflight": max(0, self._inflight - 1),  # excl. STATS
-            "latency": latency,
+            "latency": self._latency_summary(),
             "fleet": {
                 "shards_serving": len(per_shard),
                 "requests_total": fleet_requests,
@@ -1214,7 +890,7 @@ class ClusterRouter:
         return text, PROM_CONTENT_TYPE
 
 
-class ClusterThread:
+class ClusterThread(ServerThread):
     """Run a :class:`ClusterRouter` (and its fleet) on a background thread.
 
     The embedding entry point for tests and benchmarks::
@@ -1227,53 +903,5 @@ class ClusterThread:
     shards.
     """
 
-    def __init__(self, **kwargs: Any) -> None:
-        self.router = ClusterRouter(**kwargs)
-        self.loop = asyncio.new_event_loop()
-        self.thread = threading.Thread(
-            target=self._run, name="repro-router", daemon=True
-        )
-        self._ready = threading.Event()
-        self._startup_error: BaseException | None = None
-
-    def _run(self) -> None:
-        asyncio.set_event_loop(self.loop)
-        try:
-            self.loop.run_until_complete(self.router.start())
-        except BaseException as exc:
-            self._startup_error = exc
-            self._ready.set()
-            return
-        self._ready.set()
-        try:
-            self.loop.run_until_complete(
-                self.router.serve(install_signal_handlers=False)
-            )
-        finally:
-            self.loop.close()
-
-    @property
-    def port(self) -> int:
-        return self.router.port
-
-    def start(self) -> "ClusterThread":
-        self.thread.start()
-        self._ready.wait(timeout=120)
-        if self._startup_error is not None:
-            raise self._startup_error
-        if not self._ready.is_set():
-            raise ServiceError("cluster router failed to start in 120s")
-        return self
-
-    def stop(self, timeout: float = 60.0) -> None:
-        if self.thread.is_alive():
-            self.loop.call_soon_threadsafe(self.router.request_drain)
-            self.thread.join(timeout)
-            if self.thread.is_alive():
-                raise ServiceError("cluster router did not drain in time")
-
-    def __enter__(self) -> "ClusterThread":
-        return self.start()
-
-    def __exit__(self, *exc: Any) -> None:
-        self.stop()
+    server_class = ClusterRouter
+    router = property(lambda self: self.server, doc="The embedded router.")

@@ -1,0 +1,537 @@
+"""The connection core every MSG1 front-end is built on.
+
+The daemon (:mod:`repro.service.server`) and the cluster router
+(:mod:`repro.service.cluster`) speak the same protocol to their
+clients, so everything that is *about the protocol* rather than about
+compressing or routing lives here exactly once:
+
+* :class:`FrameServer` — bind (with a self-installed telemetry domain),
+  the accept/read loop, pipelined per-frame dispatch (at most
+  :data:`PIPELINE_DEPTH` frames of one connection in flight, replies in
+  completion order under a per-connection send lock), per-request
+  accounting under the front-end's metric namespace, the mapping from
+  exceptions to error replies, the ops answered identically everywhere
+  (HELLO, CANCEL, the ``draining`` refusal), graceful drain, and the
+  ``--trace-out`` dump.  A front-end subclasses it and supplies its
+  ``role``/``ns``, :meth:`~FrameServer._caps`, the
+  :meth:`~FrameServer._open` / :meth:`~FrameServer._close` resource
+  hooks, and :meth:`~FrameServer._dispatch`.
+* :class:`ServerThread` — run a front-end on a background thread (the
+  embedding entry point of tests, benchmarks, and notebooks).
+
+**HELLO** grants the intersection of what the client offered and what
+the front-end supports; a HELLO without a ``caps`` list is granted
+nothing.  **CANCEL** revokes, by ``id``, a request of the same
+connection that registered itself cancellable (a queued daemon request,
+a stateless routed forward); the revoked request is answered
+``code="cancelled"`` and the CANCEL frame itself ``cancelled: true``.
+
+>>> percentile([0.010, 0.020, 0.030, 0.040], 50)
+0.03
+>>> Connection().cancel("no-such-id", "service")["cancelled"]
+False
+"""
+
+from __future__ import annotations
+
+import asyncio
+import contextlib
+import logging
+import signal
+import threading
+import time
+from collections import deque
+from typing import Any, Awaitable, Callable, Iterator
+
+from repro.errors import ProtocolError, ReproError, ServiceError
+from repro.service import protocol
+from repro.telemetry import NullTelemetry, Telemetry, get_telemetry, set_telemetry
+from repro.telemetry import context as trace_context
+
+logger = logging.getLogger("repro.service")
+
+#: Frames of one connection served concurrently; the next frame is not
+#: read until a slot frees up, so a client cannot run further ahead of
+#: its replies than this.
+PIPELINE_DEPTH = 32
+
+#: Suggested client back-off on a ``busy`` reply (queue full, draining).
+RETRY_AFTER_MS = 50
+
+#: How many recent request latencies the percentile window keeps.
+LATENCY_WINDOW = 4096
+
+#: Span retention for a self-installed tracer (unless spans are being
+#: kept for a ``trace_out`` dump) — bounds long-run memory while the
+#: periodic harvest still sees every span via ``finished_total``.
+SPAN_RETENTION = 1 << 16
+
+#: Request-latency histogram bucket edges (milliseconds).
+LATENCY_BOUNDS = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 5000)
+
+#: ``reply(header, body=b"")`` — what :meth:`FrameServer._dispatch` answers with.
+Reply = Callable[..., Awaitable[None]]
+
+
+def percentile(values: list[float], q: float) -> float:
+    """Nearest-rank percentile of a non-empty list (q in [0, 100])."""
+    ordered = sorted(values)
+    rank = max(0, min(len(ordered) - 1, int(round(q / 100.0 * (len(ordered) - 1)))))
+    return ordered[rank]
+
+
+class Connection:
+    """Per-connection pipelining state: reply serialization + CANCEL index.
+
+    With concurrent frame dispatch, replies from many tasks interleave
+    on one stream — ``send_lock`` keeps each frame atomic.  ``inflight``
+    maps request ``id`` → something with a ``cancel()`` (a queued
+    request's future, a routing task) for as long as that request can
+    still be revoked by a CANCEL frame.
+    """
+
+    __slots__ = ("send_lock", "inflight", "cancelled")
+
+    def __init__(self) -> None:
+        self.send_lock = asyncio.Lock()
+        self.inflight: dict[Any, Any] = {}
+        self.cancelled: set[Any] = set()
+
+    @contextlib.contextmanager
+    def cancellable(self, rid: Any, handle: Any) -> Iterator[None]:
+        """Let a CANCEL frame naming ``rid`` call ``handle.cancel()``
+        for the duration of the block (``rid=None``: not cancellable)."""
+        if rid is None:
+            yield
+            return
+        self.inflight[rid] = handle
+        try:
+            yield
+        finally:
+            if self.inflight.get(rid) is handle:
+                del self.inflight[rid]
+
+    def was_cancelled(self, rid: Any) -> bool:
+        """True, once, if a CANCEL frame revoked request ``rid``."""
+        try:
+            self.cancelled.remove(rid)
+        except (KeyError, TypeError):  # TypeError: an unhashable id
+            return False
+        return True
+
+    def cancel(self, target: Any, ns: str) -> dict[str, Any]:
+        """Best-effort cancel of the in-flight request with id ``target``."""
+        handle = self.inflight.pop(target, None)
+        cancelled = bool(handle is not None and handle.cancel())
+        if cancelled:
+            self.cancelled.add(target)
+            get_telemetry().count(f"{ns}.cancelled")
+        return {"status": "ok", "op": "cancel", "cancelled": cancelled}
+
+
+class FrameServer:
+    """An asyncio MSG1 endpoint (see module docstring).
+
+    Subclasses set ``role`` (the identity HELLO reports), ``ns`` (the
+    metric/span namespace), ``control_ops`` (ops still answered while
+    draining) and ``drain_grace_s`` (how long a drain lets requests in
+    flight finish and reply before it hangs up on them).
+    """
+
+    role = "server"
+    ns = "server"
+    control_ops: frozenset[str] = frozenset()
+    drain_grace_s = 1.0
+    #: Stamped on replies as the ``shard`` header field when set.
+    shard_id: str | None = None
+
+    def __init__(self, host: str, port: int, trace_out: str | None) -> None:
+        self.host = host
+        self.port = port
+        self.trace_out = trace_out
+        self._server: asyncio.AbstractServer | None = None
+        self._draining = asyncio.Event()
+        self._connections: set[asyncio.Task] = set()
+        self._started = time.perf_counter()
+        self._requests_total = 0
+        self._inflight = 0
+        self._latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)
+        self._installed_telemetry = False
+
+    # -- what a front-end supplies -------------------------------------------
+
+    def _caps(self) -> list[str]:
+        """Capabilities this front-end can honor, in canonical order."""
+        raise NotImplementedError
+
+    async def _open(self) -> None:
+        """Acquire what serving needs, before the listener binds."""
+
+    async def _finish_admitted(self) -> None:
+        """Drain step one: wait for work that must not be abandoned."""
+
+    async def _close(self) -> None:
+        """Release whatever :meth:`_open` acquired — also after an
+        ``_open`` that failed half way."""
+
+    async def _dispatch(
+        self, conn: Connection, op: str, header: dict[str, Any],
+        payload: bytes, reply: Reply,
+    ) -> None:
+        """Answer one request that is not HELLO/CANCEL/refused-as-draining."""
+        raise NotImplementedError
+
+    # -- lifecycle -------------------------------------------------------------
+
+    async def start(self) -> None:
+        """Bind and start serving; resolves ``self.port`` when it was 0.
+
+        If anything on the way fails, everything acquired so far is
+        released again before the exception propagates.
+        """
+        if get_telemetry().enabled is False:
+            # A front-end is its own observability domain: STATS reads
+            # the process-wide registry, so serving without telemetry
+            # would expose empty counters.  Restored at shutdown — an
+            # embedding process (tests, notebooks) must get its
+            # NullTelemetry back.  Retention is capped unless spans must
+            # survive for trace_out.
+            set_telemetry(Telemetry(
+                self.ns,
+                max_finished=None if self.trace_out else SPAN_RETENTION,
+            ))
+            self._installed_telemetry = True
+        try:
+            await self._open()
+            self._server = await asyncio.start_server(
+                self._on_connection, self.host, self.port
+            )
+        except BaseException:
+            await self._release()
+            raise
+        self.port = self._server.sockets[0].getsockname()[1]
+        logger.info("%s listening on %s:%d", self.role, self.host, self.port)
+
+    async def serve(self, install_signal_handlers: bool = True) -> None:
+        """Run until drained (SIGTERM/SIGINT or :meth:`request_drain`)."""
+        if self._server is None:
+            await self.start()
+        loop = asyncio.get_running_loop()
+        if install_signal_handlers:
+            for sig in (signal.SIGTERM, signal.SIGINT):
+                with contextlib.suppress(NotImplementedError, ValueError):
+                    loop.add_signal_handler(sig, self.request_drain)
+        await self._draining.wait()
+        await self._shutdown()
+
+    def request_drain(self) -> None:
+        """Begin graceful drain: refuse new work, finish what's admitted."""
+        if not self._draining.is_set():
+            logger.info("%s drain requested: refusing new work", self.role)
+            self._draining.set()
+
+    @property
+    def draining(self) -> bool:
+        return self._draining.is_set()
+
+    async def _shutdown(self) -> None:
+        assert self._server is not None
+        self._server.close()  # stop accepting new connections
+        await self._server.wait_closed()
+        # New work is being refused as draining; what was admitted
+        # finishes and replies, then whoever is still parked on a read
+        # is hung up on.
+        await self._finish_admitted()
+        loop = asyncio.get_running_loop()
+        give_up = loop.time() + self.drain_grace_s
+        while self._inflight and loop.time() < give_up:
+            await asyncio.sleep(0.005)
+        for task in self._connections:
+            task.cancel()
+        if self._connections:
+            await asyncio.gather(*self._connections, return_exceptions=True)
+        logger.info(
+            "%s drained after %d request(s); bye",
+            self.role, self._requests_total,
+        )
+        if self.trace_out:
+            self._dump_trace()
+        await self._release()
+
+    async def _release(self) -> None:
+        """Undo :meth:`start`: the subclass's resources, then telemetry."""
+        try:
+            await self._close()
+        finally:
+            if self._installed_telemetry:
+                set_telemetry(NullTelemetry())
+                self._installed_telemetry = False
+
+    def _dump_trace(self) -> None:
+        """Write every retained span as JSONL (the ``--trace-out`` dump)."""
+        from repro.telemetry import export
+
+        tm = get_telemetry()
+        if not tm.enabled:
+            return
+        spans = tm.tracer.finished_spans()
+        try:
+            export.write_jsonl(self.trace_out, spans)
+            logger.info("wrote %d span(s) to %s", len(spans), self.trace_out)
+        except OSError as exc:  # pragma: no cover - disk full etc.
+            logger.error("could not write %s: %s", self.trace_out, exc)
+
+    # -- connection handling ---------------------------------------------------
+
+    def _on_connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        # A plain callback owning the task: handed a coroutine, Python
+        # 3.11's stream server logs a traceback for every connection
+        # task a drain cancels.
+        task = asyncio.get_running_loop().create_task(
+            self._serve_connection(reader, writer)
+        )
+        self._connections.add(task)
+        task.add_done_callback(self._connections.discard)
+
+    async def _serve_connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        peer = writer.get_extra_info("peername")
+        conn = Connection()
+        gate = asyncio.Semaphore(PIPELINE_DEPTH)
+        loop = asyncio.get_running_loop()
+        tasks: set[asyncio.Task] = set()
+
+        def done(task: asyncio.Task) -> None:
+            # A done-callback, not a ``finally`` in the task: it also
+            # runs for a frame task cancelled before its first step.
+            tasks.discard(task)
+            gate.release()
+            self._inflight -= 1
+            get_telemetry().set_gauge(
+                f"{self.ns}.requests_inflight", float(self._inflight)
+            )
+
+        try:
+            while True:
+                try:
+                    frame = await protocol.read_frame(reader)
+                except ProtocolError as exc:
+                    # Malformed framing: answer if the transport still
+                    # works, then hang up — resync is impossible.
+                    get_telemetry().count(f"{self.ns}.protocol_errors")
+                    with contextlib.suppress(Exception):
+                        async with conn.send_lock:
+                            await protocol.write_frame(
+                                writer,
+                                {"status": "error", "code": "protocol",
+                                 "error": str(exc)},
+                            )
+                    return
+                if frame is None:  # clean EOF between frames
+                    return
+                # Pipelined dispatch: don't await the request — spawn it
+                # and read the next frame.  The semaphore bounds how far
+                # one connection can run ahead of its replies.
+                await gate.acquire()
+                self._inflight += 1
+                task = loop.create_task(self._serve_frame(conn, writer, *frame))
+                tasks.add(task)
+                task.add_done_callback(done)
+        except (ConnectionResetError, BrokenPipeError):
+            logger.debug("peer %s reset", peer)
+        finally:
+            if tasks:
+                # The reader is done (EOF/reset/drain-cancel); in-flight
+                # frames can no longer deliver replies anywhere useful.
+                for task in list(tasks):
+                    task.cancel()
+                await asyncio.gather(*tasks, return_exceptions=True)
+            with contextlib.suppress(Exception):
+                writer.close()
+                await writer.wait_closed()
+
+    async def _serve_frame(
+        self,
+        conn: Connection,
+        writer: asyncio.StreamWriter,
+        header: dict[str, Any],
+        payload: bytes,
+    ) -> None:
+        """One request: accounting, dispatch, and the error → reply map."""
+        tm = get_telemetry()
+        ns = self.ns
+        op = str(header.get("op", "")).lower()
+        rid = header.get("id")
+        t0 = time.perf_counter()
+        self._requests_total += 1
+        seq = self._requests_total
+        tm.set_gauge(f"{ns}.requests_inflight", float(self._inflight))
+        tm.count(f"{ns}.requests")
+        tm.count(f"{ns}.requests.{op or 'unknown'}")
+        tm.count(f"{ns}.bytes_in", len(payload))
+
+        async def reply(h: dict[str, Any], body: bytes = b"") -> None:
+            if rid is not None:
+                h["id"] = rid
+            if self.shard_id is not None:
+                h.setdefault(protocol.SHARD_FIELD, self.shard_id)
+            tm.count(f"{ns}.bytes_out", len(body))
+            with tm.span(f"{ns}.reply", op=op, bytes=len(body)):
+                async with conn.send_lock:
+                    await protocol.write_frame(writer, h, body)
+            latency = time.perf_counter() - t0
+            self._latencies.append(latency)
+            tm.observe(f"{ns}.latency_ms", latency * 1e3, bounds=LATENCY_BOUNDS)
+            tm.observe(
+                f'{ns}.latency_ms{{op="{op or "unknown"}"}}',
+                latency * 1e3,
+                bounds=LATENCY_BOUNDS,
+            )
+
+        # Serve under the client's trace context (if the header carries
+        # one): the <ns>.request span then chains under the client's
+        # call span, and everything below chains under it.  Contextvars
+        # are task-local, so concurrent frames don't bleed into each
+        # other.
+        try:
+            with trace_context.use(trace_context.extract(header)), \
+                    trace_context.use_request_id(str(seq)):
+                with tm.span(
+                    f"{ns}.request",
+                    op=op, bytes=len(payload), request_id=seq,
+                ):
+                    if op == "hello":
+                        await reply(self._hello(header))
+                    elif op == "cancel":
+                        await reply(conn.cancel(header.get("cancel_id"), ns))
+                    elif self.draining and op not in self.control_ops:
+                        await reply(
+                            {"status": "busy", "code": "draining",
+                             "retry_after_ms": RETRY_AFTER_MS}
+                        )
+                    else:
+                        await self._dispatch(conn, op, header, payload, reply)
+        except (ConnectionResetError, BrokenPipeError):
+            pass  # the connection task handles transport teardown
+        except asyncio.CancelledError:
+            if not conn.was_cancelled(rid):
+                raise  # connection teardown, not a CANCEL frame
+            await self._reply_error(
+                reply, "cancelled", "request cancelled by peer"
+            )
+        except ProtocolError as exc:
+            tm.count(f"{ns}.protocol_errors")
+            await self._reply_error(reply, "protocol", str(exc))
+        except ReproError as exc:
+            tm.count(f"{ns}.errors")
+            await self._reply_error(
+                reply, getattr(exc, "code", None) or type(exc).__name__,
+                str(exc),
+            )
+        except Exception as exc:  # noqa: BLE001 — a bug must not kill the server
+            logger.exception("internal error serving %s", op)
+            tm.count(f"{ns}.errors")
+            await self._reply_error(
+                reply, "internal", f"{type(exc).__name__}: {exc}"
+            )
+
+    @staticmethod
+    async def _reply_error(reply: Reply, code: str, error: str) -> None:
+        with contextlib.suppress(ConnectionResetError, BrokenPipeError):
+            await reply({"status": "error", "code": code, "error": error})
+
+    # -- ops every front-end answers the same way --------------------------------
+
+    def _hello(self, header: dict[str, Any]) -> dict[str, Any]:
+        """Capability negotiation: offered ∩ supported (absent list = ∅)."""
+        offered = header.get(protocol.CAPS_FIELD)
+        if not isinstance(offered, list):
+            offered = ()
+        return {
+            "status": "ok",
+            "role": self.role,
+            protocol.CAPS_FIELD: [c for c in self._caps() if c in offered],
+        }
+
+    def _latency_summary(self) -> dict[str, Any]:
+        """The ``latency`` section of STATS (``window`` is the deprecated
+        alias of ``window_n``, the sample count behind the percentiles)."""
+        window = list(self._latencies)
+        out: dict[str, Any] = {"window": len(window), "window_n": len(window)}
+        if window:
+            out.update(
+                p50_ms=percentile(window, 50) * 1e3,
+                p99_ms=percentile(window, 99) * 1e3,
+                mean_ms=sum(window) / len(window) * 1e3,
+            )
+        return out
+
+
+class ServerThread:
+    """Run a :class:`FrameServer` on a background thread.
+
+    Subclasses name the front-end (``server_class``); keyword arguments
+    go to its constructor.  ``start`` returns once the port is bound —
+    or raises what the front-end's ``start`` raised, with nothing left
+    behind; the context exit requests a drain and joins the thread.
+    """
+
+    server_class: type[FrameServer]
+
+    def __init__(self, **kwargs: Any) -> None:
+        self.server = self.server_class(**kwargs)
+        self.loop = asyncio.new_event_loop()
+        self.thread = threading.Thread(
+            target=self._run, name=f"repro-{self.server.role}", daemon=True
+        )
+        self._ready = threading.Event()
+        self._startup_error: BaseException | None = None
+
+    def _run(self) -> None:
+        asyncio.set_event_loop(self.loop)
+        try:
+            try:
+                self.loop.run_until_complete(self.server.start())
+            except BaseException as exc:
+                self._startup_error = exc
+                return
+            finally:
+                self._ready.set()
+            self.loop.run_until_complete(
+                self.server.serve(install_signal_handlers=False)
+            )
+        finally:
+            self.loop.close()
+
+    @property
+    def port(self) -> int:
+        return self.server.port
+
+    def start(self, timeout: float = 120.0) -> "ServerThread":
+        self.thread.start()
+        self._ready.wait(timeout)
+        if self._startup_error is not None:
+            raise self._startup_error
+        if not self._ready.is_set():
+            raise ServiceError(
+                f"{self.server.role} thread failed to start in {timeout:.0f}s"
+            )
+        return self
+
+    def stop(self, timeout: float = 60.0) -> None:
+        if self.thread.is_alive():
+            self.loop.call_soon_threadsafe(self.server.request_drain)
+            self.thread.join(timeout)
+            if self.thread.is_alive():
+                raise ServiceError(
+                    f"{self.server.role} thread did not drain in time"
+                )
+
+    def __enter__(self) -> "ServerThread":
+        return self.start()
+
+    def __exit__(self, *exc: Any) -> None:
+        self.stop()

@@ -58,9 +58,8 @@ Two capabilities exist today:
   :data:`SHM_NBYTES_FIELD` instead of inline payload bytes.  Every
   segment is owned (published, reused, and unlinked) by the *client*;
   the server only ever attaches and detaches, so a dying peer cannot
-  leak the other side's memory.  Pre-capability servers ignore the
-  unknown ``hello`` op (replying ``bad_op``), which a client treats as
-  "no capabilities" and falls back to inline payloads, one in flight.
+  leak the other side's memory.  A client granted nothing (or that
+  never says hello) uses inline payloads, one request in flight.
 """
 
 from __future__ import annotations
@@ -314,6 +313,11 @@ def unpack_array(header: dict[str, Any], payload: bytes) -> np.ndarray:
 
 
 # -- shared-memory handoff header fields -------------------------------------
+
+
+def is_loopback(host: str) -> bool:
+    """Whether ``host`` is this machine — the precondition for ``shm``."""
+    return host == "localhost" or host.startswith("127.") or host == "::1"
 
 
 def shm_fields(desc) -> dict[str, Any]:

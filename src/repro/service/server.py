@@ -25,7 +25,8 @@ SESSION_STEP  one snapshot in, one delta/keyframe TMP1 stream out; replies
               echo the post-step reference digest so desync fails fast
 SESSION_CLOSE tear down a session; returns its step/byte accounting
 HELLO         capability negotiation (``pipeline``, ``shm``); never queued
-CANCEL        best-effort cancel of a queued request by its ``id``
+CANCEL        best-effort cancel of a queued request by its ``id`` — answered
+              ``cancelled`` — from another frame of the same connection
 LIST          registered compressor names
 HEALTH        liveness + drain state + queue depth (never queued)
 STATS         telemetry counters, batch sizes, bytes in/out, p50/p99 latency,
@@ -33,11 +34,14 @@ STATS         telemetry counters, batch sizes, bytes in/out, p50/p99 latency,
 METRICS       the same registry in Prometheus text exposition format
 ============= ================================================================
 
-**Pipelining.**  Frames on one connection are dispatched concurrently
-(bounded by ``pipeline_depth``); replies are written under a
-per-connection lock and may arrive out of request order, correlated by
-the echoed ``id``.  A legacy blocking client keeps one request in
-flight and so still sees strict ordering.
+**Connections.**  The accept/read loop, pipelined per-frame dispatch,
+request accounting, error replies, HELLO, CANCEL and graceful drain are
+:class:`repro.service.core.FrameServer`'s — shared with the cluster
+router; this module supplies what the *daemon* does with a request.
+Frames on one connection are dispatched concurrently; replies may
+arrive out of request order, correlated by the echoed ``id``.  A
+blocking client keeps one request in flight and so still sees strict
+ordering.
 
 **Shared-memory handoff.**  A request whose header carries the ``shm``
 field ships its payload as a client-published segment (the frame
@@ -72,12 +76,8 @@ and get their replies; then ``serve`` returns.
 from __future__ import annotations
 
 import asyncio
-import contextlib
-import logging
-import signal
 import threading
 import time
-from collections import deque
 from typing import Any
 
 import numpy as np
@@ -87,8 +87,8 @@ from repro.cache.store import data_digest, make_key
 from repro.compressors.base import CompressedBuffer, CompressorMode
 from repro.compressors.registry import available_compressors
 from repro.compressors.temporal import TemporalCompressor
-from repro.errors import DataError, ProtocolError, ReproError, ServiceError
-from repro.parallel.shm import SharedArray, shm_enabled
+from repro.errors import DataError, ProtocolError, ServiceError
+from repro.parallel.shm import SharedArray, ShmDescriptor, attached_view, shm_enabled
 from repro.service import protocol
 from repro.service.batch import (
     KNOB_FOR_MODE,
@@ -97,59 +97,20 @@ from repro.service.batch import (
     PendingRequest,
     jsonable,
 )
+from repro.service.core import (
+    RETRY_AFTER_MS,
+    SPAN_RETENTION,
+    Connection,
+    FrameServer,
+    Reply,
+    ServerThread,
+)
 from repro.service.sessions import Session, SessionTable, new_session_id
-from repro.telemetry import Telemetry, get_telemetry, set_telemetry
+from repro.telemetry import get_telemetry
 from repro.telemetry import context as trace_context
 
-logger = logging.getLogger("repro.service")
 
-#: Suggested client back-off when the admission queue is full.
-DEFAULT_RETRY_AFTER_MS = 50
-
-#: How many recent request latencies the percentile window keeps.
-LATENCY_WINDOW = 4096
-
-#: Span retention for a self-installed daemon tracer (unless spans are
-#: being kept for a ``trace_out`` dump) — bounds long-run memory while
-#: the periodic harvest still sees every span via ``finished_total``.
-SPAN_RETENTION = 1 << 16
-
-#: Request-latency histogram bucket edges (milliseconds).
-LATENCY_BOUNDS = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 5000)
-
-
-def _percentile(values: list[float], q: float) -> float:
-    """Nearest-rank percentile of a non-empty list (q in [0, 100])."""
-    ordered = sorted(values)
-    rank = max(0, min(len(ordered) - 1, int(round(q / 100.0 * (len(ordered) - 1)))))
-    return ordered[rank]
-
-
-class _ConnectionState:
-    """Per-connection pipelining state: reply serialization + CANCEL index.
-
-    With concurrent frame dispatch, replies from many tasks interleave
-    on one stream — ``send_lock`` keeps each frame atomic.  ``inflight``
-    maps request ``id`` → queued future so a CANCEL frame can revoke a
-    sibling request that is still waiting in the admission queue.
-    """
-
-    __slots__ = ("send_lock", "inflight")
-
-    def __init__(self) -> None:
-        self.send_lock = asyncio.Lock()
-        self.inflight: dict[Any, asyncio.Future] = {}
-
-    def cancel(self, target: Any) -> dict[str, Any]:
-        """Best-effort cancel of the in-flight request with id ``target``."""
-        future = self.inflight.get(target)
-        cancelled = bool(future is not None and future.cancel())
-        if cancelled:
-            get_telemetry().count("service.cancelled")
-        return {"status": "ok", "op": "cancel", "cancelled": cancelled}
-
-
-class CompressionService:
+class CompressionService(FrameServer):
     """Long-lived compression daemon (see module docstring).
 
     >>> service = CompressionService(port=0)           # doctest: +SKIP
@@ -162,6 +123,10 @@ class CompressionService:
     :class:`~repro.cache.ResultCache`) serves repeat SWEEPs warm.
     """
 
+    role = "daemon"
+    ns = "service"
+    control_ops = frozenset({"health", "stats", "metrics", "list"})
+
     def __init__(
         self,
         host: str = "127.0.0.1",
@@ -172,29 +137,21 @@ class CompressionService:
         max_batch: int = 64,
         workers: int | None = None,
         cache: ResultCache | str | None = None,
-        max_payload_bytes: int = protocol.MAX_PAYLOAD_BYTES,
         default_timeout_s: float | None = None,
         trace_out: str | None = None,
         shard_id: str | None = None,
         backend: str | None = None,
-        pipeline_depth: int = 32,
         max_sessions: int = 64,
         session_idle_s: float = 300.0,
     ) -> None:
-        self.host = host
-        self.port = port
-        #: Concurrent frames dispatched per connection; 1 restores the
-        #: pre-pipelining strictly sequential behaviour.
-        self.pipeline_depth = max(1, pipeline_depth)
+        super().__init__(host, port, trace_out)
         #: Kernel tier (``scalar``/``numpy``/``native``/``auto``) this
         #: daemon serves with; installed process-wide at :meth:`start`
         #: and restored at shutdown (embedding processes keep theirs).
         self.backend = backend
         self._saved_backend: str | None = None
         self._installed_backend = False
-        self.max_payload_bytes = max_payload_bytes
         self.default_timeout_s = default_timeout_s
-        self.trace_out = trace_out
         #: Fleet identity (``serve --shard-id``): stamped on every reply
         #: header and on Prometheus samples as a ``shard`` label, so a
         #: cluster's aggregated views stay attributable (docs/CLUSTER.md).
@@ -213,16 +170,6 @@ class CompressionService:
         self.sessions = SessionTable(
             max_sessions=max_sessions, idle_s=session_idle_s
         )
-        self._server: asyncio.AbstractServer | None = None
-        self._draining = asyncio.Event()
-        self._connections: set[asyncio.Task] = set()
-        self._started = time.perf_counter()
-        self._requests_total = 0
-        self._request_seq = 0
-        self._inflight = 0
-        self._latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)
-        self._lat_lock = threading.Lock()
-        self._installed_telemetry = False
         # Span-harvest state: how many finished spans have been folded
         # into the stage-time counters, plus child durations whose parent
         # span had not finished at harvest time (needed for self-time).
@@ -230,318 +177,86 @@ class CompressionService:
         self._harvest_lock = threading.Lock()
         self._orphan_child_s: dict[Any, float] = {}
 
-    # -- lifecycle ---------------------------------------------------------
+    # -- what the connection core asks of a front-end ----------------------
 
-    async def start(self) -> None:
-        """Bind and start serving; resolves ``self.port`` when it was 0."""
-        if get_telemetry().enabled is False:
-            # The daemon is its own observability domain: STATS reads the
-            # process-wide registry, so serving without telemetry would
-            # expose empty counters.  Restored at shutdown — an embedding
-            # process (tests, notebooks) must get its NullTelemetry back.
-            # Retention is capped unless spans must survive for trace_out.
-            set_telemetry(Telemetry(
-                "service",
-                max_finished=None if self.trace_out else SPAN_RETENTION,
-            ))
-            self._installed_telemetry = True
+    def _caps(self) -> list[str]:
+        caps = [protocol.CAP_PIPELINE]
+        if shm_enabled():
+            caps.append(protocol.CAP_SHM)
+        return caps
+
+    async def _open(self) -> None:
         if self.backend is not None:
             from repro import kernels
 
             self._saved_backend = kernels.current_override()
             kernels.set_backend(self.backend)
             self._installed_backend = True
-        self._server = await asyncio.start_server(
-            self._on_connection, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
         self.batcher.start()
-        logger.info("serving on %s:%d", self.host, self.port)
 
-    async def serve(self, install_signal_handlers: bool = True) -> None:
-        """Run until drained (SIGTERM/SIGINT or :meth:`request_drain`)."""
-        if self._server is None:
-            await self.start()
-        loop = asyncio.get_running_loop()
-        if install_signal_handlers:
-            for sig in (signal.SIGTERM, signal.SIGINT):
-                with contextlib.suppress(NotImplementedError, ValueError):
-                    loop.add_signal_handler(sig, self.request_drain)
-        await self._draining.wait()
-        await self._shutdown()
+    async def _finish_admitted(self) -> None:
+        await self.batcher.drain()  # queued work finishes, however long
 
-    def request_drain(self) -> None:
-        """Begin graceful drain: refuse new work, finish what's admitted."""
-        if not self._draining.is_set():
-            logger.info("drain requested: refusing new work")
-            self._draining.set()
-
-    @property
-    def draining(self) -> bool:
-        return self._draining.is_set()
-
-    async def _shutdown(self) -> None:
-        assert self._server is not None
-        self._server.close()  # stop accepting new connections
-        await self._server.wait_closed()
-        await self.batcher.drain()  # admitted work finishes + replies
-        # Handlers still parked on a read see EOF once their client hangs
-        # up; give in-flight replies a beat, then cancel the stragglers.
-        pending = [t for t in self._connections if not t.done()]
-        if pending:
-            await asyncio.wait(pending, timeout=1.0)
-        for task in self._connections:
-            task.cancel()
-        if self._connections:
-            await asyncio.gather(*self._connections, return_exceptions=True)
-        logger.info(
-            "drained after %d request(s); bye", self._requests_total
-        )
-        if self.trace_out:
-            self._dump_trace()
-        if self._installed_telemetry:
-            from repro.telemetry import NullTelemetry
-
-            set_telemetry(NullTelemetry())
-            self._installed_telemetry = False
+    async def _close(self) -> None:
+        await self.batcher.drain()
         if self._installed_backend:
             from repro import kernels
 
             kernels.set_backend(self._saved_backend)
             self._installed_backend = False
 
-    # -- connection handling ----------------------------------------------
-
-    def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    async def _dispatch(
+        self, conn: Connection, op: str, header: dict[str, Any],
+        payload: bytes, reply: Reply,
     ) -> None:
-        task = asyncio.get_running_loop().create_task(
-            self._serve_connection(reader, writer)
-        )
-        self._connections.add(task)
-        task.add_done_callback(self._connections.discard)
+        if op == "health":
+            await reply(self._health())
+        elif op == "stats":
+            await reply(self._stats())
+        elif op == "metrics":
+            text, ctype = self._metrics()
+            await reply(
+                {"status": "ok", "content_type": ctype}, text.encode("utf-8")
+            )
+        elif op == "list":
+            await reply(
+                {"status": "ok", "compressors": available_compressors()}
+            )
+        elif op in ("compress", "decompress", "sweep"):
+            await self._serve_queued(conn, op, header, payload, reply)
+        elif op in ("session_open", "session_step", "session_close"):
+            await self._serve_session(op, header, payload, reply)
+        else:
+            await reply(
+                {"status": "error", "code": "bad_op",
+                 "error": f"unknown op {op!r}"}
+            )
 
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        peer = writer.get_extra_info("peername")
+    async def _shm_fields(
+        self, header: dict[str, Any], reply: Reply
+    ) -> tuple[ShmDescriptor | None, tuple[str, int] | None] | None:
+        """The request's payload segment and offered reply segment.
+
+        ``None`` means the request segment cannot be served and an error
+        reply went out already.  The attach here only fails fast, in
+        this process and with a clean error code, when the segment is
+        gone or short; whoever consumes the data attaches again.
+        """
         tm = get_telemetry()
-        conn = _ConnectionState()
-        gate = asyncio.Semaphore(self.pipeline_depth)
-        loop = asyncio.get_running_loop()
-        tasks: set[asyncio.Task] = set()
-        try:
-            while True:
-                try:
-                    frame = await protocol.read_frame(
-                        reader, self.max_payload_bytes
-                    )
-                except ProtocolError as exc:
-                    # Malformed framing: answer if the transport still
-                    # works, then hang up — resync is impossible.
-                    tm.count("service.protocol_errors")
-                    with contextlib.suppress(Exception):
-                        async with conn.send_lock:
-                            await protocol.write_frame(
-                                writer,
-                                {"status": "error", "code": "protocol",
-                                 "error": str(exc)},
-                            )
-                    return
-                if frame is None:  # clean EOF between frames
-                    return
-                header, payload = frame
-                # Pipelined dispatch: don't await the request — spawn it
-                # and read the next frame.  The semaphore bounds how far
-                # one connection can run ahead of its replies.
-                await gate.acquire()
-                task = loop.create_task(
-                    self._serve_frame(conn, writer, header, payload, gate)
-                )
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
-        except (ConnectionResetError, BrokenPipeError):
-            logger.debug("peer %s reset", peer)
-        finally:
-            if tasks:
-                # The reader is done (EOF/reset/drain-cancel); in-flight
-                # frames can no longer deliver replies anywhere useful.
-                for task in list(tasks):
-                    task.cancel()
-                await asyncio.gather(*tasks, return_exceptions=True)
-            with contextlib.suppress(Exception):
-                writer.close()
-                await writer.wait_closed()
-
-    async def _serve_frame(
-        self,
-        conn: "_ConnectionState",
-        writer: asyncio.StreamWriter,
-        header: dict[str, Any],
-        payload: bytes,
-        gate: asyncio.Semaphore,
-    ) -> None:
-        try:
-            await self._serve_request(conn, writer, header, payload)
-        except (ConnectionResetError, BrokenPipeError):
-            pass  # the connection task handles transport teardown
-        finally:
-            gate.release()
-
-    async def _serve_request(
-        self,
-        conn: "_ConnectionState",
-        writer: asyncio.StreamWriter,
-        header: dict[str, Any],
-        payload: bytes,
-    ) -> None:
-        tm = get_telemetry()
-        op = str(header.get("op", "")).lower()
-        rid = header.get("id")
-        t0 = time.perf_counter()
-        self._requests_total += 1
-        self._request_seq += 1
-        seq = self._request_seq
-        self._inflight += 1
-        tm.set_gauge("service.requests_inflight", float(self._inflight))
-        tm.count("service.requests")
-        tm.count(f"service.requests.{op or 'unknown'}")
-        tm.count("service.bytes_in", len(payload))
-
-        async def reply(h: dict[str, Any], body: bytes = b"") -> None:
-            if rid is not None:
-                h["id"] = rid
-            if self.shard_id is not None:
-                h.setdefault(protocol.SHARD_FIELD, self.shard_id)
-            tm.count("service.bytes_out", len(body))
-            with tm.span("service.reply", op=op, bytes=len(body)):
-                async with conn.send_lock:
-                    await protocol.write_frame(writer, h, body)
-            latency = time.perf_counter() - t0
-            with self._lat_lock:
-                self._latencies.append(latency)
-            tm.observe(
-                "service.latency_ms", latency * 1e3, bounds=LATENCY_BOUNDS
-            )
-            tm.observe(
-                f'service.latency_ms{{op="{op or "unknown"}"}}',
-                latency * 1e3,
-                bounds=LATENCY_BOUNDS,
-            )
-
-        # Serve under the client's trace context (if the header carries
-        # one): the service.request span then chains under the client's
-        # call span, and everything below chains under service.request.
-        # Contextvars are task-local, so concurrent connections don't
-        # bleed into each other.
-        ctx = trace_context.extract(header)
-        try:
-            with trace_context.use(ctx), \
-                    trace_context.use_request_id(str(seq)):
-                with tm.span(
-                    "service.request",
-                    op=op, bytes=len(payload), request_id=seq,
-                ):
-                    if op == "health":
-                        await reply(self._health())
-                    elif op == "hello":
-                        await reply(self._hello(header))
-                    elif op == "cancel":
-                        await reply(conn.cancel(header.get("cancel_id")))
-                    elif op == "stats":
-                        await reply(self._stats())
-                    elif op == "metrics":
-                        text, ctype = self._metrics()
-                        await reply(
-                            {"status": "ok", "content_type": ctype},
-                            text.encode("utf-8"),
-                        )
-                    elif op == "list":
-                        await reply(
-                            {"status": "ok",
-                             "compressors": available_compressors()}
-                        )
-                    elif op in ("compress", "decompress", "sweep"):
-                        await self._serve_queued(
-                            conn, op, header, payload, reply
-                        )
-                    elif op in (
-                        "session_open", "session_step", "session_close"
-                    ):
-                        await self._serve_session(op, header, payload, reply)
-                    else:
-                        await reply(
-                            {"status": "error", "code": "bad_op",
-                             "error": f"unknown op {op!r}"}
-                        )
-        except (ConnectionResetError, BrokenPipeError):
-            raise
-        except ProtocolError as exc:
-            tm.count("service.protocol_errors")
-            await reply(
-                {"status": "error", "code": "protocol", "error": str(exc)}
-            )
-        except ReproError as exc:
-            tm.count("service.errors")
-            await reply(
-                {"status": "error", "code": type(exc).__name__,
-                 "error": str(exc)}
-            )
-        except Exception as exc:  # noqa: BLE001 — a bug must not kill the daemon
-            logger.exception("internal error serving %s", op)
-            tm.count("service.errors")
-            await reply(
-                {"status": "error", "code": "internal",
-                 "error": f"{type(exc).__name__}: {exc}"}
-            )
-        finally:
-            self._inflight -= 1
-            tm.set_gauge(
-                "service.requests_inflight", float(self._inflight)
-            )
-
-    def _hello(self, header: dict[str, Any]) -> dict[str, Any]:
-        """Capability negotiation: the intersection of offered and ours."""
-        ours = [protocol.CAP_PIPELINE]
-        if shm_enabled():
-            ours.append(protocol.CAP_SHM)
-        want = header.get(protocol.CAPS_FIELD)
-        if isinstance(want, list):
-            ours = [c for c in ours if c in want]
-        return {"status": "ok", "role": "daemon", protocol.CAPS_FIELD: ours}
-
-    async def _serve_queued(
-        self,
-        conn: "_ConnectionState",
-        op: str,
-        header: dict[str, Any],
-        payload: bytes,
-        reply,
-    ) -> None:
-        """Admit a data-plane request and await its batched result."""
-        tm = get_telemetry()
-        if self.draining:
-            await reply(
-                {"status": "busy", "code": "draining",
-                 "retry_after_ms": DEFAULT_RETRY_AFTER_MS}
-            )
-            return
         shm_desc = None
         if protocol.SHM_FIELD in header:
             shm_desc = protocol.parse_shm(header[protocol.SHM_FIELD])
-            if shm_desc.nbytes > self.max_payload_bytes:
+            if shm_desc.nbytes > protocol.MAX_PAYLOAD_BYTES:
                 raise ProtocolError(
                     f"shm payload of {shm_desc.nbytes} bytes exceeds cap "
-                    f"{self.max_payload_bytes}"
+                    f"{protocol.MAX_PAYLOAD_BYTES}"
                 )
             if not shm_enabled():
                 await reply(
                     {"status": "error", "code": "shm_unavailable",
                      "error": "REPRO_NO_SHM is set on the server"}
                 )
-                return
-            # Fail fast (and in this process, with a clean error code)
-            # when the segment is gone or short; the worker re-attaches.
+                return None
             try:
                 SharedArray.attach(shm_desc).close()
             except (DataError, OSError) as exc:
@@ -550,7 +265,7 @@ class CompressionService:
                     {"status": "error", "code": "shm_attach",
                      "error": f"{type(exc).__name__}: {exc}"}
                 )
-                return
+                return None
             tm.count("service.shm_requests")
             tm.count("service.bytes_in", shm_desc.nbytes)
         reply_shm = None
@@ -558,6 +273,21 @@ class CompressionService:
             reply_shm = protocol.parse_reply_shm(
                 header[protocol.REPLY_SHM_FIELD]
             )
+        return shm_desc, reply_shm
+
+    async def _serve_queued(
+        self,
+        conn: Connection,
+        op: str,
+        header: dict[str, Any],
+        payload: bytes,
+        reply: Reply,
+    ) -> None:
+        """Admit a data-plane request and await its batched result."""
+        segments = await self._shm_fields(header, reply)
+        if segments is None:
+            return
+        shm_desc, reply_shm = segments
         timeout_ms = header.get("timeout_ms")
         if timeout_ms is None and self.default_timeout_s is not None:
             timeout_ms = self.default_timeout_s * 1e3
@@ -575,56 +305,31 @@ class CompressionService:
             # Inside the service.request span the contextvar points at
             # that span's identity — queue/dispatch spans parent there.
             ctx=trace_context.current(),
-            request_seq=self._request_seq,
+            request_seq=self._requests_total,
             shm=shm_desc,
         )
         if not self.batcher.admit(request):
             await reply(
                 {"status": "busy", "code": "busy",
-                 "retry_after_ms": DEFAULT_RETRY_AFTER_MS}
+                 "retry_after_ms": RETRY_AFTER_MS}
             )
             return
-        rid = header.get("id")
-        if rid is not None:
-            conn.inflight[rid] = request.future
         try:
-            result = await request.future
+            # While it waits, a CANCEL frame can revoke the request: the
+            # core then answers it ``cancelled``.
+            with conn.cancellable(header.get("id"), request.future):
+                result = await request.future
         except TimeoutError as exc:
             await reply(
                 {"status": "error", "code": "deadline", "error": str(exc)}
             )
             return
         except asyncio.CancelledError:
-            if request.future.cancelled():
-                # A CANCEL frame won the race: acknowledge, stay alive.
-                await reply(
-                    {"status": "error", "code": "cancelled",
-                     "error": "request cancelled by peer"}
-                )
-                return
-            request.future.cancel()  # connection teardown: drop the work
+            request.future.cancel()  # revoked or torn down: drop the work
             raise
-        finally:
-            if rid is not None and conn.inflight.get(rid) is request.future:
-                del conn.inflight[rid]
         if op == "compress":
-            buf: CompressedBuffer = result
-            await self._bulk_reply(
-                reply,
-                {
-                    "status": "ok",
-                    "compressor": header.get("compressor"),
-                    "mode": buf.mode.value,
-                    "parameter": buf.parameter,
-                    "dtype": np.dtype(buf.original_dtype).str,
-                    "shape": list(buf.original_shape),
-                    "compression_ratio": buf.compression_ratio,
-                    "bitrate": buf.bitrate,
-                    "meta": jsonable(buf.meta),
-                },
-                np.frombuffer(buf.payload, dtype=np.uint8),
-                reply_shm,
-                raw=buf.payload,
+            await self._buffer_reply(
+                reply, result, reply_shm, compressor=header.get("compressor")
             )
         elif op == "decompress":
             arr: np.ndarray = result
@@ -655,13 +360,6 @@ class CompressionService:
         daemon-side; the reply echoes the post-step reference digest so
         a desynced client fails fast instead of decoding garbage.
         """
-        tm = get_telemetry()
-        if self.draining:
-            await reply(
-                {"status": "busy", "code": "draining",
-                 "retry_after_ms": DEFAULT_RETRY_AFTER_MS}
-            )
-            return
         if op == "session_open":
             await reply(self._session_open(header))
             return
@@ -677,7 +375,7 @@ class CompressionService:
                      "error": f"no open session {sid!r}"}
                 )
                 return
-            tm.count("service.session_closes")
+            get_telemetry().count("service.session_closes")
             await reply(
                 {"status": "ok", protocol.SESSION_FIELD: sid,
                  "steps": session.steps,
@@ -745,36 +443,10 @@ class CompressionService:
                           "a different shard)"}
             )
             return
-        shm_desc = None
-        if protocol.SHM_FIELD in header:
-            shm_desc = protocol.parse_shm(header[protocol.SHM_FIELD])
-            if shm_desc.nbytes > self.max_payload_bytes:
-                raise ProtocolError(
-                    f"shm payload of {shm_desc.nbytes} bytes exceeds cap "
-                    f"{self.max_payload_bytes}"
-                )
-            if not shm_enabled():
-                await reply(
-                    {"status": "error", "code": "shm_unavailable",
-                     "error": "REPRO_NO_SHM is set on the server"}
-                )
-                return
-            try:
-                SharedArray.attach(shm_desc).close()
-            except (DataError, OSError) as exc:
-                tm.count("service.shm_attach_errors")
-                await reply(
-                    {"status": "error", "code": "shm_attach",
-                     "error": f"{type(exc).__name__}: {exc}"}
-                )
-                return
-            tm.count("service.shm_requests")
-            tm.count("service.bytes_in", shm_desc.nbytes)
-        reply_shm = None
-        if protocol.REPLY_SHM_FIELD in header and shm_enabled():
-            reply_shm = protocol.parse_reply_shm(
-                header[protocol.REPLY_SHM_FIELD]
-            )
+        segments = await self._shm_fields(header, reply)
+        if segments is None:
+            return
+        shm_desc, reply_shm = segments
         codec = session.codec
         async with session.lock:
             # Fail fast on desync: the client tracks the reference digest
@@ -803,26 +475,13 @@ class CompressionService:
         tm.count("service.session_steps")
         tm.count("service.session_bytes_in", nbytes_in)
         tm.count("service.session_bytes_out", len(buf.payload))
-        await self._bulk_reply(
-            reply,
-            {
-                "status": "ok",
-                protocol.SESSION_FIELD: sid,
-                "step": buf.meta["step"],
-                "keyframe": buf.meta["keyframe"],
-                "ref": buf.meta["ref_after"],
-                "cache": cache_state,
-                "mode": buf.mode.value,
-                "parameter": buf.parameter,
-                "dtype": np.dtype(buf.original_dtype).str,
-                "shape": list(buf.original_shape),
-                "compression_ratio": buf.compression_ratio,
-                "bitrate": buf.bitrate,
-                "meta": jsonable(buf.meta),
-            },
-            np.frombuffer(buf.payload, dtype=np.uint8),
-            reply_shm,
-            raw=buf.payload,
+        await self._buffer_reply(
+            reply, buf, reply_shm,
+            **{protocol.SESSION_FIELD: sid},
+            step=buf.meta["step"],
+            keyframe=buf.meta["keyframe"],
+            ref=buf.meta["ref_after"],
+            cache=cache_state,
         )
 
     def _session_compress(
@@ -833,8 +492,6 @@ class CompressionService:
         shm_desc,
     ) -> tuple[CompressedBuffer, str, int]:
         """One session step on the executor thread (session lock held)."""
-        from repro.parallel.shm import attached_view
-
         if shm_desc is not None:
             with attached_view(shm_desc) as arr:
                 return self._session_encode(session, arr)
@@ -894,9 +551,36 @@ class CompressionService:
         })
         return buf, "miss", nbytes_in
 
+    async def _buffer_reply(
+        self,
+        reply: Reply,
+        buf: CompressedBuffer,
+        reply_shm: tuple[str, int] | None,
+        **fields: Any,
+    ) -> None:
+        """Answer with a compressed stream: ``fields`` plus everything
+        the client needs to rebuild the :class:`CompressedBuffer`."""
+        await self._bulk_reply(
+            reply,
+            {
+                "status": "ok",
+                **fields,
+                "mode": buf.mode.value,
+                "parameter": buf.parameter,
+                "dtype": np.dtype(buf.original_dtype).str,
+                "shape": list(buf.original_shape),
+                "compression_ratio": buf.compression_ratio,
+                "bitrate": buf.bitrate,
+                "meta": jsonable(buf.meta),
+            },
+            np.frombuffer(buf.payload, dtype=np.uint8),
+            reply_shm,
+            raw=buf.payload,
+        )
+
     async def _bulk_reply(
         self,
-        reply,
+        reply: Reply,
         h: dict[str, Any],
         body: np.ndarray,
         reply_shm: tuple[str, int] | None,
@@ -911,8 +595,6 @@ class CompressionService:
         ):
             name, _ = reply_shm
             try:
-                from repro.parallel.shm import ShmDescriptor
-
                 handle = SharedArray.attach(ShmDescriptor(
                     name=name, shape=(body.nbytes,), dtype="|u1"
                 ))
@@ -945,17 +627,6 @@ class CompressionService:
     def _stats(self) -> dict[str, Any]:
         tm = get_telemetry()
         self._harvest_spans()
-        with self._lat_lock:
-            window = list(self._latencies)
-        # window_n is the sample count behind the percentiles ("window"
-        # kept as a deprecated alias for pre-existing consumers).
-        latency = {"window": len(window), "window_n": len(window)}
-        if window:
-            latency.update(
-                p50_ms=_percentile(window, 50) * 1e3,
-                p99_ms=_percentile(window, 99) * 1e3,
-                mean_ms=sum(window) / len(window) * 1e3,
-            )
         from repro import kernels
 
         out: dict[str, Any] = {
@@ -964,7 +635,7 @@ class CompressionService:
             "queue_depth": self.batcher.depth,
             "requests_total": self._requests_total,
             "requests_inflight": max(0, self._inflight - 1),  # excl. STATS
-            "latency": latency,
+            "latency": self._latency_summary(),
             "kernels": {
                 "requested": kernels.requested_backend(),
                 "active": kernels.active(),
@@ -1053,27 +724,9 @@ class CompressionService:
             if len(child_s) > SPAN_RETENTION:
                 child_s.clear()  # parents were dropped; stop the leak
 
-    def _dump_trace(self) -> None:
-        """Write every retained span as JSONL (the ``--trace-out`` dump)."""
-        from repro.telemetry import export
-
-        tm = get_telemetry()
-        if not tm.enabled:
-            return
-        spans = tm.tracer.finished_spans()
-        try:
-            export.write_jsonl(self.trace_out, spans)
-            logger.info(
-                "wrote %d span(s) to %s", len(spans), self.trace_out
-            )
-        except OSError as exc:  # pragma: no cover - disk full etc.
-            logger.error("could not write %s: %s", self.trace_out, exc)
-
     # -- SWEEP body (runs on the executor thread via the batcher) ----------
 
     def _run_sweep(self, request: PendingRequest) -> list[dict[str, Any]]:
-        from repro.parallel.shm import attached_view
-
         if request.shm is not None:
             # The field arrived as a client segment: sweep a zero-copy
             # view of it (the attachment lives for the sweep's duration).
@@ -1119,7 +772,7 @@ class CompressionService:
         return rows
 
 
-class ServiceThread:
+class ServiceThread(ServerThread):
     """Run a :class:`CompressionService` on a background thread.
 
     The embedding entry point (tests, benchmarks, notebooks)::
@@ -1131,53 +784,5 @@ class ServiceThread:
     The context exit requests a drain and joins the thread.
     """
 
-    def __init__(self, **kwargs: Any) -> None:
-        self.service = CompressionService(**kwargs)
-        self.loop = asyncio.new_event_loop()
-        self.thread = threading.Thread(
-            target=self._run, name="repro-service", daemon=True
-        )
-        self._ready = threading.Event()
-        self._startup_error: BaseException | None = None
-
-    def _run(self) -> None:
-        asyncio.set_event_loop(self.loop)
-        try:
-            self.loop.run_until_complete(self.service.start())
-        except BaseException as exc:
-            self._startup_error = exc
-            self._ready.set()
-            return
-        self._ready.set()
-        try:
-            self.loop.run_until_complete(
-                self.service.serve(install_signal_handlers=False)
-            )
-        finally:
-            self.loop.close()
-
-    @property
-    def port(self) -> int:
-        return self.service.port
-
-    def start(self) -> "ServiceThread":
-        self.thread.start()
-        self._ready.wait(timeout=30)
-        if self._startup_error is not None:
-            raise self._startup_error
-        if not self._ready.is_set():
-            raise ServiceError("service thread failed to start in 30s")
-        return self
-
-    def stop(self, timeout: float = 30.0) -> None:
-        if self.thread.is_alive():
-            self.loop.call_soon_threadsafe(self.service.request_drain)
-            self.thread.join(timeout)
-            if self.thread.is_alive():
-                raise ServiceError("service thread did not drain in time")
-
-    def __enter__(self) -> "ServiceThread":
-        return self.start()
-
-    def __exit__(self, *exc: Any) -> None:
-        self.stop()
+    server_class = CompressionService
+    service = property(lambda self: self.server, doc="The embedded daemon.")

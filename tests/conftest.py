@@ -44,3 +44,29 @@ def ulp_tolerance(data: np.ndarray) -> float:
     """One float32 ulp at the data's magnitude — the documented slack on
     error bounds introduced by casting reconstructions to float32."""
     return float(np.spacing(np.abs(np.asarray(data, dtype=np.float32)).max()))
+
+
+@pytest.fixture
+def front_end():
+    """Factory for a running MSG1 front-end: ``front_end("daemon", **kw)``
+    is one embedded daemon, ``front_end("router", **kw)`` a router over
+    two such daemons.  A context manager yielding the embedder thread
+    (``.port``, ``.loop``, ``.server``) — suites whose cases must hold
+    for *both* front-ends are written once against it."""
+    import contextlib
+
+    from repro.service import ClusterThread, ServiceThread
+
+    @contextlib.contextmanager
+    def start(kind: str, **daemon_kwargs):
+        if kind == "daemon":
+            with ServiceThread(**daemon_kwargs) as daemon:
+                yield daemon
+            return
+        with ServiceThread(**daemon_kwargs) as a, \
+                ServiceThread(**daemon_kwargs) as b:
+            shards = [f"127.0.0.1:{a.port}", f"127.0.0.1:{b.port}"]
+            with ClusterThread(shards=shards) as router:
+                yield router
+
+    return start

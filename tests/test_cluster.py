@@ -72,11 +72,13 @@ class _StubShard:
 
     The hedging tests need a shard that is *alive* (so membership keeps
     it in the ring) but uselessly slow — exactly the straggler the hedge
-    budget exists for.
+    budget exists for.  HELLO stalls like a data op unless
+    ``hello_caps`` says which capabilities to answer it with.
     """
 
-    def __init__(self, stall_s=30.0):
+    def __init__(self, stall_s=30.0, hello_caps=None):
         self.stall_s = stall_s
+        self.hello_caps = hello_caps
         self._server = socket.create_server(("127.0.0.1", 0))
         self.port = self._server.getsockname()[1]
         self._stop = threading.Event()
@@ -111,8 +113,12 @@ class _StubShard:
             with conn:
                 while not self._stop.is_set():
                     header, _ = protocol.read_frame_sock(conn)
-                    if str(header.get("op", "")).lower() == "health":
-                        reply = {"status": "ok", "draining": False}
+                    op = str(header.get("op", "")).lower()
+                    if op == "health" or (
+                        op == "hello" and self.hello_caps is not None
+                    ):
+                        reply = {"status": "ok", "draining": False,
+                                 protocol.CAPS_FIELD: self.hello_caps}
                         if header.get("id") is not None:
                             reply["id"] = header["id"]
                         protocol.write_frame_sock(conn, reply)
@@ -344,6 +350,36 @@ class TestFailoverAndHedging:
         finally:
             stub.close()
 
+    def test_shard_without_pipeline_is_a_failed_forward(self):
+        # A shard that answers HELLO without the ``pipeline`` capability
+        # (no daemon of this codebase) is not served on some second
+        # path: the forward fails, fails over, and counts against the
+        # shard's membership.
+        stub = _StubShard(hello_caps=[])
+        try:
+            with ServiceThread() as sa:
+                live = f"127.0.0.1:{sa.port}"
+                shards = [stub.endpoint, live]
+                with ClusterThread(shards=shards,
+                                   fail_after=10_000) as cluster, \
+                        ServiceClient(port=cluster.port) as client:
+                    data = _field_with_primary(shards, stub.endpoint)
+                    reply, body = client._request(
+                        _compress_header(data), protocol.pack_array(data)
+                    )
+                    assert reply["status"] == "ok" and len(body) > 0
+                    assert reply[protocol.SHARD_FIELD] == live
+                    stats = client.stats()
+                    assert _counter(stats, "router.failovers") >= 1
+                    assert _counter(stats, "router.forward_errors") >= 1
+                    view = {s["shard"]: s
+                            for s in client.cluster()["shards"]}
+                    assert view[stub.endpoint]["failures_total"] >= 1
+                    assert "pipeline" in view[stub.endpoint]["last_error"]
+                    assert not view[stub.endpoint].get("pipelined")
+        finally:
+            stub.close()
+
     def test_all_shards_down_is_a_routing_error(self):
         dead_a, dead_b = _dead_endpoint(), _dead_endpoint()
         with ClusterThread(shards=[dead_a, dead_b],
@@ -353,6 +389,24 @@ class TestFailoverAndHedging:
                 client.compress(_field(), "sz", mode="abs", value=1e-3)
             # Control plane still answers while the data plane is dark.
             assert client.health()["status"] == "ok"
+
+
+class TestFailedStart:
+    def test_occupied_port_leaves_no_spawned_shards_running(self):
+        with socket.create_server(("127.0.0.1", 0)) as occupied:
+            cluster = ClusterThread(
+                spawn=2, port=occupied.getsockname()[1]
+            )
+            try:
+                with pytest.raises(OSError):
+                    cluster.start()
+                procs = [h.proc for h in
+                         cluster.router.shard_handles.values()]
+                assert len(procs) == 2
+                assert not any(p.alive for p in procs)
+            finally:
+                for handle in cluster.router.shard_handles.values():
+                    handle.proc.kill()
 
 
 # -- health-gated membership, end to end -------------------------------------

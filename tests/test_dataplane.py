@@ -18,6 +18,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -26,7 +27,7 @@ import pytest
 
 from repro.compressors.base import CompressedBuffer, Compressor, CompressorMode
 from repro.compressors.registry import register_compressor
-from repro.errors import ConfigError, ServiceError
+from repro.errors import ConfigError, ProtocolError, ServiceError
 from repro.service import (
     ClusterThread,
     PooledClient,
@@ -134,8 +135,13 @@ def _compress_header(arr: np.ndarray, **extra) -> dict:
 
 
 class TestRequestIds:
-    def test_hello_echoes_id_and_filters_caps(self):
-        with ServiceThread() as st:
+    """MSG1 request ids, HELLO and CANCEL — one set of cases that the
+    daemon (here) and the router (subclass below) must both pass."""
+
+    front = "daemon"
+
+    def test_hello_echoes_id_and_filters_caps(self, front_end):
+        with front_end(self.front) as st:
             with _connect(st.port) as sock:
                 protocol.write_frame_sock(sock, {
                     "op": "hello", "id": 41,
@@ -145,15 +151,20 @@ class TestRequestIds:
                     ],
                 })
                 reply, _ = protocol.read_frame_sock(sock)
+                # No caps list offered: nothing granted.
+                protocol.write_frame_sock(sock, {"op": "hello", "id": 42})
+                bare, _ = protocol.read_frame_sock(sock)
             assert reply["status"] == "ok"
             assert reply["id"] == 41
+            assert reply["role"] == self.front
             granted = set(reply[protocol.CAPS_FIELD])
             assert protocol.CAP_PIPELINE in granted
             assert "bogus-cap-from-the-future" not in granted
+            assert bare["id"] == 42 and bare[protocol.CAPS_FIELD] == []
 
-    def test_interleaved_requests_are_matched_by_id(self):
+    def test_interleaved_requests_are_matched_by_id(self, front_end):
         fields = {i: _field(kib=4, seed=i) for i in (3, 1, 2)}
-        with ServiceThread() as st:
+        with front_end(self.front) as st:
             with _connect(st.port) as sock:
                 for i, arr in fields.items():
                     protocol.write_frame_sock(
@@ -171,11 +182,11 @@ class TestRequestIds:
                 assert reply["status"] == "ok"
                 assert body == arr.tobytes()  # store: payload is the input
 
-    def test_duplicate_ids_get_two_replies(self):
-        # Ids are the *client's* correlation tokens; the daemon answers
-        # every frame and echoes whatever id it carried.
+    def test_duplicate_ids_get_two_replies(self, front_end):
+        # Ids are the *client's* correlation tokens; the front-end
+        # answers every frame and echoes whatever id it carried.
         arr = _field(kib=4)
-        with ServiceThread() as st:
+        with front_end(self.front) as st:
             with _connect(st.port) as sock:
                 for _ in range(2):
                     protocol.write_frame_sock(
@@ -188,8 +199,8 @@ class TestRequestIds:
                     assert reply["status"] == "ok"
                     assert body == arr.tobytes()
 
-    def test_cancel_of_unknown_id_is_harmless(self):
-        with ServiceThread() as st:
+    def test_cancel_of_unknown_id_is_harmless(self, front_end):
+        with front_end(self.front) as st:
             with _connect(st.port) as sock:
                 protocol.write_frame_sock(
                     sock, {"op": "cancel", "cancel_id": 10**9, "id": 1}
@@ -201,6 +212,42 @@ class TestRequestIds:
                 protocol.write_frame_sock(sock, {"op": "health", "id": 2})
                 reply, _ = protocol.read_frame_sock(sock)
                 assert reply["status"] == "ok" and reply["id"] == 2
+
+    def test_cancel_revokes_a_request_still_in_flight(self, front_end):
+        # Two slow requests, the second in another batch group (so on
+        # one daemon it queues behind the first); a CANCEL of the second
+        # is acknowledged and the request itself answered ``cancelled``.
+        arr = _field(kib=4)
+
+        def slow(rid, delay):
+            header = _compress_header(arr, id=rid)
+            header.update(compressor="slowpoke-test", options={"delay": delay})
+            return header
+
+        with front_end(self.front, workers=1, batch_window_s=0.0) as st:
+            with _connect(st.port) as sock:
+                payload = protocol.pack_array(arr)
+                protocol.write_frame_sock(sock, slow(1, 0.4), payload)
+                protocol.write_frame_sock(sock, slow(2, 0.41), payload)
+                protocol.write_frame_sock(
+                    sock, {"op": "cancel", "cancel_id": 2, "id": 3}
+                )
+                replies = {}
+                for _ in range(3):
+                    reply, body = protocol.read_frame_sock(sock)
+                    replies[reply["id"]] = (reply, body)
+                assert replies[3][0]["cancelled"] is True
+                assert replies[2][0]["status"] == "error"
+                assert replies[2][0]["code"] == "cancelled"
+                assert replies[1][0]["status"] == "ok"
+                assert replies[1][1] == arr.tobytes()
+                protocol.write_frame_sock(sock, {"op": "health", "id": 4})
+                reply, _ = protocol.read_frame_sock(sock)
+                assert reply["status"] == "ok" and reply["id"] == 4
+
+
+class TestRequestIdsViaRouter(TestRequestIds):
+    front = "router"
 
 
 class TestShmDescriptorFuzz:
@@ -321,18 +368,77 @@ class TestShmInlineEquivalence:
 
     def test_pooled_client_matches_blocking_inline(self):
         arr = _field(kib=256)
-        with ServiceThread() as st:
-            with ServiceClient(port=st.port, shm=False) as ref_client:
-                ref = ref_client.compress(arr, "store", mode="abs", value=0.0)
-            with PooledClient(port=st.port, connections=2) as pool:
-                futures = [
-                    pool.compress_async(arr, "store", mode="abs", value=0.0)
-                    for _ in range(6)
-                ]
-                for fut in futures:
-                    assert fut.result(timeout=60).payload == ref.payload
-                out = pool.decompress(ref)
-                assert out.tobytes() == arr.tobytes()
+        with ServiceThread() as st, \
+                ServiceClient(port=st.port, shm=False) as ref_client:
+            ref = ref_client.compress(arr, "store", mode="abs", value=0.0)
+            for shm in (False, True):
+                before = _counter(ref_client.stats(), "service.shm_requests")
+                with PooledClient(port=st.port, connections=2,
+                                  shm=shm) as pool:
+                    futures = [
+                        pool.compress_async(arr, "store", mode="abs",
+                                            value=0.0)
+                        for _ in range(6)
+                    ]
+                    for fut in futures:
+                        assert fut.result(timeout=60).payload == ref.payload
+                    outs = [pool.decompress_async(ref) for _ in range(3)]
+                    for fut in outs:
+                        assert fut.result(timeout=60).tobytes() == arr.tobytes()
+                    assert pool.decompress(ref).tobytes() == arr.tobytes()
+                # The shm pool really went through segments (both
+                # directions); the inline pool never did.
+                via_shm = _counter(
+                    ref_client.stats(), "service.shm_requests"
+                ) - before
+                assert (via_shm >= 9) if shm and shm_enabled() \
+                    else (via_shm == 0)
+
+    def test_pooled_call_times_out_alone_when_its_reply_is_lost(self):
+        # A server that answers everything except request id 1: that
+        # call must fail after request_timeout_s even though sibling
+        # replies keep the connection busy, and the siblings succeed.
+        arr = _field(kib=4)
+        server = socket.create_server(("127.0.0.1", 0))
+
+        def serve():
+            conn, _ = server.accept()
+            with conn:
+                try:
+                    while True:
+                        header, payload = protocol.read_frame_sock(conn)
+                        if header["op"] == "hello":
+                            reply = {"status": "ok", protocol.CAPS_FIELD:
+                                     [protocol.CAP_PIPELINE]}
+                        elif header["id"] == 1:
+                            continue  # the lost reply
+                        else:
+                            reply = {"status": "ok", "mode": "abs",
+                                     "parameter": 0.0, "dtype": "<f4",
+                                     "shape": list(arr.shape)}
+                        protocol.write_frame_sock(
+                            conn, {**reply, "id": header.get("id")}, payload
+                        )
+                except (OSError, ProtocolError):
+                    pass  # the pool hung up
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        try:
+            with PooledClient(port=server.getsockname()[1], connections=1,
+                              request_timeout_s=0.5, shm=False) as pool:
+                lost = pool.compress_async(arr, "store", value=0.0)
+                give_up = time.monotonic() + 5
+                while not lost.done() and time.monotonic() < give_up:
+                    buf = pool.compress(arr, "store", value=0.0)
+                    assert buf.payload == arr.tobytes()
+                    time.sleep(0.05)
+                assert lost.done()  # while the connection was never silent
+                with pytest.raises(ServiceError, match="timed out"):
+                    lost.result(timeout=0)
+        finally:
+            server.close()
+            thread.join(timeout=5)
 
     @requires_shm
     def test_attach_failure_mid_flight_falls_back_inline(self, monkeypatch):
@@ -383,8 +489,8 @@ class TestShmInlineEquivalence:
             with ServiceClient(port=port, shm=True) as client:
                 buf = client.compress(arr, "store", mode="abs", value=0.0)
                 assert buf.payload == arr.tobytes()
-                assert client._negotiated
-                assert protocol.CAP_SHM not in client._caps
+                assert client._conn.negotiated
+                assert protocol.CAP_SHM not in client._conn.caps
         finally:
             proc.terminate()
             proc.wait(timeout=30)

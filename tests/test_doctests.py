@@ -8,6 +8,7 @@ import repro.lossless.pipeline
 import repro.parallel.daemons
 import repro.service.client
 import repro.service.cluster
+import repro.service.core
 import repro.service.membership
 import repro.service.ring
 import repro.util.backoff
@@ -20,6 +21,7 @@ import repro.util.backoff
         repro.parallel.daemons,
         repro.service.client,
         repro.service.cluster,
+        repro.service.core,
         repro.service.membership,
         repro.service.ring,
         repro.util.backoff,

@@ -73,7 +73,34 @@ def _counter(stats: dict, name: str) -> float:
     return float(inst["value"]) if inst else 0.0
 
 
-class TestBasicOps:
+class FrameLevelCases:
+    """Frame-level behaviour every MSG1 front-end shares (the daemon
+    here, a router over two daemons in the subclass below)."""
+
+    front = "daemon"
+
+    def test_unknown_op_is_an_error(self, front_end):
+        with front_end(self.front) as st:
+            with socket.create_connection(("127.0.0.1", st.port)) as sock:
+                protocol.write_frame_sock(sock, {"op": "frobnicate", "id": 1})
+                reply, _ = protocol.read_frame_sock(sock)
+                assert reply["status"] == "error"
+                assert reply["code"] == "bad_op"
+
+    def test_malformed_frame_gets_protocol_error_then_close(self, front_end):
+        with front_end(self.front) as st:
+            with socket.create_connection(("127.0.0.1", st.port)) as sock:
+                sock.sendall(b"GARBAGE-NOT-MSG1" * 4)
+                reply, _ = protocol.read_frame_sock(sock)
+                assert reply["status"] == "error"
+                assert reply["code"] == "protocol"
+                assert sock.recv(1) == b""  # server hung up: no resync
+            # The front-end survives hostile input: a new connection works.
+            with ServiceClient(port=st.port) as client:
+                assert client.health()["status"] == "ok"
+
+
+class TestBasicOps(FrameLevelCases):
     def test_compress_matches_direct_call(self):
         field = _field()
         with ServiceThread() as st, ServiceClient(port=st.port) as client:
@@ -115,26 +142,6 @@ class TestBasicOps:
             with pytest.raises(ServiceError, match="dtype"):
                 client.compress(ints, "sz", mode="abs", value=0.1)
 
-    def test_unknown_op_is_an_error(self):
-        with ServiceThread() as st:
-            with socket.create_connection(("127.0.0.1", st.port)) as sock:
-                protocol.write_frame_sock(sock, {"op": "frobnicate", "id": 1})
-                reply, _ = protocol.read_frame_sock(sock)
-                assert reply["status"] == "error"
-                assert reply["code"] == "bad_op"
-
-    def test_malformed_frame_gets_protocol_error_then_close(self):
-        with ServiceThread() as st:
-            with socket.create_connection(("127.0.0.1", st.port)) as sock:
-                sock.sendall(b"GARBAGE-NOT-MSG1" * 4)
-                reply, _ = protocol.read_frame_sock(sock)
-                assert reply["status"] == "error"
-                assert reply["code"] == "protocol"
-                assert sock.recv(1) == b""  # server hung up: no resync
-            # The daemon survives hostile input: a new connection works.
-            with ServiceClient(port=st.port) as client:
-                assert client.health()["status"] == "ok"
-
     def test_fuzzed_junk_never_kills_the_daemon(self):
         rng = np.random.default_rng(42)
         with ServiceThread() as st:
@@ -148,6 +155,10 @@ class TestBasicOps:
                     sock.recv(1 << 16)  # whatever the server answers
             with ServiceClient(port=st.port) as client:
                 assert client.health()["status"] == "ok"
+
+
+class TestBasicOpsViaRouter(FrameLevelCases):
+    front = "router"
 
 
 class TestConcurrentStress:
@@ -334,10 +345,12 @@ class TestDeadlines:
             t.join(30)
 
 
-class TestGracefulDrain:
-    def test_drain_finishes_in_flight_and_refuses_new(self):
+class DrainCases:
+    front = "daemon"
+
+    def test_drain_finishes_in_flight_and_refuses_new(self, front_end):
         field = _field(6)
-        with ServiceThread(workers=1, batch_window_s=0.0) as st:
+        with front_end(self.front, workers=1, batch_window_s=0.0) as st:
             result: dict = {}
 
             def in_flight() -> None:
@@ -352,9 +365,9 @@ class TestGracefulDrain:
 
             with ServiceClient(port=st.port) as probe:
                 assert probe.health()["status"] == "ok"
-                st.loop.call_soon_threadsafe(st.service.request_drain)
+                st.loop.call_soon_threadsafe(st.server.request_drain)
                 deadline = time.monotonic() + 5
-                while not st.service.draining:
+                while not st.server.draining:
                     assert time.monotonic() < deadline
                     time.sleep(0.01)
                 # New work on an existing connection: refused as draining.
@@ -364,9 +377,11 @@ class TestGracefulDrain:
 
             t.join(30)
             assert result["buf"].payload == np.ascontiguousarray(field).tobytes()
-        # ServiceThread.__exit__ joined the server thread: fully drained.
+        # The embedder's __exit__ joined the server thread: fully drained.
         assert not st.thread.is_alive()
 
+
+class TestGracefulDrain(DrainCases):
     def test_sigterm_drains_the_cli_daemon(self, tmp_path):
         env = dict(os.environ, PYTHONPATH=str(SRC))
         proc = subprocess.Popen(
@@ -394,6 +409,25 @@ class TestGracefulDrain:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(10)
+
+
+class TestGracefulDrainViaRouter(DrainCases):
+    front = "router"
+
+
+class TestFailedStart:
+    def test_occupied_port_leaves_telemetry_and_backend_untouched(self):
+        from repro import kernels
+        from repro.telemetry import get_telemetry
+
+        before = kernels.current_override()
+        with socket.create_server(("127.0.0.1", 0)) as occupied:
+            with pytest.raises(OSError):
+                ServiceThread(
+                    port=occupied.getsockname()[1], backend="numpy"
+                ).start()
+        assert get_telemetry().enabled is False
+        assert kernels.current_override() == before
 
 
 class TestSweep:
