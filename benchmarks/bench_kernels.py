@@ -1,7 +1,7 @@
 """Per-kernel backend throughput: scalar vs numpy vs native.
 
-Times the three native-tier target kernels (Lorenzo dual-quant, the
-canonical Huffman codec, the ZFP block coder) plus variable-length
+Times the three native-tier target kernels (the SZ predictor/quantizer
+pass, the canonical Huffman codec, the ZFP block coder) plus variable-length
 bit packing on every available backend tier and records MB/s per
 (kernel, backend) into the ``BENCH_fastpath.json`` trajectory at the
 repository root — one entry per run, stamped with commit and date, so
@@ -32,13 +32,12 @@ import numpy as np
 
 from repro import kernels
 from repro.lossless.huffman import HuffmanCodec
-from repro.util.blocks import block_partition
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 TRAJECTORY = REPO_ROOT / "BENCH_fastpath.json"
 
 #: Kernels the native tier was built for (the acceptance set).
-TARGET_KERNELS = ("sz.lorenzo", "huffman.codec", "zfp.coder")
+TARGET_KERNELS = ("sz.codec", "huffman.codec", "zfp.coder")
 
 REPEATS = 3
 
@@ -105,17 +104,20 @@ def measure(backend: str, quick: bool = False) -> dict[str, float]:
     field = _field(quick)
     out: dict[str, float] = {}
 
-    blocks, _, _ = block_partition(field, (6, 6, 6), mode="edge")
+    # One adaptive-predictor round trip of the whole field through the
+    # two field-granularity SZ kernels (entropy stage excluded).
     eb = float(field.std()) * 1e-3
-    out["sz.lorenzo"] = _best_mbps(
-        blocks.nbytes, lambda: kernels.call("sz.lorenzo", blocks, eb, backend=backend)
-    )
 
-    residual = kernels.call("sz.lorenzo", blocks, eb, backend="numpy")
-    out["sz.lorenzo_inverse"] = _best_mbps(
-        residual.nbytes,
-        lambda: kernels.call("sz.lorenzo_inverse", residual, backend=backend),
-    )
+    def _sz_roundtrip():
+        symbols, _, outliers, use_reg, coefs, radius = kernels.call(
+            "sz.encode", field, eb, 6, "adaptive", 1024, backend=backend
+        )
+        kernels.call(
+            "sz.decode", symbols, outliers, use_reg, coefs, eb, 6, radius,
+            field.shape, field.dtype, backend=backend,
+        )
+
+    out["sz.codec"] = _best_mbps(field.nbytes, _sz_roundtrip)
 
     rng = np.random.default_rng(4)
     n = 200_000 if quick else 2_000_000

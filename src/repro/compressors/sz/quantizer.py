@@ -42,14 +42,31 @@ def residuals_to_symbols(residual: np.ndarray, radius: int) -> tuple[np.ndarray,
 
     Returns ``(symbols, outliers)``: symbols are in ``[0, 2*radius)`` with
     0 = escape; ``outliers`` lists the escaped residuals in scan order.
+    In range means ``-radius < r < radius`` (two comparisons, not
+    ``abs``: ``abs`` of the most negative int64 wraps back to itself).
     """
     if radius < 2:
         raise DataError("quantization radius must be >= 2")
     flat = residual.ravel()
-    inrange = np.abs(flat) < radius
+    inrange = (flat > -radius) & (flat < radius)
     symbols = np.where(inrange, flat + radius, ESCAPE).astype(np.int64)
     outliers = flat[~inrange]
     return symbols, outliers
+
+
+def auto_radius(residual: np.ndarray) -> int:
+    """Pick the quantization radius from the residual distribution.
+
+    SZ's "optimized quantization intervals": the radius covers the
+    99.9th percentile of |residual| (so almost nothing escape-codes)
+    rounded up to a power of two, clamped to the 16-bit-table limit.
+    """
+    mags = np.abs(residual)
+    if mags.size == 0:
+        return 2
+    p999 = float(np.percentile(mags, 99.9))
+    radius = 1 << max(1, int(np.ceil(np.log2(p999 + 2))))
+    return int(min(max(radius, 2), 32768))
 
 
 def symbols_to_residuals(symbols: np.ndarray, outliers: np.ndarray, radius: int) -> np.ndarray:

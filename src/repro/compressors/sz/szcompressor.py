@@ -25,14 +25,13 @@ from typing import Any
 
 import numpy as np
 
+from repro import kernels
 from repro.compressors.base import CompressedBuffer, Compressor, CompressorMode
-from repro.compressors.sz import predictor as P
 from repro.compressors.sz import quantizer as Q
 from repro.errors import CorruptStreamError, DataError
 from repro.telemetry import DEFAULT_BYTE_BUCKETS, get_telemetry
 from repro.lossless.huffman import HuffmanCodec
 from repro.lossless.pipeline import LosslessPipeline
-from repro.util.blocks import block_partition, block_reassemble
 from repro.util.logtransform import LogTransform, pwrel_to_abs_bound
 from repro.util.validation import check_dtype, check_shape_nd
 
@@ -100,20 +99,7 @@ class SZCompressor(Compressor):
         self.pipeline = LosslessPipeline(lossless) if lossless else None
         self.huffman = HuffmanCodec(max_len=16, chunk_size=huffman_chunk)
 
-    @staticmethod
-    def _auto_radius(residual: np.ndarray) -> int:
-        """Pick the quantization radius from the residual distribution.
-
-        SZ's "optimized quantization intervals": the radius covers the
-        99.9th percentile of |residual| (so almost nothing escape-codes)
-        rounded up to a power of two, clamped to the 16-bit-table limit.
-        """
-        mags = np.abs(residual)
-        if mags.size == 0:
-            return 2
-        p999 = float(np.percentile(mags, 99.9))
-        radius = 1 << max(1, int(np.ceil(np.log2(p999 + 2))))
-        return int(min(max(radius, 2), 32768))
+    _auto_radius = staticmethod(Q.auto_radius)
 
     # -- public API ---------------------------------------------------------
 
@@ -138,6 +124,10 @@ class SZCompressor(Compressor):
             return self._compress_pwrel(data, float(pwrel))
         if error_bound is None:
             raise DataError("ABS mode requires error_bound=")
+        if not (error_bound > 0 and math.isfinite(error_bound)):
+            raise DataError(
+                f"error bound must be a positive finite float, got {error_bound}"
+            )
         payload, meta = self._compress_abs(data, float(error_bound))
         return CompressedBuffer(
             payload=payload,
@@ -161,53 +151,20 @@ class SZCompressor(Compressor):
 
     def _compress_abs(self, data: np.ndarray, eb: float) -> tuple[bytes, dict]:
         tm = get_telemetry()
-        block = (self.block_side,) * data.ndim
-        blocks, grid, orig_shape = block_partition(data, block, mode="edge")
-        nblocks = blocks.shape[0]
-        baxes = tuple(range(1, data.ndim + 1))
-
-        # Lorenzo on the prequantized lattice (dual quantization).
-        from repro import kernels
-
-        with tm.span("sz.prequant", bytes=data.nbytes, nblocks=nblocks,
-                     backend=kernels.resolve_name("sz.lorenzo")):
-            if self.predictor != "regression":
-                res_lorenzo = kernels.call("sz.lorenzo", blocks, eb)
-            else:
-                res_lorenzo = None
-
-        with tm.span("sz.predict", bytes=data.nbytes, predictor=self.predictor):
-            # Regression with stored-coefficient feedback.
-            if self.predictor != "lorenzo":
-                coefs = P.regression_fit(blocks)
-                pred = P.regression_predict(coefs, block)
-                res_reg_f = np.rint((blocks.astype(np.float64) - pred) / (2.0 * eb))
-                res_reg = np.clip(res_reg_f, -(2**62), 2**62).astype(np.int64)
-            else:
-                coefs = np.zeros((nblocks, data.ndim + 1), dtype=np.float32)
-                res_reg = None
-
-            if self.predictor == "lorenzo":
-                use_reg = np.zeros(nblocks, dtype=bool)
-                residual = res_lorenzo
-            elif self.predictor == "regression":
-                use_reg = np.ones(nblocks, dtype=bool)
-                residual = res_reg
-            else:
-                cost_l = P.estimate_code_bits(res_lorenzo, baxes)
-                cost_r = P.estimate_code_bits(res_reg, baxes) + 32.0 * (data.ndim + 1)
-                use_reg = cost_r < cost_l
-                sel_shape = (nblocks,) + (1,) * data.ndim
-                residual = np.where(use_reg.reshape(sel_shape), res_reg, res_lorenzo)
+        with tm.span("sz.encode", bytes=data.nbytes, predictor=self.predictor,
+                     backend=kernels.resolve_name("sz.encode")):
+            symbols, freqs, outliers, use_reg, coefs, radius = kernels.call(
+                "sz.encode", data, eb, self.block_side, self.predictor,
+                self.radius,
+            )
+        nblocks = use_reg.size
 
         with tm.span("sz.huffman", bytes=data.nbytes) as huff_span:
-            radius = self.radius if self.radius is not None else self._auto_radius(residual)
-            symbols, outliers = Q.residuals_to_symbols(residual, radius)
             # Serialize only the used prefix of the alphabet: the code-length
             # table costs 5 bits/symbol, which dominates small inputs if the
             # full 2*radius alphabet is always written.
-            alphabet = int(symbols.max()) + 1 if symbols.size else 1
-            enc = self.huffman.encode(symbols, alphabet)
+            alphabet = int(np.flatnonzero(freqs)[-1]) + 1
+            enc = self.huffman.encode(symbols, alphabet, freqs=freqs[:alphabet])
             huff_span.attrs["alphabet"] = alphabet
             huff_span.attrs["outliers"] = int(outliers.size)
         with tm.span("sz.lossless", bytes=len(enc.payload),
@@ -217,7 +174,6 @@ class SZCompressor(Compressor):
                 huff_payload = self.pipeline.compress(huff_payload)
         out = Q.OutlierSection.encode(outliers)
         mode_bits = np.packbits(use_reg.astype(np.uint8), bitorder="big").tobytes()
-        reg_coefs = coefs[use_reg].tobytes()
 
         header = struct.pack(
             _HDR_ABS,
@@ -236,7 +192,8 @@ class SZCompressor(Compressor):
         )
         shape_bytes = struct.pack(f"<{data.ndim}Q", *data.shape)
         payload = b"".join(
-            [header, shape_bytes, mode_bits, reg_coefs, huff_payload, out.payload]
+            [header, shape_bytes, mode_bits, coefs.tobytes(), huff_payload,
+             out.payload]
         )
         meta = {
             "predictor_regression_fraction": float(use_reg.mean()),
@@ -329,34 +286,19 @@ class SZCompressor(Compressor):
             outliers = Q.OutlierSection(
                 payload=out_payload, count=out_count, width=out_width
             ).decode()
-            residual = Q.symbols_to_residuals(symbols, outliers, radius)
-
-        from repro import kernels
-
-        with tm.span("sz.predict", bytes=residual.nbytes, direction="decompress",
-                     backend=kernels.resolve_name("sz.lorenzo_inverse")):
-            block = (block_side,) * ndim
-            grid = tuple(-(-s // block_side) for s in shape)
-            residual = residual.reshape((nblocks,) + block)
-
-            recon = np.empty(residual.shape, dtype=np.float64)
-            lor = ~use_reg
-            if lor.any():
-                q = kernels.call("sz.lorenzo_inverse", residual[lor])
-                recon[lor] = q.astype(np.float64) * (2.0 * eb)
-            if use_reg.any():
-                pred = P.regression_predict(coefs, block)
-                recon[use_reg] = pred + residual[use_reg].astype(np.float64) * (2.0 * eb)
-
-            arr = block_reassemble(recon, grid, shape)
-        return arr.astype(dtype)
+        with tm.span("sz.decode", bytes=8 * nvalues, direction="decompress",
+                     backend=kernels.resolve_name("sz.decode")):
+            return kernels.call(
+                "sz.decode", symbols, outliers, use_reg, coefs, eb, block_side,
+                radius, shape, dtype,
+            )
 
     # -- PW_REL path --------------------------------------------------------
 
     def _compress_pwrel(self, data: np.ndarray, pwrel: float) -> CompressedBuffer:
         abs_bound = pwrel_to_abs_bound(pwrel)
         logmag, xform = LogTransform.forward(data)
-        inner_payload, meta = self._compress_abs(logmag.astype(np.float64), abs_bound)
+        inner_payload, meta = self._compress_abs(logmag, abs_bound)
 
         sign_bits = np.packbits(
             (xform.signs < 0).astype(np.uint8).ravel(), bitorder="big"
@@ -423,7 +365,7 @@ class SZCompressor(Compressor):
             raise CorruptStreamError("SZ PW_REL zero index out of range")
         inner = payload[pos : pos + inner_len]
 
-        logmag = self._decompress_abs(inner).astype(np.float64)
+        logmag = self._decompress_abs(inner)
         if logmag.shape != shape:
             raise CorruptStreamError("SZ PW_REL inner stream shape mismatch")
         signs = np.where(neg, -1, 1).astype(np.int8)

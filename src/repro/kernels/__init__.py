@@ -4,7 +4,7 @@ Public surface::
 
     from repro import kernels
 
-    kernels.call("sz.lorenzo", blocks, eb)     # dispatch one kernel
+    kernels.call("pack.varlen", codes, lengths)  # dispatch one kernel
     kernels.active()                           # {kernel: resolved tier}
     with kernels.use("numpy"):                 # scoped override
         ...

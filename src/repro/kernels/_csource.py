@@ -3,11 +3,12 @@
 The source is embedded as a string so the package needs no build step
 and no package-data plumbing: the first native-tier call compiles it
 with the system C compiler into a cached shared object (see
-``_cbuild.py``).  Every function transcribes the seed scalar reference
-loop for its kernel — bit-for-bit, including rounding (``rint`` under
-the default round-to-nearest-even mode matches ``np.rint``) and the
-exact group-testing control flow of the ZFP coder — so the parity
-matrix in ``tests/test_fastpath_equivalence.py`` holds by construction.
+:mod:`repro.kernels.native`).  Every function transcribes the staged
+reference for its kernel — bit-for-bit, including rounding (``rint``
+under the default round-to-nearest-even mode matches ``np.rint``), the
+order of every floating-point sum in the SZ predictors and the exact
+group-testing control flow of the ZFP coder — so the parity matrix in
+``tests/test_fastpath_equivalence.py`` holds by construction.
 """
 
 C_SOURCE = r"""
@@ -17,70 +18,132 @@ C_SOURCE = r"""
 
 #define API __attribute__((visibility("default")))
 
-/* ---------------- Lorenzo dual-quantization (SZ) ----------------
- * Fused prequantize + iterated first difference over a dense batch of
- * equal blocks laid out (nblocks, b0, b1, b2) C-contiguous (unused
- * trailing dims are 1).  Returns 1 when any |q| exceeds 2^62 (the
- * int64-overflow guard np.prequantize enforces), else 0. */
-API int64_t repro_lorenzo_dualquant(
-    const double* data, int64_t* out, int64_t nblocks,
-    int64_t b0, int64_t b1, int64_t b2, double two_eb)
+/* ---------------- MSB-first bit streams ----------------
+ * np.packbits(bitorder="big") convention.  Writer: up to 31 pending bits
+ * between calls, stored four bytes at a time; bw_bits() is the stream
+ * position, bw_finish() writes the tail (zero-padded to a byte). */
+typedef struct { uint8_t* out; int64_t pos; uint64_t acc; int n; } bit_writer;
+
+static inline void bw_put(bit_writer* w, uint64_t v, int n) /* n <= 32 */
 {
-    const int64_t bs = b0 * b1 * b2;
-    const double limit = 4611686018427387904.0; /* 2^62 */
-    int64_t overflow = 0;
-    for (int64_t b = 0; b < nblocks; b++) {
-        const double* src = data + b * bs;
-        int64_t* q = out + b * bs;
-        for (int64_t i = 0; i < bs; i++) {
-            double r = rint(src[i] / two_eb);
-            if (fabs(r) > limit) { overflow = 1; r = 0.0; }
-            q[i] = (int64_t)r;
-        }
+    w->acc = (w->acc << n) | v;
+    w->n += n;
+    if (w->n >= 32) {
+        w->n -= 32;
+        const uint32_t word = __builtin_bswap32((uint32_t)(w->acc >> w->n));
+        memcpy(w->out + w->pos, &word, 4);
+        w->pos += 4;
     }
-    if (overflow) return 1;
-    for (int64_t b = 0; b < nblocks; b++) {
-        int64_t* q = out + b * bs;
-        const int64_t s0 = b1 * b2;
-        /* axis 0 */
-        for (int64_t i = b0 - 1; i >= 1; i--)
-            for (int64_t j = 0; j < s0; j++)
-                q[i * s0 + j] -= q[(i - 1) * s0 + j];
-        /* axis 1 */
-        if (b1 > 1)
-            for (int64_t i = 0; i < b0; i++)
-                for (int64_t j = b1 - 1; j >= 1; j--)
-                    for (int64_t k = 0; k < b2; k++)
-                        q[i * s0 + j * b2 + k] -= q[i * s0 + (j - 1) * b2 + k];
-        /* axis 2 */
-        if (b2 > 1)
-            for (int64_t i = 0; i < b0 * b1; i++)
-                for (int64_t k = b2 - 1; k >= 1; k--)
-                    q[i * b2 + k] -= q[i * b2 + k - 1];
-    }
-    return 0;
 }
 
-/* Inverse: iterated cumulative sum (in place), same axis order. */
-API void repro_lorenzo_reconstruct(
-    int64_t* q_all, int64_t nblocks, int64_t b0, int64_t b1, int64_t b2)
+static inline int64_t bw_bits(const bit_writer* w) { return w->pos * 8 + w->n; }
+
+static int64_t bw_finish(bit_writer* w)
 {
-    const int64_t bs = b0 * b1 * b2;
-    for (int64_t b = 0; b < nblocks; b++) {
-        int64_t* q = q_all + b * bs;
-        const int64_t s0 = b1 * b2;
-        for (int64_t i = 1; i < b0; i++)
-            for (int64_t j = 0; j < s0; j++)
-                q[i * s0 + j] += q[(i - 1) * s0 + j];
-        if (b1 > 1)
-            for (int64_t i = 0; i < b0; i++)
-                for (int64_t j = 1; j < b1; j++)
-                    for (int64_t k = 0; k < b2; k++)
-                        q[i * s0 + j * b2 + k] += q[i * s0 + (j - 1) * b2 + k];
-        if (b2 > 1)
-            for (int64_t i = 0; i < b0 * b1; i++)
-                for (int64_t k = 1; k < b2; k++)
-                    q[i * b2 + k] += q[i * b2 + k - 1];
+    const int64_t total = bw_bits(w);
+    for (; w->n >= 8; w->n -= 8)
+        w->out[w->pos++] = (uint8_t)(w->acc >> (w->n - 8));
+    if (w->n) w->out[w->pos] = (uint8_t)(w->acc << (8 - w->n));
+    return total;
+}
+
+static inline void bw_zeros(bit_writer* w, int64_t n)
+{
+    for (; n > 32; n -= 32) bw_put(w, 0, 32);
+    bw_put(w, 0, (int)n);
+}
+
+/* Reader: `buf` holds the next `avail` stream bits from
+ * its top bit down; bits past the body read as zero. */
+typedef struct {
+    const uint8_t* p;
+    int64_t nbytes, pos;
+    uint64_t buf;
+    int avail;
+} bit_reader;
+
+static void br_refill(bit_reader* r)
+{
+    const int64_t byte = r->pos >> 3;
+    uint64_t v = 0;
+#if __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+    if (byte + 8 <= r->nbytes) {
+        memcpy(&v, r->p + byte, 8);
+        v = __builtin_bswap64(v);
+    } else
+#endif
+    for (int i = 0; i < 8; i++)
+        v = (v << 8) | (byte + i < r->nbytes ? r->p[byte + i] : 0);
+    r->buf = v << (r->pos & 7);
+    r->avail = 64 - (int)(r->pos & 7);
+}
+
+static inline void br_skip(bit_reader* r, int n) /* n <= avail, n < 64 */
+{
+    r->buf <<= n;
+    r->avail -= n;
+    r->pos += n;
+}
+
+static inline uint64_t br_get(bit_reader* r, int n) /* 1 <= n <= 32 */
+{
+    if (r->avail < n) br_refill(r);
+    const uint64_t v = r->buf >> (64 - n);
+    br_skip(r, n);
+    return v;
+}
+
+/* ---------------- block geometry (SZ and ZFP) ----------------
+ * A field seen as (n0, n1, n2) with unused leading axes of extent 1,
+ * cut into blocks of (e0, e1, e2) where e is `side` on real axes, else
+ * 1; `at` is the grid coordinate of the current block (C order). */
+#define BLK_MAX_SIDE 255
+
+typedef struct {
+    int64_t n[3], grid[3], at[3];
+    int ext[3], size;
+    int64_t nblocks;
+} blk_geom;
+
+static blk_geom blk_geometry(int ndim, const int64_t* shape, int side)
+{
+    blk_geom g;
+    g.size = 1;
+    g.nblocks = 1;
+    for (int a = 0; a < 3; a++) {
+        const int real = a >= 3 - ndim;
+        g.n[a] = real ? shape[a - (3 - ndim)] : 1;
+        g.ext[a] = real ? side : 1;
+        g.grid[a] = (g.n[a] + g.ext[a] - 1) / g.ext[a];
+        g.at[a] = 0;
+        g.size *= g.ext[a];
+        g.nblocks *= g.grid[a];
+    }
+    return g;
+}
+
+/* Flat element offsets of the current block's cells along each axis;
+ * cells past the field edge clamp to the last valid one (np.pad
+ * mode="edge") and are flagged in `inside`. */
+static void blk_offsets(
+    const blk_geom* g, int64_t off[3][BLK_MAX_SIDE], int inside[3][BLK_MAX_SIDE])
+{
+    int64_t stride = 1;
+    for (int a = 2; a >= 0; a--) {
+        for (int i = 0; i < g->ext[a]; i++) {
+            const int64_t idx = g->at[a] * g->ext[a] + i;
+            inside[a][i] = idx < g->n[a];
+            off[a][i] = (inside[a][i] ? idx : g->n[a] - 1) * stride;
+        }
+        stride *= g->n[a];
+    }
+}
+
+static void blk_next(blk_geom* g)
+{
+    for (int a = 2; a >= 0; a--) {
+        if (++g->at[a] < g->grid[a]) return;
+        g->at[a] = 0;
     }
 }
 
@@ -107,81 +170,318 @@ API int64_t repro_pack_varlen(
     return bitpos;
 }
 
-/* Fused table-driven Huffman encode: symbols -> codeword bits, plus the
- * per-chunk bit-offset table the parallel decoder needs.  Callers size
- * `out` with repro_huffman_symbol_bits first. */
+/* ---------------- canonical Huffman ----------------
+ * Symbols arrive as uint16 (`wide` == 0, what sz.encode emits) or int64. */
+static inline int64_t huff_symbol(const void* symbols, int wide, int64_t i)
+{
+    return wide ? ((const int64_t*)symbols)[i]
+                : (int64_t)((const uint16_t*)symbols)[i];
+}
+
+/* Callers size the encoder's `out` with this first. */
 API int64_t repro_huffman_symbol_bits(
-    const int64_t* symbols, int64_t n, const uint8_t* lengths)
+    const void* symbols, int wide, int64_t n, const uint8_t* lengths)
 {
     int64_t total = 0;
-    for (int64_t i = 0; i < n; i++) total += lengths[symbols[i]];
+    for (int64_t i = 0; i < n; i++)
+        total += lengths[huff_symbol(symbols, wide, i)];
     return total;
 }
 
+/* Fused table-driven encode: symbols -> codeword bits (lengths <= 24),
+ * plus the per-chunk bit-offset table the parallel decoder needs. */
 API int64_t repro_huffman_encode(
-    const int64_t* symbols, int64_t n,
+    const void* symbols, int wide, int64_t n,
     const uint64_t* codes, const uint8_t* lengths,
     int64_t chunk_size, uint64_t* chunk_offsets, uint8_t* out)
 {
-    int64_t bitpos = 0;
-    for (int64_t i = 0; i < n; i++) {
-        if (i % chunk_size == 0) chunk_offsets[i / chunk_size] = (uint64_t)bitpos;
-        const int64_t sym = symbols[i];
-        int64_t remaining = lengths[sym];
-        const uint64_t code = codes[sym];
-        while (remaining > 0) {
-            int64_t free_bits = 8 - (bitpos & 7);
-            int64_t take = remaining < free_bits ? remaining : free_bits;
-            uint64_t chunk = (code >> (remaining - take)) & ((1ULL << take) - 1);
-            out[bitpos >> 3] |= (uint8_t)(chunk << (free_bits - take));
-            bitpos += take;
-            remaining -= take;
+    bit_writer w = {out, 0, 0, 0};
+    for (int64_t base = 0; base < n; base += chunk_size) {
+        chunk_offsets[base / chunk_size] = (uint64_t)bw_bits(&w);
+        const int64_t end = base + chunk_size < n ? base + chunk_size : n;
+        for (int64_t i = base; i < end; i++) {
+            const int64_t sym = huff_symbol(symbols, wide, i);
+            bw_put(&w, codes[sym], lengths[sym]);
         }
     }
-    return bitpos;
+    return bw_finish(&w);
 }
 
-/* ---------------- chunk-parallel Huffman decode ----------------
- * Dense-table decode of every chunk; bits past the body read as zero,
- * exactly like the numpy path's zero padding.  Returns 0 on success,
- * 1 for an invalid codeword (table hole), 2 for a bit-length overrun. */
-static inline uint64_t peek_bits(
-    const uint8_t* p, int64_t nbytes, int64_t pos, int nbits)
-{
-    uint64_t v = 0;
-    const int64_t byte = pos >> 3;
-    const int shift = (int)(pos & 7);
-    const int need = (nbits + shift + 7) >> 3;
-    for (int i = 0; i < need; i++) {
-        const uint64_t b = (byte + i < nbytes) ? p[byte + i] : 0;
-        v = (v << 8) | b;
-    }
-    return (v >> ((need << 3) - shift - nbits)) & ((1ULL << nbits) - 1);
-}
+/* Chunk-parallel dense-table decode: the top `max_len` (<= 24) stream
+ * bits index `table`, whose entries are symbol << 5 | code length (0 =
+ * hole); bits past the body read as zero, exactly like the numpy path's
+ * zero padding.  Each symbol waits on the previous one's table load, so
+ * HUFF_LANES full chunks are decoded side by side to overlap those
+ * waits.  Returns 0 on success, 1 for an invalid codeword, 2 for a
+ * bit-length overrun. */
+#define HUFF_LANES 4
 
 API int64_t repro_huffman_decode(
     const uint8_t* body, int64_t nbytes,
     const int64_t* chunk_offsets, int64_t nchunks,
     int64_t chunk_size, int64_t n,
-    const int64_t* table_sym, const int64_t* table_len,
-    int64_t max_len, int64_t total_bits, int64_t* out)
+    const uint32_t* table, int64_t max_len, int64_t total_bits, int64_t* out)
 {
+    const int shift = 64 - (int)max_len;
     int64_t max_cursor = 0;
-    for (int64_t c = 0; c < nchunks; c++) {
-        int64_t cursor = chunk_offsets[c];
-        const int64_t base = c * chunk_size;
-        int64_t count = n - base;
-        if (count > chunk_size) count = chunk_size;
-        for (int64_t s = 0; s < count; s++) {
-            const uint64_t key = peek_bits(body, nbytes, cursor, (int)max_len);
-            const int64_t len = table_len[key];
-            if (len == 0) return 1;
-            out[base + s] = table_sym[key];
-            cursor += len;
+    for (int64_t c = 0; c < nchunks; c += HUFF_LANES) {
+        bit_reader r[HUFF_LANES];
+        int64_t count[HUFF_LANES], most = 0;
+        int lanes = 0;
+        for (; lanes < HUFF_LANES && c + lanes < nchunks; lanes++) {
+            const int64_t left = n - (c + lanes) * chunk_size;
+            r[lanes] = (bit_reader){body, nbytes, chunk_offsets[c + lanes], 0, 0};
+            count[lanes] = left < chunk_size ? left : chunk_size;
+            if (count[lanes] > most) most = count[lanes];
         }
-        if (cursor > max_cursor) max_cursor = cursor;
+        for (int64_t s = 0; s < most; s++)
+            for (int l = 0; l < lanes; l++) {
+                if (s >= count[l]) continue; /* the short last chunk */
+                if (r[l].avail < max_len) br_refill(&r[l]);
+                const uint32_t entry = table[r[l].buf >> shift];
+                const int len = (int)(entry & 31);
+                if (len == 0) return 1;
+                out[(c + l) * chunk_size + s] = entry >> 5;
+                br_skip(&r[l], len);
+            }
+        for (int l = 0; l < lanes; l++)
+            if (r[l].pos > max_cursor) max_cursor = r[l].pos;
     }
     return (max_cursor > total_bits) ? 2 : 0;
+}
+
+/* ---------------- SZ: one pass per side^d block ----------------
+ * The fused sz.encode / sz.decode kernels.  Each walks the blocks of a
+ * C-contiguous field once with one block of scratch: edge-clamped
+ * gather, prequantization onto the 2*eb lattice and the Lorenzo
+ * residual (iterated first difference along numpy axes 1..d), the
+ * regression fit with float32-truncated coefficients and its residual,
+ * the per-block cost estimate and predictor choice, then the
+ * escape-coded symbol split with the histogram counted on the way.
+ *
+ * compressors/sz/staged.py (with predictor.py and quantizer.py) is the
+ * specification: every floating-point expression below repeats the
+ * reference's operations in the reference's order — products and sums
+ * rounded one at a time (hence -ffp-contract=off in native._CFLAGS),
+ * accumulations left to right from 0.0 — and whatever numpy computes in
+ * an order C cannot repeat arrives as data: the design matrix, its
+ * pseudo-inverse and the cost table.  Integer steps wrap (-fwrapv) as
+ * numpy's int64 arithmetic does. */
+#define SZ_LIMIT 4611686018427387904.0 /* 2^62 */
+#define SZ_LORENZO 1
+#define SZ_REGRESSION 2
+
+/* predictor.estimate_code_bits' term: the numpy-built table for every
+ * in-range magnitude (|r| < lut_size exactly when the reference's
+ * float64 |r| is), libm log2 (math.log2 in the reference) beyond. */
+static inline double sz_cost_term(int64_t r, const double* lut, int64_t lut_size)
+{
+    if (r > -lut_size && r < lut_size) return lut[r < 0 ? -r : r];
+    return 2.0 * log2(1.0 + fabs((double)r)) + 1.0;
+}
+
+/* First difference, or with `inverse` running sum, of a flat
+ * (e0, e1, e2) block along each real axis, in place. */
+static void sz_lorenzo(int64_t* q, const int* ext, int inverse)
+{
+    const int64_t e0 = ext[0], e1 = ext[1], e2 = ext[2], s0 = e1 * e2;
+    if (inverse) {
+        for (int64_t i = 1; i < e0; i++)
+            for (int64_t j = 0; j < s0; j++)
+                q[i * s0 + j] += q[(i - 1) * s0 + j];
+        for (int64_t i = 0; i < e0; i++)
+            for (int64_t j = 1; j < e1; j++)
+                for (int64_t k = 0; k < e2; k++)
+                    q[i * s0 + j * e2 + k] += q[i * s0 + (j - 1) * e2 + k];
+        for (int64_t i = 0; i < e0 * e1; i++)
+            for (int64_t k = 1; k < e2; k++)
+                q[i * e2 + k] += q[i * e2 + k - 1];
+        return;
+    }
+    for (int64_t i = e0 - 1; i >= 1; i--)
+        for (int64_t j = 0; j < s0; j++)
+            q[i * s0 + j] -= q[(i - 1) * s0 + j];
+    for (int64_t i = 0; i < e0; i++)
+        for (int64_t j = e1 - 1; j >= 1; j--)
+            for (int64_t k = 0; k < e2; k++)
+                q[i * s0 + j * e2 + k] -= q[i * s0 + (j - 1) * e2 + k];
+    for (int64_t i = 0; i < e0 * e1; i++)
+        for (int64_t k = e2 - 1; k >= 1; k--)
+            q[i * e2 + k] -= q[i * e2 + k - 1];
+}
+
+/* ((c0*x0 + c1*x1) + c2*x2) + c3*x3 over one design-matrix row. */
+static inline double sz_predict(const double* c, const double* x, int nc)
+{
+    double p = c[0] * x[0];
+    for (int k = 1; k < nc; k++) p += c[k] * x[k];
+    return p;
+}
+
+/* Regression side of one block.  predictor.regression_fit: coefficient
+ * k is the sum of v[i] * pinv[k][i] taken left to right from 0.0, then
+ * cut to float32 (`cf`, what the stream stores).  Then every residual
+ * against those stored coefficients: rint((v - prediction) / 2eb),
+ * clamped to +-2^62 the way fmax(fmin(r, 2^62), -2^62) does it (a NaN
+ * becomes +2^62). */
+static void sz_regress(
+    const double* v, const double* design, const double* pinv, int64_t size,
+    int nc, double two_eb, float* cf, int64_t* rr)
+{
+    double acc[4] = {0.0, 0.0, 0.0, 0.0}, cd[4];
+    for (int64_t i = 0; i < size; i++)
+        for (int k = 0; k < nc; k++)
+            acc[k] += v[i] * pinv[k * size + i];
+    for (int k = 0; k < nc; k++) {
+        cf[k] = (float)acc[k];
+        cd[k] = (double)cf[k];
+    }
+    for (int64_t i = 0; i < size; i++) {
+        double r = rint((v[i] - sz_predict(cd, design + i * nc, nc)) / two_eb);
+        if (!(r <= SZ_LIMIT)) r = SZ_LIMIT;
+        else if (r < -SZ_LIMIT) r = -SZ_LIMIT;
+        rr[i] = (int64_t)r;
+    }
+}
+
+/* `design` is (size, ndim + 1), `pinv` (ndim + 1, size), `scratch` three
+ * blocks of 8-byte cells.  radius > 0: writes `symbols` (one per block
+ * cell), adds to the zeroed `freqs` (2 * radius) and lists `outliers`;
+ * radius == 0: writes the selected residuals to `residual` instead (the
+ * caller derives the radius from them).  `coefs` receives the
+ * coefficients of the regression blocks only; counts[0] = outliers,
+ * counts[1] = regression blocks.  Returns 1 when a lattice index
+ * exceeds 2^62 (prequantize's overflow guard), else 0. */
+API int64_t repro_sz_encode(
+    const void* data, int is_f32, int ndim, const int64_t* shape, int side,
+    double two_eb, int predictor, int64_t radius,
+    const double* design, const double* pinv,
+    const double* cost_lut, int64_t lut_size, void* scratch,
+    uint16_t* symbols, int64_t* freqs, int64_t* outliers, int64_t* residual,
+    uint8_t* use_reg, float* coefs, int64_t* counts)
+{
+    blk_geom g = blk_geometry(ndim, shape, side);
+    const int64_t size = g.size;
+    const int nc = ndim + 1;
+    double* v = (double*)scratch;
+    int64_t* q = (int64_t*)scratch + size;
+    int64_t* rr = (int64_t*)scratch + 2 * size;
+    int64_t nout = 0, nreg = 0;
+    for (int64_t b = 0; b < g.nblocks; b++, blk_next(&g)) {
+        int64_t off[3][BLK_MAX_SIDE];
+        int inside[3][BLK_MAX_SIDE];
+        blk_offsets(&g, off, inside);
+        int64_t c = 0;
+        for (int i = 0; i < g.ext[0]; i++)
+            for (int j = 0; j < g.ext[1]; j++) {
+                const int64_t row = off[0][i] + off[1][j];
+                if (is_f32)
+                    for (int k = 0; k < g.ext[2]; k++)
+                        v[c++] = (double)((const float*)data)[row + off[2][k]];
+                else
+                    for (int k = 0; k < g.ext[2]; k++)
+                        v[c++] = ((const double*)data)[row + off[2][k]];
+            }
+
+        if (predictor != SZ_REGRESSION) {
+            for (int64_t i = 0; i < size; i++) {
+                const double r = rint(v[i] / two_eb);
+                if (fabs(r) > SZ_LIMIT) return 1;
+                q[i] = (int64_t)r;
+            }
+            sz_lorenzo(q, g.ext, 0);
+        }
+
+        int reg = predictor == SZ_REGRESSION;
+        float cf[4];
+        if (predictor != SZ_LORENZO) {
+            sz_regress(v, design, pinv, size, nc, two_eb, cf, rr);
+            if (predictor != SZ_REGRESSION) {
+                double cost_l = 0.0, cost_r = 0.0;
+                for (int64_t i = 0; i < size; i++) {
+                    cost_l += sz_cost_term(q[i], cost_lut, lut_size);
+                    cost_r += sz_cost_term(rr[i], cost_lut, lut_size);
+                }
+                reg = cost_r + 32.0 * nc < cost_l;
+            }
+        }
+        use_reg[b] = (uint8_t)reg;
+        if (reg) {
+            memcpy(coefs + nreg * nc, cf, nc * sizeof(float));
+            nreg++;
+        }
+
+        const int64_t* sel = reg ? rr : q;
+        if (radius == 0) {
+            memcpy(residual + b * size, sel, size * sizeof(int64_t));
+            continue;
+        }
+        uint16_t* sym = symbols + b * size;
+        for (int64_t i = 0; i < size; i++) {
+            const int64_t r = sel[i];
+            int64_t s = 0; /* the escape symbol */
+            if (r > -radius && r < radius) s = r + radius;
+            else outliers[nout++] = r;
+            sym[i] = (uint16_t)s;
+            freqs[s]++;
+        }
+    }
+    counts[0] = nout;
+    counts[1] = nreg;
+    return 0;
+}
+
+/* Mirror of repro_sz_encode: `coefs` holds the regression blocks'
+ * coefficients in block order, `scratch` one block of int64.  Stores
+ * the number of escape symbols met in *escapes and returns 1 when it is
+ * not n_outliers (the output is then meaningless), else 0. */
+API int64_t repro_sz_decode(
+    const int64_t* symbols, int64_t radius,
+    const int64_t* outliers, int64_t n_outliers,
+    const uint8_t* use_reg, const float* coefs, const double* design,
+    double two_eb, int side, void* out, int is_f32, int ndim,
+    const int64_t* shape, int64_t* scratch, int64_t* escapes)
+{
+    blk_geom g = blk_geometry(ndim, shape, side);
+    const int64_t size = g.size;
+    const int nc = ndim + 1;
+    int64_t* r = scratch;
+    int64_t nesc = 0, nreg = 0;
+    for (int64_t b = 0; b < g.nblocks; b++, blk_next(&g)) {
+        const int64_t* sym = symbols + b * size;
+        for (int64_t i = 0; i < size; i++) {
+            if (sym[i] == 0) {
+                r[i] = nesc < n_outliers ? outliers[nesc] : 0;
+                nesc++;
+            } else {
+                r[i] = sym[i] - radius;
+            }
+        }
+        const int reg = use_reg[b];
+        double cd[4] = {0.0, 0.0, 0.0, 0.0};
+        if (reg) {
+            for (int k = 0; k < nc; k++) cd[k] = (double)coefs[nreg * nc + k];
+            nreg++;
+        } else {
+            sz_lorenzo(r, g.ext, 1);
+        }
+        int64_t off[3][BLK_MAX_SIDE];
+        int inside[3][BLK_MAX_SIDE];
+        blk_offsets(&g, off, inside);
+        int64_t c = 0;
+        for (int i = 0; i < g.ext[0]; i++)
+            for (int j = 0; j < g.ext[1]; j++)
+                for (int k = 0; k < g.ext[2]; k++, c++) {
+                    if (!(inside[0][i] && inside[1][j] && inside[2][k])) continue;
+                    double x = (double)r[c] * two_eb;
+                    if (reg) x = sz_predict(cd, design + c * nc, nc) + x;
+                    const int64_t at = off[0][i] + off[1][j] + off[2][k];
+                    if (is_f32) ((float*)out)[at] = (float)x;
+                    else ((double*)out)[at] = x;
+                }
+    }
+    *escapes = nesc;
+    return nesc != n_outliers;
 }
 
 /* ---------------- ZFP: one pass per 4^d block ----------------
@@ -260,57 +560,6 @@ static inline double zfp_scale(int s)
 }
 #define ZFP_LDEXP(x, s, scale) ((scale) != 0.0 ? (x) * (scale) : ldexp((x), (s)))
 
-/* A field seen as (n0, n1, n2) with unused leading axes of extent 1,
- * cut into blocks of (e0, e1, e2) where e is 4 on real axes, else 1;
- * `at` is the grid coordinate of the current block (C order). */
-typedef struct {
-    int64_t n[3], grid[3], at[3];
-    int ext[3], size;
-    int64_t nblocks;
-} zfp_geom;
-
-static zfp_geom zfp_geometry(int ndim, const int64_t* shape)
-{
-    zfp_geom g;
-    g.size = 1;
-    g.nblocks = 1;
-    for (int a = 0; a < 3; a++) {
-        const int real = a >= 3 - ndim;
-        g.n[a] = real ? shape[a - (3 - ndim)] : 1;
-        g.ext[a] = real ? 4 : 1;
-        g.grid[a] = (g.n[a] + g.ext[a] - 1) / g.ext[a];
-        g.at[a] = 0;
-        g.size *= g.ext[a];
-        g.nblocks *= g.grid[a];
-    }
-    return g;
-}
-
-/* Flat element offsets of the current block's cells along each axis;
- * cells past the field edge clamp to the last valid one (np.pad
- * mode="edge") and are flagged in `inside`. */
-static void zfp_block_offsets(
-    const zfp_geom* g, int64_t off[3][4], int inside[3][4])
-{
-    int64_t stride = 1;
-    for (int a = 2; a >= 0; a--) {
-        for (int i = 0; i < g->ext[a]; i++) {
-            const int64_t idx = g->at[a] * g->ext[a] + i;
-            inside[a][i] = idx < g->n[a];
-            off[a][i] = (inside[a][i] ? idx : g->n[a] - 1) * stride;
-        }
-        stride *= g->n[a];
-    }
-}
-
-static void zfp_next_block(zfp_geom* g)
-{
-    for (int a = 2; a >= 0; a--) {
-        if (++g->at[a] < g->grid[a]) return;
-        g->at[a] = 0;
-    }
-}
-
 static inline int64_t zfp_kmin(int64_t kbase, int kslope, int e, int planes)
 {
     const int64_t k = kbase - (kslope ? e : 0);
@@ -325,25 +574,6 @@ static inline uint64_t zfp_rev64(uint64_t x)
     return __builtin_bswap64(x);
 }
 
-/* MSB-first bit writer: up to 7 pending bits between calls. */
-typedef struct { uint8_t* out; int64_t pos; uint64_t acc; int n; } zfp_bw;
-
-static inline void bw_put(zfp_bw* w, uint64_t v, int n) /* n <= 32 */
-{
-    w->acc = (w->acc << n) | v;
-    w->n += n;
-    while (w->n >= 8) {
-        w->n -= 8;
-        w->out[w->pos++] = (uint8_t)(w->acc >> w->n);
-    }
-}
-
-static inline void bw_zeros(zfp_bw* w, int64_t n)
-{
-    for (; n > 32; n -= 32) bw_put(w, 0, 32);
-    bw_put(w, 0, (int)n);
-}
-
 /* Returns the number of bits written.  `out` needs room for
  * nblocks * maxbits bits (fixed rate) or nblocks times the worst case
  * HEADER + planes * (2 * size + 1) bits (see native.zfp_encode). */
@@ -353,14 +583,14 @@ API int64_t repro_zfp_encode(
     int64_t kbase, int kslope,
     uint8_t* out, uint64_t* offsets, int64_t* used_bits, uint8_t* nonzero)
 {
-    zfp_geom g = zfp_geometry(ndim, shape);
+    blk_geom g = blk_geometry(ndim, shape, 4);
     const int size = g.size;
-    zfp_bw w = {out, 0, 0, 0};
-    for (int64_t b = 0; b < g.nblocks; b++, zfp_next_block(&g)) {
-        offsets[b] = (uint64_t)(w.pos * 8 + w.n);
-        int64_t off[3][4];
-        int inside[3][4];
-        zfp_block_offsets(&g, off, inside);
+    bit_writer w = {out, 0, 0, 0};
+    for (int64_t b = 0; b < g.nblocks; b++, blk_next(&g)) {
+        offsets[b] = (uint64_t)bw_bits(&w);
+        int64_t off[3][BLK_MAX_SIDE];
+        int inside[3][BLK_MAX_SIDE];
+        blk_offsets(&g, off, inside);
         double v[64];
         double amax = 0.0;
         int c = 0;
@@ -445,50 +675,9 @@ API int64_t repro_zfp_encode(
         used_bits[b] = ZFP_HEADER_BITS + (budget - bits);
         if (maxbits > 0) bw_zeros(&w, bits);
     }
-    const int64_t total = w.pos * 8 + w.n;
+    const int64_t total = bw_finish(&w);
     offsets[g.nblocks] = (uint64_t)total;
-    if (w.n) out[w.pos] = (uint8_t)(w.acc << (8 - w.n));
     return total;
-}
-
-/* MSB-first bit reader: `buf` holds the next `avail` stream bits from
- * its top bit down; bits past the body read as zero. */
-typedef struct {
-    const uint8_t* p;
-    int64_t nbytes, pos;
-    uint64_t buf;
-    int avail;
-} zfp_br;
-
-static void br_refill(zfp_br* r)
-{
-    const int64_t byte = r->pos >> 3;
-    uint64_t v = 0;
-#if __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-    if (byte + 8 <= r->nbytes) {
-        memcpy(&v, r->p + byte, 8);
-        v = __builtin_bswap64(v);
-    } else
-#endif
-    for (int i = 0; i < 8; i++)
-        v = (v << 8) | (byte + i < r->nbytes ? r->p[byte + i] : 0);
-    r->buf = v << (r->pos & 7);
-    r->avail = 64 - (int)(r->pos & 7);
-}
-
-static inline void br_skip(zfp_br* r, int n) /* n <= avail, n < 64 */
-{
-    r->buf <<= n;
-    r->avail -= n;
-    r->pos += n;
-}
-
-static inline uint64_t br_get(zfp_br* r, int n) /* 1 <= n <= 32 */
-{
-    if (r->avail < n) br_refill(r);
-    const uint64_t v = r->buf >> (64 - n);
-    br_skip(r, n);
-    return v;
 }
 
 /* Mirror of repro_zfp_encode.  `offsets` (nblocks + 1 bit offsets) is
@@ -501,10 +690,10 @@ API int64_t repro_zfp_decode(
     int64_t maxbits, void* out, int is_f32, int ndim, const int64_t* shape,
     const int64_t* perm, int planes, int64_t kbase, int kslope)
 {
-    zfp_geom g = zfp_geometry(ndim, shape);
+    blk_geom g = blk_geometry(ndim, shape, 4);
     const int size = g.size;
-    zfp_br r = {body, nbytes, 0, 0, 0};
-    for (int64_t b = 0; b < g.nblocks; b++, zfp_next_block(&g)) {
+    bit_reader r = {body, nbytes, 0, 0, 0};
+    for (int64_t b = 0; b < g.nblocks; b++, blk_next(&g)) {
         r.pos = offsets ? offsets[b] : b * maxbits;
         r.avail = 0;
         const int64_t span = offsets ? offsets[b + 1] - r.pos : maxbits;
@@ -563,9 +752,9 @@ API int64_t repro_zfp_decode(
             for (int i = 0; i < size; i++)
                 v[i] = ZFP_LDEXP((double)q[i], e - (planes - 2), scale);
         }
-        int64_t off[3][4];
-        int inside[3][4];
-        zfp_block_offsets(&g, off, inside);
+        int64_t off[3][BLK_MAX_SIDE];
+        int inside[3][BLK_MAX_SIDE];
+        blk_offsets(&g, off, inside);
         int c = 0;
         for (int i = 0; i < g.ext[0]; i++)
             for (int j = 0; j < g.ext[1]; j++)

@@ -5,21 +5,27 @@ imported lazily by :class:`~repro.kernels.registry.Backend` on first
 use, so this module creates no import cycles and costs nothing until a
 kernel is actually dispatched.
 
-Kernel catalogue (nine kernels, uniform signatures across tiers; the two
-ZFP contracts are spelled out in :mod:`repro.compressors.zfp.staged`):
+Kernel catalogue (nine kernels, uniform signatures across tiers; the
+field-granularity contracts are spelled out in
+:mod:`repro.compressors.sz.staged` and :mod:`repro.compressors.zfp.staged`):
 
 ======================  =====================================================
-``sz.lorenzo``          ``(blocks, error_bound) -> int64 residuals`` — fused
-                        prequantize + Lorenzo first-difference (dual-quant)
-``sz.lorenzo_inverse``  ``(residual) -> int64 lattice`` — iterated cumsum
+``sz.encode``           ``(data, error_bound, block_side, predictor, radius)
+                        -> (symbols, freqs, outliers, use_reg, coefs,
+                        radius)`` — a whole field to its quantization codes:
+                        prequantize, Lorenzo and regression residuals,
+                        per-block choice, escape split, histogram
+``sz.decode``           ``(symbols, outliers, use_reg, coefs, error_bound,
+                        block_side, radius, shape, dtype) -> array``
 ``pack.varlen``         ``(codes, lengths) -> (bytes, nbits)`` — MSB-first
                         variable-length bit packing
 ``huffman.package_merge``  ``(leaf_weights, max_len) -> counts`` (no native)
 ``huffman.canonical``   ``(lengths, order) -> codes`` (no native)
 ``huffman.encode``      ``(symbols, codes, lengths, chunk_size) ->
                         (body, nbits, chunk_offsets)``
-``huffman.decode``      ``(body, table_sym, table_len, chunk_offsets, n,
-                        chunk_size, max_len, total_bits) -> symbols``
+``huffman.decode``      ``(body, table, chunk_offsets, n, chunk_size, max_len,
+                        total_bits) -> symbols`` — ``table`` is uint32,
+                        ``symbol << 5 | length`` per ``max_len``-bit key
 ``zfp.encode``          ``(data, planes, maxbits, kmin_rule) -> (body, nbits,
                         offsets, used_bits, nonzero)`` — a whole field to
                         its block-coded bit blob
@@ -37,8 +43,8 @@ from __future__ import annotations
 from repro.kernels.registry import Backend, KernelRegistry
 
 SCALAR_IMPLS = {
-    "sz.lorenzo": "repro.compressors.sz.predictor:_lorenzo_dualquant_ref",
-    "sz.lorenzo_inverse": "repro.compressors.sz.predictor:lorenzo_reconstruct",
+    "sz.encode": "repro.compressors.sz.staged:encode",
+    "sz.decode": "repro.compressors.sz.staged:decode",
     "pack.varlen": "repro.util.bits:_pack_varlen_scalar",
     "huffman.package_merge":
         "repro.lossless.huffman:_package_merge_counts_scalar",
@@ -51,9 +57,9 @@ SCALAR_IMPLS = {
 
 NUMPY_IMPLS = {
     # The seed SZ stages were already numpy expressions, so the scalar
-    # and numpy tiers share one implementation for the Lorenzo kernels.
-    "sz.lorenzo": "repro.compressors.sz.predictor:_lorenzo_dualquant_ref",
-    "sz.lorenzo_inverse": "repro.compressors.sz.predictor:lorenzo_reconstruct",
+    # and numpy tiers share one staged implementation.
+    "sz.encode": "repro.compressors.sz.staged:encode",
+    "sz.decode": "repro.compressors.sz.staged:decode",
     "pack.varlen": "repro.util.bits:_pack_varlen_numpy",
     "huffman.package_merge": "repro.lossless.huffman:_package_merge_counts",
     "huffman.canonical": "repro.lossless.huffman:_canonical_codes_numpy",
@@ -64,8 +70,8 @@ NUMPY_IMPLS = {
 }
 
 NATIVE_IMPLS = {
-    "sz.lorenzo": "repro.kernels.native:lorenzo_dualquant",
-    "sz.lorenzo_inverse": "repro.kernels.native:lorenzo_reconstruct",
+    "sz.encode": "repro.kernels.native:sz_encode",
+    "sz.decode": "repro.kernels.native:sz_decode",
     "pack.varlen": "repro.kernels.native:pack_varlen",
     "huffman.encode": "repro.kernels.native:huffman_encode",
     "huffman.decode": "repro.kernels.native:huffman_decode",

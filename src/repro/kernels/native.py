@@ -26,6 +26,7 @@ import os
 import shutil
 import subprocess
 import tempfile
+import threading
 
 import numpy as np
 
@@ -36,22 +37,32 @@ from repro.kernels._csource import C_SOURCE
 CACHE_ENV = "REPRO_KERNEL_CACHE"
 
 #: No ``-march``: the cached object must run on every host sharing the
-#: cache.  ``-fwrapv`` makes the ZFP lifting steps' int64 arithmetic wrap
-#: like numpy's instead of being undefined on damaged streams.
-_CFLAGS = ("-O2", "-fwrapv", "-fPIC", "-shared")
+#: cache.  ``-fwrapv`` makes the ZFP lifting steps' and the SZ Lorenzo
+#: differences' int64 arithmetic wrap like numpy's instead of being
+#: undefined on damaged streams.  ``-ffp-contract=off``: the SZ kernels
+#: repeat numpy's float64 ``a * b`` then ``+ c`` chains (regression fit,
+#: prediction, dequantization) and must round the product and the sum
+#: separately, as numpy does; GCC's default ``-ffp-contract=fast`` fuses
+#: them into one fma wherever the target has the instruction (aarch64
+#: always, x86-64 only with ``-march``), which changes the last bit.
+_CFLAGS = ("-O2", "-fwrapv", "-ffp-contract=off", "-fPIC", "-shared")
 
 _I64, _F64, _INT, _PTR = (
     ctypes.c_int64, ctypes.c_double, ctypes.c_int, ctypes.c_void_p,
 )
 _SIGNATURES = {
-    "repro_lorenzo_dualquant": ([_PTR, _PTR, _I64, _I64, _I64, _I64, _F64], _I64),
-    "repro_lorenzo_reconstruct": ([_PTR, _I64, _I64, _I64, _I64], None),
     "repro_pack_varlen": ([_PTR, _PTR, _I64, _PTR], _I64),
-    "repro_huffman_symbol_bits": ([_PTR, _I64, _PTR], _I64),
-    "repro_huffman_encode": ([_PTR, _I64, _PTR, _PTR, _I64, _PTR, _PTR], _I64),
+    "repro_huffman_symbol_bits": ([_PTR, _INT, _I64, _PTR], _I64),
+    "repro_huffman_encode":
+        ([_PTR, _INT, _I64, _PTR, _PTR, _I64, _PTR, _PTR], _I64),
     "repro_huffman_decode":
-        ([_PTR, _I64, _PTR, _I64, _I64, _I64, _PTR, _PTR, _I64, _I64, _PTR],
-         _I64),
+        ([_PTR, _I64, _PTR, _I64, _I64, _I64, _PTR, _I64, _I64, _PTR], _I64),
+    "repro_sz_encode":
+        ([_PTR, _INT, _INT, _PTR, _INT, _F64, _INT, _I64, _PTR, _PTR, _PTR,
+          _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR], _I64),
+    "repro_sz_decode":
+        ([_PTR, _I64, _PTR, _I64, _PTR, _PTR, _PTR, _F64, _INT, _PTR, _INT,
+          _INT, _PTR, _PTR, _PTR], _I64),
     "repro_zfp_encode":
         ([_PTR, _INT, _INT, _PTR, _PTR, _INT, _I64, _I64, _INT,
           _PTR, _PTR, _PTR, _PTR], _I64),
@@ -61,6 +72,7 @@ _SIGNATURES = {
 }
 
 _state: dict = {"probed": False, "lib": None, "error": None}
+_state_lock = threading.Lock()
 
 
 # -- build and load ----------------------------------------------------------
@@ -127,13 +139,20 @@ def _build_clib() -> ctypes.CDLL:
 def _resolve() -> ctypes.CDLL:
     """Build/load the library once per process and memoize the outcome."""
     if not _state["probed"]:
-        _state["probed"] = True
-        try:
-            _state["lib"] = _build_clib()
-        except Exception as exc:
-            _state["error"] = KernelUnavailableError(
-                f"native kernel tier unavailable (cc: {exc})"
-            )
+        # One thread builds; the rest wait for it.  A thread that saw
+        # "probed" before the library was there would call into ``None``,
+        # and the registry would trip its kernel to the numpy tier for the
+        # rest of the process - a whole fused codec pass, silently, decided
+        # by which thread made the first call.
+        with _state_lock:
+            if not _state["probed"]:
+                try:
+                    _state["lib"] = _build_clib()
+                except Exception as exc:
+                    _state["error"] = KernelUnavailableError(
+                        f"native kernel tier unavailable (cc: {exc})"
+                    )
+                _state["probed"] = True
     if _state["error"] is not None:
         raise _state["error"]
     return _state["lib"]
@@ -164,46 +183,6 @@ def _p(arr: np.ndarray) -> ctypes.c_void_p:
 # -- kernel wrappers ---------------------------------------------------------
 
 
-def _block_dims(shape: tuple[int, ...]) -> tuple[int, int, int, int]:
-    """(nblocks, b0, b1, b2) for a (nblocks, *block_shape) batch array."""
-    nblocks = shape[0]
-    dims = list(shape[1:]) + [1] * (3 - len(shape[1:]))
-    return nblocks, dims[0], dims[1], dims[2]
-
-
-def lorenzo_dualquant(blocks: np.ndarray, error_bound: float) -> np.ndarray:
-    """Fused prequantize + Lorenzo residual (``sz.lorenzo`` kernel)."""
-    lib = _resolve()
-    if error_bound <= 0 or not np.isfinite(error_bound):
-        raise DataError(
-            f"error bound must be a positive finite float, got {error_bound}"
-        )
-    if blocks.ndim - 1 not in (1, 2, 3):
-        raise DataError(f"expected (nblocks, ...) batch, got shape {blocks.shape}")
-    data = np.ascontiguousarray(blocks, dtype=np.float64)
-    out = np.empty(data.shape, dtype=np.int64)
-    if data.size:
-        nblocks, b0, b1, b2 = _block_dims(data.shape)
-        overflow = lib.repro_lorenzo_dualquant(
-            _p(data), _p(out), nblocks, b0, b1, b2, 2.0 * error_bound,
-        )
-        if overflow:
-            raise DataError(
-                "error bound too small relative to data magnitude (int64 overflow)"
-            )
-    return out
-
-
-def lorenzo_reconstruct(residual: np.ndarray) -> np.ndarray:
-    """Iterated cumulative sum (``sz.lorenzo_inverse`` kernel)."""
-    lib = _resolve()
-    q = np.ascontiguousarray(residual, dtype=np.int64).copy()
-    if q.size:
-        nblocks, b0, b1, b2 = _block_dims(q.shape)
-        lib.repro_lorenzo_reconstruct(_p(q), nblocks, b0, b1, b2)
-    return q
-
-
 def pack_varlen(codes: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
     """MSB-first variable-length bit packing (``pack.varlen`` kernel)."""
     lib = _resolve()
@@ -223,7 +202,9 @@ def huffman_encode(
     """Fused symbol->codeword bit packing plus the per-chunk bit-offset
     table (``huffman.encode`` kernel)."""
     lib = _resolve()
-    symbols = np.ascontiguousarray(symbols, dtype=np.int64)
+    # uint16 (what sz.encode emits) is read as it is, anything else widened.
+    wide = symbols.dtype != np.uint16
+    symbols = np.ascontiguousarray(symbols, dtype=np.int64 if wide else None)
     codes = np.ascontiguousarray(codes, dtype=np.uint64)
     len_u8 = np.ascontiguousarray(lengths, dtype=np.uint8)
     n = symbols.size
@@ -231,10 +212,10 @@ def huffman_encode(
     chunk_offsets = np.zeros(nchunks, dtype=np.uint64)
     if n == 0:
         return b"", 0, chunk_offsets
-    total = int(lib.repro_huffman_symbol_bits(_p(symbols), n, _p(len_u8)))
-    out = np.zeros((total + 7) // 8, dtype=np.uint8)
+    total = int(lib.repro_huffman_symbol_bits(_p(symbols), wide, n, _p(len_u8)))
+    out = np.empty((total + 7) // 8, dtype=np.uint8)
     lib.repro_huffman_encode(
-        _p(symbols), n, _p(codes), _p(len_u8), chunk_size,
+        _p(symbols), wide, n, _p(codes), _p(len_u8), chunk_size,
         _p(chunk_offsets), _p(out),
     )
     return out.tobytes(), total, chunk_offsets
@@ -242,8 +223,7 @@ def huffman_encode(
 
 def huffman_decode(
     body: bytes,
-    table_sym: np.ndarray,
-    table_len: np.ndarray,
+    table: np.ndarray,
     chunk_offsets: np.ndarray,
     n: int,
     chunk_size: int,
@@ -253,19 +233,133 @@ def huffman_decode(
     """Chunk-parallel dense-table decode (``huffman.decode`` kernel)."""
     lib = _resolve()
     body_arr = np.frombuffer(body, dtype=np.uint8)
-    table_sym = np.ascontiguousarray(table_sym, dtype=np.int64)
-    table_len = np.ascontiguousarray(table_len, dtype=np.int64)
+    table = np.ascontiguousarray(table, dtype=np.uint32)
+    if table.size != 1 << max_len:
+        raise DataError("Huffman decode table does not span max_len bits")
     chunk_offsets = np.ascontiguousarray(chunk_offsets, dtype=np.int64)
     out = np.empty(n, dtype=np.int64)
     code = lib.repro_huffman_decode(
         _p(body_arr), body_arr.size, _p(chunk_offsets), chunk_offsets.size,
-        chunk_size, n, _p(table_sym), _p(table_len), max_len, total_bits,
-        _p(out),
+        chunk_size, n, _p(table), max_len, total_bits, _p(out),
     )
     if code == 1:
         raise CorruptStreamError("invalid codeword in Huffman stream")
     if code == 2:
         raise CorruptStreamError("Huffman decode overran declared bit length")
+    return out
+
+
+_SZ_PREDICTORS = {"adaptive": 0, "lorenzo": 1, "regression": 2}
+
+
+def _sz_geometry(
+    shape: tuple[int, ...], block_side: int, dtype: np.dtype
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
+    """(shape as int64 array, design matrix, its pseudo-inverse, block
+    count, cells per block) after checking what the C side assumes; the
+    matrices are the reference's own."""
+    from repro.compressors.sz.predictor import _design_matrix
+
+    if (not 1 <= len(shape) <= 3 or not 2 <= block_side <= 255
+            or dtype not in (np.float32, np.float64)):
+        raise DataError(
+            "SZ kernels take 1-3 dimensional float32/float64 fields and "
+            "block sides in [2, 255]"
+        )
+    design, pinv = _design_matrix((block_side,) * len(shape))
+    nblocks = math.prod(-(-s // block_side) for s in shape)
+    return (np.array(shape, dtype=np.int64), design, pinv, nblocks,
+            block_side ** len(shape))
+
+
+def sz_encode(
+    data: np.ndarray,
+    error_bound: float,
+    block_side: int,
+    predictor: str,
+    radius: int | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """One-pass fused predictor + quantizer (``sz.encode`` kernel); the
+    contract is spelled out in :mod:`repro.compressors.sz.staged`."""
+    lib = _resolve()
+    from repro.compressors.sz.predictor import cost_table
+    from repro.compressors.sz.quantizer import auto_radius
+    from repro.compressors.sz.staged import split_symbols
+
+    data = np.ascontiguousarray(data)
+    shape, design, pinv, nblocks, size = _sz_geometry(
+        data.shape, block_side, data.dtype
+    )
+    ncells = nblocks * size
+    table = cost_table()
+    scratch = np.empty(3 * size, dtype=np.float64)
+    use_reg = np.empty(nblocks, dtype=np.bool_)
+    coefs = np.empty((nblocks, data.ndim + 1), dtype=np.float32)
+    counts = np.zeros(2, dtype=np.int64)
+    if radius is None:  # a residual pass first: the radius depends on it
+        residual = np.empty(ncells, dtype=np.int64)
+        symbols = freqs = outliers = None
+    else:
+        residual = None
+        symbols = np.empty(ncells, dtype=np.uint16)
+        freqs = np.zeros(2 * radius, dtype=np.int64)
+        outliers = np.empty(ncells, dtype=np.int64)
+    overflow = lib.repro_sz_encode(
+        _p(data), data.dtype == np.float32, data.ndim, _p(shape), block_side,
+        2.0 * error_bound, _SZ_PREDICTORS[predictor], radius or 0,
+        _p(design), _p(pinv), _p(table), table.size, _p(scratch),
+        *(None if a is None else _p(a)
+          for a in (symbols, freqs, outliers, residual)),
+        _p(use_reg), _p(coefs), _p(counts),
+    )
+    if overflow:
+        raise DataError(
+            "error bound too small relative to data magnitude (int64 overflow)"
+        )
+    coefs = coefs[: counts[1]]
+    if radius is None:
+        radius = auto_radius(residual)
+        return (*split_symbols(residual, radius), use_reg, coefs, radius)
+    return symbols, freqs, outliers[: counts[0]], use_reg, coefs, radius
+
+
+def sz_decode(
+    symbols: np.ndarray,
+    outliers: np.ndarray,
+    use_reg: np.ndarray,
+    coefs: np.ndarray,
+    error_bound: float,
+    block_side: int,
+    radius: int,
+    shape: tuple[int, ...],
+    dtype: np.dtype,
+) -> np.ndarray:
+    """Mirror of :func:`sz_encode` (``sz.decode`` kernel); the contract
+    is spelled out in :mod:`repro.compressors.sz.staged`."""
+    lib = _resolve()
+    from repro.compressors.sz.staged import check_sections
+
+    shape_arr, design, _, _, size = _sz_geometry(shape, block_side, dtype)
+    symbols = np.ascontiguousarray(symbols, dtype=np.int64)
+    outliers = np.ascontiguousarray(outliers, dtype=np.int64)
+    use_reg = np.ascontiguousarray(use_reg, dtype=np.bool_)
+    coefs = np.ascontiguousarray(coefs, dtype=np.float32)
+    # The kernel walks these by block; never hand it less than it reads.
+    check_sections(symbols, use_reg, coefs, block_side, shape)
+    out = np.empty(shape, dtype=dtype)
+    scratch = np.empty(size, dtype=np.int64)
+    escapes = np.zeros(1, dtype=np.int64)
+    mismatch = lib.repro_sz_decode(
+        _p(symbols), radius, _p(outliers), outliers.size, _p(use_reg),
+        _p(coefs), _p(design), 2.0 * error_bound, block_side, _p(out),
+        out.dtype == np.float32, len(shape), _p(shape_arr), _p(scratch),
+        _p(escapes),
+    )
+    if mismatch:
+        raise CorruptStreamError(
+            f"outlier count mismatch: {escapes[0]} escapes vs "
+            f"{outliers.size} stored"
+        )
     return out
 
 

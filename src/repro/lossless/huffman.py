@@ -24,7 +24,6 @@ Design notes
 
 from __future__ import annotations
 
-import heapq
 import struct
 from dataclasses import dataclass
 
@@ -48,6 +47,10 @@ _SPARSE_RECORD = np.dtype([("symbol", "<u4"), ("length", "u1")])
 #: number of distinct codewords); lets the decoder size its tables from
 #: an untrusted header.
 _MAX_ALPHABET = 1 << 24
+
+#: Decode-table entries are ``symbol << _LEN_BITS | length`` (length <= 24).
+_LEN_BITS = 5
+_LEN_MASK = (1 << _LEN_BITS) - 1
 
 
 def package_merge_lengths(freqs: np.ndarray, max_len: int) -> np.ndarray:
@@ -158,9 +161,8 @@ def huffman_lengths(freqs: np.ndarray, max_len: int = 16) -> np.ndarray:
     """Code lengths for ``freqs``: classic Huffman, rebuilt with
     package-merge only when the unconstrained tree exceeds ``max_len``.
 
-    The classic O(n log n) heap construction is much faster than
-    package-merge for the large alphabets SZ quantization produces, so it
-    is tried first.
+    The classic construction is much faster than package-merge for the
+    large alphabets SZ quantization produces, so it is tried first.
     """
     freqs = np.asarray(freqs, dtype=np.int64)
     used = np.flatnonzero(freqs > 0)
@@ -170,32 +172,32 @@ def huffman_lengths(freqs: np.ndarray, max_len: int = 16) -> np.ndarray:
     if used.size == 1:
         lengths[used[0]] = 1
         return lengths
-    # Heap items are (weight, tie, node); ties are unique so node ids are
-    # never compared and the pop order matches the seed implementation
-    # (which carried explicit member lists and charged every merge to all
-    # of them — O(n^2)).  Here each merge just records parent pointers and
-    # leaf depths fall out of one O(n) top-down pass.
+    # Two-queue merge: leaves sorted by (weight, symbol) in one queue,
+    # merged nodes in creation order in the other.  Merged weights never
+    # decrease, so each queue's head is its minimum, and taking the leaf
+    # on equal weights reproduces the seed's heap of (weight, tie) items
+    # — ties were the symbol index for leaves and larger, increasing
+    # numbers for merged nodes — pop for pop, hence the same tree.
     n = used.size
-    heap: list[tuple[int, int, int]] = [
-        (int(freqs[s]), int(s), node) for node, s in enumerate(used)
-    ]
-    heapq.heapify(heap)
-    parent = [-1] * (2 * n - 1)
-    tie = freqs.size
-    next_node = n
-    while len(heap) > 1:
-        w1, _, n1 = heapq.heappop(heap)
-        w2, _, n2 = heapq.heappop(heap)
-        parent[n1] = parent[n2] = next_node
-        heapq.heappush(heap, (w1 + w2, tie, next_node))
-        tie += 1
-        next_node += 1
+    leaf_weights = freqs[used]
+    order = np.argsort(leaf_weights, kind="stable")
+    weight = leaf_weights[order].tolist() + [0] * (n - 1)
+    parent = [0] * (2 * n - 1)
+    leaf, merged = 0, n  # heads of the two queues (node ids)
+    for node in range(n, 2 * n - 1):
+        for _ in range(2):
+            if leaf < n and (merged == node or weight[leaf] <= weight[merged]):
+                child, leaf = leaf, leaf + 1
+            else:
+                child, merged = merged, merged + 1
+            parent[child] = node
+            weight[node] += weight[child]
     depth = [0] * (2 * n - 1)
     for node in range(2 * n - 3, -1, -1):  # parents precede: ids descend
         depth[node] = depth[parent[node]] + 1
     leaf_depth = np.array(depth[:n], dtype=np.int64)
     if leaf_depth.max() <= max_len:
-        lengths[used] = leaf_depth.astype(np.uint8)
+        lengths[used[order]] = leaf_depth.astype(np.uint8)
         return lengths
     return package_merge_lengths(freqs, max_len)
 
@@ -281,18 +283,35 @@ class HuffmanCodec:
 
     # -- encoding ----------------------------------------------------------
 
-    def encode(self, symbols: np.ndarray, alphabet_size: int | None = None) -> HuffmanEncoded:
+    def encode(
+        self,
+        symbols: np.ndarray,
+        alphabet_size: int | None = None,
+        *,
+        freqs: np.ndarray | None = None,
+    ) -> HuffmanEncoded:
+        """Encode ``symbols``.  ``freqs``, when the producer already has
+        it (the SZ kernel counts while it quantizes), is the histogram of
+        ``symbols`` over exactly ``alphabet_size`` entries and replaces
+        the counting pass; only its size and total are checked."""
         symbols = np.ascontiguousarray(symbols).ravel()
-        if symbols.size and symbols.min() < 0:
+        if symbols.size and symbols.dtype.kind != "u" and symbols.min() < 0:
             raise DataError("symbols must be nonnegative")
+        # Every tier gathers codes[symbols]: the range check stays even
+        # with freqs given (it is a short scan of a narrow array then).
+        top = int(symbols.max()) if symbols.size else 0
         if alphabet_size is None:
-            alphabet_size = int(symbols.max()) + 1 if symbols.size else 1
-        if symbols.size and int(symbols.max()) >= alphabet_size:
+            alphabet_size = top + 1
+        if symbols.size and top >= alphabet_size:
             raise DataError("symbol exceeds declared alphabet size")
         if alphabet_size > _MAX_ALPHABET:
             raise DataError(f"alphabet size must be <= {_MAX_ALPHABET}")
+        if freqs is None:
+            freqs = np.bincount(symbols, minlength=alphabet_size)
+        elif freqs.size != alphabet_size or int(freqs.sum()) != symbols.size:
+            raise DataError("freqs does not describe symbols over the alphabet")
 
-        freqs = np.bincount(symbols, minlength=alphabet_size).astype(np.int64)
+        freqs = freqs.astype(np.int64, copy=False)
         lengths = huffman_lengths(freqs, self.max_len)
         codes = canonical_codes(lengths)
 
@@ -409,39 +428,40 @@ class HuffmanCodec:
 
         if int(lengths.max(initial=0)) > max_len:
             raise CorruptStreamError("code length exceeds declared max_len")
-        try:
-            codes = canonical_codes(lengths)
-        except DataError as exc:  # Kraft sum > 1: no such prefix code
-            raise CorruptStreamError(f"bad Huffman length table: {exc}") from exc
-        table_sym, table_len = self._build_decode_table(codes, lengths, max_len)
+        table = self._build_decode_table(lengths, max_len)
 
         if len(body) * 8 < total_bits:
             raise CorruptStreamError("Huffman stream truncated (body)")
         return _kcall(
-            "huffman.decode", body, table_sym, table_len, chunk_offsets,
+            "huffman.decode", body, table, chunk_offsets,
             n, chunk_size, max_len, total_bits,
         )
 
     @staticmethod
-    def _build_decode_table(
-        codes: np.ndarray, lengths: np.ndarray, max_len: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Dense table: top ``max_len`` bits -> (symbol, code length)."""
-        size = 1 << max_len
-        table_sym = np.zeros(size, dtype=np.int64)
-        table_len = np.zeros(size, dtype=np.int64)
+    def _build_decode_table(lengths: np.ndarray, max_len: int) -> np.ndarray:
+        """Dense table: top ``max_len`` bits -> ``symbol << 5 | length``
+        (uint32; a length of 0 marks a hole no codeword maps to).  One
+        packed word per key keeps the decoder's random-access working set
+        at 256 KiB for 16-bit codes.
+
+        Canonical codewords taken in (length, symbol) order own
+        consecutive key ranges starting at 0, each ``2^(max_len - length)``
+        wide, so the table is those entries repeated — no codeword needs
+        to be materialized; lengths whose ranges overrun the table are
+        not a prefix code (Kraft sum > 1).
+        """
+        table = np.zeros(1 << max_len, dtype=np.uint32)
         used = np.flatnonzero(lengths > 0)
-        if used.size == 0:
-            return table_sym, table_len
         lens = lengths[used].astype(np.int64)
-        spans = 1 << (max_len - lens)
-        prefixes = codes[used].astype(np.int64) << (max_len - lens)
-        owner = np.repeat(np.arange(used.size), spans)
-        starts = np.concatenate(([0], np.cumsum(spans)[:-1]))
-        pos = prefixes[owner] + np.arange(owner.size, dtype=np.int64) - starts[owner]
-        table_sym[pos] = used[owner]
-        table_len[pos] = lens[owner]
-        return table_sym, table_len
+        order = np.lexsort((used, lens))
+        spans = 1 << (max_len - lens[order])
+        if int(spans.sum()) > table.size:
+            raise CorruptStreamError(
+                "bad Huffman length table: invalid code lengths (Kraft sum > 1)"
+            )
+        filled = np.repeat(((used << _LEN_BITS) | lens)[order], spans)
+        table[: filled.size] = filled
+        return table
 
 
 # -- ``huffman.encode`` / ``huffman.decode`` kernel implementations ----------
@@ -487,8 +507,7 @@ def _encode_chunks_scalar(
 
 def _decode_chunks_scalar(
     body: bytes,
-    table_sym: np.ndarray,
-    table_len: np.ndarray,
+    table: np.ndarray,
     chunk_offsets: np.ndarray,
     n: int,
     chunk_size: int,
@@ -518,11 +537,11 @@ def _decode_chunks_scalar(
             raise CorruptStreamError(
                 "Huffman decode overran declared bit length"
             ) from None
-        syms = table_sym[keys]
-        lens = table_len[keys]
+        entry = table[keys].astype(np.int64)
+        lens = entry & _LEN_MASK
         if np.any(lens == 0):
             raise CorruptStreamError("invalid codeword in Huffman stream")
-        out[active * chunk_size + step] = syms
+        out[active * chunk_size + step] = entry >> _LEN_BITS
         cursors[active] += lens
     if int(cursors.max(initial=0)) > total_bits:
         raise CorruptStreamError("Huffman decode overran declared bit length")
@@ -531,19 +550,17 @@ def _decode_chunks_scalar(
 
 def _decode_chunks_numpy(
     body: bytes,
-    table_sym: np.ndarray,
-    table_len: np.ndarray,
+    table: np.ndarray,
     chunk_offsets: np.ndarray,
     n: int,
     chunk_size: int,
     max_len: int,
     total_bits: int,
 ) -> np.ndarray:
-    """Lockstep chunk-parallel decode with a fused (symbol, length)
-    table: one gather per step instead of two.  A *complete* canonical
-    code covers every key, so the per-step invalid-codeword check is
-    only needed when the table has holes (e.g. a single-symbol
-    alphabet)."""
+    """Lockstep chunk-parallel decode, one table gather per step.  A
+    *complete* canonical code covers every key, so the per-step
+    invalid-codeword check is only needed when the table has holes
+    (e.g. a single-symbol alphabet)."""
     bits = np.unpackbits(np.frombuffer(body, dtype=np.uint8), bitorder="big")
     bits = np.concatenate([bits, np.zeros(max_len, dtype=np.uint8)])
     nchunks = chunk_offsets.size
@@ -554,8 +571,8 @@ def _decode_chunks_numpy(
     )
     weights = (1 << np.arange(max_len - 1, -1, -1)).astype(np.int64)
     window = np.arange(max_len, dtype=np.int64)
-    fused = (table_sym.astype(np.int64) << 6) | table_len
-    complete = bool(table_len.all())
+    entries = table.astype(np.int64)
+    complete = bool((table & _LEN_MASK).all())
     base = np.arange(nchunks, dtype=np.int64) * chunk_size
     # The live-chunk set only shrinks when ``step`` passes a chunk's
     # symbol count, so compact the per-chunk state at those (few)
@@ -576,17 +593,17 @@ def _decode_chunks_numpy(
             base_live = base_live[keep]
             counts_live = counts_live[keep]
         try:
-            entry = fused[
+            entry = entries[
                 bits[cur_live[:, None] + window].astype(np.int64) @ weights
             ]
         except IndexError:  # a cursor ran off the padded body
             raise CorruptStreamError(
                 "Huffman decode overran declared bit length"
             ) from None
-        lens = entry & 63
+        lens = entry & _LEN_MASK
         if not complete and not lens.all():
             raise CorruptStreamError("invalid codeword in Huffman stream")
-        out[base_live + step] = entry >> 6
+        out[base_live + step] = entry >> _LEN_BITS
         cur_live += lens
     if max(finished_max, int(cur_live.max(initial=0))) > total_bits:
         raise CorruptStreamError("Huffman decode overran declared bit length")

@@ -11,6 +11,7 @@ which is also exactly what ``bench_fastpath.py`` times against; the
 registry for the full backend x kernel matrix.
 """
 
+import functools
 import hashlib
 
 import numpy as np
@@ -209,6 +210,59 @@ class TestSweepEquivalence:
             assert self._rows(fields, monkeypatch, **kwargs) == reference
 
 
+def _sz_fields(dtype, ndim):
+    """Field kinds of the SZ parity matrix, each with its ABS bound."""
+    ragged = {1: (13,), 2: (7, 10), 3: (13, 7, 10)}[ndim]
+    extreme = _field(ragged, dtype, seed=9)
+    extreme.reshape(-1)[::3] *= dtype(np.finfo(dtype).tiny * 4)  # denormals
+    extreme.reshape(-1)[1::3] *= dtype(1e30)
+    ramp = np.linspace(0.0, 4.0, 12)
+    aligned = ramp
+    for _ in range(ndim - 1):
+        aligned = np.add.outer(aligned, np.sin(ramp))
+    aligned = aligned + 1e-3 * _field((12,) * ndim, np.float64, seed=ndim)
+    return {
+        # smooth trend + noise: adaptive picks each predictor somewhere
+        "aligned": (aligned.astype(dtype), 1e-3),
+        "ragged": (_field(ragged, dtype, seed=ndim + 3), 1e-2),
+        "all-constant": (np.full(ragged, 3.25, dtype), 1e-3),
+        "single block": (_field((3,) * ndim, dtype, seed=ndim + 6), 1e-3),
+        # far more lattice steps per value than any radius covers
+        "outlier-heavy": (_field(ragged, dtype, seed=ndim + 9), 1e-7),
+        "extreme": (extreme, 1e24),
+        # lattice indices beyond 2^62: the overflow guard's DataError
+        "overflow": (extreme, 1e-30),
+    }
+
+
+def _sz_outcome(backend, data, mode, value, predictor, radius):
+    """(payload, meta, reconstruction), or (error type, message)."""
+    codec = SZCompressor(predictor=predictor, radius=radius)
+    knob = "pwrel" if mode == "pw_rel" else "error_bound"
+    with kernels.use(backend):
+        try:
+            buf = codec.compress(data, mode=mode, **{knob: value})
+            return buf.payload, buf.meta, codec.decompress(buf.payload)
+        except Exception as exc:  # compared across tiers, never swallowed
+            return type(exc), str(exc)
+
+
+@functools.lru_cache(maxsize=None)
+def _sz_matrix(dtype, ndim, backend):
+    """Every cell of the SZ parity matrix with ``backend``'s outcome."""
+    cells = []
+    for label, (data, eb) in _sz_fields(dtype, ndim).items():
+        for mode, value in (("abs", eb), ("pw_rel", 0.05)):
+            if mode == "pw_rel" and label == "overflow":
+                continue
+            for predictor in ("adaptive", "lorenzo", "regression"):
+                for radius in (256, "auto"):
+                    case = (label, predictor, radius)
+                    cells.append((case, data, mode, value, _sz_outcome(
+                        backend, data, mode, value, predictor, radius)))
+    return cells
+
+
 class TestBackendParityMatrix:
     """Backend x kernel bit-exactness, driven through the registry.
 
@@ -224,16 +278,43 @@ class TestBackendParityMatrix:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("eb", [1e-1, 1e-4])
     def test_sz_lorenzo_roundtrip(self, backend, ndim, dtype, eb):
+        """The field-granularity ``sz.encode`` / ``sz.decode`` contracts on
+        the Lorenzo predictor, called directly: all six outputs match the
+        scalar tier's and are what the stage helpers give, and either
+        tier's decoder inverts either tier's output within the bound."""
+        from repro.compressors.sz.predictor import lorenzo_residual
+        from repro.compressors.sz.quantizer import prequantize, symbols_to_residuals
+        from repro.util.blocks import block_partition
+
         rng = np.random.default_rng(ndim * 7 + 1)
-        shape = (9,) + (6,) * ndim
-        blocks = (rng.standard_normal(shape) * 40.0).astype(dtype)
-        ref = kernels.call("sz.lorenzo", blocks, eb, backend="scalar")
-        out = kernels.call("sz.lorenzo", blocks, eb, backend=backend)
-        assert out.dtype == np.int64 and np.array_equal(out, ref)
-        back = kernels.call("sz.lorenzo_inverse", out, backend=backend)
+        shape = {1: (53,), 2: (9, 14), 3: (7, 6, 11)}[ndim]
+        data = (rng.standard_normal(shape) * 40.0).astype(dtype)
+        ref = kernels.call("sz.encode", data, eb, 6, "lorenzo", 64,
+                           backend="scalar")
+        got = kernels.call("sz.encode", data, eb, 6, "lorenzo", 64,
+                           backend=backend)
+        for mine, theirs in zip(got[:5], ref[:5]):
+            assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+        symbols, freqs, outliers, use_reg, coefs, radius = got
+        assert radius == ref[5] == 64 and symbols.dtype == np.uint16
+        assert not use_reg.any() and coefs.shape == (0, ndim + 1)
+        assert np.array_equal(freqs, np.bincount(symbols, minlength=128))
+        assert outliers.size == freqs[0] > 0  # eb=1e-4 escapes nearly all
+        blocks, _, _ = block_partition(data, (6,) * ndim, mode="edge")
         assert np.array_equal(
-            back, kernels.call("sz.lorenzo_inverse", ref, backend="scalar")
+            symbols_to_residuals(symbols, outliers, radius),
+            lorenzo_residual(prequantize(blocks, eb)).ravel(),
         )
+
+        args = (symbols.astype(np.int64), outliers, use_reg, coefs, eb, 6,
+                radius, shape, np.dtype(dtype))
+        dec_ref = kernels.call("sz.decode", *args, backend="scalar")
+        dec = kernels.call("sz.decode", *args, backend=backend)
+        assert dec.dtype == dtype and dec.shape == shape
+        assert np.array_equal(dec, dec_ref)
+        from conftest import ulp_tolerance
+
+        assert np.abs(dec.astype(np.float64) - data).max() <= eb + ulp_tolerance(data)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("seed", [0, 5])
@@ -332,6 +413,25 @@ class TestBackendParityMatrix:
         from conftest import ulp_tolerance
 
         assert np.abs(rec - data).max() <= 1e-3 + ulp_tolerance(data)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sz_parity_matrix(self, backend, ndim, dtype):
+        """ABS + PW_REL x three predictors x fixed/auto radius x field
+        kind through one tier: payload bytes, ``meta`` and reconstruction
+        (or the error raised) equal the scalar tier's, and the pointwise
+        bound holds wherever a stream comes out."""
+        for case, data, mode, value, outcome in _sz_matrix(dtype, ndim, "scalar"):
+            got = _sz_outcome(backend, data, mode, value, *case[1:])
+            assert got[:2] == outcome[:2], case
+            if isinstance(outcome[0], bytes):
+                assert np.array_equal(got[2], outcome[2]), case
+                assert got[2].dtype == dtype and got[2].shape == data.shape
+                exact = data.astype(np.float64)
+                slack = np.spacing(np.abs(data).astype(np.float32)).astype(np.float64)
+                bound = value * np.abs(exact) if mode == "pw_rel" else value
+                assert (np.abs(got[2] - exact) <= bound + slack.max()).all(), case
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize(

@@ -7,13 +7,22 @@ plus the three places a backend selection must provably travel:
 running service daemon (asserted via STATS / METRICS).
 """
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from repro import kernels
-from repro.errors import ConfigError, DataError, KernelUnavailableError
+from repro.errors import (
+    ConfigError,
+    CorruptStreamError,
+    DataError,
+    KernelUnavailableError,
+)
 from repro.kernels.registry import Backend, KernelRegistry
 from repro.parallel.executor import _apply_chunk, process_map
+from test_fastpath_equivalence import BACKENDS
 
 
 # -- fault-injection fixtures (module-level: importable by impl spec) -------
@@ -88,12 +97,12 @@ class TestSelection:
 
     def test_explicit_argument_beats_override(self):
         with kernels.use("native"):
-            assert kernels.resolve_name("sz.lorenzo", "scalar") == "scalar"
+            assert kernels.resolve_name("sz.encode", "scalar") == "scalar"
 
     def test_active_covers_every_kernel(self):
         active = kernels.active("scalar")
         assert set(active) >= {
-            "sz.lorenzo", "sz.lorenzo_inverse", "pack.varlen",
+            "sz.encode", "sz.decode", "pack.varlen",
             "huffman.package_merge", "huffman.canonical",
             "huffman.encode", "huffman.decode",
             "zfp.encode", "zfp.decode",
@@ -168,14 +177,58 @@ class TestNativeTier:
         assert native.flavor() == "cc"
         assert native._resolve() is native._resolve()
 
+    def test_concurrent_first_use_trips_nothing(self, monkeypatch):
+        """Threads racing for the first native call all wait for the one
+        library load; none sees the half-made state and gets its kernel
+        tripped to numpy for the rest of the process."""
+        from repro.kernels import native
+
+        try:
+            native.probe()
+        except KernelUnavailableError:
+            pytest.skip("native tier unavailable here")
+        build = native._build_clib
+
+        def slow_build():
+            time.sleep(0.05)  # hold the window open
+            return build()
+
+        codes = np.array([1, 2, 3], dtype=np.uint64)
+        lengths = np.array([1, 2, 2], dtype=np.int64)
+        expected = kernels.call("pack.varlen", codes, lengths, backend="numpy")
+        kernels.reset()
+        monkeypatch.setattr(native, "_build_clib", slow_build)
+        barrier = threading.Barrier(4)
+        results = []
+
+        def first_call():
+            barrier.wait()
+            results.append(kernels.call("pack.varlen", codes, lengths))
+
+        try:
+            threads = [threading.Thread(target=first_call) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert kernels.REGISTRY.tripped() == {}
+            assert kernels.last_used()["pack.varlen"] == "native"
+            assert results == [expected] * 4
+        finally:
+            monkeypatch.undo()
+            kernels.reset()
+
     def test_no_compiler_degrades_to_numpy(self, monkeypatch, tmp_path):
         """Without a C compiler the probe fails, every kernel resolves one
         tier down, and streams stay byte-identical."""
+        from repro.compressors.sz import SZCompressor
         from repro.compressors.zfp.zfpcompressor import ZFPCompressor
         from repro.kernels import native
 
         data = np.random.default_rng(3).standard_normal((9, 6)).astype(np.float32)
         reference = ZFPCompressor(backend="scalar").compress(data, rate=8.0)
+        with kernels.use("scalar"):
+            sz_reference = SZCompressor().compress(data, error_bound=1e-2)
         monkeypatch.setenv("PATH", str(tmp_path))
         monkeypatch.delenv("CC", raising=False)
         monkeypatch.setenv(native.CACHE_ENV, str(tmp_path))  # no cached .so
@@ -187,9 +240,83 @@ class TestNativeTier:
             codec = ZFPCompressor(backend="native")
             assert codec.compress(data, rate=8.0).payload == reference.payload
             assert kernels.last_used()["zfp.encode"] == "numpy"
+            with kernels.use("native"):
+                sz_buf = SZCompressor().compress(data, error_bound=1e-2)
+            assert sz_buf.payload == sz_reference.payload
+            assert kernels.last_used()["sz.encode"] == "numpy"
         finally:
             monkeypatch.undo()
             kernels.reset()
+
+
+class TestSZKernels:
+    """The ``sz.encode`` / ``sz.decode`` contracts, called directly on
+    every tier (``compressors/sz/staged.py`` spells them out)."""
+
+    @staticmethod
+    def _field(dtype=np.float32):
+        rng = np.random.default_rng(8)
+        ramp = np.add.outer(np.linspace(0, 9, 15), np.linspace(0, 5, 11))
+        return (ramp + 0.05 * rng.standard_normal(ramp.shape)).astype(dtype)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("radius", [8, None])
+    def test_encode_outputs(self, backend, radius):
+        data = self._field()
+        ref = kernels.call("sz.encode", data, 1e-3, 6, "adaptive", radius,
+                           backend="scalar")
+        got = kernels.call("sz.encode", data, 1e-3, 6, "adaptive", radius,
+                           backend=backend)
+        for mine, theirs in zip(got[:5], ref[:5]):
+            assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+        symbols, freqs, outliers, use_reg, coefs, used_radius = got
+        assert used_radius == ref[5] and (radius is None or used_radius == radius)
+        nblocks = 3 * 2
+        assert symbols.dtype == np.uint16 and symbols.size == nblocks * 36
+        assert freqs.dtype == np.int64 and freqs.size == 2 * used_radius
+        assert freqs.sum() == symbols.size and freqs[0] == outliers.size
+        assert outliers.dtype == np.int64
+        assert use_reg.dtype == np.bool_ and use_reg.size == nblocks
+        assert 0 < use_reg.sum() < nblocks  # both predictors win somewhere
+        assert coefs.dtype == np.float32
+        assert coefs.shape == (use_reg.sum(), 3)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_decode_inverts_any_tier(self, backend, dtype):
+        data = self._field(dtype)
+        symbols, _, outliers, use_reg, coefs, radius = kernels.call(
+            "sz.encode", data, 1e-3, 6, "adaptive", 8, backend="scalar")
+        args = (symbols, outliers, use_reg, coefs, 1e-3, 6, radius,
+                data.shape, np.dtype(dtype))
+        out = kernels.call("sz.decode", *args, backend=backend)
+        assert out.dtype == dtype and out.shape == data.shape
+        assert np.array_equal(out, kernels.call("sz.decode", *args,
+                                                backend="scalar"))
+        assert np.abs(out.astype(np.float64) - data).max() <= 1e-3 + 1e-6
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_typed_errors(self, backend):
+        data = self._field()
+        with pytest.raises(DataError, match="int64 overflow"):
+            kernels.call("sz.encode", data * 1e30, 1e-30, 6, "adaptive", 8,
+                         backend=backend)
+        symbols, _, outliers, use_reg, coefs, radius = kernels.call(
+            "sz.encode", data, 1e-3, 6, "adaptive", 8, backend=backend)
+        tail = (1e-3, 6, radius, data.shape, data.dtype)
+        with pytest.raises(
+            CorruptStreamError,
+            match=f"{outliers.size} escapes vs {outliers.size - 1} stored",
+        ):
+            kernels.call("sz.decode", symbols, outliers[:-1], use_reg, coefs,
+                         *tail, backend=backend)
+        for damaged in (
+            (symbols[:-1], outliers, use_reg, coefs),
+            (symbols, outliers, use_reg[:-1], coefs),
+            (symbols, outliers, use_reg, coefs[:-1]),
+        ):
+            with pytest.raises(CorruptStreamError, match="block grid"):
+                kernels.call("sz.decode", *damaged, *tail, backend=backend)
 
 
 class TestTelemetryExport:
@@ -200,11 +327,11 @@ class TestTelemetryExport:
         mapping = kernels.publish_gauges(tm)
         assert set(mapping) == set(kernels.active())
         flat = str(tm.metrics.snapshot())
-        assert "kernels.backend" in flat and "sz.lorenzo" in flat
+        assert "kernels.backend" in flat and "sz.encode" in flat
         from repro.telemetry.exposition import render_prometheus
 
         text = render_prometheus(tm.metrics)
-        assert 'kernels_backend{stage="sz.lorenzo"}' in text
+        assert 'kernels_backend{stage="sz.encode"}' in text
         assert 'kernels_backend_info{backend="' in text
 
 
@@ -239,7 +366,7 @@ class TestPropagation:
         )
         bench = CBench(fields, chunk_budget=256, backend="scalar")
         rec = bench.run_one(sweep, "x", 1e-2)
-        assert rec.meta["kernels"]["sz.lorenzo"] == "scalar"
+        assert rec.meta["kernels"]["sz.encode"] == "scalar"
         assert rec.meta["streaming"]["n_chunks"] > 1
         assert kernels.current_override() is None
 
@@ -262,8 +389,8 @@ class TestPropagation:
         assert stats["kernels"]["requested"] == "scalar"
         assert set(stats["kernels"]["active"].values()) == {"scalar"}
         assert stats["kernels"]["tripped"] == {}
-        assert 'kernels_backend{stage="sz.lorenzo"} 0' in text
-        assert 'kernels_backend_info{backend="scalar",stage="sz.lorenzo"} 1' in text
+        assert 'kernels_backend{stage="sz.encode"} 0' in text
+        assert 'kernels_backend_info{backend="scalar",stage="sz.encode"} 1' in text
         # The daemon restored the embedding process's selection on drain.
         assert kernels.current_override() is None
 

@@ -103,6 +103,34 @@ class TestCodecRoundTrip:
         out = codec.decode(codec.encode(sym, 1000))
         assert np.array_equal(out, sym)
 
+    def test_precomputed_freqs_give_the_same_stream(self):
+        rng = np.random.default_rng(6)
+        sym = np.minimum(rng.geometric(0.05, 5000) - 1, 299)
+        codec = HuffmanCodec(chunk_size=97)
+        freqs = np.bincount(sym, minlength=300)
+        for symbols in (sym, sym.astype(np.uint16)):
+            enc = codec.encode(symbols, 300, freqs=freqs)
+            assert enc.payload == codec.encode(sym, 300).payload
+            assert np.array_equal(codec.decode(enc), sym)
+        with pytest.raises(DataError, match="freqs"):
+            codec.encode(sym, 300, freqs=freqs[:-1])
+        with pytest.raises(DataError, match="freqs"):
+            codec.encode(sym[:-1], 300, freqs=freqs)
+        with pytest.raises(DataError, match="alphabet"):
+            codec.encode(sym, 10, freqs=freqs[:10])
+
+    def test_decode_table_packs_symbol_and_length(self):
+        # lengths 1, 2, 3, 3 over symbols 0, 2, 3, 5: codes 0, 10, 110, 111
+        lengths = np.array([1, 0, 2, 3, 0, 3], dtype=np.uint8)
+        table = HuffmanCodec._build_decode_table(lengths, 4)
+        assert table.dtype == np.uint32 and table.size == 16
+        assert (table >> 5).tolist() == [0] * 8 + [2] * 4 + [3] * 2 + [5] * 2
+        assert (table & 31).tolist() == [1] * 8 + [2] * 4 + [3] * 4
+        holes = HuffmanCodec._build_decode_table(lengths[:4], 4)
+        assert (holes & 31).tolist() == [1] * 8 + [2] * 4 + [3] * 2 + [0] * 2
+        with pytest.raises(CorruptStreamError, match="Kraft"):
+            HuffmanCodec._build_decode_table(np.array([1, 1, 1], np.uint8), 4)
+
     def test_negative_symbol_raises(self):
         with pytest.raises(DataError):
             HuffmanCodec().encode(np.array([-1, 0]), 4)

@@ -134,6 +134,18 @@ class TestValidation:
         with pytest.raises(DataError):
             sz.compress(smooth_field3d)
 
+    @pytest.mark.parametrize("predictor", ["adaptive", "lorenzo", "regression"])
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, float("inf"), float("nan")])
+    def test_bad_error_bound_rejected_for_every_predictor(
+        self, smooth_field3d, predictor, bad
+    ):
+        # The regression-only path never reached prequantize's check and
+        # used to emit streams its own decoder refused.
+        with pytest.raises(DataError, match="positive finite"):
+            SZCompressor(predictor=predictor).compress(
+                smooth_field3d, error_bound=bad
+            )
+
     def test_unknown_mode_raises(self, sz, smooth_field3d):
         with pytest.raises(DataError):
             sz.compress(smooth_field3d, error_bound=1.0, mode="nonsense")

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from repro.compressors.sz.predictor import (
+    COST_TABLE_SIZE,
+    _design_matrix,
+    cost_table,
     estimate_code_bits,
     lorenzo_reconstruct,
     lorenzo_residual,
@@ -79,13 +82,62 @@ class TestRegression:
         assert np.abs(pred - blocks).max() < 1e-5
 
 
+class TestOrderDefinedArithmetic:
+    """The fit, the prediction and the cost are the native kernel's
+    specification: each must equal, bit for bit, the explicit
+    left-to-right loop the C code transliterates."""
+
+    def test_fit_and_predict_equal_the_sequential_loops(self):
+        rng = np.random.default_rng(4)
+        blocks = (1e6 + rng.standard_normal((5, 6, 6))).astype(np.float32)
+        x, pinv = _design_matrix((6, 6))
+        coefs = regression_fit(blocks)
+        pred = regression_predict(coefs, (6, 6)).reshape(5, -1)
+        for b, block in enumerate(blocks.reshape(5, -1).astype(np.float64)):
+            for c in range(3):
+                acc = 0.0
+                for i, value in enumerate(block):
+                    acc += float(value) * float(pinv[c, i])
+                assert coefs[b, c] == np.float32(acc)
+            stored = [float(v) for v in coefs[b]]
+            for i in range(36):
+                p = stored[0] * float(x[i, 0])
+                p += stored[1] * float(x[i, 1])
+                p += stored[2] * float(x[i, 2])
+                assert pred[b, i] == p
+
+    def test_cost_equals_the_sequential_sum(self):
+        import math
+
+        rng = np.random.default_rng(5)
+        res = rng.integers(-3000, 3000, (4, 6, 6)).astype(np.int64)
+        res[1, 0, 0] = COST_TABLE_SIZE        # first magnitude past the table
+        res[2, 3, 3] = -(2**62)
+        res[3, 5, 5] = np.iinfo(np.int64).min
+        table = cost_table()
+        for b, cost in enumerate(estimate_code_bits(res)):
+            acc = 0.0
+            for r in res[b].ravel():
+                mag = abs(float(r))
+                acc += (float(table[int(mag)]) if mag < COST_TABLE_SIZE
+                        else 2.0 * math.log2(1.0 + mag) + 1.0)
+            assert cost == acc
+
+    def test_shared_tables_are_read_only(self):
+        table = cost_table()
+        assert table.size == COST_TABLE_SIZE and not table.flags.writeable
+        assert table[0] == 1.0 and table[1] == 3.0 and table[3] == 5.0
+        for shared in _design_matrix((6, 6, 6)):
+            assert shared.flags.c_contiguous and not shared.flags.writeable
+
+
 class TestCostEstimate:
     def test_zero_residual_costs_one_bit_per_sample(self):
         res = np.zeros((2, 4, 4), dtype=np.int64)
-        cost = estimate_code_bits(res, (1, 2))
+        cost = estimate_code_bits(res)
         assert np.allclose(cost, 16.0)
 
     def test_larger_residuals_cost_more(self):
         small = np.ones((1, 8), dtype=np.int64)
         big = np.full((1, 8), 1000, dtype=np.int64)
-        assert estimate_code_bits(big, (1,))[0] > estimate_code_bits(small, (1,))[0]
+        assert estimate_code_bits(big)[0] > estimate_code_bits(small)[0]

@@ -63,6 +63,12 @@ class TestSymbols:
         assert out.tolist() == [-16, 16]
         assert np.array_equal(symbols_to_residuals(sym, out, radius), res)
 
+    def test_most_negative_int64_escapes(self):
+        # abs(INT64_MIN) wraps to itself; it must not pass for "in range".
+        lo = np.iinfo(np.int64).min
+        sym, out = residuals_to_symbols(np.array([lo, 1], dtype=np.int64), 16)
+        assert sym.tolist() == [ESCAPE, 17] and out.tolist() == [lo]
+
     def test_outlier_count_mismatch_raises(self):
         sym = np.array([ESCAPE, ESCAPE])
         with pytest.raises(CorruptStreamError):

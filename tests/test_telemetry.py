@@ -205,11 +205,37 @@ class TestExport:
 
 class TestInstrumentation:
     def test_sz_pipeline_stage_spans(self, tm, nyx_field):
+        """Every tier emits sz.encode / sz.decode around the kernel
+        dispatch plus sz.huffman / sz.lossless; the staged tiers nest
+        sz.prequant / sz.predict under them, the native tier is one fused
+        pass with nothing to nest."""
+        from repro import kernels
+
         sz = SZCompressor()
-        recon, _ = sz.roundtrip(nyx_field, error_bound=1.0)
-        names = {s.name for s in tm.tracer.finished_spans()}
-        assert {"sz.prequant", "sz.predict", "sz.huffman", "sz.lossless"} <= names
+        with kernels.use("numpy"):
+            sz.roundtrip(nyx_field, error_bound=1.0)
+        spans = tm.tracer.finished_spans()
+        names = {s.name for s in spans}
+        assert {"sz.encode", "sz.decode", "sz.prequant", "sz.predict",
+                "sz.huffman", "sz.lossless"} <= names
+        parents = {s.span_id: s.name for s in spans}
+        nested = {(s.name, parents[s.parent_id]) for s in spans
+                  if s.name in ("sz.prequant", "sz.predict")}
+        assert nested == {("sz.prequant", "sz.encode"),
+                          ("sz.predict", "sz.encode"),
+                          ("sz.predict", "sz.decode")}
         assert tm.metrics.counter("sz.bytes_in").value == nyx_field.nbytes
+
+        if kernels.resolve_name("sz.encode", "native") != "native":
+            pytest.skip("native tier unavailable here")
+        tm.tracer.clear()
+        with kernels.use("native"):
+            sz.roundtrip(nyx_field, error_bound=1.0)
+        fused = tm.tracer.finished_spans()
+        assert sorted({s.name for s in fused}) == [
+            "sz.decode", "sz.encode", "sz.huffman", "sz.lossless"]
+        assert {s.attrs["backend"] for s in fused
+                if s.name in ("sz.encode", "sz.decode")} == {"native"}
 
     def test_zfp_pipeline_stage_spans(self, tm, nyx_field):
         """Every tier emits the zfp.encode / zfp.decode dispatch spans; the
@@ -243,7 +269,7 @@ class TestInstrumentation:
         spans = rec.meta["telemetry"]["spans"]
         names = {s["name"] for s in spans}
         assert "cbench.run_one" in names
-        assert {"sz.prequant", "sz.predict", "sz.huffman", "sz.lossless"} <= names
+        assert {"sz.encode", "sz.decode", "sz.huffman", "sz.lossless"} <= names
         # the subtree is rooted at this cell's run_one span
         root = next(s for s in spans if s["name"] == "cbench.run_one")
         children = {s["name"] for s in spans if s["parent_id"] == root["span_id"]}
@@ -328,7 +354,7 @@ class TestReportCLI:
         trace = write_jsonl(tmp_path / "t.jsonl", tm.tracer.finished_spans())
         assert telemetry_main(["report", str(trace)]) == 0
         out = capsys.readouterr().out
-        for stage in ("sz.prequant", "sz.predict", "sz.huffman", "sz.lossless"):
+        for stage in ("sz.encode", "sz.huffman", "sz.lossless"):
             assert stage in out
         assert "MB/s" in out
 
