@@ -72,7 +72,7 @@ def reference_digest(arr: np.ndarray) -> str:
     h = hashlib.blake2b(digest_size=16)
     h.update(a.dtype.str.encode())
     h.update(repr(a.shape).encode())
-    h.update(a.tobytes())
+    h.update(a.reshape(-1).view(np.uint8))  # hashed in place, no copy
     return h.hexdigest()
 
 
@@ -129,10 +129,7 @@ class TemporalCompressor(Compressor):
         self.keyframe_every = int(keyframe_every)
         self.inner_options = dict(inner_options or {})
         self.supported_modes = self.inner.supported_modes
-        self._enc_ref: np.ndarray | None = None
-        self._enc_step = 0
-        self._dec_ref: np.ndarray | None = None
-        self._dec_step = 0
+        self.reset()
 
     # -- state -------------------------------------------------------------
 
@@ -144,18 +141,25 @@ class TemporalCompressor(Compressor):
     @property
     def encode_reference_digest(self) -> str | None:
         """Digest of the current encoder reference (``None`` before step 1)."""
-        return None if self._enc_ref is None else reference_digest(self._enc_ref)
+        return self._enc_digest
 
     @property
     def decode_reference_digest(self) -> str | None:
         """Digest of the current decoder reference (``None`` before step 1)."""
-        return None if self._dec_ref is None else reference_digest(self._dec_ref)
+        return self._dec_digest
 
     def reset(self) -> None:
-        """Forget all encoder and decoder state (next frame is a keyframe)."""
-        self._enc_ref = None
+        """Forget all encoder and decoder state (next frame is a keyframe).
+
+        Each reference is held with its digest, hashed once when the
+        reference is assigned: a step reads it for the frame header, the
+        desync check and ``ref_after`` without hashing again.
+        """
+        self._enc_ref: np.ndarray | None = None
+        self._enc_digest: str | None = None
         self._enc_step = 0
-        self._dec_ref = None
+        self._dec_ref: np.ndarray | None = None
+        self._dec_digest: str | None = None
         self._dec_step = 0
 
     # -- encode ------------------------------------------------------------
@@ -175,7 +179,7 @@ class TemporalCompressor(Compressor):
             or self._enc_ref.shape != data.shape
             or self._enc_ref.dtype != data.dtype
         )
-        ref_digest = None if keyframe else reference_digest(self._enc_ref)
+        ref_digest = None if keyframe else self._enc_digest
         if keyframe:
             inner_buf = self.inner.compress(data, mode=mode, **params)
             recon = self.inner.decompress(inner_buf)
@@ -195,7 +199,7 @@ class TemporalCompressor(Compressor):
         # Closed loop: the *decompressed* output becomes the next
         # reference, so encoder and decoder references never diverge and
         # per-step error never compounds.
-        self._enc_ref = recon
+        self._enc_ref, self._enc_digest = recon, reference_digest(recon)
         step = self._enc_step
         self._enc_step += 1
         meta: dict[str, Any] = {
@@ -205,7 +209,7 @@ class TemporalCompressor(Compressor):
             "step": step,
             "keyframe_every": self.keyframe_every,
             "ref": ref_digest,
-            "ref_after": reference_digest(recon),
+            "ref_after": self._enc_digest,
             "inner_meta": dict(inner_buf.meta),
         }
         if self.inner_options:
@@ -302,9 +306,10 @@ class TemporalCompressor(Compressor):
         head, keyframe, inner_payload = self.parse_frame(payload)
         inner_buf = self._inner_buffer(head, inner_payload)
         recon = self._apply(
-            head, keyframe, inner_buf, self._dec_ref, side="decoder"
+            head, keyframe, inner_buf, self._dec_ref, self._dec_digest,
+            side="decoder",
         )
-        self._dec_ref = recon
+        self._dec_ref, self._dec_digest = recon, reference_digest(recon)
         self._dec_step = int(head.get("step", self._dec_step)) + 1
         return recon
 
@@ -314,12 +319,14 @@ class TemporalCompressor(Compressor):
         keyframe: bool,
         inner_buf: CompressedBuffer,
         ref: np.ndarray | None,
+        have: str | None,
         side: str,
     ) -> np.ndarray:
+        """Reconstruct one frame against reference ``ref`` whose digest
+        is ``have`` (both ``None`` before the first frame)."""
         if keyframe:
             return self.inner.decompress(inner_buf)
         want = head.get("ref")
-        have = None if ref is None else reference_digest(ref)
         if have is None or want != have:
             raise CorruptStreamError(
                 f"temporal {side} desync at step {head.get('step')}: frame "
@@ -344,9 +351,10 @@ class TemporalCompressor(Compressor):
         head, keyframe, inner_payload = self.parse_frame(payload)
         inner_buf = self._inner_buffer(head, inner_payload)
         recon = self._apply(
-            head, keyframe, inner_buf, self._enc_ref, side="encoder"
+            head, keyframe, inner_buf, self._enc_ref, self._enc_digest,
+            side="encoder",
         )
-        self._enc_ref = recon
+        self._enc_ref, self._enc_digest = recon, reference_digest(recon)
         self._enc_step = int(head.get("step", self._enc_step)) + 1
         return recon
 
@@ -359,9 +367,9 @@ class TemporalCompressor(Compressor):
         so a stored stream can be replayed at any time.  The first frame
         must be a keyframe — which frame 0 of any session always is.
         """
-        saved = (self._dec_ref, self._dec_step)
-        self._dec_ref, self._dec_step = None, 0
+        saved = (self._dec_ref, self._dec_digest, self._dec_step)
+        self._dec_ref, self._dec_digest, self._dec_step = None, None, 0
         try:
             return [self.decompress(b) for b in bufs]
         finally:
-            self._dec_ref, self._dec_step = saved
+            self._dec_ref, self._dec_digest, self._dec_step = saved

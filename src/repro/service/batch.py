@@ -1,26 +1,35 @@
-"""Request batching for the compression daemon.
+"""Admission and dispatch for the compression daemon.
 
-The daemon's unit of useful work is CPU-bound codec time, but its unit
-of *arrival* is one tiny request; dispatching each arrival alone would
-pay scheduling and (with workers) process-pool overhead per field.  The
-:class:`Batcher` closes that gap:
+The daemon's unit of useful work is CPU-bound codec time; every hot
+kernel is a GIL-releasing native call, so independent requests overlap
+on threads.  The :class:`Batcher` decides *when* a request runs and
+*with whom*:
 
-* every admitted request lands in one bounded :class:`asyncio.Queue`
-  (the **admission queue** — its capacity is the backpressure knob; a
-  full queue makes the server answer BUSY instead of buffering without
-  limit);
-* a single consumer task drains whatever is queued, waits one short
-  **batch window** for stragglers, and groups the requests by work key
-  — ``(op, compressor, options, mode, value)`` for COMPRESS, so
-  same-configuration requests become *one* dispatch;
-* each group is executed off the event loop through
-  :func:`repro.parallel.executor.process_map`; with the server's
-  ``workers`` > 1 the group fans out over worker processes and large
-  arrays travel through the zero-copy shared-memory transport
-  (:mod:`repro.parallel.shm`) instead of task pickles, exactly like a
-  CBench sweep;
-* requests whose **deadline** passed while queued are answered with a
-  deadline error without spending codec time on them.
+* **Slots.**  At most ``slots`` dispatches are in flight at once, each
+  on one thread of the batcher's own codec pool (a
+  ``ThreadPoolExecutor(max_workers=slots)`` that session steps share —
+  the daemon never runs codec work on more threads than that, and each
+  thread keeps one malloc arena).  ``slots`` is the server's explicit
+  ``workers`` value when one was given (``workers=1``: strictly one
+  dispatch at a time) and the core count otherwise.
+* **Dispatch on arrival.**  A request admitted while a slot is free
+  starts at once, alone: no timer, no consumer task in between.
+* **Admission queue.**  A request admitted while every slot is busy
+  waits in one bounded FIFO (capacity ``max_pending``; a full queue makes
+  the server answer BUSY instead of buffering without limit).  Requests
+  that were cancelled, or whose **deadline** passed, while queued are
+  resolved when they reach the head without spending codec time.
+* **Natural batching.**  When a slot frees, the head of the queue takes
+  it; the dispatch that takes the *last* free slot also takes every
+  queued request with the head's work key — ``(op, compressor, options,
+  mode, value)`` for COMPRESS — so under overload same-configuration
+  requests become *one* dispatch, and never otherwise.
+* Each dispatch runs through :func:`repro.parallel.executor.process_map`:
+  a lone request runs inline on its codec thread; with ``workers`` > 1 a
+  coalesced group fans out over worker processes (that is what the
+  coalescing amortises) and large arrays travel through the zero-copy
+  shared-memory transport (:mod:`repro.parallel.shm`) instead of task
+  pickles, exactly like a CBench sweep.
 
 Results (or exceptions) resolve the per-request futures the connection
 handlers await; the batcher never touches sockets.
@@ -41,6 +50,8 @@ import asyncio
 import json
 import os
 import time
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
@@ -75,6 +86,9 @@ KNOB_FOR_MODE = {
 #: Arrays below this size are cheaper to pickle than to publish to shm
 #: (canonically defined next to the wire fields it gates).
 SHM_MIN_BYTES = protocol.SHM_MIN_BYTES
+
+#: Name prefix of the codec pool's threads (``<prefix>_<n>``).
+POOL_THREAD_PREFIX = "repro-codec"
 
 
 def jsonable(value: Any) -> Any:
@@ -244,93 +258,96 @@ def _decompress_task(
 
 
 class Batcher:
-    """Admission queue + coalescing dispatcher (see module docstring)."""
+    """Admission queue + slot-bounded dispatcher (see module docstring)."""
+
+    #: Assigned by the server: callable(PendingRequest) -> list[dict],
+    #: the CBench fan-out of one SWEEP.
+    sweep_runner = None
 
     def __init__(
-        self,
-        max_pending: int = 64,
-        batch_window_s: float = 0.002,
-        max_batch: int = 64,
-        workers: int | None = None,
+        self, max_pending: int = 64, workers: int | None = None
     ) -> None:
-        self.queue: asyncio.Queue[PendingRequest] = asyncio.Queue(
-            maxsize=max(1, max_pending)
-        )
-        self.batch_window_s = batch_window_s
-        self.max_batch = max(1, max_batch)
+        self.max_pending = max(1, max_pending)
         self.workers = workers
-        self._task: asyncio.Task | None = None
+        #: Dispatches in flight at once == threads of the codec pool
+        #: (``workers`` when given, else one per CPU).
+        self.slots = resolve_workers(workers or 0)
+        #: The codec thread pool (live between :meth:`start` and
+        #: :meth:`close`); session steps run on it too.
+        self.pool: ThreadPoolExecutor | None = None
+        self._pending: deque[PendingRequest] = deque()
+        self._inflight: set[asyncio.Task] = set()
         self._closed = False
 
     # -- admission (backpressure boundary) --------------------------------
 
     def admit(self, request: PendingRequest) -> bool:
-        """Enqueue without blocking; ``False`` means BUSY (queue full)."""
-        tm = get_telemetry()
+        """Queue or start ``request``; ``False`` means BUSY (queue full)."""
         if self._closed:
             return False
-        try:
-            self.queue.put_nowait(request)
-        except asyncio.QueueFull:
-            tm.count("service.rejected_busy")
+        if len(self._pending) >= self.max_pending:
+            get_telemetry().count("service.rejected_busy")
             return False
-        tm.set_gauge("service.queue_depth", float(self.queue.qsize()))
+        self._pending.append(request)
+        self._pump()
         return True
 
     @property
     def depth(self) -> int:
-        return self.queue.qsize()
+        return len(self._pending)
 
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
-        if self._task is None:
-            self._task = asyncio.get_running_loop().create_task(
-                self._run(), name="repro-service-batcher"
+        if self.pool is None:
+            self.pool = ThreadPoolExecutor(
+                max_workers=self.slots, thread_name_prefix=POOL_THREAD_PREFIX
             )
 
     async def drain(self) -> None:
-        """Stop admitting, finish everything queued, stop the consumer."""
+        """Stop admitting; return once everything queued and in flight
+        has been dispatched and resolved."""
         self._closed = True
-        await self.queue.join()
-        if self._task is not None:
-            self._task.cancel()
-            try:
-                await self._task
-            except asyncio.CancelledError:
-                pass
-            self._task = None
+        while self._inflight:
+            await asyncio.wait(self._inflight)
 
-    # -- consumer ----------------------------------------------------------
+    async def close(self) -> None:
+        """:meth:`drain`, then join the codec threads."""
+        await self.drain()
+        if self.pool is not None:
+            self.pool.shutdown(wait=True)
+            self.pool = None
 
-    async def _collect(self) -> list[PendingRequest]:
-        """One admission wave: first request + window's worth of stragglers."""
-        batch = [await self.queue.get()]
-        if self.batch_window_s > 0 and len(batch) < self.max_batch:
-            await asyncio.sleep(self.batch_window_s)
-        while len(batch) < self.max_batch:
-            try:
-                batch.append(self.queue.get_nowait())
-            except asyncio.QueueEmpty:
-                break
+    # -- dispatcher --------------------------------------------------------
+
+    def _pump(self) -> None:
+        """Start dispatches while a slot is free and a request is queued."""
+        while self._pending and len(self._inflight) < self.slots:
+            group = [self._pending.popleft()]
+            if len(self._inflight) == self.slots - 1 and self._pending:
+                # Last free slot: whoever shares the head's work key
+                # would only queue behind it — take them along.
+                key = group[0].group_key()
+                queued, self._pending = self._pending, deque()
+                for request in queued:
+                    if request.group_key() == key:
+                        group.append(request)
+                    else:
+                        self._pending.append(request)
+            group = self._expire(group)
+            if group:
+                task = asyncio.get_running_loop().create_task(
+                    self._dispatch(group)
+                )
+                self._inflight.add(task)
+                task.add_done_callback(self._dispatched)
         get_telemetry().set_gauge(
-            "service.queue_depth", float(self.queue.qsize())
+            "service.queue_depth", float(len(self._pending))
         )
-        return batch
 
-    async def _run(self) -> None:
-        loop = asyncio.get_running_loop()
-        while True:
-            wave = await self._collect()
-            try:
-                groups: dict[tuple, list[PendingRequest]] = {}
-                for request in wave:
-                    groups.setdefault(request.group_key(), []).append(request)
-                for group in groups.values():
-                    await self._dispatch(loop, group)
-            finally:
-                for _ in wave:
-                    self.queue.task_done()
+    def _dispatched(self, task: asyncio.Task) -> None:
+        self._inflight.discard(task)
+        self._pump()
 
     def _expire(self, group: list[PendingRequest]) -> list[PendingRequest]:
         """Resolve already-dead requests; returns the live remainder."""
@@ -348,12 +365,7 @@ class Batcher:
                 live.append(request)
         return live
 
-    async def _dispatch(
-        self, loop: asyncio.AbstractEventLoop, group: list[PendingRequest]
-    ) -> None:
-        group = self._expire(group)
-        if not group:
-            return
+    async def _dispatch(self, group: list[PendingRequest]) -> None:
         tm = get_telemetry()
         tm.count("service.batches")
         tm.count("service.batched_requests", len(group))
@@ -384,29 +396,11 @@ class Batcher:
                         op=r.op,
                         request_id=r.request_seq,
                     )
-        capture = traced
-        parent_pid = os.getpid()
         try:
-            if op in ("compress", "decompress"):
-                run_batch = (
-                    self._run_compress_batch if op == "compress"
-                    else self._run_decompress_batch
-                )
-                results = await loop.run_in_executor(
-                    None,
-                    partial(
-                        run_batch, group, dispatch_ctxs, capture, parent_pid
-                    ),
-                )
-            else:  # one sweep per group by construction
-                results = [
-                    await loop.run_in_executor(
-                        None,
-                        partial(
-                            self._run_sweep_traced, group[0], dispatch_ctxs[0]
-                        ),
-                    )
-                ]
+            results = await asyncio.get_running_loop().run_in_executor(
+                self.pool, self._run_batch,
+                group, dispatch_ctxs, traced, os.getpid(),
+            )
         except BaseException as exc:  # a batch failure fails every member
             for request in group:
                 if not request.future.done():
@@ -447,109 +441,72 @@ class Batcher:
                 else:
                     request.future.set_result(result)
 
-    # -- batch bodies (run on the default thread-pool executor) ------------
-
-    def _run_compress_batch(
+    def _run_batch(
         self,
         group: list[PendingRequest],
         ctxs: list[TraceContext | None],
         capture: bool,
         parent_pid: int,
     ) -> list:
+        """One dispatch, on a codec-pool thread: a ``(result or
+        ReproError, worker spans or None)`` pair per request of ``group``."""
         h = group[0].header
-        spec = (
-            h.get("compressor"),
-            dict(h.get("options") or {}),
-            h.get("mode"),
-            h.get("value"),
-        )
-        # A request that already arrived through shared memory keeps its
-        # descriptor — the worker attaches the *client's* segment, no
-        # copy and no re-publish.  Only inline payloads are considered
-        # for batch-local publishing below.
-        arrays = [
-            r.shm if r.shm is not None
-            else protocol.unpack_array(r.header, r.payload)
-            for r in group
-        ]
-        nworkers = resolve_workers(self.workers)
+        op = group[0].op
+        if op == "sweep":
+            # Never coalesced.  The CBench fan-out is the server's
+            # (``sweep_runner``: cache wiring, record shaping).
+            # ``run_in_executor`` does not propagate contextvars, so the
+            # context is activated here; CBench cell spans (and, via
+            # process_map, worker-process subtrees) chain under the
+            # dispatch span.
+            if self.sweep_runner is None:
+                raise ServiceError("this server does not accept SWEEP")
+            with trace_context.use(ctxs[0]):
+                return [(self.sweep_runner(group[0]), None)]
+        name, options = h.get("compressor"), dict(h.get("options") or {})
         published: list[SharedArray] = []
-        bodies: list[Any] = arrays
-        if nworkers > 1 and len(group) > 1 and shm_enabled():
-            bodies = []
-            for arr in arrays:
-                if (
-                    isinstance(arr, np.ndarray)
-                    and arr.nbytes >= SHM_MIN_BYTES
-                ):
-                    handle = SharedArray.publish(np.ascontiguousarray(arr))
-                    published.append(handle)
-                    bodies.append(handle.descriptor())
-                else:
-                    bodies.append(arr)
-        tasks = [
-            (body, ctx, capture, parent_pid)
-            for body, ctx in zip(bodies, ctxs)
-        ]
-        try:
-            return process_map(
-                partial(_compress_task, spec), tasks, workers=self.workers
-            )
-        finally:
-            for handle in published:
-                handle.unlink()
-
-    def _run_decompress_batch(
-        self,
-        group: list[PendingRequest],
-        ctxs: list[TraceContext | None],
-        capture: bool,
-        parent_pid: int,
-    ) -> list:
-        h = group[0].header
-        spec = (h.get("compressor"), dict(h.get("options") or {}))
-        tasks = [
-            (
+        if op == "decompress":
+            worker = partial(_decompress_task, (name, options))
+            bodies: list[Any] = [
                 (
                     r.shm if r.shm is not None else r.payload,
                     tuple(r.header.get("shape") or ()),
                     r.header.get("dtype"),
                     r.header.get("mode"),
                     r.header.get("parameter"),
-                ),
-                ctx,
-                capture,
-                parent_pid,
+                )
+                for r in group
+            ]
+        else:
+            worker = partial(
+                _compress_task, (name, options, h.get("mode"), h.get("value"))
             )
-            for r, ctx in zip(group, ctxs)
+            # A request that already arrived through shared memory keeps
+            # its descriptor — the worker attaches the *client's* segment,
+            # no copy and no re-publish.  Only inline payloads of a batch
+            # that fans out over processes are published, batch-locally.
+            bodies = [
+                r.shm if r.shm is not None
+                else protocol.unpack_array(r.header, r.payload)
+                for r in group
+            ]
+            if (
+                len(group) > 1 and shm_enabled()
+                and resolve_workers(self.workers) > 1
+            ):
+                for i, arr in enumerate(bodies):
+                    if (
+                        isinstance(arr, np.ndarray)
+                        and arr.nbytes >= SHM_MIN_BYTES
+                    ):
+                        handle = SharedArray.publish(np.ascontiguousarray(arr))
+                        published.append(handle)
+                        bodies[i] = handle.descriptor()
+        tasks = [
+            (body, ctx, capture, parent_pid) for body, ctx in zip(bodies, ctxs)
         ]
-        return process_map(
-            partial(_decompress_task, spec), tasks, workers=self.workers
-        )
-
-    def _run_sweep_traced(
-        self, request: PendingRequest, ctx: TraceContext | None
-    ) -> tuple[Any, None]:
-        """One sweep under the request's dispatch context.
-
-        ``run_in_executor`` does not propagate contextvars, so the
-        executor thread activates the context explicitly; CBench cell
-        spans (and, via :func:`process_map`, worker-process subtrees)
-        then chain under the dispatch span.
-        """
-        with trace_context.use(ctx):
-            return self._run_sweep(request), None
-
-    def _run_sweep(self, request: PendingRequest):
-        """Server-side CBench fan-out for one SWEEP request.
-
-        Imported lazily (CBench pulls in the whole foresight stack) and
-        injected by the server via ``sweep_runner`` so the batcher stays
-        free of service policy (cache wiring, record shaping).
-        """
-        if self.sweep_runner is None:
-            raise ServiceError("this server does not accept SWEEP")
-        return self.sweep_runner(request)
-
-    #: Assigned by the server: callable(PendingRequest) -> list[dict].
-    sweep_runner = None
+        try:
+            return process_map(worker, tasks, workers=self.workers)
+        finally:
+            for handle in published:
+                handle.unlink()

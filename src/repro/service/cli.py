@@ -3,8 +3,7 @@
 ::
 
     python -m repro.service serve   [--host H] [--port P] [--workers N]
-                                    [--max-pending N] [--batch-window-ms MS]
-                                    [--max-batch N]
+                                    [--max-pending N]
                                     [--cache DIR] [--cache-max-bytes BYTES]
                                     [--timeout-s S] [--trace-out PATH]
                                     [--max-sessions N] [--session-idle-s S]
@@ -100,8 +99,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         max_pending=args.max_pending,
-        batch_window_s=args.batch_window_ms / 1e3,
-        max_batch=args.max_batch,
         workers=args.workers,
         cache=cache,
         default_timeout_s=args.timeout_s,
@@ -169,14 +166,12 @@ def main(argv: list[str] | None = None) -> int:
     serve = sub.add_parser("serve", help="run the daemon")
     _add_endpoint_args(serve)
     serve.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="batch worker processes (default: $REPRO_WORKERS "
-                            "or in-process; 0 = one per CPU)")
+                       help="dispatches in flight at once, and worker "
+                            "processes per coalesced batch (default: one "
+                            "dispatch per CPU, run in-process unless "
+                            "$REPRO_WORKERS says otherwise; 0 = one per CPU)")
     serve.add_argument("--max-pending", type=int, default=64,
                        help="admission queue capacity before BUSY (default 64)")
-    serve.add_argument("--batch-window-ms", type=float, default=2.0,
-                       help="coalescing window in milliseconds (default 2)")
-    serve.add_argument("--max-batch", type=int, default=64,
-                       help="largest coalesced batch (default 64)")
     serve.add_argument("--cache", default=None, metavar="DIR",
                        help="result cache directory for SWEEP "
                             "(default: no cache)")
@@ -230,8 +225,6 @@ def main(argv: list[str] | None = None) -> int:
     # configured by whoever started them).
     route.add_argument("--workers", type=int, default=None, metavar="N")
     route.add_argument("--max-pending", type=int, default=None)
-    route.add_argument("--batch-window-ms", type=float, default=None)
-    route.add_argument("--max-batch", type=int, default=None)
     route.add_argument("--timeout-s", type=float, default=None)
     route.add_argument("--cache", default=None, metavar="DIR",
                        help="parent dir for per-shard result caches")

@@ -89,6 +89,9 @@ DEFAULT_PORT = 9461
 #: that is exceeded the server just replies inline).
 REPLY_SHM_SLACK = 1 << 12
 
+#: Cap on one redial / busy-retry back-off sleep.
+RETRY_MAX_S = 1.0
+
 #: Error codes that mean "this peer cannot attach my segments" — the
 #: client retries inline and stops offering shm.
 _SHM_ERROR_CODES = frozenset({"shm_attach", "shm_unavailable"})
@@ -194,7 +197,7 @@ class _Connection:
                 delay = backoff_delay(
                     attempt,
                     base_s=client.retry_base_s,
-                    cap_s=client.retry_max_s,
+                    cap_s=RETRY_MAX_S,
                     jitter=(0.5, 1.0),
                     rng=client._rng,
                 )
@@ -265,7 +268,6 @@ class _Client:
     request_timeout_s: float = 120.0
     busy_retries: int = 8
     retry_base_s: float = 0.02
-    retry_max_s: float = 1.0
     seed: int | None = None
     #: ``None`` = automatic (loopback peers only); ``False`` forces
     #: inline payloads; ``True`` offers shm even to non-loopback hosts
@@ -336,7 +338,7 @@ class _Client:
         return backoff_delay(
             attempt,
             base_s=self.retry_base_s,
-            cap_s=self.retry_max_s,
+            cap_s=RETRY_MAX_S,
             hint_s=float(reply.get("retry_after_ms", 0)) / 1e3,
             rng=self._rng,
         )

@@ -349,8 +349,7 @@ class ShardHandle:
 
 #: ``shard_options`` keys that map onto a same-named ``serve`` flag.
 SHARD_FLAGS = (
-    "workers", "max_pending", "batch_window_ms", "max_batch", "timeout_s",
-    "cache_max_bytes", "backend",
+    "workers", "max_pending", "timeout_s", "cache_max_bytes", "backend",
 )
 
 
@@ -390,8 +389,8 @@ class ClusterRouter(FrameServer):
     ``shards`` is a list of ``"host:port"`` endpoints to address;
     ``spawn`` asks the router to launch that many local shard daemons
     itself (``shard_options`` maps onto ``serve`` CLI flags:
-    ``workers``, ``max_pending``, ``batch_window_ms``, ``max_batch``,
-    ``timeout_s``, ``cache_dir``, ``cache_max_bytes``, ``backend``).
+    ``workers``, ``max_pending``, ``timeout_s``, ``cache_dir``,
+    ``cache_max_bytes``, ``backend``).
     At least one shard must come from somewhere.
 
     ``hedge_after_s=None`` disables hedging (failover on hard errors

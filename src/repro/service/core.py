@@ -63,8 +63,9 @@ LATENCY_WINDOW = 4096
 
 #: Span retention for a self-installed tracer (unless spans are being
 #: kept for a ``trace_out`` dump) — bounds long-run memory while the
-#: periodic harvest still sees every span via ``finished_total``.
-SPAN_RETENTION = 1 << 16
+#: periodic harvest still sees every span via ``Tracer.spans_since``.
+#: A retained span costs ~0.5 KiB, so this is ~8 MiB of a daemon's RSS.
+SPAN_RETENTION = 1 << 14
 
 #: Request-latency histogram bucket edges (milliseconds).
 LATENCY_BOUNDS = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 5000)

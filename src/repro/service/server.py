@@ -104,6 +104,7 @@ from repro.service.core import (
     FrameServer,
     Reply,
     ServerThread,
+    logger,
 )
 from repro.service.sessions import Session, SessionTable, new_session_id
 from repro.telemetry import get_telemetry
@@ -116,11 +117,11 @@ class CompressionService(FrameServer):
     >>> service = CompressionService(port=0)           # doctest: +SKIP
     >>> asyncio.run(service.serve())                   # doctest: +SKIP
 
-    ``workers`` follows the library-wide convention
-    (:func:`repro.parallel.executor.resolve_workers`): ``None`` defers
-    to ``REPRO_WORKERS`` (unset → in-process serial batches), ``0``
-    means one worker process per CPU.  ``cache`` (a directory or
-    :class:`~repro.cache.ResultCache`) serves repeat SWEEPs warm.
+    ``workers`` is how many dispatches run at once (``None``: one per
+    core) and, above 1, the worker-process fan-out of a coalesced batch
+    (``0``: one per CPU) — see :mod:`repro.service.batch`.  ``cache`` (a
+    directory or :class:`~repro.cache.ResultCache`) serves repeat SWEEPs
+    warm.
     """
 
     role = "daemon"
@@ -133,8 +134,6 @@ class CompressionService(FrameServer):
         port: int = 0,
         *,
         max_pending: int = 64,
-        batch_window_s: float = 0.002,
-        max_batch: int = 64,
         workers: int | None = None,
         cache: ResultCache | str | None = None,
         default_timeout_s: float | None = None,
@@ -159,12 +158,7 @@ class CompressionService(FrameServer):
         if cache is not None and not isinstance(cache, ResultCache):
             cache = ResultCache(cache)
         self.cache = cache
-        self.batcher = Batcher(
-            max_pending=max_pending,
-            batch_window_s=batch_window_s,
-            max_batch=max_batch,
-            workers=workers,
-        )
+        self.batcher = Batcher(max_pending=max_pending, workers=workers)
         self.batcher.sweep_runner = self._run_sweep
         #: Stateful temporal-compression streams (docs/INSITU.md).
         self.sessions = SessionTable(
@@ -186,19 +180,24 @@ class CompressionService(FrameServer):
         return caps
 
     async def _open(self) -> None:
-        if self.backend is not None:
-            from repro import kernels
+        from repro import kernels
 
+        if self.backend is not None:
             self._saved_backend = kernels.current_override()
             kernels.set_backend(self.backend)
             self._installed_backend = True
+        # Resolve every kernel before the socket binds: the first
+        # requests of a cold daemon run concurrently, and none of them
+        # should pay (or race) the native library's build and load.
+        for kernel, tier in kernels.active().items():
+            logger.info("kernel %s -> %s", kernel, tier)
         self.batcher.start()
 
     async def _finish_admitted(self) -> None:
         await self.batcher.drain()  # queued work finishes, however long
 
     async def _close(self) -> None:
-        await self.batcher.drain()
+        await self.batcher.close()
         if self._installed_backend:
             from repro import kernels
 
@@ -353,10 +352,10 @@ class CompressionService(FrameServer):
     ) -> None:
         """Serve SESSION_OPEN / SESSION_STEP / SESSION_CLOSE.
 
-        Session steps bypass the batcher: delta coding is
+        Session steps bypass the batcher's queue: delta coding is
         order-dependent, so steps of one session serialize on the
         session's lock (different sessions still proceed concurrently on
-        the executor).  The codec's encoder reference lives here,
+        the batcher's codec pool).  The codec's encoder reference lives here,
         daemon-side; the reply echoes the post-step reference digest so
         a desynced client fails fast instead of decoding garbage.
         """
@@ -466,7 +465,7 @@ class CompressionService(FrameServer):
                     return
             loop = asyncio.get_running_loop()
             buf, cache_state, nbytes_in = await loop.run_in_executor(
-                None, self._session_compress, session, header,
+                self.batcher.pool, self._session_compress, session, header,
                 payload, shm_desc,
             )
         session.steps += 1
@@ -491,7 +490,7 @@ class CompressionService(FrameServer):
         payload: bytes,
         shm_desc,
     ) -> tuple[CompressedBuffer, str, int]:
-        """One session step on the executor thread (session lock held)."""
+        """One session step on a codec-pool thread (session lock held)."""
         if shm_desc is not None:
             with attached_view(shm_desc) as arr:
                 return self._session_encode(session, arr)
@@ -693,11 +692,7 @@ class CompressionService(FrameServer):
             return
         tracer = tm.tracer
         with self._harvest_lock:
-            retained = tracer.finished_spans()
-            total = tracer.finished_total()
-            dropped = total - len(retained)
-            new = retained[max(0, self._harvest_mark - dropped):]
-            self._harvest_mark = total
+            new, self._harvest_mark = tracer.spans_since(self._harvest_mark)
             if not new:
                 return
             # Children finish (and are appended) before their parents, so
@@ -724,7 +719,7 @@ class CompressionService(FrameServer):
             if len(child_s) > SPAN_RETENTION:
                 child_s.clear()  # parents were dropped; stop the leak
 
-    # -- SWEEP body (runs on the executor thread via the batcher) ----------
+    # -- SWEEP body (runs on a codec-pool thread via the batcher) ----------
 
     def _run_sweep(self, request: PendingRequest) -> list[dict[str, Any]]:
         if request.shm is not None:

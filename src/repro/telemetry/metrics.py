@@ -14,6 +14,7 @@ with ``v <= bound``, or in the implicit ``+Inf`` overflow bucket.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -108,7 +109,12 @@ class Histogram:
         self._count = 0
 
     def observe(self, value: float) -> None:
-        idx = int(np.searchsorted(self.bounds, value, side="left"))
+        # bisect on the tuple is np.searchsorted(side="left") without the
+        # per-call tuple -> array conversion; NaN sorts last there too.
+        idx = (
+            bisect_left(self.bounds, value) if value == value
+            else len(self.bounds)
+        )
         with self._lock:
             self._counts[idx] += 1
             self._sum += float(value)

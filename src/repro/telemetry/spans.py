@@ -36,6 +36,7 @@ import functools
 import itertools
 import threading
 import time
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
@@ -114,10 +115,12 @@ class Tracer:
     the tracer so parent/child edges survive export and merging.
 
     ``max_finished`` bounds retention for long-lived processes (the
-    compression daemon): once the finished list exceeds the cap, the
-    oldest spans are dropped.  :meth:`finished_total` keeps counting
-    everything ever finished so periodic harvesters can tell how many
-    spans they missed.
+    compression daemon): finished spans live in a ring of that many
+    entries, so the oldest fall out at O(1) per span.
+    :meth:`finished_total` keeps counting everything ever finished and
+    :meth:`spans_since` indexes the retained window by that count, so a
+    periodic harvester sees each span once and can tell how many it
+    missed.
     """
 
     def __init__(self, name: str = "repro", max_finished: int | None = None) -> None:
@@ -125,8 +128,8 @@ class Tracer:
         self.max_finished = max_finished
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
-        self._finished: list[Span] = []
-        self._dropped = 0
+        self._finished: deque[Span] = deque(maxlen=max_finished)
+        self._total = 0
         self._local = threading.local()
         self._epoch = time.perf_counter()
 
@@ -147,14 +150,10 @@ class Tracer:
         return self._now()
 
     def _append_finished(self, spans: list[Span]) -> None:
-        """Append under the lock, enforcing ``max_finished`` retention."""
+        """Append under the lock (the ring enforces ``max_finished``)."""
         with self._lock:
             self._finished.extend(spans)
-            cap = self.max_finished
-            if cap is not None and len(self._finished) > cap:
-                drop = len(self._finished) - cap
-                del self._finished[:drop]
-                self._dropped += drop
+            self._total += len(spans)
 
     # -- span production ----------------------------------------------------
 
@@ -329,11 +328,21 @@ class Tracer:
     def finished_total(self) -> int:
         """Spans ever finished, including any dropped by ``max_finished``.
 
-        ``finished_total() - len(finished_spans())`` is the drop count; a
-        periodic harvester uses it to index into the retained window.
+        A periodic harvester hands it back to :meth:`spans_since` as
+        its mark.
         """
         with self._lock:
-            return self._dropped + len(self._finished)
+            return self._total
+
+    def spans_since(self, mark: int) -> tuple[list[Span], int]:
+        """Retained spans finished after the first ``mark`` ever
+        finished, and the next mark (:meth:`finished_total` at the same
+        instant).  Spans that fell out of the ring before they were asked
+        for are skipped, not repeated."""
+        with self._lock:
+            dropped = self._total - len(self._finished)
+            start = max(0, mark - dropped)
+            return list(itertools.islice(self._finished, start, None)), self._total
 
     def drain(self, since_id: int = 0) -> list[Span]:
         """Finished spans with ``span_id > since_id`` (for incremental

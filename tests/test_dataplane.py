@@ -224,7 +224,7 @@ class TestRequestIds:
             header.update(compressor="slowpoke-test", options={"delay": delay})
             return header
 
-        with front_end(self.front, workers=1, batch_window_s=0.0) as st:
+        with front_end(self.front, workers=1) as st:
             with _connect(st.port) as sock:
                 payload = protocol.pack_array(arr)
                 protocol.write_frame_sock(sock, slow(1, 0.4), payload)
@@ -587,7 +587,7 @@ class TestSegmentHygiene:
         # break the client's pooled segments between requests.
         before = _psm_segments()
         arr = _field(kib=256)
-        with ServiceThread(workers=2, batch_window_s=0.05) as st:
+        with ServiceThread(workers=2) as st:
             with ServiceClient(port=st.port, shm=True) as client:
                 for _ in range(4):
                     buf = client.compress(arr, "store", mode="abs", value=0.0)
@@ -612,8 +612,8 @@ class TestHedgeDrain:
         # channel must swallow that orphan by id and keep the
         # connection; the legacy behavior was to tear it down.
         arr = _pick_field_for_any_primary()
-        with ServiceThread(workers=1, batch_window_s=0.0) as sa, \
-                ServiceThread(workers=1, batch_window_s=0.0) as sb:
+        with ServiceThread(workers=1) as sa, \
+                ServiceThread(workers=1) as sb:
             shards = [f"127.0.0.1:{sa.port}", f"127.0.0.1:{sb.port}"]
             with ClusterThread(shards=shards, hedge_after_s=0.1,
                                fail_after=10_000) as cluster, \

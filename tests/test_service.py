@@ -1,6 +1,7 @@
 """The compression daemon: correctness under concurrency, backpressure,
 deadlines, graceful drain, and the service CLI."""
 
+import asyncio
 import os
 import signal
 import socket
@@ -19,9 +20,12 @@ from repro.compressors.registry import (
     get_compressor,
     register_compressor,
 )
+from repro import kernels, telemetry
 from repro.errors import ConfigError, ServiceBusyError, ServiceError
 from repro.service import ServiceClient, ServiceThread
 from repro.service import protocol
+from repro.service.batch import POOL_THREAD_PREFIX
+from repro.telemetry import context as trace_context
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
@@ -36,11 +40,14 @@ class SleepyCompressor(Compressor):
 
     name = "sleepy-test"
     supported_modes = (CompressorMode.ABS,)
+    #: ``error_bound`` of every compress call that reached the codec.
+    calls: list = []
 
     def __init__(self, delay: float = 0.5) -> None:
         self.delay = delay
 
     def compress(self, data, error_bound=None, mode=None, **_):
+        self.calls.append(error_bound)
         time.sleep(self.delay)
         data = np.asarray(data)
         return CompressedBuffer(
@@ -179,7 +186,9 @@ class TestConcurrentStress:
                 field, mode=mode, **{knob: value}
             ).payload
 
-        n_threads, per_thread = 8, 8
+        # More callers than dispatch slots, whatever the host: the
+        # surplus queues, and queued same-config requests coalesce.
+        n_threads, per_thread = max(8, 4 * (os.cpu_count() or 1)), 8
         failures: list[str] = []
 
         with ServiceThread(max_pending=256) as st:
@@ -233,7 +242,7 @@ class TestConcurrentStress:
             field, mode="fixed_rate", rate=8.0
         ).payload
         results: list[bytes] = []
-        with ServiceThread(workers=2, batch_window_s=0.1) as st:
+        with ServiceThread(workers=2) as st:
             def worker() -> None:
                 with ServiceClient(port=st.port) as client:
                     buf = client.compress(
@@ -253,7 +262,7 @@ class TestConcurrentStress:
 class TestBackpressure:
     def test_busy_reply_when_queue_full(self):
         field = _field(6)
-        with ServiceThread(max_pending=1, workers=1, batch_window_s=0.0) as st:
+        with ServiceThread(max_pending=1, workers=1) as st:
             blocker_done = threading.Event()
 
             def blocker() -> None:
@@ -303,7 +312,7 @@ class TestBackpressure:
     def test_client_retry_rides_out_the_busy_window(self):
         """With retries enabled the same overload resolves transparently."""
         field = _field(6)
-        with ServiceThread(max_pending=1, workers=1, batch_window_s=0.0) as st:
+        with ServiceThread(max_pending=1, workers=1) as st:
             def blocker() -> None:
                 with ServiceClient(port=st.port) as client:
                     client.compress(field, "sleepy-test", mode="abs", value=2.0)
@@ -326,7 +335,7 @@ class TestBackpressure:
 class TestDeadlines:
     def test_deadline_expires_in_queue(self):
         field = _field(6)
-        with ServiceThread(max_pending=8, workers=1, batch_window_s=0.0) as st:
+        with ServiceThread(max_pending=8, workers=1) as st:
             def blocker() -> None:
                 with ServiceClient(port=st.port) as client:
                     client.compress(field, "sleepy-test", mode="abs", value=2.0)
@@ -345,12 +354,190 @@ class TestDeadlines:
             t.join(30)
 
 
+def _sleepy_frame(rid: int, value: float, delay: float, **extra) -> dict:
+    """Header of one pipelined ``sleepy-test`` COMPRESS of ``_field(4)``;
+    ``value`` tells work keys apart, a trace field makes the daemon
+    record the request's queue-wait and dispatch spans."""
+    with trace_context.start_trace():
+        return trace_context.inject({
+            "op": "compress", "id": rid, "compressor": "sleepy-test",
+            "mode": "abs", "value": value, "options": {"delay": delay},
+            **protocol.array_fields(_field(4)), **extra,
+        })
+
+
+def _sleepy_threads(port: int, delay: float, n: int = 2) -> list:
+    """Start ``n`` callers, each one ``sleepy-test`` request with its own
+    work key (so they can never coalesce)."""
+    def call(value: float) -> None:
+        with ServiceClient(port=port) as client:
+            client.compress(
+                _field(4), "sleepy-test", mode="abs", value=value,
+                options={"delay": delay},
+            )
+
+    threads = [
+        threading.Thread(target=call, args=(float(i),)) for i in range(n)
+    ]
+    for t in threads:
+        t.start()
+    return threads
+
+
+class TestDispatcher:
+    """Dispatch on arrival: slots, natural batching, the codec pool."""
+
+    def test_lone_request_is_dispatched_without_a_wait(self):
+        field = _field(8)
+        with telemetry.enabled_telemetry("client") as tm:
+            with ServiceThread() as st, ServiceClient(port=st.port) as client:
+                for _ in range(9):
+                    client.compress(field, "sz", mode="abs", value=0.5)
+        waits = sorted(
+            s.duration for s in tm.tracer.finished_spans()
+            if s.name == "service.queue_wait"
+        )
+        assert len(waits) == 9
+        assert waits[len(waits) // 2] < 1e-3  # a 2 ms window sat here
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
+    def test_independent_requests_overlap_on_a_default_daemon(self):
+        with ServiceThread() as st:
+            t0 = time.monotonic()
+            for t in _sleepy_threads(st.port, delay=0.3):
+                t.join(30)
+            assert time.monotonic() - t0 < 0.5
+
+    def test_workers_1_keeps_one_dispatch_in_flight(self):
+        with ServiceThread(workers=1) as st:
+            t0 = time.monotonic()
+            for t in _sleepy_threads(st.port, delay=0.3):
+                t.join(30)
+            assert time.monotonic() - t0 >= 0.6
+
+    def test_queued_same_key_requests_leave_as_one_dispatch(self):
+        payload = protocol.pack_array(_field(4))
+        # Arrival order behind the blocker: A B A C A (A, B, C: work keys).
+        values = [1.0, 2.0, 1.0, 3.0, 1.0]
+        with telemetry.enabled_telemetry("client") as tm:
+            with ServiceThread(workers=1) as st:
+                with socket.create_connection(("127.0.0.1", st.port)) as sock:
+                    protocol.write_frame_sock(
+                        sock, _sleepy_frame(1, 0.0, delay=0.3), payload
+                    )
+                    for i, value in enumerate(values):
+                        protocol.write_frame_sock(
+                            sock, _sleepy_frame(2 + i, value, delay=0.0),
+                            payload,
+                        )
+                    for _ in range(1 + len(values)):
+                        reply, _ = protocol.read_frame_sock(sock)
+                        assert reply["status"] == "ok"
+        dispatches: dict = {}
+        for s in tm.tracer.finished_spans():
+            if s.name == "service.dispatch":
+                # request_id is the daemon's arrival number, from 1.
+                dispatches.setdefault(s.start, []).append(s.attrs)
+        groups = [
+            sorted(a["request_id"] for a in dispatches[start])
+            for start in sorted(dispatches)
+        ]
+        assert groups == [[1], [2, 4, 6], [3], [5]]
+        assert sorted(
+            a["batch_size"] for attrs in dispatches.values() for a in attrs
+        ) == [1, 1, 1, 3, 3, 3]
+
+    def test_cancelled_or_expired_while_queued_never_reaches_a_codec(self):
+        payload = protocol.pack_array(_field(4))
+        with ServiceThread(workers=1) as st:
+            with socket.create_connection(("127.0.0.1", st.port)) as sock:
+                protocol.write_frame_sock(
+                    sock, _sleepy_frame(1, 70.0, delay=0.3), payload
+                )
+                protocol.write_frame_sock(
+                    sock, _sleepy_frame(2, 71.0, delay=0.0, timeout_ms=50),
+                    payload,
+                )
+                protocol.write_frame_sock(
+                    sock, _sleepy_frame(3, 72.0, delay=0.0), payload
+                )
+                protocol.write_frame_sock(
+                    sock, {"op": "cancel", "cancel_id": 3, "id": 4}
+                )
+                replies = {}
+                for _ in range(4):
+                    reply, _ = protocol.read_frame_sock(sock)
+                    replies[reply["id"]] = reply
+        assert replies[1]["status"] == "ok"
+        assert replies[2]["code"] == "deadline"
+        assert replies[3]["code"] == "cancelled"
+        assert replies[4]["cancelled"] is True
+        assert 70.0 in SleepyCompressor.calls
+        assert not {71.0, 72.0} & set(SleepyCompressor.calls)
+
+    def test_drain_returns_after_every_dispatch_in_flight_replied(self):
+        with ServiceThread(workers=2) as st:
+            batcher = st.server.batcher
+            threads = _sleepy_threads(st.port, delay=0.3)
+            deadline = time.monotonic() + 5
+            while len(batcher._inflight) < 2:
+                assert time.monotonic() < deadline, "never both in flight"
+                time.sleep(0.01)
+            done: list = []
+            for task in list(batcher._inflight):
+                st.loop.call_soon_threadsafe(
+                    task.add_done_callback, done.append
+                )
+            asyncio.run_coroutine_threadsafe(
+                batcher.drain(), st.loop
+            ).result(10)
+            assert len(done) == 2 and not batcher._inflight
+            for t in threads:
+                t.join(30)
+                assert not t.is_alive()
+
+    def test_codec_threads_never_exceed_the_slots(self):
+        def codec_threads() -> int:
+            return sum(
+                t.name.startswith(POOL_THREAD_PREFIX)
+                for t in threading.enumerate()
+            )
+
+        field = _field(8)
+        seen: list[int] = []
+        with ServiceThread(workers=2) as st:
+            assert st.server.batcher.slots == 2
+
+            def stateless() -> None:
+                with ServiceClient(port=st.port) as client:
+                    for _ in range(6):
+                        client.compress(field, "sz", mode="abs", value=0.5)
+                        seen.append(codec_threads())
+
+            def stepping() -> None:
+                with ServiceClient(port=st.port) as client:
+                    session = client.session_open("sz", mode="abs", value=0.5)
+                    for _ in range(6):
+                        session.step(field)
+                        seen.append(codec_threads())
+                    session.close()
+
+            threads = [threading.Thread(target=stateless) for _ in range(4)]
+            threads.append(threading.Thread(target=stepping))
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        assert seen and max(seen) <= 2
+        assert codec_threads() == 0  # the pool went down with the daemon
+
+
 class DrainCases:
     front = "daemon"
 
     def test_drain_finishes_in_flight_and_refuses_new(self, front_end):
         field = _field(6)
-        with front_end(self.front, workers=1, batch_window_s=0.0) as st:
+        with front_end(self.front, workers=1) as st:
             result: dict = {}
 
             def in_flight() -> None:
@@ -413,6 +600,59 @@ class TestGracefulDrain(DrainCases):
 
 class TestGracefulDrainViaRouter(DrainCases):
     front = "router"
+
+
+class TestWarmStart:
+    def test_cold_daemon_resolves_its_kernels_before_it_serves(self, tmp_path):
+        """A daemon with an empty kernel cache loads the native tier
+        before it binds: its first requests, all at once, trip nothing."""
+        env = dict(os.environ, PYTHONPATH=str(SRC),
+                   REPRO_KERNEL_CACHE=str(tmp_path / "kernels"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.service", "serve", "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            line = proc.stdout.readline().strip()
+            assert line.startswith("serving on ")
+            port = int(line.rsplit(":", 1)[1])
+            field = _field(8)
+            failures: list = []
+
+            def first_request(i: int) -> None:
+                name, mode, value = [
+                    ("sz", "abs", 0.5), ("zfp", "fixed_rate", 8.0)
+                ][i % 2]
+                try:
+                    with ServiceClient(port=port, connect_timeout_s=20) as c:
+                        c.compress(field, name, mode=mode, value=value)
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    failures.append(exc)
+
+            threads = [
+                threading.Thread(target=first_request, args=(i,))
+                for i in range(4)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+            assert not failures, failures
+            with ServiceClient(port=port) as client:
+                served = client.stats()["kernels"]
+            proc.send_signal(signal.SIGTERM)
+            _, log = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(10)
+        assert served["tripped"] == {}
+        # Same host, same compiler: the daemon runs the tiers this
+        # process resolves, and said so before it announced its port.
+        assert served["active"] == kernels.active()
+        for kernel, tier in served["active"].items():
+            assert f"kernel {kernel} -> {tier}" in log
+        assert log.index("kernel ") < log.index("listening on")
 
 
 class TestFailedStart:

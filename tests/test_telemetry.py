@@ -111,7 +111,7 @@ class TestMetrics:
         assert h.sum == pytest.approx(15.1)
 
     def test_histogram_observe_many_matches_observe(self):
-        values = [0.0, 1.0, 3.0, 7.0, 100.0]
+        values = [0.0, 1.0, 3.0, 4.0, 7.0, 16.0, 100.0]
         one = Histogram("a", bounds=(1.0, 4.0, 16.0))
         many = Histogram("b", bounds=(1.0, 4.0, 16.0))
         for v in values:

@@ -212,6 +212,31 @@ class TestStateDiscipline:
             assert b.encode_reference_digest == a.encode_reference_digest
             assert b.step == a.step
 
+    def test_each_reference_is_hashed_once(self, monkeypatch):
+        """The digest is stored when the reference is assigned; the frame
+        header, ``ref_after`` and the desync check all read that copy."""
+        from repro.compressors import temporal
+
+        hashed = []
+
+        def counting(arr):
+            hashed.append(1)
+            return reference_digest(arr)
+
+        monkeypatch.setattr(temporal, "reference_digest", counting)
+        enc = TemporalCompressor(inner="sz", keyframe_every=8)
+        dec = TemporalCompressor(inner="sz", keyframe_every=8)
+        bufs = []
+        for n, snap in enumerate(_walk_series(4), start=1):
+            bufs.append(enc.compress(snap, mode="abs", error_bound=1e-2))
+            assert bufs[-1].meta["ref_after"] == enc.encode_reference_digest
+            assert len(hashed) == n
+        assert bufs[-1].meta["ref"] == bufs[-2].meta["ref_after"]
+        for n, buf in enumerate(bufs, start=5):
+            dec.decompress(buf)
+            assert dec.decode_reference_digest == buf.meta["ref_after"]
+            assert len(hashed) == n
+
     def test_encoder_and_decoder_round_trip_on_one_instance(self):
         codec = TemporalCompressor(inner="sz", keyframe_every=4)
         for snap in _walk_series(6):
