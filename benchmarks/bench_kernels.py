@@ -1,4 +1,4 @@
-"""Per-kernel backend throughput: scalar vs numpy vs native.
+"""Per-kernel backend throughput: numpy vs native.
 
 Times the three native-tier target kernels (the SZ predictor/quantizer
 pass, the canonical Huffman codec, the ZFP block coder) plus variable-length
@@ -169,7 +169,7 @@ def _native_state() -> tuple[bool, str | None, str | None]:
 def run(backends: list[str] | None = None, quick: bool = False) -> dict:
     available, flavor, reason = _native_state()
     if backends is None:
-        backends = ["scalar", "numpy"] + (["native"] if available else [])
+        backends = ["numpy"] + (["native"] if available else [])
     results = {b: measure(b, quick=quick) for b in backends}
     entry: dict = {
         "source": "bench_kernels",
@@ -212,7 +212,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--backend", action="append", default=None, metavar="TIER",
-        choices=("scalar", "numpy", "native"),
+        choices=("numpy", "native"),
         help="tier(s) to time (repeatable; default: every available tier)",
     )
     parser.add_argument("--quick", action="store_true",

@@ -33,15 +33,6 @@ def write_result(experiment_id: str, text: str) -> None:
     (RESULTS_DIR / f"{experiment_id}.txt").write_text(text + "\n")
 
 
-def pytest_addoption(parser: pytest.Parser) -> None:
-    parser.addoption(
-        "--backend", default=None,
-        choices=("scalar", "numpy", "native"),
-        help="restrict backend-tier benchmarks to one kernel tier "
-             "(default: every available tier)",
-    )
-
-
 @pytest.fixture(scope="session")
 def profile() -> str:
     return PROFILE

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 from typing import Any, Callable
 
 from repro.compressors.base import Compressor
@@ -19,12 +20,27 @@ def register_compressor(name: str, factory: Callable[..., Compressor]) -> None:
 
 
 def get_compressor(name: str, **kwargs: Any) -> Compressor:
-    """Instantiate a registered compressor by name."""
+    """Instantiate a registered compressor by name.
+
+    Options the factory does not take are a :class:`ConfigError` naming
+    them — they arrive from JSON configs and from the wire, where a
+    ``TypeError`` would read as a bug in the daemon.
+    """
     key = name.lower()
     if key not in _REGISTRY:
         known = ", ".join(sorted(_REGISTRY))
         raise ConfigError(f"unknown compressor {name!r}; known: {known}")
-    return _REGISTRY[key](**kwargs)
+    factory = _REGISTRY[key]
+    try:
+        return factory(**kwargs)
+    except TypeError as exc:
+        accepted = list(inspect.signature(factory).parameters)
+        rejected = sorted(set(kwargs) - set(accepted))
+        raise ConfigError(
+            f"compressor {name!r} does not accept option(s) "
+            f"{', '.join(rejected) or exc}; accepted: "
+            f"{', '.join(accepted) or 'none'}"
+        ) from exc
 
 
 def available_compressors() -> list[str]:

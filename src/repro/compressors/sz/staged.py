@@ -1,5 +1,5 @@
-"""The staged SZ path: ``sz.encode`` / ``sz.decode`` for the scalar and
-numpy kernel tiers.
+"""The staged SZ path: ``sz.encode`` / ``sz.decode`` for the numpy kernel
+tier.
 
 Both kernels work at field granularity (one call per array):
 
@@ -19,13 +19,12 @@ Both kernels work at field granularity (one call per array):
 radius, shape, dtype)``
     ``-> array`` of ``shape`` and ``dtype``.
 
-These tiers run the stages one after another over whole-field arrays —
+This tier runs the stages one after another over whole-field arrays —
 block partition, prequantization, Lorenzo residual, regression fit and
-residual, cost estimate, selection, symbol split — and are the
+residual, cost estimate, selection, symbol split — and is the
 specification of the native tier, which fuses all of them into one pass
-per block (:mod:`repro.kernels._csource`).  The seed stages were already
-numpy expressions, so ``scalar`` and ``numpy`` share this one
-implementation; all three tiers produce identical outputs.
+per block (:mod:`repro.kernels._csource`); both tiers produce identical
+outputs.
 """
 
 from __future__ import annotations

@@ -1,19 +1,20 @@
 """Batched ZFP block coding: all blocks at once, numpy ops per bit plane.
 
-The scalar coder in :mod:`repro.compressors.zfp.blockcodec` transcribes
+The per-block coder in :mod:`repro.compressors.zfp.blockcodec` transcribes
 zfp's ``encode_ints``/``decode_ints`` control flow one block at a time —
-a Python loop per block, per plane, per *bit*.  This module re-expresses
+a Python loop per block, per plane, per *bit* — and is kept as the
+specification.  This module is the coder that runs: it re-expresses
 the identical algorithm over a ``(nblocks, planes)`` plane-word matrix so
 the per-bit work becomes array operations across every block
 simultaneously — the same blocks-through-vector-lanes transformation
 cuSZ and FZ-GPU apply to this compressor class on GPUs.
 
-The two implementations are **byte-identical** (enforced by
-``tests/test_fastpath_equivalence.py``): same body bits, same per-block
-offsets, same ``used_bits`` accounting, for every mode.  The trick is
+The two are **bit-identical** (enforced block by block in
+``tests/test_zfp_blockcodec.py``): same body bits, same ``used_bits``
+accounting, for every budget and plane cutoff.  The trick is
 that zfp's group-testing inner loops have a closed form per "group":
 given a plane word ``x`` (already shifted past the known-significant
-prefix) with lowest set bit ``j``, the scalar inner scan emits exactly
+prefix) with lowest set bit ``j``, the per-block inner scan emits exactly
 
     ``c = min(j + 1, size - 1 - n, bits)``
 
@@ -115,18 +116,16 @@ def encode_blocks(
 ) -> tuple[bytes, int, np.ndarray, np.ndarray]:
     """Embedded-code every block of a stream in one vectorized pass.
 
-    Parameters mirror the scalar per-block loop in
-    :class:`~repro.compressors.zfp.zfpcompressor.ZFPCompressor`:
     ``words`` is the ``(nblocks, planes)`` plane-word matrix, ``budgets``
     / ``kmins`` the per-block plane-coding budget and cutoff, and
     ``maxbits`` nonzero selects fixed-rate framing (header counted in the
     per-block bit slot, zero-padded to exactly ``maxbits``).
 
-    Returns ``(body, nbits, offsets, used_bits)`` — byte-identical to the
-    scalar path: ``body``/``nbits`` as from ``_Emitter.pack()``,
-    ``offsets`` the ``(nblocks + 1)`` uint64 bit-offset table, and
-    ``used_bits`` the per-block coded bits (header included, padding
-    excluded; 0 for zero blocks).
+    Returns ``(body, nbits, offsets, used_bits)``: ``body``/``nbits`` as
+    from the per-block coder's ``_Emitter.pack()``, ``offsets`` the
+    ``(nblocks + 1)`` uint64 bit-offset table, and ``used_bits`` the
+    per-block coded bits (header included, padding excluded; 0 for zero
+    blocks).
     """
     nblocks = words.shape[0]
     header_bits = 1 + EBITS
@@ -222,7 +221,7 @@ def read_block_headers(
     ``(nblocks + 1)`` bit-offset table.  Raises
     :class:`~repro.errors.CorruptStreamError` for non-increasing offsets
     or blocks too short for their declared header — the same failures
-    the scalar ``_BlockReader`` reports.
+    the per-block ``_BlockReader`` reports.
     """
     spans = np.diff(offsets)
     if spans.size and int(spans.min()) <= 0:

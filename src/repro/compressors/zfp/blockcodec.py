@@ -8,6 +8,12 @@ bits appear LSB-first, exactly like zfp's ``stream_write_bits``.  Each
 block occupies exactly ``maxbits`` bits so block ``b`` starts at bit
 ``b * maxbits`` — the property that makes fixed-rate streams seekable and
 GPU-decodable in parallel.
+
+:func:`encode_block_planes` / :func:`decode_block_planes` (with
+``_Emitter`` / ``_BlockReader``) code one block at a time and are the
+executable specification of the format; what runs is the all-blocks-at-
+once coder of :mod:`repro.compressors.zfp.batch`, held to this one
+block by block in ``tests/test_zfp_blockcodec.py``.
 """
 
 from __future__ import annotations
@@ -64,17 +70,6 @@ def plane_words(u: np.ndarray, nplanes: int) -> np.ndarray:
         )
     packed = np.packbits(t, axis=2, bitorder="little")
     return packed.reshape(nblocks, nplanes * 8).view(np.uint64).copy()
-
-
-def _plane_words_scalar(u: np.ndarray, nplanes: int) -> np.ndarray:
-    """Seed reference: one masked reduction per plane."""
-    nblocks, size = u.shape
-    weights = np.uint64(1) << np.arange(size, dtype=np.uint64)
-    words = np.empty((nblocks, nplanes), dtype=np.uint64)
-    for k in range(nplanes):
-        bits = (u >> np.uint64(k)) & np.uint64(1)
-        words[:, k] = (bits * weights).sum(axis=1, dtype=np.uint64)
-    return words
 
 
 def _rev_bits(x: int, n: int) -> int:
@@ -236,84 +231,6 @@ def decode_block_planes(
     return words
 
 
-def _encode_blocks_scalar(
-    words: np.ndarray,
-    nonzero: np.ndarray,
-    e: np.ndarray,
-    size: int,
-    planes: int,
-    budgets: np.ndarray,
-    kmins: np.ndarray,
-    maxbits: int = 0,
-) -> tuple[bytes, int, np.ndarray, np.ndarray]:
-    """Seed per-block reference loop; same contract as
-    :func:`repro.compressors.zfp.batch.encode_blocks`."""
-    nblocks = words.shape[0]
-    fixed_rate = maxbits > 0
-    words_list = words.tolist()
-    emitter = _Emitter()
-    used_bits = np.zeros(nblocks, dtype=np.int64)
-    offsets = np.zeros(nblocks + 1, dtype=np.uint64)
-    for b in range(nblocks):
-        offsets[b] = emitter.nbits
-        if not nonzero[b]:
-            emitter.emit_msb(0, 1)
-            if fixed_rate:
-                emitter.emit_msb(0, maxbits - 1)
-            continue
-        emitter.emit_msb(1, 1)
-        emitter.emit_msb(int(e[b]) + EBIAS, EBITS)
-        used_bits[b] = HEADER_BITS + encode_block_planes(
-            emitter, words_list[b], size, int(budgets[b]),
-            kmin=int(kmins[b]), pad=fixed_rate,
-        )
-    offsets[nblocks] = emitter.nbits
-    body, nbits = emitter.pack()
-    return body, nbits, offsets, used_bits
-
-
-def _decode_blocks_scalar(
-    bits: np.ndarray,
-    offsets: np.ndarray,
-    nonzero: np.ndarray,
-    planes: int,
-    size: int,
-    budgets: np.ndarray,
-    kmins: np.ndarray,
-) -> np.ndarray:
-    """Seed per-block reference decode; same contract as
-    :func:`repro.compressors.zfp.batch.decode_blocks`.
-
-    Each block's bit span is packed into one Python int and walked with
-    :class:`_BlockReader` / :func:`decode_block_planes`, exactly like
-    the original per-block decompress loop (headers are re-read from the
-    stream; the precomputed ``nonzero`` flags are only consulted by the
-    vectorized tiers).
-    """
-    nblocks = offsets.size - 1
-    words_mat = np.zeros((nblocks, planes), dtype=np.uint64)
-    for b in range(nblocks):
-        lo, hi = int(offsets[b]), int(offsets[b + 1])
-        span = hi - lo
-        if span <= 0:
-            raise CorruptStreamError("non-increasing ZFP block offsets")
-        chunk = bits[lo:hi]
-        pad = (-span) % 8
-        if pad:
-            chunk = np.concatenate([chunk, np.zeros(pad, dtype=np.uint8)])
-        value = int.from_bytes(
-            np.packbits(chunk, bitorder="big").tobytes(), "big"
-        ) >> pad
-        reader = _BlockReader(value, span)
-        if not reader.read_bit():
-            continue
-        reader.read_msb(EBITS)  # exponent: already parsed by the caller
-        words_mat[b] = decode_block_planes(
-            reader, planes, size, int(budgets[b]), kmin=int(kmins[b])
-        )
-    return words_mat
-
-
 def words_matrix_to_coeffs(words: np.ndarray, size: int) -> np.ndarray:
     """Inverse of :func:`plane_words` over a whole batch: ``words`` has
     shape ``(nblocks, nplanes)``; returns ``(nblocks, size)`` negabinary
@@ -333,17 +250,6 @@ def words_matrix_to_coeffs(words: np.ndarray, size: int) -> np.ndarray:
         )
     packed = np.packbits(t, axis=2, bitorder="little")
     return packed.reshape(nblocks, size * 8).view(np.uint64).copy()
-
-
-def _words_matrix_scalar(words: np.ndarray, size: int) -> np.ndarray:
-    """Seed reference: one masked scatter per plane."""
-    nblocks, nplanes = words.shape
-    u = np.zeros((nblocks, size), dtype=np.uint64)
-    idx = np.arange(size, dtype=np.uint64)
-    for k in range(nplanes):
-        bits = (words[:, k : k + 1] >> idx) & np.uint64(1)
-        u |= bits << np.uint64(k)
-    return u
 
 
 def words_to_coeffs(words: list[int], size: int) -> np.ndarray:

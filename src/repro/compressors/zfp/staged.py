@@ -1,5 +1,5 @@
-"""The staged ZFP path: ``zfp.encode`` / ``zfp.decode`` for the scalar
-and numpy kernel tiers.
+"""The staged ZFP path: ``zfp.encode`` / ``zfp.decode`` for the numpy
+kernel tier.
 
 Both kernels work at field granularity (one call per array):
 
@@ -19,20 +19,16 @@ plane, ``clip(base - e, 0, planes)`` when ``per_exponent`` (``e`` the
 block's common exponent: fixed-accuracy) else ``base`` (0 in fixed-rate,
 ``planes - precision`` in fixed-precision mode).
 
-These tiers run the stages one after another over whole-field arrays —
+This tier runs the stages one after another over whole-field arrays —
 block partition, block-float cast, lifting transform, sequency reorder,
-negabinary, bit-plane transpose, embedded coder — and differ only in the
-last two: the seed per-plane / per-block loops (``scalar``) or their
-vectorized forms (``numpy``).  The native tier fuses every stage into
-one pass per block (:mod:`repro.kernels._csource`); all three produce
-byte-identical streams.
+negabinary, bit-plane transpose, embedded coder.  The native tier fuses
+every stage into one pass per block (:mod:`repro.kernels._csource`);
+both produce byte-identical streams.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
-from typing import Callable
 
 import numpy as np
 
@@ -54,14 +50,11 @@ def _kmins(kmin_rule: tuple[int, bool], e: np.ndarray, planes: int) -> np.ndarra
     return np.full(e.shape, base, dtype=np.int64)
 
 
-def _encode(
+def encode(
     data: np.ndarray,
     planes: int,
     maxbits: int,
     kmin_rule: tuple[int, bool],
-    *,
-    transpose: Callable,
-    coder: Callable,
 ) -> tuple[bytes, int, np.ndarray, np.ndarray, np.ndarray]:
     tm = get_telemetry()
     size = 4**data.ndim
@@ -85,24 +78,21 @@ def _encode(
         u = BC.int_to_negabinary(ordered)
     with tm.span("zfp.bitplane", bytes=data.nbytes):
         budget = maxbits - BC.HEADER_BITS if maxbits else _UNBOUNDED
-        body, nbits, offsets, used_bits = coder(
-            transpose(u, planes), nonzero, e, size, planes,
+        body, nbits, offsets, used_bits = B.encode_blocks(
+            BC.plane_words(u, planes), nonzero, e, size, planes,
             np.full(nblocks, budget, dtype=np.int64),
             _kmins(kmin_rule, e, planes), maxbits,
         )
     return body, nbits, offsets, used_bits, nonzero
 
 
-def _decode(
+def decode(
     body: bytes,
     offsets: np.ndarray | int,
     shape: tuple[int, ...],
     dtype: np.dtype,
     planes: int,
     kmin_rule: tuple[int, bool],
-    *,
-    transpose_inverse: Callable,
-    coder: Callable,
 ) -> np.ndarray:
     tm = get_telemetry()
     ndim = len(shape)
@@ -121,11 +111,11 @@ def _decode(
         # Trailing zero padding so decode window gathers stay in range;
         # per-block budgets guarantee it is never decoded.
         padded = np.concatenate([bits, np.zeros(128, dtype=np.uint8)])
-        words = coder(
+        words = B.decode_blocks(
             padded, offsets, nonzero, planes, size,
             np.diff(offsets) - BC.HEADER_BITS, _kmins(kmin_rule, e, planes),
         )
-        u = transpose_inverse(words, size)
+        u = BC.words_matrix_to_coeffs(words, size)
     with tm.span("zfp.reorder", direction="decompress"):
         ordered = BC.negabinary_to_int(u)
         inv_perm = T.inverse_sequency_order(ndim)
@@ -142,15 +132,3 @@ def _decode(
         )
     return arr.astype(dtype)
 
-
-encode_scalar = partial(
-    _encode, transpose=BC._plane_words_scalar, coder=BC._encode_blocks_scalar
-)
-encode_numpy = partial(_encode, transpose=BC.plane_words, coder=B.encode_blocks)
-decode_scalar = partial(
-    _decode, transpose_inverse=BC._words_matrix_scalar,
-    coder=BC._decode_blocks_scalar,
-)
-decode_numpy = partial(
-    _decode, transpose_inverse=BC.words_matrix_to_coeffs, coder=B.decode_blocks
-)

@@ -89,15 +89,10 @@ class ZFPCompressor(Compressor):
     This class validates arguments and packs/parses the stream header;
     the block coding itself is the ``zfp.encode`` / ``zfp.decode``
     kernel pair of the registry (:mod:`repro.kernels`): the staged
-    scalar and numpy tiers of :mod:`repro.compressors.zfp.staged`, or
-    the fused one-pass native tier.
-    All tiers produce **byte-identical** streams.  ``backend`` pins a
-    tier for this instance; ``None`` defers to the process selection
-    (``REPRO_BACKEND`` / :func:`repro.kernels.use`).  ``batched`` is the
-    legacy knob: ``False`` forces the scalar tier, ``True`` forces a
-    vectorized tier (``auto`` resolution, ignoring a ``scalar``
-    environment selection) — the switch ``benchmarks/bench_fastpath.py``
-    uses to measure the seed path.
+    numpy tier of :mod:`repro.compressors.zfp.staged`, or the fused
+    one-pass native tier.  Both produce **byte-identical** streams; the
+    tier is the process selection (``REPRO_BACKEND`` /
+    :func:`repro.kernels.use`), never a per-instance choice.
     """
 
     name = "zfp"
@@ -106,37 +101,6 @@ class ZFPCompressor(Compressor):
         CompressorMode.FIXED_PRECISION,
         CompressorMode.FIXED_ACCURACY,
     )
-
-    def __init__(
-        self, batched: bool | None = None, backend: str | None = None
-    ) -> None:
-        if batched is None:
-            self._backend = backend
-        elif batched:
-            self._backend = backend if backend is not None else "auto"
-        else:
-            self._backend = "scalar"
-
-    @property
-    def batched(self) -> bool:
-        """Whether the resolved block coder is a vectorized tier."""
-        from repro import kernels
-
-        return kernels.resolve_name("zfp.encode", self._backend) != "scalar"
-
-    @batched.setter
-    def batched(self, value: bool | None) -> None:
-        if value is None:
-            self._backend = None
-        else:
-            self._backend = "auto" if value else "scalar"
-
-    @property
-    def backend(self) -> str:
-        """The tier the block coder resolves to right now."""
-        from repro import kernels
-
-        return kernels.resolve_name("zfp.encode", self._backend)
 
     def compress(
         self,
@@ -180,13 +144,11 @@ class ZFPCompressor(Compressor):
         from repro import kernels
 
         tm = get_telemetry()
-        coder = kernels.resolve_name("zfp.encode", self._backend)
         with tm.span("zfp.encode", bytes=data.nbytes, mode=mode.value,
-                     backend=coder, batched=coder != "scalar"):
+                     backend=kernels.resolve_name("zfp.encode")):
             body, nbits, offsets, used_bits, nonzero = kernels.call(
                 "zfp.encode", data, planes, maxbits,
                 _kmin_rule(mode, parameter, planes, data.ndim),
-                backend=self._backend,
             )
         nblocks = nonzero.size
         fixed_rate = maxbits > 0
@@ -239,11 +201,10 @@ class ZFPCompressor(Compressor):
         args = self._parse(payload)
         from repro import kernels
 
-        coder = kernels.resolve_name("zfp.decode", self._backend)
         with get_telemetry().span(
-                "zfp.decode", bytes=len(payload), backend=coder,
-                batched=coder != "scalar"):
-            return kernels.call("zfp.decode", *args, backend=self._backend)
+                "zfp.decode", bytes=len(payload),
+                backend=kernels.resolve_name("zfp.decode")):
+            return kernels.call("zfp.decode", *args)
 
     @staticmethod
     def _parse(payload: bytes) -> tuple:

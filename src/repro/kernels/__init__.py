@@ -12,7 +12,7 @@ Public surface::
 
 Selection precedence: explicit ``backend=`` argument > :func:`use` /
 :func:`set_backend` override > ``REPRO_BACKEND`` env var > ``auto`` (best
-available tier per kernel: native > numpy > scalar).
+available tier per kernel: native > numpy).
 
 The override installed by :func:`use` is **process-global**, not
 thread-local, by design: the streaming engine and the service batcher

@@ -11,8 +11,8 @@ failure) every entry point raises
 :class:`~repro.errors.KernelUnavailableError`, which the registry treats
 as "fall back one tier" — importing this module never hard-fails.
 
-All wrappers implement exactly the same contracts as their scalar and
-numpy counterparts (same arguments, same return types, same error
+All wrappers implement exactly the same contracts as their numpy
+counterparts (same arguments, same return types, same error
 classes and messages) so the registry can swap them freely; bit-exactness
 is enforced by the parity matrix in ``tests/test_fastpath_equivalence.py``.
 """

@@ -1,38 +1,36 @@
-"""Kernel-backend registry: scalar / numpy / native tiers with fallback.
+"""Kernel-backend registry: native / numpy tiers with fallback.
 
 Every codec hot spot in this library (Lorenzo dual-quantization, the
 canonical Huffman codec, the ZFP block coder, variable-length bit
-packing) exists in up to three
-implementations:
+packing) exists in two implementations:
 
-``scalar``
-    The seed reference loops — the per-block / per-symbol Python code the
-    original reproduction shipped.  Always available; defines the stream
-    format bit for bit.
 ``numpy``
-    The vectorized batch kernels (PR 2).  Always available; byte-exact
-    with ``scalar``.
+    The vectorized batch kernels.  Always available; defines the stream
+    format bit for bit (pinned by the golden streams under
+    ``tests/golden/``).
 ``native``
     Compiled kernels (:mod:`repro.kernels.native`): a small C library
     compiled on demand with the system C compiler and called through
-    ``ctypes``.  Optional; byte-exact with ``scalar``.
+    ``ctypes``.  Optional; byte-exact with ``numpy``.
 
 The registry resolves, per kernel, which implementation actually runs:
 
 1. An explicit request (``use(...)`` context, ``CBench(backend=...)``,
    ``REPRO_BACKEND``) names a tier or ``auto``.
-2. ``auto`` walks the tier list best-first (``native`` → ``numpy`` →
-   ``scalar``) and picks the first backend that probes as available and
-   provides the kernel.
+2. ``auto`` walks the tier list best-first (``native`` → ``numpy``) and
+   picks the first backend that probes as available and provides the
+   kernel.
 3. A backend that raises at *call* time (anything other than a
    :class:`~repro.errors.ReproError` data/stream error) is tripped for
-   that kernel and the call transparently re-dispatches one tier down —
-   daemons keep serving, only slower.
+   that kernel, logged at WARNING on ``repro.kernels``, and the call
+   transparently re-dispatches one tier down — daemons keep serving,
+   only slower.
 """
 
 from __future__ import annotations
 
 import importlib
+import logging
 import os
 import threading
 from dataclasses import dataclass, field
@@ -45,10 +43,12 @@ from repro.telemetry import get_telemetry
 BACKEND_ENV = "REPRO_BACKEND"
 
 #: Tier preference for ``auto`` resolution, best first.
-TIER_ORDER = ("native", "numpy", "scalar")
+TIER_ORDER = ("native", "numpy")
 
 #: Numeric tier levels for the ``kernels.backend{stage=...}`` gauge.
-TIER_LEVEL = {"scalar": 0, "numpy": 1, "native": 2}
+TIER_LEVEL = {"numpy": 1, "native": 2}
+
+_LOG = logging.getLogger("repro.kernels")
 
 
 @dataclass
@@ -134,7 +134,7 @@ class KernelRegistry:
 
     def _ensure_defs(self) -> None:
         if not self._backends:
-            from repro.kernels import defs  # registers the three tiers
+            from repro.kernels import defs  # registers both tiers
 
             defs.register_default_backends(self)
 
@@ -216,7 +216,7 @@ class KernelRegistry:
             try:
                 result = fn(*args, **kwargs)
             except KernelUnavailableError as exc:
-                if name == "scalar":
+                if name == TIER_ORDER[-1]:
                     raise
                 self._trip(name, kernel, str(exc))
                 continue
@@ -224,9 +224,9 @@ class KernelRegistry:
                 self._active[kernel] = name
                 raise
             except Exception as exc:
-                if name == "scalar":
-                    # The reference tier has no tier below it; a scalar
-                    # failure is a real bug and must surface.
+                if name == TIER_ORDER[-1]:
+                    # The bottom tier has no tier below it; a failure
+                    # there is a real bug and must surface.
                     raise
                 self._trip(name, kernel, f"{type(exc).__name__}: {exc}")
                 continue
@@ -235,7 +235,13 @@ class KernelRegistry:
 
     def _trip(self, backend: str, kernel: str, reason: str) -> None:
         with self._lock:
+            first = (backend, kernel) not in self._tripped
             self._tripped[(backend, kernel)] = reason
+        if first:
+            _LOG.warning(
+                "kernel %s tripped on the %s tier (%s); now served by %s",
+                kernel, backend, reason, self.resolve(kernel, backend)[0],
+            )
         tm = get_telemetry()
         tm.count(f'kernels.fallback{{stage="{kernel}",backend="{backend}"}}')
 
@@ -252,7 +258,7 @@ class KernelRegistry:
         for kernel in sorted(self._kernel_names()):
             try:
                 out[kernel] = self.resolve(kernel, backend)[0]
-            except KernelUnavailableError:  # pragma: no cover - scalar always there
+            except KernelUnavailableError:  # pragma: no cover - numpy always there
                 out[kernel] = "unavailable"
         return out
 
@@ -273,7 +279,7 @@ class KernelRegistry:
         """Export the resolved tier per kernel as labelled gauges.
 
         ``kernels.backend{stage=...}`` carries the numeric tier level
-        (0=scalar, 1=numpy, 2=native) and
+        (1=numpy, 2=native) and
         ``kernels.backend_info{stage=...,backend=...}`` is a constant-1
         info gauge, so both Prometheus consumers and the fleet view can
         show which tier each shard actually runs.

@@ -33,7 +33,6 @@ from repro.errors import CorruptStreamError, DataError
 from repro.kernels import call as _kcall
 from repro.util.bits import (
     _pack_varlen_numpy,
-    _pack_varlen_scalar,
     pack_fixed_width,
     unpack_fixed_width,
 )
@@ -59,11 +58,6 @@ def package_merge_lengths(freqs: np.ndarray, max_len: int) -> np.ndarray:
     Zero-frequency symbols get length 0 (no codeword).  Raises
     :class:`DataError` if the alphabet cannot be coded within ``max_len``
     bits (needs ``2^max_len >= number of used symbols``).
-
-    Dispatches the ``huffman.package_merge`` kernel: the vectorized
-    two-pass formulation (:func:`_package_merge_counts`, ``numpy``) or
-    the seed per-item reference loop (``scalar``).  Both produce
-    identical lengths (``tests/test_fastpath_equivalence.py``).
     """
     freqs = np.asarray(freqs, dtype=np.int64)
     used = np.flatnonzero(freqs > 0)
@@ -76,8 +70,7 @@ def package_merge_lengths(freqs: np.ndarray, max_len: int) -> np.ndarray:
         return lengths
     if n > (1 << max_len):
         raise DataError(f"alphabet of {n} symbols cannot fit in {max_len}-bit codes")
-    counts = _kcall("huffman.package_merge", freqs[used], max_len)
-    lengths[used] = counts.astype(np.uint8)
+    lengths[used] = _package_merge_counts(freqs[used], max_len).astype(np.uint8)
     return lengths
 
 
@@ -120,41 +113,6 @@ def _package_merge_counts(leaf_weights: np.ndarray, max_len: int) -> np.ndarray:
         np.add.at(sel, 2 * pkg, taken)
         np.add.at(sel, 2 * pkg + 1, taken)
     return counts
-
-
-def _package_merge_counts_scalar(
-    leaf_weights: np.ndarray, max_len: int
-) -> np.ndarray:
-    """Seed reference: explicit per-item membership count vectors."""
-    n = leaf_weights.size
-    memberships: list[np.ndarray] = []  # id -> count-vector over used symbols
-
-    def make_leaf(i: int) -> tuple[int, int]:
-        vec = np.zeros(n, dtype=np.int32)
-        vec[i] = 1
-        memberships.append(vec)
-        return (int(leaf_weights[i]), len(memberships) - 1)
-
-    prev_level: list[tuple[int, int]] = []
-    for level in range(max_len, 0, -1):
-        items = sorted(
-            [make_leaf(i) for i in range(n)] + prev_level, key=lambda t: t[0]
-        )
-        if level == 1:
-            take = items[: 2 * n - 2]
-            counts = np.zeros(n, dtype=np.int64)
-            for _, mid in take:
-                counts += memberships[mid]
-            return counts
-        # Package pairs for the next level up.
-        next_level = []
-        for j in range(0, len(items) - 1, 2):
-            w = items[j][0] + items[j + 1][0]
-            vec = memberships[items[j][1]] + memberships[items[j + 1][1]]
-            memberships.append(vec)
-            next_level.append((w, len(memberships) - 1))
-        prev_level = next_level
-    raise AssertionError("unreachable")
 
 
 def huffman_lengths(freqs: np.ndarray, max_len: int = 16) -> np.ndarray:
@@ -218,30 +176,9 @@ def canonical_codes(lengths: np.ndarray) -> np.ndarray:
     if kraft > 1.0 + 1e-9:
         raise DataError(f"invalid code lengths (Kraft sum {kraft:.6f} > 1)")
     order = used[np.lexsort((used, lengths[used]))]
-    return _kcall("huffman.canonical", lengths, order)
-
-
-def _canonical_codes_scalar(lengths: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Seed reference: per-symbol canonical-code walk in (length, symbol)
-    order."""
-    codes = np.zeros(lengths.size, dtype=np.uint64)
-    code = 0
-    prev_len = int(lengths[order[0]])
-    for s in order:
-        ln = int(lengths[s])
-        code <<= ln - prev_len
-        codes[s] = code
-        code += 1
-        prev_len = ln
-    return codes
-
-
-def _canonical_codes_numpy(lengths: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Canonical first-code recurrence: the code of the first symbol of
-    length l is (first[l-1] + count[l-1]) << 1 (0 for the shortest
-    class); within a class codes are consecutive by symbol order.
-    Algebraically identical to the seed per-symbol walk."""
-    codes = np.zeros(lengths.size, dtype=np.uint64)
+    # First-code recurrence: the code of the first symbol of length l is
+    # (first[l-1] + count[l-1]) << 1 (0 for the shortest class); within a
+    # class codes are consecutive by symbol order.
     lens = lengths[order].astype(np.int64)
     max_l = int(lens[-1])
     class_counts = np.bincount(lens, minlength=max_l + 1)
@@ -489,63 +426,6 @@ def _encode_chunks_numpy(
         np.ascontiguousarray(codes[symbols], dtype=np.uint64), sym_lengths
     )
     return body, total_bits, offsets
-
-
-def _encode_chunks_scalar(
-    symbols: np.ndarray, codes: np.ndarray, lengths: np.ndarray, chunk_size: int
-) -> tuple[bytes, int, np.ndarray]:
-    """Seed reference: same gather, ragged-expansion pack."""
-    sym_lengths = lengths[symbols].astype(np.int64)
-    offsets = _chunk_offsets_for(sym_lengths, symbols.size, chunk_size)
-    if symbols.size == 0:
-        return b"", 0, offsets
-    body, total_bits = _pack_varlen_scalar(
-        np.ascontiguousarray(codes[symbols], dtype=np.uint64), sym_lengths
-    )
-    return body, total_bits, offsets
-
-
-def _decode_chunks_scalar(
-    body: bytes,
-    table: np.ndarray,
-    chunk_offsets: np.ndarray,
-    n: int,
-    chunk_size: int,
-    max_len: int,
-    total_bits: int,
-) -> np.ndarray:
-    """Seed reference loop: re-derive the active chunk set and check for
-    table holes on every step."""
-    bits = np.unpackbits(np.frombuffer(body, dtype=np.uint8), bitorder="big")
-    # Pad so that gathering max_len bits never runs off the end.
-    bits = np.concatenate([bits, np.zeros(max_len, dtype=np.uint8)])
-    nchunks = chunk_offsets.size
-    out = np.empty(n, dtype=np.int64)
-    cursors = chunk_offsets.copy()
-    counts = np.minimum(
-        chunk_size, n - np.arange(nchunks, dtype=np.int64) * chunk_size
-    )
-    weights = (1 << np.arange(max_len - 1, -1, -1)).astype(np.int64)
-    window = np.arange(max_len, dtype=np.int64)
-    max_iters = int(counts.max())
-    for step in range(max_iters):
-        active = np.flatnonzero(counts > step)
-        idx = cursors[active, None] + window[None, :]
-        try:
-            keys = bits[idx].astype(np.int64) @ weights
-        except IndexError:  # a cursor ran off the padded body
-            raise CorruptStreamError(
-                "Huffman decode overran declared bit length"
-            ) from None
-        entry = table[keys].astype(np.int64)
-        lens = entry & _LEN_MASK
-        if np.any(lens == 0):
-            raise CorruptStreamError("invalid codeword in Huffman stream")
-        out[active * chunk_size + step] = entry >> _LEN_BITS
-        cursors[active] += lens
-    if int(cursors.max(initial=0)) > total_bits:
-        raise CorruptStreamError("Huffman decode overran declared bit length")
-    return out
 
 
 def _decode_chunks_numpy(

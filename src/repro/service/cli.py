@@ -193,7 +193,7 @@ def main(argv: list[str] | None = None) -> int:
                        help="fleet identity: stamp replies and metrics with "
                             "shard=ID (set by the cluster router's --spawn)")
     serve.add_argument("--backend", default=None, metavar="TIER",
-                       choices=("scalar", "numpy", "native", "auto"),
+                       choices=("numpy", "native", "auto"),
                        help="kernel tier for codec hot paths (default: "
                             "REPRO_BACKEND, else auto)")
     serve.add_argument("--log-json", action="store_true",
@@ -230,7 +230,7 @@ def main(argv: list[str] | None = None) -> int:
                        help="parent dir for per-shard result caches")
     route.add_argument("--cache-max-bytes", default=None, metavar="BYTES")
     route.add_argument("--backend", default=None, metavar="TIER",
-                       choices=("scalar", "numpy", "native", "auto"),
+                       choices=("numpy", "native", "auto"),
                        help="kernel tier for spawned shards")
     route.add_argument("--log-json", action="store_true")
     route.add_argument("--quiet", action="store_true")

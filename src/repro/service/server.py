@@ -144,7 +144,7 @@ class CompressionService(FrameServer):
         session_idle_s: float = 300.0,
     ) -> None:
         super().__init__(host, port, trace_out)
-        #: Kernel tier (``scalar``/``numpy``/``native``/``auto``) this
+        #: Kernel tier (``numpy``/``native``/``auto``) this
         #: daemon serves with; installed process-wide at :meth:`start`
         #: and restored at shutdown (embedding processes keep theirs).
         self.backend = backend

@@ -25,9 +25,8 @@ _MAX_CODE_BITS = 57  # codes are staged in uint64; reads use shifts below 64
 def pack_varlen_codes(codes: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
     """Pack variable-length MSB-first codes into a byte string.
 
-    Dispatches the ``pack.varlen`` kernel: the seed ragged formulation
-    (``scalar``), the group-by-length scatter (``numpy``), or the
-    compiled bit writer (``native``), all byte-identical.
+    Dispatches the ``pack.varlen`` kernel: the group-by-length scatter
+    (``numpy``) or the compiled bit writer (``native``), byte-identical.
 
     Parameters
     ----------
@@ -75,19 +74,6 @@ def _pack_varlen_numpy(codes: np.ndarray, lengths: np.ndarray) -> tuple[bytes, i
         shift = (length - 1 - cols).astype(np.uint64)
         vals = (group[:, None] >> shift[None, :]) & np.uint64(1)
         bits[starts[sel][:, None] + cols[None, :]] = vals.astype(np.uint8)
-    return np.packbits(bits, bitorder="big").tobytes(), total_bits
-
-
-def _pack_varlen_scalar(codes: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
-    """Seed reference: one flat ragged expansion over every output bit."""
-    total_bits = int(lengths.sum())
-    # Index of the source code for every output bit.
-    owner = np.repeat(np.arange(codes.size, dtype=np.int64), lengths)
-    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-    # Position of each output bit inside its code, from the MSB.
-    pos_in_code = np.arange(total_bits, dtype=np.int64) - starts[owner]
-    shift = (lengths[owner] - 1 - pos_in_code).astype(np.uint64)
-    bits = ((codes[owner] >> shift) & np.uint64(1)).astype(np.uint8)
     return np.packbits(bits, bitorder="big").tobytes(), total_bits
 
 

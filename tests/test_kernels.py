@@ -55,7 +55,7 @@ def _worker_backend(task):
 
 def _fresh(native_impl, probe=None):
     reg = KernelRegistry()
-    reg.register(Backend(name="scalar", impls={"demo.k": "test_kernels:_ref_impl"}))
+    reg.register(Backend(name="numpy", impls={"demo.k": "test_kernels:_ref_impl"}))
     reg.register(Backend(
         name="native", impls={"demo.k": f"test_kernels:{native_impl}"}, probe=probe,
     ))
@@ -67,24 +67,25 @@ class TestSelection:
         monkeypatch.delenv(kernels.BACKEND_ENV, raising=False)
         assert kernels.requested_backend() == "auto"
 
-    @pytest.mark.parametrize("value", ["scalar", "numpy", "native", "auto"])
+    @pytest.mark.parametrize("value", ["numpy", "native", "auto"])
     def test_env_values(self, monkeypatch, value):
         monkeypatch.setenv(kernels.BACKEND_ENV, value)
         assert kernels.requested_backend() == value
 
     def test_env_validation(self, monkeypatch):
-        monkeypatch.setenv(kernels.BACKEND_ENV, "cuda")
-        with pytest.raises(ConfigError, match="REPRO_BACKEND"):
-            kernels.requested_backend()
+        for value in ("cuda", "scalar"):  # the seed tier is gone, no alias
+            monkeypatch.setenv(kernels.BACKEND_ENV, value)
+            with pytest.raises(ConfigError, match="REPRO_BACKEND.*'numpy'"):
+                kernels.requested_backend()
 
     def test_use_restores_override(self, monkeypatch):
         monkeypatch.delenv(kernels.BACKEND_ENV, raising=False)
         assert kernels.current_override() is None
-        with kernels.use("scalar"):
-            assert kernels.requested_backend() == "scalar"
+        with kernels.use("native"):
+            assert kernels.requested_backend() == "native"
             with kernels.use("numpy"):
                 assert kernels.requested_backend() == "numpy"
-            assert kernels.requested_backend() == "scalar"
+            assert kernels.requested_backend() == "native"
         assert kernels.current_override() is None
 
     def test_use_none_is_noop(self):
@@ -92,22 +93,23 @@ class TestSelection:
             assert kernels.current_override() is None
 
     def test_set_backend_validates(self):
-        with pytest.raises(ConfigError):
-            kernels.set_backend("gpu")
+        for value in ("gpu", "scalar"):
+            with pytest.raises(ConfigError, match="'numpy'"):
+                kernels.set_backend(value)
 
     def test_explicit_argument_beats_override(self):
         with kernels.use("native"):
-            assert kernels.resolve_name("sz.encode", "scalar") == "scalar"
+            assert kernels.resolve_name("sz.encode", "numpy") == "numpy"
 
     def test_active_covers_every_kernel(self):
-        active = kernels.active("scalar")
-        assert set(active) >= {
+        active = kernels.active("numpy")
+        assert set(active) == {
             "sz.encode", "sz.decode", "pack.varlen",
-            "huffman.package_merge", "huffman.canonical",
             "huffman.encode", "huffman.decode",
             "zfp.encode", "zfp.decode",
         }
-        assert len(active) == 9 and set(active.values()) == {"scalar"}
+        assert set(active.values()) == {"numpy"}
+        assert kernels.TIER_ORDER == ("native", "numpy")
 
     def test_numpy_tier_resolves_everywhere(self):
         assert set(kernels.active("numpy").values()) == {"numpy"}
@@ -119,17 +121,31 @@ class TestFallback:
         CALLS["boom"] = CALLS["ref"] = 0
         assert reg.call("demo.k", 21, backend="auto") == 42
         assert CALLS["boom"] == 1 and CALLS["ref"] == 1
-        assert reg.last_used()["demo.k"] == "scalar"
+        assert reg.last_used()["demo.k"] == "numpy"
         assert ("native", "demo.k") in reg.tripped()
         # The tripped pair is skipped on the next call: no second boom.
         assert reg.call("demo.k", 1, backend="auto") == 2
         assert CALLS["boom"] == 1
 
+    def test_trip_is_logged_once(self, caplog):
+        """A tripped kernel says so at WARNING — with no telemetry
+        installed the log line is the only trace of the degradation."""
+        reg = _fresh("_boom_impl")
+        with caplog.at_level("WARNING", logger="repro.kernels"):
+            reg.call("demo.k", 1, backend="auto")
+            reg.call("demo.k", 1, backend="auto")
+        (record,) = [r for r in caplog.records if r.name == "repro.kernels"]
+        assert record.levelname == "WARNING"
+        message = record.getMessage()
+        assert "demo.k" in message and "native" in message
+        assert "RuntimeError: native kernel exploded" in message
+        assert "served by numpy" in message
+
     def test_probe_time_failure_skips_tier(self):
         reg = _fresh("_ref_impl", probe=_probe_fail)
         CALLS["ref"] = 0
         name, _ = reg.resolve("demo.k", "auto")
-        assert name == "scalar"
+        assert name == "numpy"
         assert "no compiler" in reg.backends()["native"].unavailable_reason()
         assert reg.tripped() == {}  # probe failures are not call trips
 
@@ -137,7 +153,7 @@ class TestFallback:
         # A daemon pinned to `native` on a host without it keeps serving.
         reg = _fresh("_ref_impl", probe=_probe_fail)
         assert reg.call("demo.k", 3, backend="native") == 6
-        assert reg.last_used()["demo.k"] == "scalar"
+        assert reg.last_used()["demo.k"] == "numpy"
 
     def test_repro_errors_are_results_not_failures(self):
         reg = _fresh("_bad_data_impl")
@@ -149,10 +165,10 @@ class TestFallback:
     def test_scalar_failure_surfaces(self):
         reg = KernelRegistry()
         reg.register(Backend(
-            name="scalar", impls={"demo.k": "test_kernels:_boom_impl"}
+            name="numpy", impls={"demo.k": "test_kernels:_boom_impl"}
         ))
         with pytest.raises(RuntimeError, match="exploded"):
-            reg.call("demo.k", 1, backend="scalar")
+            reg.call("demo.k", 1, backend="numpy")
 
     def test_unknown_kernel(self):
         reg = _fresh("_ref_impl")
@@ -160,7 +176,7 @@ class TestFallback:
             reg.resolve("demo.missing")
 
     def test_real_registry_never_fails_resolution(self):
-        # scalar provides every kernel, so auto resolution always lands.
+        # numpy provides every kernel, so auto resolution always lands.
         for kernel in kernels.active():
             name, fn = kernels.REGISTRY.resolve(kernel, "auto")
             assert callable(fn) and name in kernels.TIER_ORDER
@@ -187,6 +203,7 @@ class TestNativeTier:
             native.probe()
         except KernelUnavailableError:
             pytest.skip("native tier unavailable here")
+        monkeypatch.delenv(kernels.BACKEND_ENV, raising=False)  # CI tier pins
         build = native._build_clib
 
         def slow_build():
@@ -226,8 +243,8 @@ class TestNativeTier:
         from repro.kernels import native
 
         data = np.random.default_rng(3).standard_normal((9, 6)).astype(np.float32)
-        reference = ZFPCompressor(backend="scalar").compress(data, rate=8.0)
-        with kernels.use("scalar"):
+        with kernels.use("numpy"):
+            reference = ZFPCompressor().compress(data, rate=8.0)
             sz_reference = SZCompressor().compress(data, error_bound=1e-2)
         monkeypatch.setenv("PATH", str(tmp_path))
         monkeypatch.delenv("CC", raising=False)
@@ -237,11 +254,11 @@ class TestNativeTier:
             with pytest.raises(KernelUnavailableError, match="no C compiler"):
                 native.probe()
             assert set(kernels.active("native").values()) == {"numpy"}
-            codec = ZFPCompressor(backend="native")
-            assert codec.compress(data, rate=8.0).payload == reference.payload
-            assert kernels.last_used()["zfp.encode"] == "numpy"
             with kernels.use("native"):
+                zfp_buf = ZFPCompressor().compress(data, rate=8.0)
                 sz_buf = SZCompressor().compress(data, error_bound=1e-2)
+            assert zfp_buf.payload == reference.payload
+            assert kernels.last_used()["zfp.encode"] == "numpy"
             assert sz_buf.payload == sz_reference.payload
             assert kernels.last_used()["sz.encode"] == "numpy"
         finally:
@@ -264,7 +281,7 @@ class TestSZKernels:
     def test_encode_outputs(self, backend, radius):
         data = self._field()
         ref = kernels.call("sz.encode", data, 1e-3, 6, "adaptive", radius,
-                           backend="scalar")
+                           backend="numpy")
         got = kernels.call("sz.encode", data, 1e-3, 6, "adaptive", radius,
                            backend=backend)
         for mine, theirs in zip(got[:5], ref[:5]):
@@ -286,13 +303,13 @@ class TestSZKernels:
     def test_decode_inverts_any_tier(self, backend, dtype):
         data = self._field(dtype)
         symbols, _, outliers, use_reg, coefs, radius = kernels.call(
-            "sz.encode", data, 1e-3, 6, "adaptive", 8, backend="scalar")
+            "sz.encode", data, 1e-3, 6, "adaptive", 8, backend="numpy")
         args = (symbols, outliers, use_reg, coefs, 1e-3, 6, radius,
                 data.shape, np.dtype(dtype))
         out = kernels.call("sz.decode", *args, backend=backend)
         assert out.dtype == dtype and out.shape == data.shape
         assert np.array_equal(out, kernels.call("sz.decode", *args,
-                                                backend="scalar"))
+                                                backend="numpy"))
         assert np.abs(out.astype(np.float64) - data).max() <= 1e-3 + 1e-6
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -343,15 +360,15 @@ class TestPropagation:
             seen.append(kernels.requested_backend())
             return task
 
-        assert _apply_chunk(probe_task, [1, 2], None, "scalar") == [1, 2]
-        assert seen == ["scalar", "scalar"]
+        assert _apply_chunk(probe_task, [1, 2], None, "numpy") == [1, 2]
+        assert seen == ["numpy", "numpy"]
         assert kernels.current_override() is None
 
     def test_process_map_workers_inherit_override(self, monkeypatch):
         monkeypatch.delenv(kernels.BACKEND_ENV, raising=False)
-        with kernels.use("scalar"):
+        with kernels.use("numpy"):
             out = process_map(_worker_backend, list(range(8)), workers=2)
-        assert out == ["scalar"] * 8
+        assert out == ["numpy"] * 8
         # Without an override, workers fall back to their environment.
         assert process_map(_worker_backend, [0, 1], workers=2) == ["auto"] * 2
 
@@ -364,41 +381,33 @@ class TestPropagation:
         sweep = CompressorSweep(
             name="sz", mode="abs", sweep={"error_bound": [1e-2]}
         )
-        bench = CBench(fields, chunk_budget=256, backend="scalar")
+        bench = CBench(fields, chunk_budget=256, backend="numpy")
         rec = bench.run_one(sweep, "x", 1e-2)
-        assert rec.meta["kernels"]["sz.encode"] == "scalar"
+        assert rec.meta["kernels"]["sz.encode"] == "numpy"
         assert rec.meta["streaming"]["n_chunks"] > 1
         assert kernels.current_override() is None
 
     def test_cbench_validates_backend(self):
         from repro.foresight.cbench import CBench
 
-        with pytest.raises(ConfigError, match="backend"):
-            CBench({"x": np.zeros(4, dtype=np.float32)}, backend="gpu")
+        for value in ("gpu", "scalar"):
+            with pytest.raises(ConfigError, match="backend.*'numpy'"):
+                CBench({"x": np.zeros(4, dtype=np.float32)}, backend=value)
 
     def test_daemon_reports_backend_in_stats_and_metrics(self):
         from repro.service import ServiceClient, ServiceThread
 
-        with ServiceThread(backend="scalar") as st:
+        with ServiceThread(backend="numpy") as st:
             with ServiceClient(port=st.port) as client:
                 arr = np.linspace(0, 1, 512, dtype=np.float32)
                 buf = client.compress(arr, compressor="sz", mode="abs",
                                       value=1e-3)
                 stats = client.stats()
                 text = client.metrics_text()
-        assert stats["kernels"]["requested"] == "scalar"
-        assert set(stats["kernels"]["active"].values()) == {"scalar"}
+        assert stats["kernels"]["requested"] == "numpy"
+        assert set(stats["kernels"]["active"].values()) == {"numpy"}
         assert stats["kernels"]["tripped"] == {}
-        assert 'kernels_backend{stage="sz.encode"} 0' in text
-        assert 'kernels_backend_info{backend="scalar",stage="sz.encode"} 1' in text
+        assert 'kernels_backend{stage="sz.encode"} 1' in text
+        assert 'kernels_backend_info{backend="numpy",stage="sz.encode"} 1' in text
         # The daemon restored the embedding process's selection on drain.
         assert kernels.current_override() is None
-
-    def test_zfp_batched_compat(self, monkeypatch):
-        monkeypatch.setenv(kernels.BACKEND_ENV, "scalar")
-        from repro.compressors.zfp.zfpcompressor import ZFPCompressor
-
-        assert ZFPCompressor().batched is False
-        assert ZFPCompressor().backend == "scalar"
-        assert ZFPCompressor(batched=True).batched is True
-        assert ZFPCompressor(batched=False).backend == "scalar"

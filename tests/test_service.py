@@ -106,6 +106,35 @@ class FrameLevelCases:
             with ServiceClient(port=st.port) as client:
                 assert client.health()["status"] == "ok"
 
+    def test_unknown_codec_option_is_a_typed_error(self, front_end):
+        """An option the codec does not take is the caller's mistake on
+        every op that carries options — a ``ConfigError`` reply naming
+        it, never ``internal`` with a daemon traceback.  That includes
+        ZFP's former ``batched`` / ``backend``: the wire cannot choose a
+        slower implementation."""
+        field = _field(8)
+        with front_end(self.front) as st, \
+                ServiceClient(port=st.port) as client:
+            good = client.compress(field, "zfp", mode="fixed_rate", value=8.0)
+            for codec, options in (("sz", {"block_size": 8}),
+                                   ("zfp", {"batched": False}),
+                                   ("zfp", {"backend": "numpy"})):
+                option = next(iter(options))
+                for call in (
+                    lambda: client.compress(field, codec, value=0.1,
+                                            options=options),
+                    lambda: client.decompress(good, codec, options=options),
+                    lambda: client.session_open(codec, options=options),
+                ):
+                    with pytest.raises(ServiceError, match=option) as err:
+                        call()
+                    assert err.value.code == "ConfigError"
+                    assert "accepted" in str(err.value)
+            # bad input cost nobody their connection or their daemon
+            again = client.compress(field, "zfp", mode="fixed_rate", value=8.0)
+            assert again.payload == good.payload
+            assert _counter(client.stats(), "service.errors") >= 9
+
 
 class TestBasicOps(FrameLevelCases):
     def test_compress_matches_direct_call(self):

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.compressors.zfp import batch
 from repro.compressors.zfp.blockcodec import (
+    EBIAS,
     EBITS,
+    HEADER_BITS,
     NBMASK,
     _BlockReader,
     _Emitter,
@@ -136,6 +139,73 @@ class TestEmbeddedCoding:
 
     def test_ebits_covers_float64_exponents(self):
         assert EBITS >= 12
+
+
+class TestPerBlockCoderIsTheBatchedCoder:
+    """The per-block coder above is the specification; the batched coder
+    (``zfp/batch.py``) is what the numpy tier runs.  Block by block they
+    must emit the same bits and invert the same bits — nothing else sits
+    between the seed transcription and the shipped coder."""
+
+    @staticmethod
+    def _spec_encode(words, e, size, budget, kmin, fixed_rate):
+        """One nonzero block through ``encode_block_planes``, framed the
+        way a stream frames it: flag, biased exponent, planes."""
+        emitter = _Emitter()
+        emitter.emit_msb(1, 1)
+        emitter.emit_msb(e + EBIAS, EBITS)
+        used = HEADER_BITS + encode_block_planes(
+            emitter, words, size, budget, kmin=kmin, pad=fixed_rate)
+        body, nbits = emitter.pack()
+        return body, nbits, used
+
+    @pytest.mark.parametrize("size", [4, 16, 64])
+    @pytest.mark.parametrize("fixed_rate", [True, False])
+    @pytest.mark.parametrize("kmin", [0, 9])
+    def test_same_bits_and_same_inverse(self, size, fixed_rate, kmin):
+        planes = 32
+        rng = np.random.default_rng(size + kmin)
+        # header-only, mid-plane, and more than any block can spend
+        budgets = [0, 1, 7, size, 5 * size + 3, planes * (2 * size + 1)]
+        for budget in budgets:
+            for trial in range(4):
+                magnitude = int(rng.integers(1, planes))
+                u = rng.integers(0, 1 << magnitude, size).astype(np.uint64)
+                u[rng.random(size) < 0.3] = 0
+                u[0] |= np.uint64(1)  # a coded block is never all zero
+                e = int(rng.integers(-900, 900))
+                words = plane_words(u[None, :], planes)
+                body, nbits, used = self._spec_encode(
+                    words[0].tolist(), e, size, budget, kmin, fixed_rate)
+
+                maxbits = HEADER_BITS + budget if fixed_rate else 0
+                b_body, b_nbits, offsets, used_bits = batch.encode_blocks(
+                    words, np.array([True]), np.array([e]), size, planes,
+                    np.array([budget]), np.array([kmin]), maxbits)
+                case = (size, fixed_rate, kmin, budget, trial)
+                assert (b_body, b_nbits) == (body, nbits), case
+                assert used_bits.tolist() == [used], case
+                assert offsets.tolist() == [0, nbits], case
+
+                value = int.from_bytes(body, "big") >> (len(body) * 8 - nbits)
+                reader = _BlockReader(value, nbits)
+                assert reader.read_bit() == 1
+                assert reader.read_msb(EBITS) == e + EBIAS
+                spec_words = decode_block_planes(
+                    reader, planes, size, nbits - HEADER_BITS, kmin=kmin)
+
+                bits = np.unpackbits(np.frombuffer(body, np.uint8), count=nbits)
+                table = np.array([0, nbits], dtype=np.int64)
+                nonzero, exps = batch.read_block_headers(bits, table)
+                assert nonzero.tolist() == [True] and exps.tolist() == [e]
+                got = batch.decode_blocks(
+                    np.concatenate([bits, np.zeros(128, np.uint8)]), table,
+                    nonzero, planes, size, np.array([nbits - HEADER_BITS]),
+                    np.array([kmin]))
+                assert got[0].tolist() == spec_words, case
+                if budget == budgets[-1] and kmin == 0:
+                    assert np.array_equal(
+                        words_to_coeffs(spec_words, size), u), case
 
 
 class TestBlockReader:
