@@ -12,9 +12,11 @@ one ``manifest.json`` row with the options and digests.  The *decode*
 half (stored ``payload`` -> ``recon_sha256``) holds forever; the
 *re-encode* half (input -> ``reencode_sha256``, and for HUF1 the code
 lengths -> ``lengths_sha256``) may move only through ``--reencode-only``
-in a commit that says why.
+in a commit that says why.  ``--append`` writes only the fixtures whose
+name the manifest does not have yet, leaving every pinned row and file
+as it is.
 
-A full write encodes and decodes every fixture on every registered
+A full (or appending) write encodes and decodes every fixture on every registered
 kernel tier and refuses to write unless they all agree; the row records
 which tiers those were (``tiers_agreed``) and the commit that produced
 the bytes (``written_at``).
@@ -76,6 +78,17 @@ def zfp_fixtures() -> list[dict]:
     hacc = ((centres[rng.integers(0, 12, 1001)]
              + rng.normal(0.0, 3.0, 1001)) % 256.0).astype(f32)
     adv = adversarial_block()
+    # The 4-value block shapes HACC's particle arrays run through: 4,097
+    # blocks of clustered positions, and velocities with zero runs.
+    halos = rng.uniform(0.0, 256.0, 64)
+    positions = ((halos[rng.integers(0, 64, 16386)]
+                  + rng.normal(0.0, 2.0, 16386)) % 256.0).astype(f32)
+    velocities = (rng.normal(0.0, 300.0, 6002)
+                  * np.exp(rng.uniform(-4.0, 2.0, 6002))).astype(f32)
+    for start in (0, 400, 2001, 5990):
+        velocities[start:start + 4 * int(rng.integers(1, 40))] = 0.0
+    velocities_f64 = (rng.normal(0.0, 300.0, 2051)
+                      * np.exp(rng.uniform(-30.0, 30.0, 2051)))
     rows = [
         # name, mode, value, data
         ("rate4_1d_f32_mod1", "fixed_rate", 4.0, _smooth((129,), f32, 1)),
@@ -97,6 +110,12 @@ def zfp_fixtures() -> list[dict]:
         ("accuracy_1d_f32_hacc_like", "fixed_accuracy", 1e-2, hacc),
         ("accuracy_3d_f32_wild_range", "fixed_accuracy", 1.0, wild),
         ("accuracy_3d_f32_mixed_zero_blocks", "fixed_accuracy", 1e-2, mixed),
+        ("rate8_1d_f32_hacc_positions_mod2", "fixed_rate", 8.0, positions),
+        ("rate8_1d_f64_mod1", "fixed_rate", 8.0, _smooth((1029,), f64, 13)),
+        ("rate4_1d_f32_velocities_zero_runs", "fixed_rate", 4.0, velocities),
+        ("precision16_1d_f32_velocities", "fixed_precision", 16, velocities),
+        ("accuracy_1d_f64_wide_range", "fixed_accuracy", 1e-3, velocities_f64),
+        ("rate4_2d_f32_mod1", "fixed_rate", 4.0, _smooth((13, 21), f32, 14)),
     ]
     return [{"name": n, "mode": m, "value": v, "data": d} for n, m, v, d in rows]
 
@@ -203,12 +222,19 @@ FAMILIES = {
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--reencode-only", action="store_true")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--reencode-only", action="store_true")
+    mode.add_argument("--append", action="store_true",
+                      help="write only the fixtures the manifest lacks; "
+                           "pinned rows and files are left as they are")
     args = parser.parse_args()
     for family, (fixtures, key, encode) in FAMILIES.items():
         out = HERE / family
         out.mkdir(parents=True, exist_ok=True)
         manifest_path = out / "manifest.json"
+        pinned = []
+        if args.append and manifest_path.exists():
+            pinned = json.loads(manifest_path.read_text())
         if args.reencode_only:
             manifest = json.loads(manifest_path.read_text())
             for row in manifest:
@@ -219,8 +245,11 @@ def main() -> None:
                     row["lengths_sha256"] = array_digest(lengths[0])
         else:
             stamp = _provenance()
-            manifest = []
+            manifest = pinned
+            known = {row["name"] for row in pinned}
             for row in fixtures():
+                if row["name"] in known:
+                    continue
                 source = row.pop(key)
                 payload, recon, *lengths = _on_every_tier(encode, row, source)
                 np.savez(out / f"{row['name']}.npz", **{key: source},

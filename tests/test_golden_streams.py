@@ -3,8 +3,12 @@
 The fixtures under ``tests/golden/sz/`` were written by the commit before
 the one-pass SZ kernels (``tests/golden/make_sz_golden.py``); those under
 ``tests/golden/zfp/`` and ``tests/golden/huffman/`` by the last commit
-that had the seed ``scalar`` kernel tier, with all three tiers agreeing
-(``tests/golden/make_codec_golden.py``; each row names its commit).  On
+that had the seed ``scalar`` kernel tier, with all three tiers agreeing,
+and the 4-value and 16-value block rows added after them (HACC-like
+positions and velocities, f64, precision, accuracy) by the commit before
+the native ZFP coder was specialised per block size, with both tiers
+agreeing (``tests/golden/make_codec_golden.py``; each row names its
+commit).  On
 every kernel tier each stored payload must decode to its pinned
 reconstruction digest — that half holds forever — and re-encoding the
 stored input must reproduce the pinned encoder digest, which only the
@@ -66,7 +70,8 @@ def test_zfp_and_huffman_fixture_sets_cover_the_formats():
     for needle in ("1d", "2d", "3d", "f32", "f64", "rate4", "rate8", "rate16",
                    "mod1", "mod3", "single_block", "all_zero", "mixed_zero",
                    "extreme_range", "adversarial", "precision", "accuracy",
-                   "hacc_like", "wild_range"):
+                   "hacc_like", "wild_range", "mod2", "positions",
+                   "velocities", "zero_runs"):
         assert any(needle in name for name in names), needle
     assert sum(row["package_merge"] for row in HUFFMAN_MANIFEST) >= 5
     assert not all(row["package_merge"] for row in HUFFMAN_MANIFEST)
