@@ -56,6 +56,17 @@ _MODE_CODES = {
 _CODE_MODES = {v: k for k, v in _MODE_CODES.items()}
 
 
+def _finite(name: str, value: Any) -> float:
+    """A mode knob as a finite float, else :class:`DataError`."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise DataError(f"{name} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise DataError(f"{name} must be finite, got {value}")
+    return number
+
+
 def _kmin_rule(
     mode: CompressorMode, parameter: float, planes: int, ndim: int
 ) -> tuple[int, bool]:
@@ -123,23 +134,30 @@ class ZFPCompressor(Compressor):
         planes = _PLANES[_DTYPE_CODES[data.dtype]]
 
         if mode is CompressorMode.FIXED_RATE:
-            maxbits = int(round(rate * size))
-            if maxbits < HEADER_BITS + 1:
+            parameter = _finite("rate", rate)
+            # The most a block can code: the header, then per plane every
+            # value bit, every group test and the closing one.  A higher
+            # rate would only add zero padding.
+            most = HEADER_BITS + planes * (2 * size + 1)
+            maxbits = round(parameter * size)
+            if not HEADER_BITS + 1 <= maxbits <= most:
                 raise DataError(
-                    f"rate {rate} too small: needs at least "
-                    f"{(HEADER_BITS + 1) / size:.3f} bits/value for the block header"
+                    f"rate {rate} out of range: a {data.ndim}-D {data.dtype} "
+                    f"block codes {(HEADER_BITS + 1) / size:.3f} to "
+                    f"{most / size:.3f} bits/value"
                 )
-            parameter = float(rate)
         elif mode is CompressorMode.FIXED_PRECISION:
-            if not 1 <= int(precision) <= planes:
-                raise DataError(f"precision must be in [1, {planes}]")
+            parameter = _finite("precision", precision)
+            if not (parameter.is_integer() and 1 <= parameter <= planes):
+                raise DataError(
+                    f"precision must be an integer in [1, {planes}], got {precision}"
+                )
             maxbits = 0
-            parameter = float(precision)
         else:
-            if tolerance is None or tolerance <= 0 or not np.isfinite(tolerance):
+            parameter = _finite("tolerance", tolerance)
+            if parameter <= 0:
                 raise DataError("fixed-accuracy mode needs a positive tolerance")
             maxbits = 0
-            parameter = float(tolerance)
 
         from repro import kernels
 
@@ -155,15 +173,16 @@ class ZFPCompressor(Compressor):
         if fixed_rate and nbits != nblocks * maxbits:
             raise AssertionError("fixed-rate invariant violated")
         zero_blocks = nblocks - int(np.count_nonzero(nonzero))
-        tm.count("zfp.emitted_bits", nbits)
-        # Bit-plane truncation stats: bits each block actually coded (before
-        # any fixed-rate zero padding) — the quantity Fig. 10's rate knob
-        # trades against error.
-        coded = used_bits[nonzero]
-        tm.observe_many("zfp.block_used_bits", coded)
-        if fixed_rate:
-            tm.count("zfp.padding_bits", int(maxbits * coded.size - coded.sum()))
-        tm.count("zfp.zero_blocks", zero_blocks)
+        if tm.enabled:
+            tm.count("zfp.emitted_bits", nbits)
+            # Bit-plane truncation stats: bits each block actually coded
+            # (before any fixed-rate zero padding) — the quantity Fig. 10's
+            # rate knob trades against error.
+            coded = used_bits[nonzero]
+            tm.observe_many("zfp.block_used_bits", coded)
+            if fixed_rate:
+                tm.count("zfp.padding_bits", int(maxbits * coded.size - coded.sum()))
+            tm.count("zfp.zero_blocks", zero_blocks)
 
         header = struct.pack(
             _HDR,

@@ -7,7 +7,8 @@ with the system C compiler into a cached shared object (see
 reference for its kernel — bit-for-bit, including rounding (``rint``
 under the default round-to-nearest-even mode matches ``np.rint``), the
 order of every floating-point sum in the SZ predictors and the exact
-group-testing control flow of the ZFP coder — so the parity matrix in
+group-testing control flow of the ZFP coder (tabulated from that loop
+for 4-value blocks) — so the parity matrix in
 ``tests/test_fastpath_equivalence.py`` holds by construction.
 """
 
@@ -17,6 +18,11 @@ C_SOURCE = r"""
 #include <math.h>
 
 #define API __attribute__((visibility("default")))
+/* Inlined even where -O2 would not: a bit reader's state stays in
+ * registers, and a literal size argument specialises the body. */
+#define INLINE static inline __attribute__((always_inline))
+/* -O2 keeps even a 4-trip loop rolled, and the arrays it indexes in memory. */
+#define EACH_VALUE(i, count) _Pragma("GCC unroll 4") for (int i = 0; i < (count); i++)
 
 /* ---------------- MSB-first bit streams ----------------
  * np.packbits(bitorder="big") convention.  Writer: up to 31 pending bits
@@ -62,7 +68,7 @@ typedef struct {
     int avail;
 } bit_reader;
 
-static void br_refill(bit_reader* r)
+INLINE void br_refill(bit_reader* r)
 {
     const int64_t byte = r->pos >> 3;
     uint64_t v = 0;
@@ -496,6 +502,11 @@ API int64_t repro_sz_decode(
  * (np.packbits(bitorder="big") convention), so there is no whole-field
  * intermediate of any kind.
  *
+ * One block body per direction takes the block size (4, 16 or 64) as a
+ * literal (ZFP_SIZED), so the compiler builds a copy per size.  In the
+ * 4-value copy (1-D fields: HACC's particle arrays) a plane word is four
+ * shifts and a plane's group tests one lookup in the plane4 tables.
+ *
  * Integer steps rely on -fwrapv (see native._CFLAGS): a damaged stream
  * can decode to arbitrary 64-bit coefficients, and numpy's int64
  * arithmetic wraps there too. */
@@ -504,8 +515,11 @@ API int64_t repro_sz_decode(
 #define ZFP_HEADER_BITS (1 + ZFP_EBITS)
 #define ZFP_NBMASK 0xAAAAAAAAAAAAAAAAULL
 #define SHL1(v) ((int64_t)((uint64_t)(v) << 1))
+/* body(args..., 4^ndim), the block size a literal: one copy per size. */
+#define ZFP_SIZED(body, ...) (ndim == 1 ? body(__VA_ARGS__, 4) \
+    : ndim == 2 ? body(__VA_ARGS__, 16) : body(__VA_ARGS__, 64))
 
-static void zfp_fwd_lift(int64_t* p, int s)
+INLINE void zfp_fwd_lift(int64_t* p, int s)
 {
     int64_t x = p[0], y = p[s], z = p[2 * s], w = p[3 * s];
     x += w; x >>= 1; w -= x;
@@ -516,7 +530,7 @@ static void zfp_fwd_lift(int64_t* p, int s)
     p[0] = x; p[s] = y; p[2 * s] = z; p[3 * s] = w;
 }
 
-static void zfp_inv_lift(int64_t* p, int s)
+INLINE void zfp_inv_lift(int64_t* p, int s)
 {
     int64_t x = p[0], y = p[s], z = p[2 * s], w = p[3 * s];
     y += w >> 1; w -= y >> 1;
@@ -528,7 +542,7 @@ static void zfp_inv_lift(int64_t* p, int s)
 }
 
 /* Lift every line of a flat 4^ndim block along the axis of `stride`. */
-static void zfp_lift_axis(int64_t* q, int size, int stride, int inverse)
+INLINE void zfp_lift_axis(int64_t* q, int size, int stride, int inverse)
 {
     for (int hi = 0; hi < size; hi += 4 * stride)
         for (int lo = 0; lo < stride; lo++) {
@@ -574,35 +588,158 @@ static inline uint64_t zfp_rev64(uint64_t x)
     return __builtin_bswap64(x);
 }
 
-/* Returns the number of bits written.  `out` needs room for
- * nblocks * maxbits bits (fixed rate) or nblocks times the worst case
- * HEADER + planes * (2 * size + 1) bits (see native.zfp_encode). */
-API int64_t repro_zfp_encode(
+/* The group tests of one plane, the seed loop: per group the test bit,
+ * then run = min(j + 1, size - 1 - n, bits) bits — zeros up to and
+ * (iff run == j + 1) including x's lowest set bit j.  `x` holds the
+ * plane's bits from coefficient n up. */
+INLINE void zfp_put_groups(bit_writer* w, int size, int* n, int64_t* bits, uint64_t x)
+{
+    while (*n < size && *bits) {
+        --*bits;
+        bw_put(w, x != 0, 1);
+        if (!x) break;
+        const int j = __builtin_ctzll(x);
+        int64_t run = j + 1;
+        if (run > size - 1 - *n) run = size - 1 - *n;
+        if (run > *bits) run = *bits;
+        const int one = run == j + 1;
+        bw_zeros(w, run - one);
+        if (one) bw_put(w, 1, 1);
+        *bits -= run;
+        const int adv = (int)run + !one;
+        x = adv >= 64 ? 0 : x >> adv;
+        *n += adv;
+    }
+}
+
+/* Mirror of zfp_put_groups: returns `x` with bit i set for each
+ * coefficient i found significant. */
+INLINE uint64_t zfp_get_groups(bit_reader* r, int size, int* n, int64_t* bits, uint64_t x)
+{
+    while (*n < size && *bits) {
+        --*bits;
+        if (!br_get(r, 1)) break;
+        /* zeros up to the next coefficient's 1 bit, which is
+         * implicit once size-1 is reached or bits run out */
+        int64_t limit = size - 1 - *n;
+        if (limit > *bits) limit = *bits;
+        int zeros = 0, one = 0;
+        while (zeros < limit && !one) {
+            if (!r->avail) br_refill(r);
+            int take = (int)limit - zeros;
+            if (take > r->avail) take = r->avail;
+            if (r->buf >> (64 - take)) {
+                take = __builtin_clzll(r->buf);
+                one = 1;
+            }
+            zeros += take;
+            br_skip(r, take + one);
+        }
+        *bits -= zeros + one;
+        *n += zeros;
+        x |= 1ULL << *n;
+        ++*n;
+    }
+    return x;
+}
+
+/* 4-value planes by table.  With n of 4 coefficients significant, a
+ * plane's group tests are at most 7 bits ("1 1" per coefficient 0..2
+ * found, "1" for coefficient 3, a closing "0" unless n reaches 4), so an
+ * 8-bit budget never binds and one entry holds all the loop does:
+ *
+ *   plane4_encode[n][x >> n]      = bits | bit count << 8 | new n << 12
+ *   plane4_decode[n][next 8 bits] = bit count | new n << 4 | new bits << 8
+ *
+ * If the budget left covers the count, the budget-limited loop does the
+ * same.  If not, it spends the `left` bits there are and the block ends:
+ * the encoder writes the entry's first `left` bits, and the decoder
+ * (an implicit 1 where the budget cuts a run of zeros) reads its new
+ * bits from plane4_cut[n][1 << left | next left bits].  Filled by the
+ * loops when the library loads; exported for the test suite. */
+API uint16_t repro_zfp_plane4_encode[5][16];
+API uint16_t repro_zfp_plane4_decode[5][256];
+API uint8_t repro_zfp_plane4_cut[5][256];
+
+/* The low 4 bits of the index, reversed: value bits are LSB first. */
+static const uint8_t zfp_rev4[16] = {0, 8, 4, 12, 2, 10, 6, 14,
+                                     1, 9, 5, 13, 3, 11, 7, 15};
+
+__attribute__((constructor)) static void zfp_plane4_tables(void)
+{
+    for (int n0 = 0; n0 <= 4; n0++) {
+        for (int x = 0; x < 16 >> n0; x++) {
+            uint8_t sink[4];
+            bit_writer w = {sink, 0, 0, 0};
+            int n = n0;
+            int64_t bits = 8;
+            zfp_put_groups(&w, 4, &n, &bits, (uint64_t)x);
+            repro_zfp_plane4_encode[n0][x] = (uint16_t)(w.acc | w.n << 8 | n << 12);
+        }
+        for (int window = 0; window < 256; window++)
+            for (int left = 0; left <= 8; left++) {
+                const uint8_t bytes[8] = {(uint8_t)window};
+                bit_reader r = {bytes, 8, 0, 0, 0};
+                int n = n0;
+                int64_t bits = left;
+                const uint64_t x = zfp_get_groups(&r, 4, &n, &bits, 0);
+                if (left == 8)
+                    repro_zfp_plane4_decode[n0][window] = (uint16_t)(r.pos | n << 4 | x << 8);
+                else
+                    repro_zfp_plane4_cut[n0][1 << left | window >> (8 - left)] = (uint8_t)x;
+            }
+    }
+}
+
+/* The flat offsets of block b's cells (C order; cells past the field
+ * edge clamp to the last valid one, np.pad mode="edge", and are flagged
+ * in `inside`), then a step of `g` to the next block.  A 1-D block b is
+ * elements 4b..4b+3. */
+INLINE void zfp_cells(blk_geom* g, int64_t b, int size, int64_t* at, int* inside)
+{
+    if (size == 4) {
+        EACH_VALUE(i, 4) {
+            inside[i] = 4 * b + i < g->n[2];
+            at[i] = inside[i] ? 4 * b + i : g->n[2] - 1;
+        }
+        return;
+    }
+    int64_t off[3][BLK_MAX_SIDE];
+    int in[3][BLK_MAX_SIDE];
+    blk_offsets(g, off, in);
+    blk_next(g);
+    int c = 0;
+    for (int i = 0; i < g->ext[0]; i++)
+        for (int j = 0; j < g->ext[1]; j++)
+            for (int k = 0; k < g->ext[2]; k++, c++) {
+                at[c] = off[0][i] + off[1][j] + off[2][k];
+                inside[c] = in[0][i] & in[1][j] & in[2][k];
+            }
+}
+
+/* The encoder's block body; see repro_zfp_encode. */
+INLINE int64_t zfp_encode_blocks(
     const void* data, int is_f32, int ndim, const int64_t* shape,
     const int64_t* perm, int planes, int64_t maxbits,
     int64_t kbase, int kslope,
-    uint8_t* out, uint64_t* offsets, int64_t* used_bits, uint8_t* nonzero)
+    uint8_t* out, uint64_t* offsets, int64_t* used_bits, uint8_t* nonzero,
+    const int size)
 {
     blk_geom g = blk_geometry(ndim, shape, 4);
-    const int size = g.size;
     bit_writer w = {out, 0, 0, 0};
-    for (int64_t b = 0; b < g.nblocks; b++, blk_next(&g)) {
+    const int64_t budget = maxbits > 0 ? maxbits - ZFP_HEADER_BITS : INT64_MAX;
+    for (int64_t b = 0; b < g.nblocks; b++) {
         offsets[b] = (uint64_t)bw_bits(&w);
-        int64_t off[3][BLK_MAX_SIDE];
-        int inside[3][BLK_MAX_SIDE];
-        blk_offsets(&g, off, inside);
+        int64_t at[64];
+        int inside[64];
+        zfp_cells(&g, b, size, at, inside);
         double v[64];
+        EACH_VALUE(i, size)
+            v[i] = is_f32 ? (double)((const float*)data)[at[i]]
+                          : ((const double*)data)[at[i]];
         double amax = 0.0;
-        int c = 0;
-        for (int i = 0; i < g.ext[0]; i++)
-            for (int j = 0; j < g.ext[1]; j++)
-                for (int k = 0; k < g.ext[2]; k++) {
-                    const int64_t at = off[0][i] + off[1][j] + off[2][k];
-                    const double x = is_f32 ? (double)((const float*)data)[at]
-                                            : ((const double*)data)[at];
-                    if (fabs(x) > amax) amax = fabs(x);
-                    v[c++] = x;
-                }
+        EACH_VALUE(i, size)
+            amax = fabs(v[i]) > amax ? fabs(v[i]) : amax;
         nonzero[b] = amax > 0.0;
         used_bits[b] = 0;
         if (!nonzero[b]) { /* '0' flag (+ fixed-rate zero padding) */
@@ -612,12 +749,12 @@ API int64_t repro_zfp_encode(
         const int e = zfp_exponent(amax);
         const double scale = zfp_scale(planes - 2 - e);
         int64_t q[64];
-        for (int i = 0; i < size; i++)
+        EACH_VALUE(i, size)
             q[i] = (int64_t)rint(ZFP_LDEXP(v[i], planes - 2 - e, scale));
         for (int stride = size / 4; stride >= 1; stride /= 4)
             zfp_lift_axis(q, size, stride, 0);
         uint64_t u[64];
-        for (int i = 0; i < size; i++)
+        EACH_VALUE(i, size)
             u[i] = ((uint64_t)q[perm[i]] + ZFP_NBMASK) ^ ZFP_NBMASK;
 
         /* above[i]: OR of u[i..] — plane k only has bits below the
@@ -630,15 +767,36 @@ API int64_t repro_zfp_encode(
             above[i] = above[i + 1] | u[i];
         int reach = 0;
 
-        bw_put(&w, 1, 1);
-        bw_put(&w, (uint64_t)(e + ZFP_EBIAS), ZFP_EBITS);
-        const int64_t budget =
-            maxbits > 0 ? maxbits - ZFP_HEADER_BITS : INT64_MAX;
+        bw_put(&w, (uint64_t)(1 << ZFP_EBITS | (e + ZFP_EBIAS)), ZFP_HEADER_BITS);
         const int64_t kmin = zfp_kmin(kbase, kslope, e, planes);
         int64_t bits = budget;
+        /* While no coefficient is significant a plane without bits is one
+         * failed group test: the planes above the top set bit cost one 0
+         * bit each. */
+        int64_t empty = above[0] ? __builtin_clzll(above[0]) - (64 - planes) : planes;
+        if (empty < 0) empty = 0;
+        if (empty > planes - kmin) empty = planes - kmin;
+        if (empty > bits) empty = bits;
+        bw_zeros(&w, empty);
+        bits -= empty;
         int n = 0;
-        for (int64_t k = planes - 1; k >= kmin && bits; k--) {
+        for (int64_t k = planes - 1 - empty; k >= kmin && bits; k--) {
             uint64_t x = 0;
+            if (size == 4) {
+                EACH_VALUE(i, 4) x |= (u[i] >> k & 1) << i;
+                /* the value bits, then the group tests by table: one write */
+                const int m = n < bits ? n : (int)bits;
+                const uint64_t values = zfp_rev4[x & ((1u << m) - 1)] >> (4 - m);
+                bits -= m;
+                const int entry = repro_zfp_plane4_encode[n][x >> m];
+                const int fits = (entry >> 8 & 15) <= bits;
+                const int count = fits ? entry >> 8 & 15 : (int)bits;
+                const uint64_t tests = (entry & 0xFF) >> ((entry >> 8 & 15) - count);
+                bw_put(&w, values << count | tests, m + count);
+                bits -= count;
+                n = entry >> 12;
+                continue;
+            }
             while (above[reach] >> k) reach++;
             for (int i = 0; i < reach; i++)
                 x |= ((u[i] >> k) & 1) << i;
@@ -652,25 +810,7 @@ API int64_t repro_zfp_encode(
                 bits -= m;
                 x = m >= 64 ? 0 : x >> m;
             }
-            /* group tests: per group, the seed loop emits the test bit
-             * then run = min(j + 1, size - 1 - n, bits) bits — zeros up
-             * to and (iff run == j + 1) including x's lowest set bit j */
-            while (n < size && bits) {
-                bits--;
-                bw_put(&w, x != 0, 1);
-                if (!x) break;
-                const int j = __builtin_ctzll(x);
-                int64_t run = j + 1;
-                if (run > size - 1 - n) run = size - 1 - n;
-                if (run > bits) run = bits;
-                const int one = run == j + 1;
-                bw_zeros(&w, run - one);
-                if (one) bw_put(&w, 1, 1);
-                bits -= run;
-                const int adv = (int)run + !one;
-                x = adv >= 64 ? 0 : x >> adv;
-                n += adv;
-            }
+            zfp_put_groups(&w, size, &n, &bits, x);
         }
         used_bits[b] = ZFP_HEADER_BITS + (budget - bits);
         if (maxbits > 0) bw_zeros(&w, bits);
@@ -678,6 +818,108 @@ API int64_t repro_zfp_encode(
     const int64_t total = bw_finish(&w);
     offsets[g.nblocks] = (uint64_t)total;
     return total;
+}
+
+/* Returns the number of bits written.  `out` needs room for
+ * nblocks * maxbits bits (fixed rate) or nblocks times the worst case
+ * HEADER + planes * (2 * size + 1) bits (see native.zfp_encode). */
+API int64_t repro_zfp_encode(
+    const void* data, int is_f32, int ndim, const int64_t* shape,
+    const int64_t* perm, int planes, int64_t maxbits,
+    int64_t kbase, int kslope,
+    uint8_t* out, uint64_t* offsets, int64_t* used_bits, uint8_t* nonzero)
+{
+    return ZFP_SIZED(zfp_encode_blocks, data, is_f32, ndim, shape, perm, planes,
+                     maxbits, kbase, kslope, out, offsets, used_bits, nonzero);
+}
+
+/* The decoder's block body; see repro_zfp_decode. */
+INLINE int64_t zfp_decode_blocks(
+    const uint8_t* body, int64_t nbytes, const int64_t* offsets,
+    int64_t maxbits, void* out, int is_f32, int ndim, const int64_t* shape,
+    const int64_t* perm, int planes, int64_t kbase, int kslope,
+    const int size)
+{
+    blk_geom g = blk_geometry(ndim, shape, 4);
+    bit_reader r = {body, nbytes, 0, 0, 0};
+    for (int64_t b = 0; b < g.nblocks; b++) {
+        const int64_t start = offsets ? offsets[b] : b * maxbits;
+        const int64_t span = offsets ? offsets[b + 1] - start : maxbits;
+        if (span <= 0 || start < 0) return 1;
+        int64_t at[64];
+        int inside[64];
+        zfp_cells(&g, b, size, at, inside);
+        r.pos = start;
+        br_refill(&r);
+        double v[64];
+        if (!(r.buf >> 63)) {
+            br_skip(&r, 1);
+            EACH_VALUE(i, size) v[i] = 0.0;
+        } else {
+            if (span < ZFP_HEADER_BITS) return 2;
+            const int e = (int)(r.buf >> (64 - ZFP_HEADER_BITS) & 0xFFF) - ZFP_EBIAS;
+            br_skip(&r, ZFP_HEADER_BITS);
+            const int64_t kmin = zfp_kmin(kbase, kslope, e, planes);
+            int64_t bits = span - ZFP_HEADER_BITS;
+            /* the encoder's empty top planes: a run of 0 bits (of the
+             * at least 44 still buffered) */
+            int64_t empty = __builtin_clzll(r.buf | 1);
+            if (empty > r.avail) empty = r.avail;
+            if (empty > planes - kmin) empty = planes - kmin;
+            if (empty > bits) empty = bits;
+            br_skip(&r, (int)empty);
+            bits -= empty;
+            uint64_t u[64];
+            EACH_VALUE(i, size) u[i] = 0;
+            int n = 0;
+            for (int64_t k = planes - 1 - empty; k >= kmin && bits; k--) {
+                uint64_t x = 0;
+                if (size == 4) {
+                    /* up to 4 value bits, then the group tests by table */
+                    if (r.avail < 12) br_refill(&r);
+                    const int m = n < bits ? n : (int)bits;
+                    x = zfp_rev4[r.buf >> 60] & ((1u << m) - 1);
+                    br_skip(&r, m);
+                    bits -= m;
+                    const unsigned window = (unsigned)(r.buf >> 56);
+                    const int entry = repro_zfp_plane4_decode[n][window];
+                    const int fits = (entry & 15) <= bits;
+                    const int count = fits ? entry & 15 : (int)bits;
+                    const unsigned cut =
+                        repro_zfp_plane4_cut[n][1 << count | window >> (8 - count)];
+                    x |= fits ? (unsigned)entry >> 8 : cut;
+                    n = entry >> 4 & 15;
+                    br_skip(&r, count);
+                    bits -= count;
+                    EACH_VALUE(i, 4) u[i] |= (x >> i & 1) << k;
+                    continue;
+                }
+                const int m = n < bits ? n : (int)bits;
+                bits -= m;
+                for (int got = 0; got < m; got += 32) {
+                    const int take = m - got < 32 ? m - got : 32;
+                    x |= (zfp_rev64(br_get(&r, take)) >> (64 - take)) << got;
+                }
+                x = zfp_get_groups(&r, size, &n, &bits, x);
+                for (; x; x &= x - 1)
+                    u[__builtin_ctzll(x)] |= 1ULL << k;
+            }
+            int64_t q[64];
+            EACH_VALUE(i, size)
+                q[perm[i]] = (int64_t)((u[i] ^ ZFP_NBMASK) - ZFP_NBMASK);
+            for (int stride = 1; stride < size; stride *= 4)
+                zfp_lift_axis(q, size, stride, 1);
+            const double scale = zfp_scale(e - (planes - 2));
+            EACH_VALUE(i, size)
+                v[i] = ZFP_LDEXP((double)q[i], e - (planes - 2), scale);
+        }
+        EACH_VALUE(i, size) {
+            if (!inside[i]) continue;
+            if (is_f32) ((float*)out)[at[i]] = (float)v[i];
+            else ((double*)out)[at[i]] = v[i];
+        }
+    }
+    return 0;
 }
 
 /* Mirror of repro_zfp_encode.  `offsets` (nblocks + 1 bit offsets) is
@@ -690,81 +932,7 @@ API int64_t repro_zfp_decode(
     int64_t maxbits, void* out, int is_f32, int ndim, const int64_t* shape,
     const int64_t* perm, int planes, int64_t kbase, int kslope)
 {
-    blk_geom g = blk_geometry(ndim, shape, 4);
-    const int size = g.size;
-    bit_reader r = {body, nbytes, 0, 0, 0};
-    for (int64_t b = 0; b < g.nblocks; b++, blk_next(&g)) {
-        r.pos = offsets ? offsets[b] : b * maxbits;
-        r.avail = 0;
-        const int64_t span = offsets ? offsets[b + 1] - r.pos : maxbits;
-        if (span <= 0 || r.pos < 0) return 1;
-        double v[64];
-        if (!br_get(&r, 1)) {
-            for (int i = 0; i < size; i++) v[i] = 0.0;
-        } else {
-            if (span < ZFP_HEADER_BITS) return 2;
-            const int e = (int)br_get(&r, ZFP_EBITS) - ZFP_EBIAS;
-            const int64_t kmin = zfp_kmin(kbase, kslope, e, planes);
-            int64_t bits = span - ZFP_HEADER_BITS;
-            uint64_t u[64] = {0};
-            int n = 0;
-            for (int64_t k = planes - 1; k >= kmin && bits; k--) {
-                const int m = n < bits ? n : (int)bits;
-                bits -= m;
-                uint64_t x = 0;
-                for (int got = 0; got < m; got += 32) {
-                    const int take = m - got < 32 ? m - got : 32;
-                    x |= (zfp_rev64(br_get(&r, take)) >> (64 - take)) << got;
-                }
-                while (n < size && bits) {
-                    bits--;
-                    if (!br_get(&r, 1)) break;
-                    /* zeros up to the next coefficient's 1 bit, which is
-                     * implicit once size-1 is reached or bits run out */
-                    int64_t limit = size - 1 - n;
-                    if (limit > bits) limit = bits;
-                    int zeros = 0, one = 0;
-                    while (zeros < limit && !one) {
-                        if (!r.avail) br_refill(&r);
-                        int take = (int)limit - zeros;
-                        if (take > r.avail) take = r.avail;
-                        if (r.buf >> (64 - take)) {
-                            take = __builtin_clzll(r.buf);
-                            one = 1;
-                        }
-                        zeros += take;
-                        br_skip(&r, take + one);
-                    }
-                    bits -= zeros + one;
-                    n += zeros;
-                    x |= 1ULL << n;
-                    n++;
-                }
-                for (; x; x &= x - 1)
-                    u[__builtin_ctzll(x)] |= 1ULL << k;
-            }
-            int64_t q[64];
-            for (int i = 0; i < size; i++)
-                q[perm[i]] = (int64_t)((u[i] ^ ZFP_NBMASK) - ZFP_NBMASK);
-            for (int stride = 1; stride < size; stride *= 4)
-                zfp_lift_axis(q, size, stride, 1);
-            const double scale = zfp_scale(e - (planes - 2));
-            for (int i = 0; i < size; i++)
-                v[i] = ZFP_LDEXP((double)q[i], e - (planes - 2), scale);
-        }
-        int64_t off[3][BLK_MAX_SIDE];
-        int inside[3][BLK_MAX_SIDE];
-        blk_offsets(&g, off, inside);
-        int c = 0;
-        for (int i = 0; i < g.ext[0]; i++)
-            for (int j = 0; j < g.ext[1]; j++)
-                for (int k = 0; k < g.ext[2]; k++, c++) {
-                    if (!(inside[0][i] && inside[1][j] && inside[2][k])) continue;
-                    const int64_t at = off[0][i] + off[1][j] + off[2][k];
-                    if (is_f32) ((float*)out)[at] = (float)v[c];
-                    else ((double*)out)[at] = v[c];
-                }
-    }
-    return 0;
+    return ZFP_SIZED(zfp_decode_blocks, body, nbytes, offsets, maxbits, out,
+                     is_f32, ndim, shape, perm, planes, kbase, kslope);
 }
 """

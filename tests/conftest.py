@@ -2,11 +2,48 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.cosmo.hacc import make_hacc_dataset
 from repro.cosmo.nyx import make_nyx_dataset
+
+#: Every trip of the process kernel registry seen after a test of a
+#: ``REPRO_BACKEND=native`` run; ``kernels.reset()``, which some tests
+#: call, would forget them.  Tests that trip a kernel on purpose do it in
+#: private ``KernelRegistry`` instances.
+_NATIVE_TRIPS: dict = {}
+
+
+def _native_pinned() -> bool:
+    return os.environ.get(kernels.BACKEND_ENV, "").strip().lower() == "native"
+
+
+@pytest.fixture(autouse=True)
+def _collect_native_trips():
+    yield
+    if _native_pinned():
+        _NATIVE_TRIPS.update(kernels.REGISTRY.tripped())
+
+
+def pytest_sessionfinish(session, exitstatus):
+    """Under ``auto`` a native kernel that raises is served by numpy and
+    every parity test still passes; a native-pinned run fails instead."""
+    if not _native_pinned():
+        return
+    _NATIVE_TRIPS.update(kernels.REGISTRY.tripped())
+    if _NATIVE_TRIPS:
+        reporter = session.config.pluginmanager.get_plugin("terminalreporter")
+        if reporter is not None:
+            reporter.ensure_newline()
+            for (backend, kernel), reason in sorted(_NATIVE_TRIPS.items()):
+                reporter.write_line(
+                    f"kernel {kernel} tripped on the {backend} tier: {reason}",
+                    red=True)
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
 
 @pytest.fixture(scope="session")

@@ -528,6 +528,129 @@ class TestBackendParityMatrix:
         )
 
 
+def _budget_edge_field(shape, dtype):
+    """Mixed magnitudes between and inside blocks, all-zero blocks, zeros
+    inside blocks, denormal blocks and a ragged tail."""
+    rng = np.random.default_rng(26)
+    size = int(np.prod(shape))
+    per_block = np.exp2(rng.integers(-30, 31, size // 4 + 1)).repeat(4)[:size]
+    data = rng.standard_normal(size) * per_block * np.exp2(rng.integers(-16, 1, size))
+    data[400:480] = 0.0
+    data[1001:1003] = 0.0
+    data[2000:2040] = rng.standard_normal(40) * np.finfo(dtype).smallest_subnormal * 64
+    return data.astype(dtype).reshape(shape)
+
+
+def _budget_edge_cells(kind, dtype):
+    """``(shape, maxbits, kmin_rule)`` of each call in one sweep.  Fixed
+    rate runs every maxbits from the 13-bit header + 1 up to 16 bits per
+    value (1-D: rate 3.5-16 in 0.25 steps) or 5 (2-D)."""
+    from repro.compressors.base import CompressorMode
+    from repro.compressors.zfp.zfpcompressor import _kmin_rule
+
+    planes = {np.float32: 32, np.float64: 52}[dtype]
+    if kind == "rate_2d":
+        return [((45, 46), maxbits, (0, False)) for maxbits in range(14, 81)]
+    shape = (8002,)  # 2,001 blocks, the last one half full
+    if kind == "rate":
+        return [(shape, maxbits, (0, False)) for maxbits in range(14, 65)]
+    if kind == "precision":
+        precisions = (range(1, 33) if dtype == np.float32
+                      else (1, 2, 5, 13, 24, 31, 40, 51, 52))
+        return [(shape, 0, (planes - p, False)) for p in precisions]
+    return [(shape, 0, _kmin_rule(CompressorMode.FIXED_ACCURACY, tol, planes, 1))
+            for tol in (1e-6, 1e-3, 0.5, 1e3)]
+
+
+class TestZFPBudgetEdges:
+    """Where a plane meets the end of the bit budget.
+
+    The native coder codes a 4-value plane's group tests from a table and
+    steps over the empty top planes of a block at once.  Either can only
+    part from the seed coder where a block's budget runs out inside a
+    plane, so these fields have thousands of blocks and every budget is
+    swept: the native payload must equal numpy's, and each tier's decoder
+    must turn either tier's stream into the same bits."""
+
+    @pytest.mark.parametrize("backend", BACKENDS[1:])
+    @pytest.mark.parametrize("kind,dtype", [
+        (kind, dtype) for kind in ("rate", "precision", "accuracy")
+        for dtype in (np.float32, np.float64)] + [("rate_2d", np.float32)])
+    def test_native_matches_numpy_at_every_budget(self, backend, kind, dtype):
+        planes = {np.float32: 32, np.float64: 52}[dtype]
+        for shape, maxbits, rule in _budget_edge_cells(kind, dtype):
+            data = _budget_edge_field(shape, dtype)
+            ref = kernels.call("zfp.encode", data, planes, maxbits, rule,
+                               backend=REFERENCE)
+            got = kernels.call("zfp.encode", data, planes, maxbits, rule,
+                               backend=backend)
+            case = (shape, maxbits, rule)
+            assert bytes(got[0]) == bytes(ref[0]) and got[1] == ref[1], case
+            for mine, theirs in zip(got[2:], ref[2:]):
+                assert np.array_equal(mine, theirs), case
+            layout = maxbits if maxbits else ref[2].astype(np.int64)
+            decoded = [
+                kernels.call("zfp.decode", body, layout, shape, np.dtype(dtype),
+                             planes, rule, backend=tier).tobytes()
+                for tier, body in ((REFERENCE, ref[0]), (backend, ref[0]),
+                                   (backend, got[0]))
+            ]
+            assert decoded[1] == decoded[0] and decoded[2] == decoded[0], case
+        assert kernels.last_used()["zfp.decode"] == backend
+
+    @pytest.mark.parametrize("backend", BACKENDS[1:])
+    def test_plane4_tables_are_the_seed_group_tests(self, backend):
+        """Every entry of the native 4-value plane tables against the seed
+        coder (``blockcodec``), for every n, plane word or 8-bit window and
+        budget of 1-8 bits: an entry that fits the budget is what the seed
+        loop does, and one that does not is cut exactly as the seed loop
+        cuts it.  A first plane brings the block to n significant
+        coefficients; the second carries n zero value bits, then the
+        group tests under test."""
+        import ctypes
+
+        from repro.compressors.zfp import blockcodec as BC
+        from repro.kernels import native
+
+        lib = native._resolve()
+        encode = (ctypes.c_uint16 * 16 * 5).in_dll(lib, "repro_zfp_plane4_encode")
+        decode = (ctypes.c_uint16 * 256 * 5).in_dll(lib, "repro_zfp_plane4_decode")
+        cut = (ctypes.c_uint8 * 256 * 5).in_dll(lib, "repro_zfp_plane4_cut")
+
+        for n in range(5):
+            first_plane = "11" * n + "0" if n < 4 else "1" * 7
+            head = len(first_plane) + n
+            for budget in range(1, 9):
+                for x in range(16 >> n):
+                    emit = BC._Emitter()
+                    BC.encode_block_planes(emit, [x << n, (1 << n) - 1], 4,
+                                           head + budget, pad=False)
+                    body, nbits = emit.pack()
+                    bits = "".join(f"{b:08b}" for b in body)[:nbits]
+                    assert bits[:head] == first_plane + "0" * n
+                    entry = encode[n][x]
+                    count = entry >> 8 & 15
+                    tests = format(entry & 0xFF, f"0{count}b") if count else ""
+                    assert bits[head:] == tests[:budget], (n, x, budget)
+                    if count <= budget:
+                        assert entry >> 12 == (n + x.bit_length() if x else n)
+                for window in range(256):
+                    stream = first_plane + "0" * n + f"{window:08b}"
+                    reader = BC._BlockReader(int(stream, 2), len(stream))
+                    words = BC.decode_block_planes(reader, 2, 4, head + budget)
+                    found = words[0]
+                    spent = reader.pos - head
+                    entry = decode[n][window]
+                    if (entry & 15) <= budget:
+                        assert (entry & 15, entry >> 8) == (spent, found)
+                        assert entry >> 4 & 15 == max(n, found.bit_length())
+                    else:
+                        assert spent == budget, (n, window, budget)
+                        index = 1 << budget | window >> (8 - budget)
+                        assert cut[n][index] == found, (n, window, budget)
+            assert all(decode[n][w] & 15 <= 7 for w in range(256))
+
+
 class TestPackEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_grouped_pack_matches_ragged(self, numpy_mode, seed):

@@ -75,6 +75,14 @@ def _field(side: int = 12, seed: int = 7) -> np.ndarray:
     return (rng.standard_normal((side, side, side)) * 40).astype(np.float32)
 
 
+def _healthy_tier(kernel: str) -> str:
+    """The tier the process selection serves ``kernel`` on while nothing
+    has tripped: native unless pinned to numpy or not built here."""
+    registry = kernels.KernelRegistry()
+    registry.set_backend(kernels.requested_backend())
+    return registry.resolve(kernel)[0]
+
+
 def _counter(stats: dict, name: str) -> float:
     inst = stats.get("metrics", {}).get(name)
     return float(inst["value"]) if inst else 0.0
@@ -134,6 +142,30 @@ class FrameLevelCases:
             again = client.compress(field, "zfp", mode="fixed_rate", value=8.0)
             assert again.payload == good.payload
             assert _counter(client.stats(), "service.errors") >= 9
+
+    def test_bad_zfp_knob_is_a_typed_error(self, front_end):
+        """A ZFP knob no block can code is a ``DataError`` reply that
+        degrades nothing.  ``rate=1e9`` used to raise ``MemoryError`` in
+        the native ``zfp.encode``; the registry took that for a broken
+        tier and served every later ZFP request of the daemon on numpy."""
+        field = _field(8)
+        expected = get_compressor("zfp").compress(field, rate=8.0).payload
+        with front_end(self.front) as st, \
+                ServiceClient(port=st.port) as client:
+            for mode, value in (("fixed_rate", float("nan")),
+                                ("fixed_rate", float("inf")),
+                                ("fixed_rate", 1e9),
+                                ("fixed_precision", 1.5)):
+                with pytest.raises(ServiceError) as err:
+                    client.compress(field, "zfp", mode=mode, value=value)
+                assert err.value.code == "DataError", (mode, value)
+            stats = client.stats()
+            daemons = stats["fleet"]["shards"].values() if "fleet" in stats \
+                else [stats]
+            assert [d["kernels"]["tripped"] for d in daemons] == [{}] * len(daemons)
+            assert client.compress(field, "zfp", mode="fixed_rate",
+                                   value=8.0).payload == expected
+            assert kernels.last_used()["zfp.encode"] == _healthy_tier("zfp.encode")
 
 
 class TestBasicOps(FrameLevelCases):

@@ -75,6 +75,49 @@ class TestFixedAccuracy:
             assert np.abs(recon.astype(np.float64) - data).max() <= 1e-2
 
 
+class TestKnobValidation:
+    """A knob no block can code is the caller's ``DataError``, raised
+    before any kernel runs — never a ``ValueError``/``OverflowError`` from
+    the rounding, and never a ``MemoryError`` inside ``zfp.encode`` that
+    the kernel registry takes for a broken tier and trips to numpy for
+    the rest of the process."""
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -float("inf"),
+                                      1e5, "fast"])
+    def test_bad_rate_rejected(self, zfp, rate):
+        from repro import kernels
+
+        before = kernels.REGISTRY.tripped()
+        with pytest.raises(DataError, match="rate"):
+            zfp.compress(np.zeros(64, dtype=np.float32), rate=rate)
+        assert kernels.REGISTRY.tripped() == before
+
+    @pytest.mark.parametrize("shape,dtype,most", [
+        ((9,), np.float32, 13 + 32 * 9),
+        ((5, 6), np.float64, 13 + 52 * 33),
+        ((4, 4, 5), np.float32, 13 + 32 * 129),
+    ])
+    def test_rate_ends_where_a_block_cannot_code_more(self, zfp, shape, dtype, most):
+        """The top rate is the most bits a block can ever code: the header
+        and, per plane, every value bit, every group test and the closing
+        test.  One bit per block more is rejected."""
+        data = np.random.default_rng(2).standard_normal(shape).astype(dtype)
+        size = 4 ** len(shape)
+        buf = zfp.compress(data, rate=most / size)
+        assert buf.meta["maxbits_per_block"] == most
+        assert np.abs(zfp.decompress(buf) - data).max() < 1e-6
+        with pytest.raises(DataError, match="out of range"):
+            zfp.compress(data, rate=(most + 1) / size)
+
+    def test_precision_must_be_integral(self, zfp, smooth_field3d):
+        for precision in (1.5, float("nan"), "twelve"):
+            with pytest.raises(DataError, match="precision"):
+                zfp.compress(smooth_field3d, precision=precision)
+        # an integral float, as a wire request carries it, is fine
+        assert (zfp.compress(smooth_field3d, precision=12.0).payload
+                == zfp.compress(smooth_field3d, precision=12).payload)
+
+
 class TestModeResolution:
     def test_knob_implies_mode(self, zfp, smooth_field3d):
         assert zfp.compress(smooth_field3d, rate=4).mode is CompressorMode.FIXED_RATE
