@@ -789,9 +789,9 @@ INLINE int64_t zfp_encode_blocks(
                 const uint64_t values = zfp_rev4[x & ((1u << m) - 1)] >> (4 - m);
                 bits -= m;
                 const int entry = repro_zfp_plane4_encode[n][x >> m];
-                const int fits = (entry >> 8 & 15) <= bits;
-                const int count = fits ? entry >> 8 & 15 : (int)bits;
-                const uint64_t tests = (entry & 0xFF) >> ((entry >> 8 & 15) - count);
+                const int full = entry >> 8 & 15;
+                const int count = full <= bits ? full : (int)bits;
+                const uint64_t tests = (entry & 0xFF) >> (full - count);
                 bw_put(&w, values << count | tests, m + count);
                 bits -= count;
                 n = entry >> 12;

@@ -16,10 +16,10 @@ in a commit that says why.  ``--append`` writes only the fixtures whose
 name the manifest does not have yet, leaving every pinned row and file
 as it is.
 
-A full (or appending) write encodes and decodes every fixture on every registered
-kernel tier and refuses to write unless they all agree; the row records
-which tiers those were (``tiers_agreed``) and the commit that produced
-the bytes (``written_at``).
+A full (or appending) write encodes and decodes every fixture on every
+registered kernel tier and refuses to write unless they all agree; the
+row records which tiers those were (``tiers_agreed``) and the commit
+that produced the bytes (``written_at``).
 """
 
 from __future__ import annotations
