@@ -137,9 +137,10 @@ class ZFPCompressor(Compressor):
             parameter = _finite("rate", rate)
             # The most a block can code: the header, then per plane every
             # value bit, every group test and the closing one.  A higher
-            # rate would only add zero padding.
+            # rate would only add zero padding.  Clamped before rounding: a
+            # huge finite rate times the block size overflows to inf.
             most = HEADER_BITS + planes * (2 * size + 1)
-            maxbits = round(parameter * size)
+            maxbits = round(min(max(parameter * size, 0.0), most + 1.0))
             if not HEADER_BITS + 1 <= maxbits <= most:
                 raise DataError(
                     f"rate {rate} out of range: a {data.ndim}-D {data.dtype} "

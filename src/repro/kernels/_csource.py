@@ -652,14 +652,12 @@ INLINE uint64_t zfp_get_groups(bit_reader* r, int size, int* n, int64_t* bits, u
  *   plane4_decode[n][next 8 bits] = bit count | new n << 4 | new bits << 8
  *
  * If the budget left covers the count, the budget-limited loop does the
- * same.  If not, it spends the `left` bits there are and the block ends:
- * the encoder writes the entry's first `left` bits, and the decoder
- * (an implicit 1 where the budget cuts a run of zeros) reads its new
- * bits from plane4_cut[n][1 << left | next left bits].  Filled by the
- * loops when the library loads; exported for the test suite. */
+ * same.  If not, it spends the bits there are and the block ends: the
+ * encoder writes the entry's first bits, and the decoder runs the loop
+ * for that one plane.  Filled by the loops when the library loads;
+ * exported for the test suite. */
 API uint16_t repro_zfp_plane4_encode[5][16];
 API uint16_t repro_zfp_plane4_decode[5][256];
-API uint8_t repro_zfp_plane4_cut[5][256];
 
 /* The low 4 bits of the index, reversed: value bits are LSB first. */
 static const uint8_t zfp_rev4[16] = {0, 8, 4, 12, 2, 10, 6, 14,
@@ -676,18 +674,14 @@ __attribute__((constructor)) static void zfp_plane4_tables(void)
             zfp_put_groups(&w, 4, &n, &bits, (uint64_t)x);
             repro_zfp_plane4_encode[n0][x] = (uint16_t)(w.acc | w.n << 8 | n << 12);
         }
-        for (int window = 0; window < 256; window++)
-            for (int left = 0; left <= 8; left++) {
-                const uint8_t bytes[8] = {(uint8_t)window};
-                bit_reader r = {bytes, 8, 0, 0, 0};
-                int n = n0;
-                int64_t bits = left;
-                const uint64_t x = zfp_get_groups(&r, 4, &n, &bits, 0);
-                if (left == 8)
-                    repro_zfp_plane4_decode[n0][window] = (uint16_t)(r.pos | n << 4 | x << 8);
-                else
-                    repro_zfp_plane4_cut[n0][1 << left | window >> (8 - left)] = (uint8_t)x;
-            }
+        for (int window = 0; window < 256; window++) {
+            const uint8_t bytes[8] = {(uint8_t)window};
+            bit_reader r = {bytes, 8, 0, 0, 0};
+            int n = n0;
+            int64_t bits = 8;
+            const uint64_t x = zfp_get_groups(&r, 4, &n, &bits, 0);
+            repro_zfp_plane4_decode[n0][window] = (uint16_t)(r.pos | n << 4 | x << 8);
+        }
     }
 }
 
@@ -881,16 +875,14 @@ INLINE int64_t zfp_decode_blocks(
                     x = zfp_rev4[r.buf >> 60] & ((1u << m) - 1);
                     br_skip(&r, m);
                     bits -= m;
-                    const unsigned window = (unsigned)(r.buf >> 56);
-                    const int entry = repro_zfp_plane4_decode[n][window];
-                    const int fits = (entry & 15) <= bits;
-                    const int count = fits ? entry & 15 : (int)bits;
-                    const unsigned cut =
-                        repro_zfp_plane4_cut[n][1 << count | window >> (8 - count)];
-                    x |= fits ? (unsigned)entry >> 8 : cut;
-                    n = entry >> 4 & 15;
-                    br_skip(&r, count);
-                    bits -= count;
+                    const int entry = repro_zfp_plane4_decode[n][r.buf >> 56];
+                    if ((entry & 15) <= bits) {
+                        x |= (unsigned)entry >> 8;
+                        n = entry >> 4 & 15;
+                        br_skip(&r, entry & 15);
+                        bits -= entry & 15;
+                    } else /* the budget ends inside this plane */
+                        x = zfp_get_groups(&r, 4, &n, &bits, x);
                     EACH_VALUE(i, 4) u[i] |= (x >> i & 1) << k;
                     continue;
                 }

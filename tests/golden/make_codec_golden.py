@@ -12,12 +12,12 @@ one ``manifest.json`` row with the options and digests.  The *decode*
 half (stored ``payload`` -> ``recon_sha256``) holds forever; the
 *re-encode* half (input -> ``reencode_sha256``, and for HUF1 the code
 lengths -> ``lengths_sha256``) may move only through ``--reencode-only``
-in a commit that says why.  ``--append`` writes only the fixtures whose
-name the manifest does not have yet, leaving every pinned row and file
-as it is.
+in a commit that says why.
 
-A full (or appending) write encodes and decodes every fixture on every
-registered kernel tier and refuses to write unless they all agree; the
+A write adds only the fixtures whose name the manifest does not have
+yet; every pinned row and file stays as it is (to re-pin a fixture on
+purpose, delete its row).  Each new fixture is encoded and decoded on
+every registered kernel tier and not written unless they all agree; its
 row records which tiers those were (``tiers_agreed``) and the commit
 that produced the bytes (``written_at``).
 """
@@ -222,21 +222,15 @@ FAMILIES = {
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    mode = parser.add_mutually_exclusive_group()
-    mode.add_argument("--reencode-only", action="store_true")
-    mode.add_argument("--append", action="store_true",
-                      help="write only the fixtures the manifest lacks; "
-                           "pinned rows and files are left as they are")
+    parser.add_argument("--reencode-only", action="store_true")
     args = parser.parse_args()
     for family, (fixtures, key, encode) in FAMILIES.items():
         out = HERE / family
         out.mkdir(parents=True, exist_ok=True)
         manifest_path = out / "manifest.json"
-        pinned = []
-        if args.append and manifest_path.exists():
-            pinned = json.loads(manifest_path.read_text())
+        manifest = (json.loads(manifest_path.read_text())
+                    if manifest_path.exists() else [])
         if args.reencode_only:
-            manifest = json.loads(manifest_path.read_text())
             for row in manifest:
                 source = np.load(out / f"{row['name']}.npz")[key]
                 payload, _, *lengths = encode(row, source)
@@ -245,8 +239,7 @@ def main() -> None:
                     row["lengths_sha256"] = array_digest(lengths[0])
         else:
             stamp = _provenance()
-            manifest = pinned
-            known = {row["name"] for row in pinned}
+            known = {row["name"] for row in manifest}
             for row in fixtures():
                 if row["name"] in known:
                     continue

@@ -155,6 +155,7 @@ class FrameLevelCases:
             for mode, value in (("fixed_rate", float("nan")),
                                 ("fixed_rate", float("inf")),
                                 ("fixed_rate", 1e9),
+                                ("fixed_rate", 1e308),
                                 ("fixed_precision", 1.5)):
                 with pytest.raises(ServiceError) as err:
                     client.compress(field, "zfp", mode=mode, value=value)

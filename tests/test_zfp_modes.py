@@ -83,7 +83,7 @@ class TestKnobValidation:
     the rest of the process."""
 
     @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -float("inf"),
-                                      1e5, "fast"])
+                                      1e5, 1e308, -1e308, "fast"])
     def test_bad_rate_rejected(self, zfp, rate):
         from repro import kernels
 
