@@ -299,11 +299,7 @@ class SZCompressor(Compressor):
         abs_bound = pwrel_to_abs_bound(pwrel)
         logmag, xform = LogTransform.forward(data)
         inner_payload, meta = self._compress_abs(logmag, abs_bound)
-
-        sign_bits = np.packbits(
-            (xform.signs < 0).astype(np.uint8).ravel(), bitorder="big"
-        ).tobytes()
-        zeros = np.flatnonzero(xform.signs.ravel() == 0).astype(np.uint64)
+        zeros = xform.zeros  # nonnegative int64: the same bytes as u64
 
         header = struct.pack(
             _HDR_PWR,
@@ -317,7 +313,8 @@ class SZCompressor(Compressor):
         )
         shape_bytes = struct.pack(f"<{data.ndim}Q", *data.shape)
         payload = b"".join(
-            [header, shape_bytes, sign_bits, zeros.tobytes(), inner_payload]
+            [header, shape_bytes, xform.neg_bits.tobytes(), zeros.tobytes(),
+             inner_payload]
         )
         meta = dict(meta)
         meta["log_abs_bound"] = abs_bound
@@ -353,11 +350,7 @@ class SZCompressor(Compressor):
         nsign_bytes = -(-n // 8)
         if n == 0 or len(payload) < pos + nsign_bytes + 8 * nzeros + inner_len:
             raise CorruptStreamError("SZ PW_REL stream truncated (sections)")
-        neg = np.unpackbits(
-            np.frombuffer(payload[pos : pos + nsign_bytes], dtype=np.uint8),
-            count=n,
-            bitorder="big",
-        ).astype(bool)
+        neg_bits = np.frombuffer(payload[pos : pos + nsign_bytes], dtype=np.uint8)
         pos += nsign_bytes
         zeros = np.frombuffer(payload[pos : pos + 8 * nzeros], dtype=np.uint64)
         pos += 8 * nzeros
@@ -368,10 +361,8 @@ class SZCompressor(Compressor):
         logmag = self._decompress_abs(inner)
         if logmag.shape != shape:
             raise CorruptStreamError("SZ PW_REL inner stream shape mismatch")
-        signs = np.where(neg, -1, 1).astype(np.int8)
-        signs[zeros.astype(np.int64)] = 0
-        xform = LogTransform(signs=signs.reshape(shape))
-        return xform.backward(logmag.reshape(shape)).astype(dtype)
+        xform = LogTransform(neg_bits, zeros.astype(np.int64), shape)
+        return xform.backward(logmag, dtype)
 
 
 class GPUSZ(SZCompressor):

@@ -178,6 +178,7 @@ API int64_t repro_pack_varlen(
 
 /* ---------------- canonical Huffman ----------------
  * Symbols arrive as uint16 (`wide` == 0, what sz.encode emits) or int64. */
+#define HUFF_MAX_LEN 24
 static inline int64_t huff_symbol(const void* symbols, int wide, int64_t i)
 {
     return wide ? ((const int64_t*)symbols)[i]
@@ -256,6 +257,99 @@ API int64_t repro_huffman_decode(
     return (max_cursor > total_bits) ? 2 : 0;
 }
 
+/* Package-merge over the n >= 2 sorted leaf weights `w`
+ * (huffman._package_merge_counts).  Levels max_len down to 1 each merge
+ * the leaves with the packages paired from the level before, a leaf
+ * first on equal weights (numpy's stable argsort of leaves, then
+ * packages); leaf[] flags the merged items that are leaves.  Level 1
+ * keeps its 2n - 2 cheapest items, a kept package keeps the two items it
+ * was paired from (again a prefix), so the kept leaves of each level are
+ * the first taken[level] sorted leaves.  `work` has 3n cells. */
+static void huff_package_merge(
+    const int64_t* w, int64_t n, int max_len, int64_t* work, uint8_t* leaf,
+    int64_t* taken)
+{
+    int64_t *pkg = work, *merged = work + n, npkg = 0;
+    for (int lv = 0; lv < max_len; lv++) {
+        uint8_t* is_leaf = leaf + lv * 2 * n;
+        int64_t a = 0, b = 0, m = 0;
+        for (; a < n || b < npkg; m++) {
+            is_leaf[m] = b == npkg || (a < n && w[a] <= pkg[b]);
+            merged[m] = is_leaf[m] ? w[a++] : pkg[b++];
+        }
+        npkg = m / 2;
+        for (int64_t j = 0; j < npkg; j++) pkg[j] = merged[2 * j] + merged[2 * j + 1];
+    }
+    for (int64_t lv = max_len - 1, keep = 2 * n - 2; lv >= 0; lv--) {
+        taken[lv] = 0;
+        for (int64_t i = 0; i < keep; i++) taken[lv] += leaf[lv * 2 * n + i];
+        keep = 2 * (keep - taken[lv]);
+    }
+}
+
+/* huffman.code: huffman_lengths, then canonical_codes.  The used
+ * symbols sorted by (weight, symbol), the two-queue merge (a leaf first
+ * on equal weights), package-merge when that tree is deeper than
+ * max_len (1..HUFF_MAX_LEN), then codes assigned in (length, symbol)
+ * order.  The caller has checked that the n used symbols fit (n <=
+ * 2^max_len); `lengths` and `codes` arrive zeroed, and `scratch` holds 7n
+ * int64 then max_len * 2n bytes. */
+API void repro_huffman_code(
+    const int64_t* freqs, int64_t alphabet, int max_len, int64_t n,
+    void* scratch, uint8_t* lengths, uint64_t* codes)
+{
+    int64_t *sym = scratch, *wt = sym + n, *parent = wt + 2 * n, *tmp = parent + 2 * n;
+    for (int64_t s = 0, i = 0; s < alphabet; s++)
+        if (freqs[s] > 0) sym[i++] = s;
+    for (int64_t width = 1; width < n; width *= 2) { /* stable merge sort */
+        for (int64_t lo = 0; lo < n; lo += 2 * width) {
+            const int64_t mid = lo + width < n ? lo + width : n;
+            const int64_t hi = lo + 2 * width < n ? lo + 2 * width : n;
+            for (int64_t a = lo, b = mid, o = lo; o < hi; o++)
+                tmp[o] = b == hi || (a < mid && freqs[sym[a]] <= freqs[sym[b]])
+                    ? sym[a++] : sym[b++];
+        }
+        memcpy(sym, tmp, n * sizeof(int64_t));
+    }
+    for (int64_t i = 0; i < n; i++) wt[i] = freqs[sym[i]];
+    for (int64_t node = n, leaf = 0, merged = n; node < 2 * n - 1; node++) {
+        wt[node] = 0;
+        for (int c = 0; c < 2; c++) {
+            const int64_t child = leaf < n && (merged == node || wt[leaf] <= wt[merged])
+                ? leaf++ : merged++;
+            parent[child] = node;
+            wt[node] += wt[child];
+        }
+    }
+    int64_t* depth = tmp;
+    int64_t deepest = 0;
+    if (n) depth[2 * n - 2] = n == 1; /* a lone symbol still takes one bit */
+    for (int64_t node = 2 * n - 3; node >= 0; node--)
+        depth[node] = depth[parent[node]] + 1;
+    for (int64_t i = 0; i < n; i++) {
+        lengths[sym[i]] = (uint8_t)depth[i];
+        if (depth[i] > deepest) deepest = depth[i];
+    }
+    if (deepest > max_len && n > 1) {
+        int64_t taken[HUFF_MAX_LEN];
+        huff_package_merge(wt, n, max_len, parent, (uint8_t*)(tmp + 2 * n), taken);
+        for (int64_t i = 0; i < n; i++) {
+            int len = 0;
+            for (int lv = 0; lv < max_len; lv++) len += i < taken[lv];
+            lengths[sym[i]] = (uint8_t)len;
+        }
+    }
+    /* first code of length l: (first[l-1] + count[l-1]) << 1 */
+    uint64_t next[HUFF_MAX_LEN + 1], code = 0;
+    int64_t count[HUFF_MAX_LEN + 1] = {0};
+    for (int64_t s = 0; s < alphabet; s++) count[lengths[s]]++;
+    count[0] = 0;
+    for (int l = 1; l <= max_len; l++)
+        next[l] = code = (code + (uint64_t)count[l - 1]) << 1;
+    for (int64_t s = 0; s < alphabet; s++)
+        if (lengths[s]) codes[s] = next[lengths[s]]++;
+}
+
 /* ---------------- SZ: one pass per side^d block ----------------
  * The fused sz.encode / sz.decode kernels.  Each walks the blocks of a
  * C-contiguous field once with one block of scratch: edge-clamped
@@ -324,17 +418,13 @@ static inline double sz_predict(const double* c, const double* x, int nc)
     return p;
 }
 
-/* Regression side of one block.  predictor.regression_fit: coefficient
- * k is the sum of v[i] * pinv[k][i] taken left to right from 0.0, then
- * cut to float32 (`cf`, what the stream stores).  Then every residual
- * against those stored coefficients: rint((v - prediction) / 2eb),
- * clamped to +-2^62 the way fmax(fmin(r, 2^62), -2^62) does it (a NaN
- * becomes +2^62). */
-static void sz_regress(
-    const double* v, const double* design, const double* pinv, int64_t size,
-    int nc, double two_eb, float* cf, int64_t* rr)
+/* Regression fit of one block, predictor.regression_fit: coefficient k
+ * is the sum of v[i] * pinv[k][i] taken left to right from 0.0, then cut
+ * to float32 (`cf`, what the stream stores; `cd` the same as doubles). */
+static void sz_fit(
+    const double* v, const double* pinv, int64_t size, int nc, float* cf, double* cd)
 {
-    double acc[4] = {0.0, 0.0, 0.0, 0.0}, cd[4];
+    double acc[4] = {0.0, 0.0, 0.0, 0.0};
     for (int64_t i = 0; i < size; i++)
         for (int k = 0; k < nc; k++)
             acc[k] += v[i] * pinv[k * size + i];
@@ -342,12 +432,19 @@ static void sz_regress(
         cf[k] = (float)acc[k];
         cd[k] = (double)cf[k];
     }
-    for (int64_t i = 0; i < size; i++) {
-        double r = rint((v[i] - sz_predict(cd, design + i * nc, nc)) / two_eb);
-        if (!(r <= SZ_LIMIT)) r = SZ_LIMIT;
-        else if (r < -SZ_LIMIT) r = -SZ_LIMIT;
-        rr[i] = (int64_t)r;
-    }
+}
+
+/* Cell i's residual against the stored coefficients: rint((v - prediction)
+ * / 2eb), clamped to +-2^62 the way fmax(fmin(r, 2^62), -2^62) does it (a
+ * NaN becomes +2^62). */
+static inline int64_t sz_reg_residual(
+    const double* v, const double* design, const double* cd, int nc,
+    double two_eb, int64_t i)
+{
+    double r = rint((v[i] - sz_predict(cd, design + i * nc, nc)) / two_eb);
+    if (!(r <= SZ_LIMIT)) r = SZ_LIMIT;
+    else if (r < -SZ_LIMIT) r = -SZ_LIMIT;
+    return (int64_t)r;
 }
 
 /* `design` is (size, ndim + 1), `pinv` (ndim + 1, size), `scratch` three
@@ -398,18 +495,32 @@ API int64_t repro_sz_encode(
             sz_lorenzo(q, g.ext, 0);
         }
 
-        int reg = predictor == SZ_REGRESSION;
+        /* The adaptive choice is the reference's full-sum one, made with
+         * less work.  Every cost term is >= 1 and rounded addition of
+         * nonnegative terms never decreases, so the regression sum is
+         * >= size and each partial sum is a lower bound of the whole: the
+         * fit is skipped when even `size` loses, and the residuals stop at
+         * the first block row whose partial sum loses.  One check per row,
+         * not per cell, keeps the loop unserialised. */
+        const int adaptive = predictor != SZ_LORENZO && predictor != SZ_REGRESSION;
+        const double extra = 32.0 * nc;
+        double cost_l = 0.0, cost_r = 0.0, cd[4];
         float cf[4];
-        if (predictor != SZ_LORENZO) {
-            sz_regress(v, design, pinv, size, nc, two_eb, cf, rr);
-            if (predictor != SZ_REGRESSION) {
-                double cost_l = 0.0, cost_r = 0.0;
-                for (int64_t i = 0; i < size; i++) {
-                    cost_l += sz_cost_term(q[i], cost_lut, lut_size);
-                    cost_r += sz_cost_term(rr[i], cost_lut, lut_size);
-                }
-                reg = cost_r + 32.0 * nc < cost_l;
-            }
+        int reg = predictor == SZ_REGRESSION;
+        if (adaptive) {
+            for (int64_t i = 0; i < size; i++)
+                cost_l += sz_cost_term(q[i], cost_lut, lut_size);
+            reg = (double)size + extra < cost_l;
+        }
+        if (reg) sz_fit(v, pinv, size, nc, cf, cd);
+        for (int64_t row = 0; reg && row < size; row += g.ext[2]) {
+            const int64_t end = row + g.ext[2];
+            for (int64_t i = row; i < end; i++)
+                rr[i] = sz_reg_residual(v, design, cd, nc, two_eb, i);
+            if (!adaptive) continue;
+            for (int64_t i = row; i < end; i++)
+                cost_r += sz_cost_term(rr[i], cost_lut, lut_size);
+            reg = cost_r + extra < cost_l;
         }
         use_reg[b] = (uint8_t)reg;
         if (reg) {

@@ -5,7 +5,7 @@ imported lazily by :class:`~repro.kernels.registry.Backend` on first
 use, so this module creates no import cycles and costs nothing until a
 kernel is actually dispatched.
 
-Kernel catalogue (seven kernels, uniform signatures on both tiers; the
+Kernel catalogue (eight kernels, uniform signatures on both tiers; the
 field-granularity contracts are spelled out in
 :mod:`repro.compressors.sz.staged` and :mod:`repro.compressors.zfp.staged`):
 
@@ -19,6 +19,9 @@ field-granularity contracts are spelled out in
                         block_side, radius, shape, dtype) -> array``
 ``pack.varlen``         ``(codes, lengths) -> (bytes, nbits)`` — MSB-first
                         variable-length bit packing
+``huffman.code``        ``(freqs, max_len) -> (lengths, codes)`` — the
+                        length-limited canonical code of a histogram
+                        (uint8 lengths, uint64 codewords)
 ``huffman.encode``      ``(symbols, codes, lengths, chunk_size) ->
                         (body, nbits, chunk_offsets)``
 ``huffman.decode``      ``(body, table, chunk_offsets, n, chunk_size, max_len,
@@ -31,10 +34,7 @@ field-granularity contracts are spelled out in
                         kmin_rule) -> array``
 ======================  =====================================================
 
-Every kernel has a cell on both tiers.  Cold paths that never had a
-compiled form (Huffman code-length construction, canonical code
-assignment) are plain functions in :mod:`repro.lossless.huffman`, not
-kernels.
+Every kernel has a cell on both tiers.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ NUMPY_IMPLS = {
     "sz.encode": "repro.compressors.sz.staged:encode",
     "sz.decode": "repro.compressors.sz.staged:decode",
     "pack.varlen": "repro.util.bits:_pack_varlen_numpy",
+    "huffman.code": "repro.lossless.huffman:_code_numpy",
     "huffman.encode": "repro.lossless.huffman:_encode_chunks_numpy",
     "huffman.decode": "repro.lossless.huffman:_decode_chunks_numpy",
     "zfp.encode": "repro.compressors.zfp.staged:encode",
@@ -55,6 +56,7 @@ NATIVE_IMPLS = {
     "sz.encode": "repro.kernels.native:sz_encode",
     "sz.decode": "repro.kernels.native:sz_decode",
     "pack.varlen": "repro.kernels.native:pack_varlen",
+    "huffman.code": "repro.kernels.native:huffman_code",
     "huffman.encode": "repro.kernels.native:huffman_encode",
     "huffman.decode": "repro.kernels.native:huffman_decode",
     "zfp.encode": "repro.kernels.native:zfp_encode",

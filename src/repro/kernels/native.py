@@ -57,6 +57,7 @@ _SIGNATURES = {
         ([_PTR, _INT, _I64, _PTR, _PTR, _I64, _PTR, _PTR], _I64),
     "repro_huffman_decode":
         ([_PTR, _I64, _PTR, _I64, _I64, _I64, _PTR, _I64, _I64, _PTR], _I64),
+    "repro_huffman_code": ([_PTR, _I64, _INT, _I64, _PTR, _PTR, _PTR], None),
     "repro_sz_encode":
         ([_PTR, _INT, _INT, _PTR, _INT, _F64, _INT, _I64, _PTR, _PTR, _PTR,
           _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR], _I64),
@@ -194,6 +195,25 @@ def pack_varlen(codes: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
     out = np.zeros((total + 7) // 8, dtype=np.uint8)
     lib.repro_pack_varlen(_p(codes), _p(lengths), codes.size, _p(out))
     return out.tobytes(), total
+
+
+def huffman_code(freqs: np.ndarray, max_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """Length-limited canonical code of a histogram (``huffman.code``
+    kernel): ``(lengths uint8, codes uint64)`` per alphabet entry."""
+    lib = _resolve()
+    from repro.lossless.huffman import check_max_len, fit_error
+
+    check_max_len(max_len)
+    freqs = np.ascontiguousarray(freqs, dtype=np.int64)
+    used = int(np.count_nonzero(freqs > 0))
+    if used > 1 << max_len:
+        raise fit_error(used, max_len)
+    scratch = np.empty(7 * 8 * used + 2 * used * max_len, dtype=np.uint8)
+    lengths = np.zeros(freqs.size, dtype=np.uint8)
+    codes = np.zeros(freqs.size, dtype=np.uint64)
+    lib.repro_huffman_code(_p(freqs), freqs.size, max_len, used, _p(scratch),
+                           _p(lengths), _p(codes))
+    return lengths, codes
 
 
 def huffman_encode(

@@ -9,10 +9,9 @@ Design notes
   chunk-parallel decode below a table gather instead of a tree walk.
 * **Canonical form.**  Only the code *lengths* are serialized (5 bits per
   alphabet symbol); both sides rebuild identical codewords by assigning
-  codes in (length, symbol) order.
-* **Vectorized encode.**  Symbols are mapped to (codeword, length) arrays
-  with fancy indexing and packed by
-  :func:`repro.util.bits.pack_varlen_codes` — no per-symbol Python loop.
+  codes in (length, symbol) order.  The ``huffman.code`` kernel builds
+  lengths and codes: the functions below on the numpy tier, one C
+  function with the same tie-breaking on the native tier.
 * **Chunk-parallel decode.**  The encoder records the bit offset of every
   ``chunk_size``-symbol chunk, exactly like cuSZ's coarse-grained GPU
   Huffman codec records per-chunk metadata so each thread block can decode
@@ -52,6 +51,16 @@ _LEN_BITS = 5
 _LEN_MASK = (1 << _LEN_BITS) - 1
 
 
+def check_max_len(max_len: int) -> None:
+    if not 1 <= max_len <= 24:
+        raise DataError("max_len must be in [1, 24]")
+
+
+def fit_error(n: int, max_len: int) -> DataError:
+    """What every tier raises for ``n`` used symbols past ``max_len`` bits."""
+    return DataError(f"alphabet of {n} symbols cannot fit in {max_len}-bit codes")
+
+
 def package_merge_lengths(freqs: np.ndarray, max_len: int) -> np.ndarray:
     """Optimal length-limited code lengths for ``freqs`` (package-merge).
 
@@ -69,7 +78,7 @@ def package_merge_lengths(freqs: np.ndarray, max_len: int) -> np.ndarray:
         lengths[used[0]] = 1
         return lengths
     if n > (1 << max_len):
-        raise DataError(f"alphabet of {n} symbols cannot fit in {max_len}-bit codes")
+        raise fit_error(n, max_len)
     lengths[used] = _package_merge_counts(freqs[used], max_len).astype(np.uint8)
     return lengths
 
@@ -211,8 +220,7 @@ class HuffmanCodec:
     """
 
     def __init__(self, max_len: int = 16, chunk_size: int = 4096) -> None:
-        if not 1 <= max_len <= 24:
-            raise DataError("max_len must be in [1, 24]")
+        check_max_len(max_len)
         if chunk_size < 1:
             raise DataError("chunk_size must be >= 1")
         self.max_len = max_len
@@ -248,10 +256,7 @@ class HuffmanCodec:
         elif freqs.size != alphabet_size or int(freqs.sum()) != symbols.size:
             raise DataError("freqs does not describe symbols over the alphabet")
 
-        freqs = freqs.astype(np.int64, copy=False)
-        lengths = huffman_lengths(freqs, self.max_len)
-        codes = canonical_codes(lengths)
-
+        lengths, codes = _kcall("huffman.code", freqs, self.max_len)
         n = symbols.size
         body, total_bits, chunk_bit_offsets = _kcall(
             "huffman.encode", symbols, codes, lengths, self.chunk_size
@@ -401,10 +406,17 @@ class HuffmanCodec:
         return table
 
 
-# -- ``huffman.encode`` / ``huffman.decode`` kernel implementations ----------
+# -- ``huffman.code`` / ``huffman.encode`` / ``huffman.decode`` kernels -------
 #
 # Registered with the kernel registry (repro.kernels.defs); the native
 # tier lives in repro.kernels.native.  Uniform signatures across tiers.
+
+
+def _code_numpy(freqs: np.ndarray, max_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(lengths, codes)``: :func:`huffman_lengths`, :func:`canonical_codes`."""
+    check_max_len(max_len)
+    lengths = huffman_lengths(freqs, max_len)
+    return lengths, canonical_codes(lengths)
 
 
 def _chunk_offsets_for(sym_lengths: np.ndarray, n: int, chunk_size: int) -> np.ndarray:

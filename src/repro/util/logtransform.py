@@ -40,31 +40,56 @@ def pwrel_to_abs_bound(pwrel: float) -> float:
 class LogTransform:
     """Forward/backward log transform with sign and zero bookkeeping.
 
+    The state is what an SZ PW_REL stream stores beside the compressed
+    log-magnitudes.  ``np.log`` and ``np.exp`` are numpy's on purpose:
+    libm's differ from them in the last bit for some arguments, and the
+    pinned streams and reconstructions were made with numpy's.
+
     Attributes
     ----------
-    signs:
-        int8 array of {-1, 0, +1} recording the sign of every input value.
-        Stored (losslessly, bit-packed by the caller) alongside the
-        compressed log-magnitudes.
+    neg_bits:
+        ``x < 0`` of every input value in C order, bit-packed MSB first
+        (``np.packbits(..., bitorder="big")``).
+    zeros:
+        Flat (C-order) indices of the exact zeros, int64.
+    shape:
+        Shape of the transformed array.
     """
 
-    signs: np.ndarray
+    neg_bits: np.ndarray
+    zeros: np.ndarray
+    shape: tuple[int, ...]
 
     @classmethod
     def forward(cls, data: np.ndarray) -> tuple[np.ndarray, "LogTransform"]:
         """Return ``ln|data|`` (zeros mapped to 0.0) and the transform state."""
         data = np.asarray(data)
-        signs = np.sign(data).astype(np.int8)
-        mag = np.abs(data.astype(np.float64))
-        out = np.zeros_like(mag)
-        nz = signs != 0
-        out[nz] = np.log(mag[nz])
-        return out, cls(signs=signs)
+        flat = data.ravel()
+        neg_bits = np.packbits(flat < 0, bitorder="big")
+        zeros = np.flatnonzero(flat == 0)
+        mag = np.abs(data, dtype=np.float64, order="C")
+        mag.ravel()[zeros] = 1.0  # ln 1 = 0
+        np.log(mag, out=mag)
+        return mag, cls(neg_bits=neg_bits, zeros=zeros, shape=data.shape)
 
-    def backward(self, logmag: np.ndarray) -> np.ndarray:
-        """Invert: exponentiate and reapply signs; zeros restored exactly."""
-        if logmag.shape != self.signs.shape:
+    def backward(self, logmag: np.ndarray, dtype=np.float64) -> np.ndarray:
+        """Invert into ``dtype``: exponentiate, clamp to the largest finite
+        ``dtype`` value, cast, reapply signs, restore zeros exactly.
+
+        The clamp keeps the bound where exp overshoots the type's range:
+        with ``|x| <= max < recon``, ``|max - x| < |recon - x|``.  The
+        sign goes in after the cast (rounding is symmetric), as one XOR
+        of the sign bit over the narrower words.
+        """
+        if logmag.shape != tuple(self.shape):
             raise DataError("log-magnitude shape does not match stored signs")
-        out = np.exp(logmag.astype(np.float64))
-        out *= self.signs
+        with np.errstate(over="ignore"):
+            mag = np.exp(np.ascontiguousarray(logmag, dtype=np.float64))
+        np.minimum(mag, np.finfo(dtype).max, out=mag)
+        out = mag.astype(dtype, copy=False)
+        flat = out.reshape(-1)
+        words = flat.view(f"u{out.itemsize}")
+        neg = np.unpackbits(self.neg_bits, count=flat.size, bitorder="big")
+        words ^= neg.astype(words.dtype) << words.dtype.type(8 * out.itemsize - 1)
+        flat[self.zeros] = 0.0
         return out

@@ -650,6 +650,126 @@ class TestZFPBudgetEdges:
             assert all(decode[n][w] & 15 <= 7 for w in range(256))
 
 
+#: The 2eb = 1 lattice: integer values prequantize exactly.
+_CHOICE_EB = 0.5
+
+
+def _choice_costs(blocks):
+    """Per block ``(cost_l, cost_r + 32 (ndim + 1))`` as the numpy
+    specification computes them (``compressors/sz/staged.py``)."""
+    from repro.compressors.sz import predictor as P
+    from repro.compressors.sz import quantizer as Q
+    from repro.compressors.sz.staged import LATTICE_LIMIT
+
+    ndim = blocks.ndim - 1
+    cost_l = P.estimate_code_bits(
+        P.lorenzo_residual(Q.prequantize(blocks, _CHOICE_EB)))
+    pred = P.regression_predict(P.regression_fit(blocks), blocks.shape[1:])
+    res = np.rint((blocks.astype(np.float64) - pred) / (2.0 * _CHOICE_EB))
+    res = np.fmax(np.fmin(res, LATTICE_LIMIT), -LATTICE_LIMIT).astype(np.int64)
+    return cost_l, P.estimate_code_bits(res) + 32.0 * (ndim + 1)
+
+
+def _tie_block(ndim):
+    """A slope-7 ramp on every axis with one interior spike of 1.  Every
+    Lorenzo and regression residual magnitude is 2^k - 1 (cost term 2k + 1),
+    so both costs are exact integers; the corner value is picked so that
+    ``cost_r + 32 (ndim + 1) == cost_l`` with ``cost_r > size``: the tie is
+    decided after the last block row, not by the skip."""
+    idx = np.indices((6,) * ndim).sum(axis=0)
+    block = 7.0 * idx
+    block[(2,) * ndim] += 1.0
+    cost_l, cost_r = _choice_costs(block[None])
+    # An offset moves only the corner's Lorenzo residual (0, term 1) and
+    # the fitted intercept.
+    corner_term = cost_r[0] - (cost_l[0] - 1.0)
+    return block + 2.0 ** ((corner_term - 1.0) / 2.0) - 1.0
+
+
+@functools.lru_cache(maxsize=None)
+def _choice_blocks(ndim, dtype):
+    """``(blocks, cost_l, cost_r)``: the blocks of a pool of noisy ramps
+    closest to the predictor decision on either side, an exact tie
+    (2-D, 3-D), constant blocks (the skip path) and clean ramps."""
+    rng = np.random.default_rng(ndim)
+    pool = {1: 20000, 2: 10000, 3: 10000}[ndim]
+    shape = (pool,) + (6,) * ndim
+    axes = np.indices((6,) * ndim, dtype=np.float64)
+    per_block = (pool,) + (1,) * ndim
+    slopes = rng.uniform(-40.0, 40.0, (pool, ndim) + (1,) * ndim)
+    ramps = (slopes * axes).sum(axis=1) + rng.uniform(-1e3, 1e3, per_block)
+    # curvature favours Lorenzo, noise regression
+    bowl = np.exp(rng.uniform(-5.0, 2.0, per_block)) * (axes**2).sum(axis=0)
+    sigma = np.exp(rng.uniform(-3.0, 3.0, per_block))
+    noisy = (ramps + bowl + sigma * rng.standard_normal(shape)).astype(dtype)
+    cost_l, cost_r = _choice_costs(noisy)
+    margin = cost_l - cost_r  # > 0: regression wins
+    wins, loses = np.flatnonzero(margin > 0), np.flatnonzero(margin <= 0)
+    near = np.concatenate([wins[np.argsort(margin[wins])[:40]],
+                           loses[np.argsort(-margin[loses])[:40]]])
+    extra = [np.full((6,) * ndim, v, dtype) for v in (0.0, 3.0, -250.5)]
+    extra += [ramps[i].astype(dtype) for i in range(8)]
+    if ndim > 1:
+        extra.append(_tie_block(ndim).astype(dtype))
+    blocks = np.concatenate([noisy[near], np.stack(extra)])
+    return (blocks, *_choice_costs(blocks))
+
+
+class TestSZChoiceBoundary:
+    """The native ``sz.encode`` scores Lorenzo first, skips the regression
+    fit when even a zero-residual fit would lose, and stops adding
+    regression residual costs at the first block row whose partial sum
+    loses.  Its choice must still be the full-sum one of the numpy
+    specification on every block, at the decision boundary included."""
+
+    @staticmethod
+    def _field(ndim, dtype):
+        """The boundary blocks side by side along axis 0, then a ragged
+        edge on every axis (new edge-padded blocks; the others unchanged)."""
+        blocks, cost_l, cost_r = _choice_blocks(ndim, dtype)
+        field = np.concatenate(list(blocks), axis=0)
+        ragged = np.pad(field, [(0, 1)] + [(0, 3)] * (ndim - 1), mode="reflect")
+        return ragged, blocks.shape[0], cost_r < cost_l
+
+    def test_pools_reach_the_boundary(self):
+        for ndim in (1, 2, 3):
+            blocks, cost_l, cost_r = _choice_blocks(ndim, np.float32)
+            margin = cost_l - cost_r
+            # within half a bit of the decision on either side
+            assert 0 < margin[margin > 0].min() < 0.5, ndim
+            assert -0.5 < margin[margin < 0].max(), ndim
+            floor = 6**ndim + 32.0 * (ndim + 1)  # a zero-residual fit
+            assert (cost_l <= floor).sum() >= 3  # the skip path
+            assert (cost_r < cost_l)[-9 + (ndim == 1):].any()  # a ramp wins
+            if ndim > 1:  # the tie, decided after the regression rows
+                assert cost_l[-1] == cost_r[-1] > floor
+
+    @pytest.mark.parametrize("backend", BACKENDS[1:])
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("radius", [1024, None])
+    def test_native_matches_numpy(self, backend, ndim, dtype, radius):
+        data, nblocks, reg_wins = self._field(ndim, dtype)
+        ref = kernels.call("sz.encode", data, _CHOICE_EB, 6, "adaptive", radius,
+                           backend=REFERENCE)
+        got = kernels.call("sz.encode", data, _CHOICE_EB, 6, "adaptive", radius,
+                           backend=backend)
+        assert kernels.last_used()["sz.encode"] == backend
+        for mine, theirs in zip(got[:5], ref[:5]):
+            assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+        assert got[5] == ref[5]
+        # block b of the unpadded grid is the b-th pool block
+        grid = tuple(-(-s // 6) for s in data.shape)
+        use_reg = ref[3].reshape(grid)[(slice(None),) + (0,) * (ndim - 1)]
+        assert np.array_equal(use_reg[:nblocks], reg_wins)
+        payloads = []
+        for tier in (REFERENCE, backend):
+            codec = SZCompressor(radius="auto" if radius is None else radius)
+            with kernels.use(tier):
+                payloads.append(codec.compress(data, error_bound=_CHOICE_EB).payload)
+        assert payloads[0] == payloads[1]
+
+
 class TestPackEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_grouped_pack_matches_ragged(self, numpy_mode, seed):

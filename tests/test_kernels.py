@@ -105,7 +105,7 @@ class TestSelection:
         active = kernels.active("numpy")
         assert set(active) == {
             "sz.encode", "sz.decode", "pack.varlen",
-            "huffman.encode", "huffman.decode",
+            "huffman.code", "huffman.encode", "huffman.decode",
             "zfp.encode", "zfp.decode",
         }
         assert set(active.values()) == {"numpy"}
@@ -334,6 +334,85 @@ class TestSZKernels:
         ):
             with pytest.raises(CorruptStreamError, match="block grid"):
                 kernels.call("sz.decode", *damaged, *tail, backend=backend)
+
+
+def _huffman_tables(family: str) -> list[tuple[np.ndarray, int]]:
+    """``(freqs, max_len)`` cases of one shape, ``max_len`` over 1..24
+    (cases whose used symbols cannot fit are part of the contract too)."""
+    rng = np.random.default_rng(sum(map(ord, family)))
+    fib = [1, 2]
+    while len(fib) < 80:  # the sum stays below 2^63
+        fib.append(fib[-1] + fib[-2])
+    cases = []
+    for _ in range(500):
+        size = int(rng.integers(2, 600))
+        if family == "uniform":
+            freqs = rng.integers(0, 1000, size)
+        elif family == "pareto":
+            freqs = (rng.pareto(rng.uniform(0.3, 3.0), size) * 10).astype(np.int64)
+        elif family == "fibonacci":  # the deepest trees for their size
+            k = int(rng.integers(3, 80))
+            freqs = np.zeros(k + int(rng.integers(0, 40)), dtype=np.int64)
+            freqs[rng.choice(freqs.size, k, replace=False)] = fib[:k]
+        elif family == "ties":
+            freqs = rng.choice([0, 1, 1, 2, 7, 7, 7], size) * int(rng.integers(1, 9))
+        elif family == "two_symbols":
+            freqs = np.zeros(size, dtype=np.int64)
+            freqs[rng.choice(size, 2, replace=False)] = rng.integers(1, 5, 2)
+        else:  # "full": exactly 2^max_len used symbols
+            max_len = int(rng.integers(1, 11))
+            freqs = rng.integers(1, int(rng.choice([2, 50, 10**6])), 1 << max_len)
+            cases.append((freqs.astype(np.int64), max_len))
+            continue
+        cases.append((np.asarray(freqs, dtype=np.int64), int(rng.integers(1, 25))))
+    return cases
+
+
+def _code_or_error(freqs, max_len, backend):
+    try:
+        return kernels.call("huffman.code", freqs, max_len, backend=backend)
+    except DataError as exc:
+        return str(exc)
+
+
+class TestHuffmanCode:
+    """``huffman.code``: the native construction (sort, two-queue merge,
+    package-merge past ``max_len``, canonical codes) against the numpy
+    tier's ``huffman_lengths`` + ``canonical_codes``, table for table."""
+
+    @pytest.mark.parametrize("backend", BACKENDS[1:])
+    @pytest.mark.parametrize(
+        "family", ["uniform", "pareto", "fibonacci", "ties", "two_symbols", "full"])
+    def test_matches_numpy(self, backend, family):
+        fitted = 0
+        for freqs, max_len in _huffman_tables(family):
+            ref = _code_or_error(freqs, max_len, "numpy")
+            got = _code_or_error(freqs, max_len, backend)
+            if isinstance(ref, str):
+                assert got == ref
+                continue
+            fitted += 1
+            for mine, theirs in zip(got, ref):
+                assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+        assert fitted >= 250
+        assert kernels.last_used()["huffman.code"] == backend
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_edge_tables(self, backend):
+        code = lambda f, n: kernels.call(  # noqa: E731
+            "huffman.code", np.array(f, dtype=np.int64), n, backend=backend)
+        lengths, codes = code([0, 0, 0], 16)
+        assert lengths.dtype == np.uint8 and codes.dtype == np.uint64
+        assert not lengths.any() and not codes.any()
+        lengths, codes = code([0, 9, 0], 1)
+        assert lengths.tolist() == [0, 1, 0] and codes.tolist() == [0, 0, 0]
+        lengths, _ = code([1] * 8, 3)
+        assert lengths.tolist() == [3] * 8
+        with pytest.raises(DataError, match="alphabet of 9 symbols cannot fit"):
+            code([1] * 9, 3)
+        for bad in (0, 25):
+            with pytest.raises(DataError, match="max_len"):
+                code([1, 1], bad)
 
 
 class TestTelemetryExport:

@@ -1,11 +1,15 @@
 """Integration-level tests for the SZ compressor."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import ulp_tolerance
+from repro import kernels
 from repro.compressors import CompressorMode, SZCompressor
 from repro.errors import CorruptStreamError, DataError, UnsupportedModeError
+from test_fastpath_equivalence import BACKENDS
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +117,27 @@ class TestPWRELMode:
     def test_missing_pwrel_raises(self, sz, smooth_field3d):
         with pytest.raises(DataError):
             sz.compress(smooth_field3d, mode="pw_rel")
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("pwrel", [0.1, 0.25, 0.9])
+    def test_finite_and_bounded_near_float_max(self, sz, backend, dtype, pwrel):
+        # exp of a log-magnitude within the bound can overshoot the
+        # largest finite value (the quantization lattice of ln|x| has a
+        # point above ln(max) at 0.1 and 0.9 for float64, at 0.25 for
+        # float32); the reconstruction must stay finite
+        rng = np.random.default_rng(4096)
+        top = float(np.finfo(dtype).max)
+        data = (rng.uniform(0.5, 1.0, 4096) * top).astype(dtype)
+        data[1::3] *= -1
+        with kernels.use(backend), warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow from exp or the cast
+            recon = sz.decompress(sz.compress(data, pwrel=pwrel, mode="pw_rel"))
+        assert np.isfinite(recon).all()
+        assert np.array_equal(np.sign(recon), np.sign(data))
+        x = data.astype(np.float64)
+        err = np.abs(recon.astype(np.float64) - x)
+        assert (err <= pwrel * np.abs(x) * (1 + 1e-5)).all()
 
 
 class TestValidation:

@@ -37,9 +37,11 @@ class TestLogTransform:
         assert out[4] == 0.0  # zero restored exactly
 
     def test_signs_recorded(self):
-        data = np.array([3.0, -4.0, 0.0])
+        data = np.array([3.0, -4.0, 0.0, -0.0])
         _, xform = LogTransform.forward(data)
-        assert xform.signs.tolist() == [1, -1, 0]
+        neg = np.unpackbits(xform.neg_bits, count=4, bitorder="big")
+        assert neg.tolist() == [0, 1, 0, 0]
+        assert xform.zeros.tolist() == [2, 3]
 
     def test_perturbed_log_stays_within_pwrel(self):
         rng = np.random.default_rng(0)
@@ -48,7 +50,7 @@ class TestLogTransform:
         bound = pwrel_to_abs_bound(pwrel)
         logmag, xform = LogTransform.forward(data)
         noisy = logmag + rng.uniform(-bound, bound, logmag.shape)
-        noisy[xform.signs == 0] = 0.0
+        noisy[xform.zeros] = 0.0
         out = xform.backward(noisy)
         nz = data != 0
         rel = np.abs((out[nz] - data[nz]) / data[nz])
