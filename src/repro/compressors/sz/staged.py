@@ -17,7 +17,8 @@ Both kernels work at field granularity (one call per array):
     blocks in block order, and ``radius`` the radius used.
 ``decode(symbols, outliers, use_reg, coefs, error_bound, block_side,
 radius, shape, dtype)``
-    ``-> array`` of ``shape`` and ``dtype``.
+    ``-> array`` of ``shape`` and ``dtype``; the sections as ``encode``
+    returns them (uint16 ``symbols``).
 
 This tier runs the stages one after another over whole-field arrays —
 block partition, prequantization, Lorenzo residual, regression fit and
@@ -35,7 +36,7 @@ import numpy as np
 
 from repro.compressors.sz import predictor as P
 from repro.compressors.sz import quantizer as Q
-from repro.errors import CorruptStreamError
+from repro.errors import CorruptStreamError, DataError
 from repro.telemetry import get_telemetry
 from repro.util.blocks import block_partition, block_reassemble
 
@@ -114,7 +115,10 @@ def check_sections(
     block_side: int,
     shape: tuple[int, ...],
 ) -> None:
-    """Refuse decode inputs that do not tile ``shape``'s block grid."""
+    """Refuse decode inputs that do not tile ``shape``'s block grid, and
+    symbols that are not what ``encode`` emits (uint16)."""
+    if symbols.dtype != np.uint16:
+        raise DataError(f"sz.decode takes uint16 symbols, not {symbols.dtype}")
     nblocks = math.prod(-(-s // block_side) for s in shape)
     if (use_reg.size != nblocks
             or symbols.size != nblocks * block_side ** len(shape)

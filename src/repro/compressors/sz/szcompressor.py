@@ -278,7 +278,10 @@ class SZCompressor(Compressor):
             if has_pipeline:
                 huff_payload = LosslessPipeline().decompress(huff_payload)
         with tm.span("sz.huffman", bytes=len(huff_payload), direction="decompress"):
-            symbols = self.huffman.decode(huff_payload)
+            # The encoder's alphabet ends at its last used symbol, at most
+            # 2 * radius - 1: uint16 symbols, each a residual it would not
+            # have escaped.
+            symbols = self.huffman.decode(huff_payload, max_alphabet=2 * radius)
             if symbols.size != nvalues:
                 raise CorruptStreamError(
                     f"SZ symbol count {symbols.size} != {nvalues} block values"

@@ -214,47 +214,163 @@ API int64_t repro_huffman_encode(
     return bw_finish(&w);
 }
 
-/* Chunk-parallel dense-table decode: the top `max_len` (<= 24) stream
- * bits index `table`, whose entries are symbol << 5 | code length (0 =
- * hole); bits past the body read as zero, exactly like the numpy path's
- * zero padding.  Each symbol waits on the previous one's table load, so
- * HUFF_LANES full chunks are decoded side by side to overlap those
- * waits.  Returns 0 on success, 1 for an invalid codeword, 2 for a
- * bit-length overrun. */
-#define HUFF_LANES 4
+/* Two-level decode table, built from the code lengths.  Level one is
+ * keyed by the top w = min(max_len, HUFF_L1_BITS) stream bits: 2^w
+ * entries, 16 KiB, so the load every symbol waits on stays in L1 (12
+ * bits measured best: at 11, HACC's near-flat position alphabets take
+ * level two for 2-3 % of their symbols, each a mispredicted branch).  Its
+ * entries are symbol << 5 | code length (0: no codeword), or for a
+ * prefix of codes longer than w, k << 5 | HUFF_LINK: block k of level
+ * two, 2^(max_len - w) entries keyed by the next max_len - w bits.
+ * Canonical codes taken in (length, symbol) order fill the code space
+ * from 0 upwards, so the codes longer than w follow all shorter ones:
+ * their prefixes are one run of level-one keys starting at a multiple
+ * of the level-two block size, and level two is one block per key of
+ * that run.  Returns the entry count, -1 for a length past max_len,
+ * -2 for a Kraft sum above 1; the layout of HuffmanCodec's dense
+ * 2^max_len table (the numpy tier's) is the same with w = max_len. */
+#define HUFF_L1_BITS 12
+#define HUFF_LINK 31
+API const int repro_huffman_l1_bits = HUFF_L1_BITS;
 
-API int64_t repro_huffman_decode(
-    const uint8_t* body, int64_t nbytes,
-    const int64_t* chunk_offsets, int64_t nchunks,
-    int64_t chunk_size, int64_t n,
-    const uint32_t* table, int64_t max_len, int64_t total_bits, int64_t* out)
+typedef struct { int w, sub; int64_t first_link, nlinks, count[HUFF_MAX_LEN + 1]; } huff_layout;
+
+static int64_t huff_plan(
+    const uint8_t* lengths, int64_t alphabet, int max_len, huff_layout* t)
 {
-    const int shift = 64 - (int)max_len;
+    memset(t->count, 0, sizeof t->count);
+    for (int64_t s = 0; s < alphabet; s++) {
+        if (lengths[s] > max_len) return -1;
+        t->count[lengths[s]]++;
+    }
+    t->w = max_len < HUFF_L1_BITS ? max_len : HUFF_L1_BITS;
+    t->sub = max_len - t->w;
+    int64_t used = 0, short_end = 0; /* code space, in max_len-bit keys */
+    for (int l = 1; l <= max_len; l++) {
+        used += t->count[l] << (max_len - l);
+        if (l == t->w) short_end = used;
+    }
+    if (used > (int64_t)1 << max_len) return -2;
+    t->first_link = short_end >> t->sub;
+    t->nlinks = (used - short_end + ((int64_t)1 << t->sub) - 1) >> t->sub;
+    return ((int64_t)1 << t->w) + (t->nlinks << t->sub);
+}
+
+API int64_t repro_huffman_table_size(const uint8_t* lengths, int64_t alphabet, int max_len)
+{
+    huff_layout t;
+    return huff_plan(lengths, alphabet, max_len, &t);
+}
+
+/* `table` has the entry count huff_plan returned. */
+static void huff_fill(
+    const uint8_t* lengths, int64_t alphabet, int max_len, const huff_layout* t,
+    uint32_t* table)
+{
+    const int w = t->w, sub = t->sub;
+    memset(table, 0, (((size_t)1 << w) + ((size_t)t->nlinks << sub)) * 4);
+    uint32_t* level2 = table + ((int64_t)1 << w);
+    for (int64_t k = 0; k < t->nlinks; k++)
+        table[t->first_link + k] = (uint32_t)(k << 5 | HUFF_LINK);
+    int64_t next[HUFF_MAX_LEN + 1], code = 0;
+    for (int l = 1; l <= max_len; l++)
+        next[l] = code = (code + (l > 1 ? t->count[l - 1] : 0)) << 1;
+    for (int64_t s = 0; s < alphabet; s++) {
+        const int l = lengths[s];
+        if (!l) continue;
+        const int64_t key = next[l]++ << (max_len - l); /* max_len-bit key */
+        const uint32_t entry = (uint32_t)(s << 5 | l);
+        uint32_t* at = l <= w ? table + (key >> sub)
+            : level2 + (((key >> sub) - t->first_link) << sub) + (key & ((1 << sub) - 1));
+        const int64_t span = (int64_t)1 << (l <= w ? w - l : max_len - l);
+        for (int64_t i = 0; i < span; i++) at[i] = entry;
+    }
+}
+
+/* One symbol at bit `*pos`: the next stream bits are read afresh for
+ * every symbol (bits past the body read as zero), so a lane is a cursor
+ * and nothing more.  Returns the symbol's entry (length 0: no codeword)
+ * and advances the cursor past it. */
+INLINE uint32_t huff_next(
+    const uint8_t* body, int64_t nbytes, int64_t* pos,
+    const uint32_t* table, int w, int sub)
+{
+    bit_reader r = {body, nbytes, *pos, 0, 0};
+    br_refill(&r);
+    uint32_t entry = table[r.buf >> (64 - w)];
+    if ((entry & 31) == HUFF_LINK) /* level two follows level one's 2^w entries */
+        entry = table[((int64_t)1 << w) + ((entry >> 5 << sub) | (r.buf << w >> (64 - sub)))];
+    *pos += entry & 31;
+    return entry;
+}
+
+/* Chunk-parallel decode.  Each symbol waits on the previous one's table
+ * load, so HUFF_LANES chunks are decoded side by side to overlap those
+ * waits; a group of full chunks runs with the lane count a literal, its
+ * cursors in registers.  Symbols are stored as uint16 (wide == 0) or
+ * int64.  Returns 0 on success, 1 for an invalid codeword, 2 for a
+ * bit-length overrun. */
+#define HUFF_LANES 8
+
+INLINE int64_t huff_decode_chunks(
+    const uint8_t* body, int64_t nbytes,
+    const int64_t* chunk_offsets, int64_t nchunks, int64_t chunk_size, int64_t n,
+    const uint32_t* table, int w, int sub, int64_t total_bits,
+    void* out, const int wide)
+{
+#define HUFF_STORE(at, entry) \
+    if (wide) ((int64_t*)out)[at] = (entry) >> 5; \
+    else ((uint16_t*)out)[at] = (uint16_t)((entry) >> 5)
     int64_t max_cursor = 0;
     for (int64_t c = 0; c < nchunks; c += HUFF_LANES) {
-        bit_reader r[HUFF_LANES];
-        int64_t count[HUFF_LANES], most = 0;
+        int64_t pos[HUFF_LANES] = {0}, count[HUFF_LANES] = {0}, most = 0;
         int lanes = 0;
         for (; lanes < HUFF_LANES && c + lanes < nchunks; lanes++) {
             const int64_t left = n - (c + lanes) * chunk_size;
-            r[lanes] = (bit_reader){body, nbytes, chunk_offsets[c + lanes], 0, 0};
+            pos[lanes] = chunk_offsets[c + lanes];
             count[lanes] = left < chunk_size ? left : chunk_size;
             if (count[lanes] > most) most = count[lanes];
         }
-        for (int64_t s = 0; s < most; s++)
-            for (int l = 0; l < lanes; l++) {
-                if (s >= count[l]) continue; /* the short last chunk */
-                if (r[l].avail < max_len) br_refill(&r[l]);
-                const uint32_t entry = table[r[l].buf >> shift];
-                const int len = (int)(entry & 31);
-                if (len == 0) return 1;
-                out[(c + l) * chunk_size + s] = entry >> 5;
-                br_skip(&r[l], len);
-            }
+        if (lanes == HUFF_LANES && count[HUFF_LANES - 1] == chunk_size) {
+            for (int64_t s = 0; s < chunk_size; s++)
+                _Pragma("GCC unroll 8") for (int l = 0; l < HUFF_LANES; l++) {
+                    const uint32_t entry = huff_next(body, nbytes, &pos[l], table, w, sub);
+                    if (!(entry & 31)) return 1;
+                    HUFF_STORE((c + l) * chunk_size + s, entry);
+                }
+        } else {
+            for (int64_t s = 0; s < most; s++)
+                for (int l = 0; l < lanes; l++) {
+                    if (s >= count[l]) continue; /* the short last chunk */
+                    const uint32_t entry = huff_next(body, nbytes, &pos[l], table, w, sub);
+                    if (!(entry & 31)) return 1;
+                    HUFF_STORE((c + l) * chunk_size + s, entry);
+                }
+        }
         for (int l = 0; l < lanes; l++)
-            if (r[l].pos > max_cursor) max_cursor = r[l].pos;
+            if (pos[l] > max_cursor) max_cursor = pos[l];
     }
     return (max_cursor > total_bits) ? 2 : 0;
+#undef HUFF_STORE
+}
+
+/* huffman.decode: builds the table from `lengths` into `table` (sized
+ * by repro_huffman_table_size, which has vetted the lengths), then
+ * decodes. */
+API int64_t repro_huffman_decode(
+    const uint8_t* body, int64_t nbytes,
+    const int64_t* chunk_offsets, int64_t nchunks, int64_t chunk_size, int64_t n,
+    const uint8_t* lengths, int64_t alphabet, int max_len, int64_t total_bits,
+    uint32_t* table, int wide, void* out)
+{
+    huff_layout t;
+    huff_plan(lengths, alphabet, max_len, &t);
+    huff_fill(lengths, alphabet, max_len, &t, table);
+    if (wide)
+        return huff_decode_chunks(body, nbytes, chunk_offsets, nchunks, chunk_size, n,
+                                  table, t.w, t.sub, total_bits, out, 1);
+    return huff_decode_chunks(body, nbytes, chunk_offsets, nchunks, chunk_size, n,
+                              table, t.w, t.sub, total_bits, out, 0);
 }
 
 /* Package-merge over the n >= 2 sorted leaf weights `w`
@@ -548,32 +664,86 @@ API int64_t repro_sz_encode(
     return 0;
 }
 
+/* The residuals of one block: an escape symbol (0) takes the next
+ * outlier, while there is one; *nesc counts every escape. */
+INLINE void sz_residuals(
+    const uint16_t* sym, int64_t size, int64_t radius,
+    const int64_t* outliers, int64_t n_outliers, int64_t* nesc, int64_t* r)
+{
+    for (int64_t i = 0; i < size; i++) {
+        if (sym[i] == 0) {
+            r[i] = *nesc < n_outliers ? outliers[*nesc] : 0;
+            ++*nesc;
+        } else {
+            r[i] = (int64_t)sym[i] - radius;
+        }
+    }
+}
+
+/* The decoder's body for 1-D fields (HACC's particle arrays): block b
+ * is elements b*side .. b*side+side-1, its inverse Lorenzo one running
+ * sum, and there are no offset tables. */
+INLINE void sz_decode_1d(
+    const uint16_t* symbols, int64_t radius,
+    const int64_t* outliers, int64_t n_outliers,
+    const uint8_t* use_reg, const float* coefs, const double* design,
+    double two_eb, int side, void* out, const int is_f32, int64_t len,
+    int64_t* nesc)
+{
+    int64_t nreg = 0;
+    for (int64_t base = 0, b = 0; base < len; base += side, b++) {
+        const int reg = use_reg[b];
+        const double c0 = reg ? (double)coefs[2 * nreg] : 0.0;
+        const double c1 = reg ? (double)coefs[2 * nreg + 1] : 0.0;
+        nreg += reg;
+        const int64_t keep = len - base < side ? len - base : side;
+        int64_t q = 0;
+        for (int64_t i = 0; i < side; i++) {
+            const uint16_t s = symbols[base + i];
+            int64_t res = (int64_t)s - radius;
+            if (s == 0) {
+                res = *nesc < n_outliers ? outliers[*nesc] : 0;
+                ++*nesc;
+            }
+            q = reg ? res : q + res;
+            if (i >= keep) continue;
+            double x = (double)q * two_eb;
+            if (reg) x = (c0 * design[2 * i] + c1 * design[2 * i + 1]) + x;
+            if (is_f32) ((float*)out)[base + i] = (float)x;
+            else ((double*)out)[base + i] = x;
+        }
+    }
+}
+
 /* Mirror of repro_sz_encode: `coefs` holds the regression blocks'
  * coefficients in block order, `scratch` one block of int64.  Stores
  * the number of escape symbols met in *escapes and returns 1 when it is
  * not n_outliers (the output is then meaningless), else 0. */
 API int64_t repro_sz_decode(
-    const int64_t* symbols, int64_t radius,
+    const uint16_t* symbols, int64_t radius,
     const int64_t* outliers, int64_t n_outliers,
     const uint8_t* use_reg, const float* coefs, const double* design,
     double two_eb, int side, void* out, int is_f32, int ndim,
     const int64_t* shape, int64_t* scratch, int64_t* escapes)
 {
+    if (ndim == 1) {
+        int64_t nesc = 0;
+        if (is_f32)
+            sz_decode_1d(symbols, radius, outliers, n_outliers, use_reg, coefs,
+                         design, two_eb, side, out, 1, shape[0], &nesc);
+        else
+            sz_decode_1d(symbols, radius, outliers, n_outliers, use_reg, coefs,
+                         design, two_eb, side, out, 0, shape[0], &nesc);
+        *escapes = nesc;
+        return nesc != n_outliers;
+    }
     blk_geom g = blk_geometry(ndim, shape, side);
     const int64_t size = g.size;
     const int nc = ndim + 1;
     int64_t* r = scratch;
     int64_t nesc = 0, nreg = 0;
     for (int64_t b = 0; b < g.nblocks; b++, blk_next(&g)) {
-        const int64_t* sym = symbols + b * size;
-        for (int64_t i = 0; i < size; i++) {
-            if (sym[i] == 0) {
-                r[i] = nesc < n_outliers ? outliers[nesc] : 0;
-                nesc++;
-            } else {
-                r[i] = sym[i] - radius;
-            }
-        }
+        sz_residuals(symbols + b * size, size, radius, outliers, n_outliers, &nesc, r);
         const int reg = use_reg[b];
         double cd[4] = {0.0, 0.0, 0.0, 0.0};
         if (reg) {
@@ -582,20 +752,27 @@ API int64_t repro_sz_decode(
         } else {
             sz_lorenzo(r, g.ext, 1);
         }
-        int64_t off[3][BLK_MAX_SIDE];
-        int inside[3][BLK_MAX_SIDE];
-        blk_offsets(&g, off, inside);
-        int64_t c = 0;
-        for (int i = 0; i < g.ext[0]; i++)
-            for (int j = 0; j < g.ext[1]; j++)
-                for (int k = 0; k < g.ext[2]; k++, c++) {
-                    if (!(inside[0][i] && inside[1][j] && inside[2][k])) continue;
-                    double x = (double)r[c] * two_eb;
-                    if (reg) x = sz_predict(cd, design + c * nc, nc) + x;
-                    const int64_t at = off[0][i] + off[1][j] + off[2][k];
-                    if (is_f32) ((float*)out)[at] = (float)x;
-                    else ((double*)out)[at] = x;
+        /* the cells inside the field, a prefix along each axis: one
+         * contiguous run of the output per block row */
+        int64_t lo[3], keep[3];
+        for (int a = 0; a < 3; a++) {
+            lo[a] = g.at[a] * g.ext[a];
+            keep[a] = g.n[a] - lo[a] < g.ext[a] ? g.n[a] - lo[a] : g.ext[a];
+        }
+        for (int64_t i = 0; i < keep[0]; i++)
+            for (int64_t j = 0; j < keep[1]; j++) {
+                const int64_t c = (i * g.ext[1] + j) * g.ext[2];
+                const int64_t at = ((lo[0] + i) * g.n[1] + lo[1] + j) * g.n[2] + lo[2];
+                double x[BLK_MAX_SIDE];
+                for (int64_t k = 0; k < keep[2]; k++) x[k] = (double)r[c + k] * two_eb;
+                if (reg)
+                    for (int64_t k = 0; k < keep[2]; k++)
+                        x[k] = sz_predict(cd, design + (c + k) * nc, nc) + x[k];
+                for (int64_t k = 0; k < keep[2]; k++) {
+                    if (is_f32) ((float*)out)[at + k] = (float)x[k];
+                    else ((double*)out)[at + k] = x[k];
                 }
+            }
     }
     *escapes = nesc;
     return nesc != n_outliers;

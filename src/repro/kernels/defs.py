@@ -16,7 +16,9 @@ field-granularity contracts are spelled out in
                         prequantize, Lorenzo and regression residuals,
                         per-block choice, escape split, histogram
 ``sz.decode``           ``(symbols, outliers, use_reg, coefs, error_bound,
-                        block_side, radius, shape, dtype) -> array``
+                        block_side, radius, shape, dtype) -> array`` — the
+                        sections as ``sz.encode`` emits them (uint16
+                        symbols)
 ``pack.varlen``         ``(codes, lengths) -> (bytes, nbits)`` — MSB-first
                         variable-length bit packing
 ``huffman.code``        ``(freqs, max_len) -> (lengths, codes)`` — the
@@ -24,9 +26,11 @@ field-granularity contracts are spelled out in
                         (uint8 lengths, uint64 codewords)
 ``huffman.encode``      ``(symbols, codes, lengths, chunk_size) ->
                         (body, nbits, chunk_offsets)``
-``huffman.decode``      ``(body, table, chunk_offsets, n, chunk_size, max_len,
-                        total_bits) -> symbols`` — ``table`` is uint32,
-                        ``symbol << 5 | length`` per ``max_len``-bit key
+``huffman.decode``      ``(body, lengths, chunk_offsets, n, chunk_size,
+                        max_len, total_bits) -> symbols`` — each tier builds
+                        its decode table from the uint8 code ``lengths``;
+                        symbols come back uint16 while the alphabet fits in
+                        16 bits, int64 beyond
 ``zfp.encode``          ``(data, planes, maxbits, kmin_rule) -> (body, nbits,
                         offsets, used_bits, nonzero)`` — a whole field to
                         its block-coded bit blob

@@ -55,8 +55,10 @@ _SIGNATURES = {
     "repro_huffman_symbol_bits": ([_PTR, _INT, _I64, _PTR], _I64),
     "repro_huffman_encode":
         ([_PTR, _INT, _I64, _PTR, _PTR, _I64, _PTR, _PTR], _I64),
+    "repro_huffman_table_size": ([_PTR, _I64, _INT], _I64),
     "repro_huffman_decode":
-        ([_PTR, _I64, _PTR, _I64, _I64, _I64, _PTR, _I64, _I64, _PTR], _I64),
+        ([_PTR, _I64, _PTR, _I64, _I64, _I64, _PTR, _I64, _INT, _I64, _PTR,
+          _INT, _PTR], _I64),
     "repro_huffman_code": ([_PTR, _I64, _INT, _I64, _PTR, _PTR, _PTR], None),
     "repro_sz_encode":
         ([_PTR, _INT, _INT, _PTR, _INT, _F64, _INT, _I64, _PTR, _PTR, _PTR,
@@ -241,26 +243,37 @@ def huffman_encode(
     return out.tobytes(), total, chunk_offsets
 
 
+def huffman_l1_bits() -> int:
+    """Key width of the native decoder's first-level table."""
+    return ctypes.c_int.in_dll(_resolve(), "repro_huffman_l1_bits").value
+
+
 def huffman_decode(
     body: bytes,
-    table: np.ndarray,
+    lengths: np.ndarray,
     chunk_offsets: np.ndarray,
     n: int,
     chunk_size: int,
     max_len: int,
     total_bits: int,
 ) -> np.ndarray:
-    """Chunk-parallel dense-table decode (``huffman.decode`` kernel)."""
+    """Chunk-parallel decode through a two-level table built in C from
+    the code lengths (``huffman.decode`` kernel)."""
     lib = _resolve()
+    from repro.lossless.huffman import KRAFT, TOO_LONG, symbol_dtype
+
     body_arr = np.frombuffer(body, dtype=np.uint8)
-    table = np.ascontiguousarray(table, dtype=np.uint32)
-    if table.size != 1 << max_len:
-        raise DataError("Huffman decode table does not span max_len bits")
+    lengths = np.ascontiguousarray(lengths, dtype=np.uint8)
+    size = lib.repro_huffman_table_size(_p(lengths), lengths.size, max_len)
+    if size < 0:
+        raise CorruptStreamError(TOO_LONG if size == -1 else KRAFT)
+    table = np.empty(size, dtype=np.uint32)
     chunk_offsets = np.ascontiguousarray(chunk_offsets, dtype=np.int64)
-    out = np.empty(n, dtype=np.int64)
+    out = np.empty(n, dtype=symbol_dtype(lengths.size))
     code = lib.repro_huffman_decode(
         _p(body_arr), body_arr.size, _p(chunk_offsets), chunk_offsets.size,
-        chunk_size, n, _p(table), max_len, total_bits, _p(out),
+        chunk_size, n, _p(lengths), lengths.size, max_len, total_bits,
+        _p(table), out.dtype == np.int64, _p(out),
     )
     if code == 1:
         raise CorruptStreamError("invalid codeword in Huffman stream")
@@ -360,7 +373,7 @@ def sz_decode(
     from repro.compressors.sz.staged import check_sections
 
     shape_arr, design, _, _, size = _sz_geometry(shape, block_side, dtype)
-    symbols = np.ascontiguousarray(symbols, dtype=np.int64)
+    symbols = np.ascontiguousarray(symbols)  # uint16: check_sections
     outliers = np.ascontiguousarray(outliers, dtype=np.int64)
     use_reg = np.ascontiguousarray(use_reg, dtype=np.bool_)
     coefs = np.ascontiguousarray(coefs, dtype=np.float32)

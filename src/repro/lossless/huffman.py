@@ -4,9 +4,10 @@ Design notes
 ------------
 * **Length-limited codes.**  Code lengths are computed with the
   package-merge algorithm (Larmore & Hirschberg 1990) under a configurable
-  limit (default 16 bits).  A bounded maximum length lets the decoder use a
-  single dense ``2^maxlen`` lookup table, which is what makes the
-  chunk-parallel decode below a table gather instead of a tree walk.
+  limit (default 16 bits).  A bounded maximum length lets the decoder use
+  a lookup table — dense ``2^maxlen`` entries on the numpy tier, two
+  levels in C — which is what makes the chunk-parallel decode below a
+  table gather instead of a tree walk.
 * **Canonical form.**  Only the code *lengths* are serialized (5 bits per
   alphabet symbol); both sides rebuild identical codewords by assigning
   codes in (length, symbol) order.  The ``huffman.code`` kernel builds
@@ -18,7 +19,9 @@ Design notes
   its chunk independently.  The decoder then advances *all* chunk cursors
   in lockstep: each iteration gathers ``maxlen`` bits at every cursor,
   looks up (symbol, length) in the dense table, and bumps the cursors —
-  ``chunk_size`` iterations of width-``nchunks`` vector operations.
+  ``chunk_size`` iterations of width-``nchunks`` vector operations.  The
+  ``huffman.decode`` kernel takes the code lengths; each tier builds its
+  own table from them.
 """
 
 from __future__ import annotations
@@ -49,6 +52,16 @@ _MAX_ALPHABET = 1 << 24
 #: Decode-table entries are ``symbol << _LEN_BITS | length`` (length <= 24).
 _LEN_BITS = 5
 _LEN_MASK = (1 << _LEN_BITS) - 1
+
+#: What both decode tiers raise for a code length table they cannot use.
+TOO_LONG = "code length exceeds declared max_len"
+KRAFT = "bad Huffman length table: invalid code lengths (Kraft sum > 1)"
+
+
+def symbol_dtype(alphabet_size: int) -> np.dtype:
+    """The dtype decoded symbols come back in: uint16 while the alphabet
+    fits in 16 bits (every SZ stream), int64 beyond."""
+    return np.dtype(np.uint16 if alphabet_size <= 1 << 16 else np.int64)
 
 
 def check_max_len(max_len: int) -> None:
@@ -324,7 +337,13 @@ class HuffmanCodec:
 
     # -- decoding ----------------------------------------------------------
 
-    def decode(self, encoded: HuffmanEncoded | bytes) -> np.ndarray:
+    def decode(
+        self, encoded: HuffmanEncoded | bytes, max_alphabet: int = _MAX_ALPHABET
+    ) -> np.ndarray:
+        """The symbols of ``encoded``, as :func:`symbol_dtype` of the
+        stream's alphabet (also when there are none).  A stream whose
+        alphabet exceeds ``max_alphabet`` is corrupt: a caller that knows
+        how many symbols its encoder can emit passes that number."""
         payload = encoded.payload if isinstance(encoded, HuffmanEncoded) else encoded
         hsize = struct.calcsize("<4sIIQQI")
         if len(payload) < hsize:
@@ -339,7 +358,7 @@ class HuffmanCodec:
         # table five bits per alphabet entry (the sparse form is checked
         # against its own records in _deserialize_lengths).
         if (not 1 <= max_len <= 24 or chunk_size < 1
-                or alphabet_size > _MAX_ALPHABET
+                or alphabet_size > min(max_alphabet, _MAX_ALPHABET)
                 or not n <= total_bits <= 8 * len(payload)):
             raise CorruptStreamError("inconsistent Huffman stream header")
         try:
@@ -366,25 +385,20 @@ class HuffmanCodec:
             raise CorruptStreamError(f"Huffman stream truncated: {exc}") from exc
         body = payload[pos:]
         if n == 0:
-            return np.zeros(0, dtype=np.int64)
-
-        if int(lengths.max(initial=0)) > max_len:
-            raise CorruptStreamError("code length exceeds declared max_len")
-        table = self._build_decode_table(lengths, max_len)
-
+            return np.zeros(0, dtype=symbol_dtype(alphabet_size))
         if len(body) * 8 < total_bits:
             raise CorruptStreamError("Huffman stream truncated (body)")
         return _kcall(
-            "huffman.decode", body, table, chunk_offsets,
+            "huffman.decode", body, lengths, chunk_offsets,
             n, chunk_size, max_len, total_bits,
         )
 
     @staticmethod
     def _build_decode_table(lengths: np.ndarray, max_len: int) -> np.ndarray:
         """Dense table: top ``max_len`` bits -> ``symbol << 5 | length``
-        (uint32; a length of 0 marks a hole no codeword maps to).  One
-        packed word per key keeps the decoder's random-access working set
-        at 256 KiB for 16-bit codes.
+        (uint32; a length of 0 marks a hole no codeword maps to).  The
+        numpy tier decodes with it; the native tier builds the same
+        entries as a two-level table (see ``repro_huffman_table_size``).
 
         Canonical codewords taken in (length, symbol) order own
         consecutive key ranges starting at 0, each ``2^(max_len - length)``
@@ -392,16 +406,16 @@ class HuffmanCodec:
         to be materialized; lengths whose ranges overrun the table are
         not a prefix code (Kraft sum > 1).
         """
+        if int(lengths.max(initial=0)) > max_len:
+            raise CorruptStreamError(TOO_LONG)
         table = np.zeros(1 << max_len, dtype=np.uint32)
         used = np.flatnonzero(lengths > 0)
         lens = lengths[used].astype(np.int64)
         order = np.lexsort((used, lens))
         spans = 1 << (max_len - lens[order])
         if int(spans.sum()) > table.size:
-            raise CorruptStreamError(
-                "bad Huffman length table: invalid code lengths (Kraft sum > 1)"
-            )
-        filled = np.repeat(((used << _LEN_BITS) | lens)[order], spans)
+            raise CorruptStreamError(KRAFT)
+        filled = np.repeat(((used << _LEN_BITS) | lens)[order].astype(np.uint32), spans)
         table[: filled.size] = filled
         return table
 
@@ -442,28 +456,30 @@ def _encode_chunks_numpy(
 
 def _decode_chunks_numpy(
     body: bytes,
-    table: np.ndarray,
+    lengths: np.ndarray,
     chunk_offsets: np.ndarray,
     n: int,
     chunk_size: int,
     max_len: int,
     total_bits: int,
 ) -> np.ndarray:
-    """Lockstep chunk-parallel decode, one table gather per step.  A
-    *complete* canonical code covers every key, so the per-step
-    invalid-codeword check is only needed when the table has holes
-    (e.g. a single-symbol alphabet)."""
+    """Lockstep chunk-parallel decode, one dense-table gather per step;
+    bits past the body read as zero.  A *complete* canonical code covers
+    every key, so the per-step invalid-codeword check is only needed when
+    the table has holes (e.g. a single-symbol alphabet)."""
+    lengths = np.asarray(lengths, dtype=np.uint8)
+    table = HuffmanCodec._build_decode_table(lengths, max_len)
     bits = np.unpackbits(np.frombuffer(body, dtype=np.uint8), bitorder="big")
+    end = bits.size  # cursors past it read the zero padding
     bits = np.concatenate([bits, np.zeros(max_len, dtype=np.uint8)])
     nchunks = chunk_offsets.size
-    out = np.empty(n, dtype=np.int64)
+    out = np.empty(n, dtype=symbol_dtype(lengths.size))
     cursors = chunk_offsets.copy()
     counts = np.minimum(
         chunk_size, n - np.arange(nchunks, dtype=np.int64) * chunk_size
     )
     weights = (1 << np.arange(max_len - 1, -1, -1)).astype(np.int64)
     window = np.arange(max_len, dtype=np.int64)
-    entries = table.astype(np.int64)
     complete = bool((table & _LEN_MASK).all())
     base = np.arange(nchunks, dtype=np.int64) * chunk_size
     # The live-chunk set only shrinks when ``step`` passes a chunk's
@@ -485,13 +501,10 @@ def _decode_chunks_numpy(
             base_live = base_live[keep]
             counts_live = counts_live[keep]
         try:
-            entry = entries[
-                bits[cur_live[:, None] + window].astype(np.int64) @ weights
-            ]
-        except IndexError:  # a cursor ran off the padded body
-            raise CorruptStreamError(
-                "Huffman decode overran declared bit length"
-            ) from None
+            keys = bits[cur_live[:, None] + window]
+        except IndexError:  # a cursor ran off the padded body: zeros there
+            keys = bits[np.minimum(cur_live, end)[:, None] + window]
+        entry = table[keys.astype(np.int64) @ weights].astype(np.int64)
         lens = entry & _LEN_MASK
         if not complete and not lens.all():
             raise CorruptStreamError("invalid codeword in Huffman stream")

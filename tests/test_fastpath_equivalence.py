@@ -314,8 +314,8 @@ class TestBackendParityMatrix:
             lorenzo_residual(prequantize(blocks, eb)).ravel(),
         )
 
-        args = (symbols.astype(np.int64), outliers, use_reg, coefs, eb, 6,
-                radius, shape, np.dtype(dtype))
+        args = (symbols, outliers, use_reg, coefs, eb, 6, radius, shape,
+                np.dtype(dtype))
         dec_ref = kernels.call("sz.decode", *args, backend=REFERENCE)
         dec = kernels.call("sz.decode", *args, backend=backend)
         assert dec.dtype == dtype and dec.shape == shape

@@ -17,6 +17,8 @@ generators' ``--reencode-only`` may move, in a commit that says why.
 
 import hashlib
 import json
+import math
+import struct
 import sys
 from pathlib import Path
 
@@ -25,7 +27,9 @@ import pytest
 
 from repro import kernels
 from repro.compressors.sz import SZCompressor
+from repro.compressors.sz.szcompressor import _HDR_ABS, _HDR_PWR
 from repro.compressors.zfp import ZFPCompressor
+from repro.errors import CorruptStreamError
 from repro.lossless import huffman
 from test_fastpath_equivalence import BACKENDS
 
@@ -62,6 +66,99 @@ def test_sz_golden_stream(row, backend):
     assert recon.dtype == data.dtype and recon.shape == data.shape
     assert array_digest(recon) == row["recon_sha256"]
     assert hashlib.sha256(again.payload).hexdigest() == row["reencode_sha256"]
+
+
+def _sz_golden(name: str) -> bytes:
+    return np.load(GOLDEN / "sz" / f"{name}.npz")["payload"].tobytes()
+
+
+def _huffman_span(payload: bytes) -> tuple[int, int, int]:
+    """``(abs_at, start, end)``: where the (inner, for PW_REL) ABS header
+    sits and the byte range of its Huffman section."""
+    abs_at = 0
+    if payload[:4] == b"SZRP":
+        fields = struct.unpack_from(_HDR_PWR, payload)
+        ndim, nzeros = fields[3], fields[5]
+        shape = struct.unpack_from(f"<{ndim}Q", payload, struct.calcsize(_HDR_PWR))
+        abs_at = (struct.calcsize(_HDR_PWR) + 8 * ndim
+                  + -(-math.prod(shape) // 8) + 8 * nzeros)
+    fields = struct.unpack_from(_HDR_ABS, payload, abs_at)
+    ndim, nblocks, huff_len = fields[3], fields[8], fields[10]
+    pos = abs_at + struct.calcsize(_HDR_ABS) + 8 * ndim
+    flags = np.unpackbits(np.frombuffer(payload, np.uint8, -(-nblocks // 8), pos),
+                          count=nblocks)
+    start = pos + -(-nblocks // 8) + 4 * (ndim + 1) * int(flags.sum())
+    return abs_at, start, start + huff_len
+
+
+def _splice(payload: bytes, section: bytes) -> bytes:
+    """``payload`` with ``section`` as its Huffman section, and every
+    length field that covers the section updated."""
+    abs_at, start, end = _huffman_span(payload)
+    out = bytearray(payload[:start] + section + payload[end:])
+    fields = list(struct.unpack_from(_HDR_ABS, out, abs_at))
+    fields[10] = len(section)
+    struct.pack_into(_HDR_ABS, out, abs_at, *fields)
+    if out[:4] == b"SZRP":
+        fields = list(struct.unpack_from(_HDR_PWR, out))
+        fields[6] += len(section) - (end - start)
+        struct.pack_into(_HDR_PWR, out, 0, *fields)
+    return bytes(out)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_sz_symbol_past_the_alphabet_is_corrupt(backend):
+    """The encoder's Huffman alphabet ends at its last used symbol, below
+    2 * radius; a stream whose alphabet reaches past it (here: one symbol
+    re-encoded as 2 * radius, a residual the encoder would have escaped)
+    is damaged and must not decode to an array."""
+    payload = _sz_golden("abs_3d_f32_adaptive_ragged")
+    radius = struct.unpack_from(_HDR_ABS, payload)[6]
+    _, start, end = _huffman_span(payload)
+    symbols = huffman.HuffmanCodec().decode(payload[start:end]).astype(np.int64)
+    symbols[np.flatnonzero(symbols)[0]] = 2 * radius
+    section = huffman.HuffmanCodec(chunk_size=1024).encode(symbols).payload
+    with kernels.use(backend):
+        assert SZCompressor().decompress(_splice(payload, payload[start:end])).size
+        with pytest.raises(CorruptStreamError, match="Huffman stream header"):
+            SZCompressor().decompress(_splice(payload, section))
+
+
+def _sz_outcome(payload: bytes, backend: str):
+    try:
+        with kernels.use(backend), np.errstate(all="ignore"):
+            out = SZCompressor().decompress(payload)
+    except CorruptStreamError as exc:
+        return "corrupt", str(exc)
+    return out.dtype.str, out.shape, out.tobytes()
+
+
+class TestSZDecodeMutation:
+    """Byte flips and truncations in the Huffman section of SZ goldens —
+    its header, length table, chunk offsets and first body bytes — where
+    the decode table is built: both tiers return the same array or raise
+    the same ``CorruptStreamError``, and nothing else."""
+
+    @pytest.mark.parametrize("backend", BACKENDS[1:])
+    @pytest.mark.parametrize("name", ["abs_1d_f32_adaptive", "abs_3d_f32_outliers",
+                                      "pwrel_3d_f32_zeros_negatives"])
+    def test_tiers_agree(self, backend, name):
+        payload = _sz_golden(name)
+        _, start, end = _huffman_span(payload)
+        section = payload[start:end]
+        (table_len,) = struct.unpack_from("<I", section, 32)
+        (nchunks,) = struct.unpack_from("<I", section, 36 + table_len)
+        reach = min(len(section), 40 + table_len + 8 * nchunks + 16)
+        outcomes = set()
+        for i in range(reach):
+            flipped = bytearray(section)
+            flipped[i] ^= 0xFF
+            for damaged in (_splice(payload, bytes(flipped)),
+                            _splice(payload, section[:i])):
+                ref = _sz_outcome(damaged, "numpy")
+                assert _sz_outcome(damaged, backend) == ref, i
+                outcomes.add(ref[0])
+        assert "corrupt" in outcomes and len(outcomes) > 1
 
 
 def test_zfp_and_huffman_fixture_sets_cover_the_formats():
@@ -105,6 +202,9 @@ def test_huffman_golden_stream(row, backend):
         # these streams really come from the length-limited construction
         again, _, lengths = huffman_encode(row, symbols)
     assert np.array_equal(recon, symbols)
-    assert array_digest(recon) == row["recon_sha256"]
+    # Pinned when every decode returned int64; alphabets of at most 2^16
+    # symbols now decode to uint16, so the digest is of the widened values.
+    assert recon.dtype == huffman.symbol_dtype(row["alphabet_size"])
+    assert array_digest(recon.astype(np.int64)) == row["recon_sha256"]
     assert array_digest(lengths) == row["lengths_sha256"]
     assert hashlib.sha256(again).hexdigest() == row["reencode_sha256"]

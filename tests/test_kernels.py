@@ -415,6 +415,137 @@ class TestHuffmanCode:
                 code([1, 1], bad)
 
 
+def _complete_lengths(rng, longest: int) -> list[int]:
+    """A random complete prefix code whose longest codeword has exactly
+    ``longest`` bits: a path down to that depth, then random leaf splits."""
+    depths = list(range(1, longest)) + [longest, longest]
+    for _ in range(int(rng.integers(0, 80))):
+        shallow = [i for i, d in enumerate(depths) if d < longest]
+        if not shallow:
+            break
+        d = depths.pop(shallow[int(rng.integers(len(shallow)))])
+        depths += [d + 1, d + 1]
+    return depths
+
+
+def _decode_tables(family: str, l1_bits: int):
+    """``(lengths, max_len)`` tables of one kind for ``huffman.decode``."""
+    rng = np.random.default_rng(sum(map(ord, family)))
+    cases = []
+    if family == "longest":  # the longest code at every width 1..24
+        plan = [(L, L) for L in range(1, 25)]
+    elif family == "level_edge":  # at and one bit past the first level
+        plan = [(L, m) for L in (l1_bits, l1_bits + 1)
+                for m in (L, L + 1, 16, 20) if m >= L] * 4
+    else:
+        plan = [(int(L), int(min(24, L + rng.integers(0, 4))))
+                for L in rng.integers(1, 17, 40)]
+    for longest, max_len in plan:
+        depths = _complete_lengths(rng, longest)
+        alphabet = len(depths) + int(rng.integers(0, 30))
+        lengths = np.zeros(alphabet, dtype=np.uint8)
+        lengths[rng.choice(alphabet, len(depths), replace=False)] = depths
+        used = np.flatnonzero(lengths)
+        if family == "holes":
+            if rng.random() < 0.25:  # what a single-symbol stream carries
+                lengths[:] = 0
+                lengths[int(rng.integers(alphabet))] = int(rng.integers(1, longest + 1))
+            else:
+                lengths[rng.choice(used, int(rng.integers(1, used.size)), replace=False)] = 0
+        elif family == "kraft":  # one codeword a bit shorter: sum > 1
+            long_ones = used[lengths[used] > 1]
+            if long_ones.size:
+                lengths[long_ones[int(rng.integers(long_ones.size))]] -= 1
+            else:  # [1, 1]: a third one-bit code
+                lengths = np.append(lengths, np.uint8(1))
+        cases.append((lengths, max_len))
+    return cases
+
+
+def _decode_or_error(backend, *args):
+    try:
+        return kernels.call("huffman.decode", *args, backend=backend)
+    except CorruptStreamError as exc:
+        return str(exc)
+
+
+class TestHuffmanDecodeTable:
+    """``huffman.decode`` builds its table from the code lengths: dense on
+    the numpy tier (``HuffmanCodec._build_decode_table``, the
+    specification), two levels in C.  Both must agree on every table —
+    complete, with holes, over-full — and every body: a valid one, random
+    bytes, and a valid one cut short (bits past a body read as zero)."""
+
+    @pytest.mark.parametrize("backend", BACKENDS[1:])
+    @pytest.mark.parametrize(
+        "family", ["complete", "holes", "kraft", "longest", "level_edge"])
+    def test_matches_numpy(self, backend, family):
+        from repro.kernels import native
+        from repro.lossless.huffman import canonical_codes
+
+        l1_bits = native.huffman_l1_bits()
+        rng = np.random.default_rng(sum(map(ord, family)) + 1)
+        seen = {"decoded": 0, "errors": set(), "past_level_one": 0}
+        for lengths, max_len in _decode_tables(family, l1_bits):
+            used = np.flatnonzero(lengths)
+            n = int(rng.integers(1, 400))
+            chunk = int(rng.integers(1, 80))
+            bodies = []
+            try:
+                codes = canonical_codes(lengths)
+            except DataError:  # no prefix code: any bits will do
+                body = rng.bytes(int(rng.integers(1, 200)))
+                offsets = np.sort(rng.integers(0, 8 * len(body) + 1,
+                                               max(1, -(-n // chunk))))
+                bodies.append((body, offsets, 8 * len(body)))
+            else:
+                symbols = rng.choice(used, n)
+                body, nbits, offsets = kernels.call(
+                    "huffman.encode", symbols, codes, lengths, chunk, backend="numpy")
+                bodies += [(body, offsets, nbits),
+                           (body[: len(body) // 2], offsets, nbits),
+                           (rng.bytes(len(body) + 1), offsets, nbits)]
+            for body, offsets, total_bits in bodies:
+                args = (body, lengths, offsets.astype(np.int64), n, chunk,
+                        max_len, total_bits)
+                ref = _decode_or_error("numpy", *args)
+                got = _decode_or_error(backend, *args)
+                if isinstance(ref, str):
+                    assert got == ref
+                    seen["errors"].add(ref)
+                    continue
+                assert got.dtype == ref.dtype == np.uint16
+                assert np.array_equal(got, ref)
+                seen["decoded"] += 1
+                seen["past_level_one"] += int((lengths[ref] > l1_bits).sum())
+        assert kernels.last_used()["huffman.decode"] == backend
+        if family == "kraft":
+            assert seen["errors"] == {"bad Huffman length table: invalid code "
+                                      "lengths (Kraft sum > 1)"}
+        else:
+            assert seen["decoded"] >= 10
+        if family in ("longest", "level_edge"):
+            assert seen["past_level_one"] >= 100
+        if family == "holes":
+            assert "invalid codeword in Huffman stream" in seen["errors"]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_edge_contract(self, backend):
+        """Lengths past max_len, the dtype rule, and an overrun."""
+        call = lambda *a: kernels.call("huffman.decode", *a, backend=backend)  # noqa: E731
+        lengths = np.array([1, 2, 2], dtype=np.uint8)  # codes 0, 10, 11
+        with pytest.raises(CorruptStreamError, match="exceeds declared max_len"):
+            call(b"\x00", lengths, np.zeros(1, np.int64), 1, 1, 1, 8)
+        out = call(b"\x9b", lengths, np.zeros(1, np.int64), 5, 5, 2, 8)
+        assert out.dtype == np.uint16 and out.tolist() == [1, 0, 2, 0, 2]
+        wide = np.zeros(1 << 16 | 1, dtype=np.uint8)
+        wide[[0, 1 << 16]] = 1
+        out = call(b"\x40", wide, np.zeros(1, np.int64), 2, 2, 1, 2)
+        assert out.dtype == np.int64 and out.tolist() == [0, 1 << 16]
+        with pytest.raises(CorruptStreamError, match="overran"):
+            call(b"\xff", lengths, np.zeros(1, np.int64), 9, 9, 2, 8)
+
+
 class TestTelemetryExport:
     def test_publish_gauges(self):
         from repro.telemetry import Telemetry

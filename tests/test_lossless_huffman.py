@@ -131,6 +131,16 @@ class TestCodecRoundTrip:
         with pytest.raises(CorruptStreamError, match="Kraft"):
             HuffmanCodec._build_decode_table(np.array([1, 1, 1], np.uint8), 4)
 
+    def test_decode_dtype_follows_the_alphabet(self):
+        # uint16 while the alphabet fits in 16 bits, int64 beyond; an
+        # empty stream follows the same rule
+        codec = HuffmanCodec()
+        for alphabet, dtype in ((17, np.uint16), (1 << 16, np.uint16),
+                                ((1 << 16) + 1, np.int64)):
+            for sym in (np.zeros(0, np.int64), np.array([0, 3, alphabet - 1])):
+                out = codec.decode(codec.encode(sym, alphabet))
+                assert out.dtype == dtype and np.array_equal(out, sym)
+
     def test_negative_symbol_raises(self):
         with pytest.raises(DataError):
             HuffmanCodec().encode(np.array([-1, 0]), 4)
