@@ -59,7 +59,7 @@ from repro.metrics.error import evaluate_distortion
 from repro.metrics.streaming import StreamingDistortion
 from repro.parallel.executor import process_map, resolve_workers
 from repro.parallel.shm import ShmDescriptor, SharedArray, attach_cached, shm_enabled
-from repro.telemetry import enabled_telemetry, get_telemetry, peak_rss_bytes
+from repro.telemetry import get_telemetry, peak_rss_bytes
 from repro.util.validation import parse_bytes  # noqa: F401 (historical home)
 
 #: Environment variable supplying a default streaming chunk budget.
@@ -109,27 +109,10 @@ class CBenchRecord:
 
 
 def _run_cell(
-    bench: "CBench",
-    telem: bool,
-    parent_pid: int,
-    task: tuple[CompressorSweep, str, float],
+    bench: "CBench", task: tuple[CompressorSweep, str, float]
 ) -> CBenchRecord:
-    """Module-level (picklable) worker for one sweep cell.
-
-    When the parent had telemetry enabled, a worker process (detected by
-    pid — a forked child inherits the parent's enabled telemetry) runs
-    the cell under a fresh local telemetry so the span subtree is
-    captured into the record's meta and pickled back; the parent then
-    re-ingests it into its own tracer.
-    """
+    """Module-level (picklable) worker for one sweep cell."""
     sweep, field_name, value = task
-    if telem and os.getpid() != parent_pid:
-        with enabled_telemetry():
-            record = bench.run_one(sweep, field_name, value)
-        info = record.meta.get("telemetry")
-        if isinstance(info, dict):
-            info["remote"] = True
-        return record
     return bench.run_one(sweep, field_name, value)
 
 
@@ -467,7 +450,6 @@ class CBench:
         pages.  Segments are unlinked when the sweep returns.
         """
         tasks = self._tasks(sweeps, fields)
-        tm = get_telemetry()
         published: list[SharedArray] = []
         bench = self
         if resolve_workers(workers) > 1 and len(tasks) > 1 and shm_enabled():
@@ -486,17 +468,9 @@ class CBench:
                 bench = copy.copy(self)
                 bench.fields = shm_fields
         try:
-            worker = partial(_run_cell, bench, tm.enabled, os.getpid())
-            records = process_map(worker, tasks, workers=workers)
+            return process_map(
+                partial(_run_cell, bench), tasks, workers=workers
+            )
         finally:
             for handle in published:
                 handle.unlink()
-        if tm.enabled:
-            # Re-adopt span subtrees captured in worker processes so the
-            # parent trace shows every cell (serial cells traced directly).
-            for rec in records:
-                info = rec.meta.get("telemetry")
-                if isinstance(info, dict) and info.pop("remote", False):
-                    if info.get("spans"):
-                        tm.tracer.ingest(info["spans"])
-        return records

@@ -11,7 +11,6 @@ survives the decomposition (it must: ABS bounds compose trivially).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import partial
 from typing import Any
@@ -22,7 +21,7 @@ from repro.compressors.base import CompressedBuffer, Compressor
 from repro.errors import DataError
 from repro.parallel.decomposition import CartesianDecomposition
 from repro.parallel.executor import process_map, resolve_workers
-from repro.telemetry import enabled_telemetry, get_telemetry
+from repro.telemetry import get_telemetry
 
 
 @dataclass
@@ -52,39 +51,17 @@ class DistributedCompressionResult:
 def _compress_rank(
     compressor: Compressor,
     params: dict[str, Any],
-    telem: bool,
-    parent_pid: int,
     task: tuple[int, np.ndarray],
-) -> tuple[CompressedBuffer, list[dict[str, Any]] | None]:
-    """Module-level (picklable) worker: compress one rank's particles.
-
-    In a worker process (detected by pid — a forked child inherits the
-    parent's *enabled* telemetry, so the flag alone cannot tell) the
-    rank's span subtree is captured in a fresh local telemetry and
-    returned for the parent to
-    :meth:`~repro.telemetry.spans.Tracer.ingest`.
-    """
+) -> CompressedBuffer:
+    """Module-level (picklable) worker: compress one rank's particles."""
     rank, chunk = task
-    tm = get_telemetry()
-    if telem and os.getpid() != parent_pid:
-        with enabled_telemetry() as wtm:
-            with wtm.span(
-                "parallel.rank_compress",
-                rank=rank,
-                particles=int(chunk.size),
-                bytes=chunk.nbytes,
-            ):
-                buf = compressor.compress(chunk, **params)
-            spans = [s.to_dict() for s in wtm.tracer.finished_spans()]
-        return buf, spans
-    with tm.span(
+    with get_telemetry().span(
         "parallel.rank_compress",
         rank=rank,
         particles=int(chunk.size),
         bytes=chunk.nbytes,
     ):
-        buf = compressor.compress(chunk, **params)
-    return buf, None
+        return compressor.compress(chunk, **params)
 
 
 def compress_distributed(
@@ -104,10 +81,9 @@ def compress_distributed(
     module used to offer serialized them — only separate processes give
     the per-rank parallelism of the MPI processes being modelled.  Buffer
     order follows rank order either way.  Every rank is wrapped in a
-    ``parallel.rank_compress`` span: serial ranks trace directly into
-    the caller's tracer, worker ranks capture their subtree in-process
-    and the parent re-ingests it, so the merged trace always shows the
-    per-rank timeline.
+    ``parallel.rank_compress`` span; worker ranks' spans reach the
+    caller's tracer through ``process_map``, so the merged trace always
+    shows the per-rank timeline.
     """
     values = np.asarray(values)
     if values.ndim != 1 or values.shape[0] != positions.shape[0]:
@@ -116,18 +92,14 @@ def compress_distributed(
     tm = get_telemetry()
 
     work = [(rank, values[ids]) for rank, ids in enumerate(owned) if ids.size]
-    results = process_map(
-        partial(_compress_rank, compressor, params, tm.enabled, os.getpid()),
+    buffers = process_map(
+        partial(_compress_rank, compressor, params),
         work, workers=resolve_workers(max_workers), chunk_size=1,
     )
-    buffers: list[CompressedBuffer] = []
-    for (rank, chunk), (buf, spans) in zip(work, results):
-        if spans and tm.enabled:
-            tm.tracer.ingest(spans)
+    for (_, chunk), buf in zip(work, buffers):
         tm.count("parallel.rank_cells")
         tm.count("parallel.bytes_in", chunk.nbytes)
         tm.count("parallel.bytes_out", buf.compressed_nbytes)
-        buffers.append(buf)
     kept_ids = [ids for ids in owned if ids.size]
     return DistributedCompressionResult(
         buffers=buffers, owned_ids=kept_ids, n_total=values.shape[0]

@@ -27,10 +27,12 @@ Design points:
   inline — no processes, no pickling, identical stack traces.
 
 Workers are separate processes: the callable and every task must be
-picklable (module-level functions, ``functools.partial`` over them), and
-telemetry enabled in the parent is *not* active in workers — callers
-that want per-task spans must capture them in the task result (CBench
-does; see ``CBenchRecord.meta["telemetry"]``).
+picklable (module-level functions, ``functools.partial`` over them).
+When the parent's telemetry is enabled, each chunk runs under a fresh
+local telemetry in its worker and its finished spans travel home with
+the results; :func:`process_map` re-ingests them, so callers see worker
+spans in their own tracer exactly as if the tasks had run inline.  This
+is the only place spans cross a process boundary.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 from repro.errors import ConfigError
 from repro.telemetry import context as trace_context
-from repro.telemetry import get_telemetry
+from repro.telemetry import enabled_telemetry, get_telemetry
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -90,12 +92,12 @@ def _apply_chunk(
     chunk: Sequence[T],
     ctx: "trace_context.TraceContext | None" = None,
     backend: str | None = None,
-) -> list[R]:
+    capture: bool = False,
+) -> "list[R] | tuple[list[R], list[dict[str, Any]]]":
     """Worker entry point: apply ``fn`` to every task of one chunk.
 
-    ``ctx`` is the submitter's trace context, re-activated here so task
-    bodies that capture telemetry locally (CBench cells, service batch
-    workers) mint spans parented under the originating remote span —
+    ``ctx`` is the submitter's trace context, re-activated here so spans
+    minted by the task bodies are parented under the originating span —
     worker subtrees stitch back into the distributed trace on re-ingest.
 
     ``backend`` is the submitter's kernel-backend override.  Workers are
@@ -103,11 +105,20 @@ def _apply_chunk(
     environment, but an override installed with
     :func:`repro.kernels.use` / ``set_backend`` lives in parent memory
     only, so it is re-installed here before any codec work runs.
+
+    ``capture`` (the submitter's telemetry is enabled) runs the chunk
+    under a fresh local telemetry — a forked worker inherits the
+    parent's live tracer, spans and all — and returns ``(results,
+    spans)`` with the chunk's finished spans as dicts.
     """
     from repro import kernels
 
     with trace_context.use(ctx), kernels.use(backend):
-        return [fn(task) for task in chunk]
+        if not capture:
+            return [fn(task) for task in chunk]
+        with enabled_telemetry() as tm:
+            results = [fn(task) for task in chunk]
+        return results, [s.to_dict() for s in tm.tracer.finished_spans()]
 
 
 def process_map(
@@ -126,6 +137,10 @@ def process_map(
     (optionally via :func:`functools.partial`).  The first worker
     exception is re-raised in the parent, and remaining chunks are
     cancelled.
+
+    With telemetry enabled, the spans each worker chunk finished are
+    ingested into the parent tracer (trace-context ids preserved), so a
+    task body traces the same way whether it ran inline or remotely.
     """
     task_list = list(tasks)
     nworkers = resolve_workers(workers)
@@ -142,6 +157,7 @@ def process_map(
         return [fn(task) for task in task_list]
 
     tm = get_telemetry()
+    capture = tm.enabled
     results: list[list[R] | None] = [None] * len(chunks)
     with tm.span(
         "parallel.process_map",
@@ -155,7 +171,9 @@ def process_map(
         backend = kernels.current_override()  # re-installed in workers
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
             futures = {
-                pool.submit(_apply_chunk, fn, chunk, ctx, backend): index
+                pool.submit(
+                    _apply_chunk, fn, chunk, ctx, backend, capture
+                ): index
                 for index, chunk in enumerate(chunks)
             }
             done, not_done = wait(futures, return_when=FIRST_EXCEPTION)
@@ -169,6 +187,10 @@ def process_map(
                     future.cancel()
                 raise first_error
             for future, index in futures.items():
-                results[index] = future.result()
+                chunk_result = future.result()
+                if capture:
+                    chunk_result, spans = chunk_result
+                    tm.tracer.ingest(spans)
+                results[index] = chunk_result
     tm.count("parallel.process_map_tasks", len(task_list))
     return [result for chunk in results for result in chunk]  # type: ignore[union-attr]

@@ -37,7 +37,7 @@ import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from multiprocessing import shared_memory
+from multiprocessing import resource_tracker, shared_memory
 from typing import Iterator
 
 import numpy as np
@@ -78,6 +78,25 @@ class ShmDescriptor:
 #: the *publisher's* segment at exit) or lose a create's registration.
 _REGISTER_LOCK = threading.Lock()
 
+#: The tracker's real ``register``, for a forked child to fall back on.
+_TRACKER_REGISTER = resource_tracker.register
+
+
+def _reset_after_fork() -> None:
+    """In a forked child, undo what another parent thread held at fork.
+
+    Only the forking thread survives a fork: a :data:`_REGISTER_LOCK`
+    another thread held then would never be released in the child, and
+    :func:`_untracked_attach`'s no-op ``register`` would stay installed.
+    """
+    global _REGISTER_LOCK
+    if _REGISTER_LOCK.locked():
+        _REGISTER_LOCK = threading.Lock()
+        resource_tracker.register = _TRACKER_REGISTER  # type: ignore[assignment]
+
+
+os.register_at_fork(after_in_child=_reset_after_fork)
+
 
 @contextmanager
 def _untracked_attach() -> "Iterator[None]":
@@ -93,8 +112,6 @@ def _untracked_attach() -> "Iterator[None]":
     Python 3.13+ exposes ``track=False`` instead; :meth:`SharedArray.attach`
     tries that first.
     """
-    from multiprocessing import resource_tracker
-
     with _REGISTER_LOCK:
         original = resource_tracker.register
         resource_tracker.register = lambda *args, **kwargs: None  # type: ignore[assignment]
@@ -126,7 +143,7 @@ class SharedArray:
         self._dtype = np.dtype(dtype)
         self._owner = owner
         # Ownership is per *process*, not per object: a fork()ed child
-        # (e.g. a batch worker pool) inherits this handle, and its
+        # (e.g. a sweep's worker pool) inherits this handle, and its
         # exit-time GC must not unlink a segment the parent still
         # serves.  close() only unlinks when the pid matches.
         self._owner_pid = os.getpid() if owner else None

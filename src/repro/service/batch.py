@@ -24,12 +24,13 @@ on threads.  The :class:`Batcher` decides *when* a request runs and
   queued request with the head's work key — ``(op, compressor, options,
   mode, value)`` for COMPRESS — so under overload same-configuration
   requests become *one* dispatch, and never otherwise.
-* Each dispatch runs through :func:`repro.parallel.executor.process_map`:
-  a lone request runs inline on its codec thread; with ``workers`` > 1 a
-  coalesced group fans out over worker processes (that is what the
-  coalescing amortises) and large arrays travel through the zero-copy
-  shared-memory transport (:mod:`repro.parallel.shm`) instead of task
-  pickles, exactly like a CBench sweep.
+* **In-process dispatch.**  A dispatch runs on its codec thread: a
+  coalesced group's requests run one after another there, each under
+  its own trace context.  Coalescing saves per-dispatch scheduling (one
+  executor hand-off and one event-loop task per group), not codec work:
+  each request is one GIL-free codec call, so the slots are the
+  daemon's parallelism and COMPRESS/DECOMPRESS never leave its process.
+  Only a SWEEP's CBench cell fan-out may use worker processes.
 
 Results (or exceptions) resolve the per-request futures the connection
 handlers await; the batcher never touches sockets.
@@ -38,17 +39,16 @@ handlers await; the batcher never touches sockets.
 server extracted from its header.  At dispatch time the batcher records
 a ``service.queue_wait`` span (admission → dispatch) and a
 ``service.dispatch`` span (the batch execution, tagged with
-``request_id`` and ``batch_size``) under that context, and hands each
-worker task a pre-minted child context so codec-stage spans captured in
-worker processes re-ingest under the dispatch span — one request, one
-connected tree from client socket write to worker Huffman encode.
+``request_id`` and ``batch_size``) under that context, and runs each
+request under a pre-minted child context, so its codec-stage spans sit
+under the dispatch span — one request, one connected tree from client
+socket write to Huffman encode.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import os
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -62,16 +62,11 @@ import numpy as np
 from repro.compressors.base import CompressedBuffer, CompressorMode
 from repro.compressors.registry import get_compressor
 from repro.errors import ReproError, ServiceError
-from repro.parallel.executor import process_map, resolve_workers
-from repro.parallel.shm import (
-    ShmDescriptor,
-    SharedArray,
-    attached_view,
-    shm_enabled,
-)
+from repro.parallel.executor import resolve_workers
+from repro.parallel.shm import ShmDescriptor, attached_view
 from repro.service import protocol
 from repro.telemetry import context as trace_context
-from repro.telemetry import enabled_telemetry, get_telemetry
+from repro.telemetry import get_telemetry
 from repro.telemetry.context import TraceContext
 
 #: Mode → compressor keyword argument carrying the knob value.
@@ -82,10 +77,6 @@ KNOB_FOR_MODE = {
     "fixed_precision": "precision",
     "fixed_accuracy": "tolerance",
 }
-
-#: Arrays below this size are cheaper to pickle than to publish to shm
-#: (canonically defined next to the wire fields it gates).
-SHM_MIN_BYTES = protocol.SHM_MIN_BYTES
 
 #: Name prefix of the codec pool's threads (``<prefix>_<n>``).
 POOL_THREAD_PREFIX = "repro-codec"
@@ -120,14 +111,14 @@ class PendingRequest:
     enqueued: float = field(default_factory=time.perf_counter)
     deadline: float | None = None
     #: Trace context of the server-side request span (None when the
-    #: client did not propagate one); queue/dispatch/worker spans attach
+    #: client did not propagate one); queue/dispatch/codec spans attach
     #: under it.
     ctx: TraceContext | None = None
     #: Server-assigned monotonically increasing id (span/log tagging).
     request_seq: int = 0
     #: Descriptor of a client-published payload segment (``payload`` is
-    #: then empty): the zero-copy data plane.  The batcher hands the
-    #: descriptor straight to codec workers — it is *never* re-published.
+    #: then empty): the zero-copy data plane.  The codec call attaches
+    #: the client's segment in place — it is *never* re-published.
     shm: ShmDescriptor | None = None
 
     def group_key(self) -> tuple:
@@ -143,19 +134,19 @@ class PendingRequest:
         return ("sweep", id(self))
 
 
-# -- module-level (picklable) batch workers ----------------------------------
+# -- per-request codec bodies (run on a codec-pool thread) -------------------
 
 
 @contextmanager
 def _payload_view(arr: np.ndarray | ShmDescriptor):
-    """Yield the task's input array, attaching descriptors *ephemerally*.
+    """Yield the request's input array, attaching descriptors *ephemerally*.
 
-    Data-plane segments belong to the client (or to one batch dispatch)
-    and are unlinked the moment the request completes — memoizing the
-    attachment (:func:`attach_cached`) would pin dead segments' pages in
-    a long-lived worker, so the mapping only lives for the codec call.
+    Data-plane segments belong to the client and are unlinked the moment
+    the request completes — memoizing the attachment
+    (:func:`attach_cached`) would pin dead segments' pages in the
+    long-lived daemon, so the mapping only lives for the codec call.
     Attach failures surface as :class:`ServiceError` (the segment owner
-    vanished mid-request), not as a worker crash.
+    vanished mid-request), not as a dispatch failure.
     """
     if isinstance(arr, ShmDescriptor):
         try:
@@ -169,92 +160,58 @@ def _payload_view(arr: np.ndarray | ShmDescriptor):
         yield arr
 
 
-#: One worker task: (op-specific body, trace ctx, capture spans?, parent pid).
-#: ``ctx`` is this request's pre-minted dispatch-span context; ``capture``
-#: asks a *remote* worker (pid != parent) to run under fresh local
-#: telemetry and ship its span subtree back for re-ingest.
-BatchTask = tuple  # (body, TraceContext | None, bool, int)
-
-
-def _traced_worker(fn, task: BatchTask) -> tuple[Any, list[dict] | None]:
-    """Run ``fn`` on the task body under the task's trace context.
-
-    In the batcher's own process (serial batches, inline ``process_map``)
-    the global telemetry is already live and spans land in the server
-    tracer directly.  In a worker process the parent's telemetry is not
-    active: when span capture was requested, run under a fresh local
-    telemetry and return the span subtree (as dicts) for the dispatcher
-    to re-ingest under the originating dispatch span.
-    """
-    body, ctx, capture, parent_pid = task
-    remote = os.getpid() != parent_pid
-    with trace_context.use(ctx):
-        if capture and remote:
-            with enabled_telemetry() as tm:
-                result = fn(body)
-            return result, [s.to_dict() for s in tm.tracer.finished_spans()]
-        return fn(body), None
-
-
-def _compress_task(
-    spec: tuple[str, dict, str, float],
-    task: BatchTask,
-) -> tuple[CompressedBuffer | ReproError, list[dict] | None]:
-    """Worker body for one COMPRESS request of a coalesced batch.
+def _compress_one(
+    spec: tuple[str, dict, str, float], request: PendingRequest
+) -> CompressedBuffer | ReproError:
+    """One COMPRESS request of a coalesced group.
 
     Library errors are *returned*, not raised: one request with, say, an
-    integer array must fail alone, not take down the whole batch it was
+    integer array must fail alone, not take down the whole group it was
     coalesced into (the dispatcher resolves exception results into
     per-request error replies).
     """
     name, options, mode, value = spec
-
-    def body(arr):
-        try:
-            knob = KNOB_FOR_MODE.get(mode)
-            if knob is None:
-                raise ServiceError(
-                    f"unknown mode {mode!r}; known: {sorted(KNOB_FOR_MODE)}"
-                )
-            compressor = get_compressor(name, **options)
-            with _payload_view(arr) as view:
-                return compressor.compress(view, mode=mode, **{knob: value})
-        except ReproError as exc:
-            return exc
-
-    return _traced_worker(body, task)
-
-
-def _decompress_task(
-    spec: tuple[str, dict],
-    task: BatchTask,
-) -> tuple[np.ndarray | ReproError, list[dict] | None]:
-    """Worker body for one DECOMPRESS request of a coalesced batch."""
-    name, options = spec
-
-    def body(buf_fields):
-        payload, shape, dtype, mode, parameter = buf_fields
-        try:
-            if isinstance(payload, ShmDescriptor):
-                # Compressed streams are consumed as bytes; one copy out
-                # of the segment replaces the whole socket round trip.
-                with _payload_view(payload) as view:
-                    payload = view.tobytes()
-            buf = CompressedBuffer(
-                payload=payload,
-                original_shape=tuple(shape),
-                original_dtype=np.dtype(dtype),
-                mode=CompressorMode(mode),
-                parameter=float(parameter),
+    try:
+        knob = KNOB_FOR_MODE.get(mode)
+        if knob is None:
+            raise ServiceError(
+                f"unknown mode {mode!r}; known: {sorted(KNOB_FOR_MODE)}"
             )
-            compressor = get_compressor(name, **options)
-            return compressor.decompress(buf)
-        except ReproError as exc:
-            return exc
-        except (TypeError, ValueError) as exc:  # bad mode/dtype/shape fields
-            return ServiceError(f"bad decompress fields: {exc}")
+        compressor = get_compressor(name, **options)
+        arr = request.shm if request.shm is not None else (
+            protocol.unpack_array(request.header, request.payload)
+        )
+        with _payload_view(arr) as view:
+            return compressor.compress(view, mode=mode, **{knob: value})
+    except ReproError as exc:
+        return exc
 
-    return _traced_worker(body, task)
+
+def _decompress_one(
+    spec: tuple[str, dict], request: PendingRequest
+) -> np.ndarray | ReproError:
+    """One DECOMPRESS request of a coalesced group (errors returned)."""
+    name, options = spec
+    h = request.header
+    try:
+        payload = request.payload
+        if request.shm is not None:
+            # Compressed streams are consumed as bytes; one copy out of
+            # the segment replaces the whole socket round trip.
+            with _payload_view(request.shm) as view:
+                payload = view.tobytes()
+        buf = CompressedBuffer(
+            payload=payload,
+            original_shape=tuple(h.get("shape") or ()),
+            original_dtype=np.dtype(h.get("dtype")),
+            mode=CompressorMode(h.get("mode")),
+            parameter=float(h.get("parameter")),
+        )
+        return get_compressor(name, **options).decompress(buf)
+    except ReproError as exc:
+        return exc
+    except (TypeError, ValueError) as exc:  # bad mode/dtype/shape fields
+        return ServiceError(f"bad decompress fields: {exc}")
 
 
 class Batcher:
@@ -372,10 +329,9 @@ class Batcher:
         tm.observe("service.batch_size", float(len(group)))
         op = group[0].op
         compressor = group[0].header.get("compressor")
-        # Pre-mint each request's dispatch-span identity: workers receive
-        # it *before* the span itself is recorded, so codec-stage spans
-        # captured remotely already carry the right ctx parent when they
-        # come back for re-ingest.
+        # Pre-mint each request's dispatch-span identity: the codec runs
+        # under it *before* the span itself is recorded, so codec-stage
+        # spans already carry the dispatch span as their ctx parent.
         dispatch_ctxs = [r.ctx.child() if r.ctx else None for r in group]
         traced = tm.enabled
         dispatch_start = 0.0
@@ -398,8 +354,7 @@ class Batcher:
                     )
         try:
             results = await asyncio.get_running_loop().run_in_executor(
-                self.pool, self._run_batch,
-                group, dispatch_ctxs, traced, os.getpid(),
+                self.pool, self._run_batch, group, dispatch_ctxs
             )
         except BaseException as exc:  # a batch failure fails every member
             for request in group:
@@ -416,25 +371,20 @@ class Batcher:
                     f'compressor="{compressor}"}}',
                     dispatch_ms,
                 )
-        for request, dctx, (result, wspans) in zip(
-            group, dispatch_ctxs, results
-        ):
-            if traced:
-                if wspans:
-                    tm.tracer.ingest(wspans)
-                if dctx is not None:
-                    attrs = {"compressor": compressor} if compressor else {}
-                    tm.tracer.add_span(
-                        "service.dispatch",
-                        start=dispatch_start,
-                        end=dispatch_end,
-                        ctx=dctx,
-                        root=True,
-                        op=op,
-                        request_id=request.request_seq,
-                        batch_size=len(group),
-                        **attrs,
-                    )
+        for request, dctx, result in zip(group, dispatch_ctxs, results):
+            if traced and dctx is not None:
+                attrs = {"compressor": compressor} if compressor else {}
+                tm.tracer.add_span(
+                    "service.dispatch",
+                    start=dispatch_start,
+                    end=dispatch_end,
+                    ctx=dctx,
+                    root=True,
+                    op=op,
+                    request_id=request.request_seq,
+                    batch_size=len(group),
+                    **attrs,
+                )
             if not request.future.done():
                 if isinstance(result, BaseException):
                     request.future.set_exception(result)
@@ -442,71 +392,30 @@ class Batcher:
                     request.future.set_result(result)
 
     def _run_batch(
-        self,
-        group: list[PendingRequest],
-        ctxs: list[TraceContext | None],
-        capture: bool,
-        parent_pid: int,
+        self, group: list[PendingRequest], ctxs: list[TraceContext | None]
     ) -> list:
-        """One dispatch, on a codec-pool thread: a ``(result or
-        ReproError, worker spans or None)`` pair per request of ``group``."""
+        """One dispatch, on a codec-pool thread: the result (or
+        ReproError) of each request of ``group``, run in order."""
         h = group[0].header
-        op = group[0].op
-        if op == "sweep":
+        codec = (h.get("compressor"), dict(h.get("options") or {}))
+        if group[0].op == "sweep":
             # Never coalesced.  The CBench fan-out is the server's
             # (``sweep_runner``: cache wiring, record shaping).
-            # ``run_in_executor`` does not propagate contextvars, so the
-            # context is activated here; CBench cell spans (and, via
-            # process_map, worker-process subtrees) chain under the
-            # dispatch span.
             if self.sweep_runner is None:
                 raise ServiceError("this server does not accept SWEEP")
-            with trace_context.use(ctxs[0]):
-                return [(self.sweep_runner(group[0]), None)]
-        name, options = h.get("compressor"), dict(h.get("options") or {})
-        published: list[SharedArray] = []
-        if op == "decompress":
-            worker = partial(_decompress_task, (name, options))
-            bodies: list[Any] = [
-                (
-                    r.shm if r.shm is not None else r.payload,
-                    tuple(r.header.get("shape") or ()),
-                    r.header.get("dtype"),
-                    r.header.get("mode"),
-                    r.header.get("parameter"),
-                )
-                for r in group
-            ]
+            run = self.sweep_runner
+        elif group[0].op == "decompress":
+            run = partial(_decompress_one, codec)
         else:
-            worker = partial(
-                _compress_task, (name, options, h.get("mode"), h.get("value"))
+            run = partial(
+                _compress_one, (*codec, h.get("mode"), h.get("value"))
             )
-            # A request that already arrived through shared memory keeps
-            # its descriptor — the worker attaches the *client's* segment,
-            # no copy and no re-publish.  Only inline payloads of a batch
-            # that fans out over processes are published, batch-locally.
-            bodies = [
-                r.shm if r.shm is not None
-                else protocol.unpack_array(r.header, r.payload)
-                for r in group
-            ]
-            if (
-                len(group) > 1 and shm_enabled()
-                and resolve_workers(self.workers) > 1
-            ):
-                for i, arr in enumerate(bodies):
-                    if (
-                        isinstance(arr, np.ndarray)
-                        and arr.nbytes >= SHM_MIN_BYTES
-                    ):
-                        handle = SharedArray.publish(np.ascontiguousarray(arr))
-                        published.append(handle)
-                        bodies[i] = handle.descriptor()
-        tasks = [
-            (body, ctx, capture, parent_pid) for body, ctx in zip(bodies, ctxs)
-        ]
-        try:
-            return process_map(worker, tasks, workers=self.workers)
-        finally:
-            for handle in published:
-                handle.unlink()
+        results = []
+        for request, ctx in zip(group, ctxs):
+            # ``run_in_executor`` does not propagate contextvars, so each
+            # request's context is activated here; its codec spans (and a
+            # SWEEP's CBench cells, also from worker processes) chain
+            # under its dispatch span.
+            with trace_context.use(ctx):
+                results.append(run(request))
+        return results

@@ -166,10 +166,11 @@ def main(argv: list[str] | None = None) -> int:
     serve = sub.add_parser("serve", help="run the daemon")
     _add_endpoint_args(serve)
     serve.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="dispatches in flight at once, and worker "
-                            "processes per coalesced batch (default: one "
-                            "dispatch per CPU, run in-process unless "
-                            "$REPRO_WORKERS says otherwise; 0 = one per CPU)")
+                       help="codec slots: dispatches in flight at once, "
+                            "each on a daemon thread (default or 0: one "
+                            "per CPU); also the worker processes of a "
+                            "SWEEP's cell fan-out (default: "
+                            "$REPRO_WORKERS)")
     serve.add_argument("--max-pending", type=int, default=64,
                        help="admission queue capacity before BUSY (default 64)")
     serve.add_argument("--cache", default=None, metavar="DIR",

@@ -45,9 +45,8 @@ ordering.
 
 **Shared-memory handoff.**  A request whose header carries the ``shm``
 field ships its payload as a client-published segment (the frame
-payload is empty); the daemon attaches it read-only and the batcher
-hands the descriptor straight to codec workers — zero serialization
-copies client → daemon → worker.  A request offering ``reply_shm``
+payload is empty); the daemon attaches it read-only for the codec call
+— zero serialization copies client → daemon codec.  A request offering ``reply_shm``
 gets its bulk reply written into that client-owned scratch segment
 (header field ``shm_nbytes``) instead of inline bytes.  The daemon
 *never* owns a data-plane segment: it attaches, copies, and detaches,
@@ -60,7 +59,8 @@ queue: a saturated daemon must still answer its monitoring.
 **Tracing.**  A request header carrying a ``trace`` field (see
 :mod:`repro.telemetry.context`) is served under that distributed trace:
 the ``service.request`` span, the batcher's queue-wait/dispatch spans,
-and worker-process codec spans all stitch under the client's call span.
+and the codec spans (a SWEEP's also from worker processes) all stitch
+under the client's call span.
 ``trace_out`` dumps every finished span as JSONL when the daemon drains
 (one stitched timeline per traced request).
 
@@ -92,7 +92,6 @@ from repro.parallel.shm import SharedArray, ShmDescriptor, attached_view, shm_en
 from repro.service import protocol
 from repro.service.batch import (
     KNOB_FOR_MODE,
-    SHM_MIN_BYTES,
     Batcher,
     PendingRequest,
     jsonable,
@@ -117,11 +116,12 @@ class CompressionService(FrameServer):
     >>> service = CompressionService(port=0)           # doctest: +SKIP
     >>> asyncio.run(service.serve())                   # doctest: +SKIP
 
-    ``workers`` is how many dispatches run at once (``None``: one per
-    core) and, above 1, the worker-process fan-out of a coalesced batch
-    (``0``: one per CPU) — see :mod:`repro.service.batch`.  ``cache`` (a
-    directory or :class:`~repro.cache.ResultCache`) serves repeat SWEEPs
-    warm.
+    ``workers`` is how many dispatches run at once, each on a codec
+    thread of this process (``None`` or ``0``: one per core; see
+    :mod:`repro.service.batch`).  It is also the worker-process count of
+    a SWEEP's CBench cell fan-out (``None``: ``$REPRO_WORKERS``).
+    ``cache`` (a directory or :class:`~repro.cache.ResultCache`) serves
+    repeat SWEEPs warm.
     """
 
     role = "daemon"
@@ -590,7 +590,7 @@ class CompressionService(FrameServer):
         tm = get_telemetry()
         if (
             reply_shm is not None
-            and SHM_MIN_BYTES <= body.nbytes <= reply_shm[1]
+            and protocol.SHM_MIN_BYTES <= body.nbytes <= reply_shm[1]
         ):
             name, _ = reply_shm
             try:

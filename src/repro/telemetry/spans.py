@@ -274,8 +274,8 @@ class Tracer:
     ) -> list[Span]:
         """Adopt finished spans produced by *another* tracer.
 
-        This is how subtrees captured in worker processes (CBench cells,
-        per-rank compressions under ``REPRO_WORKERS``) rejoin the parent
+        This is how subtrees captured in worker processes (by
+        :func:`repro.parallel.executor.process_map`) rejoin the parent
         trace.  Span ids are remapped into this tracer's id space with
         parent/child edges preserved within the batch; roots stay roots
         (they are not re-parented — worker subtrees ran on other

@@ -583,8 +583,9 @@ class TestSegmentHygiene:
         assert seg.name not in _psm_segments()
 
     def test_pool_reuse_survives_a_forked_batch(self):
-        # End to end: batches running in forked worker pools must not
-        # break the client's pooled segments between requests.
+        # End to end: a two-slot daemon attaching the client's pooled
+        # segments from its codec threads must not break them between
+        # requests.
         before = _psm_segments()
         arr = _field(kib=256)
         with ServiceThread(workers=2) as st:

@@ -34,8 +34,8 @@ SRC = REPO_ROOT / "src"
 class SleepyCompressor(Compressor):
     """Test-only codec that holds the batcher for a controllable time.
 
-    Only usable with in-process batches (``workers=1``): worker
-    processes import a fresh registry that has never seen it.
+    Registered in this process only, which is where every COMPRESS runs
+    (a SWEEP's worker processes would not know it).
     """
 
     name = "sleepy-test"
@@ -297,8 +297,8 @@ class TestConcurrentStress:
         assert batches < n_threads * per_thread
 
     def test_large_fields_through_shm_dispatch(self):
-        """A multi-request batch of >=64 KiB arrays with workers=2 takes
-        the shared-memory dispatch path and stays bit-exact."""
+        """Concurrent >=64 KiB arrays with workers=2 (large enough for
+        the client's shared-memory data plane) come back bit-exact."""
         field = _field(32)  # 128 KiB: above SHM_MIN_BYTES
         expected = get_compressor("zfp").compress(
             field, mode="fixed_rate", rate=8.0
@@ -319,6 +319,49 @@ class TestConcurrentStress:
                 t.join(120)
         assert len(results) == 4
         assert all(r == expected for r in results)
+
+    def test_coalesced_groups_stay_in_the_daemon_process(self):
+        """Overload with two slots: same-key requests still coalesce,
+        and each group runs on its codec thread — no dispatch crosses
+        into a worker process."""
+        import multiprocessing
+
+        field = _field(32)  # 128 KiB: above SHM_MIN_BYTES
+        expected = get_compressor("sz").compress(
+            field, mode="abs", error_bound=0.5
+        ).payload
+        slots = 2
+        n_threads, per_thread = 4 * slots, 8
+        payloads: list[bytes] = []
+        with ServiceThread(workers=slots, max_pending=256) as st:
+            with ServiceClient(port=st.port) as client:
+                before = client.stats()
+
+            def worker(tid: int) -> None:
+                with ServiceClient(port=st.port, seed=tid) as client:
+                    for _ in range(per_thread):
+                        buf = client.compress(field, "sz", mode="abs", value=0.5)
+                        payloads.append(buf.payload)
+
+            threads = [
+                threading.Thread(target=worker, args=(t,))
+                for t in range(n_threads)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(120)
+            with ServiceClient(port=st.port) as client:
+                stats = client.stats()
+            assert multiprocessing.active_children() == []
+
+        def delta(name: str) -> float:
+            return _counter(stats, name) - _counter(before, name)
+
+        assert len(payloads) == n_threads * per_thread
+        assert all(p == expected for p in payloads)
+        assert delta("service.batches") < n_threads * per_thread
+        assert delta("parallel.process_map_tasks") == 0
 
 
 class TestBackpressure:

@@ -160,6 +160,55 @@ class TestConcurrentAttach:
                 owner.close()
 
 
+_FORK_WHILE_LOCKED = """
+import sys, threading, time
+from repro.parallel import shm
+from repro.parallel.executor import process_map
+
+desc = shm.ShmDescriptor(sys.argv[1], (8,), "<f8")
+held = threading.Event()
+
+def hold():
+    with shm._REGISTER_LOCK:
+        held.set()
+        time.sleep(1.0)
+
+holder = threading.Thread(target=hold)
+holder.start()
+held.wait()
+views = process_map(shm.attach_cached, [desc, desc], workers=2, chunk_size=1)
+print([float(v.sum()) for v in views])
+holder.join()
+"""
+
+
+class TestForkSafety:
+    def test_fork_while_another_thread_holds_the_register_lock(self):
+        """A worker forked while another thread holds the register lock
+        (a codec thread attaching a segment) must still be able to
+        attach: the child never sees that thread release it."""
+        import os
+        import signal
+        import subprocess
+        import sys
+
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        with SharedArray.publish(np.arange(8.0)) as pub:
+            proc = subprocess.Popen(
+                [sys.executable, "-c", _FORK_WHILE_LOCKED, pub.name],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                env=env, start_new_session=True,
+            )
+            try:
+                out, err = proc.communicate(timeout=60)
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGKILL)  # the hung workers too
+                proc.communicate()
+                pytest.fail("process_map hung on a register lock held at fork")
+        assert proc.returncode == 0, err
+        assert out.strip() == "[28.0, 28.0]", out + err
+
+
 class TestShmEnabled:
     def test_default_enabled(self, monkeypatch):
         monkeypatch.delenv(NO_SHM_ENV, raising=False)
