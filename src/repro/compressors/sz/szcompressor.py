@@ -41,6 +41,9 @@ _HDR_ABS = "<4sBBBBBIdQQQB"
 _HDR_PWR = "<4sBBBdQQ"
 _DTYPES = {0: np.dtype(np.float32), 1: np.dtype(np.float64)}
 _DTYPE_CODES = {v: k for k, v in _DTYPES.items()}
+#: Cells per block the encoder takes (3-D: side <= 40); its design matrix
+#: and pseudo-inverse grow with the block (side 128: ~400 MiB), not the field.
+MAX_BLOCK_CELLS = 65536
 
 
 def _coerce_mode(mode: CompressorMode | str) -> CompressorMode:
@@ -150,6 +153,10 @@ class SZCompressor(Compressor):
     # -- ABS path -----------------------------------------------------------
 
     def _compress_abs(self, data: np.ndarray, eb: float) -> tuple[bytes, dict]:
+        cells = self.block_side**data.ndim
+        if cells > MAX_BLOCK_CELLS:
+            raise DataError(f"SZ block side {self.block_side} makes {cells} cells "
+                            f"per {data.ndim}-D block; at most {MAX_BLOCK_CELLS}")
         tm = get_telemetry()
         with tm.span("sz.encode", bytes=data.nbytes, predictor=self.predictor,
                      backend=kernels.resolve_name("sz.encode")):

@@ -23,6 +23,22 @@ C_SOURCE = r"""
 #define INLINE static inline __attribute__((always_inline))
 /* -O2 keeps even a 4-trip loop rolled, and the arrays it indexes in memory. */
 #define EACH_VALUE(i, count) _Pragma("GCC unroll 4") for (int i = 0; i < (count); i++)
+/* body(args..., a, b or c as ndim is 1, 2 or 3): a literal last argument,
+ * so the compiler builds one copy of the body per dimensionality. */
+#define BY_NDIM(a, b, c, body, ...) (ndim == 1 ? body(__VA_ARGS__, a) \
+    : ndim == 2 ? body(__VA_ARGS__, b) : body(__VA_ARGS__, c))
+
+/* (int64_t)rint(x) for |x| < 2^51: adding 1.5 * 2^52 rounds x to an
+ * integer the way rint does (round to nearest even; the ulp there is 1)
+ * and leaves it in the low mantissa bits. */
+#define RINT_SMALL_LIMIT 2251799813685248.0 /* 2^51 */
+static inline int64_t rint_small(double x)
+{
+    const double r = x + 6755399441055744.0; /* 1.5 * 2^52 */
+    int64_t b;
+    memcpy(&b, &r, 8);
+    return b - 0x4338000000000000LL;
+}
 
 /* ---------------- MSB-first bit streams ----------------
  * np.packbits(bitorder="big") convention.  Writer: up to 31 pending bits
@@ -151,6 +167,41 @@ static void blk_next(blk_geom* g)
         if (++g->at[a] < g->grid[a]) return;
         g->at[a] = 0;
     }
+}
+
+/* blk_next with `ndim` a literal, for the encoders: a 1-D field's blocks
+ * are one row, so a step is one increment kept in a register. */
+INLINE void blk_step(blk_geom* g, const int ndim)
+{
+    if (ndim == 1) g->at[2]++;
+    else blk_next(g);
+}
+
+/* The current block's cells as doubles, C order, edge-clamped (np.pad
+ * mode="edge"), for the SZ and ZFP encoders.  `is_f32` and `ndim` are
+ * literals, and so is `side` for ZFP (4), so every loop bound is one.
+ * A block row inside the field along the last axis is one contiguous
+ * run, and a 1-D block needs no offset tables. */
+INLINE void blk_gather(
+    const blk_geom* g, const void* data, const int is_f32, const int ndim,
+    const int side, double* v)
+{
+#define BLK_AT(at) (is_f32 ? (double)((const float*)data)[at] : ((const double*)data)[at])
+    const int64_t k0 = g->at[2] * side, last = g->n[2] - 1;
+    int64_t off[3][BLK_MAX_SIDE];
+    int inside[3][BLK_MAX_SIDE];
+    if (ndim > 1) blk_offsets(g, off, inside);
+    int64_t c = 0;
+    for (int i = 0; i < (ndim > 2 ? side : 1); i++)
+        for (int j = 0; j < (ndim > 1 ? side : 1); j++, c += side) {
+            const int64_t row = ndim > 1 ? off[0][i] + off[1][j] : 0;
+            if (k0 + side <= g->n[2])
+                for (int k = 0; k < side; k++) v[c + k] = BLK_AT(row + k0 + k);
+            else
+                for (int k = 0; k < side; k++)
+                    v[c + k] = BLK_AT(row + (k0 + k < last ? k0 + k : last));
+        }
+#undef BLK_AT
 }
 
 /* ---------------- variable-length bit packing ----------------
@@ -482,10 +533,20 @@ API void repro_huffman_code(
  * accumulations left to right from 0.0 — and whatever numpy computes in
  * an order C cannot repeat arrives as data: the design matrix, its
  * pseudo-inverse and the cost table.  Integer steps wrap (-fwrapv) as
- * numpy's int64 arithmetic does. */
+ * numpy's int64 arithmetic does.
+ *
+ * The encoder's block body takes ndim as a literal (SZ_SIZED), one copy
+ * per dimensionality; the decoder has a 1-D body of its own.  Where the
+ * encoder departs from the reference's form, it computes the same
+ * numbers: the Lorenzo residual is taken during the prequantization
+ * (wrapping differences commute), rint of a quotient below 2^51 is one
+ * addition (rint_small), and a regression prediction is a block row's
+ * constant plus a per-column term, as the design matrix's columns
+ * allow. */
 #define SZ_LIMIT 4611686018427387904.0 /* 2^62 */
 #define SZ_LORENZO 1
 #define SZ_REGRESSION 2
+#define SZ_SIZED(body, ...) BY_NDIM(1, 2, 3, body, __VA_ARGS__) /* ndim */
 
 /* predictor.estimate_code_bits' term: the numpy-built table for every
  * in-range magnitude (|r| < lut_size exactly when the reference's
@@ -496,34 +557,21 @@ static inline double sz_cost_term(int64_t r, const double* lut, int64_t lut_size
     return 2.0 * log2(1.0 + fabs((double)r)) + 1.0;
 }
 
-/* First difference, or with `inverse` running sum, of a flat
- * (e0, e1, e2) block along each real axis, in place. */
-static void sz_lorenzo(int64_t* q, const int* ext, int inverse)
+/* Running sum of a flat (e0, e1, e2) block along each real axis, in
+ * place: the inverse of the Lorenzo residual (first differences). */
+static void sz_lorenzo_inverse(int64_t* q, const int* ext)
 {
     const int64_t e0 = ext[0], e1 = ext[1], e2 = ext[2], s0 = e1 * e2;
-    if (inverse) {
-        for (int64_t i = 1; i < e0; i++)
-            for (int64_t j = 0; j < s0; j++)
-                q[i * s0 + j] += q[(i - 1) * s0 + j];
-        for (int64_t i = 0; i < e0; i++)
-            for (int64_t j = 1; j < e1; j++)
-                for (int64_t k = 0; k < e2; k++)
-                    q[i * s0 + j * e2 + k] += q[i * s0 + (j - 1) * e2 + k];
-        for (int64_t i = 0; i < e0 * e1; i++)
-            for (int64_t k = 1; k < e2; k++)
-                q[i * e2 + k] += q[i * e2 + k - 1];
-        return;
-    }
-    for (int64_t i = e0 - 1; i >= 1; i--)
+    for (int64_t i = 1; i < e0; i++)
         for (int64_t j = 0; j < s0; j++)
-            q[i * s0 + j] -= q[(i - 1) * s0 + j];
+            q[i * s0 + j] += q[(i - 1) * s0 + j];
     for (int64_t i = 0; i < e0; i++)
-        for (int64_t j = e1 - 1; j >= 1; j--)
+        for (int64_t j = 1; j < e1; j++)
             for (int64_t k = 0; k < e2; k++)
-                q[i * s0 + j * e2 + k] -= q[i * s0 + (j - 1) * e2 + k];
+                q[i * s0 + j * e2 + k] += q[i * s0 + (j - 1) * e2 + k];
     for (int64_t i = 0; i < e0 * e1; i++)
-        for (int64_t k = e2 - 1; k >= 1; k--)
-            q[i * e2 + k] -= q[i * e2 + k - 1];
+        for (int64_t k = 1; k < e2; k++)
+            q[i * e2 + k] += q[i * e2 + k - 1];
 }
 
 /* ((c0*x0 + c1*x1) + c2*x2) + c3*x3 over one design-matrix row. */
@@ -536,48 +584,52 @@ static inline double sz_predict(const double* c, const double* x, int nc)
 
 /* Regression fit of one block, predictor.regression_fit: coefficient k
  * is the sum of v[i] * pinv[k][i] taken left to right from 0.0, then cut
- * to float32 (`cf`, what the stream stores; `cd` the same as doubles). */
-static void sz_fit(
-    const double* v, const double* pinv, int64_t size, int nc, float* cf, double* cd)
+ * to float32 (`cf`, what the stream stores; `cd` the same as doubles).
+ * With `nc` a literal the nc sums are independent register chains. */
+INLINE void sz_fit(
+    const double* v, const double* pinv, int64_t size, const int nc,
+    float* cf, double* cd)
 {
-    double acc[4] = {0.0, 0.0, 0.0, 0.0};
-    for (int64_t i = 0; i < size; i++)
-        for (int k = 0; k < nc; k++)
-            acc[k] += v[i] * pinv[k * size + i];
+    double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+    for (int64_t i = 0; i < size; i++) {
+        a0 += v[i] * pinv[i];
+        a1 += v[i] * pinv[size + i];
+        if (nc > 2) a2 += v[i] * pinv[2 * size + i];
+        if (nc > 3) a3 += v[i] * pinv[3 * size + i];
+    }
+    const double acc[4] = {a0, a1, a2, a3};
     for (int k = 0; k < nc; k++) {
         cf[k] = (float)acc[k];
         cd[k] = (double)cf[k];
     }
 }
 
-/* Cell i's residual against the stored coefficients: rint((v - prediction)
- * / 2eb), clamped to +-2^62 the way fmax(fmin(r, 2^62), -2^62) does it (a
- * NaN becomes +2^62). */
-static inline int64_t sz_reg_residual(
-    const double* v, const double* design, const double* cd, int nc,
-    double two_eb, int64_t i)
+/* A cell's residual against its prediction: rint((v - pred) / 2eb),
+ * clamped to +-2^62 the way fmax(fmin(r, 2^62), -2^62) does it (a NaN
+ * becomes +2^62). */
+static inline int64_t sz_reg_residual(double v, double pred, double two_eb)
 {
-    double r = rint((v[i] - sz_predict(cd, design + i * nc, nc)) / two_eb);
+    const double x = (v - pred) / two_eb;
+    if (fabs(x) < RINT_SMALL_LIMIT) return rint_small(x);
+    double r = rint(x);
     if (!(r <= SZ_LIMIT)) r = SZ_LIMIT;
     else if (r < -SZ_LIMIT) r = -SZ_LIMIT;
     return (int64_t)r;
 }
 
-/* `design` is (size, ndim + 1), `pinv` (ndim + 1, size), `scratch` three
- * blocks of 8-byte cells.  radius > 0: writes `symbols` (one per block
- * cell), adds to the zeroed `freqs` (2 * radius) and lists `outliers`;
- * radius == 0: writes the selected residuals to `residual` instead (the
- * caller derives the radius from them).  `coefs` receives the
- * coefficients of the regression blocks only; counts[0] = outliers,
- * counts[1] = regression blocks.  Returns 1 when a lattice index
- * exceeds 2^62 (prequantize's overflow guard), else 0. */
-API int64_t repro_sz_encode(
-    const void* data, int is_f32, int ndim, const int64_t* shape, int side,
+/* The encoder's block body; see repro_sz_encode.  `ndim` is a literal
+ * (SZ_SIZED), so nc is a constant and the fit's accumulators and the
+ * prediction's coefficients stay in registers.  In the 1-D copy (HACC's
+ * particle arrays) block b is elements b*side .. b*side+side-1: the
+ * gather is one clamped run and the Lorenzo residual one running
+ * difference, taken with the prequantization; no offset tables. */
+INLINE int64_t sz_encode_blocks(
+    const void* data, int is_f32, const int64_t* shape, int side,
     double two_eb, int predictor, int64_t radius,
     const double* design, const double* pinv,
     const double* cost_lut, int64_t lut_size, void* scratch,
     uint16_t* symbols, int64_t* freqs, int64_t* outliers, int64_t* residual,
-    uint8_t* use_reg, float* coefs, int64_t* counts)
+    uint8_t* use_reg, float* coefs, int64_t* counts, const int ndim)
 {
     blk_geom g = blk_geometry(ndim, shape, side);
     const int64_t size = g.size;
@@ -585,30 +637,48 @@ API int64_t repro_sz_encode(
     double* v = (double*)scratch;
     int64_t* q = (int64_t*)scratch + size;
     int64_t* rr = (int64_t*)scratch + 2 * size;
+    const int e2 = g.ext[2];
     int64_t nout = 0, nreg = 0;
-    for (int64_t b = 0; b < g.nblocks; b++, blk_next(&g)) {
-        int64_t off[3][BLK_MAX_SIDE];
-        int inside[3][BLK_MAX_SIDE];
-        blk_offsets(&g, off, inside);
-        int64_t c = 0;
-        for (int i = 0; i < g.ext[0]; i++)
-            for (int j = 0; j < g.ext[1]; j++) {
-                const int64_t row = off[0][i] + off[1][j];
-                if (is_f32)
-                    for (int k = 0; k < g.ext[2]; k++)
-                        v[c++] = (double)((const float*)data)[row + off[2][k]];
-                else
-                    for (int k = 0; k < g.ext[2]; k++)
-                        v[c++] = ((const double*)data)[row + off[2][k]];
-            }
+    for (int64_t b = 0; b < g.nblocks; b++, blk_step(&g, ndim)) {
+        if (is_f32) blk_gather(&g, data, 1, ndim, side, v);
+        else blk_gather(&g, data, 0, ndim, side, v);
 
         if (predictor != SZ_REGRESSION) {
-            for (int64_t i = 0; i < size; i++) {
-                const double r = rint(v[i] / two_eb);
-                if (fabs(r) > SZ_LIMIT) return 1;
-                q[i] = (int64_t)r;
-            }
-            sz_lorenzo(q, g.ext, 0);
+            /* Prequantization with the Lorenzo residual taken on the way:
+             * the first difference along the row, minus the previous row's
+             * (2-D), minus the previous plane's result (3-D).  Wrapping
+             * int64 differences commute, so this is the reference's three
+             * passes; rr holds the previous plane until the fit needs it. */
+            int64_t drow[BLK_MAX_SIDE];
+            int64_t c = 0;
+            for (int i = 0; i < (ndim > 2 ? g.ext[0] : 1); i++)
+                for (int j = 0; j < (ndim > 1 ? g.ext[1] : 1); j++) {
+                    int64_t prev = 0;
+                    for (int k = 0; k < e2; k++, c++) {
+                        const double x = v[c] / two_eb;
+                        int64_t cur;
+                        if (fabs(x) < RINT_SMALL_LIMIT) {
+                            cur = rint_small(x);
+                        } else {
+                            const double r = rint(x);
+                            if (fabs(r) > SZ_LIMIT) return 1;
+                            cur = (int64_t)r;
+                        }
+                        int64_t d = cur - prev;
+                        prev = cur;
+                        if (ndim > 1) {
+                            const int64_t along_row = d;
+                            if (j) d -= drow[k];
+                            drow[k] = along_row;
+                        }
+                        if (ndim > 2) {
+                            const int64_t in_plane = d;
+                            if (i) d -= rr[j * e2 + k];
+                            rr[j * e2 + k] = in_plane;
+                        }
+                        q[c] = d;
+                    }
+                }
         }
 
         /* The adaptive choice is the reference's full-sum one, made with
@@ -628,14 +698,21 @@ API int64_t repro_sz_encode(
                 cost_l += sz_cost_term(q[i], cost_lut, lut_size);
             reg = (double)size + extra < cost_l;
         }
-        if (reg) sz_fit(v, pinv, size, nc, cf, cd);
-        for (int64_t row = 0; reg && row < size; row += g.ext[2]) {
-            const int64_t end = row + g.ext[2];
-            for (int64_t i = row; i < end; i++)
-                rr[i] = sz_reg_residual(v, design, cd, nc, two_eb, i);
+        /* The prediction ((c0*1 + c1*x) + c2*y) + c3*z is a row's constant
+         * plus last[k]: design columns 0..nc-2 (the intercept and the
+         * outer coordinates) do not change along a block row. */
+        double last[BLK_MAX_SIDE];
+        if (reg) {
+            sz_fit(v, pinv, size, nc, cf, cd);
+            for (int k = 0; k < e2; k++) last[k] = cd[nc - 1] * design[k * nc + nc - 1];
+        }
+        for (int64_t row = 0; reg && row < size; row += e2) {
+            const double base = sz_predict(cd, design + row * nc, nc - 1);
+            for (int k = 0; k < e2; k++)
+                rr[row + k] = sz_reg_residual(v[row + k], base + last[k], two_eb);
             if (!adaptive) continue;
-            for (int64_t i = row; i < end; i++)
-                cost_r += sz_cost_term(rr[i], cost_lut, lut_size);
+            for (int k = 0; k < e2; k++)
+                cost_r += sz_cost_term(rr[row + k], cost_lut, lut_size);
             reg = cost_r + extra < cost_l;
         }
         use_reg[b] = (uint8_t)reg;
@@ -662,6 +739,27 @@ API int64_t repro_sz_encode(
     counts[0] = nout;
     counts[1] = nreg;
     return 0;
+}
+
+/* `design` is (size, ndim + 1), `pinv` (ndim + 1, size), `scratch` three
+ * blocks of 8-byte cells.  radius > 0: writes `symbols` (one per block
+ * cell), adds to the zeroed `freqs` (2 * radius) and lists `outliers`;
+ * radius == 0: writes the selected residuals to `residual` instead (the
+ * caller derives the radius from them).  `coefs` receives the
+ * coefficients of the regression blocks only; counts[0] = outliers,
+ * counts[1] = regression blocks.  Returns 1 when a lattice index
+ * exceeds 2^62 (prequantize's overflow guard), else 0. */
+API int64_t repro_sz_encode(
+    const void* data, int is_f32, int ndim, const int64_t* shape, int side,
+    double two_eb, int predictor, int64_t radius,
+    const double* design, const double* pinv,
+    const double* cost_lut, int64_t lut_size, void* scratch,
+    uint16_t* symbols, int64_t* freqs, int64_t* outliers, int64_t* residual,
+    uint8_t* use_reg, float* coefs, int64_t* counts)
+{
+    return SZ_SIZED(sz_encode_blocks, data, is_f32, shape, side, two_eb,
+                    predictor, radius, design, pinv, cost_lut, lut_size, scratch,
+                    symbols, freqs, outliers, residual, use_reg, coefs, counts);
 }
 
 /* The residuals of one block: an escape symbol (0) takes the next
@@ -750,7 +848,7 @@ API int64_t repro_sz_decode(
             for (int k = 0; k < nc; k++) cd[k] = (double)coefs[nreg * nc + k];
             nreg++;
         } else {
-            sz_lorenzo(r, g.ext, 1);
+            sz_lorenzo_inverse(r, g.ext);
         }
         /* the cells inside the field, a prefix along each axis: one
          * contiguous run of the output per block row */
@@ -784,14 +882,18 @@ API int64_t repro_sz_decode(
  * edge-clamped gather, common exponent, rint(ldexp()) onto the int64
  * lattice, lifting along numpy axes 1..d, sequency permutation,
  * negabinary, then the seed group-testing coder (blockcodec's
- * encode_block_planes / decode_block_planes) with plane words computed
- * on demand — a plane the bit budget never reaches is never transposed.
- * Bits go through a word-buffered MSB-first writer/reader
+ * encode_block_planes / decode_block_planes) on plane words built per
+ * plane coded — a plane the bit budget never reaches is never built.
+ * The encoder keeps the block's coefficients as byte planes, one byte per
+ * coefficient for the current group of 8 planes, and takes a 16- or
+ * 64-value plane word 8 coefficients at a time with one multiply.  Bits
+ * go through a word-buffered MSB-first writer/reader
  * (np.packbits(bitorder="big") convention), so there is no whole-field
  * intermediate of any kind.
  *
  * One block body per direction takes the block size (4, 16 or 64) as a
- * literal (ZFP_SIZED), so the compiler builds a copy per size.  In the
+ * literal (ZFP_SIZED), so the compiler builds a copy per size; the
+ * encoder reads a block with the SZ encoder's blk_gather.  In the
  * 4-value copy (1-D fields: HACC's particle arrays) a plane word is four
  * shifts and a plane's group tests one lookup in the plane4 tables.
  *
@@ -803,9 +905,7 @@ API int64_t repro_sz_decode(
 #define ZFP_HEADER_BITS (1 + ZFP_EBITS)
 #define ZFP_NBMASK 0xAAAAAAAAAAAAAAAAULL
 #define SHL1(v) ((int64_t)((uint64_t)(v) << 1))
-/* body(args..., 4^ndim), the block size a literal: one copy per size. */
-#define ZFP_SIZED(body, ...) (ndim == 1 ? body(__VA_ARGS__, 4) \
-    : ndim == 2 ? body(__VA_ARGS__, 16) : body(__VA_ARGS__, 64))
+#define ZFP_SIZED(body, ...) BY_NDIM(4, 16, 64, body, __VA_ARGS__) /* 4^ndim */
 
 INLINE void zfp_fwd_lift(int64_t* p, int s)
 {
@@ -874,6 +974,23 @@ static inline uint64_t zfp_rev64(uint64_t x)
     x = ((x >> 2) & 0x3333333333333333ULL) | ((x & 0x3333333333333333ULL) << 2);
     x = ((x >> 4) & 0x0F0F0F0F0F0F0F0FULL) | ((x & 0x0F0F0F0F0F0F0F0FULL) << 4);
     return __builtin_bswap64(x);
+}
+
+/* Plane s of a group of byte planes as a word: bit i is bit s of bp[i],
+ * for i < n (16 or 64), taken 8 bytes at a time, the multiply gathering
+ * bit 0 of byte i into bit 56 + i. */
+INLINE uint64_t zfp_plane_word(const uint8_t* bp, int n, int s)
+{
+    uint64_t x = 0;
+    for (int i = 0; i < n; i += 8) {
+        uint64_t w;
+        memcpy(&w, bp + i, 8);
+#if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+        w = __builtin_bswap64(w);
+#endif
+        x |= (((w >> s) & 0x0101010101010101ULL) * 0x0102040810204080ULL) >> 56 << i;
+    }
+    return x;
 }
 
 /* The group tests of one plane, the seed loop: per group the test bit,
@@ -1008,17 +1125,14 @@ INLINE int64_t zfp_encode_blocks(
     const int size)
 {
     blk_geom g = blk_geometry(ndim, shape, 4);
+    const int nd = size == 4 ? 1 : size == 16 ? 2 : 3; /* ndim as a literal */
     bit_writer w = {out, 0, 0, 0};
     const int64_t budget = maxbits > 0 ? maxbits - ZFP_HEADER_BITS : INT64_MAX;
-    for (int64_t b = 0; b < g.nblocks; b++) {
+    for (int64_t b = 0; b < g.nblocks; b++, blk_step(&g, nd)) {
         offsets[b] = (uint64_t)bw_bits(&w);
-        int64_t at[64];
-        int inside[64];
-        zfp_cells(&g, b, size, at, inside);
         double v[64];
-        EACH_VALUE(i, size)
-            v[i] = is_f32 ? (double)((const float*)data)[at[i]]
-                          : ((const double*)data)[at[i]];
+        if (is_f32) blk_gather(&g, data, 1, nd, 4, v);
+        else blk_gather(&g, data, 0, nd, 4, v);
         double amax = 0.0;
         EACH_VALUE(i, size)
             amax = fabs(v[i]) > amax ? fabs(v[i]) : amax;
@@ -1032,22 +1146,18 @@ INLINE int64_t zfp_encode_blocks(
         const double scale = zfp_scale(planes - 2 - e);
         int64_t q[64];
         EACH_VALUE(i, size)
-            q[i] = (int64_t)rint(ZFP_LDEXP(v[i], planes - 2 - e, scale));
+            q[i] = rint_small(ZFP_LDEXP(v[i], planes - 2 - e, scale)); /* |.| < 2^50 */
         for (int stride = size / 4; stride >= 1; stride /= 4)
             zfp_lift_axis(q, size, stride, 0);
-        uint64_t u[64];
-        EACH_VALUE(i, size)
+        uint64_t u[64], all = 0;
+        EACH_VALUE(i, size) {
             u[i] = ((uint64_t)q[perm[i]] + ZFP_NBMASK) ^ ZFP_NBMASK;
-
-        /* above[i]: OR of u[i..] — plane k only has bits below the
-         * first i with above[i] >> k == 0.  Sequency order puts the small
-         * coefficients last, so the top planes (all a tight budget
-         * reaches) transpose a short prefix. */
-        uint64_t above[65];
-        above[size] = 0;
-        for (int i = size - 1; i >= 0; i--)
-            above[i] = above[i + 1] | u[i];
-        int reach = 0;
+            all |= u[i];
+        }
+        /* bp[i]: bits 8 * group .. 8 * group + 7 of u[i], the byte planes
+         * of the current group of 8 planes */
+        uint8_t bp[64];
+        int group = -1;
 
         bw_put(&w, (uint64_t)(1 << ZFP_EBITS | (e + ZFP_EBIAS)), ZFP_HEADER_BITS);
         const int64_t kmin = zfp_kmin(kbase, kslope, e, planes);
@@ -1055,7 +1165,7 @@ INLINE int64_t zfp_encode_blocks(
         /* While no coefficient is significant a plane without bits is one
          * failed group test: the planes above the top set bit cost one 0
          * bit each. */
-        int64_t empty = above[0] ? __builtin_clzll(above[0]) - (64 - planes) : planes;
+        int64_t empty = all ? __builtin_clzll(all) - (64 - planes) : planes;
         if (empty < 0) empty = 0;
         if (empty > planes - kmin) empty = planes - kmin;
         if (empty > bits) empty = bits;
@@ -1079,9 +1189,11 @@ INLINE int64_t zfp_encode_blocks(
                 n = entry >> 12;
                 continue;
             }
-            while (above[reach] >> k) reach++;
-            for (int i = 0; i < reach; i++)
-                x |= ((u[i] >> k) & 1) << i;
+            if (k >> 3 != group) {
+                group = (int)(k >> 3);
+                EACH_VALUE(i, size) bp[i] = (uint8_t)(u[i] >> 8 * group);
+            }
+            x = zfp_plane_word(bp, size, (int)(k & 7));
             /* value bits of the already-significant coefficients, LSB
              * first (zfp's stream_write_bits order) */
             const int m = n < bits ? n : (int)bits;

@@ -524,7 +524,8 @@ class ServerThread:
 
     def stop(self, timeout: float = 60.0) -> None:
         if self.thread.is_alive():
-            self.loop.call_soon_threadsafe(self.server.request_drain)
+            with contextlib.suppress(RuntimeError):  # loop closed: thread exiting
+                self.loop.call_soon_threadsafe(self.server.request_drain)
             self.thread.join(timeout)
             if self.thread.is_alive():
                 raise ServiceError(

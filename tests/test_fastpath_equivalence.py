@@ -544,13 +544,20 @@ def _budget_edge_field(shape, dtype):
 def _budget_edge_cells(kind, dtype):
     """``(shape, maxbits, kmin_rule)`` of each call in one sweep.  Fixed
     rate runs every maxbits from the 13-bit header + 1 up to 16 bits per
-    value (1-D: rate 3.5-16 in 0.25 steps) or 5 (2-D)."""
+    value (1-D: rate 3.5-16 in 0.25 steps), 5 (2-D) or 4 (3-D, then every
+    7th up to 16).  3-D fixed precision runs every precision, so the coder
+    crosses each boundary between groups of 8 planes."""
     from repro.compressors.base import CompressorMode
     from repro.compressors.zfp.zfpcompressor import _kmin_rule
 
     planes = {np.float32: 32, np.float64: 52}[dtype]
     if kind == "rate_2d":
         return [((45, 46), maxbits, (0, False)) for maxbits in range(14, 81)]
+    if kind == "rate_3d":
+        return [((13, 14, 15), maxbits, (0, False))
+                for maxbits in [*range(14, 257), *range(257, 1025, 7)]]
+    if kind == "precision_3d":
+        return [((13, 14, 15), 0, (planes - p, False)) for p in range(1, planes + 1)]
     shape = (8002,)  # 2,001 blocks, the last one half full
     if kind == "rate":
         return [(shape, maxbits, (0, False)) for maxbits in range(14, 65)]
@@ -565,17 +572,22 @@ def _budget_edge_cells(kind, dtype):
 class TestZFPBudgetEdges:
     """Where a plane meets the end of the bit budget.
 
-    The native coder codes a 4-value plane's group tests from a table and
-    steps over the empty top planes of a block at once.  Either can only
-    part from the seed coder where a block's budget runs out inside a
-    plane, so these fields have thousands of blocks and every budget is
-    swept: the native payload must equal numpy's, and each tier's decoder
-    must turn either tier's stream into the same bits."""
+    The native coder codes a 4-value plane's group tests from a table,
+    steps over the empty top planes of a block at once and takes the
+    16- and 64-value plane words from byte planes, 8 planes at a time.
+    The first two can only part from the seed coder where a block's
+    budget runs out inside a plane, the third at a group of planes, so
+    these fields have thousands of blocks (or, in 3-D, every precision)
+    and every budget is swept: the native payload must equal numpy's,
+    and each tier's decoder must turn either tier's stream into the same
+    bits."""
 
     @pytest.mark.parametrize("backend", BACKENDS[1:])
     @pytest.mark.parametrize("kind,dtype", [
         (kind, dtype) for kind in ("rate", "precision", "accuracy")
-        for dtype in (np.float32, np.float64)] + [("rate_2d", np.float32)])
+        for dtype in (np.float32, np.float64)] + [
+        ("rate_2d", np.float32), ("rate_3d", np.float32), ("rate_3d", np.float64),
+        ("precision_3d", np.float64)])
     def test_native_matches_numpy_at_every_budget(self, backend, kind, dtype):
         planes = {np.float32: 32, np.float64: 52}[dtype]
         for shape, maxbits, rule in _budget_edge_cells(kind, dtype):
@@ -768,6 +780,69 @@ class TestSZChoiceBoundary:
             with kernels.use(tier):
                 payloads.append(codec.compress(data, error_bound=_CHOICE_EB).payload)
         assert payloads[0] == payloads[1]
+
+
+def _sz_1d_fields(n, dtype):
+    """1-D fields of length ``n`` on the 2eb = 1 lattice: noise over many
+    magnitudes, a noisy ramp (regression wins), rint ties and their
+    neighbours one ulp away, lattice indices past 2^51 (the quotient is
+    rounded by rint, not by the 1.5 * 2^52 addition) and past 2^62 (the
+    overflow guard's DataError)."""
+    rng = np.random.default_rng(n)
+    ties = (np.arange(n) - n // 2 + 0.5).astype(dtype)
+    away = np.where(np.arange(n) % 2, np.inf, -np.inf).astype(dtype)
+    return {
+        "noise": rng.standard_normal(n) * np.exp(rng.uniform(-4.0, 8.0, n)),
+        "ramp": 7.0 * np.arange(n) + 0.3 * rng.standard_normal(n),
+        "ties": ties,
+        "near ties": np.nextafter(ties, away),
+        "huge": rng.uniform(-1.0, 1.0, n) * 2.0 ** rng.uniform(48.0, 61.0, n),
+        "overflow": np.full(n, -(2.0**63)),
+    }
+
+
+class TestSZOneDimensional:
+    """The native ``sz.encode`` has a body of its own for 1-D fields (a
+    clamped contiguous gather, the Lorenzo residual one running difference
+    taken with the prequantization).  Every length up to two blocks plus
+    one (each remainder mod 6, fields shorter than a block), every
+    predictor, a radius with escapes and the auto radius: the kernel's
+    outputs and the codec's payload equal the numpy tier's, or both tiers
+    raise the same error."""
+
+    @staticmethod
+    def _outcome(backend, data, predictor, radius):
+        with kernels.use(backend):
+            try:
+                return kernels.call("sz.encode", data, _CHOICE_EB, 6, predictor,
+                                    None if radius == "auto" else radius)
+            except Exception as exc:  # compared across tiers, never swallowed
+                return type(exc), str(exc)
+
+    @pytest.mark.parametrize("backend", BACKENDS[1:])
+    @pytest.mark.parametrize("predictor", ["adaptive", "lorenzo", "regression"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_native_matches_numpy(self, backend, predictor, dtype):
+        for n in range(1, 14):
+            for label, values in _sz_1d_fields(n, dtype).items():
+                data = values.astype(dtype)
+                for radius in (1024, 2, "auto"):
+                    case = (n, label, radius)
+                    ref = self._outcome(REFERENCE, data, predictor, radius)
+                    got = self._outcome(backend, data, predictor, radius)
+                    assert len(got) == len(ref), case
+                    if isinstance(ref[0], type):
+                        assert got == ref, case
+                        continue
+                    for mine, theirs in zip(got[:5], ref[:5]):
+                        assert mine.dtype == theirs.dtype, case
+                        assert np.array_equal(mine, theirs), case
+                    assert got[5] == ref[5], case
+                    payloads = [_sz_outcome(tier, data, "abs", _CHOICE_EB,
+                                            predictor, radius)[0]
+                                for tier in (REFERENCE, backend)]
+                    assert payloads[1] == payloads[0], case
+        assert kernels.last_used()["sz.encode"] == backend
 
 
 class TestPackEquivalence:

@@ -168,6 +168,27 @@ class FrameLevelCases:
                                    value=8.0).payload == expected
             assert kernels.last_used()["zfp.encode"] == _healthy_tier("zfp.encode")
 
+    def test_oversized_sz_blocks_are_a_typed_error(self, front_end):
+        """A request's ``block_side`` reaches the codec as it is: past
+        65536 cells per block it is a ``DataError`` reply, before the
+        daemon builds a block-sized design matrix (side 128 cost ~400 MiB
+        for any field), and the daemon keeps serving."""
+        field = _field(8)
+        expected = get_compressor("sz").compress(field, error_bound=0.1).payload
+        with front_end(self.front) as st, \
+                ServiceClient(port=st.port) as client:
+            for side, mode, value in ((41, "abs", 0.1), (128, "abs", 0.1),
+                                      (255, "pw_rel", 0.1)):
+                with pytest.raises(ServiceError, match="at most 65536") as err:
+                    client.compress(field, "sz", mode=mode, value=value,
+                                    options={"block_side": side})
+                assert err.value.code == "DataError", side
+            stats = client.stats()
+            daemons = stats["fleet"]["shards"].values() if "fleet" in stats \
+                else [stats]
+            assert [d["kernels"]["tripped"] for d in daemons] == [{}] * len(daemons)
+            assert client.compress(field, "sz", value=0.1).payload == expected
+
 
 class TestBasicOps(FrameLevelCases):
     def test_compress_matches_direct_call(self):

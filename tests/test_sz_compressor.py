@@ -191,6 +191,31 @@ class TestValidation:
         with pytest.raises(DataError):
             SZCompressor(radius=10**6)
 
+    def test_oversized_blocks_rejected_before_the_design_matrix(self):
+        """More than 65536 cells per block is a DataError before any
+        block-sized array exists: side 128 on a 2x2x2 field used to write
+        a 278,692-byte stream at a 410 MiB peak (its design matrix and
+        pseudo-inverse).  Decoding is not limited."""
+        from repro.compressors.sz import GPUSZ
+        from repro.compressors.sz.predictor import _design_matrix
+
+        tiny = np.ones((2, 2, 2), np.float32)
+        cached = _design_matrix.cache_info().currsize
+        for side in (41, 128, 255):
+            for kwargs in ({"error_bound": 0.1},
+                           {"mode": "pw_rel", "pwrel": 0.1}):
+                with pytest.raises(DataError, match="at most 65536"):
+                    SZCompressor(block_side=side).compress(tiny, **kwargs)
+            with pytest.raises(DataError, match="at most 65536"):
+                GPUSZ(block_side=side).compress_pwrel_via_log(tiny, 0.1)
+        assert _design_matrix.cache_info().currsize == cached
+        # the largest blocks allowed: 40^3 = 64000 and 255^2 = 65025 cells
+        for side, field in ((40, tiny), (255, np.ones((3, 2), np.float64)),
+                            (255, np.ones(7, np.float32))):
+            codec = SZCompressor(block_side=side)
+            buf = codec.compress(field, error_bound=0.1)
+            assert np.abs(codec.decompress(buf) - field).max() <= 0.1
+
 
 class TestOptions:
     def test_lossless_pipeline_round_trip(self, smooth_field3d):
