@@ -9,7 +9,7 @@ Subpackages
     scratch on numpy with the GPU formulations (dual quantization,
     per-block embedded coding).
 ``repro.lossless``
-    Canonical Huffman, RLE, LZSS backends.
+    Canonical Huffman, LZSS and FPC backends.
 ``repro.cosmo``
     Synthetic HACC/Nyx data generators, FoF halo finder, power spectra.
 ``repro.metrics``

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from repro.errors import DataError
 from repro.util.validation import check_positive
@@ -83,6 +81,20 @@ def _candidate_pairs(
     return a, b
 
 
+def edge_components(ea: np.ndarray, eb: np.ndarray, n: int) -> tuple[int, np.ndarray]:
+    """Connected components of the undirected graph on ``n`` nodes with
+    edges ``(ea[k], eb[k])``: ``(n_groups, labels)``.
+
+    scipy is imported here, not at module level, so that only halo
+    finding pays for loading it.
+    """
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    graph = coo_matrix((np.ones(ea.size, dtype=np.int8), (ea, eb)), shape=(n, n))
+    return connected_components(graph, directed=False)
+
+
 def friends_of_friends(
     positions: np.ndarray,
     box_size: float,
@@ -144,10 +156,7 @@ def friends_of_friends(
     else:
         ea = eb = np.zeros(0, dtype=np.int64)
 
-    graph = coo_matrix(
-        (np.ones(ea.size, dtype=np.int8), (ea, eb)), shape=(n, n)
-    )
-    n_groups, labels = connected_components(graph, directed=False)
+    n_groups, labels = edge_components(ea, eb, n)
     return FOFResult(
         labels=labels.astype(np.int64),
         n_groups=int(n_groups),

@@ -43,35 +43,9 @@ from repro.foresight.pat import Job, SlurmSimulator, Workflow
 from repro.foresight.visualization import format_table
 from repro.io.json_records import RecordStore
 from repro.telemetry.export import write_chrome, write_jsonl
+from repro.telemetry.logs import configure_logging
 
 logger = logging.getLogger("repro.foresight")
-
-
-def configure_logging(
-    verbosity: int = 0, quiet: bool = False, json_logs: bool = False
-) -> None:
-    """Wire the ``repro.foresight`` logger hierarchy to stderr.
-
-    ``quiet`` shows warnings only; default shows INFO; ``-v`` adds DEBUG
-    (including per-job PAT scheduler transitions).  ``json_logs`` swaps
-    in :class:`repro.telemetry.logs.JsonLogFormatter`: one JSON object
-    per record, stamped with the active trace/request ids.
-    """
-    level = logging.WARNING if quiet else (
-        logging.DEBUG if verbosity > 0 else logging.INFO
-    )
-    handler = logging.StreamHandler(sys.stderr)
-    if json_logs:
-        from repro.telemetry.logs import JsonLogFormatter
-
-        handler.setFormatter(JsonLogFormatter())
-    else:
-        handler.setFormatter(
-            logging.Formatter("%(levelname)s %(name)s: %(message)s")
-        )
-    root = logging.getLogger("repro")
-    root.handlers[:] = [handler]
-    root.setLevel(level)
 
 
 def _load_fields_from_file(cfg: ForesightConfig) -> tuple[dict[str, np.ndarray], float]:

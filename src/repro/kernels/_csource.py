@@ -236,18 +236,9 @@ static inline int64_t huff_symbol(const void* symbols, int wide, int64_t i)
                 : (int64_t)((const uint16_t*)symbols)[i];
 }
 
-/* Callers size the encoder's `out` with this first. */
-API int64_t repro_huffman_symbol_bits(
-    const void* symbols, int wide, int64_t n, const uint8_t* lengths)
-{
-    int64_t total = 0;
-    for (int64_t i = 0; i < n; i++)
-        total += lengths[huff_symbol(symbols, wide, i)];
-    return total;
-}
-
 /* Fused table-driven encode: symbols -> codeword bits (lengths <= 24),
- * plus the per-chunk bit-offset table the parallel decoder needs. */
+ * plus the per-chunk bit-offset table the parallel decoder needs.
+ * Returns the stream length in bits; `out` holds n * max(lengths) bits. */
 API int64_t repro_huffman_encode(
     const void* symbols, int wide, int64_t n,
     const uint64_t* codes, const uint8_t* lengths,

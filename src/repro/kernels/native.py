@@ -52,7 +52,6 @@ _I64, _F64, _INT, _PTR = (
 )
 _SIGNATURES = {
     "repro_pack_varlen": ([_PTR, _PTR, _I64, _PTR], _I64),
-    "repro_huffman_symbol_bits": ([_PTR, _INT, _I64, _PTR], _I64),
     "repro_huffman_encode":
         ([_PTR, _INT, _I64, _PTR, _PTR, _I64, _PTR, _PTR], _I64),
     "repro_huffman_table_size": ([_PTR, _I64, _INT], _I64),
@@ -234,13 +233,14 @@ def huffman_encode(
     chunk_offsets = np.zeros(nchunks, dtype=np.uint64)
     if n == 0:
         return b"", 0, chunk_offsets
-    total = int(lib.repro_huffman_symbol_bits(_p(symbols), wide, n, _p(len_u8)))
-    out = np.empty((total + 7) // 8, dtype=np.uint8)
-    lib.repro_huffman_encode(
+    # Sized for every symbol at the longest code length, so there is no
+    # counting pass; only the pages the encoder writes are touched.
+    out = np.empty((n * int(len_u8.max()) + 7) // 8, dtype=np.uint8)
+    total = int(lib.repro_huffman_encode(
         _p(symbols), wide, n, _p(codes), _p(len_u8), chunk_size,
         _p(chunk_offsets), _p(out),
-    )
-    return out.tobytes(), total, chunk_offsets
+    ))
+    return out[:(total + 7) // 8].tobytes(), total, chunk_offsets
 
 
 def huffman_l1_bits() -> int:

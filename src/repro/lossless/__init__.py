@@ -3,8 +3,6 @@
 * :mod:`repro.lossless.huffman` — canonical, length-limited Huffman coding
   with a vectorized encoder and a chunk-parallel decoder mirroring how
   cuSZ's GPU Huffman stage decodes fixed-size chunks in parallel.
-* :mod:`repro.lossless.rle` — run-length coding for the long zero runs that
-  dual-quantized Lorenzo residuals produce.
 * :mod:`repro.lossless.lzss` — a byte-oriented LZ77/LZSS stage standing in
   for the dictionary coder (zstd/gzip) SZ applies after Huffman.
 * :mod:`repro.lossless.pipeline` — composable codec chains.
@@ -14,7 +12,6 @@ from repro.lossless.fpc import fpc_compress, fpc_decompress
 from repro.lossless.huffman import HuffmanCodec
 from repro.lossless.lzss import lzss_compress, lzss_decompress
 from repro.lossless.pipeline import LosslessPipeline
-from repro.lossless.rle import rle_decode, rle_encode
 
 __all__ = [
     "HuffmanCodec",
@@ -23,6 +20,4 @@ __all__ = [
     "lzss_compress",
     "lzss_decompress",
     "LosslessPipeline",
-    "rle_encode",
-    "rle_decode",
 ]

@@ -10,7 +10,6 @@ to full snapshots.
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import uniform_filter
 
 from repro.errors import DataError
 
@@ -36,6 +35,9 @@ def ssim3d(
         return 1.0 if np.array_equal(a, b) else 0.0
     c1 = (k1 * drange) ** 2
     c2 = (k2 * drange) ** 2
+
+    # Deferred: only SSIM callers pay for loading scipy.
+    from scipy.ndimage import uniform_filter
 
     mu_a = uniform_filter(a, window)
     mu_b = uniform_filter(b, window)

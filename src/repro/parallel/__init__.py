@@ -24,21 +24,25 @@ in-process:
   ``REPRO_NO_SHM=1`` for the pickling fallback.
 """
 
-from repro.parallel.compression import DistributedCompressionResult, compress_distributed
-from repro.parallel.decomposition import (
-    CartesianDecomposition,
-    GhostExchange,
-    RankParticles,
-)
-from repro.parallel.executor import process_map, resolve_workers
-from repro.parallel.fof import distributed_fof
-from repro.parallel.shm import (
-    ShmDescriptor,
-    SharedArray,
-    attach_cached,
-    detach_all,
-    shm_enabled,
-)
+from repro.util.lazy import lazy_exports
+
+# Every export is resolved on first access: the daemon imports
+# ``repro.parallel.shm`` alone and must not load the FoF stack with it.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "DistributedCompressionResult": "repro.parallel.compression",
+    "compress_distributed": "repro.parallel.compression",
+    "CartesianDecomposition": "repro.parallel.decomposition",
+    "GhostExchange": "repro.parallel.decomposition",
+    "RankParticles": "repro.parallel.decomposition",
+    "process_map": "repro.parallel.executor",
+    "resolve_workers": "repro.parallel.executor",
+    "distributed_fof": "repro.parallel.fof",
+    "ShmDescriptor": "repro.parallel.shm",
+    "SharedArray": "repro.parallel.shm",
+    "attach_cached": "repro.parallel.shm",
+    "detach_all": "repro.parallel.shm",
+    "shm_enabled": "repro.parallel.shm",
+})
 
 __all__ = [
     "CartesianDecomposition",

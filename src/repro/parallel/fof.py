@@ -18,10 +18,8 @@ which the test suite verifies directly.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
-from repro.cosmo.fof import FOFResult, friends_of_friends
+from repro.cosmo.fof import FOFResult, edge_components, friends_of_friends
 from repro.errors import DataError
 from repro.parallel.decomposition import CartesianDecomposition
 
@@ -80,8 +78,7 @@ def distributed_fof(
         eb = np.concatenate(edge_b)
     else:
         ea = eb = np.zeros(0, dtype=np.int64)
-    graph = coo_matrix((np.ones(ea.size, dtype=np.int8), (ea, eb)), shape=(n, n))
-    n_groups, labels = connected_components(graph, directed=False)
+    n_groups, labels = edge_components(ea, eb, n)
 
     result = FOFResult(
         labels=labels.astype(np.int64),

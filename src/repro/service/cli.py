@@ -58,7 +58,6 @@ import numpy as np
 
 from repro.cache import ResultCache
 from repro.errors import ReproError
-from repro.foresight.cli import configure_logging
 from repro.service.client import DEFAULT_PORT, ServiceClient
 from repro.service.cluster import (
     DEFAULT_ROUTER_PORT,
@@ -67,6 +66,7 @@ from repro.service.cluster import (
 )
 from repro.service.core import FrameServer
 from repro.service.server import CompressionService
+from repro.telemetry.logs import configure_logging
 
 
 def _add_endpoint_args(
@@ -92,9 +92,8 @@ def _run(server: FrameServer, verb: str) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    cache = None
-    if args.cache:
-        cache = ResultCache(args.cache, max_bytes=args.cache_max_bytes)
+    cache = (ResultCache(args.cache, max_bytes=args.cache_max_bytes)
+             if args.cache else None)
     service = CompressionService(
         host=args.host,
         port=args.port,

@@ -30,7 +30,7 @@ import threading
 from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from repro.telemetry import context, export, exposition, metrics, process, report, spans  # noqa: F401 (re-export)
+from repro.telemetry import context, metrics, process, spans  # noqa: F401 (re-export)
 from repro.telemetry.context import TraceContext
 from repro.telemetry.metrics import (
     DEFAULT_BIT_BUCKETS,
@@ -42,6 +42,13 @@ from repro.telemetry.metrics import (
 )
 from repro.telemetry.process import current_rss_bytes, peak_rss_bytes
 from repro.telemetry.spans import Span, Tracer
+from repro.util.lazy import lazy_exports
+
+# Trace files, Prometheus text and reports are for whoever writes them;
+# the codecs only record spans.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    name: f"repro.telemetry.{name}" for name in ("export", "exposition", "report")
+})
 
 __all__ = [
     "peak_rss_bytes",

@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import json
 import logging
+import sys
 from typing import Any
 
 from repro.telemetry import context as trace_context
 
-__all__ = ["JsonLogFormatter"]
+__all__ = ["JsonLogFormatter", "configure_logging"]
 
 
 class JsonLogFormatter(logging.Formatter):
@@ -55,3 +56,25 @@ class JsonLogFormatter(logging.Formatter):
         # default=repr: a log call with a non-serializable extra must
         # degrade, never raise inside the logging machinery.
         return json.dumps(out, default=repr, separators=(",", ":"))
+
+
+def configure_logging(
+    verbosity: int = 0, quiet: bool = False, json_logs: bool = False
+) -> None:
+    """Wire the ``repro`` logger hierarchy to stderr (the CLIs' setup).
+
+    ``quiet`` shows warnings only; default shows INFO; ``-v`` adds DEBUG
+    (including per-job PAT scheduler transitions).  ``json_logs`` swaps
+    in :class:`JsonLogFormatter`: one JSON object per record, stamped
+    with the active trace/request ids.
+    """
+    level = logging.WARNING if quiet else (
+        logging.DEBUG if verbosity > 0 else logging.INFO
+    )
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(JsonLogFormatter() if json_logs else logging.Formatter(
+        "%(levelname)s %(name)s: %(message)s"
+    ))
+    root = logging.getLogger("repro")
+    root.handlers[:] = [handler]
+    root.setLevel(level)

@@ -22,7 +22,6 @@ from repro.compressors.zfp.blockcodec import int_to_negabinary, negabinary_to_in
 from repro.compressors.zfp.transform import forward_transform, inverse_transform
 from repro.lossless.huffman import HuffmanCodec, canonical_codes, huffman_lengths
 from repro.lossless.lzss import lzss_compress, lzss_decompress
-from repro.lossless.rle import rle_decode, rle_encode
 from repro.util.bits import pack_varlen_codes, unpack_fixed_width
 from repro.util.blocks import block_partition, block_reassemble
 from repro.util.logtransform import LogTransform
@@ -72,16 +71,6 @@ class TestLossless:
     @_slow
     def test_lzss_round_trip(self, data):
         assert lzss_decompress(lzss_compress(data)) == data
-
-    @given(hnp.arrays(np.int64, st.integers(0, 3000),
-                      elements=st.integers(-5, 5)))
-    @_slow
-    def test_rle_round_trip(self, data):
-        v, l = rle_decode, rle_encode
-        vals, runs = rle_encode(data)
-        assert np.array_equal(rle_decode(vals, runs), data)
-        # RLE never produces more runs than elements.
-        assert vals.size <= data.size
 
 
 class TestQuantizer:
