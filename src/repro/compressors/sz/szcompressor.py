@@ -150,6 +150,17 @@ class SZCompressor(Compressor):
             return self._decompress_pwrel(payload)
         raise CorruptStreamError(f"bad SZ magic {magic!r}")
 
+    @classmethod
+    def decoded_nbytes(cls, payload: bytes) -> int | None:
+        """Bytes of block values decoding ``payload`` makes, from its headers
+        (``None``: a lossless stage precedes its Huffman payload)."""
+        if payload[:4] == _MAGIC_PWR:
+            payload = cls._parse_pwrel(payload)[-1]
+        elif payload[:4] != _MAGIC_ABS:
+            raise CorruptStreamError(f"bad SZ magic {payload[:4]!r}")
+        dtype, _, _, lossless, *_, nvalues = cls._parse_abs(payload)
+        return None if lossless else nvalues * dtype.itemsize
+
     # -- ABS path -----------------------------------------------------------
 
     def _compress_abs(self, data: np.ndarray, eb: float) -> tuple[bytes, dict]:
@@ -214,24 +225,16 @@ class SZCompressor(Compressor):
         tm.observe("sz.payload_bytes", len(payload), bounds=DEFAULT_BYTE_BUCKETS)
         return payload, meta
 
-    def _decompress_abs(self, payload: bytes) -> np.ndarray:
+    @staticmethod
+    def _parse_abs(payload: bytes) -> tuple:
+        """The checked sections of an ABS stream: ``(dtype, shape, block_side,
+        has_pipeline, radius, eb, use_reg, coefs, huff, outliers, nvalues)``."""
         hsize = struct.calcsize(_HDR_ABS)
         if len(payload) < hsize:
             raise CorruptStreamError("SZ stream truncated (header)")
-        (
-            _magic,
-            version,
-            dtype_code,
-            ndim,
-            block_side,
-            has_pipeline,
-            radius,
-            eb,
-            nblocks,
-            out_count,
-            huff_len,
-            out_width,
-        ) = struct.unpack(_HDR_ABS, payload[:hsize])
+        (_magic, version, dtype_code, ndim, block_side, has_pipeline, radius,
+         eb, nblocks, out_count, huff_len, out_width) = struct.unpack(
+            _HDR_ABS, payload[:hsize])
         if version != 1:
             raise CorruptStreamError(f"unsupported SZ stream version {version}")
         if dtype_code not in _DTYPES:
@@ -240,10 +243,8 @@ class SZCompressor(Compressor):
         # Nothing below may allocate or index from a header field that has
         # not been checked against the shape or the payload length.
         if not 1 <= ndim <= 3 or block_side < 2 or not 2 <= radius <= 32768:
-            raise CorruptStreamError(
-                f"bad SZ stream geometry (ndim {ndim}, block side "
-                f"{block_side}, radius {radius})"
-            )
+            raise CorruptStreamError(f"bad SZ stream geometry (ndim {ndim}, "
+                                     f"block side {block_side}, radius {radius})")
         if not (eb > 0 and math.isfinite(eb)):
             raise CorruptStreamError(f"bad SZ error bound {eb}")
         pos = hsize + 8 * ndim
@@ -255,13 +256,9 @@ class SZCompressor(Compressor):
         nmode_bytes = -(-nblocks // 8)
         if len(payload) < pos + nmode_bytes:
             raise CorruptStreamError("SZ stream truncated (predictor flags)")
-        use_reg = (
-            np.unpackbits(
-                np.frombuffer(payload[pos : pos + nmode_bytes], dtype=np.uint8),
-                count=nblocks,
-                bitorder="big",
-            ).astype(bool)
-        )
+        use_reg = np.unpackbits(
+            np.frombuffer(payload[pos : pos + nmode_bytes], dtype=np.uint8),
+            count=nblocks, bitorder="big").astype(bool)
         pos += nmode_bytes
         n_reg = int(use_reg.sum())
         ncoef = ndim + 1
@@ -273,13 +270,19 @@ class SZCompressor(Compressor):
         pos += 4 * ncoef * n_reg
         huff_payload = payload[pos : pos + huff_len]
         pos += huff_len
-        out_payload = payload[pos:]
+        out = Q.OutlierSection(payload=payload[pos:], count=out_count,
+                               width=out_width)
         nvalues = nblocks * block_side**ndim
         if (out_count > nvalues or out_width > 57
                 or (out_count > 0) != (out_width > 0)
-                or out_count * out_width > 8 * len(out_payload)):
+                or out_count * out_width > 8 * len(out.payload)):
             raise CorruptStreamError("bad SZ outlier section")
+        return (dtype, shape, block_side, has_pipeline, radius, eb, use_reg,
+                coefs, huff_payload, out, nvalues)
 
+    def _decompress_abs(self, payload: bytes) -> np.ndarray:
+        (dtype, shape, block_side, has_pipeline, radius, eb, use_reg, coefs,
+         huff_payload, outliers, nvalues) = self._parse_abs(payload)
         tm = get_telemetry()
         with tm.span("sz.lossless", bytes=len(huff_payload), direction="decompress"):
             if has_pipeline:
@@ -293,9 +296,7 @@ class SZCompressor(Compressor):
                 raise CorruptStreamError(
                     f"SZ symbol count {symbols.size} != {nvalues} block values"
                 )
-            outliers = Q.OutlierSection(
-                payload=out_payload, count=out_count, width=out_width
-            ).decode()
+            outliers = outliers.decode()
         with tm.span("sz.decode", bytes=8 * nvalues, direction="decompress",
                      backend=kernels.resolve_name("sz.decode")):
             return kernels.call(
@@ -338,19 +339,20 @@ class SZCompressor(Compressor):
             meta=meta,
         )
 
-    def _decompress_pwrel(self, payload: bytes) -> np.ndarray:
+    @staticmethod
+    def _parse_pwrel(payload: bytes) -> tuple:
+        """The checked sections of a PW_REL stream: ``(dtype, shape,
+        neg_bits, zeros, inner)``, ``inner`` the ABS stream of ln|x|."""
         hsize = struct.calcsize(_HDR_PWR)
         if len(payload) < hsize:
             raise CorruptStreamError("SZ PW_REL stream truncated (header)")
-        _magic, version, dtype_code, ndim, pwrel, nzeros, inner_len = struct.unpack(
-            _HDR_PWR, payload[:hsize]
-        )
+        _magic, version, dtype_code, ndim, pwrel, nzeros, inner_len = (
+            struct.unpack(_HDR_PWR, payload[:hsize]))
         if version != 1:
             raise CorruptStreamError(f"unsupported SZ PW_REL version {version}")
         if dtype_code not in _DTYPES or not 1 <= ndim <= 3:
             raise CorruptStreamError(
-                f"bad SZ PW_REL header (dtype code {dtype_code}, ndim {ndim})"
-            )
+                f"bad SZ PW_REL header (dtype code {dtype_code}, ndim {ndim})")
         dtype = _DTYPES[dtype_code]
         pos = hsize + 8 * ndim
         if len(payload) < pos:
@@ -367,7 +369,10 @@ class SZCompressor(Compressor):
         if zeros.size and int(zeros.max()) >= n:
             raise CorruptStreamError("SZ PW_REL zero index out of range")
         inner = payload[pos : pos + inner_len]
+        return dtype, shape, neg_bits, zeros, inner
 
+    def _decompress_pwrel(self, payload: bytes) -> np.ndarray:
+        dtype, shape, neg_bits, zeros, inner = self._parse_pwrel(payload)
         logmag = self._decompress_abs(inner)
         if logmag.shape != shape:
             raise CorruptStreamError("SZ PW_REL inner stream shape mismatch")

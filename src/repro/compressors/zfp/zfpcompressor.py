@@ -226,6 +226,12 @@ class ZFPCompressor(Compressor):
                 backend=kernels.resolve_name("zfp.decode")):
             return kernels.call("zfp.decode", *args)
 
+    @classmethod
+    def decoded_nbytes(cls, payload: bytes) -> int:
+        """Bytes of whole blocks decoding ``payload`` makes, from its header."""
+        shape, dtype = cls._parse(payload)[2:4]
+        return math.prod(-(-s // 4) * 4 for s in shape) * dtype.itemsize
+
     @staticmethod
     def _parse(payload: bytes) -> tuple:
         """The ``zfp.decode`` kernel arguments of a ``ZFR1`` stream:
@@ -239,10 +245,8 @@ class ZFPCompressor(Compressor):
         hsize = struct.calcsize(_HDR)
         if len(payload) < hsize or payload[:4] != _MAGIC:
             raise CorruptStreamError("bad ZFP stream header")
-        (
-            _m, version, dtype_code, ndim, planes, maxbits, nblocks,
-            mode_code, parameter,
-        ) = struct.unpack(_HDR, payload[:hsize])
+        (_m, version, dtype_code, ndim, planes, maxbits, nblocks, mode_code,
+         parameter) = struct.unpack(_HDR, payload[:hsize])
         if version != 2:
             raise CorruptStreamError(f"unsupported ZFP stream version {version}")
         if mode_code not in _CODE_MODES:

@@ -339,23 +339,6 @@ def detach_all() -> int:
     return n
 
 
-@contextmanager
-def attached_view(desc: ShmDescriptor) -> "Iterator[np.ndarray]":
-    """Attach ``desc`` for the duration of a block (no per-process memo).
-
-    The service data plane uses this for one-shot request payloads: the
-    segment belongs to a *client* and is unlinked the moment its request
-    completes, so memoizing the attachment (:func:`attach_cached`) would
-    pin dead pages in the worker.  The mapping is closed on exit; the
-    caller must not let views escape the block.
-    """
-    handle = SharedArray.attach(desc)
-    try:
-        yield handle.array
-    finally:
-        handle.close()
-
-
 class SegmentPool:
     """Reusable publisher-owned scratch segments for the service data plane.
 

@@ -14,6 +14,15 @@ on threads.  The :class:`Batcher` decides *when* a request runs and
   dispatch at a time) and the core count otherwise.
 * **Dispatch on arrival.**  A request admitted while a slot is free
   starts at once, alone: no timer, no consumer task in between.
+* **Small requests on the loop.**  Such a request that is also
+  *bounded* runs to completion on the event-loop thread, through the
+  same dispatch body, while at most ``slots`` frames are in flight
+  daemon-wide: no thread hand-off, and the loop is held for at most
+  ``slots`` short native calls in a row.  Bounded: a COMPRESS or
+  DECOMPRESS of :data:`LOOP_CODECS` on native kernels, inline and
+  without ``options``, whose input and output (a DECOMPRESS's as its
+  stream's header declares it; never an SZ lossless stage, never a
+  damaged header) are each at most ``protocol.SHM_MIN_BYTES``.
 * **Admission queue.**  A request admitted while every slot is busy
   waits in one bounded FIFO (capacity ``max_pending``; a full queue makes
   the server answer BUSY instead of buffering without limit).  Requests
@@ -24,12 +33,13 @@ on threads.  The :class:`Batcher` decides *when* a request runs and
   queued request with the head's work key — ``(op, compressor, options,
   mode, value)`` for COMPRESS — so under overload same-configuration
   requests become *one* dispatch, and never otherwise.
-* **In-process dispatch.**  A dispatch runs on its codec thread: a
-  coalesced group's requests run one after another there, each under
-  its own trace context.  Coalescing saves per-dispatch scheduling (one
-  executor hand-off and one event-loop task per group), not codec work:
-  each request is one GIL-free codec call, so the slots are the
-  daemon's parallelism and COMPRESS/DECOMPRESS never leave its process.
+* **In-process dispatch.**  A dispatch runs on its codec thread (a
+  bounded one on the loop thread): a coalesced group's requests run one
+  after another there, each under its own trace context.  Coalescing
+  saves per-dispatch scheduling (one executor hand-off and one
+  event-loop task per group), not codec work: each request is one
+  GIL-free codec call, so the slots are the daemon's parallelism and
+  COMPRESS/DECOMPRESS never leave its process.
   Only a SWEEP's CBench cell fan-out may use worker processes.
 
 Results (or exceptions) resolve the per-request futures the connection
@@ -39,10 +49,10 @@ handlers await; the batcher never touches sockets.
 server extracted from its header.  At dispatch time the batcher records
 a ``service.queue_wait`` span (admission → dispatch) and a
 ``service.dispatch`` span (the batch execution, tagged with
-``request_id`` and ``batch_size``) under that context, and runs each
-request under a pre-minted child context, so its codec-stage spans sit
-under the dispatch span — one request, one connected tree from client
-socket write to Huffman encode.
+``request_id``, ``batch_size`` and ``path``, ``"loop"`` or ``"pool"``)
+under that context, and runs each request under a pre-minted child
+context, so its codec-stage spans sit under the dispatch span — one
+request, one connected tree from client socket write to Huffman encode.
 """
 
 from __future__ import annotations
@@ -52,18 +62,21 @@ import json
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any
 
 import numpy as np
 
+from repro import kernels
 from repro.compressors.base import CompressedBuffer, CompressorMode
-from repro.compressors.registry import get_compressor
+from repro.compressors.registry import available_compressors, get_compressor
+from repro.compressors.sz import SZCompressor
+from repro.compressors.zfp import ZFPCompressor
 from repro.errors import ReproError, ServiceError
 from repro.parallel.executor import resolve_workers
-from repro.parallel.shm import ShmDescriptor, attached_view
+from repro.parallel.shm import SharedArray, ShmDescriptor
 from repro.service import protocol
 from repro.telemetry import context as trace_context
 from repro.telemetry import get_telemetry
@@ -80,6 +93,13 @@ KNOB_FOR_MODE = {
 
 #: Name prefix of the codec pool's threads (``<prefix>_<n>``).
 POOL_THREAD_PREFIX = "repro-codec"
+
+#: The codecs a loop-thread dispatch may call (names register once):
+#: the class that reads a stream's header, the kernels each op runs.
+_SZ = (SZCompressor, {"compress": ("sz.encode", "huffman.code", "huffman.encode"),
+                      "decompress": ("huffman.decode", "sz.decode")})
+_ZFP = (ZFPCompressor, {"compress": ("zfp.encode",), "decompress": ("zfp.decode",)})
+LOOP_CODECS = {"sz": _SZ, "gpu-sz": _SZ, "zfp": _ZFP, "cuzfp": _ZFP}
 
 
 def jsonable(value: Any) -> Any:
@@ -134,30 +154,52 @@ class PendingRequest:
         return ("sweep", id(self))
 
 
+def bounded(request: PendingRequest) -> bool:
+    """Whether ``request`` is small enough in kind and size to run on the
+    loop thread (module docstring); the pool reports a damaged stream."""
+    codec, ops = LOOP_CODECS.get(str(request.header.get("compressor")), (None, {}))
+    if (request.op not in ops or request.shm is not None
+            or request.header.get("options")
+            or len(request.payload) > protocol.SHM_MIN_BYTES
+            or any(kernels.resolve_name(k) != "native" for k in ops[request.op])):
+        return False
+    try:
+        out = 0 if request.op == "compress" else codec.decoded_nbytes(request.payload)
+    except ReproError:
+        return False
+    return out is not None and out <= protocol.SHM_MIN_BYTES
+
+
 # -- per-request codec bodies (run on a codec-pool thread) -------------------
 
 
 @contextmanager
-def _payload_view(arr: np.ndarray | ShmDescriptor):
-    """Yield the request's input array, attaching descriptors *ephemerally*.
+def payload_view(
+    header: dict[str, Any], payload: bytes, shm: ShmDescriptor | None
+):
+    """Yield a request's input array: its inline ``payload``, or the
+    client's ``shm`` segment attached *ephemerally*.
 
     Data-plane segments belong to the client and are unlinked the moment
     the request completes — memoizing the attachment
     (:func:`attach_cached`) would pin dead segments' pages in the
-    long-lived daemon, so the mapping only lives for the codec call.
+    long-lived daemon, so the mapping only lives for the block.
     Attach failures surface as :class:`ServiceError` (the segment owner
     vanished mid-request), not as a dispatch failure.
     """
-    if isinstance(arr, ShmDescriptor):
-        try:
-            with attached_view(arr) as view:
-                yield view
-        except OSError as exc:
-            raise ServiceError(
-                f"cannot attach payload segment {arr.name!r}: {exc}"
-            ) from exc
-    else:
-        yield arr
+    if shm is None:
+        yield protocol.unpack_array(header, payload)
+        return
+    try:
+        handle = SharedArray.attach(shm)
+    except OSError as exc:
+        raise ServiceError(
+            f"cannot attach payload segment {shm.name!r}: {exc}"
+        ) from exc
+    try:
+        yield handle.array
+    finally:
+        handle.close()
 
 
 def _compress_one(
@@ -178,10 +220,7 @@ def _compress_one(
                 f"unknown mode {mode!r}; known: {sorted(KNOB_FOR_MODE)}"
             )
         compressor = get_compressor(name, **options)
-        arr = request.shm if request.shm is not None else (
-            protocol.unpack_array(request.header, request.payload)
-        )
-        with _payload_view(arr) as view:
+        with payload_view(request.header, request.payload, request.shm) as view:
             return compressor.compress(view, mode=mode, **{knob: value})
     except ReproError as exc:
         return exc
@@ -198,7 +237,7 @@ def _decompress_one(
         if request.shm is not None:
             # Compressed streams are consumed as bytes; one copy out of
             # the segment replaces the whole socket round trip.
-            with _payload_view(request.shm) as view:
+            with payload_view(h, payload, request.shm) as view:
                 payload = view.tobytes()
         buf = CompressedBuffer(
             payload=payload,
@@ -238,10 +277,15 @@ class Batcher:
 
     # -- admission (backpressure boundary) --------------------------------
 
-    def admit(self, request: PendingRequest) -> bool:
-        """Queue or start ``request``; ``False`` means BUSY (queue full)."""
+    def admit(self, request: PendingRequest, frames: int) -> bool:
+        """Queue or start ``request``; ``False`` means BUSY (queue full).
+        ``frames``: requests in flight daemon-wide, this one included."""
         if self._closed:
             return False
+        if (not self._pending and len(self._inflight) < self.slots
+                and frames <= self.slots and bounded(request)):
+            self._start([request], on_loop=True)
+            return True
         if len(self._pending) >= self.max_pending:
             get_telemetry().count("service.rejected_busy")
             return False
@@ -291,16 +335,23 @@ class Batcher:
                         group.append(request)
                     else:
                         self._pending.append(request)
-            group = self._expire(group)
-            if group:
-                task = asyncio.get_running_loop().create_task(
-                    self._dispatch(group)
-                )
-                self._inflight.add(task)
-                task.add_done_callback(self._dispatched)
+            self._start(group)
         get_telemetry().set_gauge(
             "service.queue_depth", float(len(self._pending))
         )
+
+    def _start(self, group: list[PendingRequest], on_loop: bool = False) -> None:
+        """Dispatch ``group``'s live requests: as a task on a free slot,
+        or (``on_loop``) to completion right here, holding the loop."""
+        group = self._expire(group)
+        if group and on_loop:
+            with suppress(StopIteration):  # no await on this path: one step
+                self._dispatch(group, on_loop).send(None)
+                raise AssertionError("loop-thread dispatch suspended")
+        elif group:
+            task = asyncio.get_running_loop().create_task(self._dispatch(group))
+            self._inflight.add(task)
+            task.add_done_callback(self._dispatched)
 
     def _dispatched(self, task: asyncio.Task) -> None:
         self._inflight.discard(task)
@@ -322,13 +373,20 @@ class Batcher:
                 live.append(request)
         return live
 
-    async def _dispatch(self, group: list[PendingRequest]) -> None:
+    async def _dispatch(
+        self, group: list[PendingRequest], on_loop: bool = False
+    ) -> None:
         tm = get_telemetry()
         tm.count("service.batches")
         tm.count("service.batched_requests", len(group))
         tm.observe("service.batch_size", float(len(group)))
+        path = "loop" if on_loop else "pool"
+        tm.count(f'service.dispatches{{path="{path}"}}')
         op = group[0].op
         compressor = group[0].header.get("compressor")
+        # A label is a registered name, never a client string.
+        label = str(compressor).lower()
+        label = label if label in available_compressors() else "unknown"
         # Pre-mint each request's dispatch-span identity: the codec runs
         # under it *before* the span itself is recorded, so codec-stage
         # spans already carry the dispatch span as their ctx parent.
@@ -353,24 +411,22 @@ class Batcher:
                         request_id=r.request_seq,
                     )
         try:
-            results = await asyncio.get_running_loop().run_in_executor(
-                self.pool, self._run_batch, group, dispatch_ctxs
-            )
+            if on_loop:  # codec spans: local roots, as on a codec thread
+                with tm.tracer.detached() if traced else nullcontext():
+                    results = self._run_batch(group, dispatch_ctxs)
+            else:
+                results = await asyncio.get_running_loop().run_in_executor(
+                    self.pool, self._run_batch, group, dispatch_ctxs
+                )
         except BaseException as exc:  # a batch failure fails every member
-            for request in group:
-                if not request.future.done():
-                    request.future.set_exception(exc)
-            return
+            results = [exc] * len(group)
         if traced:
             dispatch_end = tm.tracer.now()
             dispatch_ms = (dispatch_end - dispatch_start) * 1e3
             tm.observe(f'service.dispatch_ms{{op="{op}"}}', dispatch_ms)
             if compressor:
-                tm.observe(
-                    f'service.dispatch_ms{{op="{op}",'
-                    f'compressor="{compressor}"}}',
-                    dispatch_ms,
-                )
+                tm.observe(f'service.dispatch_ms{{op="{op}",compressor='
+                           f'"{label}"}}', dispatch_ms)
         for request, dctx, result in zip(group, dispatch_ctxs, results):
             if traced and dctx is not None:
                 attrs = {"compressor": compressor} if compressor else {}
@@ -383,6 +439,7 @@ class Batcher:
                     op=op,
                     request_id=request.request_seq,
                     batch_size=len(group),
+                    path=path,
                     **attrs,
                 )
             if not request.future.done():

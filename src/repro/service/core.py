@@ -365,13 +365,14 @@ class FrameServer:
         tm = get_telemetry()
         ns = self.ns
         op = str(header.get("op", "")).lower()
+        label = op if op in protocol.OPS else "unknown"  # never a client string
         rid = header.get("id")
         t0 = time.perf_counter()
         self._requests_total += 1
         seq = self._requests_total
         tm.set_gauge(f"{ns}.requests_inflight", float(self._inflight))
         tm.count(f"{ns}.requests")
-        tm.count(f"{ns}.requests.{op or 'unknown'}")
+        tm.count(f"{ns}.requests.{label}")
         tm.count(f"{ns}.bytes_in", len(payload))
 
         async def reply(h: dict[str, Any], body: bytes = b"") -> None:
@@ -387,7 +388,7 @@ class FrameServer:
             self._latencies.append(latency)
             tm.observe(f"{ns}.latency_ms", latency * 1e3, bounds=LATENCY_BOUNDS)
             tm.observe(
-                f'{ns}.latency_ms{{op="{op or "unknown"}"}}',
+                f'{ns}.latency_ms{{op="{label}"}}',
                 latency * 1e3,
                 bounds=LATENCY_BOUNDS,
             )

@@ -91,6 +91,10 @@ SHARD_FIELD = "shard"
 #: on the shard that holds its reference snapshot.
 SESSION_FIELD = "session"
 
+#: Every op a front-end answers; metrics count any other as ``unknown``.
+OPS = frozenset("compress decompress sweep session_open session_step "
+                "session_close hello cancel list health stats metrics cluster".split())
+
 #: HELLO request/reply field listing capability names.
 CAPS_FIELD = "caps"
 

@@ -88,13 +88,14 @@ from repro.compressors.base import CompressedBuffer, CompressorMode
 from repro.compressors.registry import available_compressors
 from repro.compressors.temporal import TemporalCompressor
 from repro.errors import DataError, ProtocolError, ServiceError
-from repro.parallel.shm import SharedArray, ShmDescriptor, attached_view, shm_enabled
+from repro.parallel.shm import SharedArray, ShmDescriptor, shm_enabled
 from repro.service import protocol
 from repro.service.batch import (
     KNOB_FOR_MODE,
     Batcher,
     PendingRequest,
     jsonable,
+    payload_view,
 )
 from repro.service.core import (
     RETRY_AFTER_MS,
@@ -307,7 +308,7 @@ class CompressionService(FrameServer):
             request_seq=self._requests_total,
             shm=shm_desc,
         )
-        if not self.batcher.admit(request):
+        if not self.batcher.admit(request, self._inflight):
             await reply(
                 {"status": "busy", "code": "busy",
                  "retry_after_ms": RETRY_AFTER_MS}
@@ -491,12 +492,8 @@ class CompressionService(FrameServer):
         shm_desc,
     ) -> tuple[CompressedBuffer, str, int]:
         """One session step on a codec-pool thread (session lock held)."""
-        if shm_desc is not None:
-            with attached_view(shm_desc) as arr:
-                return self._session_encode(session, arr)
-        return self._session_encode(
-            session, protocol.unpack_array(header, payload)
-        )
+        with payload_view(header, payload, shm_desc) as arr:
+            return self._session_encode(session, arr)
 
     def _session_encode(
         self, session: Session, arr: np.ndarray
@@ -722,14 +719,9 @@ class CompressionService(FrameServer):
     # -- SWEEP body (runs on a codec-pool thread via the batcher) ----------
 
     def _run_sweep(self, request: PendingRequest) -> list[dict[str, Any]]:
-        if request.shm is not None:
-            # The field arrived as a client segment: sweep a zero-copy
-            # view of it (the attachment lives for the sweep's duration).
-            with attached_view(request.shm) as arr:
-                return self._sweep_records(request, arr)
-        return self._sweep_records(
-            request, protocol.unpack_array(request.header, request.payload)
-        )
+        # A field in a client segment is swept as a zero-copy view.
+        with payload_view(request.header, request.payload, request.shm) as arr:
+            return self._sweep_records(request, arr)
 
     def _sweep_records(
         self, request: PendingRequest, arr: np.ndarray

@@ -209,6 +209,19 @@ class Tracer:
                 trace_context._current.reset(token)
             self._append_finished([sp])
 
+    @contextmanager
+    def detached(self) -> Iterator[None]:
+        """Open spans as local roots on this thread for the block,
+        whatever it has open (their ctx parent still links them): for
+        work run on an event-loop thread whose stack holds other tasks'
+        spans."""
+        saved = self._stack()
+        self._local.stack = []
+        try:
+            yield
+        finally:
+            self._local.stack = saved
+
     def trace(self, name: str | None = None, **attrs: Any) -> Callable:
         """Decorator form of :meth:`span` (span named after the function
         unless ``name`` is given)."""

@@ -24,7 +24,13 @@ from repro import kernels, telemetry
 from repro.errors import ConfigError, ServiceBusyError, ServiceError
 from repro.service import ServiceClient, ServiceThread
 from repro.service import protocol
-from repro.service.batch import POOL_THREAD_PREFIX
+from repro.parallel.shm import ShmDescriptor
+from repro.service.batch import (
+    POOL_THREAD_PREFIX,
+    Batcher,
+    PendingRequest,
+    bounded,
+)
 from repro.telemetry import context as trace_context
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -249,6 +255,43 @@ class TestBasicOps(FrameLevelCases):
 
 class TestBasicOpsViaRouter(FrameLevelCases):
     front = "router"
+
+
+class TestMetricLabels:
+    """Client strings never become metric names or label values."""
+
+    def test_malformed_requests_do_not_grow_the_registry(self):
+        field = _field(4)
+
+        def junk(sock: socket.socket, tag: str) -> None:
+            for i in range(40):
+                protocol.write_frame_sock(sock, {"op": f"bogus-{tag}{i}"})
+                assert protocol.read_frame_sock(sock)[0]["code"] == "bad_op"
+                protocol.write_frame_sock(sock, {
+                    "op": "compress", "compressor": f"nope-{tag}{i}",
+                    "mode": "abs", "value": 0.5,
+                    **protocol.array_fields(field),
+                }, protocol.pack_array(field))
+                assert protocol.read_frame_sock(sock)[0]["status"] == "error"
+
+        with ServiceThread() as st, ServiceClient(port=st.port) as client, \
+                socket.create_connection(("127.0.0.1", st.port)) as sock:
+            junk(sock, "a")
+            client.stats()
+            before = set(client.stats()["metrics"])
+            junk(sock, "b")
+            after = set(client.stats()["metrics"])
+        assert after == before
+        assert not [k for k in after if "bogus" in k or "nope" in k]
+        assert "service.requests.unknown" in after
+
+    def test_a_compressor_name_cannot_inject_a_label(self):
+        with ServiceThread() as st, ServiceClient(port=st.port) as client:
+            with pytest.raises(ServiceError, match="unknown compressor"):
+                client.compress(_field(4), 'x",evil="1', value=0.5)
+            text = client.metrics_text()
+        assert 'evil="1"' not in text
+        assert 'compressor="unknown"' in text
 
 
 class TestConcurrentStress:
@@ -656,6 +699,166 @@ class TestDispatcher:
                 t.join(60)
         assert seen and max(seen) <= 2
         assert codec_threads() == 0  # the pool went down with the daemon
+
+
+def _native() -> bool:
+    return all(_healthy_tier(k) == "native" for k in kernels.active())
+
+
+def _pending(op: str = "compress", compressor: str = "sz",
+             data: np.ndarray | bytes | None = None, **fields) -> PendingRequest:
+    """A 16 KiB SZ COMPRESS (``data``: the array, or a DECOMPRESS's
+    stream) with one thing changed."""
+    data = _field(16) if data is None else data
+    if isinstance(data, bytes):
+        header = {"op": op, "compressor": compressor, "mode": "abs",
+                  "parameter": 0.5, "shape": [16] * 3, "dtype": "float32"}
+    else:
+        header = {"op": op, "compressor": compressor, "mode": "abs",
+                  "value": 0.5, **protocol.array_fields(data)}
+        data = protocol.pack_array(data)
+    shm = fields.pop("shm", None)
+    return PendingRequest(op=op, header={**header, **fields}, payload=data,
+                          future=None, shm=shm)
+
+
+def _dispatch_paths(tm) -> list[str]:
+    return [s.attrs["path"] for s in tm.tracer.finished_spans()
+            if s.name == "service.dispatch"]
+
+
+class TestLoopDispatch:
+    """Small requests skip the thread hop: a *bounded* request that
+    would start at once runs on the event-loop thread."""
+
+    def test_each_condition_flipped_sends_a_request_to_the_pool(self):
+        small = _field(16)  # 16 KiB
+        sz = get_compressor("sz")
+        stream = sz.compress(small, error_bound=0.5).payload
+        zfp_stream = get_compressor("zfp").compress(small, rate=8.0).payload
+        lzss = get_compressor("sz", lossless=["lzss"]).compress(
+            small, error_bound=0.5).payload
+        # 70 KiB out of a stream well under 64 KiB
+        wide = sz.compress(_field(26), error_bound=5.0).payload
+        assert len(wide) < protocol.SHM_MIN_BYTES
+        flipped = {
+            "op": _pending("sweep"),
+            "shm": _pending(shm=ShmDescriptor("seg", (16, 16, 16), "float32")),
+            "options": _pending(options={"block_side": 6}),
+            "codec": _pending(compressor="store"),
+            "input size": _pending(data=_field(26)),
+            "stream-declared output size": _pending("decompress", data=wide),
+            "lossless flag": _pending("decompress", data=lzss),
+            "damaged header": _pending("decompress", data=stream[:20]),
+        }
+        with kernels.use("native"):
+            if not _native():
+                pytest.skip("the native tier is not built on this host")
+            for name in ("sz", "gpu-sz"):
+                assert bounded(_pending(compressor=name))
+                assert bounded(_pending("decompress", name, stream))
+            for name in ("zfp", "cuzfp"):
+                assert bounded(_pending(compressor=name, mode="fixed_rate"))
+                assert bounded(_pending("decompress", name, zfp_stream))
+            assert {k: bounded(r) for k, r in flipped.items()} == \
+                dict.fromkeys(flipped, False)
+        with kernels.use("numpy"):
+            assert not bounded(_pending())  # the tier
+            assert not bounded(_pending("decompress", data=stream))
+
+    def test_load_above_the_slots_sends_a_request_to_the_pool(self):
+        async def threads_of(frames: int, first: str | None = None) -> list:
+            batcher = Batcher(workers=2 if first is None else 1)
+            batcher.start()
+            seen: list[str] = []
+            run = batcher._run_batch
+
+            def spy(group, ctxs):
+                seen.append(threading.current_thread().name)
+                return run(group, ctxs)
+
+            batcher._run_batch = spy
+            requests = [_pending(compressor=c) for c in (first, "sz") if c]
+            for request in requests:
+                request.future = asyncio.get_running_loop().create_future()
+                assert batcher.admit(request, frames)
+            for request in requests:
+                assert isinstance(await request.future, CompressedBuffer)
+            await batcher.close()
+            return seen
+
+        with kernels.use("native"):
+            if not _native():
+                pytest.skip("the native tier is not built on this host")
+            loop_thread = threading.current_thread().name
+            assert asyncio.run(threads_of(frames=2)) == [loop_thread]
+            assert asyncio.run(threads_of(frames=3)) == [f"{POOL_THREAD_PREFIX}_0"]
+            # no free slot: the request queues behind the first one
+            assert asyncio.run(threads_of(frames=1, first="store")) == \
+                [f"{POOL_THREAD_PREFIX}_0"] * 2
+
+    def test_streams_that_decode_large_take_the_pool(self):
+        """What a DECOMPRESS costs is what its stream's header says it
+        decodes to, not its size on the wire."""
+        rng = np.random.default_rng(3)
+        big = rng.standard_normal((128, 128, 120)).astype(np.float32)
+        zfp = get_compressor("zfp").compress(big, rate=0.25)
+        smooth = np.linspace(0, 1, 1 << 18, dtype=np.float32).reshape(64, 64, 64)
+        lzss = get_compressor("sz", lossless=["lzss"]).compress(
+            smooth, error_bound=1e-2)
+        small = get_compressor("sz").compress(_field(16), error_bound=0.5)
+        for buf in (zfp, lzss):
+            assert buf.compressed_nbytes < protocol.SHM_MIN_BYTES
+            assert np.prod(buf.original_shape) * 4 >= 16 * protocol.SHM_MIN_BYTES
+        garbage = CompressedBuffer(
+            payload=b"SZR1" + bytes(range(200)), original_shape=(16, 16, 16),
+            original_dtype=np.dtype(np.float32), mode=CompressorMode.ABS,
+            parameter=0.5)
+        with telemetry.enabled_telemetry("client") as tm:
+            with ServiceThread() as st, ServiceClient(port=st.port) as client:
+                for name, buf in (("zfp", zfp), ("sz", lzss), ("sz", small)):
+                    assert np.array_equal(
+                        client.decompress(buf, name),
+                        get_compressor(name).decompress(buf))
+                with pytest.raises(ServiceError) as err:
+                    client.decompress(garbage, "sz")
+        with pytest.raises(Exception) as local:
+            get_compressor("sz").decompress(garbage)
+        assert err.value.code == type(local.value).__name__
+        tail = "loop" if _native() else "pool"
+        assert _dispatch_paths(tm) == ["pool", "pool", tail, "pool"]
+
+    def test_small_compress_runs_on_the_loop_thread_large_on_a_codec_thread(self):
+        names: dict[int, str] = {}
+        with telemetry.enabled_telemetry("client") as tm:
+            with ServiceThread() as st, ServiceClient(port=st.port) as client:
+                for side in (16, 32):  # 16 KiB, 128 KiB
+                    client.compress(_field(side), "sz", mode="abs", value=0.5)
+                    names.update((t.ident, t.name) for t in threading.enumerate())
+                stats = client.stats()
+        threads = [
+            "codec" if names[s.thread_id].startswith(POOL_THREAD_PREFIX)
+            else names[s.thread_id]
+            for s in tm.tracer.finished_spans() if s.name == "sz.encode"
+        ]
+        if _native():
+            assert threads == ["repro-daemon", "codec"]
+            assert _dispatch_paths(tm) == ["loop", "pool"]
+            assert _counter(stats, 'service.dispatches{path="loop"}') == 1
+        else:
+            assert threads == ["codec", "codec"]
+        assert _counter(stats, 'service.dispatches{path="pool"}') >= 1
+
+    def test_a_numpy_daemon_never_uses_the_loop(self):
+        field = _field(16)
+        with telemetry.enabled_telemetry("client") as tm:
+            with ServiceThread(backend="numpy") as st, \
+                    ServiceClient(port=st.port) as client:
+                for name, mode, value in (("sz", "abs", 0.5),
+                                          ("zfp", "fixed_rate", 8.0)):
+                    client.decompress(
+                        client.compress(field, name, mode=mode, value=value))
+        assert _dispatch_paths(tm) == ["pool"] * 4
 
 
 class DrainCases:
