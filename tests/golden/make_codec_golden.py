@@ -1,5 +1,5 @@
-"""Write the pinned ZFR1 and HUF1 stream fixtures under ``tests/golden/zfp/``
-and ``tests/golden/huffman/``.
+"""Write the pinned ZFR1, HUF1 and TMP1 stream fixtures under
+``tests/golden/zfp/``, ``tests/golden/huffman/`` and ``tests/golden/temporal/``.
 
 Run once, from a tree whose ``src/`` is committed, with the code whose
 streams are to be pinned::
@@ -13,6 +13,11 @@ half (stored ``payload`` -> ``recon_sha256``) holds forever; the
 *re-encode* half (input -> ``reencode_sha256``, and for HUF1 the code
 lengths -> ``lengths_sha256``) may move only through ``--reencode-only``
 in a commit that says why.
+
+A TMP1 fixture is a snapshot *series*: ``series`` stacks the snapshots,
+``payload`` holds the frames in order, each behind its u32 little-endian
+byte count (:func:`join_frames`), and ``recon_sha256`` is the digest of
+the stacked reconstructions ``decode_series`` makes from them.
 
 A write adds only the fixtures whose name the manifest does not have
 yet; every pinned row and file stays as it is (to re-pin a fixture on
@@ -33,10 +38,11 @@ from pathlib import Path
 import numpy as np
 
 from repro import kernels
+from repro.compressors import TemporalCompressor, reference_digest
 from repro.compressors.zfp import ZFPCompressor
 from repro.lossless import huffman as H
 
-from make_sz_golden import array_digest
+from make_sz_golden import _field, array_digest
 
 HERE = Path(__file__).resolve().parent
 
@@ -188,6 +194,78 @@ def huffman_encode(row: dict, symbols: np.ndarray) -> tuple[bytes, np.ndarray, n
     return payload, codec.decode(payload), lengths
 
 
+def _series(shape: tuple[int, ...], dtype, steps: int, seed: int,
+            spikes: int = 0) -> np.ndarray:
+    """A growing smooth field under fresh noisy patches, plus ``spikes``
+    jumps per snapshot; ``_field``'s mix of regression and Lorenzo blocks
+    in every frame."""
+    rng = np.random.default_rng(seed)
+    base = _field(shape, np.float64, seed, 1.0)
+    out = []
+    for t in range(steps):
+        snap = base * (1.0 + 0.05 * t) + 0.5 * _field(shape, np.float64, seed + 1 + t, 0.0)
+        snap.reshape(-1)[rng.integers(0, snap.size, spikes)] += 5.0
+        out.append(snap.astype(dtype))
+    return np.stack(out)
+
+
+def temporal_fixtures() -> list[dict]:
+    f32, f64 = np.float32, np.float64
+    rows = [
+        # name, inner, inner options, keyframe_every, mode, knob, value,
+        # inner-meta keys some delta frame must show nonzero, series
+        ("sz_abs_3d_f32_regression_outliers_k3", "sz", {"radius": 64}, 3,
+         "abs", "error_bound", 2e-2,
+         ["predictor_regression_fraction", "outlier_count"],
+         _series((13, 11, 9), f32, 6, 31, spikes=3)),
+        ("sz_abs_1d_f64_k3", "sz", {}, 3, "abs", "error_bound", 1e-2, [],
+         _series((157,), f64, 6, 32)),
+        ("sz_abs_1d_f64_lzss_k1", "sz", {"lossless": ["lzss"]}, 1, "abs",
+         "error_bound", 1e-3, [], _series((61,), f64, 3, 33)),
+        ("zfp_accuracy_3d_f32_k3", "zfp", {}, 3, "fixed_accuracy",
+         "tolerance", 1e-2, [], _series((8, 9, 7), f32, 6, 34)),
+    ]
+    return [
+        {"name": n, "inner": i, "inner_options": o, "keyframe_every": k,
+         "mode": m, "knob": kn, "value": v, "delta_meta": dm, "series": d}
+        for n, i, o, k, m, kn, v, dm, d in rows
+    ]
+
+
+def join_frames(frames: list[bytes]) -> bytes:
+    return b"".join(len(f).to_bytes(4, "little") + f for f in frames)
+
+
+def split_frames(payload: bytes) -> list[bytes]:
+    frames, pos = [], 0
+    while pos < len(payload):
+        n = int.from_bytes(payload[pos:pos + 4], "little")
+        frames.append(payload[pos + 4:pos + 4 + n])
+        pos += 4 + n
+    return frames
+
+
+def temporal_codec(row: dict) -> TemporalCompressor:
+    return TemporalCompressor(inner=row["inner"], keyframe_every=row["keyframe_every"],
+                              inner_options=row["inner_options"])
+
+
+def temporal_encode(row: dict, series: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """``(joined frames, stacked reconstructions)``.  Checks the closed
+    loop (each encoder reference is the decoder's reconstruction) and the
+    row's ``delta_meta`` claim."""
+    codec = temporal_codec(row)
+    bufs = [codec.compress(snap, mode=row["mode"], **{row["knob"]: row["value"]})
+            for snap in series]
+    recon = codec.decode_series(bufs)
+    assert [b.meta["ref_after"] for b in bufs] == [reference_digest(r) for r in recon]
+    assert not all(b.meta["keyframe"] for b in bufs) or row["keyframe_every"] == 1
+    deltas = [b.meta["inner_meta"] for b in bufs if not b.meta["keyframe"]]
+    for key in row["delta_meta"]:
+        assert any(m[key] for m in deltas), (row["name"], key)
+    return join_frames([b.payload for b in bufs]), np.stack(recon)
+
+
 def _on_every_tier(encode, row: dict, source: np.ndarray) -> tuple:
     """``encode`` under each registered tier; all results must agree."""
     results = []
@@ -217,6 +295,7 @@ def _provenance() -> dict:
 FAMILIES = {
     "zfp": (zfp_fixtures, "data", zfp_encode),
     "huffman": (huffman_fixtures, "symbols", huffman_encode),
+    "temporal": (temporal_fixtures, "series", temporal_encode),
 }
 
 

@@ -8,7 +8,9 @@ and the 4-value and 16-value block rows added after them (HACC-like
 positions and velocities, f64, precision, accuracy) by the commit before
 the native ZFP coder was specialised per block size, with both tiers
 agreeing (``tests/golden/make_codec_golden.py``; each row names its
-commit).  On
+commit), and the TMP1 series under ``tests/golden/temporal/`` by the
+commit before the temporal closed loop stopped decoding its own frames.
+On
 every kernel tier each stored payload must decode to its pinned
 reconstruction digest — that half holds forever — and re-encoding the
 stored input must reproduce the pinned encoder digest, which only the
@@ -35,12 +37,14 @@ from test_fastpath_equivalence import BACKENDS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 sys.path.insert(0, str(GOLDEN))
-from make_codec_golden import huffman_encode, zfp_encode  # noqa: E402
+from make_codec_golden import (  # noqa: E402
+    huffman_encode, split_frames, temporal_codec, temporal_encode, zfp_encode)
 from make_sz_golden import array_digest  # noqa: E402
 
 MANIFEST = json.loads((GOLDEN / "sz" / "manifest.json").read_text())
 ZFP_MANIFEST = json.loads((GOLDEN / "zfp" / "manifest.json").read_text())
 HUFFMAN_MANIFEST = json.loads((GOLDEN / "huffman" / "manifest.json").read_text())
+TEMPORAL_MANIFEST = json.loads((GOLDEN / "temporal" / "manifest.json").read_text())
 
 
 def test_fixture_set_covers_the_format():
@@ -207,4 +211,32 @@ def test_huffman_golden_stream(row, backend):
     assert recon.dtype == huffman.symbol_dtype(row["alphabet_size"])
     assert array_digest(recon.astype(np.int64)) == row["recon_sha256"]
     assert array_digest(lengths) == row["lengths_sha256"]
+    assert hashlib.sha256(again).hexdigest() == row["reencode_sha256"]
+
+
+def test_temporal_fixture_set_covers_the_format():
+    names = {row["name"] for row in TEMPORAL_MANIFEST}
+    assert len(names) == len(TEMPORAL_MANIFEST) >= 3
+    for needle in ("sz", "zfp", "1d", "3d", "f32", "f64", "k1", "k3",
+                   "regression", "outliers", "lzss", "accuracy"):
+        assert any(needle in name for name in names), needle
+    for row in TEMPORAL_MANIFEST:
+        assert len(row["written_at"]) == 40 and "numpy" in row["tiers_agreed"]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("row", TEMPORAL_MANIFEST, ids=lambda row: row["name"])
+def test_temporal_golden_series(row, backend):
+    """Keyframes and delta frames: the stored frames decode to the pinned
+    reconstructions, and re-encoding the series (which also checks each
+    encoder reference against the decoder's) writes the pinned frames."""
+    stored = np.load(GOLDEN / "temporal" / f"{row['name']}.npz")
+    series, payload = stored["series"], stored["payload"].tobytes()
+    assert hashlib.sha256(payload).hexdigest() == row["payload_sha256"]
+    with kernels.use(backend):
+        recon = temporal_codec(row).decode_series(split_frames(payload))
+        again, _ = temporal_encode(row, series)
+    assert all(r.dtype == series.dtype and r.shape == series.shape[1:]
+               for r in recon)
+    assert array_digest(np.stack(recon)) == row["recon_sha256"]
     assert hashlib.sha256(again).hexdigest() == row["reencode_sha256"]
