@@ -114,6 +114,26 @@ class SZCompressor(Compressor):
         mode: CompressorMode | str = CompressorMode.ABS,
         **_: Any,
     ) -> CompressedBuffer:
+        return self._encode(data, error_bound, pwrel, mode)[0]
+
+    def roundtrip(self, data: np.ndarray, **params: Any) -> tuple[np.ndarray, CompressedBuffer]:
+        """An ABS reconstruction is ``sz.decode`` of the sections the encoder
+        just built, not of the parsed stream: every stage between them and
+        the stream is lossless, so the array is the same to the bit."""
+        buf, sections = self._encode(data, **params)
+        if sections is None:  # PW_REL
+            return self.decompress(buf), buf
+        return self._decode(sections), buf
+
+    def _encode(
+        self,
+        data: np.ndarray,
+        error_bound: float | None = None,
+        pwrel: float | None = None,
+        mode: CompressorMode | str = CompressorMode.ABS,
+        **_: Any,
+    ) -> tuple[CompressedBuffer, tuple | None]:
+        """``(buffer, sz.decode arguments)``; no sections for PW_REL."""
         mode = _coerce_mode(mode)
         self.check_mode(mode)
         data = np.asarray(data)
@@ -124,14 +144,14 @@ class SZCompressor(Compressor):
         if mode is CompressorMode.PW_REL:
             if pwrel is None:
                 raise DataError("PW_REL mode requires pwrel=")
-            return self._compress_pwrel(data, float(pwrel))
+            return self._compress_pwrel(data, float(pwrel)), None
         if error_bound is None:
             raise DataError("ABS mode requires error_bound=")
         if not (error_bound > 0 and math.isfinite(error_bound)):
             raise DataError(
                 f"error bound must be a positive finite float, got {error_bound}"
             )
-        payload, meta = self._compress_abs(data, float(error_bound))
+        payload, meta, sections = self._compress_abs(data, float(error_bound))
         return CompressedBuffer(
             payload=payload,
             original_shape=data.shape,
@@ -139,7 +159,7 @@ class SZCompressor(Compressor):
             mode=CompressorMode.ABS,
             parameter=float(error_bound),
             meta=meta,
-        )
+        ), sections
 
     def decompress(self, buf: CompressedBuffer | bytes) -> np.ndarray:
         payload = buf.payload if isinstance(buf, CompressedBuffer) else buf
@@ -163,7 +183,9 @@ class SZCompressor(Compressor):
 
     # -- ABS path -----------------------------------------------------------
 
-    def _compress_abs(self, data: np.ndarray, eb: float) -> tuple[bytes, dict]:
+    def _compress_abs(self, data: np.ndarray, eb: float) -> tuple[bytes, dict, tuple]:
+        """``(payload, meta, sections)``: ``sections`` are the ``sz.decode``
+        arguments, returned rather than kept, as threads share a codec."""
         cells = self.block_side**data.ndim
         if cells > MAX_BLOCK_CELLS:
             raise DataError(f"SZ block side {self.block_side} makes {cells} cells "
@@ -223,7 +245,8 @@ class SZCompressor(Compressor):
         tm.count("sz.outliers", out.count)
         tm.observe("sz.huffman_alphabet", alphabet)
         tm.observe("sz.payload_bytes", len(payload), bounds=DEFAULT_BYTE_BUCKETS)
-        return payload, meta
+        return payload, meta, (symbols, outliers, use_reg, coefs, eb,
+                               self.block_side, radius, data.shape, data.dtype)
 
     @staticmethod
     def _parse_abs(payload: bytes) -> tuple:
@@ -297,19 +320,22 @@ class SZCompressor(Compressor):
                     f"SZ symbol count {symbols.size} != {nvalues} block values"
                 )
             outliers = outliers.decode()
-        with tm.span("sz.decode", bytes=8 * nvalues, direction="decompress",
-                     backend=kernels.resolve_name("sz.decode")):
-            return kernels.call(
-                "sz.decode", symbols, outliers, use_reg, coefs, eb, block_side,
-                radius, shape, dtype,
-            )
+        return self._decode((symbols, outliers, use_reg, coefs, eb, block_side,
+                             radius, shape, dtype))
+
+    @staticmethod
+    def _decode(sections: tuple) -> np.ndarray:
+        with get_telemetry().span("sz.decode", bytes=8 * sections[0].size,
+                                  direction="decompress",
+                                  backend=kernels.resolve_name("sz.decode")):
+            return kernels.call("sz.decode", *sections)
 
     # -- PW_REL path --------------------------------------------------------
 
     def _compress_pwrel(self, data: np.ndarray, pwrel: float) -> CompressedBuffer:
         abs_bound = pwrel_to_abs_bound(pwrel)
         logmag, xform = LogTransform.forward(data)
-        inner_payload, meta = self._compress_abs(logmag, abs_bound)
+        inner_payload, meta, _ = self._compress_abs(logmag, abs_bound)
         zeros = xform.zeros  # nonnegative int64: the same bytes as u64
 
         header = struct.pack(
@@ -394,20 +420,14 @@ class GPUSZ(SZCompressor):
     name = "gpu-sz"
     supported_modes = (CompressorMode.ABS,)
 
-    def compress(
-        self,
-        data: np.ndarray,
-        error_bound: float | None = None,
-        mode: CompressorMode | str = CompressorMode.ABS,
-        **kw: Any,
-    ) -> CompressedBuffer:
+    def _encode(self, data: np.ndarray, *args: Any, **kw: Any) -> tuple:
         data = np.asarray(data)
         if data.ndim != 3:
             raise DataError(
                 "GPU-SZ only supports 3-D data; convert 1-D fields with "
                 "repro.util.dims.convert_1d_to_3d (see paper Section IV-B-4)"
             )
-        return super().compress(data, error_bound=error_bound, mode=mode, **kw)
+        return super()._encode(data, *args, **kw)
 
     def compress_pwrel_via_log(self, data: np.ndarray, pwrel: float) -> CompressedBuffer:
         """The paper's PW_REL workaround: log transform + ABS compression."""

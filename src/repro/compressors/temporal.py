@@ -80,6 +80,15 @@ def _coerce_mode(mode: CompressorMode | str) -> CompressorMode:
     return mode if isinstance(mode, CompressorMode) else CompressorMode(str(mode))
 
 
+def _reconstruct(ref: np.ndarray, decoded: np.ndarray) -> np.ndarray:
+    """``ref + decoded`` in the field's dtype: the one formula encoder and
+    decoder both use.  For binary32 operands it gives the bits the old
+    float64 round trip gave: binary64 holds more than 2·24+2 bits, so
+    rounding twice equals rounding once (the same argument covers the
+    encoder's residual ``data - ref``)."""
+    return np.add(ref, decoded, dtype=ref.dtype)
+
+
 class TemporalCompressor(Compressor):
     """Delta/keyframe wrapper around any registered codec (see module doc).
 
@@ -128,7 +137,11 @@ class TemporalCompressor(Compressor):
             )
         self.keyframe_every = int(keyframe_every)
         self.inner_options = dict(inner_options or {})
-        self.supported_modes = self.inner.supported_modes
+        # PW_REL would bound a delta frame relative to the *residual*, not
+        # to the snapshot it reconstructs: no such bound holds per step.
+        self.supported_modes = tuple(
+            m for m in self.inner.supported_modes if m is not CompressorMode.PW_REL
+        )
         self.reset()
 
     # -- state -------------------------------------------------------------
@@ -180,18 +193,14 @@ class TemporalCompressor(Compressor):
             or self._enc_ref.dtype != data.dtype
         )
         ref_digest = None if keyframe else self._enc_digest
+        # ``roundtrip`` hands back the reconstruction the decoder will make;
+        # SZ builds it from its encoder's sections, without a decode.
         if keyframe:
-            inner_buf = self.inner.compress(data, mode=mode, **params)
-            recon = self.inner.decompress(inner_buf)
+            recon, inner_buf = self.inner.roundtrip(data, mode=mode, **params)
         else:
-            residual = (
-                data.astype(np.float64) - self._enc_ref.astype(np.float64)
-            ).astype(data.dtype)
-            inner_buf = self.inner.compress(residual, mode=mode, **params)
-            recon = (
-                self._enc_ref.astype(np.float64)
-                + self.inner.decompress(inner_buf).astype(np.float64)
-            ).astype(data.dtype)
+            residual = np.subtract(data, self._enc_ref, dtype=data.dtype)
+            decoded, inner_buf = self.inner.roundtrip(residual, mode=mode, **params)
+            recon = _reconstruct(self._enc_ref, decoded)
         payload = self._frame(
             inner_buf, keyframe=keyframe, step=self._enc_step,
             ref=ref_digest, data=data,
@@ -269,6 +278,9 @@ class TemporalCompressor(Compressor):
             raise CorruptStreamError(f"bad TMP1 header: {exc}") from exc
         if not isinstance(head, dict):
             raise CorruptStreamError("TMP1 header must be a JSON object")
+        step = head.get("step")
+        if type(step) is not int or step < 0:
+            raise CorruptStreamError(f"bad TMP1 step {step!r}")
         return head, bool(flags & _FLAG_KEYFRAME), payload[end:]
 
     def _inner_buffer(
@@ -310,7 +322,7 @@ class TemporalCompressor(Compressor):
             side="decoder",
         )
         self._dec_ref, self._dec_digest = recon, reference_digest(recon)
-        self._dec_step = int(head.get("step", self._dec_step)) + 1
+        self._dec_step = head["step"] + 1
         return recon
 
     def _apply(
@@ -323,21 +335,28 @@ class TemporalCompressor(Compressor):
         side: str,
     ) -> np.ndarray:
         """Reconstruct one frame against reference ``ref`` whose digest
-        is ``have`` (both ``None`` before the first frame)."""
-        if keyframe:
-            return self.inner.decompress(inner_buf)
+        is ``have`` (both ``None`` before the first frame).  The inner
+        output must have the header's shape and dtype, and a delta's the
+        reference's too."""
         want = head.get("ref")
-        if have is None or want != have:
+        if not keyframe and (have is None or want != have):
             raise CorruptStreamError(
-                f"temporal {side} desync at step {head.get('step')}: frame "
+                f"temporal {side} desync at step {head['step']}: frame "
                 f"was coded against reference {want}, {side} holds "
                 f"{have or 'nothing'} — decode the stream from its last "
                 "keyframe (or reset())"
             )
-        residual = self.inner.decompress(inner_buf)
-        return (
-            ref.astype(np.float64) + residual.astype(np.float64)
-        ).astype(inner_buf.original_dtype)
+        decoded = self.inner.decompress(inner_buf)
+        expect = {(inner_buf.original_shape, inner_buf.original_dtype)}
+        if not keyframe:
+            expect.add((ref.shape, ref.dtype))
+        if expect != {(decoded.shape, decoded.dtype)}:
+            raise CorruptStreamError(
+                f"TMP1 frame at step {head['step']} decodes to "
+                f"{decoded.dtype.str} {decoded.shape}; header and reference "
+                f"say {sorted((d.str, s) for s, d in expect)}"
+            )
+        return decoded if keyframe else _reconstruct(ref, decoded)
 
     def advance_with(self, buf: CompressedBuffer | bytes) -> np.ndarray:
         """Advance the *encoder* state with an already-compressed frame.
@@ -355,7 +374,7 @@ class TemporalCompressor(Compressor):
             side="encoder",
         )
         self._enc_ref, self._enc_digest = recon, reference_digest(recon)
-        self._enc_step = int(head.get("step", self._enc_step)) + 1
+        self._enc_step = head["step"] + 1
         return recon
 
     def decode_series(

@@ -109,6 +109,13 @@ class TestSessionLifecycle:
             with pytest.raises(ServiceError):
                 client.session_open("sz", mode="abs", value=BOUND)
 
+    def test_pw_rel_session_refused(self):
+        with ServiceThread() as service, \
+                ServiceClient(port=service.port) as client:
+            with pytest.raises(ServiceError) as err:
+                client.session_open("sz", mode="pw_rel", value=0.01)
+            assert getattr(err.value, "code", None) == "UnsupportedModeError"
+
     def test_desync_fails_fast(self):
         snaps = _snaps(3)
         with ServiceThread() as service, \

@@ -1,15 +1,20 @@
 """Integration-level tests for the SZ compressor."""
 
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import ulp_tolerance
 from repro import kernels
-from repro.compressors import CompressorMode, SZCompressor
+from repro.compressors import GPUSZ, CompressorMode, SZCompressor
 from repro.errors import CorruptStreamError, DataError, UnsupportedModeError
 from test_fastpath_equivalence import BACKENDS
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "sz"
+GOLDEN_SZ = json.loads((GOLDEN / "manifest.json").read_text())
 
 
 @pytest.fixture(scope="module")
@@ -246,3 +251,35 @@ class TestOptions:
         recon, buf = sz.roundtrip(smooth_field3d, error_bound=1e-2)
         assert recon.shape == smooth_field3d.shape
         assert buf.compression_ratio > 1
+
+
+class TestRoundtrip:
+    """``roundtrip`` decodes the encoder's own sections instead of the
+    stream it just wrote; the result must be the stream's decode."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("row", GOLDEN_SZ, ids=lambda row: row["name"])
+    def test_equals_decompress_of_compress_on_every_golden_input(self, row, backend):
+        data = np.load(GOLDEN / f"{row['name']}.npz")["data"]
+        codec = SZCompressor(**row["options"])
+        knob = "pwrel" if row["mode"] == "pw_rel" else "error_bound"
+        with kernels.use(backend):
+            recon, buf = codec.roundtrip(data, mode=row["mode"], **{knob: row["value"]})
+            again = codec.compress(data, mode=row["mode"], **{knob: row["value"]})
+            decoded = codec.decompress(again)
+        assert buf.payload == again.payload
+        assert recon.dtype == decoded.dtype and recon.shape == decoded.shape
+        assert recon.tobytes() == decoded.tobytes()
+
+    def test_leaves_no_arrays_on_the_instance(self, smooth_field3d):
+        codec = SZCompressor(lossless=["lzss"])
+        before = {k: type(v) for k, v in vars(codec).items()}
+        for kwargs in ({"error_bound": 1e-2}, {"mode": "pw_rel", "pwrel": 1e-2}):
+            codec.roundtrip(smooth_field3d, **kwargs)
+        assert {k: type(v) for k, v in vars(codec).items()} == before
+        for part in (codec, codec.huffman, codec.pipeline):
+            assert not any(isinstance(v, np.ndarray) for v in vars(part).values())
+
+    def test_gpusz_roundtrip_keeps_its_restrictions(self):
+        with pytest.raises(DataError, match="3-D"):
+            GPUSZ().roundtrip(np.ones(64, dtype=np.float32), error_bound=0.1)

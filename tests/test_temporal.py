@@ -1,5 +1,7 @@
 """Temporal (delta/keyframe) codec: bounds, framing, state discipline."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,14 @@ from repro.compressors import (
     reference_digest,
 )
 from repro.compressors.base import CompressorMode
-from repro.compressors.temporal import TMP_MAGIC
+from repro.compressors.temporal import _PREFIX, TMP_MAGIC
 from repro.cosmo.timeseries import make_nyx_series
-from repro.errors import ConfigError, CorruptStreamError, DataError
+from repro.errors import (
+    ConfigError,
+    CorruptStreamError,
+    DataError,
+    UnsupportedModeError,
+)
 
 
 def _walk_series(n_steps, grid=10, scale=0.05, seed=5):
@@ -143,6 +150,32 @@ class TestFraming:
         with pytest.raises(CorruptStreamError):
             TemporalCompressor.parse_frame(b"NOPE" + buf.payload[4:])
 
+    @pytest.mark.parametrize("side", ["decompress", "advance_with"])
+    @pytest.mark.parametrize("step", ["x", [1], None, -1, 1.5, True])
+    def test_bad_step_is_corrupt(self, step, side):
+        enc = TemporalCompressor(inner="sz")
+        buf = enc.compress(_walk_series(1)[0], mode="abs", error_bound=1e-2)
+        with pytest.raises(CorruptStreamError, match="step"):
+            getattr(TemporalCompressor(inner="sz"), side)(
+                _reframe(buf.payload, step=step))
+
+    @pytest.mark.parametrize("field,value", [
+        ("dtype", "<i4"), ("dtype", "<f8"), ("shape", [5, 20, 10]),
+    ])
+    @pytest.mark.parametrize("frame", [0, 1], ids=["keyframe", "delta"])
+    def test_header_that_disagrees_with_the_stream_is_corrupt(
+        self, field, value, frame
+    ):
+        enc = TemporalCompressor(inner="sz", keyframe_every=8)
+        bufs = [enc.compress(s, mode="abs", error_bound=1e-2)
+                for s in _walk_series(2)]
+        dec = TemporalCompressor(inner="sz", keyframe_every=8)
+        if frame:
+            dec.decompress(bufs[0])
+        with pytest.raises(CorruptStreamError, match="decodes to"):
+            dec.decompress(_reframe(bufs[frame].payload, **{field: value}))
+        dec.decompress(bufs[frame])  # a refused frame moves no state
+
     def test_inner_codec_mismatch_rejected(self):
         enc = TemporalCompressor(inner="sz")
         buf = enc.compress(
@@ -152,6 +185,13 @@ class TestFraming:
         wrong = TemporalCompressor(inner="zfp")
         with pytest.raises(CorruptStreamError):
             wrong.decompress(buf)
+
+
+def _reframe(payload, **changes):
+    """``payload`` with its TMP1 header fields overwritten by ``changes``."""
+    head, keyframe, inner = TemporalCompressor.parse_frame(payload)
+    raw = json.dumps({**head, **changes}).encode()
+    return _PREFIX.pack(TMP_MAGIC, int(keyframe), len(raw)) + raw + inner
 
 
 class TestStateDiscipline:
@@ -269,8 +309,20 @@ class TestConstruction:
 
     def test_supported_modes_follow_inner(self):
         codec = TemporalCompressor(inner="sz")
-        assert codec.supported_modes == get_compressor("sz").supported_modes
+        assert codec.supported_modes == tuple(
+            m for m in get_compressor("sz").supported_modes
+            if m is not CompressorMode.PW_REL
+        )
         assert CompressorMode.ABS in codec.supported_modes
+
+    def test_pw_rel_refused(self):
+        """A delta's PW_REL bound would be relative to the residual, not
+        to the snapshot: 16^3 at 0.01 broke the bound at most points."""
+        codec = TemporalCompressor(inner="sz", keyframe_every=8)
+        for snap in _walk_series(2):
+            with pytest.raises(UnsupportedModeError):
+                codec.compress(snap, mode="pw_rel", pwrel=0.01)
+        assert codec.step == 0
 
     def test_reference_digest_content_addressed(self):
         a = np.arange(27, dtype=np.float32).reshape(3, 3, 3)
@@ -279,3 +331,37 @@ class TestConstruction:
         assert reference_digest(a) != reference_digest(
             a.astype(np.float64)
         )
+
+
+class TestDtypeArithmetic:
+    """Residual and reconstruction are taken in the field's dtype; for
+    float fields that is the old float64 round trip, bit for bit."""
+
+    @staticmethod
+    def _edges(dtype):
+        info = np.finfo(dtype)
+        return np.array([
+            info.max, -info.max, 0.75 * info.max, info.tiny,
+            info.smallest_subnormal, 3 * info.smallest_subnormal,
+            -info.smallest_subnormal, -0.0, 0.0, 1.0, -1.5, np.pi,
+        ], dtype=dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_delta_equals_float64_formula(self, dtype):
+        """Through the lossless ``store`` inner, every pair of edge values
+        (±max overflowing to ±inf, subnormals, -0.0) reconstructs as
+        ``(ref64 + (data64 - ref64).astype(dtype)).astype(dtype)``."""
+        edges = self._edges(dtype)
+        ref, data = np.repeat(edges, edges.size), np.tile(edges, edges.size)
+        enc = TemporalCompressor(inner="store", keyframe_every=8)
+        with np.errstate(all="ignore"):
+            bufs = [enc.compress(x, mode="abs", error_bound=1.0)
+                    for x in (ref, data)]
+            out = TemporalCompressor(inner="store").decode_series(bufs)[1]
+            f64 = np.float64
+            residual = (data.astype(f64) - ref.astype(f64)).astype(dtype)
+            old = (ref.astype(f64) + residual.astype(f64)).astype(dtype)
+        assert np.isposinf(old).any() and np.isneginf(old).any()
+        assert ((old != 0) & (np.abs(old) < np.finfo(dtype).tiny)).any()
+        assert out.dtype == dtype and out.tobytes() == old.tobytes()
+        assert enc.encode_reference_digest == reference_digest(old)
