@@ -108,6 +108,12 @@ class Compressor(abc.ABC):
         """Reconstruct the array described by ``buf``."""
 
     def roundtrip(self, data: np.ndarray, **params: Any) -> tuple[np.ndarray, CompressedBuffer]:
-        """Compress then decompress; convenience for evaluation loops."""
+        """``(decompress(buf), buf)`` for ``buf = compress(data, **params)``.
+
+        The reconstruction must be the array ``decompress`` makes of that
+        buffer, bit for bit: the temporal closed loop takes its next
+        reference from it.  A codec may override this to build it without
+        parsing its own stream (SZ decodes its encoder's sections).
+        """
         buf = self.compress(data, **params)
         return self.decompress(buf), buf

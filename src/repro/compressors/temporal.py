@@ -82,10 +82,10 @@ def _coerce_mode(mode: CompressorMode | str) -> CompressorMode:
 
 def _reconstruct(ref: np.ndarray, decoded: np.ndarray) -> np.ndarray:
     """``ref + decoded`` in the field's dtype: the one formula encoder and
-    decoder both use.  For binary32 operands it gives the bits the old
-    float64 round trip gave: binary64 holds more than 2·24+2 bits, so
-    rounding twice equals rounding once (the same argument covers the
-    encoder's residual ``data - ref``)."""
+    decoder both use.  For binary32 operands it equals summing in float64
+    and casting back: binary64 holds more than 2·24+2 bits, so rounding
+    twice equals rounding once (the same holds for the encoder's residual
+    ``data - ref``)."""
     return np.add(ref, decoded, dtype=ref.dtype)
 
 

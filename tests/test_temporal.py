@@ -317,7 +317,7 @@ class TestConstruction:
 
     def test_pw_rel_refused(self):
         """A delta's PW_REL bound would be relative to the residual, not
-        to the snapshot: 16^3 at 0.01 broke the bound at most points."""
+        to the snapshot it rebuilds, so no per-step bound would hold."""
         codec = TemporalCompressor(inner="sz", keyframe_every=8)
         for snap in _walk_series(2):
             with pytest.raises(UnsupportedModeError):
