@@ -17,10 +17,10 @@ process start-up and codec warm-up per field.
 * :mod:`repro.service.server` — the daemon, a ``FrameServer`` that
   answers COMPRESS/DECOMPRESS/SWEEP/SESSION_*/LIST/HEALTH/STATS/
   METRICS; :class:`ServiceThread` embeds it.
-* :mod:`repro.service.client` — one connection type and one table of
-  data-plane requests behind two transports: the blocking
-  :class:`ServiceClient` (connect/busy retry with jittered backoff,
-  per-call deadlines) and the multiplexing :class:`PooledClient`.
+* :mod:`repro.service.client` — one pipelined transport (connect/busy
+  retry with jittered backoff, per-call deadlines, a reader thread per
+  connection): :class:`ServiceClient` pins it to one connection, the
+  multiplexing :class:`PooledClient` spreads calls over several.
 * :mod:`repro.service.cluster` — the multi-node fabric: a
   :class:`ClusterRouter`, a ``FrameServer`` that spreads requests over
   N daemon shards by consistent hash (:mod:`repro.service.ring`), with

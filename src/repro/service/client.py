@@ -1,52 +1,62 @@
-"""Synchronous client for the compression daemon.
+"""Client for the compression daemon: one transport, blocking or async.
 
-:class:`ServiceClient` is the in-situ caller's view of the service: a
-blocking socket speaking MSG1 frames, with the operational edges a
-simulation loop needs handled inside —
+:class:`ServiceClient` is the in-situ caller's view of the service and
+:class:`PooledClient` the many-requests-in-flight one; both are the same
+transport.  Every call is a request registered under a per-connection
+``id`` on a pipelined MSG1 connection, its frame written under a send
+lock, and its reply read by that connection's reader thread, which
+completes the call's future — in any order.  A blocking call is the
+future's ``.result()``.  ``ServiceClient`` is that transport pinned to
+one connection; ``PooledClient`` spreads calls round-robin over
+``connections`` of them and also hands out the futures
+(``compress_async``/``decompress_async``).  The operational edges a
+simulation loop needs are handled inside —
 
 * **connect retry**: the daemon may still be binding when the client
-  starts; connection attempts back off within ``connect_timeout_s``;
+  starts; connection attempts back off within ``connect_timeout_s``.
+  Every dial is followed by one HELLO round trip that negotiates the
+  ``pipeline`` and ``shm`` capabilities;
 * **backpressure retry**: a ``busy`` reply (admission queue full) is
-  retried with capped exponential backoff *plus jitter* (decorrelating
-  a fleet of clients that would otherwise retry in lockstep), honoring
-  the server's ``retry_after_ms`` hint, up to ``busy_retries`` times
-  before :class:`~repro.errors.ServiceBusyError`;
-* **timeouts**: ``request_timeout_s`` bounds each socket wait (and,
-  in :class:`PooledClient`, each call on its own); ``timeout_ms`` per
-  call becomes the server-side queue deadline;
+  re-sent off the reader thread after a capped exponential backoff
+  *plus jitter* (decorrelating a fleet of clients that would otherwise
+  retry in lockstep), honoring the server's ``retry_after_ms`` hint, up
+  to ``busy_retries`` times before :class:`~repro.errors.ServiceBusyError`;
+* **timeouts**: ``request_timeout_s`` bounds every call on its own — a
+  reply that never comes fails that call on time, not its siblings,
+  even on an otherwise silent connection; ``timeout_ms`` per call
+  becomes the server-side queue deadline;
 * **zero-copy payload handoff**: against a same-host daemon that
-  negotiates the ``shm`` capability (one HELLO round trip on the first
-  bulk call), large request payloads travel as pooled shared-memory
-  segments and bulk replies come back through a client-owned scratch
-  segment — the TCP stream then carries only headers.  Fallback to
-  inline bytes is transparent: remote hosts, small arrays,
-  ``REPRO_NO_SHM=1``, a server that does not grant ``shm``, and any
-  per-request shm error (the client retries the call inline and stops
-  offering segments).  Replies are byte-identical either way.  All
+  grants the ``shm`` capability, large request payloads travel as
+  pooled shared-memory segments and bulk replies come back through a
+  client-owned scratch segment — the TCP stream then carries only
+  headers.  Fallback to inline bytes is transparent: remote hosts, small
+  arrays, ``REPRO_NO_SHM=1``, a server that does not grant ``shm``, and
+  any per-request shm error (the client re-sends the call inline and
+  stops offering segments).  Replies are byte-identical either way.  All
   segments are owned by the client — published once, reused across calls
   (:class:`repro.parallel.shm.SegmentPool`), unlinked on
   :meth:`~ServiceClient.close`; a crashed client's are reclaimed by its
   ``multiprocessing`` resource tracker;
 * **distributed tracing**: when telemetry is enabled in the client
-  process (or a :mod:`repro.telemetry.context` trace is already
-  active), every call runs inside a ``client.<op>`` span — busy
-  retries get nested ``client.busy_wait`` spans — and the active
-  context travels in the MSG1 header's optional ``trace`` field, so
-  the daemon's queue/batch/worker spans stitch under this call in one
-  trace (see ``docs/OBSERVABILITY.md``).  With telemetry off and no
-  ambient trace, nothing is added to the header and nothing is timed.
+  process, every call — blocking or async — records a ``client.<op>``
+  span when it completes, busy retries record ``client.busy_wait``
+  spans under it, and the call's context travels in the MSG1 header's
+  optional ``trace`` field, so the daemon's queue/batch/worker spans
+  stitch under the call in one trace (see ``docs/OBSERVABILITY.md``).
+  With telemetry off an ambient :mod:`repro.telemetry.context` trace
+  still travels in the header; with neither, nothing is added to the
+  header and nothing is timed.
 
 Both retry paths share one delay policy —
 :func:`repro.util.backoff.backoff_delay` — so the whole fleet
 (clients, and the cluster router's membership re-probe) jitters the
 same way.
 
-One client owns one socket and is **not** thread-safe — give each
-thread its own client (they are cheap; the stress tests do exactly
-this).  Use as a context manager to close the socket deterministically.
-Construction is free of I/O — the socket dials lazily on the first
-call (or on ``__enter__``), so a client can be built before its daemon
-is up:
+Both clients are thread-safe: threads sharing one ``ServiceClient``
+pipeline their calls over its one connection.  Use as a context
+manager to close deterministically.  Construction is free of I/O — the
+connection dials on the first call (or on ``__enter__``), so a client
+can be built before its daemon is up:
 
 >>> client = ServiceClient(port=7777, busy_retries=3, seed=42)
 >>> (client.host, client.port, client.busy_retries)
@@ -64,8 +74,10 @@ to which one it dialed):
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import dataclasses
 import random
+import select
 import socket
 import threading
 import time
@@ -80,6 +92,7 @@ from repro.parallel.shm import SegmentPool, SharedArray, shm_enabled
 from repro.service import protocol
 from repro.telemetry import context as trace_context
 from repro.telemetry import get_telemetry
+from repro.telemetry.spans import Tracer
 from repro.util.backoff import backoff_delay
 
 DEFAULT_PORT = 9461
@@ -103,18 +116,41 @@ _INLINE: Segments = (None, None)
 
 
 class _Request(NamedTuple):
-    """One data-plane request, independent of the transport carrying it.
+    """One request of the table, independent of the connection carrying it.
 
     ``build(use_shm)`` makes the frame — ``(header, payload, segments)``,
     bulk data staged in pooled segments when ``use_shm`` — and may be
     called again to rebuild the frame inline; ``finish(reply, body,
     segments)`` turns an ``ok`` reply into the call's result.
-    ``nbytes`` is the bulk size that decides whether shm is worth it.
+    ``nbytes`` is the bulk size that decides whether shm is worth it
+    (0 for the control ops).
     """
 
+    op: str
     nbytes: int
     build: Callable[[bool], tuple[dict[str, Any], bytes, Segments]]
     finish: Callable[[dict[str, Any], bytes, Segments], Any]
+
+
+@dataclasses.dataclass(eq=False, slots=True)
+class _Call:
+    """One logical request in flight: its frame, its future, where it
+    stands, and — when traced — its context and span clock."""
+
+    request: _Request
+    epoch: int
+    future: concurrent.futures.Future = dataclasses.field(
+        default_factory=concurrent.futures.Future
+    )
+    header: dict[str, Any] = dataclasses.field(default_factory=dict)
+    payload: bytes = b""
+    segments: Segments = _INLINE
+    attempt: int = 0
+    deadline: float = 0.0
+    id: int = 0
+    trace: trace_context.TraceContext | None = None
+    tracer: Tracer | None = None
+    started: float = 0.0
 
 
 def _header(op: str, timeout_ms: float | None, **fields: Any) -> dict[str, Any]:
@@ -168,20 +204,40 @@ def _buffer_from_reply(
     )
 
 
-class _Connection:
-    """One blocking MSG1 socket: dial with backoff, HELLO, frames."""
+class _Channel:
+    """One pipelined connection, dialed and HELLOed on construction: an
+    id→call table under ``lock``, frame writes under ``send_lock``, and a
+    reader thread that completes calls as their replies arrive.
+
+    The two locks are separate so a writer blocked on a full socket
+    (the daemon stops reading once its per-connection gate is full)
+    never stops the reader from draining the replies that open the
+    gate.  The reader never writes.
+    """
 
     def __init__(self, client: "_Client") -> None:
         self.client = client
-        self.sock: socket.socket | None = None
-        self.caps: frozenset[str] = frozenset()
-        self.negotiated = False
+        self.sock = self._dial()
+        try:
+            self.caps = self._hello()
+        except (OSError, ProtocolError) as exc:
+            self.sock.close()
+            raise ServiceError(f"capability handshake failed: {exc}") from exc
+        self.lock = threading.Lock()
+        self.send_lock = threading.Lock()
+        self.pending: dict[int, _Call] = {}
+        self.next_id = 0
+        self.dead = False
+        self._poll = select.poll()
+        self._poll.register(self.sock, select.POLLIN)
+        self.reader = threading.Thread(
+            target=self._read_loop, name="repro-client-reader", daemon=True
+        )
+        self.reader.start()
 
-    def open(self) -> socket.socket:
-        """The connected socket — dialed on first use, attempts backing
-        off within the client's ``connect_timeout_s``."""
-        if self.sock is not None:
-            return self.sock
+    def _dial(self) -> socket.socket:
+        """The connected socket, attempts backing off within the
+        client's ``connect_timeout_s``."""
         client = self.client
         deadline = time.monotonic() + client.connect_timeout_s
         attempt = 0
@@ -208,58 +264,104 @@ class _Connection:
                 time.sleep(delay)
         sock.settimeout(client.request_timeout_s)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self.sock = sock
         return sock
 
-    def negotiate(self) -> frozenset[str]:
-        """HELLO once per connection; the granted capabilities."""
-        if not self.negotiated:
-            want = [protocol.CAP_PIPELINE]
-            if self.client._shm_wanted():
-                want.append(protocol.CAP_SHM)
-            reply, _ = self.roundtrip(
-                {"op": "hello", protocol.CAPS_FIELD: want}
-            )
-            caps = (
-                reply.get(protocol.CAPS_FIELD)
-                if reply.get("status") == "ok" else None
-            )
-            self.caps = frozenset(caps if isinstance(caps, list) else ())
-            self.negotiated = True
-        return self.caps
+    def _hello(self) -> frozenset[str]:
+        """One HELLO round trip, before the reader starts; the granted
+        capabilities (none from a peer that refuses HELLO)."""
+        want = [protocol.CAP_PIPELINE]
+        if self.client._shm_wanted():
+            want.append(protocol.CAP_SHM)
+        protocol.write_frame_sock(
+            self.sock, {"op": "hello", protocol.CAPS_FIELD: want}
+        )
+        reply, _ = protocol.read_frame_sock(self.sock)
+        caps = (
+            reply.get(protocol.CAPS_FIELD)
+            if reply.get("status") == "ok" else None
+        )
+        return frozenset(caps if isinstance(caps, list) else ())
 
-    def send(self, header: dict[str, Any], payload: bytes = b"") -> None:
-        protocol.write_frame_sock(self.open(), header, payload)
+    def send(self, call: _Call) -> None:
+        """Register ``call`` under a fresh id, then write its frame.
 
-    def recv(self) -> tuple[dict[str, Any], bytes]:
-        return protocol.read_frame_sock(self.sock)
+        Raises only while the caller still owns ``call``: once a reply,
+        the expiry or :meth:`fail` has taken it from the table, they
+        resolve it.  A failed write kills the connection — a partial
+        frame leaves the stream unreadable.
+        """
+        with self.lock:
+            if self.dead:
+                raise ServiceError("connection closed")
+            self.next_id += 1
+            call.id = call.header["id"] = self.next_id
+            call.deadline = time.monotonic() + self.client.request_timeout_s
+            self.pending[call.id] = call
+        with self.send_lock:
+            if call.id not in self.pending:
+                return  # expired while waiting its turn
+            try:
+                protocol.write_frame_sock(self.sock, call.header, call.payload)
+                return
+            except OSError as exc:
+                error = ServiceError(f"send failed: {exc}")
+        with self.lock:
+            mine = self.pending.pop(call.id, None) is call
+        self.fail(error)
+        if mine:
+            raise error
 
-    def roundtrip(
-        self, header: dict[str, Any], payload: bytes = b""
-    ) -> tuple[dict[str, Any], bytes]:
-        """One frame out, one frame in; a broken stream is dropped (the
-        next call redials and renegotiates)."""
+    def _read_loop(self) -> None:
+        """Wait for a frame only until the earliest deadline in the table,
+        then read the whole frame (a timeout mid-frame would desync the
+        stream, so it kills the connection instead)."""
         try:
-            self.send(header, payload)
-            return self.recv()
-        except (OSError, ProtocolError):
-            self.close()
-            raise
+            while True:
+                if self._poll.poll(self._expire() * 1e3):
+                    reply, body = protocol.read_frame_sock(self.sock)
+                    self.client._on_reply(self, reply, body)
+        except Exception as exc:  # noqa: BLE001 - every call must resolve
+            error = ServiceError(f"connection lost: {exc}")
+            error.__cause__ = exc
+            self.fail(error)
+        finally:
+            self.sock.close()
 
-    def close(self) -> None:
-        sock, self.sock = self.sock, None
-        self.caps = frozenset()
-        self.negotiated = False
-        if sock is not None:
-            sock.close()
+    def _expire(self) -> float:
+        """Fail every call whose ``request_timeout_s`` has passed; the
+        seconds until the next deadline."""
+        now = time.monotonic()
+        with self.lock:
+            overdue = [c for c in self.pending.values() if c.deadline <= now]
+            for call in overdue:
+                del self.pending[call.id]
+            upcoming = min(
+                (c.deadline for c in self.pending.values()),
+                default=now + self.client.request_timeout_s,
+            )
+        for call in overdue:
+            self.client._finish(call, error=ServiceError("request timed out"))
+        return max(0.0, upcoming - now)
+
+    def fail(self, exc: Exception) -> None:
+        """Kill the connection, failing every call in flight with ``exc``;
+        the reader wakes to the shutdown, exits and closes the socket."""
+        with self.lock:
+            self.dead = True
+            calls = list(self.pending.values())
+            self.pending.clear()
+        with contextlib.suppress(OSError):
+            self.sock.shutdown(socket.SHUT_RDWR)
+        for call in calls:
+            self.client._finish(call, error=exc)
 
 
 @dataclasses.dataclass(eq=False)
 class _Client:
-    """What both clients share: the options (the constructor signature),
-    the shm policy and segment pool, the table of data-plane requests
-    and their blocking entry points, and the reply policies (busy
-    back-off, shm rejection).  A subclass supplies ``_run(request)``."""
+    """The one client transport: the options (the constructor
+    signature), the shm policy and segment pool, the request table, the
+    connection slots, and the reply policies (busy back-off, shm
+    rejection, expiry).  A subclass fixes ``connections``."""
 
     host: str = "127.0.0.1"
     port: int = DEFAULT_PORT
@@ -278,6 +380,44 @@ class _Client:
         self._rng = random.Random(self.seed)
         self._shm_broken = False
         self._segments = SegmentPool()
+        self._lock = threading.Lock()
+        self._channels: list[_Channel | None] = [None] * self.connections
+        self._rr = 0
+        #: Bumped by :meth:`close`; a call of an older epoch is not re-sent.
+        self._epoch = 0
+
+    # -- connections ----------------------------------------------------------
+
+    def _next_channel(self) -> _Channel:
+        """Round-robin over the slots, (re)dialing a missing or dead one."""
+        with self._lock:
+            slot = self._rr % self.connections
+            self._rr += 1
+            chan = self._channels[slot]
+            if chan is None or chan.dead:
+                chan = self._channels[slot] = _Channel(self)
+            return chan
+
+    def close(self) -> None:
+        """Fail in-flight calls, close every connection, unlink segments.
+        Idempotent; the client stays usable (the next call redials)."""
+        with self._lock:
+            self._epoch += 1
+            channels = [c for c in self._channels if c is not None]
+            self._channels = [None] * self.connections
+            segments, self._segments = self._segments, SegmentPool()
+        for chan in channels:
+            chan.fail(ServiceError("client closed"))
+        for chan in channels:
+            chan.reader.join(timeout=2.0)
+        segments.close()
+
+    def __enter__(self):
+        self._next_channel()  # dial now: an unreachable peer fails here
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self.close()
 
     # -- shm policy and staging -----------------------------------------------
 
@@ -322,28 +462,16 @@ class _Client:
             raise
         return req, rep
 
-    def _release(self, segments: Segments) -> None:
+    def _release(self, segments: Segments, reuse: bool = True) -> None:
         for seg in segments:
-            if seg is not None:
+            if seg is None:
+                continue
+            if reuse:
                 self._segments.release(seg)
+            else:
+                seg.unlink()
 
-    def _busy_delay(self, attempt: int, reply: dict[str, Any]) -> float:
-        """How long to wait before re-sending after the ``attempt``-th
-        (0-based) ``busy`` reply; :class:`ServiceBusyError` once the
-        retries are used up."""
-        if attempt >= self.busy_retries:
-            raise ServiceBusyError(
-                f"server still busy after {self.busy_retries} retries"
-            )
-        return backoff_delay(
-            attempt,
-            base_s=self.retry_base_s,
-            cap_s=RETRY_MAX_S,
-            hint_s=float(reply.get("retry_after_ms", 0)) / 1e3,
-            rng=self._rng,
-        )
-
-    # -- the data-plane request table -------------------------------------------
+    # -- the request table -------------------------------------------
 
     def _array_request(
         self, op: str, data: np.ndarray, timeout_ms: float | None,
@@ -363,7 +491,7 @@ class _Client:
             capacity = 0 if reply_slack is None else data.nbytes + reply_slack
             return header, b"", self._stage(header, data, capacity)
 
-        return _Request(data.nbytes, build, finish)
+        return _Request(op, data.nbytes, build, finish)
 
     def _compress_request(
         self, data, compressor, mode, value, options, timeout_ms
@@ -443,13 +571,154 @@ class _Client:
                 )
             return view.view(out_dtype).reshape(out_shape).copy()
 
-        return _Request(max(stream.nbytes, out_nbytes), build, finish)
+        return _Request(
+            "decompress", max(stream.nbytes, out_nbytes), build, finish
+        )
 
-    # -- the blocking calls both clients offer --------------------------------
+    # -- the transport: submit, (re)send, reply, finish -----------------------
 
-    def _run(self, request: _Request) -> Any:
-        """Carry one request to the server and back (the transport)."""
-        raise NotImplementedError
+    def _submit(self, request: _Request) -> concurrent.futures.Future:
+        """Send ``request``; the future resolves to its result.  Traced
+        (telemetry on) calls get a child of the ambient context — or a
+        fresh trace — and record their ``client.<op>`` span on
+        completion; untraced ones carry the ambient context, if any."""
+        call = _Call(request, self._epoch)
+        tm = get_telemetry()
+        call.trace = trace_context.current()
+        if tm.enabled:
+            outer = call.trace or trace_context.TraceContext(
+                trace_context.new_trace_id(), trace_context.new_span_id()
+            )
+            call.trace, call.tracer = outer.child(), tm.tracer
+            call.started = call.tracer.now()
+        # Not cancellable from here on: a reader or timer thread resolves it.
+        call.future.set_running_or_notify_cancel()
+        self._send(call)
+        return call.future
+
+    def _call(
+        self, header: dict[str, Any], payload: bytes = b""
+    ) -> tuple[dict[str, Any], bytes]:
+        """One raw frame through the transport; ``(reply, body)`` of its
+        ``ok`` reply.  The control ops' path, and the tests' seam."""
+        return self._submit(_Request(
+            str(header.get("op")), 0,
+            lambda use_shm: (dict(header), payload, _INLINE),
+            lambda reply, body, segments: (reply, body),
+        )).result()
+
+    def _send(self, call: _Call) -> None:
+        """Write ``call`` on the next connection, building its frame
+        first if it has none (through shm when that connection granted
+        it).  Runs on the caller's thread, or a timer's for a re-send —
+        never on a reader."""
+        try:
+            if call.epoch != self._epoch:
+                raise ServiceError("client closed")
+            chan = self._next_channel()
+            if not call.header:
+                request = call.request
+                call.header, call.payload, call.segments = request.build(
+                    request.nbytes >= protocol.SHM_MIN_BYTES
+                    and self._shm_wanted()
+                    and protocol.CAP_SHM in chan.caps
+                )
+                if call.trace is not None:
+                    call.header[protocol.TRACE_FIELD] = \
+                        call.trace.to_traceparent()
+            chan.send(call)
+        except Exception as exc:
+            self._finish(call, error=exc)
+
+    def _send_later(self, call: _Call, delay: float = 0.0, **busy: Any) -> None:
+        """Re-send ``call`` after ``delay`` seconds on a timer thread;
+        ``busy`` attributes record the wait as a ``client.busy_wait``
+        span under the call."""
+        start = call.tracer.now() if call.tracer is not None else 0.0
+
+        def fire() -> None:
+            if busy and call.tracer is not None:
+                call.tracer.add_span(
+                    "client.busy_wait", start, call.tracer.now(),
+                    ctx=call.trace.child(), root=True, **busy,
+                )
+            self._send(call)
+
+        timer = threading.Timer(delay, fire)
+        timer.daemon = True
+        timer.start()
+
+    def _on_reply(
+        self, chan: _Channel, reply: dict[str, Any], body: bytes
+    ) -> None:
+        """A reply off ``chan``'s reader: finish its call, or hand it to
+        a timer to re-send (``busy``; an shm rejection goes inline)."""
+        with chan.lock:
+            call = chan.pending.pop(reply.get("id"), None)
+        if call is None:
+            return  # the reply of an expired call — drop it
+        status = reply.get("status")
+        if status == "ok":
+            self._finish(call, reply=reply, body=body)
+        elif status == "busy":
+            if call.attempt >= self.busy_retries:
+                self._finish(call, reply=reply, error=ServiceBusyError(
+                    f"server still busy after {self.busy_retries} retries"
+                ))
+                return
+            delay = backoff_delay(
+                call.attempt,
+                base_s=self.retry_base_s,
+                cap_s=RETRY_MAX_S,
+                hint_s=float(reply.get("retry_after_ms", 0)) / 1e3,
+                rng=self._rng,
+            )
+            call.attempt += 1
+            self._send_later(
+                call, delay, attempt=call.attempt, delay_ms=delay * 1e3,
+                code=reply.get("code", "busy"),
+            )
+        else:
+            error = _reply_error(call.request.op, reply)
+            if not self._shm_rejected(error, call.segments):
+                self._finish(call, reply=reply, error=error)
+                return
+            self._release(call.segments)
+            call.header, call.segments = {}, _INLINE  # rebuilt inline
+            self._send_later(call)
+
+    def _finish(
+        self, call: _Call, *, reply: dict[str, Any] | None = None,
+        body: bytes = b"", error: Exception | None = None,
+    ) -> None:
+        """Resolve ``call``: its result from an ``ok`` reply, or
+        ``error``.  Segments the server answered for go back to the
+        pool; those of a call that got no reply may still be in the
+        server's hands, so they are unlinked instead."""
+        result = None
+        try:
+            if error is None:
+                result = call.request.finish(reply, body, call.segments)
+        except Exception as exc:  # finish() raised — surface it
+            error = exc
+        finally:
+            self._release(call.segments, reuse=reply is not None)
+            call.segments = _INLINE
+        if call.tracer is not None:
+            op = call.request.op
+            span = call.tracer.add_span(
+                f"client.{op}", call.started, call.tracer.now(),
+                ctx=call.trace, root=True, op=op, bytes=len(call.payload),
+            )
+            if error is not None:
+                span.status = "error"
+                span.attrs["exception"] = f"{type(error).__name__}: {error}"
+        if error is not None:
+            call.future.set_exception(error)
+        else:
+            call.future.set_result(result)
+
+    # -- operations ---------------------------------------------------------
 
     def compress(
         self,
@@ -467,9 +736,9 @@ class _Client:
         interoperates with it — ``meta["compressor"]`` records the codec
         so :meth:`decompress` can route it back without extra arguments.
         """
-        return self._run(self._compress_request(
+        return self._submit(self._compress_request(
             data, compressor, mode, value, options, timeout_ms
-        ))
+        )).result()
 
     def decompress(
         self,
@@ -479,106 +748,9 @@ class _Client:
         timeout_ms: float | None = None,
     ) -> np.ndarray:
         """Decompress a buffer remotely (codec from ``buf.meta`` by default)."""
-        return self._run(self._decompress_request(
+        return self._submit(self._decompress_request(
             buf, compressor, options, timeout_ms
-        ))
-
-
-class ServiceClient(_Client):
-    """Blocking MSG1 client (see module docstring)."""
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        self._conn = _Connection(self)
-        self._next_id = 0
-
-    def close(self) -> None:
-        """Close the socket and unlink any pooled data-plane segments."""
-        self._conn.close()
-        self._segments.close()
-        self._segments = SegmentPool()  # the client stays usable
-
-    def __enter__(self) -> "ServiceClient":
-        self._conn.open()
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-
-    # -- request plumbing ---------------------------------------------------
-
-    def _roundtrip(
-        self, header: dict[str, Any], payload: bytes
-    ) -> tuple[dict[str, Any], bytes]:
-        """One frame out, one frame in, read on the calling thread."""
-        return self._conn.roundtrip(header, payload)
-
-    def _request(
-        self, header: dict[str, Any], payload: bytes = b""
-    ) -> tuple[dict[str, Any], bytes]:
-        """Send a request, retrying ``busy`` replies with jittered backoff.
-
-        Traced calls (telemetry enabled, or an ambient trace context)
-        run inside a ``client.<op>`` span and carry the context in the
-        header; the untraced path adds nothing to the header.
-        """
-        self._next_id += 1
-        header = {**header, "id": self._next_id}
-        tm = get_telemetry()
-        if not tm.enabled and trace_context.current() is None:
-            return self._request_once(header, payload)
-        op = header.get("op")
-        with trace_context.start_trace():
-            with tm.span(f"client.{op}", op=op, bytes=len(payload)):
-                # Inject *inside* the span so the daemon parents under it.
-                return self._request_once(
-                    trace_context.inject(header), payload
-                )
-
-    def _request_once(
-        self, header: dict[str, Any], payload: bytes
-    ) -> tuple[dict[str, Any], bytes]:
-        """The busy-retry loop around one logical request."""
-        attempt = 0
-        while True:
-            reply, body = self._roundtrip(header, payload)
-            status = reply.get("status")
-            if status == "ok":
-                return reply, body
-            if status != "busy":
-                raise _reply_error(header.get("op"), reply)
-            delay = self._busy_delay(attempt, reply)
-            attempt += 1
-            with get_telemetry().span(
-                "client.busy_wait",
-                attempt=attempt,
-                delay_ms=delay * 1e3,
-                code=reply.get("code", "busy"),
-            ):
-                time.sleep(delay)
-
-    def _run(self, request: _Request) -> Any:
-        """Run one data-plane request: through shared memory when the
-        peer negotiated it (one HELLO on the first eligible call), with
-        one inline retry if the peer then cannot attach the segments."""
-        use_shm = (
-            request.nbytes >= protocol.SHM_MIN_BYTES
-            and self._shm_wanted()
-            and protocol.CAP_SHM in self._conn.negotiate()
-        )
-        while True:
-            header, payload, segments = request.build(use_shm)
-            try:
-                reply, body = self._request(header, payload)
-                return request.finish(reply, body, segments)
-            except ServiceError as exc:
-                if not self._shm_rejected(exc, segments):
-                    raise
-                use_shm = False
-            finally:
-                self._release(segments)
-
-    # -- operations ---------------------------------------------------------
+        )).result()
 
     def sweep(
         self,
@@ -594,7 +766,9 @@ class ServiceClient(_Client):
         Repeat sweeps of the same data hit the server's result cache
         (``row["cache"] == "hit"``).
         """
-        return self._run(self._sweep_request(data, sweeps, field, timeout_ms))
+        return self._submit(
+            self._sweep_request(data, sweeps, field, timeout_ms)
+        ).result()
 
     # -- stateful sessions (docs/INSITU.md) ---------------------------------
 
@@ -616,7 +790,7 @@ class ServiceClient(_Client):
         Returns a :class:`ServiceSession`; use it as a context manager
         so the daemon-side state is torn down deterministically.
         """
-        reply, _ = self._request({
+        reply, _ = self._call({
             "op": "session_open",
             protocol.SESSION_FIELD: session_id or uuid.uuid4().hex,
             "compressor": compressor,
@@ -643,27 +817,27 @@ class ServiceClient(_Client):
         :class:`ServiceSession` wrapper, which tracks the digest chain
         automatically.
         """
-        return self._run(self._session_step_request(
+        return self._submit(self._session_step_request(
             session_id, data, expect_ref, timeout_ms
-        ))
+        )).result()
 
     def session_close(self, session_id: str) -> dict[str, Any]:
         """Tear down a session; returns its step/byte accounting."""
-        reply, _ = self._request(
+        reply, _ = self._call(
             {"op": "session_close", protocol.SESSION_FIELD: session_id}
         )
         return reply
 
     def list_compressors(self) -> list[str]:
-        reply, _ = self._request({"op": "list"})
+        reply, _ = self._call({"op": "list"})
         return list(reply.get("compressors") or [])
 
     def health(self) -> dict[str, Any]:
-        reply, _ = self._request({"op": "health"})
+        reply, _ = self._call({"op": "health"})
         return reply
 
     def stats(self) -> dict[str, Any]:
-        reply, _ = self._request({"op": "stats"})
+        reply, _ = self._call({"op": "stats"})
         return reply
 
     def metrics_text(self) -> str:
@@ -673,7 +847,7 @@ class ServiceClient(_Client):
         per-shard sample gains a ``shard="..."`` label and the router's
         own metrics appear under ``shard="router"``.
         """
-        _, body = self._request({"op": "metrics"})
+        _, body = self._call({"op": "metrics"})
         return body.decode("utf-8")
 
     def cluster(self) -> dict[str, Any]:
@@ -685,8 +859,15 @@ class ServiceClient(_Client):
         carries per-shard membership state, probe/hedge counters, and
         ring ownership shares (see ``docs/CLUSTER.md``).
         """
-        reply, _ = self._request({"op": "cluster"})
+        reply, _ = self._call({"op": "cluster"})
         return reply
+
+
+class ServiceClient(_Client):
+    """Blocking MSG1 client: the transport pinned to one connection
+    (see module docstring)."""
+
+    connections = 1
 
 
 class ServiceSession:
@@ -706,7 +887,7 @@ class ServiceSession:
                 reply, stream = session.step(snapshot)
     """
 
-    def __init__(self, client: ServiceClient, opened: dict[str, Any]) -> None:
+    def __init__(self, client: _Client, opened: dict[str, Any]) -> None:
         self._client = client
         self.session_id = str(opened[protocol.SESSION_FIELD])
         self.compressor = opened.get("compressor")
@@ -752,128 +933,16 @@ class ServiceSession:
             pass
 
 
-# ---------------------------------------------------------------------------
-# Multiplexing client pool
-# ---------------------------------------------------------------------------
-
-
-@dataclasses.dataclass(eq=False, slots=True)
-class _Call:
-    """One logical request in flight through a :class:`PooledClient`."""
-
-    request: _Request
-    future: concurrent.futures.Future = dataclasses.field(
-        default_factory=concurrent.futures.Future
-    )
-    header: dict[str, Any] = dataclasses.field(default_factory=dict)
-    payload: bytes = b""
-    segments: Segments = _INLINE
-    attempt: int = 0
-    deadline: float = 0.0
-    id: int = 0
-
-
-class _Channel:
-    """One pipelined connection: a send lock, an id→call map, a reader."""
-
-    def __init__(self, owner: "PooledClient", conn: _Connection) -> None:
-        self.owner = owner
-        self.conn = conn
-        self.lock = threading.Lock()
-        self.pending: dict[int, _Call] = {}
-        self.next_id = 0
-        self.dead = False
-        self.reader = threading.Thread(
-            target=self._read_loop, name="repro-pooled-reader", daemon=True
-        )
-        self.reader.start()
-
-    def send(self, call: _Call) -> None:
-        """Register ``call`` under a fresh id and write its frame."""
-        with self.lock:
-            if self.dead:
-                raise ServiceError("channel closed")
-            self.next_id += 1
-            call.id = self.next_id
-            call.header = {**call.header, "id": call.id}
-            call.deadline = time.monotonic() + self.owner.request_timeout_s
-            self.pending[call.id] = call
-            try:
-                self.conn.send(call.header, call.payload)
-            except OSError as exc:
-                self.pending.pop(call.id, None)
-                raise ServiceError(f"send failed: {exc}") from exc
-
-    def _read_loop(self) -> None:
-        while True:
-            try:
-                reply, body = self.conn.recv()
-            except socket.timeout:
-                # The connection was silent for request_timeout_s; each
-                # call answers for its own deadline below.
-                reply = None
-            except (OSError, ProtocolError) as exc:
-                with self.lock:
-                    dead = self.dead
-                if not dead:
-                    self.fail(ServiceError(f"connection lost: {exc}"))
-                return
-            if reply is not None:
-                self.owner._dispatch(self, reply, body)
-            self._expire()
-
-    def _expire(self) -> None:
-        """Fail every call whose ``request_timeout_s`` has passed — a
-        lost reply must not hang its future while siblings' arrive."""
-        now = time.monotonic()
-        with self.lock:
-            overdue = [c for c in self.pending.values() if c.deadline <= now]
-            for call in overdue:
-                del self.pending[call.id]
-        for call in overdue:
-            self.owner._finish_call(
-                call, error=ServiceError("request timed out")
-            )
-
-    def fail(self, exc: Exception) -> None:
-        """Kill the channel, failing every in-flight call with ``exc``."""
-        with self.lock:
-            if self.dead:
-                calls = []
-            else:
-                self.dead = True
-                calls = list(self.pending.values())
-                self.pending.clear()
-            try:
-                self.conn.sock.close()
-            except OSError:
-                pass
-        for call in calls:
-            self.owner._finish_call(call, error=exc)
-
-
 @dataclasses.dataclass(eq=False)
 class PooledClient(_Client):
     """N requests in flight over M pipelined connections.
 
-    Where :class:`ServiceClient` is strictly one-request-at-a-time,
-    ``PooledClient`` multiplexes: every call gets a per-connection
-    ``id``, frames are written under a send lock, and a reader thread
-    per connection completes futures as replies arrive — in any order.
+    The same transport as :class:`ServiceClient`, spread round-robin
+    over ``connections`` of them, plus the futures themselves:
     ``compress_async``/``decompress_async`` return
-    :class:`concurrent.futures.Future`; the blocking ``compress``/
-    ``decompress`` wrappers just ``.result()`` them, so one pool serves
-    both styles from any number of threads.  ``request_timeout_s``
-    bounds every call on its own: a reply that never comes fails that
-    call's future, not its siblings'.
-
-    The zero-copy data plane is shared with :class:`ServiceClient`:
-    one HELLO per connection negotiates capabilities, large payloads
-    ride pooled shared-memory segments (one :class:`SegmentPool` for
-    the whole pool), and any shm error falls back to inline bytes for
-    the rest of the pool's life.  ``busy`` replies are retried off a
-    timer thread with the same jittered backoff as the blocking client,
-    so a full admission queue never stalls the reader.
+    :class:`concurrent.futures.Future`, and every blocking call waits
+    on one, so one pool serves both styles from any number of threads.
+    One :class:`SegmentPool` serves all connections.
     """
 
     connections: int = dataclasses.field(default=2, kw_only=True)
@@ -882,125 +951,6 @@ class PooledClient(_Client):
         if self.connections < 1:
             raise ValueError("connections must be >= 1")
         super().__post_init__()
-        self._lock = threading.Lock()
-        self._channels: list[_Channel | None] = [None] * self.connections
-        self._rr = 0
-        self._closed = False
-
-    # -- connections --------------------------------------------------------
-
-    def _next_channel(self) -> _Channel:
-        """Round-robin over the slots, (re)dialing a missing or dead one:
-        dial, HELLO synchronously, then hand the socket to a reader."""
-        with self._lock:
-            if self._closed:
-                raise ServiceError("client closed")
-            slot = self._rr % self.connections
-            self._rr += 1
-            chan = self._channels[slot]
-            if chan is None or chan.dead:
-                conn = _Connection(self)
-                try:
-                    conn.negotiate()
-                except (OSError, ProtocolError) as exc:
-                    raise ServiceError(
-                        f"capability handshake failed: {exc}"
-                    ) from exc
-                chan = self._channels[slot] = _Channel(self, conn)
-            return chan
-
-    def close(self) -> None:
-        """Fail in-flight calls, close every connection, unlink segments."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            channels = [c for c in self._channels if c is not None]
-            self._channels = [None] * self.connections
-        for chan in channels:
-            chan.fail(ServiceError("client closed"))
-        for chan in channels:
-            chan.reader.join(timeout=2.0)
-        self._segments.close()
-
-    def __enter__(self) -> "PooledClient":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-
-    # -- completion plumbing (reader / timer threads) -----------------------
-
-    def _finish_call(
-        self, call: _Call, *, reply: dict[str, Any] | None = None,
-        body: bytes = b"", error: Exception | None = None,
-    ) -> None:
-        """Resolve ``call``'s future and give its segments back."""
-        result = None
-        try:
-            if error is None:
-                result = call.request.finish(reply, body, call.segments)
-        except Exception as exc:  # finish() raised — surface it
-            error = exc
-        finally:
-            self._release(call.segments)
-            call.segments = _INLINE
-        if error is not None:
-            call.future.set_exception(error)
-        else:
-            call.future.set_result(result)
-
-    def _resend(self, chan: _Channel, call: _Call) -> None:
-        try:
-            chan.send(call)
-        except ServiceError as exc:
-            self._finish_call(call, error=exc)
-
-    def _dispatch(self, chan: _Channel, reply: dict[str, Any],
-                  body: bytes) -> None:
-        with chan.lock:
-            call = chan.pending.pop(reply.get("id"), None)
-        if call is None:
-            return  # late or duplicate reply — drop it
-        status = reply.get("status")
-        try:
-            if status == "ok":
-                self._finish_call(call, reply=reply, body=body)
-            elif status == "busy":
-                delay = self._busy_delay(call.attempt, reply)
-                call.attempt += 1
-                timer = threading.Timer(delay, self._resend, args=(chan, call))
-                timer.daemon = True
-                timer.start()
-            else:
-                exc = _reply_error(call.header.get("op"), reply)
-                if not self._shm_rejected(exc, call.segments):
-                    raise exc
-                self._release(call.segments)
-                call.segments = _INLINE
-                call.header, call.payload, call.segments = \
-                    call.request.build(False)
-                chan.send(call)
-        except (ServiceError, ProtocolError) as exc:
-            self._finish_call(call, error=exc)
-
-    def _submit(self, request: _Request) -> "concurrent.futures.Future":
-        call = _Call(request)
-        # Not cancellable from here on: a reader or timer thread resolves it.
-        call.future.set_running_or_notify_cancel()
-        try:
-            chan = self._next_channel()
-            call.header, call.payload, call.segments = request.build(
-                request.nbytes >= protocol.SHM_MIN_BYTES
-                and self._shm_wanted()
-                and protocol.CAP_SHM in chan.conn.caps
-            )
-            chan.send(call)
-        except Exception as exc:
-            self._finish_call(call, error=exc)
-        return call.future
-
-    # -- operations ---------------------------------------------------------
 
     def compress_async(
         self,
@@ -1010,7 +960,7 @@ class PooledClient(_Client):
         value: float = 1e-3,
         options: dict[str, Any] | None = None,
         timeout_ms: float | None = None,
-    ) -> "concurrent.futures.Future":
+    ) -> concurrent.futures.Future:
         """Submit a COMPRESS; the future resolves to a CompressedBuffer."""
         return self._submit(self._compress_request(
             data, compressor, mode, value, options, timeout_ms
@@ -1022,11 +972,8 @@ class PooledClient(_Client):
         compressor: str | None = None,
         options: dict[str, Any] | None = None,
         timeout_ms: float | None = None,
-    ) -> "concurrent.futures.Future":
+    ) -> concurrent.futures.Future:
         """Submit a DECOMPRESS; the future resolves to an ndarray."""
         return self._submit(self._decompress_request(
             buf, compressor, options, timeout_ms
         ))
-
-    def _run(self, request: _Request) -> Any:
-        return self._submit(request).result()

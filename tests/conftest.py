@@ -107,3 +107,50 @@ def front_end():
                 yield router
 
     return start
+
+
+@pytest.fixture
+def fake_peer():
+    """Factory for a scripted one-connection MSG1 peer on a thread:
+    ``fake_peer(handle)`` grants the client's HELLO ``pipeline``, then
+    runs ``handle(conn)`` on the accepted socket until it returns or the
+    client hangs up.  A context manager yielding the port; ``rcvbuf``
+    pins the peer's socket receive buffer to that many bytes."""
+    import contextlib
+    import socket
+    import threading
+
+    from repro.errors import ProtocolError
+    from repro.service import protocol
+
+    @contextlib.contextmanager
+    def start(handle, rcvbuf: int | None = None):
+        server = socket.create_server(("127.0.0.1", 0))
+        if rcvbuf:
+            server.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, rcvbuf)
+
+        def run():
+            try:
+                conn, _ = server.accept()
+            except OSError:
+                return  # closed before a client dialed
+            with conn:
+                try:
+                    protocol.read_frame_sock(conn)
+                    protocol.write_frame_sock(conn, {
+                        "status": "ok",
+                        protocol.CAPS_FIELD: [protocol.CAP_PIPELINE],
+                    })
+                    handle(conn)
+                except (OSError, ProtocolError):
+                    pass  # the client hung up
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        try:
+            yield server.getsockname()[1]
+        finally:
+            server.close()
+            thread.join(timeout=5)
+
+    return start

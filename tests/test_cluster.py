@@ -264,7 +264,7 @@ class TestRoutedRequests:
                     ServiceClient(port=cluster.port) as client:
                 served_by = set()
                 for _ in range(5):
-                    reply, _ = client._request(
+                    reply, _ = client._call(
                         _compress_header(data), protocol.pack_array(data)
                     )
                     served_by.add(reply[protocol.SHARD_FIELD])
@@ -335,7 +335,7 @@ class TestFailoverAndHedging:
                         ServiceClient(port=cluster.port) as client:
                     data = _field_with_primary(shards, stub.endpoint)
                     t0 = time.monotonic()
-                    reply, body = client._request(
+                    reply, body = client._call(
                         _compress_header(data), protocol.pack_array(data)
                     )
                     elapsed = time.monotonic() - t0
@@ -364,7 +364,7 @@ class TestFailoverAndHedging:
                                    fail_after=10_000) as cluster, \
                         ServiceClient(port=cluster.port) as client:
                     data = _field_with_primary(shards, stub.endpoint)
-                    reply, body = client._request(
+                    reply, body = client._call(
                         _compress_header(data), protocol.pack_array(data)
                     )
                     assert reply["status"] == "ok" and len(body) > 0
@@ -436,7 +436,7 @@ class TestDrainAndReadmit:
                 # The survivor carries everything — including keys whose
                 # primary was the drained shard.
                 data = _field_with_primary([keep_ep, victim_ep], victim_ep)
-                reply, _ = client._request(
+                reply, _ = client._call(
                     _compress_header(data), protocol.pack_array(data)
                 )
                 assert reply["status"] == "ok"
@@ -449,7 +449,7 @@ class TestDrainAndReadmit:
                         lambda: sorted(serving()) == sorted([keep_ep,
                                                              victim_ep])
                     )
-                    reply, _ = client._request(
+                    reply, _ = client._call(
                         _compress_header(data), protocol.pack_array(data)
                     )
                     assert reply["status"] == "ok"

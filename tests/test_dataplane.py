@@ -489,11 +489,117 @@ class TestShmInlineEquivalence:
             with ServiceClient(port=port, shm=True) as client:
                 buf = client.compress(arr, "store", mode="abs", value=0.0)
                 assert buf.payload == arr.tobytes()
-                assert client._conn.negotiated
-                assert protocol.CAP_SHM not in client._conn.caps
+                granted = client._call({
+                    "op": "hello",
+                    protocol.CAPS_FIELD: [protocol.CAP_PIPELINE,
+                                          protocol.CAP_SHM],
+                })[0][protocol.CAPS_FIELD]
+                assert protocol.CAP_PIPELINE in granted  # HELLO answered
+                assert protocol.CAP_SHM not in granted
         finally:
             proc.terminate()
             proc.wait(timeout=30)
+
+
+# -- the client transport -----------------------------------------------------
+
+
+def _store_reply(header: dict, arr: np.ndarray) -> dict:
+    """The reply a daemon sends for a ``store`` COMPRESS of ``arr``."""
+    return {"status": "ok", "id": header["id"], "mode": "abs",
+            "parameter": 0.0, "dtype": arr.dtype.str,
+            "shape": list(arr.shape)}
+
+
+class TestClientTransport:
+    def test_reader_drains_replies_while_a_writer_is_stuck(self, fake_peer):
+        # A frame larger than the socket buffers blocks its writer once
+        # the peer stops reading (the daemon does so when its
+        # per-connection gate is full).  The reply the peer already sent
+        # must still complete its call, or the daemon's gate never opens.
+        small, big = _field(kib=4), _field(kib=8 << 10)
+        release = threading.Event()
+
+        def handle(conn):
+            header, payload = protocol.read_frame_sock(conn)
+            time.sleep(0.5)  # the big frame's writer is stuck by now
+            protocol.write_frame_sock(conn, _store_reply(header, small),
+                                      payload)
+            release.wait(10)  # ...and this peer never reads again
+
+        with fake_peer(handle, rcvbuf=1 << 16) as port:
+            with PooledClient(port=port, connections=1, shm=False,
+                              request_timeout_s=3.0) as pool:
+                first = pool.compress_async(small, "store", value=0.0)
+                stuck = threading.Thread(
+                    target=pool.compress_async, args=(big, "store"),
+                    kwargs={"value": 0.0}, daemon=True,
+                )
+                stuck.start()
+                try:
+                    buf = first.result(timeout=2.0)
+                finally:
+                    release.set()
+                assert buf.payload == small.tobytes()
+            stuck.join(timeout=10)
+            assert not stuck.is_alive()
+
+    def test_threads_sharing_one_client_get_their_own_replies(self):
+        # More callers than cores on one connection, switching often: a
+        # reply completed for the wrong call hands a thread another
+        # thread's bytes.
+        n_threads, per_thread = max(8, 4 * (os.cpu_count() or 1)), 20
+        fields = [_field(kib=4, seed=i) for i in range(n_threads)]
+        failures = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ServiceThread() as st, \
+                    ServiceClient(port=st.port, shm=False) as client:
+                def worker(i):
+                    for _ in range(per_thread):
+                        buf = client.compress(fields[i], "store", value=0.0)
+                        if buf.payload != fields[i].tobytes():
+                            failures.append(i)
+
+                threads = [threading.Thread(target=worker, args=(i,))
+                           for i in range(n_threads)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures
+
+    @pytest.mark.parametrize("pooled", [False, True],
+                             ids=["blocking", "pooled"])
+    def test_lost_reply_on_a_silent_connection_fails_on_time(
+        self, fake_peer, pooled
+    ):
+        # The peer answers the first call, then reads and drops the rest:
+        # the second call must fail request_timeout_s after it was sent,
+        # although the connection was already silent before it.
+        arr, timeout_s = _field(kib=4), 1.0
+
+        def handle(conn):
+            header, payload = protocol.read_frame_sock(conn)
+            protocol.write_frame_sock(conn, _store_reply(header, arr), payload)
+            while True:
+                protocol.read_frame_sock(conn)
+
+        opts = dict(shm=False, request_timeout_s=timeout_s)
+        with fake_peer(handle) as port:
+            client = (PooledClient(port=port, connections=1, **opts)
+                      if pooled else ServiceClient(port=port, **opts))
+            with client:
+                client.compress(arr, "store", value=0.0)
+                time.sleep(0.1)
+                t0 = time.monotonic()
+                with pytest.raises(ServiceError, match="timed out"):
+                    client.compress(arr, "store", value=0.0)
+                assert time.monotonic() - t0 < 1.5 * timeout_s
 
 
 # -- hygiene ------------------------------------------------------------------
@@ -639,7 +745,7 @@ class TestHedgeDrain:
                     options={"delay": 0.0},
                 )
                 assert buf.payload == arr.tobytes()
-                topo = client._request({"op": "cluster"}, b"")[0]
+                topo = client._call({"op": "cluster"}, b"")[0]
                 assert all(
                     s.get("pipelined") for s in topo["shards"]
                 ), topo["shards"]

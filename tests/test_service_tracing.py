@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.service import ServiceClient, ServiceThread, protocol
+from repro.service import PooledClient, ServiceClient, ServiceThread, protocol
 from repro.telemetry import context as trace_context
 from repro.telemetry.exposition import (
     PROM_CONTENT_TYPE,
@@ -53,20 +53,18 @@ class TestProtocolTraceField:
         assert protocol.TRACE_FIELD not in decoded
         assert trace_context.extract(decoded) is None
 
-    def test_untraced_client_header_carries_no_trace_field(self):
+    def test_untraced_client_header_carries_no_trace_field(self, fake_peer):
         captured = {}
-        original = ServiceClient._roundtrip
 
-        def spy(self, header, payload):
+        def handle(conn):
+            header, _ = protocol.read_frame_sock(conn)
             captured.update(header)
-            return {"status": "ok"}, b""
+            protocol.write_frame_sock(conn, {"status": "ok",
+                                             "id": header["id"]})
 
-        ServiceClient._roundtrip = spy
-        try:
-            client = ServiceClient(port=1)
+        with fake_peer(handle) as port, ServiceClient(port=port) as client:
             client.stats()
-        finally:
-            ServiceClient._roundtrip = original
+        assert captured["op"] == "stats"
         assert protocol.TRACE_FIELD not in captured
 
     def test_old_style_request_against_new_server(self):
@@ -147,6 +145,50 @@ class TestStitchedTraces:
             names = {s.name for s in spans if s.trace_id == trace_id}
             assert "service.request" in names
             assert "service.dispatch" in names
+
+    def test_async_call_under_an_ambient_trace_stitches_with_the_daemon(self):
+        with telemetry.enabled_telemetry("client") as tm:
+            with ServiceThread(max_pending=16) as svc:
+                with PooledClient(port=svc.port, connections=1) as pool:
+                    with trace_context.start_trace() as outer:
+                        pool.compress_async(
+                            _field(512), "sz", mode="abs", value=1e-3
+                        ).result(timeout=60)
+        tree = [s for s in tm.tracer.finished_spans()
+                if s.trace_id == outer.trace_id]
+        call = next(s for s in tree if s.name == "client.compress")
+        assert call.ctx_parent_id == outer.span_id
+        request = next(s for s in tree if s.name == "service.request")
+        assert request.ctx_parent_id == call.ctx_id
+        assert "service.dispatch" in {s.name for s in tree}
+
+    def test_busy_retry_records_a_busy_wait_span(self, fake_peer):
+        frames = []
+
+        def handle(conn):
+            for status in ("busy", "ok"):
+                header, _ = protocol.read_frame_sock(conn)
+                frames.append(header)
+                reply = {"status": status, "id": header["id"]}
+                if status == "busy":
+                    reply.update(code="queue_full", retry_after_ms=5)
+                protocol.write_frame_sock(conn, reply)
+
+        with telemetry.enabled_telemetry("client") as tm:
+            with fake_peer(handle) as port, \
+                    ServiceClient(port=port, retry_base_s=0.001) as client:
+                client.stats()
+        spans = tm.tracer.finished_spans()
+        call = next(s for s in spans if s.name == "client.stats")
+        wait = next(s for s in spans if s.name == "client.busy_wait")
+        assert wait.attrs["attempt"] == 1
+        assert wait.attrs["code"] == "queue_full"
+        assert wait.attrs["delay_ms"] >= 5.0 * 0.5  # the hint, jittered
+        assert wait.trace_id == call.trace_id
+        assert wait.ctx_parent_id == call.ctx_id
+        # The re-send is the same call: both frames carry its context.
+        assert [trace_context.extract(f).span_id for f in frames] == \
+            [call.ctx_id] * 2
 
     def test_dispatch_span_is_tagged_with_request_id_and_batch_size(self):
         with telemetry.enabled_telemetry("client") as tm:
@@ -242,7 +284,7 @@ class TestExposition:
     def test_metrics_op_reply_carries_content_type(self):
         with ServiceThread(max_pending=8) as svc:
             with ServiceClient(port=svc.port) as client:
-                reply, body = client._request({"op": "metrics"})
+                reply, body = client._call({"op": "metrics"})
         assert reply["content_type"] == PROM_CONTENT_TYPE
         assert b"# TYPE" in body
 
