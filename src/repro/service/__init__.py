@@ -18,8 +18,8 @@ process start-up and codec warm-up per field.
   answers COMPRESS/DECOMPRESS/SWEEP/SESSION_*/LIST/HEALTH/STATS/
   METRICS; :class:`ServiceThread` embeds it.
 * :mod:`repro.service.client` — one pipelined transport (connect/busy
-  retry with jittered backoff, per-call deadlines, a reader thread per
-  connection): :class:`ServiceClient` pins it to one connection, the
+  retry with jittered backoff, per-call deadlines, one reading thread
+  per connection at a time): :class:`ServiceClient` pins it to one connection, the
   multiplexing :class:`PooledClient` spreads calls over several.
 * :mod:`repro.service.cluster` — the multi-node fabric: a
   :class:`ClusterRouter`, a ``FrameServer`` that spreads requests over

@@ -4,20 +4,21 @@
 :class:`PooledClient` the many-requests-in-flight one; both are the same
 transport.  Every call is a request registered under a per-connection
 ``id`` on a pipelined MSG1 connection, its frame written under a send
-lock, and its reply read by that connection's reader thread, which
-completes the call's future — in any order.  A blocking call is the
-future's ``.result()``.  ``ServiceClient`` is that transport pinned to
-one connection; ``PooledClient`` spreads calls round-robin over
-``connections`` of them and also hands out the futures
-(``compress_async``/``decompress_async``).  The operational edges a
-simulation loop needs are handled inside —
+lock, and its future completed — in any order — by the one thread
+reading that connection: a blocking caller reads for itself when no
+one else is reading (so a lone caller pays no thread hand-off), else
+the connection's reader thread does.  ``ServiceClient`` is that
+transport pinned to one connection; ``PooledClient`` spreads calls
+round-robin over ``connections`` of them and also hands out the
+futures (``compress_async``/``decompress_async``).  The operational
+edges a simulation loop needs are handled inside —
 
 * **connect retry**: the daemon may still be binding when the client
   starts; connection attempts back off within ``connect_timeout_s``.
   Every dial is followed by one HELLO round trip that negotiates the
   ``pipeline`` and ``shm`` capabilities;
 * **backpressure retry**: a ``busy`` reply (admission queue full) is
-  re-sent off the reader thread after a capped exponential backoff
+  re-sent on a timer thread after a capped exponential backoff
   *plus jitter* (decorrelating a fleet of clients that would otherwise
   retry in lockstep), honoring the server's ``retry_after_ms`` hint, up
   to ``busy_retries`` times before :class:`~repro.errors.ServiceBusyError`;
@@ -148,6 +149,7 @@ class _Call:
     attempt: int = 0
     deadline: float = 0.0
     id: int = 0
+    claimed: bool = False  # its blocking caller will read for it once sent
     trace: trace_context.TraceContext | None = None
     tracer: Tracer | None = None
     started: float = 0.0
@@ -206,13 +208,14 @@ def _buffer_from_reply(
 
 class _Channel:
     """One pipelined connection, dialed and HELLOed on construction: an
-    id→call table under ``lock``, frame writes under ``send_lock``, and a
-    reader thread that completes calls as their replies arrive.
-
-    The two locks are separate so a writer blocked on a full socket
-    (the daemon stops reading once its per-connection gate is full)
-    never stops the reader from draining the replies that open the
-    gate.  The reader never writes.
+    id→call table under ``lock``, frame writes under ``send_lock``, and
+    a read role (``reading``) held by one thread at a time — a blocking
+    caller, once its frame is written, until its call leaves the table;
+    else the reader thread, while a call has no such caller.  The two
+    locks are separate, and no thread reads while it writes, so a writer
+    blocked on a full socket (the daemon stops reading once its
+    per-connection gate is full) never stops the replies that open the
+    gate from being drained.
     """
 
     def __init__(self, client: "_Client") -> None:
@@ -224,14 +227,17 @@ class _Channel:
             self.sock.close()
             raise ServiceError(f"capability handshake failed: {exc}") from exc
         self.lock = threading.Lock()
+        #: Wakes the reader thread: a call needs it, or the connection died.
+        self.changed = threading.Condition(self.lock)
         self.send_lock = threading.Lock()
         self.pending: dict[int, _Call] = {}
         self.next_id = 0
+        self.reading = False  # some thread holds the read role
         self.dead = False
         self._poll = select.poll()
         self._poll.register(self.sock, select.POLLIN)
         self.reader = threading.Thread(
-            target=self._read_loop, name="repro-client-reader", daemon=True
+            target=self._reader, name="repro-client-reader", daemon=True
         )
         self.reader.start()
 
@@ -282,8 +288,10 @@ class _Channel:
         )
         return frozenset(caps if isinstance(caps, list) else ())
 
-    def send(self, call: _Call) -> None:
-        """Register ``call`` under a fresh id, then write its frame.
+    def send(self, call: _Call, lead: bool = False) -> bool:
+        """Register ``call`` under a fresh id, then write its frame;
+        True when ``lead`` (the caller will read for it) got the read
+        role, which the caller must then hold through :meth:`read`.
 
         Raises only while the caller still owns ``call``: once a reply,
         the expiry or :meth:`fail` has taken it from the table, they
@@ -296,28 +304,57 @@ class _Channel:
             self.next_id += 1
             call.id = call.header["id"] = self.next_id
             call.deadline = time.monotonic() + self.client.request_timeout_s
+            call.claimed = lead
             self.pending[call.id] = call
+            if not lead and not self.reading:
+                self.changed.notify()
         with self.send_lock:
             if call.id not in self.pending:
-                return  # expired while waiting its turn
+                return False  # expired while waiting its turn
             try:
                 protocol.write_frame_sock(self.sock, call.header, call.payload)
-                return
+                error = None
             except OSError as exc:
                 error = ServiceError(f"send failed: {exc}")
         with self.lock:
+            call.claimed = False
+            if error is None:
+                if lead and not self.reading and call.id in self.pending:
+                    self.reading = True
+                    return True
+                return False
             mine = self.pending.pop(call.id, None) is call
         self.fail(error)
         if mine:
             raise error
+        return False
 
-    def _read_loop(self) -> None:
-        """Wait for a frame only until the earliest deadline in the table,
-        then read the whole frame (a timeout mid-frame would desync the
-        stream, so it kills the connection instead)."""
+    def _reader(self) -> None:
+        """Read while a call has no caller reading for it; close the
+        socket once the connection is dead and no one reads it."""
+        while True:
+            with self.lock:
+                while self.reading or not (self.dead or self._orphans()):
+                    self.changed.wait()
+                if self.dead:
+                    break
+                self.reading = True
+            self.read(lambda: not self._orphans())
+        self.sock.close()
+
+    def _orphans(self) -> bool:
+        """A call in the table has no caller reading for it (under lock)."""
+        return any(not c.claimed for c in self.pending.values())
+
+    def read(self, done: Callable[[], bool]) -> None:
+        """Read and complete replies until ``done()`` (checked under
+        ``lock``), then release the read role.  Waits for a frame only
+        until the earliest deadline in the table, then reads the whole
+        frame (a timeout mid-frame would desync the stream, so it kills
+        the connection instead)."""
         try:
-            while True:
-                if self._poll.poll(self._expire() * 1e3):
+            while (timeout := self._expire(done)) is not None:
+                if self._poll.poll(timeout * 1e3):
                     reply, body = protocol.read_frame_sock(self.sock)
                     self.client._on_reply(self, reply, body)
         except Exception as exc:  # noqa: BLE001 - every call must resolve
@@ -325,11 +362,15 @@ class _Channel:
             error.__cause__ = exc
             self.fail(error)
         finally:
-            self.sock.close()
+            with self.lock:
+                self.reading = False
+                if self.dead or self._orphans():
+                    self.changed.notify()
 
-    def _expire(self) -> float:
+    def _expire(self, done: Callable[[], bool]) -> float | None:
         """Fail every call whose ``request_timeout_s`` has passed; the
-        seconds until the next deadline."""
+        seconds until the next deadline, or None once the connection is
+        dead or ``done()``."""
         now = time.monotonic()
         with self.lock:
             overdue = [c for c in self.pending.values() if c.deadline <= now]
@@ -339,17 +380,19 @@ class _Channel:
                 (c.deadline for c in self.pending.values()),
                 default=now + self.client.request_timeout_s,
             )
+            stop = self.dead or done()
         for call in overdue:
             self.client._finish(call, error=ServiceError("request timed out"))
-        return max(0.0, upcoming - now)
+        return None if stop else max(0.0, upcoming - now)
 
     def fail(self, exc: Exception) -> None:
         """Kill the connection, failing every call in flight with ``exc``;
-        the reader wakes to the shutdown, exits and closes the socket."""
+        whoever reads stops at the shutdown (see :meth:`_reader`)."""
         with self.lock:
             self.dead = True
             calls = list(self.pending.values())
             self.pending.clear()
+            self.changed.notify()
         with contextlib.suppress(OSError):
             self.sock.shutdown(socket.SHUT_RDWR)
         for call in calls:
@@ -577,11 +620,15 @@ class _Client:
 
     # -- the transport: submit, (re)send, reply, finish -----------------------
 
-    def _submit(self, request: _Request) -> concurrent.futures.Future:
-        """Send ``request``; the future resolves to its result.  Traced
-        (telemetry on) calls get a child of the ambient context — or a
-        fresh trace — and record their ``client.<op>`` span on
-        completion; untraced ones carry the ambient context, if any."""
+    def _submit(
+        self, request: _Request, lead: bool = False
+    ) -> concurrent.futures.Future:
+        """Send ``request``; the future resolves to its result.  With
+        ``lead`` (a blocking call) this thread reads for it unless
+        another one is reading the connection.  Traced (telemetry on)
+        calls get a child of the ambient context — or a fresh trace —
+        and record their ``client.<op>`` span on completion; untraced
+        ones carry the ambient context, if any."""
         call = _Call(request, self._epoch)
         tm = get_telemetry()
         call.trace = trace_context.current()
@@ -591,9 +638,11 @@ class _Client:
             )
             call.trace, call.tracer = outer.child(), tm.tracer
             call.started = call.tracer.now()
-        # Not cancellable from here on: a reader or timer thread resolves it.
+        # Not cancellable from here on: a reading or timer thread resolves it.
         call.future.set_running_or_notify_cancel()
-        self._send(call)
+        chan = self._send(call, lead)
+        if chan is not None:
+            chan.read(lambda: chan.pending.get(call.id) is not call)
         return call.future
 
     def _call(
@@ -605,13 +654,14 @@ class _Client:
             str(header.get("op")), 0,
             lambda use_shm: (dict(header), payload, _INLINE),
             lambda reply, body, segments: (reply, body),
-        )).result()
+        ), lead=True).result()
 
-    def _send(self, call: _Call) -> None:
+    def _send(self, call: _Call, lead: bool = False) -> _Channel | None:
         """Write ``call`` on the next connection, building its frame
         first if it has none (through shm when that connection granted
-        it).  Runs on the caller's thread, or a timer's for a re-send —
-        never on a reader."""
+        it); with ``lead``, the connection whose read role this thread
+        got, if any.  Runs on the caller's thread, or a timer's for a
+        re-send — never on one that is reading."""
         try:
             if call.epoch != self._epoch:
                 raise ServiceError("client closed")
@@ -626,9 +676,10 @@ class _Client:
                 if call.trace is not None:
                     call.header[protocol.TRACE_FIELD] = \
                         call.trace.to_traceparent()
-            chan.send(call)
+            return chan if chan.send(call, lead) else None
         except Exception as exc:
             self._finish(call, error=exc)
+            return None
 
     def _send_later(self, call: _Call, delay: float = 0.0, **busy: Any) -> None:
         """Re-send ``call`` after ``delay`` seconds on a timer thread;
@@ -651,7 +702,7 @@ class _Client:
     def _on_reply(
         self, chan: _Channel, reply: dict[str, Any], body: bytes
     ) -> None:
-        """A reply off ``chan``'s reader: finish its call, or hand it to
+        """A reply read off ``chan``: finish its call, or hand it to
         a timer to re-send (``busy``; an shm rejection goes inline)."""
         with chan.lock:
             call = chan.pending.pop(reply.get("id"), None)
@@ -738,7 +789,7 @@ class _Client:
         """
         return self._submit(self._compress_request(
             data, compressor, mode, value, options, timeout_ms
-        )).result()
+        ), lead=True).result()
 
     def decompress(
         self,
@@ -750,7 +801,7 @@ class _Client:
         """Decompress a buffer remotely (codec from ``buf.meta`` by default)."""
         return self._submit(self._decompress_request(
             buf, compressor, options, timeout_ms
-        )).result()
+        ), lead=True).result()
 
     def sweep(
         self,
@@ -767,7 +818,7 @@ class _Client:
         (``row["cache"] == "hit"``).
         """
         return self._submit(
-            self._sweep_request(data, sweeps, field, timeout_ms)
+            self._sweep_request(data, sweeps, field, timeout_ms), lead=True
         ).result()
 
     # -- stateful sessions (docs/INSITU.md) ---------------------------------
@@ -819,7 +870,7 @@ class _Client:
         """
         return self._submit(self._session_step_request(
             session_id, data, expect_ref, timeout_ms
-        )).result()
+        ), lead=True).result()
 
     def session_close(self, session_id: str) -> dict[str, Any]:
         """Tear down a session; returns its step/byte accounting."""

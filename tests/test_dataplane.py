@@ -544,6 +544,67 @@ class TestClientTransport:
             stuck.join(timeout=10)
             assert not stuck.is_alive()
 
+    def test_lone_blocking_caller_reads_its_own_reply(self, monkeypatch):
+        # One caller, one connection: the reply is read on the calling
+        # thread, with no hand-off to the reader thread and back.
+        from repro.service import client as client_mod
+
+        readers = []
+        on_reply = client_mod._Client._on_reply
+
+        def spy(self, chan, reply, body):
+            readers.append(threading.current_thread())
+            return on_reply(self, chan, reply, body)
+
+        monkeypatch.setattr(client_mod._Client, "_on_reply", spy)
+        arr = _field(kib=4)
+        with ServiceThread() as st, \
+                ServiceClient(port=st.port, shm=False) as client:
+            client.health()
+            assert client.compress(arr, "store", value=0.0).payload \
+                == arr.tobytes()
+        assert len(readers) == 2
+        assert all(t is threading.current_thread() for t in readers)
+
+    def test_reader_thread_reads_for_a_caller_once_the_reading_one_returns(
+        self, fake_peer
+    ):
+        # A's call holds the read role when B's frame goes out, so B waits
+        # for A to read its reply; A returns first, and B's reply must
+        # still be read (by the reader thread) rather than hang B.
+        a, b = _field(kib=4, seed=1), _field(kib=4, seed=2)
+        first_read = threading.Event()
+
+        def handle(conn):
+            first, p1 = protocol.read_frame_sock(conn)
+            first_read.set()
+            second, p2 = protocol.read_frame_sock(conn)
+            time.sleep(0.2)
+            protocol.write_frame_sock(conn, _store_reply(first, a), p1)
+            time.sleep(0.2)
+            protocol.write_frame_sock(conn, _store_reply(second, b), p2)
+            protocol.read_frame_sock(conn)  # until the client hangs up
+
+        results = {}
+
+        def call(name, arr):
+            results[name] = client.compress(arr, "store", value=0.0).payload
+
+        with fake_peer(handle) as port:
+            with ServiceClient(port=port, shm=False,
+                               request_timeout_s=5.0) as client:
+                threads = [threading.Thread(target=call, args=("a", a),
+                                            daemon=True)]
+                threads[0].start()
+                assert first_read.wait(5)
+                threads.append(threading.Thread(target=call, args=("b", b),
+                                                daemon=True))
+                threads[1].start()
+                for t in threads:
+                    t.join(timeout=3)
+                assert not any(t.is_alive() for t in threads)
+        assert results == {"a": a.tobytes(), "b": b.tobytes()}
+
     def test_threads_sharing_one_client_get_their_own_replies(self):
         # More callers than cores on one connection, switching often: a
         # reply completed for the wrong call hands a thread another
