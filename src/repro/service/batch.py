@@ -7,11 +7,11 @@ on threads.  The :class:`Batcher` decides *when* a request runs and
 
 * **Slots.**  At most ``slots`` dispatches are in flight at once, each
   on one thread of the batcher's own codec pool (a
-  ``ThreadPoolExecutor(max_workers=slots)`` that session steps share —
-  the daemon never runs codec work on more threads than that, and each
-  thread keeps one malloc arena).  ``slots`` is the server's explicit
-  ``workers`` value when one was given (``workers=1``: strictly one
-  dispatch at a time) and the core count otherwise.
+  ``ThreadPoolExecutor(max_workers=slots)`` — the daemon never runs
+  codec work on more threads than that, and each thread keeps one
+  malloc arena).  ``slots`` is the server's explicit ``workers`` value
+  when one was given (``workers=1``: strictly one dispatch at a time)
+  and the core count otherwise.
 * **Dispatch on arrival.**  A request admitted while a slot is free
   starts at once, alone: no timer, no consumer task in between.
 * **Small requests on the loop.**  Such a request that is also
@@ -40,7 +40,11 @@ on threads.  The :class:`Batcher` decides *when* a request runs and
   event-loop task per group), not codec work: each request is one
   GIL-free codec call, so the slots are the daemon's parallelism and
   COMPRESS/DECOMPRESS never leave its process.
-  Only a SWEEP's CBench cell fan-out may use worker processes.
+* **Server-owned ops.**  A SWEEP or SESSION_STEP carries its ``body``,
+  the server's work over the request's input array; the batcher admits,
+  queues, expires and dispatches it like a codec request, alone (its
+  work key is its own) and on a codec thread.  Only a SWEEP's CBench
+  cell fan-out may use worker processes.
 
 Results (or exceptions) resolve the per-request futures the connection
 handlers await; the batcher never touches sockets.
@@ -65,7 +69,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -140,6 +144,9 @@ class PendingRequest:
     #: then empty): the zero-copy data plane.  The codec call attaches
     #: the client's segment in place — it is *never* re-published.
     shm: ShmDescriptor | None = None
+    #: A server-owned op's work (SWEEP, SESSION_STEP): called on a codec
+    #: thread with the request's input array; ``None`` for the codec ops.
+    body: Callable[[np.ndarray], Any] | None = None
 
     def group_key(self) -> tuple:
         """Requests with equal keys coalesce into one dispatch."""
@@ -150,8 +157,7 @@ class PendingRequest:
                     h.get("mode"), h.get("value"))
         if self.op == "decompress":
             return ("decompress", h.get("compressor"), options)
-        # Sweeps are heavyweight and carry their own fan-out; never merge.
-        return ("sweep", id(self))
+        return (self.op, id(self))  # a server-owned op never merges
 
 
 def bounded(request: PendingRequest) -> bool:
@@ -253,12 +259,15 @@ def _decompress_one(
         return ServiceError(f"bad decompress fields: {exc}")
 
 
+def _body_one(request: PendingRequest) -> Any:
+    """A server-owned op: its body over the request's input array (a
+    client segment as a zero-copy view)."""
+    with payload_view(request.header, request.payload, request.shm) as view:
+        return request.body(view)
+
+
 class Batcher:
     """Admission queue + slot-bounded dispatcher (see module docstring)."""
-
-    #: Assigned by the server: callable(PendingRequest) -> list[dict],
-    #: the CBench fan-out of one SWEEP.
-    sweep_runner = None
 
     def __init__(
         self, max_pending: int = 64, workers: int | None = None
@@ -269,7 +278,7 @@ class Batcher:
         #: (``workers`` when given, else one per CPU).
         self.slots = resolve_workers(workers or 0)
         #: The codec thread pool (live between :meth:`start` and
-        #: :meth:`close`); session steps run on it too.
+        #: :meth:`close`).
         self.pool: ThreadPoolExecutor | None = None
         self._pending: deque[PendingRequest] = deque()
         self._inflight: set[asyncio.Task] = set()
@@ -454,25 +463,21 @@ class Batcher:
         """One dispatch, on a codec-pool thread: the result (or
         ReproError) of each request of ``group``, run in order."""
         h = group[0].header
-        codec = (h.get("compressor"), dict(h.get("options") or {}))
-        if group[0].op == "sweep":
-            # Never coalesced.  The CBench fan-out is the server's
-            # (``sweep_runner``: cache wiring, record shaping).
-            if self.sweep_runner is None:
-                raise ServiceError("this server does not accept SWEEP")
-            run = self.sweep_runner
+        if group[0].body is not None:  # never coalesced: a group of one
+            run = _body_one
         elif group[0].op == "decompress":
-            run = partial(_decompress_one, codec)
+            run = partial(_decompress_one, (
+                h.get("compressor"), dict(h.get("options") or {})))
         else:
-            run = partial(
-                _compress_one, (*codec, h.get("mode"), h.get("value"))
-            )
+            run = partial(_compress_one, (
+                h.get("compressor"), dict(h.get("options") or {}),
+                h.get("mode"), h.get("value")))
         results = []
         for request, ctx in zip(group, ctxs):
             # ``run_in_executor`` does not propagate contextvars, so each
-            # request's context is activated here; its codec spans (and a
-            # SWEEP's CBench cells, also from worker processes) chain
-            # under its dispatch span.
+            # request's context is activated here; its codec spans (a
+            # session step's too, and a SWEEP's CBench cells, also from
+            # worker processes) chain under its dispatch span.
             with trace_context.use(ctx):
                 results.append(run(request))
         return results

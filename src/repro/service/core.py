@@ -459,10 +459,10 @@ class FrameServer:
         }
 
     def _latency_summary(self) -> dict[str, Any]:
-        """The ``latency`` section of STATS (``window`` is the deprecated
-        alias of ``window_n``, the sample count behind the percentiles)."""
+        """The ``latency`` section of STATS (``window_n``: the sample
+        count behind the percentiles)."""
         window = list(self._latencies)
-        out: dict[str, Any] = {"window": len(window), "window_n": len(window)}
+        out: dict[str, Any] = {"window_n": len(window)}
         if window:
             out.update(
                 p50_ms=percentile(window, 50) * 1e3,

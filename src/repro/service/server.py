@@ -78,7 +78,8 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
-from typing import Any
+from functools import partial
+from typing import Any, Callable
 
 import numpy as np
 
@@ -95,7 +96,6 @@ from repro.service.batch import (
     Batcher,
     PendingRequest,
     jsonable,
-    payload_view,
 )
 from repro.service.core import (
     RETRY_AFTER_MS,
@@ -160,7 +160,6 @@ class CompressionService(FrameServer):
             cache = ResultCache(cache)
         self.cache = cache
         self.batcher = Batcher(max_pending=max_pending, workers=workers)
-        self.batcher.sweep_runner = self._run_sweep
         #: Stateful temporal-compression streams (docs/INSITU.md).
         self.sessions = SessionTable(
             max_sessions=max_sessions, idle_s=session_idle_s
@@ -225,22 +224,27 @@ class CompressionService(FrameServer):
         elif op in ("compress", "decompress", "sweep"):
             await self._serve_queued(conn, op, header, payload, reply)
         elif op in ("session_open", "session_step", "session_close"):
-            await self._serve_session(op, header, payload, reply)
+            await self._serve_session(conn, op, header, payload, reply)
         else:
             await reply(
                 {"status": "error", "code": "bad_op",
                  "error": f"unknown op {op!r}"}
             )
 
-    async def _shm_fields(
-        self, header: dict[str, Any], reply: Reply
-    ) -> tuple[ShmDescriptor | None, tuple[str, int] | None] | None:
-        """The request's payload segment and offered reply segment.
+    async def _admit(
+        self,
+        conn: Connection,
+        op: str,
+        header: dict[str, Any],
+        payload: bytes,
+        reply: Reply,
+        body: Callable[[np.ndarray], Any] | None = None,
+    ) -> tuple[Any, tuple[str, int] | None] | None:
+        """Admit a data-plane request and await its result.
 
-        ``None`` means the request segment cannot be served and an error
-        reply went out already.  The attach here only fails fast, in
-        this process and with a clean error code, when the segment is
-        gone or short; whoever consumes the data attaches again.
+        Returns ``(result, offered reply segment)``; ``None`` means an
+        error, ``busy`` or ``deadline`` reply went out already.  ``body``
+        is a server-owned op's work (:attr:`PendingRequest.body`).
         """
         tm = get_telemetry()
         shm_desc = None
@@ -257,6 +261,8 @@ class CompressionService(FrameServer):
                      "error": "REPRO_NO_SHM is set on the server"}
                 )
                 return None
+            # Fail fast, here and with a clean code, when the segment is
+            # gone or short; whoever consumes the data attaches again.
             try:
                 SharedArray.attach(shm_desc).close()
             except (DataError, OSError) as exc:
@@ -273,29 +279,11 @@ class CompressionService(FrameServer):
             reply_shm = protocol.parse_reply_shm(
                 header[protocol.REPLY_SHM_FIELD]
             )
-        return shm_desc, reply_shm
-
-    async def _serve_queued(
-        self,
-        conn: Connection,
-        op: str,
-        header: dict[str, Any],
-        payload: bytes,
-        reply: Reply,
-    ) -> None:
-        """Admit a data-plane request and await its batched result."""
-        segments = await self._shm_fields(header, reply)
-        if segments is None:
-            return
-        shm_desc, reply_shm = segments
         timeout_ms = header.get("timeout_ms")
         if timeout_ms is None and self.default_timeout_s is not None:
             timeout_ms = self.default_timeout_s * 1e3
-        deadline = (
-            time.perf_counter() + float(timeout_ms) / 1e3
-            if timeout_ms is not None
-            else None
-        )
+        deadline = (None if timeout_ms is None
+                    else time.perf_counter() + float(timeout_ms) / 1e3)
         request = PendingRequest(
             op=op,
             header=header,
@@ -307,26 +295,46 @@ class CompressionService(FrameServer):
             ctx=trace_context.current(),
             request_seq=self._requests_total,
             shm=shm_desc,
+            body=body,
         )
         if not self.batcher.admit(request, self._inflight):
             await reply(
                 {"status": "busy", "code": "busy",
                  "retry_after_ms": RETRY_AFTER_MS}
             )
-            return
+            return None
+        # While it waits, a CANCEL frame can revoke the request (the core
+        # then answers it ``cancelled``) — except a session step: once on
+        # a codec thread it advances the encoder reference whether or
+        # not anyone waits for it.
+        rid = None if op == "session_step" else header.get("id")
         try:
-            # While it waits, a CANCEL frame can revoke the request: the
-            # core then answers it ``cancelled``.
-            with conn.cancellable(header.get("id"), request.future):
+            with conn.cancellable(rid, request.future):
                 result = await request.future
         except TimeoutError as exc:
             await reply(
                 {"status": "error", "code": "deadline", "error": str(exc)}
             )
-            return
+            return None
         except asyncio.CancelledError:
             request.future.cancel()  # revoked or torn down: drop the work
             raise
+        return result, reply_shm
+
+    async def _serve_queued(
+        self,
+        conn: Connection,
+        op: str,
+        header: dict[str, Any],
+        payload: bytes,
+        reply: Reply,
+    ) -> None:
+        """Serve a COMPRESS, DECOMPRESS or SWEEP through the batcher."""
+        body = partial(self._sweep_records, header) if op == "sweep" else None
+        admitted = await self._admit(conn, op, header, payload, reply, body)
+        if admitted is None:
+            return
+        result, reply_shm = admitted
         if op == "compress":
             await self._buffer_reply(
                 reply, result, reply_shm, compressor=header.get("compressor")
@@ -346,20 +354,23 @@ class CompressionService(FrameServer):
 
     async def _serve_session(
         self,
+        conn: Connection,
         op: str,
         header: dict[str, Any],
         payload: bytes,
-        reply,
+        reply: Reply,
     ) -> None:
         """Serve SESSION_OPEN / SESSION_STEP / SESSION_CLOSE.
 
-        Session steps bypass the batcher's queue: delta coding is
-        order-dependent, so steps of one session serialize on the
-        session's lock (different sessions still proceed concurrently on
-        the batcher's codec pool).  The codec's encoder reference lives here,
-        daemon-side; the reply echoes the post-step reference digest so
-        a desynced client fails fast instead of decoding garbage.
+        A session step is admitted and dispatched by the batcher like a
+        COMPRESS, under the session's lock: delta coding is
+        order-dependent, so steps of one session serialize on it while
+        different sessions proceed concurrently on codec slots.  The
+        codec's encoder reference lives here, daemon-side; the reply
+        echoes the post-step reference digest so a desynced client fails
+        fast instead of decoding garbage.
         """
+        tm = get_telemetry()
         if op == "session_open":
             await reply(self._session_open(header))
             return
@@ -375,7 +386,7 @@ class CompressionService(FrameServer):
                      "error": f"no open session {sid!r}"}
                 )
                 return
-            get_telemetry().count("service.session_closes")
+            tm.count("service.session_closes")
             await reply(
                 {"status": "ok", protocol.SESSION_FIELD: sid,
                  "steps": session.steps,
@@ -383,7 +394,54 @@ class CompressionService(FrameServer):
                  "bytes_out": session.bytes_out}
             )
             return
-        await self._session_step(sid, header, payload, reply)
+        session = self.sessions.get(sid)
+        if session is None:
+            await reply(
+                {"status": "error", "code": "no_session",
+                 "error": f"no open session {sid!r} "
+                          "(never opened, closed, evicted, or opened on "
+                          "a different shard)"}
+            )
+            return
+        async with session.lock:
+            # Fail fast on desync: the client tracks the reference digest
+            # it expects the daemon to hold; a mismatch means a lost or
+            # reordered step and the delta stream would decode garbage.
+            if "expect_ref" in header:
+                want = header["expect_ref"]
+                have = session.codec.encode_reference_digest
+                if want != have:
+                    tm.count("service.session_desyncs")
+                    await reply(
+                        {"status": "error", "code": "session_desync",
+                         "error": f"session {sid!r} holds reference "
+                                  f"{have or 'nothing'}, client expected "
+                                  f"{want or 'nothing'}"}
+                    )
+                    return
+            # The session rides with the request: a SESSION_CLOSE racing
+            # a queued step still lets the step finish.
+            admitted = await self._admit(
+                conn, "session_step", header, payload, reply,
+                partial(self._session_encode, session),
+            )
+        if admitted is None:
+            return
+        (buf, cache_state, nbytes_in), reply_shm = admitted
+        session.steps += 1
+        session.bytes_in += nbytes_in
+        session.bytes_out += len(buf.payload)
+        tm.count("service.session_steps")
+        tm.count("service.session_bytes_in", nbytes_in)
+        tm.count("service.session_bytes_out", len(buf.payload))
+        await self._buffer_reply(
+            reply, buf, reply_shm,
+            **{protocol.SESSION_FIELD: sid},
+            step=buf.meta["step"],
+            keyframe=buf.meta["keyframe"],
+            ref=buf.meta["ref_after"],
+            cache=cache_state,
+        )
 
     def _session_open(self, header: dict[str, Any]) -> dict[str, Any]:
         compressor = str(header.get("compressor", "sz"))
@@ -426,78 +484,10 @@ class CompressionService(FrameServer):
             "keyframe_every": keyframe_every,
         }
 
-    async def _session_step(
-        self,
-        sid: str,
-        header: dict[str, Any],
-        payload: bytes,
-        reply,
-    ) -> None:
-        tm = get_telemetry()
-        session = self.sessions.get(sid)
-        if session is None:
-            await reply(
-                {"status": "error", "code": "no_session",
-                 "error": f"no open session {sid!r} "
-                          "(never opened, closed, evicted, or opened on "
-                          "a different shard)"}
-            )
-            return
-        segments = await self._shm_fields(header, reply)
-        if segments is None:
-            return
-        shm_desc, reply_shm = segments
-        codec = session.codec
-        async with session.lock:
-            # Fail fast on desync: the client tracks the reference digest
-            # it expects the daemon to hold; a mismatch means a lost or
-            # reordered step and the delta stream would decode garbage.
-            if "expect_ref" in header:
-                want = header["expect_ref"]
-                have = codec.encode_reference_digest
-                if want != have:
-                    tm.count("service.session_desyncs")
-                    await reply(
-                        {"status": "error", "code": "session_desync",
-                         "error": f"session {sid!r} holds reference "
-                                  f"{have or 'nothing'}, client expected "
-                                  f"{want or 'nothing'}"}
-                    )
-                    return
-            loop = asyncio.get_running_loop()
-            buf, cache_state, nbytes_in = await loop.run_in_executor(
-                self.batcher.pool, self._session_compress, session, header,
-                payload, shm_desc,
-            )
-        session.steps += 1
-        session.bytes_in += nbytes_in
-        session.bytes_out += len(buf.payload)
-        tm.count("service.session_steps")
-        tm.count("service.session_bytes_in", nbytes_in)
-        tm.count("service.session_bytes_out", len(buf.payload))
-        await self._buffer_reply(
-            reply, buf, reply_shm,
-            **{protocol.SESSION_FIELD: sid},
-            step=buf.meta["step"],
-            keyframe=buf.meta["keyframe"],
-            ref=buf.meta["ref_after"],
-            cache=cache_state,
-        )
-
-    def _session_compress(
-        self,
-        session: Session,
-        header: dict[str, Any],
-        payload: bytes,
-        shm_desc,
-    ) -> tuple[CompressedBuffer, str, int]:
-        """One session step on a codec-pool thread (session lock held)."""
-        with payload_view(header, payload, shm_desc) as arr:
-            return self._session_encode(session, arr)
-
     def _session_encode(
         self, session: Session, arr: np.ndarray
     ) -> tuple[CompressedBuffer, str, int]:
+        """One session step on a codec thread (session lock held)."""
         codec = session.codec
         knob = KNOB_FOR_MODE[session.mode]
         nbytes_in = int(arr.nbytes)
@@ -718,18 +708,12 @@ class CompressionService(FrameServer):
 
     # -- SWEEP body (runs on a codec-pool thread via the batcher) ----------
 
-    def _run_sweep(self, request: PendingRequest) -> list[dict[str, Any]]:
-        # A field in a client segment is swept as a zero-copy view.
-        with payload_view(request.header, request.payload, request.shm) as arr:
-            return self._sweep_records(request, arr)
-
     def _sweep_records(
-        self, request: PendingRequest, arr: np.ndarray
+        self, header: dict[str, Any], arr: np.ndarray
     ) -> list[dict[str, Any]]:
         from repro.foresight.cbench import CBench
         from repro.foresight.config import CompressorSweep
 
-        header = request.header
         field_name = str(header.get("field", "field"))
         entries = header.get("sweeps")
         if not isinstance(entries, list) or not entries:

@@ -127,7 +127,7 @@ def render_frame(
         "latency ms  p50 " + _fmt_ms(latency.get("p50_ms"))
         + "   p99 " + _fmt_ms(latency.get("p99_ms"))
         + "   mean " + _fmt_ms(latency.get("mean_ms"))
-        + f"   (n={int(latency.get('window_n', latency.get('window', 0)))})"
+        + f"   (n={int(latency.get('window_n', 0))})"
     )
 
     bytes_in = _counter(metrics, "service.bytes_in")

@@ -1,14 +1,14 @@
-"""Write the pinned ZFR1, HUF1 and TMP1 stream fixtures under
-``tests/golden/zfp/``, ``tests/golden/huffman/`` and ``tests/golden/temporal/``.
+"""Write the pinned SZ, ZFR1, HUF1 and TMP1 stream fixtures under
+``tests/golden/sz/``, ``zfp/``, ``huffman/`` and ``temporal/``.
 
 Run once, from a tree whose ``src/`` is committed, with the code whose
 streams are to be pinned::
 
     PYTHONPATH=src python tests/golden/make_codec_golden.py
 
-Same contract as ``make_sz_golden.py``: each fixture is ``<name>.npz``
-(``data`` | ``symbols`` = the input, ``payload`` = the stream bytes) plus
-one ``manifest.json`` row with the options and digests.  The *decode*
+Each fixture is ``<name>.npz`` (``data`` | ``symbols`` = the input,
+``payload`` = the stream bytes) plus one ``manifest.json`` row with the
+options and digests.  The *decode*
 half (stored ``payload`` -> ``recon_sha256``) holds forever; the
 *re-encode* half (input -> ``reencode_sha256``, and for HUF1 the code
 lengths -> ``lengths_sha256``) may move only through ``--reencode-only``
@@ -39,10 +39,9 @@ import numpy as np
 
 from repro import kernels
 from repro.compressors import TemporalCompressor, reference_digest
+from repro.compressors.sz import SZCompressor
 from repro.compressors.zfp import ZFPCompressor
 from repro.lossless import huffman as H
-
-from make_sz_golden import _field, array_digest
 
 HERE = Path(__file__).resolve().parent
 
@@ -51,6 +50,84 @@ TIERS = list(kernels.TIER_ORDER)
 
 ZFP_KNOBS = {"fixed_rate": "rate", "fixed_precision": "precision",
              "fixed_accuracy": "tolerance"}
+
+
+def array_digest(arr: np.ndarray) -> str:
+    """sha256 over dtype, shape and the C-order bytes."""
+    arr = np.ascontiguousarray(arr)
+    head = f"{arr.dtype.str}{arr.shape}".encode()
+    return hashlib.sha256(head + arr.tobytes()).hexdigest()
+
+
+def _field(shape: tuple[int, ...], dtype, seed: int, amp: float = 10.0,
+           offset: float = 0.0) -> np.ndarray:
+    """Smooth trend + a noisy patch: some blocks favour regression,
+    some Lorenzo, so the adaptive selector is exercised both ways."""
+    rng = np.random.default_rng(seed)
+    axes = np.meshgrid(*[np.linspace(0.0, 3.0, s) for s in shape], indexing="ij")
+    smooth = sum((i + 1.0) * np.sin(a + 0.3 * i) for i, a in enumerate(axes))
+    noise = rng.standard_normal(shape)
+    noise[tuple(slice(0, max(1, s // 2)) for s in shape)] *= 0.01
+    return (offset + amp * smooth + noise).astype(dtype)
+
+
+def _pwrel_field(shape: tuple[int, ...], dtype, seed: int) -> np.ndarray:
+    """Log-normal magnitudes with negatives and exact zeros."""
+    rng = np.random.default_rng(seed)
+    data = np.exp(rng.normal(0.0, 2.0, shape)) * rng.choice([-1.0, 1.0], shape)
+    data.reshape(-1)[::7] = 0.0
+    return data.astype(dtype)
+
+
+def sz_fixtures() -> list[dict]:
+    f32, f64 = np.float32, np.float64
+    rows = [
+        # name, options, mode, value, data
+        ("abs_3d_f32_adaptive_ragged", {}, "abs", 2e-2, _field((13, 11, 9), f32, 1, 1.0)),
+        ("abs_3d_f64_adaptive_aligned", {}, "abs", 1e-3, _field((12, 12, 12), f64, 2)),
+        ("abs_2d_f32_lorenzo", {"predictor": "lorenzo"}, "abs", 5e-2,
+         _field((17, 10), f32, 3)),
+        ("abs_2d_f64_regression", {"predictor": "regression"}, "abs", 5e-2,
+         _field((14, 19), f64, 4)),
+        ("abs_1d_f32_adaptive", {}, "abs", 1e-2, _field((131,), f32, 5)),
+        # a large offset makes Lorenzo's first residual per block cost more
+        # than the two stored coefficients, so 1-D blocks pick regression
+        ("abs_1d_f64_adaptive_offset", {}, "abs", 1e-4,
+         _field((77,), f64, 17, 1.0, 1e9)),
+        ("abs_1d_f64_regression", {"predictor": "regression"}, "abs", 1e-4,
+         _field((50,), f64, 6)),
+        ("abs_3d_f32_single_block", {}, "abs", 1e-2, _field((4, 5, 3), f32, 7)),
+        ("abs_1d_f32_single_block", {"predictor": "lorenzo"}, "abs", 1e-3,
+         _field((5,), f32, 8)),
+        ("abs_3d_f32_auto_radius", {"radius": "auto"}, "abs", 1e-3,
+         _field((11, 13, 8), f32, 9, 1.0)),
+        ("abs_2d_f64_auto_radius_lorenzo",
+         {"radius": "auto", "predictor": "lorenzo"}, "abs", 1e-5,
+         _field((20, 9), f64, 10)),
+        ("abs_3d_f32_lzss", {"lossless": ["lzss"]}, "abs", 5e-2,
+         _field((10, 12, 14), f32, 11)),
+        ("abs_3d_f32_outliers", {"radius": 4}, "abs", 1e-3,
+         _field((9, 9, 9), f32, 12)),
+        ("abs_3d_f64_block4_chunk64", {"block_side": 4, "huffman_chunk": 64},
+         "abs", 1e-2, _field((9, 10, 11), f64, 13, 1.0)),
+        ("pwrel_3d_f32_zeros_negatives", {}, "pw_rel", 1e-1,
+         _pwrel_field((9, 8, 7), f32, 14)),
+        ("pwrel_1d_f64_regression", {"predictor": "regression"}, "pw_rel", 1e-2,
+         _pwrel_field((97,), f64, 15)),
+        ("pwrel_2d_f32_auto_radius", {"radius": "auto"}, "pw_rel", 5e-2,
+         _pwrel_field((15, 12), f32, 16)),
+    ]
+    return [
+        {"name": n, "options": o, "mode": m, "value": v, "data": d}
+        for n, o, m, v, d in rows
+    ]
+
+
+def sz_encode(row: dict, data: np.ndarray) -> tuple[bytes, np.ndarray]:
+    codec = SZCompressor(**row["options"])
+    knob = "pwrel" if row["mode"] == "pw_rel" else "error_bound"
+    buf = codec.compress(data, mode=row["mode"], **{knob: row["value"]})
+    return buf.payload, codec.decompress(buf.payload)
 
 
 def _smooth(shape: tuple[int, ...], dtype, seed: int, amp: float = 10.0) -> np.ndarray:
@@ -293,6 +370,7 @@ def _provenance() -> dict:
 
 #: subdirectory -> (fixtures, input key, encode)
 FAMILIES = {
+    "sz": (sz_fixtures, "data", sz_encode),
     "zfp": (zfp_fixtures, "data", zfp_encode),
     "huffman": (huffman_fixtures, "symbols", huffman_encode),
     "temporal": (temporal_fixtures, "series", temporal_encode),

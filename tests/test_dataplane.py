@@ -475,30 +475,31 @@ class TestShmInlineEquivalence:
         # REPRO_NO_SHM on the daemon: HELLO never grants the shm cap, so
         # a willing client ships inline without ever seeing an error.
         env = dict(os.environ, PYTHONPATH=str(SRC), REPRO_NO_SHM="1")
-        proc = subprocess.Popen(
+        # The with-block closes the stdout pipe and reaps the daemon.
+        with subprocess.Popen(
             [sys.executable, "-m", "repro.service", "serve",
              "--port", "0", "--quiet"],
             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
             text=True, env=env,
-        )
-        try:
-            line = proc.stdout.readline().strip()
-            assert line.startswith("serving on ")
-            port = int(line.rsplit(":", 1)[1])
-            arr = _field(kib=256)
-            with ServiceClient(port=port, shm=True) as client:
-                buf = client.compress(arr, "store", mode="abs", value=0.0)
-                assert buf.payload == arr.tobytes()
-                granted = client._call({
-                    "op": "hello",
-                    protocol.CAPS_FIELD: [protocol.CAP_PIPELINE,
-                                          protocol.CAP_SHM],
-                })[0][protocol.CAPS_FIELD]
-                assert protocol.CAP_PIPELINE in granted  # HELLO answered
-                assert protocol.CAP_SHM not in granted
-        finally:
-            proc.terminate()
-            proc.wait(timeout=30)
+        ) as proc:
+            try:
+                line = proc.stdout.readline().strip()
+                assert line.startswith("serving on ")
+                port = int(line.rsplit(":", 1)[1])
+                arr = _field(kib=256)
+                with ServiceClient(port=port, shm=True) as client:
+                    buf = client.compress(arr, "store", mode="abs", value=0.0)
+                    assert buf.payload == arr.tobytes()
+                    granted = client._call({
+                        "op": "hello",
+                        protocol.CAPS_FIELD: [protocol.CAP_PIPELINE,
+                                              protocol.CAP_SHM],
+                    })[0][protocol.CAPS_FIELD]
+                    assert protocol.CAP_PIPELINE in granted  # HELLO answered
+                    assert protocol.CAP_SHM not in granted
+            finally:
+                proc.terminate()
+                proc.wait(timeout=30)
 
 
 # -- the client transport -----------------------------------------------------
@@ -693,13 +694,13 @@ class TestSegmentHygiene:
                 "print('ready', flush=True)\n"
                 "os.kill(os.getpid(), 9)\n"
             )
-            proc = subprocess.Popen(
+            with subprocess.Popen(
                 [sys.executable, "-c", code, str(st.port)],
                 stdout=subprocess.PIPE, text=True,
                 env=dict(os.environ, PYTHONPATH=str(SRC)),
-            )
-            assert proc.stdout.readline().strip() == "ready"
-            proc.wait(timeout=30)
+            ) as proc:
+                assert proc.stdout.readline().strip() == "ready"
+                proc.wait(timeout=30)
             assert proc.returncode == -signal.SIGKILL
             # The dead client's resource tracker unlinks its segments.
             _wait_until(lambda: _psm_segments() <= before, timeout_s=20)
@@ -710,26 +711,26 @@ class TestSegmentHygiene:
     def test_sigterm_drain_leaves_no_segments(self):
         before = _psm_segments()
         env = dict(os.environ, PYTHONPATH=str(SRC))
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "repro.service", "serve",
              "--port", "0", "--quiet"],
             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
             text=True, env=env,
-        )
-        try:
-            line = proc.stdout.readline().strip()
-            assert line.startswith("serving on ")
-            port = int(line.rsplit(":", 1)[1])
-            arr = _field(kib=256)
-            with ServiceClient(port=port, shm=True) as client:
-                buf = client.compress(arr, "store", mode="abs", value=0.0)
-                assert buf.payload == arr.tobytes()
-                proc.send_signal(signal.SIGTERM)
-                assert proc.wait(timeout=30) == 0
-        finally:
-            if proc.poll() is None:  # pragma: no cover - cleanup on failure
-                proc.kill()
-                proc.wait(timeout=30)
+        ) as proc:
+            try:
+                line = proc.stdout.readline().strip()
+                assert line.startswith("serving on ")
+                port = int(line.rsplit(":", 1)[1])
+                arr = _field(kib=256)
+                with ServiceClient(port=port, shm=True) as client:
+                    buf = client.compress(arr, "store", mode="abs", value=0.0)
+                    assert buf.payload == arr.tobytes()
+                    proc.send_signal(signal.SIGTERM)
+                    assert proc.wait(timeout=30) == 0
+            finally:
+                if proc.poll() is None:  # pragma: no cover - cleanup on failure
+                    proc.kill()
+                    proc.wait(timeout=30)
         _wait_until(lambda: _psm_segments() <= before, timeout_s=10)
 
     def test_forked_worker_exit_does_not_unlink_parent_segments(self):

@@ -1,20 +1,19 @@
 """Pinned SZ, ZFP and Huffman streams: format drift is a failing test.
 
+One generator writes every family (``tests/golden/make_codec_golden.py``).
 The fixtures under ``tests/golden/sz/`` were written by the commit before
-the one-pass SZ kernels (``tests/golden/make_sz_golden.py``); those under
-``tests/golden/zfp/`` and ``tests/golden/huffman/`` by the last commit
-that had the seed ``scalar`` kernel tier, with all three tiers agreeing,
-and the 4-value and 16-value block rows added after them (HACC-like
-positions and velocities, f64, precision, accuracy) by the commit before
-the native ZFP coder was specialised per block size, with both tiers
-agreeing (``tests/golden/make_codec_golden.py``; each row names its
+the one-pass SZ kernels; those under ``tests/golden/zfp/`` and
+``tests/golden/huffman/`` by the last commit that had the seed ``scalar``
+kernel tier, with all three tiers agreeing, and the 4-value and 16-value
+block rows added after them (HACC-like positions and velocities, f64,
+precision, accuracy) by the commit before the native ZFP coder was
+specialised per block size, with both tiers agreeing (each row names its
 commit), and the TMP1 series under ``tests/golden/temporal/`` by the
 commit before the temporal closed loop stopped decoding its own frames.
-On
-every kernel tier each stored payload must decode to its pinned
+On every kernel tier each stored payload must decode to its pinned
 reconstruction digest — that half holds forever — and re-encoding the
 stored input must reproduce the pinned encoder digest, which only the
-generators' ``--reencode-only`` may move, in a commit that says why.
+generator's ``--reencode-only`` may move, in a commit that says why.
 """
 
 import hashlib
@@ -38,8 +37,8 @@ from test_fastpath_equivalence import BACKENDS
 GOLDEN = Path(__file__).resolve().parent / "golden"
 sys.path.insert(0, str(GOLDEN))
 from make_codec_golden import (  # noqa: E402
-    huffman_encode, split_frames, temporal_codec, temporal_encode, zfp_encode)
-from make_sz_golden import array_digest  # noqa: E402
+    array_digest, huffman_encode, split_frames, temporal_codec,
+    temporal_encode, zfp_encode)
 
 MANIFEST = json.loads((GOLDEN / "sz" / "manifest.json").read_text())
 ZFP_MANIFEST = json.loads((GOLDEN / "zfp" / "manifest.json").read_text())

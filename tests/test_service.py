@@ -9,11 +9,13 @@ import subprocess
 import sys
 import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.compressors import TemporalCompressor
 from repro.compressors.base import CompressedBuffer, Compressor, CompressorMode
 from repro.compressors.registry import (
     available_compressors,
@@ -70,10 +72,32 @@ class SleepyCompressor(Compressor):
         )
 
 
-try:
-    register_compressor("sleepy-test", SleepyCompressor)
-except ConfigError:  # re-imported module; already registered
-    pass
+class GatedCompressor(SleepyCompressor):
+    """Test-only codec whose calls hold their codec slot until the test
+    opens ``gate`` (at most ``HOLD_S``); ``entered`` is set once a call
+    reached a slot."""
+
+    name = "gated-test"
+    calls: list = []
+    HOLD_S = 10.0
+    entered = threading.Event()
+    gate = threading.Event()
+
+    def __init__(self) -> None:
+        super().__init__(delay=0.0)
+
+    def compress(self, data, error_bound=None, mode=None, **_):
+        self.entered.set()
+        self.gate.wait(self.HOLD_S)
+        return super().compress(data, error_bound, mode)
+
+
+for _name, _cls in (("sleepy-test", SleepyCompressor),
+                    ("gated-test", GatedCompressor)):
+    try:
+        register_compressor(_name, _cls)
+    except ConfigError:  # re-imported module; already registered
+        pass
 
 
 def _field(side: int = 12, seed: int = 7) -> np.ndarray:
@@ -219,7 +243,7 @@ class TestBasicOps(FrameLevelCases):
             client.compress(_field(8), "zfp", mode="fixed_rate", value=8.0)
             stats = client.stats()
             assert stats["requests_total"] >= 3
-            assert stats["latency"]["window"] >= 1
+            assert stats["latency"]["window_n"] >= 1
             assert stats["latency"]["p99_ms"] >= stats["latency"]["p50_ms"]
             assert _counter(stats, "service.requests.compress") >= 1
             assert _counter(stats, "service.bytes_in") > 0
@@ -521,6 +545,101 @@ class TestDeadlines:
                 stats = client.stats()
                 assert _counter(stats, "service.deadline_expired") >= expired0 + 1
             t.join(30)
+
+
+@contextmanager
+def _held_slot(port: int):
+    """Hold one codec slot with a ``gated-test`` COMPRESS for the block."""
+    GatedCompressor.entered.clear()
+    GatedCompressor.gate.clear()
+
+    def hold() -> None:
+        with ServiceClient(port=port) as client:
+            client.compress(_field(4), "gated-test", mode="abs", value=1.0)
+
+    t = threading.Thread(target=hold)
+    t.start()
+    try:
+        assert GatedCompressor.entered.wait(30), "the holder never ran"
+        yield
+    finally:
+        GatedCompressor.gate.set()
+        t.join(60)
+    assert not t.is_alive()
+
+
+def _wait_queued(client, depth: int, timeout_s: float = 5.0) -> None:
+    deadline = time.monotonic() + timeout_s
+    while client.health()["queue_depth"] < depth:
+        assert time.monotonic() < deadline, f"queue never reached {depth}"
+        time.sleep(0.01)
+
+
+class TestSessionStepAdmission:
+    """A SESSION_STEP is admitted like a COMPRESS: it queues for a slot,
+    expires at its deadline and bounces off a full queue — and neither
+    failure advances the daemon's encoder reference."""
+
+    BOUND = 0.5
+
+    def _series(self):
+        snaps = [_field(8, seed=s) for s in range(3)]
+        library = TemporalCompressor(inner="sz", keyframe_every=4)
+        return snaps, [
+            library.compress(s, mode="abs", error_bound=self.BOUND).payload
+            for s in snaps
+        ]
+
+    def test_a_step_queued_past_its_deadline_does_not_advance(self):
+        snaps, expected = self._series()
+        with ServiceThread(workers=1) as st, \
+                ServiceClient(port=st.port) as client:
+            session = client.session_open(
+                "sz", mode="abs", value=self.BOUND, keyframe_every=4
+            )
+            assert session.step(snaps[0])[1] == expected[0]
+            failed = []
+
+            def late_step() -> None:
+                try:
+                    session.step(snaps[1], timeout_ms=50)
+                except ServiceError as exc:
+                    failed.append(getattr(exc, "code", None))
+
+            with _held_slot(st.port):
+                t = threading.Thread(target=late_step)
+                t.start()
+                _wait_queued(client, 1)
+                time.sleep(0.1)  # the step's 50 ms run out in the queue
+            t.join(60)
+            assert failed == ["deadline"]
+            # Same expect_ref: the daemon still holds step 0's reference.
+            reply, stream = session.step(snaps[1])
+            assert reply["step"] == 1
+            assert [stream, session.step(snaps[2])[1]] == expected[1:]
+
+    def test_a_full_queue_answers_a_step_busy(self):
+        snaps, expected = self._series()
+        with ServiceThread(workers=1, max_pending=1) as st, \
+                ServiceClient(port=st.port, busy_retries=0) as client:
+            session = client.session_open(
+                "sz", mode="abs", value=self.BOUND, keyframe_every=4
+            )
+            assert session.step(snaps[0])[1] == expected[0]
+
+            def filler() -> None:
+                with ServiceClient(port=st.port) as other:
+                    other.compress(_field(4), "sz", mode="abs", value=0.5)
+
+            with _held_slot(st.port):
+                f = threading.Thread(target=filler)
+                f.start()
+                _wait_queued(client, 1)
+                with pytest.raises(ServiceBusyError):
+                    session.step(snaps[1])
+            f.join(60)
+            assert not f.is_alive()
+            assert [session.step(s)[1] for s in snaps[1:]] == expected[1:]
 
 
 def _sleepy_frame(rid: int, value: float, delay: float, **extra) -> dict:
