@@ -9,8 +9,8 @@ baryon-density field, SZ at one absolute bound), served two ways:
   without the daemon would;
 * **daemon**: one resident :class:`repro.service.server.ServiceThread`,
   hammered by 8 concurrent :class:`~repro.service.client.ServiceClient`
-  threads; same-configuration arrivals coalesce into batches inside the
-  server.
+  threads; each request is one dispatch on one of the daemon's codec
+  slots, and arrivals beyond the slots queue in arrival order.
 
 The daemon amortizes exactly what the baseline pays per request —
 process start-up and codec warm-up — which is the operational point of

@@ -8,8 +8,8 @@ process start-up and codec warm-up per field.
 * :mod:`repro.service.protocol` — MSG1, the length-prefixed binary
   frame format (stdlib-JSON header + raw ndarray payload).
 * :mod:`repro.service.batch` — bounded admission queue (backpressure),
-  request coalescing by configuration, deadline expiry, and dispatch
-  through the parallel executor / shared-memory data plane.
+  deadline expiry, and dispatch in arrival order, one request at a time
+  per slot, on the daemon's codec threads.
 * :mod:`repro.service.core` — the one connection core of both
   front-ends (:class:`~repro.service.core.FrameServer`: accept/read
   loop, pipelined dispatch, request accounting, error replies, HELLO,

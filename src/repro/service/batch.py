@@ -2,8 +2,7 @@
 
 The daemon's unit of useful work is CPU-bound codec time; every hot
 kernel is a GIL-releasing native call, so independent requests overlap
-on threads.  The :class:`Batcher` decides *when* a request runs and
-*with whom*:
+on threads.  The :class:`Batcher` decides *when* a request runs:
 
 * **Slots.**  At most ``slots`` dispatches are in flight at once, each
   on one thread of the batcher's own codec pool (a
@@ -28,23 +27,19 @@ on threads.  The :class:`Batcher` decides *when* a request runs and
   the server answer BUSY instead of buffering without limit).  Requests
   that were cancelled, or whose **deadline** passed, while queued are
   resolved when they reach the head without spending codec time.
-* **Natural batching.**  When a slot frees, the head of the queue takes
-  it; the dispatch that takes the *last* free slot also takes every
-  queued request with the head's work key — ``(op, compressor, options,
-  mode, value)`` for COMPRESS — so under overload same-configuration
-  requests become *one* dispatch, and never otherwise.
-* **In-process dispatch.**  A dispatch runs on its codec thread (a
-  bounded one on the loop thread): a coalesced group's requests run one
-  after another there, each under its own trace context.  Coalescing
-  saves per-dispatch scheduling (one executor hand-off and one
-  event-loop task per group), not codec work: each request is one
-  GIL-free codec call, so the slots are the daemon's parallelism and
-  COMPRESS/DECOMPRESS never leave its process.
+* **One request per dispatch, in arrival order.**  When a slot frees,
+  the head of the queue takes it, alone: queued requests leave in the
+  order they arrived, and no request ever waits for another one's
+  codec call.
+* **In-process dispatch.**  A dispatch runs its request on its codec
+  thread (a bounded one on the loop thread) under the request's trace
+  context.  Each request is one GIL-free codec call, so the slots are
+  the daemon's parallelism and COMPRESS/DECOMPRESS never leave its
+  process.
 * **Server-owned ops.**  A SWEEP or SESSION_STEP carries its ``body``,
   the server's work over the request's input array; the batcher admits,
-  queues, expires and dispatches it like a codec request, alone (its
-  work key is its own) and on a codec thread.  Only a SWEEP's CBench
-  cell fan-out may use worker processes.
+  queues, expires and dispatches it like a codec request, on a codec
+  thread.  Only a SWEEP's CBench cell fan-out may use worker processes.
 
 Results (or exceptions) resolve the per-request futures the connection
 handlers await; the batcher never touches sockets.
@@ -52,23 +47,21 @@ handlers await; the batcher never touches sockets.
 **Tracing.**  Each admitted request remembers the trace context the
 server extracted from its header.  At dispatch time the batcher records
 a ``service.queue_wait`` span (admission → dispatch) and a
-``service.dispatch`` span (the batch execution, tagged with
-``request_id``, ``batch_size`` and ``path``, ``"loop"`` or ``"pool"``)
-under that context, and runs each request under a pre-minted child
-context, so its codec-stage spans sit under the dispatch span — one
-request, one connected tree from client socket write to Huffman encode.
+``service.dispatch`` span (the request's execution, tagged with
+``request_id`` and ``path``, ``"loop"`` or ``"pool"``) under that
+context, and runs the request under a pre-minted child context, so
+its codec-stage spans sit under the dispatch span — one request, one
+connected tree from client socket write to Huffman encode.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, Callable
 
 import numpy as np
@@ -148,17 +141,6 @@ class PendingRequest:
     #: thread with the request's input array; ``None`` for the codec ops.
     body: Callable[[np.ndarray], Any] | None = None
 
-    def group_key(self) -> tuple:
-        """Requests with equal keys coalesce into one dispatch."""
-        h = self.header
-        options = json.dumps(h.get("options") or {}, sort_keys=True)
-        if self.op == "compress":
-            return ("compress", h.get("compressor"), options,
-                    h.get("mode"), h.get("value"))
-        if self.op == "decompress":
-            return ("decompress", h.get("compressor"), options)
-        return (self.op, id(self))  # a server-owned op never merges
-
 
 def bounded(request: PendingRequest) -> bool:
     """Whether ``request`` is small enough in kind and size to run on the
@@ -208,43 +190,31 @@ def payload_view(
         handle.close()
 
 
-def _compress_one(
-    spec: tuple[str, dict, str, float], request: PendingRequest
-) -> CompressedBuffer | ReproError:
-    """One COMPRESS request of a coalesced group.
-
-    Library errors are *returned*, not raised: one request with, say, an
-    integer array must fail alone, not take down the whole group it was
-    coalesced into (the dispatcher resolves exception results into
-    per-request error replies).
-    """
-    name, options, mode, value = spec
-    try:
-        knob = KNOB_FOR_MODE.get(mode)
-        if knob is None:
-            raise ServiceError(
-                f"unknown mode {mode!r}; known: {sorted(KNOB_FOR_MODE)}"
-            )
-        compressor = get_compressor(name, **options)
-        with payload_view(request.header, request.payload, request.shm) as view:
-            return compressor.compress(view, mode=mode, **{knob: value})
-    except ReproError as exc:
-        return exc
-
-
-def _decompress_one(
-    spec: tuple[str, dict], request: PendingRequest
-) -> np.ndarray | ReproError:
-    """One DECOMPRESS request of a coalesced group (errors returned)."""
-    name, options = spec
+def _compress(request: PendingRequest) -> CompressedBuffer:
+    """A COMPRESS: the codec its header names over its input array."""
     h = request.header
+    mode = h.get("mode")
+    knob = KNOB_FOR_MODE.get(mode)
+    if knob is None:
+        raise ServiceError(
+            f"unknown mode {mode!r}; known: {sorted(KNOB_FOR_MODE)}"
+        )
+    compressor = get_compressor(h.get("compressor"), **dict(h.get("options") or {}))
+    with payload_view(h, request.payload, request.shm) as view:
+        return compressor.compress(view, mode=mode, **{knob: h.get("value")})
+
+
+def _decompress(request: PendingRequest) -> np.ndarray:
+    """A DECOMPRESS: the stream its payload (or segment) carries, read
+    under the shape, dtype and mode fields of its header."""
+    h = request.header
+    payload = request.payload
+    if request.shm is not None:
+        # Compressed streams are consumed as bytes; one copy out of
+        # the segment replaces the whole socket round trip.
+        with payload_view(h, payload, request.shm) as view:
+            payload = view.tobytes()
     try:
-        payload = request.payload
-        if request.shm is not None:
-            # Compressed streams are consumed as bytes; one copy out of
-            # the segment replaces the whole socket round trip.
-            with payload_view(h, payload, request.shm) as view:
-                payload = view.tobytes()
         buf = CompressedBuffer(
             payload=payload,
             original_shape=tuple(h.get("shape") or ()),
@@ -252,14 +222,14 @@ def _decompress_one(
             mode=CompressorMode(h.get("mode")),
             parameter=float(h.get("parameter")),
         )
-        return get_compressor(name, **options).decompress(buf)
-    except ReproError as exc:
-        return exc
+        return get_compressor(
+            h.get("compressor"), **dict(h.get("options") or {})
+        ).decompress(buf)
     except (TypeError, ValueError) as exc:  # bad mode/dtype/shape fields
-        return ServiceError(f"bad decompress fields: {exc}")
+        raise ServiceError(f"bad decompress fields: {exc}") from exc
 
 
-def _body_one(request: PendingRequest) -> Any:
+def _body(request: PendingRequest) -> Any:
     """A server-owned op: its body over the request's input array (a
     client segment as a zero-copy view)."""
     with payload_view(request.header, request.payload, request.shm) as view:
@@ -293,7 +263,7 @@ class Batcher:
             return False
         if (not self._pending and len(self._inflight) < self.slots
                 and frames <= self.slots and bounded(request)):
-            self._start([request], on_loop=True)
+            self._start(request, on_loop=True)
             return True
         if len(self._pending) >= self.max_pending:
             get_telemetry().count("service.rejected_busy")
@@ -331,34 +301,26 @@ class Batcher:
     # -- dispatcher --------------------------------------------------------
 
     def _pump(self) -> None:
-        """Start dispatches while a slot is free and a request is queued."""
+        """Start dispatches, in arrival order, while a slot is free and a
+        request is queued."""
         while self._pending and len(self._inflight) < self.slots:
-            group = [self._pending.popleft()]
-            if len(self._inflight) == self.slots - 1 and self._pending:
-                # Last free slot: whoever shares the head's work key
-                # would only queue behind it — take them along.
-                key = group[0].group_key()
-                queued, self._pending = self._pending, deque()
-                for request in queued:
-                    if request.group_key() == key:
-                        group.append(request)
-                    else:
-                        self._pending.append(request)
-            self._start(group)
+            self._start(self._pending.popleft())
         get_telemetry().set_gauge(
             "service.queue_depth", float(len(self._pending))
         )
 
-    def _start(self, group: list[PendingRequest], on_loop: bool = False) -> None:
-        """Dispatch ``group``'s live requests: as a task on a free slot,
-        or (``on_loop``) to completion right here, holding the loop."""
-        group = self._expire(group)
-        if group and on_loop:
+    def _start(self, request: PendingRequest, on_loop: bool = False) -> None:
+        """Dispatch ``request`` unless it is dead already: as a task on a
+        free slot, or (``on_loop``) to completion right here, holding the
+        loop."""
+        if not self._live(request):
+            return
+        if on_loop:
             with suppress(StopIteration):  # no await on this path: one step
-                self._dispatch(group, on_loop).send(None)
+                self._dispatch(request, on_loop).send(None)
                 raise AssertionError("loop-thread dispatch suspended")
-        elif group:
-            task = asyncio.get_running_loop().create_task(self._dispatch(group))
+        else:
+            task = asyncio.get_running_loop().create_task(self._dispatch(request))
             self._inflight.add(task)
             task.add_done_callback(self._dispatched)
 
@@ -366,69 +328,65 @@ class Batcher:
         self._inflight.discard(task)
         self._pump()
 
-    def _expire(self, group: list[PendingRequest]) -> list[PendingRequest]:
-        """Resolve already-dead requests; returns the live remainder."""
-        now = time.perf_counter()
-        live = []
-        for request in group:
-            if request.future.cancelled():
-                continue
-            if request.deadline is not None and now >= request.deadline:
-                request.future.set_exception(
-                    TimeoutError("deadline expired while queued")
-                )
-                get_telemetry().count("service.deadline_expired")
-            else:
-                live.append(request)
-        return live
+    @staticmethod
+    def _live(request: PendingRequest) -> bool:
+        """Whether ``request`` still wants its dispatch; a cancelled one
+        is dropped, an expired one resolved with its deadline error."""
+        if request.future.cancelled():
+            return False
+        if request.deadline is not None and time.perf_counter() >= request.deadline:
+            request.future.set_exception(
+                TimeoutError("deadline expired while queued")
+            )
+            get_telemetry().count("service.deadline_expired")
+            return False
+        return True
 
     async def _dispatch(
-        self, group: list[PendingRequest], on_loop: bool = False
+        self, request: PendingRequest, on_loop: bool = False
     ) -> None:
         tm = get_telemetry()
-        tm.count("service.batches")
-        tm.count("service.batched_requests", len(group))
-        tm.observe("service.batch_size", float(len(group)))
         path = "loop" if on_loop else "pool"
         tm.count(f'service.dispatches{{path="{path}"}}')
-        op = group[0].op
-        compressor = group[0].header.get("compressor")
+        op = request.op
+        compressor = request.header.get("compressor")
         # A label is a registered name, never a client string.
         label = str(compressor).lower()
         label = label if label in available_compressors() else "unknown"
-        # Pre-mint each request's dispatch-span identity: the codec runs
-        # under it *before* the span itself is recorded, so codec-stage
-        # spans already carry the dispatch span as their ctx parent.
-        dispatch_ctxs = [r.ctx.child() if r.ctx else None for r in group]
+        # Pre-mint the dispatch-span identity: the codec runs under it
+        # *before* the span itself is recorded, so codec-stage spans
+        # already carry the dispatch span as their ctx parent.
+        dctx = request.ctx.child() if request.ctx else None
         traced = tm.enabled
         dispatch_start = 0.0
         if traced:
             tracer = tm.tracer
-            # PendingRequest.enqueued is raw perf_counter; shift it onto
-            # the tracer clock to record the queue-wait span after the fact.
-            offset = tracer.now() - time.perf_counter()
             dispatch_start = tracer.now()
-            for r in group:
-                if r.ctx is not None:
-                    tracer.add_span(
-                        "service.queue_wait",
-                        start=r.enqueued + offset,
-                        end=dispatch_start,
-                        ctx=r.ctx.child(),
-                        root=True,
-                        op=r.op,
-                        request_id=r.request_seq,
-                    )
+            if request.ctx is not None:
+                # PendingRequest.enqueued is raw perf_counter; shift it
+                # onto the tracer clock to record the queue-wait span
+                # after the fact.
+                offset = dispatch_start - time.perf_counter()
+                tracer.add_span(
+                    "service.queue_wait",
+                    start=request.enqueued + offset,
+                    end=dispatch_start,
+                    ctx=request.ctx.child(),
+                    root=True,
+                    op=op,
+                    request_id=request.request_seq,
+                )
+        resolve = request.future.set_result
         try:
             if on_loop:  # codec spans: local roots, as on a codec thread
                 with tm.tracer.detached() if traced else nullcontext():
-                    results = self._run_batch(group, dispatch_ctxs)
+                    result = self._run(request, dctx)
             else:
-                results = await asyncio.get_running_loop().run_in_executor(
-                    self.pool, self._run_batch, group, dispatch_ctxs
+                result = await asyncio.get_running_loop().run_in_executor(
+                    self.pool, self._run, request, dctx
                 )
-        except BaseException as exc:  # a batch failure fails every member
-            results = [exc] * len(group)
+        except BaseException as exc:  # even a cancelled dispatch answers
+            result, resolve = exc, request.future.set_exception
         if traced:
             dispatch_end = tm.tracer.now()
             dispatch_ms = (dispatch_end - dispatch_start) * 1e3
@@ -436,8 +394,7 @@ class Batcher:
             if compressor:
                 tm.observe(f'service.dispatch_ms{{op="{op}",compressor='
                            f'"{label}"}}', dispatch_ms)
-        for request, dctx, result in zip(group, dispatch_ctxs, results):
-            if traced and dctx is not None:
+            if dctx is not None:
                 attrs = {"compressor": compressor} if compressor else {}
                 tm.tracer.add_span(
                     "service.dispatch",
@@ -447,37 +404,23 @@ class Batcher:
                     root=True,
                     op=op,
                     request_id=request.request_seq,
-                    batch_size=len(group),
                     path=path,
                     **attrs,
                 )
-            if not request.future.done():
-                if isinstance(result, BaseException):
-                    request.future.set_exception(result)
-                else:
-                    request.future.set_result(result)
+        if not request.future.done():
+            resolve(result)
 
-    def _run_batch(
-        self, group: list[PendingRequest], ctxs: list[TraceContext | None]
-    ) -> list:
-        """One dispatch, on a codec-pool thread: the result (or
-        ReproError) of each request of ``group``, run in order."""
-        h = group[0].header
-        if group[0].body is not None:  # never coalesced: a group of one
-            run = _body_one
-        elif group[0].op == "decompress":
-            run = partial(_decompress_one, (
-                h.get("compressor"), dict(h.get("options") or {})))
-        else:
-            run = partial(_compress_one, (
-                h.get("compressor"), dict(h.get("options") or {}),
-                h.get("mode"), h.get("value")))
-        results = []
-        for request, ctx in zip(group, ctxs):
-            # ``run_in_executor`` does not propagate contextvars, so each
-            # request's context is activated here; its codec spans (a
-            # session step's too, and a SWEEP's CBench cells, also from
-            # worker processes) chain under its dispatch span.
-            with trace_context.use(ctx):
-                results.append(run(request))
-        return results
+    @staticmethod
+    def _run(request: PendingRequest, ctx: TraceContext | None) -> Any:
+        """One dispatch's work (on a codec-pool thread, or a bounded one on
+        the loop thread): the request's result; a failure raises."""
+        # ``run_in_executor`` does not propagate contextvars, so the
+        # request's context is activated here; its codec spans (a session
+        # step's too, and a SWEEP's CBench cells, also from worker
+        # processes) chain under its dispatch span.
+        with trace_context.use(ctx):
+            if request.body is not None:
+                return _body(request)
+            if request.op == "decompress":
+                return _decompress(request)
+            return _compress(request)

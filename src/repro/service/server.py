@@ -3,11 +3,11 @@
 ``CompressionService`` is compression-as-a-service for the library
 below it: clients connect over TCP, speak MSG1 frames
 (:mod:`repro.service.protocol`), and the server turns their requests
-into batched codec work (:mod:`repro.service.batch`) executed through
-the same registry / parallel-executor / shm / cache layers the batch
-CLIs use — so a byte compressed through the daemon is identical to a
-byte compressed through :func:`repro.compressors.registry.get_compressor`
-directly.
+into codec dispatches (:mod:`repro.service.batch`, one request each)
+through the same registry / parallel-executor / shm / cache layers the
+batch CLIs use — so a byte compressed through the daemon is identical to
+a byte compressed through
+:func:`repro.compressors.registry.get_compressor` directly.
 
 Operations
 ----------
@@ -15,8 +15,8 @@ Operations
 ============= ================================================================
 op            semantics
 ============= ================================================================
-COMPRESS      one ndarray in, one compressed stream out (batched by config)
-DECOMPRESS    one compressed stream in, one ndarray out (batched by codec)
+COMPRESS      one ndarray in, one compressed stream out
+DECOMPRESS    one compressed stream in, one ndarray out
 SWEEP         server-side CBench cell fan-out over one field; rows out; repeat
               sweeps are served warm from the result cache
 SESSION_OPEN  open a stateful temporal-compression stream (docs/INSITU.md);
@@ -29,7 +29,7 @@ CANCEL        best-effort cancel of a queued request by its ``id`` — answered
               ``cancelled`` — from another frame of the same connection
 LIST          registered compressor names
 HEALTH        liveness + drain state + queue depth (never queued)
-STATS         telemetry counters, batch sizes, bytes in/out, p50/p99 latency,
+STATS         telemetry counters, dispatches, bytes in/out, p50/p99 latency,
               open sessions
 METRICS       the same registry in Prometheus text exposition format
 ============= ================================================================

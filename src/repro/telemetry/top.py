@@ -2,8 +2,8 @@
 
 ``python -m repro.telemetry top`` polls a running daemon's STATS op and
 redraws a one-screen summary on an interval — the ``top(1)`` view of a
-compression service: request rate, queue depth, in-flight count, batch
-sizes, latency percentiles, cache hit rate, and the hottest pipeline
+compression service: request rate, queue depth, in-flight count,
+loop/pool dispatches, latency percentiles, cache hit rate, and the hottest pipeline
 stages by self-time (from the daemon's span harvest, see
 ``CompressionService._harvest_spans``).
 
@@ -113,15 +113,10 @@ def render_frame(
         + (_fmt_rate(busy_rate) if busy_rate is not None else "       –")
     )
 
-    batch = metrics.get("service.batch_size")
-    if isinstance(batch, dict) and batch.get("count"):
-        mean_batch = batch["sum"] / batch["count"]
-        lines.append(
-            f"batches {int(_counter(metrics, 'service.batches')):>6d}"
-            f"   mean batch {mean_batch:6.2f}"
-            f"   batched reqs "
-            f"{int(_counter(metrics, 'service.batched_requests')):>6d}"
-        )
+    loop = _counter(metrics, 'service.dispatches{path="loop"}')
+    pool = _counter(metrics, 'service.dispatches{path="pool"}')
+    if loop or pool:
+        lines.append(f"dispatches  loop {int(loop):>6d}   pool {int(pool):>6d}")
 
     lines.append(
         "latency ms  p50 " + _fmt_ms(latency.get("p50_ms"))

@@ -337,7 +337,7 @@ class TestConcurrentStress:
             ).payload
 
         # More callers than dispatch slots, whatever the host: the
-        # surplus queues, and queued same-config requests coalesce.
+        # surplus queues.
         n_threads, per_thread = max(8, 4 * (os.cpu_count() or 1)), 8
         failures: list[str] = []
 
@@ -375,14 +375,7 @@ class TestConcurrentStress:
             _counter(stats, "service.requests.compress")
             - _counter(before, "service.requests.compress")
         )
-        batches = (
-            _counter(stats, "service.batches")
-            - _counter(before, "service.batches")
-        )
         assert compressed == n_threads * per_thread
-        # Concurrent same-config arrivals must have coalesced: strictly
-        # fewer dispatches than requests.
-        assert batches < n_threads * per_thread
 
     def test_large_fields_through_shm_dispatch(self):
         """Concurrent >=64 KiB arrays with workers=2 (large enough for
@@ -408,10 +401,9 @@ class TestConcurrentStress:
         assert len(results) == 4
         assert all(r == expected for r in results)
 
-    def test_coalesced_groups_stay_in_the_daemon_process(self):
-        """Overload with two slots: same-key requests still coalesce,
-        and each group runs on its codec thread — no dispatch crosses
-        into a worker process."""
+    def test_overload_never_leaves_the_daemon_process(self):
+        """Overload with two slots: every queued request runs on a codec
+        thread — no dispatch crosses into a worker process."""
         import multiprocessing
 
         field = _field(32)  # 128 KiB: above SHM_MIN_BYTES
@@ -448,7 +440,6 @@ class TestConcurrentStress:
 
         assert len(payloads) == n_threads * per_thread
         assert all(p == expected for p in payloads)
-        assert delta("service.batches") < n_threads * per_thread
         assert delta("parallel.process_map_tasks") == 0
 
 
@@ -644,7 +635,7 @@ class TestSessionStepAdmission:
 
 def _sleepy_frame(rid: int, value: float, delay: float, **extra) -> dict:
     """Header of one pipelined ``sleepy-test`` COMPRESS of ``_field(4)``;
-    ``value`` tells work keys apart, a trace field makes the daemon
+    ``value`` tells configurations apart, a trace field makes the daemon
     record the request's queue-wait and dispatch spans."""
     with trace_context.start_trace():
         return trace_context.inject({
@@ -655,8 +646,7 @@ def _sleepy_frame(rid: int, value: float, delay: float, **extra) -> dict:
 
 
 def _sleepy_threads(port: int, delay: float, n: int = 2) -> list:
-    """Start ``n`` callers, each one ``sleepy-test`` request with its own
-    work key (so they can never coalesce)."""
+    """Start ``n`` callers, each one ``sleepy-test`` request."""
     def call(value: float) -> None:
         with ServiceClient(port=port) as client:
             client.compress(
@@ -672,8 +662,32 @@ def _sleepy_threads(port: int, delay: float, n: int = 2) -> list:
     return threads
 
 
+def _pipeline(port: int, frames: list[dict]) -> None:
+    """Write ``frames`` (each a COMPRESS of ``_field(4)``) on one socket
+    without waiting, then read every reply; each must be ``ok``."""
+    payload = protocol.pack_array(_field(4))
+    with socket.create_connection(("127.0.0.1", port)) as sock:
+        for frame in frames:
+            protocol.write_frame_sock(sock, frame, payload)
+        for _ in frames:
+            reply, _ = protocol.read_frame_sock(sock)
+            assert reply["status"] == "ok"
+
+
+def _dispatch_groups(tm) -> list[tuple[float, list[int]]]:
+    """``(start, request ids)`` of each distinct ``service.dispatch``
+    start, in start order (request_id is the daemon's arrival number,
+    from 1)."""
+    groups: dict = {}
+    for s in tm.tracer.finished_spans():
+        if s.name == "service.dispatch":
+            groups.setdefault(s.start, []).append(s.attrs["request_id"])
+    return sorted(groups.items())
+
+
 class TestDispatcher:
-    """Dispatch on arrival: slots, natural batching, the codec pool."""
+    """Dispatch on arrival: slots, one request per dispatch in arrival
+    order, the codec pool."""
 
     def test_lone_request_is_dispatched_without_a_wait(self):
         field = _field(8)
@@ -703,37 +717,33 @@ class TestDispatcher:
                 t.join(30)
             assert time.monotonic() - t0 >= 0.6
 
-    def test_queued_same_key_requests_leave_as_one_dispatch(self):
-        payload = protocol.pack_array(_field(4))
+    def test_queued_requests_leave_one_per_dispatch_in_arrival_order(self):
         # Arrival order behind the blocker: A B A C A (A, B, C: work keys).
         values = [1.0, 2.0, 1.0, 3.0, 1.0]
+        frames = [_sleepy_frame(1, 0.0, delay=0.3)] + [
+            _sleepy_frame(2 + i, value, delay=0.0)
+            for i, value in enumerate(values)
+        ]
         with telemetry.enabled_telemetry("client") as tm:
             with ServiceThread(workers=1) as st:
-                with socket.create_connection(("127.0.0.1", st.port)) as sock:
-                    protocol.write_frame_sock(
-                        sock, _sleepy_frame(1, 0.0, delay=0.3), payload
-                    )
-                    for i, value in enumerate(values):
-                        protocol.write_frame_sock(
-                            sock, _sleepy_frame(2 + i, value, delay=0.0),
-                            payload,
-                        )
-                    for _ in range(1 + len(values)):
-                        reply, _ = protocol.read_frame_sock(sock)
-                        assert reply["status"] == "ok"
-        dispatches: dict = {}
-        for s in tm.tracer.finished_spans():
-            if s.name == "service.dispatch":
-                # request_id is the daemon's arrival number, from 1.
-                dispatches.setdefault(s.start, []).append(s.attrs)
-        groups = [
-            sorted(a["request_id"] for a in dispatches[start])
-            for start in sorted(dispatches)
-        ]
-        assert groups == [[1], [2, 4, 6], [3], [5]]
-        assert sorted(
-            a["batch_size"] for attrs in dispatches.values() for a in attrs
-        ) == [1, 1, 1, 3, 3, 3]
+                _pipeline(st.port, frames)
+        assert [ids for _, ids in _dispatch_groups(tm)] == \
+            [[1], [2], [3], [4], [5], [6]]
+
+    def test_two_slots_split_a_same_key_backlog(self):
+        """Six same-key requests on two slots: the four queued ones leave
+        two at a time, each in a dispatch of its own, so request 4 runs
+        beside request 3 instead of after it."""
+        frames = [_sleepy_frame(1 + i, 1.0, delay=0.3) for i in range(6)]
+        with telemetry.enabled_telemetry("client") as tm:
+            with ServiceThread(workers=2) as st:
+                _pipeline(st.port, frames)
+        assert [ids for _, ids in _dispatch_groups(tm)] == \
+            [[1], [2], [3], [4], [5], [6]]
+        spans = {s.attrs["request_id"]: s for s in tm.tracer.finished_spans()
+                 if s.name == "service.dispatch"}
+        third, fourth = spans[3], spans[4]
+        assert third.start < fourth.end and fourth.start < third.end
 
     def test_cancelled_or_expired_while_queued_never_reaches_a_codec(self):
         payload = protocol.pack_array(_field(4))
@@ -890,13 +900,13 @@ class TestLoopDispatch:
             batcher = Batcher(workers=2 if first is None else 1)
             batcher.start()
             seen: list[str] = []
-            run = batcher._run_batch
+            run = batcher._run
 
-            def spy(group, ctxs):
+            def spy(request, ctx):
                 seen.append(threading.current_thread().name)
-                return run(group, ctxs)
+                return run(request, ctx)
 
-            batcher._run_batch = spy
+            batcher._run = spy
             requests = [_pending(compressor=c) for c in (first, "sz") if c]
             for request in requests:
                 request.future = asyncio.get_running_loop().create_future()
