@@ -13,7 +13,7 @@ Subpackages
 ``repro.cosmo``
     Synthetic HACC/Nyx data generators, FoF halo finder, power spectra.
 ``repro.metrics``
-    PSNR/MSE/MRE/NRMSE, compression ratio/bitrate, 3-D SSIM.
+    PSNR/MSE/MRE/NRMSE, 3-D SSIM, error distributions.
 ``repro.gpu``
     Analytic GPU performance model (Table I catalog, PCIe, roofline).
 ``repro.foresight``

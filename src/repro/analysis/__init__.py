@@ -7,7 +7,6 @@ from repro.analysis.autotune import (
 )
 from repro.analysis.decimation_study import decimation_vs_compression
 from repro.analysis.drift import drift_curve, halo_mass_proxy, snapshot_drift
-from repro.analysis.halo_matching import HaloMatchResult, match_halo_catalogs
 from repro.analysis.halo_ratio import HaloRatioPoint, halo_ratio_sweep
 from repro.analysis.rd_model import (
     DB_PER_BIT_THEORY,
@@ -36,8 +35,6 @@ __all__ = [
     "drift_curve",
     "halo_mass_proxy",
     "snapshot_drift",
-    "HaloMatchResult",
-    "match_halo_catalogs",
     "DB_PER_BIT_THEORY",
     "RDLineFit",
     "fit_rd_line",

@@ -73,22 +73,3 @@ def pk_ratio_sweep(
             )
         )
     return out
-
-
-def composite_pk_ratio(
-    originals: dict[str, np.ndarray],
-    reconstructions: dict[str, np.ndarray],
-    derive: Callable[[dict[str, np.ndarray]], np.ndarray],
-    box_size: float,
-    nbins: int = 16,
-    tolerance: float = 0.01,
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Pk ratio of a quantity derived from *several* fields (Fig. 5's
-    overall-density and velocity-magnitude panels).
-
-    Returns ``(k, ratio, acceptable)``.
-    """
-    ref = power_spectrum(derive(originals), box_size, nbins=nbins)
-    rec = power_spectrum(derive(reconstructions), box_size, nbins=nbins)
-    ratio = power_spectrum_ratio(ref, rec)
-    return ref.k, ratio, ratio_within_band(ratio, tolerance)

@@ -309,7 +309,8 @@ class SZCompressor(Compressor):
         tm = get_telemetry()
         with tm.span("sz.lossless", bytes=len(huff_payload), direction="decompress"):
             if has_pipeline:
-                huff_payload = LosslessPipeline().decompress(huff_payload)
+                huff_payload = LosslessPipeline().decompress(
+                    huff_payload, self.huffman.max_stream_bytes(nvalues, 2 * radius))
         with tm.span("sz.huffman", bytes=len(huff_payload), direction="decompress"):
             # The encoder's alphabet ends at its last used symbol, at most
             # 2 * radius - 1: uint16 symbols, each a residual it would not

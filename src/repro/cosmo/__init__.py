@@ -22,7 +22,6 @@ from repro.cosmo.hacc import make_hacc_dataset
 from repro.cosmo.halos import HaloCatalog, halo_mass_function
 from repro.cosmo.nyx import make_nyx_dataset
 from repro.cosmo.power_spectrum import (
-    correlation_function,
     particle_power_spectrum,
     power_spectrum,
     power_spectrum_ratio,
@@ -51,7 +50,6 @@ __all__ = [
     "power_spectrum",
     "particle_power_spectrum",
     "power_spectrum_ratio",
-    "correlation_function",
     "CosmoPowerSpectrum",
     "SnapshotSeries",
     "make_nyx_series",

@@ -113,62 +113,6 @@ def power_spectrum_ratio(
         return other.pk / reference.pk
 
 
-@dataclass(frozen=True)
-class CorrelationFunctionResult:
-    """Binned two-point correlation function xi(r)."""
-
-    r: np.ndarray
-    xi: np.ndarray
-    counts: np.ndarray
-
-
-def correlation_function(
-    field: np.ndarray,
-    box_size: float,
-    nbins: int = 16,
-) -> CorrelationFunctionResult:
-    """Two-point correlation function xi(r) of a grid field.
-
-    The paper (Metric 3b): "The two-point correlation function xi(r) ...
-    statistically describes the amount of [structure] at each physical
-    scale.  The Fourier transform of xi(r) is called the matter power
-    spectrum."  Computed via Wiener-Khinchin — the inverse FFT of
-    |delta_hat|^2 — normalized so ``xi(0)`` equals the field variance,
-    then spherically averaged in logarithmic separation bins.
-    """
-    field = np.asarray(field, dtype=np.float64)
-    check_shape_nd(field, 3, "field")
-    n = field.shape[0]
-    if field.shape != (n, n, n):
-        raise DataError("field must be cubic")
-    check_positive(box_size, "box_size")
-
-    delta = field - field.mean()
-    fhat = np.fft.fftn(delta)
-    xi_grid = np.fft.ifftn(np.abs(fhat) ** 2).real / n**3
-
-    # Periodic separation of every grid lag from the origin.
-    d1 = np.minimum(np.arange(n), n - np.arange(n)) * (box_size / n)
-    dx, dy, dz = np.meshgrid(d1, d1, d1, indexing="ij")
-    rmag = np.sqrt(dx**2 + dy**2 + dz**2)
-
-    r_min = box_size / n
-    r_max = box_size / 2.0
-    edges = np.geomspace(r_min * 0.999, r_max, nbins + 1)
-    which = np.digitize(rmag.ravel(), edges) - 1
-    valid = (which >= 0) & (which < nbins) & (rmag.ravel() > 0)
-    counts = np.bincount(which[valid], minlength=nbins)
-    xsum = np.bincount(which[valid], weights=xi_grid.ravel()[valid], minlength=nbins)
-    rsum = np.bincount(which[valid], weights=rmag.ravel()[valid], minlength=nbins)
-    nonempty = counts > 0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        xi = np.where(nonempty, xsum / np.maximum(counts, 1), np.nan)
-        rc = np.where(nonempty, rsum / np.maximum(counts, 1), np.nan)
-    return CorrelationFunctionResult(
-        r=rc[nonempty], xi=xi[nonempty], counts=counts[nonempty]
-    )
-
-
 def ratio_within_band(ratio: np.ndarray, tolerance: float = 0.01) -> bool:
     """True when every binned ratio lies within ``1 +/- tolerance`` —
     the paper's acceptability criterion for a compression configuration."""

@@ -22,7 +22,6 @@ from repro.gpu.device import (
     V100,
     CPUSpec,
     GPUSpec,
-    get_gpu,
 )
 from repro.gpu.kernel import (
     CodecKernelModel,
@@ -49,7 +48,6 @@ __all__ = [
     "GPU_CATALOG",
     "V100",
     "CPU_XEON_6148",
-    "get_gpu",
     "Interconnect",
     "PCIE3_X16",
     "NVLINK2",

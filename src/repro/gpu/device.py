@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ConfigError
-
 
 @dataclass(frozen=True)
 class GPUSpec:
@@ -69,15 +67,3 @@ GPU_CATALOG: tuple[GPUSpec, ...] = (
 )
 
 CPU_XEON_6148 = CPUSpec("Intel Xeon Gold 6148", cores=20, base_clock_ghz=2.4, mem_bandwidth_gbps=128.0)
-
-
-def get_gpu(name: str) -> GPUSpec:
-    """Look up a catalog GPU by (case-insensitive) substring of its name."""
-    key = name.lower()
-    matches = [g for g in GPU_CATALOG if key in g.name.lower()]
-    if not matches:
-        known = ", ".join(g.name for g in GPU_CATALOG)
-        raise ConfigError(f"unknown GPU {name!r}; catalog: {known}")
-    if len(matches) > 1:
-        raise ConfigError(f"ambiguous GPU name {name!r}: {[g.name for g in matches]}")
-    return matches[0]

@@ -239,6 +239,13 @@ class HuffmanCodec:
         self.max_len = max_len
         self.chunk_size = chunk_size
 
+    def max_stream_bytes(self, n: int, alphabet_size: int) -> int:
+        """Largest stream :meth:`encode` writes for ``n`` symbols of
+        ``alphabet_size`` at any chunk size: header, a dense length table,
+        one chunk offset per symbol and ``max_len`` bits per symbol."""
+        return (struct.calcsize("<4sIIQQI") + 4 + 1 + -(-5 * alphabet_size // 8)
+                + 4 + 8 * max(1, n) + -(-n * self.max_len // 8))
+
     # -- encoding ----------------------------------------------------------
 
     def encode(

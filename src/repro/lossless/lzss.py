@@ -20,12 +20,14 @@ import struct
 
 import numpy as np
 
-from repro.errors import CorruptStreamError
+from repro.errors import CorruptStreamError, DataError
 from repro.util.bits import BitReader, BitWriter
 
 _MAGIC_LZ = b"LZS1"
 _MAGIC_RAW = b"LZS0"
 MIN_MATCH = 3
+STORED_HEADER = struct.calcsize("<4sQ")  # the most a stage grows its input
+_WIDTHS = range(1, 33)  # token field widths the encoder writes
 
 
 def _find_matches(
@@ -87,6 +89,8 @@ def lzss_compress(
     max_probes: int = 16,
 ) -> bytes:
     """Compress ``data``; falls back to a stored block if LZSS expands it."""
+    if offset_bits not in _WIDTHS or length_bits not in _WIDTHS:
+        raise DataError("offset_bits and length_bits must be in [1, 32]")
     tokens = _find_matches(data, offset_bits, length_bits, max_probes)
     writer = BitWriter()
     for off, val in tokens:
@@ -102,31 +106,35 @@ def lzss_compress(
         "<4sQQBB", _MAGIC_LZ, len(data), writer.bit_length, offset_bits, length_bits
     )
     out = header + body
-    if len(out) >= len(data) + struct.calcsize("<4sQ"):
+    if len(out) >= len(data) + STORED_HEADER:
         return struct.pack("<4sQ", _MAGIC_RAW, len(data)) + data
     return out
 
 
-def lzss_decompress(payload: bytes) -> bytes:
-    """Inverse of :func:`lzss_compress`."""
-    if payload[:4] == _MAGIC_RAW:
-        (n,) = struct.unpack("<Q", payload[4:12])
-        body = payload[12 : 12 + n]
-        if len(body) != n:
+def lzss_decompress(payload: bytes, max_output: int) -> bytes:
+    """Inverse of :func:`lzss_compress`; refuses, before allocating, an
+    output above ``max_output`` and field widths the encoder never writes."""
+    fmt = {_MAGIC_RAW: "<4sQ", _MAGIC_LZ: "<4sQQBB"}.get(payload[:4], "")
+    if not fmt or len(payload) < (hsize := struct.calcsize(fmt)):
+        raise CorruptStreamError("bad LZSS magic or truncated header")
+    _, n, *fields = struct.unpack_from(fmt, payload)
+    if n > max_output:
+        raise CorruptStreamError(f"LZSS stage declares {n} bytes; at most {max_output}")
+    if not fields:
+        if len(payload) < hsize + n:
             raise CorruptStreamError("stored LZSS block truncated")
-        return bytes(body)
-    if payload[:4] != _MAGIC_LZ:
-        raise CorruptStreamError("bad LZSS magic")
-    hsize = struct.calcsize("<4sQQBB")
-    _, n, nbits, offset_bits, length_bits = struct.unpack("<4sQQBB", payload[:hsize])
+        return bytes(payload[hsize : hsize + n])
+    nbits, offset_bits, length_bits = fields
+    if offset_bits not in _WIDTHS or length_bits not in _WIDTHS:
+        raise CorruptStreamError(f"bad LZSS field widths {offset_bits}/{length_bits}")
     reader = BitReader(payload[hsize:], nbits)
     out = bytearray()
     while len(out) < n:
         if reader.read(1):
             off = reader.read(offset_bits)
             length = reader.read(length_bits) + MIN_MATCH
-            if off == 0 or off > len(out):
-                raise CorruptStreamError("invalid LZSS match offset")
+            if off == 0 or off > len(out) or len(out) + length > n:
+                raise CorruptStreamError("invalid LZSS match")
             start = len(out) - off
             for k in range(length):
                 out.append(out[start + k])

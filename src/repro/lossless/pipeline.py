@@ -3,41 +3,31 @@
 SZ's lossless stage chains entropy coding with a dictionary coder.  A
 :class:`LosslessPipeline` names an ordered list of byte-level stages and
 applies/unwinds them; the stream records which pipeline produced it so the
-decoder is self-describing.
+decoder is self-describing.  The stage table is closed: a stream naming
+any other stage is corrupt.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Callable
 
 from repro.errors import ConfigError, CorruptStreamError
-from repro.lossless.lzss import lzss_compress, lzss_decompress
+from repro.lossless.lzss import STORED_HEADER, lzss_compress, lzss_decompress
 
 _MAGIC = b"PIPE"
 
-_STAGES: dict[str, tuple[Callable[[bytes], bytes], Callable[[bytes], bytes]]] = {
-    "identity": (lambda b: b, lambda b: b),
+#: ``name -> (compress(data), decompress(data, max_output))``.
+_STAGES = {
+    "identity": (lambda b: b, lambda b, _cap: b),
     "lzss": (lzss_compress, lzss_decompress),
 }
-
-
-def register_stage(
-    name: str,
-    compress: Callable[[bytes], bytes],
-    decompress: Callable[[bytes], bytes],
-) -> None:
-    """Register a custom byte-level stage under ``name``."""
-    if name in _STAGES:
-        raise ConfigError(f"lossless stage {name!r} already registered")
-    _STAGES[name] = (compress, decompress)
 
 
 class LosslessPipeline:
     """Ordered chain of byte-level lossless stages.
 
     >>> pipe = LosslessPipeline(["lzss"])
-    >>> pipe.decompress(pipe.compress(b"abcabcabc" * 10)) == b"abcabcabc" * 10
+    >>> pipe.decompress(pipe.compress(b"abcabcabc" * 10), 90) == b"abcabcabc" * 10
     True
     """
 
@@ -54,7 +44,9 @@ class LosslessPipeline:
             out = _STAGES[s][0](out)
         return _MAGIC + struct.pack("<H", len(names)) + names + out
 
-    def decompress(self, payload: bytes) -> bytes:
+    def decompress(self, payload: bytes, max_output: int) -> bytes:
+        """Unwind the stages; stage ``i`` may output ``max_output`` plus
+        what stages ``0..i-1`` can have added."""
         if payload[:4] != _MAGIC:
             raise CorruptStreamError("bad lossless-pipeline magic")
         if len(payload) < 6:
@@ -66,8 +58,8 @@ class LosslessPipeline:
             raise CorruptStreamError("bad lossless-pipeline stage list") from exc
         stages = [s for s in names.split(",") if s]
         out = payload[6 + nlen :]
-        for s in reversed(stages):
+        for i, s in reversed(list(enumerate(stages))):
             if s not in _STAGES:
                 raise CorruptStreamError(f"stream uses unknown stage {s!r}")
-            out = _STAGES[s][1](out)
+            out = _STAGES[s][1](out, max_output + i * STORED_HEADER)
         return out

@@ -1,6 +1,7 @@
 """Evaluation metrics (Section III of the paper).
 
-Metric 1 (compression ratio / bitrate): :mod:`repro.metrics.ratio`.
+Metric 1 (compression ratio / bitrate) is a property of every
+:class:`~repro.compressors.base.CompressedBuffer`.
 Metric 2 (distortion: PSNR and friends): :mod:`repro.metrics.error`.
 Metric 3 (cosmology-specific) lives in :mod:`repro.cosmo` and
 :mod:`repro.analysis`.  Metric 4 (throughput) lives in :mod:`repro.gpu`.
@@ -16,7 +17,6 @@ from repro.metrics.error import (
     evaluate_distortion,
 )
 from repro.metrics.distribution import ErrorDistribution, error_distribution
-from repro.metrics.ratio import bitrate, compression_ratio
 from repro.metrics.ssim import ssim3d
 from repro.metrics.streaming import StreamingDistortion, StreamingHistogram
 
@@ -30,8 +30,6 @@ __all__ = [
     "nrmse",
     "psnr",
     "evaluate_distortion",
-    "bitrate",
-    "compression_ratio",
     "ssim3d",
     "ErrorDistribution",
     "error_distribution",

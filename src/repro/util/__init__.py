@@ -11,7 +11,6 @@ from repro.util.bits import (
 from repro.util.blocks import (
     block_partition,
     block_reassemble,
-    iter_block_slices,
     pad_to_multiple,
 )
 from repro.util.dims import (
@@ -38,7 +37,6 @@ __all__ = [
     "unpack_fixed_width",
     "block_partition",
     "block_reassemble",
-    "iter_block_slices",
     "pad_to_multiple",
     "HACC_PARTITION_ELEMS",
     "convert_1d_to_3d",

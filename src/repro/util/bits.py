@@ -127,11 +127,6 @@ class BitWriter:
             self._codes.append(value)
             self._lengths.append(nbits)
 
-    def write_array(self, values: np.ndarray, width: int) -> None:
-        """Append every element of ``values`` with a fixed ``width``."""
-        for v in np.asarray(values, dtype=np.uint64).ravel():
-            self.write(int(v), width)
-
     @property
     def bit_length(self) -> int:
         return int(sum(self._lengths))
@@ -155,17 +150,8 @@ class BitReader:
         self._pos = 0
 
     @property
-    def position(self) -> int:
-        return self._pos
-
-    @property
     def remaining(self) -> int:
         return self._nbits - self._pos
-
-    def seek(self, bit_position: int) -> None:
-        if bit_position < 0 or bit_position > self._nbits:
-            raise CorruptStreamError("seek outside of bitstream")
-        self._pos = bit_position
 
     def read(self, nbits: int) -> int:
         """Read ``nbits`` bits as an unsigned integer."""
@@ -181,17 +167,3 @@ class BitReader:
         for b in chunk:
             value = (value << 1) | int(b)
         return value
-
-    def read_array(self, width: int, count: int) -> np.ndarray:
-        """Vectorized read of ``count`` fixed-``width`` unsigned integers."""
-        if width == 0:
-            return np.zeros(count, dtype=np.uint64)
-        need = width * count
-        if self._pos + need > self._nbits:
-            raise CorruptStreamError(
-                f"bitstream underflow: need {need} bits, have {self.remaining}"
-            )
-        bits = self._bits[self._pos : self._pos + need].reshape(count, width)
-        self._pos += need
-        weights = (np.uint64(1) << np.arange(width - 1, -1, -1, dtype=np.uint64))
-        return bits.astype(np.uint64) @ weights

@@ -10,7 +10,7 @@ values — see ``mode`` parameter).
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -80,25 +80,3 @@ def block_reassemble(
     arr = arr.reshape(padded_shape)
     crop = tuple(slice(0, s) for s in orig_shape)
     return arr[crop]
-
-
-def iter_block_slices(shape: Sequence[int], block: Sequence[int]) -> Iterator[tuple[slice, ...]]:
-    """Yield index tuples covering ``shape`` in C-order blocks.
-
-    Unlike :func:`block_partition` this never pads: boundary blocks are
-    smaller.  Used by the blocked GPU-SZ compressor whose chunks may be
-    ragged at array boundaries.
-    """
-    if len(block) != len(shape):
-        raise DataError("block rank does not match shape rank")
-    counts = [int(np.ceil(s / b)) for s, b in zip(shape, block)]
-    for flat in range(int(np.prod(counts))):
-        idx = []
-        rem = flat
-        for c in reversed(counts):
-            idx.append(rem % c)
-            rem //= c
-        idx.reverse()
-        yield tuple(
-            slice(i * b, min((i + 1) * b, s)) for i, b, s in zip(idx, block, shape)
-        )

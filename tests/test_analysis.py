@@ -15,7 +15,6 @@ from repro.analysis import (
     throughput_vs_rate_study,
 )
 from repro.analysis.optimizer import ConfigCandidate
-from repro.analysis.pk_ratio import composite_pk_ratio
 from repro.compressors import SZCompressor, ZFPCompressor
 from repro.errors import AnalysisError, DataError
 
@@ -69,17 +68,6 @@ class TestPkRatioSweep:
             derive=lambda a: np.abs(np.asarray(a, dtype=np.float64)),
         )
         assert np.all(np.isfinite(pts[0].ratio))
-
-    def test_composite_ratio(self, nyx_small):
-        originals = {k: v for k, v in nyx_small.fields.items()}
-        k, ratio, ok = composite_pk_ratio(
-            originals,
-            originals,
-            lambda fields: fields["baryon_density"].astype(np.float64)
-            + fields["dark_matter_density"].astype(np.float64),
-            nyx_small.box_size,
-        )
-        assert ok and np.allclose(ratio, 1.0)
 
 
 class TestHaloRatioSweep:

@@ -1,81 +1,11 @@
-"""Tests for error propagation, chunked compression, and the HTML viewer."""
+"""Tests for chunked compression."""
 
 import numpy as np
 import pytest
 
-from repro.analysis.error_propagation import (
-    magnitude_bound,
-    product_bound,
-    required_field_bounds_for_magnitude,
-    required_field_bounds_for_sum,
-    sum_bound,
-    verify_composite_bound,
-)
 from repro.compressors import SZCompressor, ZFPCompressor
 from repro.compressors.streaming import ChunkedCompressor
 from repro.errors import CorruptStreamError, DataError
-from repro.foresight.cinema import CinemaDatabase
-from repro.foresight.cinema_viewer import write_viewer
-
-
-class TestPropagationRules:
-    def test_sum_bound(self):
-        assert sum_bound(0.1, 0.2, 0.3) == pytest.approx(0.6)
-
-    def test_magnitude_bound(self):
-        assert magnitude_bound(3.0, 4.0) == pytest.approx(5.0)
-
-    def test_product_bound_dominates_first_order(self):
-        assert product_bound(10.0, 5.0, 0.1, 0.2) == pytest.approx(
-            10 * 0.2 + 5 * 0.1 + 0.02
-        )
-
-    def test_inverse_rules(self):
-        assert required_field_bounds_for_sum(0.6, 3) == pytest.approx(0.2)
-        assert required_field_bounds_for_magnitude(0.3, 9) == pytest.approx(0.1)
-
-    def test_validation(self):
-        with pytest.raises(DataError):
-            sum_bound()
-        with pytest.raises(DataError):
-            required_field_bounds_for_sum(1.0, 0)
-
-
-class TestPropagationEmpirical:
-    def test_overall_density_bound_holds(self, nyx_small):
-        """Compress baryon+DM density separately; the sum respects the
-        propagated bound (Fig. 5's overall-density panel situation)."""
-        sz = SZCompressor()
-        eb = 0.05
-        fields = [
-            nyx_small.fields["baryon_density"],
-            nyx_small.fields["dark_matter_density"],
-        ]
-        recon = [sz.decompress(sz.compress(f, error_bound=eb)) for f in fields]
-        holds, measured = verify_composite_bound(
-            fields, recon, lambda a, b: a + b,
-            sum_bound(eb, eb) + 2 * float(np.spacing(np.float32(1e4))),
-        )
-        assert holds
-        assert measured > 0  # lossy: the bound is not vacuous
-
-    def test_velocity_magnitude_bound_holds(self, nyx_small):
-        sz = SZCompressor()
-        eb = 1e5
-        fields = [nyx_small.fields[f"velocity_{ax}"] for ax in "xyz"]
-        recon = [sz.decompress(sz.compress(f, error_bound=eb)) for f in fields]
-        bound = magnitude_bound(eb, eb, eb) + 3 * float(np.spacing(np.float32(1e8)))
-        holds, measured = verify_composite_bound(
-            fields, recon,
-            lambda x, y, z: np.sqrt(x**2 + y**2 + z**2),
-            bound,
-        )
-        assert holds
-        assert measured <= bound
-
-    def test_magnitude_tighter_than_sum(self):
-        # The sqrt(n) factor matters: magnitude bound < sum bound.
-        assert magnitude_bound(0.1, 0.1, 0.1) < sum_bound(0.1, 0.1, 0.1)
 
 
 class TestChunkedCompressor:
@@ -174,32 +104,3 @@ class TestChunkedCompressor:
         chunked = ChunkedCompressor(SZCompressor())
         with pytest.raises(CorruptStreamError):
             chunked.decompress(b"XXXX" + b"\x00" * 32)
-
-
-class TestCinemaViewer:
-    def test_html_written_with_links(self, tmp_path):
-        db = CinemaDatabase(tmp_path / "study")
-
-        def artifact(rec, artifact_dir):
-            p = artifact_dir / f"a{rec['id']}.txt"
-            p.write_text("artifact")
-            return f"artifacts/{p.name}"
-
-        db.write([{"id": 1, "psnr": 88.25}, {"id": 2, "psnr": 64.0}],
-                 artifact_writer=artifact)
-        out = write_viewer(db, title="My study")
-        text = out.read_text()
-        assert "My study" in text
-        assert "88.25" in text
-        assert "href='artifacts/a1.txt'" in text
-
-    def test_empty_db_raises(self, tmp_path):
-        db = CinemaDatabase(tmp_path / "empty")
-        with pytest.raises(Exception):
-            write_viewer(db)
-
-    def test_html_escaping(self, tmp_path):
-        db = CinemaDatabase(tmp_path / "esc")
-        db.write([{"name": "<script>alert(1)</script>"}])
-        text = write_viewer(db).read_text()
-        assert "<script>alert" not in text

@@ -1,10 +1,8 @@
-"""Tests for the FPC lossless baseline, the correlation function, and
-image rendering."""
+"""Tests for the FPC lossless baseline and image rendering."""
 
 import numpy as np
 import pytest
 
-from repro.cosmo.power_spectrum import correlation_function, power_spectrum
 from repro.errors import CorruptStreamError, DataError
 from repro.foresight.imaging import read_pgm, render_slice, write_pgm
 from repro.lossless.fpc import fpc_compress, fpc_decompress
@@ -61,46 +59,6 @@ class TestFPC:
     def test_bad_magic_raises(self):
         with pytest.raises(CorruptStreamError):
             fpc_decompress(b"XXXX" + b"\x00" * 64)
-
-
-class TestCorrelationFunction:
-    def test_xi_zero_lag_equals_variance_limit(self):
-        # xi at the smallest bin approaches the variance for a field with
-        # only large-scale power.
-        rng = np.random.default_rng(0)
-        from repro.cosmo.grf import gaussian_random_field
-        from repro.cosmo.spectra import CosmoPowerSpectrum
-
-        f = gaussian_random_field(32, 100.0, CosmoPowerSpectrum(), rng)
-        res = correlation_function(f, 100.0, nbins=10)
-        assert res.xi[0] > 0
-        assert res.xi[0] <= f.var() * 1.05
-
-    def test_xi_decreases_with_separation_for_clustered_field(self, nyx_small):
-        f = nyx_small.fields["dark_matter_density"].astype(np.float64)
-        res = correlation_function(f, nyx_small.box_size, nbins=8)
-        assert res.xi[0] > res.xi[-1]
-
-    def test_white_noise_xi_near_zero_at_large_r(self):
-        rng = np.random.default_rng(1)
-        f = rng.standard_normal((24, 24, 24))
-        res = correlation_function(f, 10.0, nbins=8)
-        assert abs(res.xi[-1]) < 0.05 * f.var()
-
-    def test_consistency_with_power_spectrum(self):
-        # A field with more power has a larger xi everywhere (same shape).
-        rng = np.random.default_rng(2)
-        from repro.cosmo.grf import gaussian_random_field
-        from repro.cosmo.spectra import power_law_spectrum
-
-        f = gaussian_random_field(24, 50.0, power_law_spectrum(10.0, -2.0), rng)
-        xi1 = correlation_function(f, 50.0, nbins=6)
-        xi2 = correlation_function(2 * f, 50.0, nbins=6)
-        assert np.allclose(xi2.xi, 4 * xi1.xi)
-
-    def test_validation(self):
-        with pytest.raises(DataError):
-            correlation_function(np.zeros((4, 8, 8)), 10.0)
 
 
 class TestImaging:

@@ -10,12 +10,12 @@ from repro.gpu import (
     PCIE3_X16,
     V100,
     cpu_throughput,
-    get_gpu,
     kernel_time,
     simulate_compression,
     simulate_decompression,
     transfer_time,
 )
+from repro.gpu.device import K80
 
 N = 512**3
 
@@ -31,18 +31,7 @@ class TestDeviceCatalog:
         assert V100.architecture == "Volta"
 
     def test_k80_is_dual_chip(self):
-        assert get_gpu("K80").dual_chip
-
-    def test_lookup_by_substring(self):
-        assert get_gpu("titan").name == "Nvidia Titan V"
-
-    def test_unknown_gpu_raises(self):
-        with pytest.raises(ConfigError):
-            get_gpu("A100")
-
-    def test_ambiguous_lookup_raises(self):
-        with pytest.raises(ConfigError):
-            get_gpu("Tesla")  # V100, P100, K80 all match
+        assert K80.dual_chip
 
     def test_cpu_reference(self):
         assert CPU_XEON_6148.cores == 20
@@ -71,9 +60,8 @@ class TestKernelModel:
         assert times == sorted(times)
 
     def test_better_gpu_is_faster(self):
-        k80 = get_gpu("K80")
         assert kernel_time(V100, "cuzfp", "compress", N, 4) < kernel_time(
-            k80, "cuzfp", "compress", N, 4
+            K80, "cuzfp", "compress", N, 4
         )
 
     def test_decompress_cheaper_than_compress(self):

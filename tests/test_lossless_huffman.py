@@ -77,6 +77,14 @@ class TestCodecRoundTrip:
         out = codec.decode(codec.encode(sym, 17))
         assert np.array_equal(out, sym)
 
+    @pytest.mark.parametrize("n, alphabet", [(0, 4), (1, 2), (216, 2048), (5000, 65536)])
+    def test_max_stream_bytes_bounds_the_worst_encode(self, n, alphabet):
+        # Uniform symbols, one chunk per symbol: the largest stream the
+        # encoder writes, which a lossless stage's output cap must admit.
+        codec = HuffmanCodec(max_len=16, chunk_size=1)
+        sym = np.random.default_rng(n).integers(0, alphabet, n)
+        assert len(codec.encode(sym, alphabet).payload) <= codec.max_stream_bytes(n, alphabet)
+
     def test_single_symbol_stream(self):
         codec = HuffmanCodec()
         sym = np.full(1000, 7)

@@ -5,8 +5,6 @@ import pytest
 
 from repro.errors import DataError
 from repro.metrics import (
-    bitrate,
-    compression_ratio,
     evaluate_distortion,
     max_abs_error,
     max_pointwise_relative_error,
@@ -69,19 +67,6 @@ class TestErrorMetrics:
         d = evaluate_distortion(a, a + 1e-3)
         assert set(d) == {"mse", "psnr", "mre", "nrmse", "max_abs_error", "max_pw_rel_error"}
         assert all(np.isfinite(v) for v in d.values())
-
-
-class TestRatioMetrics:
-    def test_paper_identity(self):
-        # bitrate 4 on fp32 == ratio 8 (paper Section V-A).
-        assert bitrate(500, 1000) == 4.0
-        assert compression_ratio(4000, 500) == 8.0
-
-    def test_validation(self):
-        with pytest.raises(DataError):
-            compression_ratio(0, 10)
-        with pytest.raises(DataError):
-            bitrate(10, 0)
 
 
 class TestSSIM:

@@ -235,6 +235,34 @@ class TestOptions:
         recon = SZCompressor().decompress(buf)
         assert np.abs(recon - smooth_field3d).max() <= 1e-2 + ulp_tolerance(smooth_field3d)
 
+    def test_lzss_stage_is_capped_before_it_expands(self):
+        """A 42-byte LZSS stage that declares 4 MiB is refused before it
+        allocates: its cap is the largest Huffman section the encoder
+        writes for the stream's 216 symbols."""
+        import struct
+        import tracemalloc
+
+        from repro.compressors.sz.szcompressor import _HDR_ABS
+        from test_lossless_lzss import ZERO_BOMB
+
+        codec = SZCompressor(lossless=["lzss"], predictor="lorenzo")
+        stream = codec.compress(np.ones((2, 2, 2), np.float32), error_bound=0.1).payload
+        header = list(struct.unpack_from(_HDR_ABS, stream))
+        # shape (3 u64) and one predictor-flag byte; no regression blocks
+        start = struct.calcsize(_HDR_ABS) + 8 * 3 + 1
+        bomb = b"PIPE\x04\x00lzss" + ZERO_BOMB
+        end, header[10] = start + header[10], len(bomb)
+        crafted = (struct.pack(_HDR_ABS, *header)
+                   + stream[struct.calcsize(_HDR_ABS):start] + bomb + stream[end:])
+        tracemalloc.start()
+        try:
+            with pytest.raises(CorruptStreamError, match="LZSS stage declares 4194304"):
+                SZCompressor().decompress(crafted)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_custom_block_side(self, smooth_field3d):
         sz = SZCompressor(block_side=8)
         buf = sz.compress(smooth_field3d, error_bound=1e-2)

@@ -99,31 +99,6 @@ class TestBitWriterReader:
         with pytest.raises(CorruptStreamError):
             r.read(1)
 
-    def test_read_array_matches_scalar_reads(self):
-        w = BitWriter()
-        vals = [13, 7, 0, 31, 16]
-        for v in vals:
-            w.write(v, 5)
-        r1 = BitReader(w.getvalue(), w.bit_length)
-        arr = r1.read_array(5, 5)
-        assert arr.tolist() == vals
-
-    def test_seek(self):
-        w = BitWriter()
-        w.write(0b1010, 4)
-        r = BitReader(w.getvalue(), 4)
-        r.read(4)
-        r.seek(0)
-        assert r.read(4) == 0b1010
-        with pytest.raises(CorruptStreamError):
-            r.seek(5)
-
     def test_declared_length_exceeding_payload_raises(self):
         with pytest.raises(CorruptStreamError):
             BitReader(b"\x00", 9)
-
-    def test_write_array(self):
-        w = BitWriter()
-        w.write_array(np.array([1, 2, 3]), 4)
-        r = BitReader(w.getvalue(), w.bit_length)
-        assert [r.read(4) for _ in range(3)] == [1, 2, 3]

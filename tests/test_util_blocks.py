@@ -7,7 +7,6 @@ from repro.errors import DataError
 from repro.util.blocks import (
     block_partition,
     block_reassemble,
-    iter_block_slices,
     pad_to_multiple,
 )
 
@@ -72,21 +71,3 @@ class TestPartitionReassemble:
         blocks = np.zeros((4, 2, 2))
         with pytest.raises(DataError):
             block_reassemble(blocks, (2,), (4,))
-
-
-class TestIterBlockSlices:
-    def test_covers_everything_once(self):
-        shape, block = (7, 5), (3, 2)
-        seen = np.zeros(shape, dtype=int)
-        for sl in iter_block_slices(shape, block):
-            seen[sl] += 1
-        assert np.all(seen == 1)
-
-    def test_boundary_blocks_are_smaller(self):
-        slices = list(iter_block_slices((5,), (4,)))
-        assert slices[0][0] == slice(0, 4)
-        assert slices[1][0] == slice(4, 5)
-
-    def test_rank_mismatch_raises(self):
-        with pytest.raises(DataError):
-            list(iter_block_slices((4, 4), (2,)))
