@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import abc
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -59,7 +60,7 @@ class CompressedBuffer:
 
     @property
     def original_nbytes(self) -> int:
-        return int(np.prod(self.original_shape)) * self.original_dtype.itemsize
+        return int(math.prod(self.original_shape)) * self.original_dtype.itemsize
 
     @property
     def compressed_nbytes(self) -> int:
@@ -73,7 +74,7 @@ class CompressedBuffer:
     @property
     def bitrate(self) -> float:
         """Average bits per value of the compressed stream."""
-        n = int(np.prod(self.original_shape))
+        n = int(math.prod(self.original_shape))
         return 8.0 * self.compressed_nbytes / max(1, n)
 
 

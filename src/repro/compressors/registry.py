@@ -48,6 +48,11 @@ def available_compressors() -> list[str]:
     return sorted(_REGISTRY)
 
 
+def is_registered(name: str) -> bool:
+    """Whether ``name`` (any case) names a registered compressor."""
+    return name.lower() in _REGISTRY
+
+
 def _register_builtins() -> None:
     # Imported lazily to avoid import cycles at package init.
     from repro.compressors.store import StoreCompressor

@@ -137,9 +137,9 @@ class SZCompressor(Compressor):
         mode = _coerce_mode(mode)
         self.check_mode(mode)
         data = np.asarray(data)
-        check_dtype(data, [np.float32, np.float64], "data")
+        check_dtype(data, _DTYPE_CODES, "data")
         check_shape_nd(data, (1, 2, 3), "data")
-        if not np.all(np.isfinite(data)):
+        if not np.isfinite(data).all():
             raise DataError("SZ input must be finite (no NaN/Inf)")
         if mode is CompressorMode.PW_REL:
             if pwrel is None:
@@ -178,8 +178,8 @@ class SZCompressor(Compressor):
             payload = cls._parse_pwrel(payload)[-1]
         elif payload[:4] != _MAGIC_ABS:
             raise CorruptStreamError(f"bad SZ magic {payload[:4]!r}")
-        dtype, _, _, lossless, *_, nvalues = cls._parse_abs(payload)
-        return None if lossless else nvalues * dtype.itemsize
+        dtype, shape, block_side, lossless, nblocks = cls._parse_abs(payload, False)
+        return None if lossless else nblocks * block_side**len(shape) * dtype.itemsize
 
     # -- ABS path -----------------------------------------------------------
 
@@ -213,7 +213,7 @@ class SZCompressor(Compressor):
             if self.pipeline is not None:
                 huff_payload = self.pipeline.compress(huff_payload)
         out = Q.OutlierSection.encode(outliers)
-        mode_bits = np.packbits(use_reg.astype(np.uint8), bitorder="big").tobytes()
+        mode_bits = np.packbits(use_reg, bitorder="big").tobytes()
 
         header = struct.pack(
             _HDR_ABS,
@@ -236,7 +236,7 @@ class SZCompressor(Compressor):
              out.payload]
         )
         meta = {
-            "predictor_regression_fraction": float(use_reg.mean()),
+            "predictor_regression_fraction": int(np.count_nonzero(use_reg)) / nblocks,
             "outlier_count": int(out.count),
             "huffman_bits_per_symbol": 8.0 * len(enc.payload) / symbols.size,
         }
@@ -249,9 +249,11 @@ class SZCompressor(Compressor):
                                self.block_side, radius, data.shape, data.dtype)
 
     @staticmethod
-    def _parse_abs(payload: bytes) -> tuple:
+    def _parse_abs(payload: bytes, sections: bool = True) -> tuple:
         """The checked sections of an ABS stream: ``(dtype, shape, block_side,
-        has_pipeline, radius, eb, use_reg, coefs, huff, outliers, nvalues)``."""
+        has_pipeline, radius, eb, use_reg, coefs, huff, outliers, nvalues)``;
+        with ``sections=False``, of its header: ``(dtype, shape, block_side,
+        has_pipeline, nblocks)``."""
         hsize = struct.calcsize(_HDR_ABS)
         if len(payload) < hsize:
             raise CorruptStreamError("SZ stream truncated (header)")
@@ -276,20 +278,22 @@ class SZCompressor(Compressor):
         shape = struct.unpack(f"<{ndim}Q", payload[hsize:pos])
         if nblocks != math.prod(-(-s // block_side) for s in shape) or nblocks == 0:
             raise CorruptStreamError("SZ block count does not match shape")
+        if not sections:
+            return dtype, shape, block_side, has_pipeline, nblocks
         nmode_bytes = -(-nblocks // 8)
         if len(payload) < pos + nmode_bytes:
             raise CorruptStreamError("SZ stream truncated (predictor flags)")
         use_reg = np.unpackbits(
             np.frombuffer(payload[pos : pos + nmode_bytes], dtype=np.uint8),
-            count=nblocks, bitorder="big").astype(bool)
+            count=nblocks, bitorder="big").view(bool)  # 0/1 bytes
         pos += nmode_bytes
-        n_reg = int(use_reg.sum())
+        n_reg = int(np.count_nonzero(use_reg))
         ncoef = ndim + 1
         if len(payload) < pos + 4 * ncoef * n_reg + huff_len:
             raise CorruptStreamError("SZ stream truncated (sections)")
-        coefs = np.frombuffer(
+        coefs = np.frombuffer(  # a writable copy: the kernel's address is cheap
             payload[pos : pos + 4 * ncoef * n_reg], dtype=np.float32
-        ).reshape(n_reg, ncoef)
+        ).reshape(n_reg, ncoef).copy()
         pos += 4 * ncoef * n_reg
         huff_payload = payload[pos : pos + huff_len]
         pos += huff_len

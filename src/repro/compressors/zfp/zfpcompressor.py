@@ -34,6 +34,7 @@ from typing import Any
 
 import numpy as np
 
+from repro import kernels
 from repro.compressors.base import CompressedBuffer, Compressor, CompressorMode
 from repro.compressors.zfp.blockcodec import HEADER_BITS
 from repro.errors import CorruptStreamError, DataError
@@ -125,9 +126,9 @@ class ZFPCompressor(Compressor):
         mode = self._resolve_mode(mode, rate, precision, tolerance)
         self.check_mode(mode)
         data = np.asarray(data)
-        check_dtype(data, [np.float32, np.float64], "data")
+        check_dtype(data, _DTYPE_CODES, "data")
         check_shape_nd(data, (1, 2, 3), "data")
-        if not np.all(np.isfinite(data)):
+        if not np.isfinite(data).all():
             raise DataError("ZFP input must be finite (no NaN/Inf)")
 
         size = 4**data.ndim
@@ -159,8 +160,6 @@ class ZFPCompressor(Compressor):
             if parameter <= 0:
                 raise DataError("fixed-accuracy mode needs a positive tolerance")
             maxbits = 0
-
-        from repro import kernels
 
         tm = get_telemetry()
         with tm.span("zfp.encode", bytes=data.nbytes, mode=mode.value,
@@ -219,8 +218,6 @@ class ZFPCompressor(Compressor):
     def decompress(self, buf: CompressedBuffer | bytes) -> np.ndarray:
         payload = buf.payload if isinstance(buf, CompressedBuffer) else buf
         args = self._parse(payload)
-        from repro import kernels
-
         with get_telemetry().span(
                 "zfp.decode", bytes=len(payload),
                 backend=kernels.resolve_name("zfp.decode")):
@@ -300,26 +297,19 @@ class ZFPCompressor(Compressor):
     ) -> CompressorMode:
         if isinstance(mode, str):
             mode = CompressorMode(mode)
+        knobs = {CompressorMode.FIXED_RATE: rate,
+                 CompressorMode.FIXED_PRECISION: precision,
+                 CompressorMode.FIXED_ACCURACY: tolerance}
         if mode is None:
-            given = [m for m, v in (
-                (CompressorMode.FIXED_RATE, rate),
-                (CompressorMode.FIXED_PRECISION, precision),
-                (CompressorMode.FIXED_ACCURACY, tolerance),
-            ) if v is not None]
+            given = [m for m, v in knobs.items() if v is not None]
             if len(given) != 1:
                 raise DataError(
                     "pass exactly one of rate=, precision=, tolerance= "
                     "(or an explicit mode=)"
                 )
             return given[0]
-        knob_map = {
-            CompressorMode.FIXED_RATE: rate,
-            CompressorMode.FIXED_PRECISION: precision,
-            CompressorMode.FIXED_ACCURACY: tolerance,
-        }
-        if mode not in knob_map:
-            return mode  # non-ZFP mode: let check_mode report it properly
-        if knob_map[mode] is None:
+        # A non-ZFP mode passes: check_mode reports it properly.
+        if mode in knobs and knobs[mode] is None:
             raise DataError(f"mode {mode.value} requires its knob argument")
         return mode
 

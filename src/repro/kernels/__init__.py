@@ -53,38 +53,20 @@ __all__ = [
 ]
 
 
-def call(kernel, *args, backend=None, **kwargs):
-    """Dispatch ``kernel`` through the process registry."""
-    return REGISTRY.call(kernel, *args, backend=backend, **kwargs)
+# The process registry's own bound methods: a kernel call pays no
+# wrapper frame.
+call = REGISTRY.call
+active = REGISTRY.active
+last_used = REGISTRY.last_used
+requested_backend = REGISTRY.requested_backend
+set_backend = REGISTRY.set_backend
+current_override = REGISTRY.current_override
+publish_gauges = REGISTRY.publish_gauges
 
 
 def resolve_name(kernel: str, backend: str | None = None) -> str:
     """The tier :func:`call` would run ``kernel`` on right now."""
     return REGISTRY.resolve(kernel, backend)[0]
-
-
-def active(backend: str | None = None) -> dict[str, str]:
-    """Resolved backend per kernel under the current selection."""
-    return REGISTRY.active(backend)
-
-
-def last_used() -> dict[str, str]:
-    """Backend that actually served the most recent call, per kernel."""
-    return REGISTRY.last_used()
-
-
-def requested_backend() -> str:
-    """The tier this process is asking for (override > env > auto)."""
-    return REGISTRY.requested_backend()
-
-
-def set_backend(backend: str | None) -> None:
-    """Install a process-wide backend override (``None`` clears it)."""
-    REGISTRY.set_backend(backend)
-
-
-def current_override() -> str | None:
-    return REGISTRY.current_override()
 
 
 @contextmanager
@@ -99,11 +81,6 @@ def use(backend: str | None):
         yield
     finally:
         REGISTRY.set_backend(previous)
-
-
-def publish_gauges(tm=None) -> dict[str, str]:
-    """Export ``kernels.backend{stage=...}`` gauges; returns the mapping."""
-    return REGISTRY.publish_gauges(tm)
 
 
 def reset() -> None:

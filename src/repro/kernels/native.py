@@ -27,11 +27,14 @@ import shutil
 import subprocess
 import tempfile
 import threading
+from functools import lru_cache
 
 import numpy as np
 
+from repro.compressors.sz.staged import check_sections
 from repro.errors import CorruptStreamError, DataError, KernelUnavailableError
 from repro.kernels._csource import C_SOURCE
+from repro.lossless.huffman import KRAFT, TOO_LONG, check_max_len, fit_error, symbol_dtype
 
 #: Directory caching the compiled shared object across processes.
 CACHE_ENV = "REPRO_KERNEL_CACHE"
@@ -178,8 +181,15 @@ def reset() -> None:
     _state.update(probed=False, lib=None, error=None)
 
 
-def _p(arr: np.ndarray) -> ctypes.c_void_p:
-    return ctypes.c_void_p(arr.ctypes.data)
+def _p(arr: np.ndarray) -> int:
+    """``arr``'s address: a writable array's through a ctypes view of its
+    buffer (a third of ``arr.ctypes``); ``bytes`` pass to ``c_void_p`` as is."""
+    if arr.flags.writeable:
+        try:
+            return ctypes.addressof(ctypes.c_char.from_buffer(arr))
+        except (TypeError, ValueError):  # empty, or not contiguous
+            pass
+    return arr.ctypes.data
 
 
 # -- kernel wrappers ---------------------------------------------------------
@@ -202,8 +212,6 @@ def huffman_code(freqs: np.ndarray, max_len: int) -> tuple[np.ndarray, np.ndarra
     """Length-limited canonical code of a histogram (``huffman.code``
     kernel): ``(lengths uint8, codes uint64)`` per alphabet entry."""
     lib = _resolve()
-    from repro.lossless.huffman import check_max_len, fit_error
-
     check_max_len(max_len)
     freqs = np.ascontiguousarray(freqs, dtype=np.int64)
     used = int(np.count_nonzero(freqs > 0))
@@ -260,9 +268,7 @@ def huffman_decode(
     """Chunk-parallel decode through a two-level table built in C from
     the code lengths (``huffman.decode`` kernel)."""
     lib = _resolve()
-    from repro.lossless.huffman import KRAFT, TOO_LONG, symbol_dtype
-
-    body_arr = np.frombuffer(body, dtype=np.uint8)
+    body_p = body if type(body) is bytes else _p(np.frombuffer(body, dtype=np.uint8))
     lengths = np.ascontiguousarray(lengths, dtype=np.uint8)
     size = lib.repro_huffman_table_size(_p(lengths), lengths.size, max_len)
     if size < 0:
@@ -271,7 +277,7 @@ def huffman_decode(
     chunk_offsets = np.ascontiguousarray(chunk_offsets, dtype=np.int64)
     out = np.empty(n, dtype=symbol_dtype(lengths.size))
     code = lib.repro_huffman_decode(
-        _p(body_arr), body_arr.size, _p(chunk_offsets), chunk_offsets.size,
+        body_p, len(body), _p(chunk_offsets), chunk_offsets.size,
         chunk_size, n, _p(lengths), lengths.size, max_len, total_bits,
         _p(table), out.dtype == np.int64, _p(out),
     )
@@ -285,13 +291,12 @@ def huffman_decode(
 _SZ_PREDICTORS = {"adaptive": 0, "lorenzo": 1, "regression": 2}
 
 
-def _sz_geometry(
-    shape: tuple[int, ...], block_side: int, dtype: np.dtype
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-    """(shape as int64 array, design matrix, its pseudo-inverse, block
-    count, cells per block) after checking what the C side assumes; the
-    matrices are the reference's own."""
-    from repro.compressors.sz.predictor import _design_matrix
+@lru_cache(maxsize=64)
+def _sz_geometry(shape: tuple[int, ...], block_side: int, dtype: np.dtype) -> tuple:
+    """``(arrays, their addresses, cost table size, block count, cells per
+    block)`` after checking what the C side assumes; the arrays (shape,
+    design matrix, its pseudo-inverse, cost table) are the reference's."""
+    from repro.compressors.sz.predictor import _design_matrix, cost_table
 
     if (not 1 <= len(shape) <= 3 or not 2 <= block_side <= 255
             or dtype not in (np.float32, np.float64)):
@@ -300,9 +305,12 @@ def _sz_geometry(
             "block sides in [2, 255]"
         )
     design, pinv = _design_matrix((block_side,) * len(shape))
+    shape_arr = np.array(shape, dtype=np.int64)
+    table = cost_table()
     nblocks = math.prod(-(-s // block_side) for s in shape)
-    return (np.array(shape, dtype=np.int64), design, pinv, nblocks,
-            block_side ** len(shape))
+    return ((shape_arr, design, pinv, table),
+            (_p(shape_arr), _p(design), _p(pinv), _p(table)), table.size,
+            nblocks, block_side ** len(shape))
 
 
 def sz_encode(
@@ -315,34 +323,27 @@ def sz_encode(
     """One-pass fused predictor + quantizer (``sz.encode`` kernel); the
     contract is spelled out in :mod:`repro.compressors.sz.staged`."""
     lib = _resolve()
-    from repro.compressors.sz.predictor import cost_table
-    from repro.compressors.sz.quantizer import auto_radius
-    from repro.compressors.sz.staged import split_symbols
-
     data = np.ascontiguousarray(data)
-    shape, design, pinv, nblocks, size = _sz_geometry(
+    _, (shape, design, pinv, table), table_size, nblocks, size = _sz_geometry(
         data.shape, block_side, data.dtype
     )
     ncells = nblocks * size
-    table = cost_table()
     scratch = np.empty(3 * size, dtype=np.float64)
     use_reg = np.empty(nblocks, dtype=np.bool_)
     coefs = np.empty((nblocks, data.ndim + 1), dtype=np.float32)
     counts = np.zeros(2, dtype=np.int64)
     if radius is None:  # a residual pass first: the radius depends on it
         residual = np.empty(ncells, dtype=np.int64)
-        symbols = freqs = outliers = None
+        outputs = (None, None, None, _p(residual))
     else:
-        residual = None
         symbols = np.empty(ncells, dtype=np.uint16)
         freqs = np.zeros(2 * radius, dtype=np.int64)
         outliers = np.empty(ncells, dtype=np.int64)
+        outputs = (_p(symbols), _p(freqs), _p(outliers), None)
     overflow = lib.repro_sz_encode(
-        _p(data), data.dtype == np.float32, data.ndim, _p(shape), block_side,
+        _p(data), data.dtype == np.float32, data.ndim, shape, block_side,
         2.0 * error_bound, _SZ_PREDICTORS[predictor], radius or 0,
-        _p(design), _p(pinv), _p(table), table.size, _p(scratch),
-        *(None if a is None else _p(a)
-          for a in (symbols, freqs, outliers, residual)),
+        design, pinv, table, table_size, _p(scratch), *outputs,
         _p(use_reg), _p(coefs), _p(counts),
     )
     if overflow:
@@ -351,6 +352,9 @@ def sz_encode(
         )
     coefs = coefs[: counts[1]]
     if radius is None:
+        from repro.compressors.sz.quantizer import auto_radius
+        from repro.compressors.sz.staged import split_symbols
+
         radius = auto_radius(residual)
         return (*split_symbols(residual, radius), use_reg, coefs, radius)
     return symbols, freqs, outliers[: counts[0]], use_reg, coefs, radius
@@ -370,9 +374,8 @@ def sz_decode(
     """Mirror of :func:`sz_encode` (``sz.decode`` kernel); the contract
     is spelled out in :mod:`repro.compressors.sz.staged`."""
     lib = _resolve()
-    from repro.compressors.sz.staged import check_sections
-
-    shape_arr, design, _, _, size = _sz_geometry(shape, block_side, dtype)
+    _, (shape_arr, design, _, _), _, _, size = _sz_geometry(
+        shape, block_side, dtype)
     symbols = np.ascontiguousarray(symbols)  # uint16: check_sections
     outliers = np.ascontiguousarray(outliers, dtype=np.int64)
     use_reg = np.ascontiguousarray(use_reg, dtype=np.bool_)
@@ -384,8 +387,8 @@ def sz_decode(
     escapes = np.zeros(1, dtype=np.int64)
     mismatch = lib.repro_sz_decode(
         _p(symbols), radius, _p(outliers), outliers.size, _p(use_reg),
-        _p(coefs), _p(design), 2.0 * error_bound, block_side, _p(out),
-        out.dtype == np.float32, len(shape), _p(shape_arr), _p(scratch),
+        _p(coefs), design, 2.0 * error_bound, block_side, _p(out),
+        out.dtype == np.float32, len(shape), shape_arr, _p(scratch),
         _p(escapes),
     )
     if mismatch:
@@ -396,12 +399,15 @@ def sz_decode(
     return out
 
 
-def _zfp_geometry(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, int]:
-    """(shape as int64 array, sequency permutation, block count)."""
+@lru_cache(maxsize=64)
+def _zfp_geometry(shape: tuple[int, ...]) -> tuple:
+    """(arrays, shape array address, sequency permutation address, block count)."""
     from repro.compressors.zfp.transform import sequency_order
 
-    nblocks = math.prod(-(-s // 4) for s in shape)
-    return np.array(shape, dtype=np.int64), sequency_order(len(shape)), nblocks
+    shape_arr = np.array(shape, dtype=np.int64)
+    perm = sequency_order(len(shape))
+    return ((shape_arr, perm), _p(shape_arr), _p(perm),
+            math.prod(-(-s // 4) for s in shape))
 
 
 def zfp_encode(
@@ -411,7 +417,7 @@ def zfp_encode(
     is spelled out in :mod:`repro.compressors.zfp.staged`."""
     lib = _resolve()
     data = np.ascontiguousarray(data)
-    shape, perm, nblocks = _zfp_geometry(data.shape)
+    _, shape, perm, nblocks = _zfp_geometry(data.shape)
     size = 4 ** data.ndim
     # Worst case per block: header, then per plane at most `size` value
     # bits, `size` group-test bits and one terminating test bit.
@@ -421,7 +427,7 @@ def zfp_encode(
     used_bits = np.empty(nblocks, dtype=np.int64)
     nonzero = np.empty(nblocks, dtype=np.bool_)
     nbits = lib.repro_zfp_encode(
-        _p(data), data.dtype == np.float32, data.ndim, _p(shape), _p(perm),
+        _p(data), data.dtype == np.float32, data.ndim, shape, perm,
         planes, maxbits, kmin_rule[0], kmin_rule[1],
         _p(out), _p(offsets), _p(used_bits), _p(nonzero),
     )
@@ -439,21 +445,21 @@ def zfp_decode(
     """Mirror of :func:`zfp_encode` (``zfp.decode`` kernel); the contract
     is spelled out in :mod:`repro.compressors.zfp.staged`."""
     lib = _resolve()
-    body_arr = np.frombuffer(body, dtype=np.uint8)
-    shape_arr, perm, nblocks = _zfp_geometry(shape)
+    body_p = body if type(body) is bytes else _p(np.frombuffer(body, dtype=np.uint8))
+    _, shape_arr, perm, nblocks = _zfp_geometry(shape)
     if isinstance(offsets, int):
         table, maxbits, end = None, offsets, nblocks * offsets
     else:
         table = np.ascontiguousarray(offsets, dtype=np.int64)
         maxbits, end = 0, int(table[-1])
     # The kernel reads whole words; never hand it spans the body lacks.
-    if (table is not None and table.size != nblocks + 1) or end > 8 * body_arr.size:
+    if (table is not None and table.size != nblocks + 1) or end > 8 * len(body):
         raise CorruptStreamError("ZFP stream truncated (body)")
     out = np.empty(shape, dtype=dtype)
     code = lib.repro_zfp_decode(
-        _p(body_arr), body_arr.size, None if table is None else _p(table),
-        maxbits, _p(out), out.dtype == np.float32, len(shape), _p(shape_arr),
-        _p(perm), planes, kmin_rule[0], kmin_rule[1],
+        body_p, len(body), None if table is None else _p(table),
+        maxbits, _p(out), out.dtype == np.float32, len(shape), shape_arr,
+        perm, planes, kmin_rule[0], kmin_rule[1],
     )
     if code == 1:
         raise CorruptStreamError("non-increasing ZFP block offsets")

@@ -50,6 +50,20 @@ TIER_LEVEL = {"numpy": 1, "native": 2}
 
 _LOG = logging.getLogger("repro.kernels")
 
+#: ``REPRO_BACKEND``'s slot in the dict behind ``os.environ``: every
+#: kernel call reads it, at a tenth of the cost of ``os.environ.get``.
+_ENVIRON, _ENV_KEY = os.environ._data, os.environ.encodekey(BACKEND_ENV)
+
+
+def _env_request(raw: bytes | None) -> str:
+    """The tier a raw ``REPRO_BACKEND`` value asks for (unset: auto)."""
+    request = os.fsdecode(raw or b"").strip().lower() or "auto"
+    if request not in TIER_ORDER + ("auto",):
+        raise ConfigError(
+            f"{BACKEND_ENV} must be one of {TIER_ORDER + ('auto',)}, got {request!r}"
+        )
+    return request
+
 
 @dataclass
 class Backend:
@@ -68,7 +82,6 @@ class Backend:
     probe: Callable[[], None] | None = None
     _probe_result: Exception | None = field(default=None, repr=False)
     _probed: bool = field(default=False, repr=False)
-    _resolved: dict[str, Callable] = field(default_factory=dict, repr=False)
 
     def available(self) -> bool:
         return self.unavailable_reason() is None
@@ -89,21 +102,16 @@ class Backend:
     def kernel(self, name: str) -> Callable | None:
         """The implementation of ``name``, importing lazily; ``None`` if
         this backend does not provide the kernel."""
-        if name in self._resolved:
-            return self._resolved[name]
         spec = self.impls.get(name)
         if spec is None:
             return None
         module_name, _, attr = spec.partition(":")
-        fn = getattr(importlib.import_module(module_name), attr)
-        self._resolved[name] = fn
-        return fn
+        return getattr(importlib.import_module(module_name), attr)
 
     def reset(self) -> None:
         """Forget probe results and tripped state (tests, hot reload)."""
         self._probed = False
         self._probe_result = None
-        self._resolved.clear()
 
 
 class KernelRegistry:
@@ -111,6 +119,9 @@ class KernelRegistry:
 
     def __init__(self) -> None:
         self._backends: dict[str, Backend] = {}
+        #: kernel -> ``((override, raw REPRO_BACKEND), (backend, impl))``:
+        #: the pick under that selection, until a trip or :meth:`reset`.
+        self._bound: dict[str, tuple[tuple, tuple[str, Callable]]] = {}
         self._lock = threading.Lock()
         #: (backend, kernel) pairs disabled after a call-time failure.
         self._tripped: dict[tuple[str, str], str] = {}
@@ -127,6 +138,7 @@ class KernelRegistry:
                 f"unknown backend tier {backend.name!r}; expected one of {TIER_ORDER}"
             )
         self._backends[backend.name] = backend
+        self._bound.clear()
 
     def backends(self) -> dict[str, Backend]:
         self._ensure_defs()
@@ -144,15 +156,7 @@ class KernelRegistry:
         """The tier the process is asking for: override > env > auto."""
         if self._override is not None:
             return self._override
-        raw = os.environ.get(BACKEND_ENV, "").strip().lower()
-        if raw:
-            if raw not in TIER_ORDER + ("auto",):
-                raise ConfigError(
-                    f"{BACKEND_ENV} must be one of "
-                    f"{TIER_ORDER + ('auto',)}, got {raw!r}"
-                )
-            return raw
-        return "auto"
+        return _env_request(_ENVIRON.get(_ENV_KEY))
 
     def set_backend(self, backend: str | None) -> None:
         """Install a process-wide backend override (``None`` clears it)."""
@@ -179,9 +183,18 @@ class KernelRegistry:
         return list(TIER_ORDER[start:])
 
     def resolve(self, kernel: str, backend: str | None = None) -> tuple[str, Callable]:
-        """Pick ``(backend_name, impl)`` for one kernel call."""
+        """Pick ``(backend_name, impl)`` for one kernel call; under the
+        process selection, once until that selection changes."""
+        selection = None
+        if backend is None:
+            override = self._override
+            selection = (override, None if override else _ENVIRON.get(_ENV_KEY))
+            bound = self._bound.get(kernel)
+            if bound is not None and bound[0] == selection:
+                return bound[1]
+        request = backend if selection is None else (
+            selection[0] or _env_request(selection[1]))
         self._ensure_defs()
-        request = backend if backend is not None else self.requested_backend()
         if request not in TIER_ORDER + ("auto",):
             raise ConfigError(
                 f"backend must be one of {TIER_ORDER + ('auto',)}, got {request!r}"
@@ -195,6 +208,10 @@ class KernelRegistry:
             fn = be.kernel(kernel)
             if fn is None:
                 continue
+            if selection is not None:
+                with self._lock:  # a trip that raced this pick wins
+                    if (name, kernel) not in self._tripped:
+                        self._bound[kernel] = (selection, (name, fn))
             return name, fn
         raise KernelUnavailableError(
             f"no backend provides kernel {kernel!r} (requested {request!r})"
@@ -237,6 +254,7 @@ class KernelRegistry:
         with self._lock:
             first = (backend, kernel) not in self._tripped
             self._tripped[(backend, kernel)] = reason
+            self._bound.pop(kernel, None)
         if first:
             _LOG.warning(
                 "kernel %s tripped on the %s tier (%s); now served by %s",
@@ -301,6 +319,7 @@ class KernelRegistry:
         with self._lock:
             self._tripped.clear()
             self._active.clear()
+            self._bound.clear()
         for be in self._backends.values():
             be.reset()
 

@@ -68,7 +68,7 @@ import numpy as np
 
 from repro import kernels
 from repro.compressors.base import CompressedBuffer, CompressorMode
-from repro.compressors.registry import available_compressors, get_compressor
+from repro.compressors.registry import get_compressor, is_registered
 from repro.compressors.sz import SZCompressor
 from repro.compressors.zfp import ZFPCompressor
 from repro.errors import ReproError, ServiceError
@@ -76,7 +76,7 @@ from repro.parallel.executor import resolve_workers
 from repro.parallel.shm import SharedArray, ShmDescriptor
 from repro.service import protocol
 from repro.telemetry import context as trace_context
-from repro.telemetry import get_telemetry
+from repro.telemetry import DEFAULT_MS_BUCKETS, get_telemetry
 from repro.telemetry.context import TraceContext
 
 #: Mode → compressor keyword argument carrying the knob value.
@@ -106,14 +106,14 @@ def jsonable(value: Any) -> Any:
     non-serializable diagnostic; replies must be pure JSON.  Unknown
     types degrade to ``repr`` rather than failing the reply.
     """
+    if isinstance(value, (str, int, float, bool)) or value is None:
+        return value  # np.float64 too: a float, encoded the same
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
     if isinstance(value, np.generic):
         return value.item()
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
     return repr(value)
 
 
@@ -161,12 +161,11 @@ def bounded(request: PendingRequest) -> bool:
 # -- per-request codec bodies (run on a codec-pool thread) -------------------
 
 
-@contextmanager
 def payload_view(
     header: dict[str, Any], payload: bytes, shm: ShmDescriptor | None
 ):
-    """Yield a request's input array: its inline ``payload``, or the
-    client's ``shm`` segment attached *ephemerally*.
+    """A ``with`` scope yielding a request's input array: its inline
+    ``payload``, or the client's ``shm`` segment attached *ephemerally*.
 
     Data-plane segments belong to the client and are unlinked the moment
     the request completes — memoizing the attachment
@@ -176,8 +175,12 @@ def payload_view(
     vanished mid-request), not as a dispatch failure.
     """
     if shm is None:
-        yield protocol.unpack_array(header, payload)
-        return
+        return nullcontext(protocol.unpack_array(header, payload))
+    return _attached(shm)
+
+
+@contextmanager
+def _attached(shm: ShmDescriptor):
     try:
         handle = SharedArray.attach(shm)
     except OSError as exc:
@@ -352,7 +355,7 @@ class Batcher:
         compressor = request.header.get("compressor")
         # A label is a registered name, never a client string.
         label = str(compressor).lower()
-        label = label if label in available_compressors() else "unknown"
+        label = label if is_registered(label) else "unknown"
         # Pre-mint the dispatch-span identity: the codec runs under it
         # *before* the span itself is recorded, so codec-stage spans
         # already carry the dispatch span as their ctx parent.
@@ -390,10 +393,11 @@ class Batcher:
         if traced:
             dispatch_end = tm.tracer.now()
             dispatch_ms = (dispatch_end - dispatch_start) * 1e3
-            tm.observe(f'service.dispatch_ms{{op="{op}"}}', dispatch_ms)
+            tm.observe(f'service.dispatch_ms{{op="{op}"}}', dispatch_ms,
+                       DEFAULT_MS_BUCKETS)
             if compressor:
                 tm.observe(f'service.dispatch_ms{{op="{op}",compressor='
-                           f'"{label}"}}', dispatch_ms)
+                           f'"{label}"}}', dispatch_ms, DEFAULT_MS_BUCKETS)
             if dctx is not None:
                 attrs = {"compressor": compressor} if compressor else {}
                 tm.tracer.add_span(

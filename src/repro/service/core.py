@@ -45,6 +45,7 @@ from typing import Any, Awaitable, Callable, Iterator
 
 from repro.errors import ProtocolError, ReproError, ServiceError
 from repro.service import protocol
+from repro.telemetry import DEFAULT_MS_BUCKETS as LATENCY_BOUNDS
 from repro.telemetry import NullTelemetry, Telemetry, get_telemetry, set_telemetry
 from repro.telemetry import context as trace_context
 
@@ -66,9 +67,6 @@ LATENCY_WINDOW = 4096
 #: periodic harvest still sees every span via ``Tracer.spans_since``.
 #: A retained span costs ~0.5 KiB, so this is ~8 MiB of a daemon's RSS.
 SPAN_RETENTION = 1 << 14
-
-#: Request-latency histogram bucket edges (milliseconds).
-LATENCY_BOUNDS = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 5000)
 
 #: ``reply(header, body=b"")`` — what :meth:`FrameServer._dispatch` answers with.
 Reply = Callable[..., Awaitable[None]]
@@ -370,7 +368,6 @@ class FrameServer:
         t0 = time.perf_counter()
         self._requests_total += 1
         seq = self._requests_total
-        tm.set_gauge(f"{ns}.requests_inflight", float(self._inflight))
         tm.count(f"{ns}.requests")
         tm.count(f"{ns}.requests.{label}")
         tm.count(f"{ns}.bytes_in", len(payload))
@@ -386,12 +383,8 @@ class FrameServer:
                     await protocol.write_frame(writer, h, body)
             latency = time.perf_counter() - t0
             self._latencies.append(latency)
-            tm.observe(f"{ns}.latency_ms", latency * 1e3, bounds=LATENCY_BOUNDS)
-            tm.observe(
-                f'{ns}.latency_ms{{op="{label}"}}',
-                latency * 1e3,
-                bounds=LATENCY_BOUNDS,
-            )
+            tm.observe(f"{ns}.latency_ms", latency * 1e3, LATENCY_BOUNDS)
+            tm.observe(f'{ns}.latency_ms{{op="{label}"}}', latency * 1e3, LATENCY_BOUNDS)
 
         # Serve under the client's trace context (if the header carries
         # one): the <ns>.request span then chains under the client's

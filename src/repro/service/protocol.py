@@ -65,6 +65,7 @@ Two capabilities exist today:
 from __future__ import annotations
 
 import json
+import math
 import socket
 import struct
 from typing import Any
@@ -131,9 +132,13 @@ SHM_MIN_BYTES = 1 << 16
 MAX_PAYLOAD_BYTES = 1 << 30
 
 
+#: ``json.dumps(header, sort_keys=True, separators=(",", ":"))``, built once.
+_HEADER_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def encode_header(header: dict[str, Any]) -> bytes:
     """Serialize a header dict to canonical compact JSON bytes."""
-    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return _HEADER_ENCODER.encode(header).encode()
 
 
 def decode_header(raw: bytes) -> dict[str, Any]:
@@ -305,9 +310,7 @@ def unpack_array(header: dict[str, Any], payload: bytes) -> np.ndarray:
         shape = tuple(int(s) for s in header["shape"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(f"bad array header: {exc}") from exc
-    expected = int(np.prod(shape)) * dtype.itemsize if shape else dtype.itemsize
-    if np.prod(shape) == 0:
-        expected = 0
+    expected = math.prod(shape) * dtype.itemsize
     if len(payload) != expected:
         raise ProtocolError(
             f"array payload is {len(payload)} bytes, "

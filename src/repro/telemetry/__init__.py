@@ -35,6 +35,7 @@ from repro.telemetry.context import TraceContext
 from repro.telemetry.metrics import (
     DEFAULT_BIT_BUCKETS,
     DEFAULT_BYTE_BUCKETS,
+    DEFAULT_MS_BUCKETS,
     Counter,
     Gauge,
     Histogram,
@@ -69,11 +70,17 @@ __all__ = [
     "enabled_telemetry",
     "DEFAULT_BIT_BUCKETS",
     "DEFAULT_BYTE_BUCKETS",
+    "DEFAULT_MS_BUCKETS",
 ]
 
 
 class Telemetry:
-    """Live telemetry: tracer + metrics behind one handle."""
+    """Live telemetry: tracer + metrics behind one handle.
+
+    The instrumentation surface (``span``, ``count``, ``set_gauge``,
+    ``observe``, ``observe_many``) is the tracer's and the registry's own
+    bound methods, so an instrumented call pays no facade frame.
+    """
 
     enabled = True
 
@@ -82,27 +89,14 @@ class Telemetry:
     ) -> None:
         self.tracer = Tracer(name, max_finished=max_finished)
         self.metrics = MetricsRegistry()
-
-    def span(self, name: str, **attrs: Any):
-        return self.tracer.span(name, **attrs)
+        self.span = self.tracer.span
+        self.count = self.metrics.count
+        self.set_gauge = self.metrics.set_gauge
+        self.observe = self.metrics.observe
+        self.observe_many = self.metrics.observe_many
 
     def trace(self, name: str | None = None, **attrs: Any) -> Callable:
         return self.tracer.trace(name, **attrs)
-
-    # delegated metric one-liners (the instrumentation surface)
-    def count(self, name: str, amount: float = 1.0) -> None:
-        self.metrics.count(name, amount)
-
-    def set_gauge(self, name: str, value: float) -> None:
-        self.metrics.set_gauge(name, value)
-
-    def observe(self, name: str, value: float,
-                bounds: Sequence[float] = DEFAULT_BIT_BUCKETS) -> None:
-        self.metrics.observe(name, value, bounds)
-
-    def observe_many(self, name: str, values: Iterable[float],
-                     bounds: Sequence[float] = DEFAULT_BIT_BUCKETS) -> None:
-        self.metrics.observe_many(name, values, bounds)
 
     def clear(self) -> None:
         self.tracer.clear()

@@ -115,17 +115,34 @@ def current() -> TraceContext | None:
     return _current.get()
 
 
-@contextmanager
-def use(ctx: TraceContext | None) -> Iterator[TraceContext | None]:
+class _Activation:
+    """A ``with`` scope that sets a contextvar to ``value`` for the block
+    and yields it; ``value=None`` sets nothing and yields the current
+    value.  A slotted class rather than a generator: the serving path
+    enters several per request."""
+
+    __slots__ = ("_var", "_value", "_token")
+
+    def __init__(self, var: contextvars.ContextVar, value: Any) -> None:
+        self._var = var
+        self._value = value
+        self._token = None
+
+    def __enter__(self) -> Any:
+        if self._value is None:
+            return self._var.get()
+        self._token = self._var.set(self._value)
+        return self._value
+
+    def __exit__(self, *exc: Any) -> bool:
+        if self._token is not None:
+            self._var.reset(self._token)
+        return False
+
+
+def use(ctx: TraceContext | None) -> _Activation:
     """Activate ``ctx`` for the block (``None`` is a no-op passthrough)."""
-    if ctx is None:
-        yield current()
-        return
-    token = _current.set(ctx)
-    try:
-        yield ctx
-    finally:
-        _current.reset(token)
+    return _Activation(_current, ctx)
 
 
 @contextmanager
@@ -178,14 +195,6 @@ def current_request_id() -> str | None:
     return _request_id.get()
 
 
-@contextmanager
-def use_request_id(request_id: str | None) -> Iterator[None]:
+def use_request_id(request_id: str | None) -> _Activation:
     """Stamp log records emitted in this block with ``request_id``."""
-    if request_id is None:
-        yield
-        return
-    token = _request_id.set(str(request_id))
-    try:
-        yield
-    finally:
-        _request_id.reset(token)
+    return _Activation(_request_id, None if request_id is None else str(request_id))

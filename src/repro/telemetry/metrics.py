@@ -26,6 +26,7 @@ __all__ = [
     "MetricsRegistry",
     "DEFAULT_BYTE_BUCKETS",
     "DEFAULT_BIT_BUCKETS",
+    "DEFAULT_MS_BUCKETS",
 ]
 
 #: Power-of-4 byte buckets: 64 B .. 1 GiB (payload/outlier-section sizes).
@@ -33,6 +34,12 @@ DEFAULT_BYTE_BUCKETS: tuple[float, ...] = tuple(float(4**k) * 64 for k in range(
 
 #: Power-of-2 bit buckets: 1 .. 65536 (per-block bit budgets, table sizes).
 DEFAULT_BIT_BUCKETS: tuple[float, ...] = tuple(float(2**k) for k in range(17))
+
+#: Millisecond buckets, 50 µs .. 5 s: request latencies and dispatch
+#: times; a small request is served in well under a millisecond.
+DEFAULT_MS_BUCKETS: tuple[float, ...] = (
+    0.05, 0.1, 0.2, 0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 5000,
+)
 
 
 class Counter:
@@ -95,7 +102,7 @@ class Histogram:
     let a reader recover the mean without the raw stream.
     """
 
-    __slots__ = ("name", "bounds", "_lock", "_counts", "_sum", "_count")
+    __slots__ = ("name", "bounds", "_edges", "_lock", "_counts", "_sum", "_count")
 
     def __init__(self, name: str, bounds: Sequence[float]) -> None:
         edges = tuple(float(b) for b in bounds)
@@ -103,8 +110,9 @@ class Histogram:
             raise ValueError("histogram bounds must be strictly increasing")
         self.name = name
         self.bounds = edges
+        self._edges = np.array(edges)
         self._lock = threading.Lock()
-        self._counts = np.zeros(len(edges) + 1, dtype=np.int64)
+        self._counts = [0] * (len(edges) + 1)
         self._sum = 0.0
         self._count = 0
 
@@ -126,12 +134,13 @@ class Histogram:
                          dtype=np.float64)
         if arr.size == 0:
             return
-        idx = np.searchsorted(self.bounds, arr, side="left")
-        add = np.bincount(idx, minlength=len(self.bounds) + 1)
+        idx = np.searchsorted(self._edges, arr, side="left")
+        add = np.bincount(idx, minlength=len(self._counts)).tolist()
+        total = float(arr.sum())
         with self._lock:
-            self._counts += add
-            self._sum += float(arr.sum())
-            self._count += int(arr.size)
+            self._counts = [c + a for c, a in zip(self._counts, add)]
+            self._sum += total
+            self._count += arr.size
 
     @property
     def count(self) -> int:
@@ -146,14 +155,14 @@ class Histogram:
     def bucket_counts(self) -> list[int]:
         """Per-bucket counts; the final entry is the overflow bucket."""
         with self._lock:
-            return [int(c) for c in self._counts]
+            return list(self._counts)
 
     def snapshot(self) -> dict[str, Any]:
         with self._lock:
             return {
                 "type": "histogram",
                 "bounds": list(self.bounds),
-                "counts": [int(c) for c in self._counts],
+                "counts": list(self._counts),
                 "sum": self._sum,
                 "count": self._count,
             }
@@ -163,51 +172,57 @@ class MetricsRegistry:
     """Name-keyed instrument store with get-or-create semantics.
 
     The convenience one-liners (:meth:`count`, :meth:`observe`,
-    :meth:`set_gauge`) are what the instrumented hot paths call; they cost
-    one dict lookup when telemetry is enabled and nothing when the active
-    telemetry is the null implementation (which overrides them).
+    :meth:`set_gauge`) are what the instrumented hot paths call.  An
+    instrument is created once per name, under the registry lock; every
+    later update finds it with one lock-free dict lookup, so the hot path
+    takes only the instrument's own lock.  The null telemetry overrides
+    the one-liners with no-ops.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._instruments: dict[str, Counter | Gauge | Histogram] = {}
 
-    def _get_or_create(self, name: str, factory) -> Any:
-        with self._lock:
-            inst = self._instruments.get(name)
-            if inst is None:
-                inst = self._instruments[name] = factory()
-            return inst
+    def _get_or_create(self, name: str, kind: type, *args: Any) -> Any:
+        inst = self._instruments.get(name)
+        if inst is None:
+            with self._lock:
+                inst = self._instruments.get(name)
+                if inst is None:
+                    inst = self._instruments[name] = kind(name, *args)
+        if not isinstance(inst, kind):
+            raise TypeError(f"metric {name!r} already registered as {type(inst).__name__}")
+        return inst
 
     def counter(self, name: str) -> Counter:
-        inst = self._get_or_create(name, lambda: Counter(name))
-        if not isinstance(inst, Counter):
-            raise TypeError(f"metric {name!r} already registered as {type(inst).__name__}")
-        return inst
+        return self._get_or_create(name, Counter)
 
     def gauge(self, name: str) -> Gauge:
-        inst = self._get_or_create(name, lambda: Gauge(name))
-        if not isinstance(inst, Gauge):
-            raise TypeError(f"metric {name!r} already registered as {type(inst).__name__}")
-        return inst
+        return self._get_or_create(name, Gauge)
 
     def histogram(self, name: str, bounds: Sequence[float] = DEFAULT_BIT_BUCKETS) -> Histogram:
-        inst = self._get_or_create(name, lambda: Histogram(name, bounds))
-        if not isinstance(inst, Histogram):
-            raise TypeError(f"metric {name!r} already registered as {type(inst).__name__}")
-        return inst
+        return self._get_or_create(name, Histogram, bounds)
 
     # -- one-liner update paths (overridden to no-ops by NullTelemetry) ----
 
     def count(self, name: str, amount: float = 1.0) -> None:
-        self.counter(name).inc(amount)
+        inst = self._instruments.get(name)
+        if inst.__class__ is not Counter:
+            inst = self.counter(name)
+        inst.inc(amount)
 
     def set_gauge(self, name: str, value: float) -> None:
-        self.gauge(name).set(value)
+        inst = self._instruments.get(name)
+        if inst.__class__ is not Gauge:
+            inst = self.gauge(name)
+        inst.set(value)
 
     def observe(self, name: str, value: float,
                 bounds: Sequence[float] = DEFAULT_BIT_BUCKETS) -> None:
-        self.histogram(name, bounds).observe(value)
+        inst = self._instruments.get(name)
+        if inst.__class__ is not Histogram:
+            inst = self.histogram(name, bounds)
+        inst.observe(value)
 
     def observe_many(self, name: str, values: Iterable[float],
                      bounds: Sequence[float] = DEFAULT_BIT_BUCKETS) -> None:

@@ -37,16 +37,15 @@ import itertools
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from repro.telemetry import context as trace_context
 
 __all__ = ["Span", "Tracer"]
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One finished (or in-flight) timed region."""
 
@@ -155,10 +154,15 @@ class Tracer:
             self._finished.extend(spans)
             self._total += len(spans)
 
+    def _finish(self, sp: Span) -> None:
+        """:meth:`_append_finished` of one span."""
+        with self._lock:
+            self._finished.append(sp)
+            self._total += 1
+
     # -- span production ----------------------------------------------------
 
-    @contextmanager
-    def span(self, name: str, **attrs: Any) -> Iterator[Span]:
+    def span(self, name: str, **attrs: Any) -> "SpanScope":
         """Open a nested span; exceptions mark it ``status="error"`` and
         propagate, with the parent span restored either way.
 
@@ -167,60 +171,14 @@ class Tracer:
         context is advanced to point at this span for its duration, so
         downstream hops (and nested spans) parent under it.
         """
-        stack = self._stack()
-        parent = stack[-1] if stack else None
-        sp = Span(
-            name=name,
-            span_id=next(self._ids),
-            parent_id=parent.span_id if parent else None,
-            thread_id=threading.get_ident(),
-            start=self._now(),
-            attrs=dict(attrs),
-        )
-        ctx = trace_context.current()
-        token = None
-        if ctx is not None:
-            sp.trace_id = ctx.trace_id
-            sp.ctx_id = trace_context.new_span_id()
-            sp.ctx_parent_id = ctx.span_id
-            token = trace_context._current.set(
-                trace_context.TraceContext(ctx.trace_id, sp.ctx_id, ctx.span_id)
-            )
-        stack.append(sp)
-        try:
-            yield sp
-        except BaseException as exc:
-            sp.status = "error"
-            sp.attrs.setdefault("exception", f"{type(exc).__name__}: {exc}")
-            raise
-        finally:
-            sp.end = self._now()
-            # Concurrent asyncio tasks interleave enter/exit on one thread
-            # stack; remove *this* span wherever it sits rather than
-            # blindly popping the top (which may belong to another task).
-            if stack and stack[-1] is sp:
-                stack.pop()
-            else:
-                try:
-                    stack.remove(sp)
-                except ValueError:
-                    pass
-            if token is not None:
-                trace_context._current.reset(token)
-            self._append_finished([sp])
+        return SpanScope(self, name, attrs)
 
-    @contextmanager
-    def detached(self) -> Iterator[None]:
+    def detached(self) -> "Detached":
         """Open spans as local roots on this thread for the block,
         whatever it has open (their ctx parent still links them): for
         work run on an event-loop thread whose stack holds other tasks'
         spans."""
-        saved = self._stack()
-        self._local.stack = []
-        try:
-            yield
-        finally:
-            self._local.stack = saved
+        return Detached(self)
 
     def trace(self, name: str | None = None, **attrs: Any) -> Callable:
         """Decorator form of :meth:`span` (span named after the function
@@ -271,13 +229,13 @@ class Tracer:
             thread_id=threading.get_ident(),
             start=start,
             end=end,
-            attrs=dict(attrs),
+            attrs=attrs,
         )
         if ctx is not None:
             sp.trace_id = ctx.trace_id
             sp.ctx_id = ctx.span_id
             sp.ctx_parent_id = ctx.parent_id
-        self._append_finished([sp])
+        self._finish(sp)
         return sp
 
     def ingest(
@@ -372,3 +330,77 @@ class Tracer:
         """Drop all finished spans (open spans are unaffected)."""
         with self._lock:
             self._finished.clear()
+
+
+class SpanScope:
+    """The context manager :meth:`Tracer.span` returns: ``__enter__``
+    opens the span and yields it, ``__exit__`` closes and records it."""
+
+    __slots__ = ("_tracer", "_name", "_attrs", "_span", "_stack", "_token")
+
+    def __init__(self, tracer: Tracer, name: str, attrs: dict[str, Any]) -> None:
+        self._tracer = tracer
+        self._name = name
+        self._attrs = attrs
+        self._token = None
+
+    def __enter__(self) -> Span:
+        tracer = self._tracer
+        stack = self._stack = tracer._stack()
+        sp = self._span = Span(
+            self._name,
+            next(tracer._ids),
+            stack[-1].span_id if stack else None,
+            threading.get_ident(),
+            time.perf_counter() - tracer._epoch,
+            attrs=self._attrs,
+        )
+        ctx = trace_context._current.get()
+        if ctx is not None:
+            sp.trace_id = ctx.trace_id
+            sp.ctx_id = trace_context.new_span_id()
+            sp.ctx_parent_id = ctx.span_id
+            self._token = trace_context._current.set(
+                trace_context.TraceContext(ctx.trace_id, sp.ctx_id, ctx.span_id)
+            )
+        stack.append(sp)
+        return sp
+
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> bool:
+        sp = self._span
+        if exc_type is not None:
+            sp.status = "error"
+            sp.attrs.setdefault("exception", f"{exc_type.__name__}: {exc}")
+        sp.end = time.perf_counter() - self._tracer._epoch
+        # Concurrent asyncio tasks interleave enter/exit on one thread
+        # stack; remove *this* span wherever it sits rather than
+        # blindly popping the top (which may belong to another task).
+        stack = self._stack
+        if stack and stack[-1] is sp:
+            stack.pop()
+        else:
+            try:
+                stack.remove(sp)
+            except ValueError:
+                pass
+        if self._token is not None:
+            trace_context._current.reset(self._token)
+        self._tracer._finish(sp)
+        return False
+
+
+class Detached:
+    """The context manager :meth:`Tracer.detached` returns."""
+
+    __slots__ = ("_tracer", "_saved")
+
+    def __init__(self, tracer: Tracer) -> None:
+        self._tracer = tracer
+
+    def __enter__(self) -> None:
+        self._saved = self._tracer._stack()
+        self._tracer._local.stack = []
+
+    def __exit__(self, *exc: Any) -> bool:
+        self._tracer._local.stack = self._saved
+        return False

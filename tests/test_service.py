@@ -957,6 +957,30 @@ class TestLoopDispatch:
         tail = "loop" if _native() else "pool"
         assert _dispatch_paths(tm) == ["pool", "pool", tail, "pool"]
 
+    def test_a_crafted_block_side_is_a_work_bound(self):
+        """The loop check reads only the stream's header, and that header
+        still bounds the work: a 2x2x2 field whose stream claims blocks
+        of side 64 decodes one 64^3 block (1 MiB), so the request takes
+        the pool, never the loop thread, and fails there."""
+        stream = bytearray(get_compressor("sz", block_side=2).compress(
+            _field(2), error_bound=0.5).payload)
+        stream[7] = 64  # the header's block side (magic, version, dtype, ndim)
+        crafted = bytes(stream)
+        assert get_compressor("sz").decoded_nbytes(crafted) == 64**3 * 4
+        with kernels.use("native"):
+            if not _native():
+                pytest.skip("the native tier is not built on this host")
+            assert not bounded(_pending("decompress", data=crafted))
+        buf = CompressedBuffer(
+            payload=crafted, original_shape=(2, 2, 2),
+            original_dtype=np.dtype(np.float32), mode=CompressorMode.ABS,
+            parameter=0.5)
+        with telemetry.enabled_telemetry("client") as tm:
+            with ServiceThread() as st, ServiceClient(port=st.port) as client:
+                with pytest.raises(ServiceError, match="symbol count"):
+                    client.decompress(buf, "sz")
+        assert _dispatch_paths(tm) == ["pool"]
+
     def test_small_compress_runs_on_the_loop_thread_large_on_a_codec_thread(self):
         names: dict[int, str] = {}
         with telemetry.enabled_telemetry("client") as tm:
