@@ -291,9 +291,9 @@ class SZCompressor(Compressor):
         ncoef = ndim + 1
         if len(payload) < pos + 4 * ncoef * n_reg + huff_len:
             raise CorruptStreamError("SZ stream truncated (sections)")
-        coefs = np.frombuffer(  # a writable copy: the kernel's address is cheap
+        coefs = np.frombuffer(
             payload[pos : pos + 4 * ncoef * n_reg], dtype=np.float32
-        ).reshape(n_reg, ncoef).copy()
+        ).reshape(n_reg, ncoef)
         pos += 4 * ncoef * n_reg
         huff_payload = payload[pos : pos + huff_len]
         pos += huff_len

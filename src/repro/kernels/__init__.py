@@ -53,9 +53,12 @@ __all__ = [
 ]
 
 
-# The process registry's own bound methods: a kernel call pays no
-# wrapper frame.
-call = REGISTRY.call
+def call(kernel, *args, backend=None, **kwargs):
+    """Dispatch ``kernel`` through the process registry; ``REGISTRY.call``
+    is looked up per call, so an instance attribute can shadow it."""
+    return REGISTRY.call(kernel, *args, backend=backend, **kwargs)
+
+
 active = REGISTRY.active
 last_used = REGISTRY.last_used
 requested_backend = REGISTRY.requested_backend

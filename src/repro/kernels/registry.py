@@ -50,20 +50,6 @@ TIER_LEVEL = {"numpy": 1, "native": 2}
 
 _LOG = logging.getLogger("repro.kernels")
 
-#: ``REPRO_BACKEND``'s slot in the dict behind ``os.environ``: every
-#: kernel call reads it, at a tenth of the cost of ``os.environ.get``.
-_ENVIRON, _ENV_KEY = os.environ._data, os.environ.encodekey(BACKEND_ENV)
-
-
-def _env_request(raw: bytes | None) -> str:
-    """The tier a raw ``REPRO_BACKEND`` value asks for (unset: auto)."""
-    request = os.fsdecode(raw or b"").strip().lower() or "auto"
-    if request not in TIER_ORDER + ("auto",):
-        raise ConfigError(
-            f"{BACKEND_ENV} must be one of {TIER_ORDER + ('auto',)}, got {request!r}"
-        )
-    return request
-
 
 @dataclass
 class Backend:
@@ -156,7 +142,15 @@ class KernelRegistry:
         """The tier the process is asking for: override > env > auto."""
         if self._override is not None:
             return self._override
-        return _env_request(_ENVIRON.get(_ENV_KEY))
+        raw = os.environ.get(BACKEND_ENV, "").strip().lower()
+        if raw:
+            if raw not in TIER_ORDER + ("auto",):
+                raise ConfigError(
+                    f"{BACKEND_ENV} must be one of "
+                    f"{TIER_ORDER + ('auto',)}, got {raw!r}"
+                )
+            return raw
+        return "auto"
 
     def set_backend(self, backend: str | None) -> None:
         """Install a process-wide backend override (``None`` clears it)."""
@@ -187,14 +181,12 @@ class KernelRegistry:
         process selection, once until that selection changes."""
         selection = None
         if backend is None:
-            override = self._override
-            selection = (override, None if override else _ENVIRON.get(_ENV_KEY))
+            selection = (self._override, os.environ.get(BACKEND_ENV))
             bound = self._bound.get(kernel)
             if bound is not None and bound[0] == selection:
                 return bound[1]
-        request = backend if selection is None else (
-            selection[0] or _env_request(selection[1]))
         self._ensure_defs()
+        request = backend if backend is not None else self.requested_backend()
         if request not in TIER_ORDER + ("auto",):
             raise ConfigError(
                 f"backend must be one of {TIER_ORDER + ('auto',)}, got {request!r}"

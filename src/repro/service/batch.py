@@ -161,9 +161,7 @@ def bounded(request: PendingRequest) -> bool:
 # -- per-request codec bodies (run on a codec-pool thread) -------------------
 
 
-def payload_view(
-    header: dict[str, Any], payload: bytes, shm: ShmDescriptor | None
-):
+def payload_view(header: dict[str, Any], payload: bytes, shm: ShmDescriptor | None):
     """A ``with`` scope yielding a request's input array: its inline
     ``payload``, or the client's ``shm`` segment attached *ephemerally*.
 

@@ -45,8 +45,8 @@ from typing import Any, Awaitable, Callable, Iterator
 
 from repro.errors import ProtocolError, ReproError, ServiceError
 from repro.service import protocol
-from repro.telemetry import DEFAULT_MS_BUCKETS as LATENCY_BOUNDS
-from repro.telemetry import NullTelemetry, Telemetry, get_telemetry, set_telemetry
+from repro.telemetry import (DEFAULT_MS_BUCKETS, NullTelemetry, Telemetry,
+                             get_telemetry, set_telemetry)
 from repro.telemetry import context as trace_context
 
 logger = logging.getLogger("repro.service")
@@ -368,6 +368,7 @@ class FrameServer:
         t0 = time.perf_counter()
         self._requests_total += 1
         seq = self._requests_total
+        tm.set_gauge(f"{ns}.requests_inflight", float(self._inflight))
         tm.count(f"{ns}.requests")
         tm.count(f"{ns}.requests.{label}")
         tm.count(f"{ns}.bytes_in", len(payload))
@@ -383,8 +384,9 @@ class FrameServer:
                     await protocol.write_frame(writer, h, body)
             latency = time.perf_counter() - t0
             self._latencies.append(latency)
-            tm.observe(f"{ns}.latency_ms", latency * 1e3, LATENCY_BOUNDS)
-            tm.observe(f'{ns}.latency_ms{{op="{label}"}}', latency * 1e3, LATENCY_BOUNDS)
+            tm.observe(f"{ns}.latency_ms", latency * 1e3, DEFAULT_MS_BUCKETS)
+            tm.observe(f'{ns}.latency_ms{{op="{label}"}}', latency * 1e3,
+                       DEFAULT_MS_BUCKETS)
 
         # Serve under the client's trace context (if the header carries
         # one): the <ns>.request span then chains under the client's

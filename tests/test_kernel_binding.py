@@ -12,9 +12,11 @@ compiler is needed.
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro import kernels
+from repro.compressors import get_compressor
 from repro.errors import ConfigError
 from repro.kernels.registry import BACKEND_ENV, Backend, KernelRegistry
 
@@ -130,7 +132,30 @@ def test_concurrent_first_calls_trip_nothing():
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
+        t.join(timeout=10)
+        assert not t.is_alive()
     assert results == ["native"] * 4
     assert reg.tripped() == {}
     assert reg.resolve("demo.k")[0] == "native"
+
+
+def test_a_shadowed_registry_call_sees_every_codec_kernel():
+    # An instance attribute shadowing ``REGISTRY.call`` is how a tracer
+    # or a benchmark intercepts kernels: every codec dispatch must reach it.
+    field = np.random.default_rng(3).standard_normal((16, 16, 16)).astype(np.float32)
+    seen = set()
+    original = kernels.REGISTRY.call
+
+    def capturing(kernel, *args, **kwargs):
+        seen.add(kernel)
+        return original(kernel, *args, **kwargs)
+
+    kernels.REGISTRY.call = capturing
+    try:
+        for name, knobs in (("sz", {"error_bound": 0.5}), ("zfp", {"rate": 8.0})):
+            codec = get_compressor(name)
+            codec.decompress(codec.compress(field, **knobs))
+    finally:
+        del kernels.REGISTRY.call
+    assert seen >= {"sz.encode", "sz.decode", "huffman.code", "huffman.encode",
+                    "huffman.decode", "zfp.encode", "zfp.decode"}

@@ -322,6 +322,29 @@ class TestStatsAndDashboard:
         assert stats["latency"]["window_n"] >= 1
         assert "window" not in stats["latency"]  # the dropped alias
 
+    def test_inflight_gauge_counts_the_running_request(self, monkeypatch):
+        from repro.compressors.sz import SZCompressor
+
+        seen = []
+        compress = SZCompressor.compress
+
+        def recording(codec, *args, **kwargs):
+            gauge = telemetry.get_telemetry().metrics.snapshot()
+            seen.append(gauge["service.requests_inflight"]["value"])
+            return compress(codec, *args, **kwargs)
+
+        monkeypatch.setattr(SZCompressor, "compress", recording)
+        with telemetry.enabled_telemetry("t") as tm:
+            with ServiceThread(max_pending=8) as svc:
+                with ServiceClient(port=svc.port) as client:
+                    client.compress(_field(512), "sz", mode="abs", value=1e-3)
+            # The daemon has drained: every done-callback has run.
+            after = tm.metrics.snapshot()["service.requests_inflight"]
+        # Set as a frame starts and as it finishes: the running request
+        # counts while its codec runs, and the gauge reads 0 once done.
+        assert seen == [1.0]
+        assert after["value"] == 0.0
+
     def test_render_frame_from_live_stats(self):
         with ServiceThread(max_pending=8) as svc:
             with ServiceClient(port=svc.port) as client:
