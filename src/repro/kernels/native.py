@@ -181,14 +181,21 @@ def reset() -> None:
     _state.update(probed=False, lib=None, error=None)
 
 
-def _p(arr: np.ndarray) -> int:
-    """``arr``'s address: a writable array's through a ctypes view of its
-    buffer (a third of ``arr.ctypes``); ``bytes`` pass to ``c_void_p`` as is."""
+def _p(arr: np.ndarray) -> int | bytes:
+    """``arr``'s address for a ``c_void_p``: a writable array's via a ctypes
+    view of its buffer (a third of ``arr.ctypes``); a read-only contiguous
+    view of a whole ``bytes`` (a request payload) is that ``bytes`` itself."""
     if arr.flags.writeable:
         try:
             return ctypes.addressof(ctypes.c_char.from_buffer(arr))
         except (TypeError, ValueError):  # empty, or not contiguous
             pass
+    elif arr.flags.c_contiguous:
+        base = arr.base
+        while type(base) is np.ndarray:
+            base = base.base
+        if type(base) is bytes and len(base) == arr.nbytes:  # all of it, from its start
+            return base
     return arr.ctypes.data
 
 

@@ -51,6 +51,13 @@ TIER_LEVEL = {"numpy": 1, "native": 2}
 _LOG = logging.getLogger("repro.kernels")
 
 
+def _choice(value: str, what: str) -> str:
+    """``value`` if it names a tier or ``auto``, else a ConfigError."""
+    if value not in TIER_ORDER + ("auto",):
+        raise ConfigError(f"{what} must be one of {TIER_ORDER + ('auto',)}, got {value!r}")
+    return value
+
+
 @dataclass
 class Backend:
     """One registered implementation tier.
@@ -143,24 +150,12 @@ class KernelRegistry:
         if self._override is not None:
             return self._override
         raw = os.environ.get(BACKEND_ENV, "").strip().lower()
-        if raw:
-            if raw not in TIER_ORDER + ("auto",):
-                raise ConfigError(
-                    f"{BACKEND_ENV} must be one of "
-                    f"{TIER_ORDER + ('auto',)}, got {raw!r}"
-                )
-            return raw
-        return "auto"
+        return _choice(raw, BACKEND_ENV) if raw else "auto"
 
     def set_backend(self, backend: str | None) -> None:
         """Install a process-wide backend override (``None`` clears it)."""
         if backend is not None:
-            backend = str(backend).strip().lower()
-            if backend not in TIER_ORDER + ("auto",):
-                raise ConfigError(
-                    f"backend must be one of {TIER_ORDER + ('auto',)}, "
-                    f"got {backend!r}"
-                )
+            backend = _choice(str(backend).strip().lower(), "backend")
         self._override = backend
 
     def current_override(self) -> str | None:
@@ -168,13 +163,10 @@ class KernelRegistry:
 
     def _chain(self, request: str) -> list[str]:
         """Tier names to try, in order, for a requested backend."""
-        if request == "auto":
-            return list(TIER_ORDER)
         # An explicit tier starts there but still degrades downward so a
         # daemon configured for `native` keeps serving on a host without
         # a compiler — the degradation is observable via active().
-        start = TIER_ORDER.index(request)
-        return list(TIER_ORDER[start:])
+        return list(TIER_ORDER[0 if request == "auto" else TIER_ORDER.index(request):])
 
     def resolve(self, kernel: str, backend: str | None = None) -> tuple[str, Callable]:
         """Pick ``(backend_name, impl)`` for one kernel call; under the
@@ -186,16 +178,10 @@ class KernelRegistry:
             if bound is not None and bound[0] == selection:
                 return bound[1]
         self._ensure_defs()
-        request = backend if backend is not None else self.requested_backend()
-        if request not in TIER_ORDER + ("auto",):
-            raise ConfigError(
-                f"backend must be one of {TIER_ORDER + ('auto',)}, got {request!r}"
-            )
+        request = _choice(self.requested_backend() if backend is None else backend, "backend")
         for name in self._chain(request):
             be = self._backends.get(name)
-            if be is None or not be.available():
-                continue
-            if (name, kernel) in self._tripped:
+            if be is None or not be.available() or (name, kernel) in self._tripped:
                 continue
             fn = be.kernel(kernel)
             if fn is None:
@@ -208,6 +194,12 @@ class KernelRegistry:
         raise KernelUnavailableError(
             f"no backend provides kernel {kernel!r} (requested {request!r})"
         )
+
+    def tiers(self, kernels: tuple[str, ...]) -> tuple[str, ...]:
+        """The tier each of ``kernels`` runs on now; the selection is read once."""
+        selection = (self._override, os.environ.get(BACKEND_ENV))
+        return tuple(b[1][0] if (b := self._bound.get(k)) and b[0] == selection
+                     else self.resolve(k)[0] for k in kernels)
 
     # -- dispatch ----------------------------------------------------------
 

@@ -114,7 +114,7 @@ def lzss_compress(
 def lzss_decompress(payload: bytes, max_output: int) -> bytes:
     """Inverse of :func:`lzss_compress`; refuses, before allocating, an
     output above ``max_output`` and field widths the encoder never writes."""
-    fmt = {_MAGIC_RAW: "<4sQ", _MAGIC_LZ: "<4sQQBB"}.get(payload[:4], "")
+    fmt = {_MAGIC_RAW: "<4sQ", _MAGIC_LZ: "<4sQQBB"}.get(bytes(payload[:4]), "")
     if not fmt or len(payload) < (hsize := struct.calcsize(fmt)):
         raise CorruptStreamError("bad LZSS magic or truncated header")
     _, n, *fields = struct.unpack_from(fmt, payload)

@@ -53,7 +53,7 @@ class LosslessPipeline:
             raise CorruptStreamError("lossless-pipeline stream truncated (header)")
         (nlen,) = struct.unpack("<H", payload[4:6])
         try:
-            names = payload[6 : 6 + nlen].decode("ascii")
+            names = str(payload[6 : 6 + nlen], "ascii")
         except UnicodeDecodeError as exc:
             raise CorruptStreamError("bad lossless-pipeline stage list") from exc
         stages = [s for s in names.split(",") if s]

@@ -33,6 +33,7 @@ process).
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from contextlib import contextmanager
@@ -67,7 +68,7 @@ class ShmDescriptor:
 
     @property
     def nbytes(self) -> int:
-        return int(np.prod(self.shape, dtype=np.int64)) * np.dtype(self.dtype).itemsize
+        return math.prod(self.shape) * np.dtype(self.dtype).itemsize
 
 
 #: Serializes every ``SharedMemory()`` call that depends on what
@@ -224,7 +225,7 @@ class SharedArray:
 
     @property
     def nbytes(self) -> int:
-        return int(np.prod(self._shape, dtype=np.int64)) * self._dtype.itemsize
+        return math.prod(self._shape) * self._dtype.itemsize
 
     def descriptor(self) -> ShmDescriptor:
         """The picklable attach-by-name handle for workers."""
@@ -242,7 +243,7 @@ class SharedArray:
             raise DataError("shared array handle is closed")
         dtype = np.dtype(dtype)
         shape = tuple(int(s) for s in shape)
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+        nbytes = math.prod(shape) * dtype.itemsize
         if nbytes > self._segment.size:
             raise DataError(
                 f"view needs {nbytes} bytes, segment holds {self._segment.size}"

@@ -1,57 +1,41 @@
 """Admission and dispatch for the compression daemon.
 
-The daemon's unit of useful work is CPU-bound codec time; every hot
-kernel is a GIL-releasing native call, so independent requests overlap
-on threads.  The :class:`Batcher` decides *when* a request runs:
+Useful work is CPU-bound codec time in GIL-releasing native calls, so
+independent requests overlap on threads.  The :class:`Batcher` decides
+*when* a request runs:
 
-* **Slots.**  At most ``slots`` dispatches are in flight at once, each
-  on one thread of the batcher's own codec pool (a
-  ``ThreadPoolExecutor(max_workers=slots)`` — the daemon never runs
-  codec work on more threads than that, and each thread keeps one
-  malloc arena).  ``slots`` is the server's explicit ``workers`` value
-  when one was given (``workers=1``: strictly one dispatch at a time)
-  and the core count otherwise.
+* **Slots.**  At most ``slots`` dispatches run at once, each on a thread
+  of the batcher's own ``ThreadPoolExecutor(max_workers=slots)``;
+  ``slots`` is the server's ``workers`` (``1``: strictly one at a time),
+  else the core count.
 * **Dispatch on arrival.**  A request admitted while a slot is free
   starts at once, alone: no timer, no consumer task in between.
 * **Small requests on the loop.**  Such a request that is also
   *bounded* runs to completion on the event-loop thread, through the
   same dispatch body, while at most ``slots`` frames are in flight
-  daemon-wide: no thread hand-off, and the loop is held for at most
-  ``slots`` short native calls in a row.  Bounded: a COMPRESS or
-  DECOMPRESS of :data:`LOOP_CODECS` on native kernels, inline and
-  without ``options``, whose input and output (a DECOMPRESS's as its
-  stream's header declares it; never an SZ lossless stage, never a
-  damaged header) are each at most ``protocol.SHM_MIN_BYTES``.
-* **Admission queue.**  A request admitted while every slot is busy
-  waits in one bounded FIFO (capacity ``max_pending``; a full queue makes
-  the server answer BUSY instead of buffering without limit).  Requests
-  that were cancelled, or whose **deadline** passed, while queued are
-  resolved when they reach the head without spending codec time.
-* **One request per dispatch, in arrival order.**  When a slot frees,
-  the head of the queue takes it, alone: queued requests leave in the
-  order they arrived, and no request ever waits for another one's
-  codec call.
-* **In-process dispatch.**  A dispatch runs its request on its codec
-  thread (a bounded one on the loop thread) under the request's trace
-  context.  Each request is one GIL-free codec call, so the slots are
-  the daemon's parallelism and COMPRESS/DECOMPRESS never leave its
-  process.
-* **Server-owned ops.**  A SWEEP or SESSION_STEP carries its ``body``,
-  the server's work over the request's input array; the batcher admits,
-  queues, expires and dispatches it like a codec request, on a codec
-  thread.  Only a SWEEP's CBench cell fan-out may use worker processes.
+  daemon-wide.  Bounded: a COMPRESS or DECOMPRESS of
+  :data:`LOOP_CODECS` on native kernels, inline, without ``options``,
+  whose input and output (a DECOMPRESS's as its stream's header
+  declares it; never an SZ lossless stage or a damaged header) are each
+  at most ``protocol.SHM_MIN_BYTES``.
+* **Admission queue.**  With every slot busy a request waits in one
+  bounded FIFO (``max_pending``; full means BUSY).  One cancelled, or
+  past its **deadline**, while queued is resolved at the head without
+  codec time.
+* **One request per dispatch, in arrival order**: when a slot frees,
+  the head of the queue takes it, alone.
+* **Server-owned ops.**  A SWEEP or SESSION_STEP carries its ``body``
+  (the server's work over the input array), admitted, queued, expired
+  and dispatched like a codec request; only a SWEEP's CBench cells may
+  use worker processes.
 
-Results (or exceptions) resolve the per-request futures the connection
-handlers await; the batcher never touches sockets.
-
-**Tracing.**  Each admitted request remembers the trace context the
-server extracted from its header.  At dispatch time the batcher records
-a ``service.queue_wait`` span (admission → dispatch) and a
-``service.dispatch`` span (the request's execution, tagged with
-``request_id`` and ``path``, ``"loop"`` or ``"pool"``) under that
-context, and runs the request under a pre-minted child context, so
-its codec-stage spans sit under the dispatch span — one request, one
-connected tree from client socket write to Huffman encode.
+Results resolve the futures the connection handlers await; the batcher
+never touches sockets.  **Tracing:** at dispatch the batcher records a
+``service.queue_wait`` span (admission → dispatch) and a
+``service.dispatch`` span (``request_id``, ``path`` ``"loop"`` or
+``"pool"``) under the request's trace context, and runs the request
+under a pre-minted child of it, so codec-stage spans sit under the
+dispatch span.
 """
 
 from __future__ import annotations
@@ -76,7 +60,7 @@ from repro.parallel.executor import resolve_workers
 from repro.parallel.shm import SharedArray, ShmDescriptor
 from repro.service import protocol
 from repro.telemetry import context as trace_context
-from repro.telemetry import DEFAULT_MS_BUCKETS, get_telemetry
+from repro.telemetry import DEFAULT_MS_BUCKETS, Bound, get_telemetry
 from repro.telemetry.context import TraceContext
 
 #: Mode → compressor keyword argument carrying the knob value.
@@ -149,7 +133,7 @@ def bounded(request: PendingRequest) -> bool:
     if (request.op not in ops or request.shm is not None
             or request.header.get("options")
             or len(request.payload) > protocol.SHM_MIN_BYTES
-            or any(kernels.resolve_name(k) != "native" for k in ops[request.op])):
+            or any(t != "native" for t in kernels.REGISTRY.tiers(ops[request.op]))):
         return False
     try:
         out = 0 if request.op == "compress" else codec.decoded_nbytes(request.payload)
@@ -254,6 +238,13 @@ class Batcher:
         self._pending: deque[PendingRequest] = deque()
         self._inflight: set[asyncio.Task] = set()
         self._closed = False
+        #: A dispatch's instruments, bound once per path and (op, label).
+        self._dispatches = Bound(
+            lambda m, path: m.counter(f'service.dispatches{{path="{path}"}}'))
+        self._dispatch_ms = Bound(lambda m, key: m.histogram(
+            f'service.dispatch_ms{{op="{key[0]}"}}' if key[1] is None else
+            f'service.dispatch_ms{{op="{key[0]}",compressor="{key[1]}"}}',
+            DEFAULT_MS_BUCKETS))
 
     # -- admission (backpressure boundary) --------------------------------
 
@@ -348,7 +339,7 @@ class Batcher:
     ) -> None:
         tm = get_telemetry()
         path = "loop" if on_loop else "pool"
-        tm.count(f'service.dispatches{{path="{path}"}}')
+        self._dispatches(tm.metrics, path).inc()
         op = request.op
         compressor = request.header.get("compressor")
         # A label is a registered name, never a client string.
@@ -391,11 +382,9 @@ class Batcher:
         if traced:
             dispatch_end = tm.tracer.now()
             dispatch_ms = (dispatch_end - dispatch_start) * 1e3
-            tm.observe(f'service.dispatch_ms{{op="{op}"}}', dispatch_ms,
-                       DEFAULT_MS_BUCKETS)
+            self._dispatch_ms(tm.metrics, (op, None)).observe(dispatch_ms)
             if compressor:
-                tm.observe(f'service.dispatch_ms{{op="{op}",compressor='
-                           f'"{label}"}}', dispatch_ms, DEFAULT_MS_BUCKETS)
+                self._dispatch_ms(tm.metrics, (op, label)).observe(dispatch_ms)
             if dctx is not None:
                 attrs = {"compressor": compressor} if compressor else {}
                 tm.tracer.add_span(

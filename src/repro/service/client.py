@@ -1,71 +1,44 @@
 """Client for the compression daemon: one transport, blocking or async.
 
-:class:`ServiceClient` is the in-situ caller's view of the service and
-:class:`PooledClient` the many-requests-in-flight one; both are the same
-transport.  Every call is a request registered under a per-connection
-``id`` on a pipelined MSG1 connection, its frame written under a send
-lock, and its future completed — in any order — by the one thread
-reading that connection: a blocking caller reads for itself when no
-one else is reading (so a lone caller pays no thread hand-off), else
-the connection's reader thread does.  ``ServiceClient`` is that
-transport pinned to one connection; ``PooledClient`` spreads calls
-round-robin over ``connections`` of them and also hands out the
-futures (``compress_async``/``decompress_async``).  The operational
-edges a simulation loop needs are handled inside —
+:class:`ServiceClient` (one connection) and :class:`PooledClient`
+(``connections`` of them, round-robin, plus ``compress_async`` /
+``decompress_async`` futures) are the same transport.  Every call is a
+request registered under a per-connection ``id`` on a pipelined MSG1
+connection, its frame written under a send lock, and completed — in any
+order — by the one thread reading that connection: a blocking caller
+reads its own reply when no one else is reading (no thread hand-off,
+no ``Future``), else the connection's reader thread does.  Inside:
 
-* **connect retry**: the daemon may still be binding when the client
-  starts; connection attempts back off within ``connect_timeout_s``.
-  Every dial is followed by one HELLO round trip that negotiates the
-  ``pipeline`` and ``shm`` capabilities;
-* **backpressure retry**: a ``busy`` reply (admission queue full) is
-  re-sent on a timer thread after a capped exponential backoff
-  *plus jitter* (decorrelating a fleet of clients that would otherwise
-  retry in lockstep), honoring the server's ``retry_after_ms`` hint, up
-  to ``busy_retries`` times before :class:`~repro.errors.ServiceBusyError`;
-* **timeouts**: ``request_timeout_s`` bounds every call on its own — a
-  reply that never comes fails that call on time, not its siblings,
-  even on an otherwise silent connection; ``timeout_ms`` per call
-  becomes the server-side queue deadline;
-* **zero-copy payload handoff**: against a same-host daemon that
-  grants the ``shm`` capability, large request payloads travel as
-  pooled shared-memory segments and bulk replies come back through a
-  client-owned scratch segment — the TCP stream then carries only
-  headers.  Fallback to inline bytes is transparent: remote hosts, small
-  arrays, ``REPRO_NO_SHM=1``, a server that does not grant ``shm``, and
-  any per-request shm error (the client re-sends the call inline and
-  stops offering segments).  Replies are byte-identical either way.  All
-  segments are owned by the client — published once, reused across calls
-  (:class:`repro.parallel.shm.SegmentPool`), unlinked on
-  :meth:`~ServiceClient.close`; a crashed client's are reclaimed by its
-  ``multiprocessing`` resource tracker;
-* **distributed tracing**: when telemetry is enabled in the client
-  process, every call — blocking or async — records a ``client.<op>``
-  span when it completes, busy retries record ``client.busy_wait``
-  spans under it, and the call's context travels in the MSG1 header's
-  optional ``trace`` field, so the daemon's queue/batch/worker spans
-  stitch under the call in one trace (see ``docs/OBSERVABILITY.md``).
-  With telemetry off an ambient :mod:`repro.telemetry.context` trace
-  still travels in the header; with neither, nothing is added to the
-  header and nothing is timed.
+* **connect retry** within ``connect_timeout_s``, then one HELLO round
+  trip negotiating the ``pipeline`` and ``shm`` capabilities;
+* **backpressure retry**: a ``busy`` reply is re-sent on a timer thread
+  after a capped, jittered exponential backoff
+  (:func:`repro.util.backoff.backoff_delay`, honoring ``retry_after_ms``),
+  up to ``busy_retries`` times before
+  :class:`~repro.errors.ServiceBusyError`;
+* **timeouts**: ``request_timeout_s`` fails each call on its own, even on
+  a silent connection; ``timeout_ms`` becomes the server's queue deadline;
+* **zero-copy payloads**: against a same-host daemon granting ``shm``,
+  large payloads travel in pooled client-owned segments
+  (:class:`repro.parallel.shm.SegmentPool`, unlinked on :meth:`close`),
+  falling back to inline bytes transparently (remote host, small array,
+  ``REPRO_NO_SHM=1``, no grant, or any per-request shm error); replies
+  are byte-identical either way;
+* **tracing**: with telemetry on, each call records a ``client.<op>``
+  span (and ``client.busy_wait`` spans under it) and sends its context
+  in the header's ``trace`` field, so the daemon's spans stitch under it
+  (``docs/OBSERVABILITY.md``); with telemetry off an ambient trace still
+  travels.
 
-Both retry paths share one delay policy —
-:func:`repro.util.backoff.backoff_delay` — so the whole fleet
-(clients, and the cluster router's membership re-probe) jitters the
-same way.
-
-Both clients are thread-safe: threads sharing one ``ServiceClient``
-pipeline their calls over its one connection.  Use as a context
-manager to close deterministically.  Construction is free of I/O — the
-connection dials on the first call (or on ``__enter__``), so a client
-can be built before its daemon is up:
+Both clients are thread-safe.  Construction is free of I/O — the
+connection dials on the first call (or ``__enter__``):
 
 >>> client = ServiceClient(port=7777, busy_retries=3, seed=42)
 >>> (client.host, client.port, client.busy_retries)
 ('127.0.0.1', 7777, 3)
 >>> client.close()                     # idempotent, even if never dialed
 
-Against a live daemon (or a cluster router — the client is oblivious
-to which one it dialed):
+Against a live daemon or a cluster router alike:
 
 >>> with ServiceClient(port=7777) as client:        # doctest: +SKIP
 ...     buf = client.compress(field, "sz", mode="abs", value=1e-3)
@@ -77,6 +50,7 @@ from __future__ import annotations
 import concurrent.futures
 import contextlib
 import dataclasses
+import math
 import random
 import select
 import socket
@@ -133,17 +107,44 @@ class _Request(NamedTuple):
     finish: Callable[[dict[str, Any], bytes, Segments], Any]
 
 
+class _Blocking:
+    """What a blocking call waits on: the one-waiter part of a
+    :class:`concurrent.futures.Future` — a lock held until the call
+    resolves, with no condition, callbacks or state machine."""
+
+    __slots__ = ("_done", "_result", "_error")
+
+    def __init__(self) -> None:
+        self._done = threading.Lock()
+        self._done.acquire()
+        self._result = self._error = None
+
+    def set_result(self, result: Any) -> None:
+        self._result = result
+        self._done.release()
+
+    def set_exception(self, error: BaseException) -> None:
+        self._error = error
+        self._done.release()
+
+    def result(self) -> Any:
+        self._done.acquire()  # returns at once if already resolved
+        if self._error is not None:
+            raise self._error
+        return self._result
+
+
 @dataclasses.dataclass(eq=False, slots=True)
 class _Call:
-    """One logical request in flight: its frame, its future, where it
-    stands, and — when traced — its context and span clock."""
+    """One logical request in flight: its frame, what resolves it (a
+    :class:`_Blocking` for a blocking call, a ``Future`` for an async
+    one), where it stands, and — when traced — its context and span
+    clock."""
 
     request: _Request
     epoch: int
-    future: concurrent.futures.Future = dataclasses.field(
-        default_factory=concurrent.futures.Future
-    )
-    header: dict[str, Any] = dataclasses.field(default_factory=dict)
+    future: "_Blocking | concurrent.futures.Future"
+    header: dict[str, Any] | None = None  # None: not built yet
     payload: bytes = b""
     segments: Segments = _INLINE
     attempt: int = 0
@@ -339,24 +340,29 @@ class _Channel:
                 if self.dead:
                     break
                 self.reading = True
-            self.read(lambda: not self._orphans())
+            self.read()
         self.sock.close()
 
     def _orphans(self) -> bool:
         """A call in the table has no caller reading for it (under lock)."""
         return any(not c.claimed for c in self.pending.values())
 
-    def read(self, done: Callable[[], bool]) -> None:
-        """Read and complete replies until ``done()`` (checked under
-        ``lock``), then release the read role.  Waits for a frame only
-        until the earliest deadline in the table, then reads the whole
-        frame (a timeout mid-frame would desync the stream, so it kills
-        the connection instead)."""
+    def read(self, call: _Call | None = None) -> None:
+        """Read and complete replies until ``call`` has left the table
+        (without one: until every call has a caller reading for it),
+        then release the read role.  Waits for a frame only until the
+        earliest deadline in the table, then reads the whole frame (a
+        timeout mid-frame would desync the stream, so it kills the
+        connection instead)."""
         try:
-            while (timeout := self._expire(done)) is not None:
+            while (timeout := self._expire(call)) is not None:
                 if self._poll.poll(timeout * 1e3):
                     reply, body = protocol.read_frame_sock(self.sock)
                     self.client._on_reply(self, reply, body)
+                    # One dict lookup, atomic without the lock; whoever
+                    # reads next expires what is overdue.
+                    if call is not None and self.pending.get(call.id) is not call:
+                        break
         except Exception as exc:  # noqa: BLE001 - every call must resolve
             error = ServiceError(f"connection lost: {exc}")
             error.__cause__ = exc
@@ -367,23 +373,32 @@ class _Channel:
                 if self.dead or self._orphans():
                     self.changed.notify()
 
-    def _expire(self, done: Callable[[], bool]) -> float | None:
+    def _expire(self, call: _Call | None) -> float | None:
         """Fail every call whose ``request_timeout_s`` has passed; the
         seconds until the next deadline, or None once the connection is
-        dead or ``done()``."""
+        dead or :meth:`read` is done.  The table is in deadline order
+        (each send appends with one client-wide timeout), so only its
+        head is ever looked at."""
         now = time.monotonic()
+        overdue = []
         with self.lock:
-            overdue = [c for c in self.pending.values() if c.deadline <= now]
-            for call in overdue:
-                del self.pending[call.id]
-            upcoming = min(
-                (c.deadline for c in self.pending.values()),
-                default=now + self.client.request_timeout_s,
-            )
-            stop = self.dead or done()
-        for call in overdue:
-            self.client._finish(call, error=ServiceError("request timed out"))
-        return None if stop else max(0.0, upcoming - now)
+            pending = self.pending
+            for c in pending.values():
+                if c.deadline > now:
+                    break
+                overdue.append(c)
+            for c in overdue:
+                del pending[c.id]
+            if self.dead or (not self._orphans() if call is None
+                             else pending.get(call.id) is not call):
+                timeout = None
+            else:
+                head = next(iter(pending.values()), None)
+                timeout = (self.client.request_timeout_s if head is None
+                           else head.deadline - now)
+        for late in overdue:
+            self.client._finish(late, error=ServiceError("request timed out"))
+        return timeout
 
     def fail(self, exc: Exception) -> None:
         """Kill the connection, failing every call in flight with ``exc``;
@@ -583,9 +598,7 @@ class _Client:
             options = buf.meta.get("options") or {}
         out_shape = tuple(int(s) for s in buf.original_shape)
         out_dtype = np.dtype(buf.original_dtype)
-        out_nbytes = (
-            int(np.prod(out_shape, dtype=np.int64)) * out_dtype.itemsize
-        )
+        out_nbytes = math.prod(out_shape) * out_dtype.itemsize
         stream = np.frombuffer(buf.payload, dtype=np.uint8)
 
         def build(use_shm: bool):
@@ -622,14 +635,16 @@ class _Client:
 
     def _submit(
         self, request: _Request, lead: bool = False
-    ) -> concurrent.futures.Future:
+    ) -> "_Blocking | concurrent.futures.Future":
         """Send ``request``; the future resolves to its result.  With
         ``lead`` (a blocking call) this thread reads for it unless
-        another one is reading the connection.  Traced (telemetry on)
+        another one is reading the connection, and waits on a
+        :class:`_Blocking` instead of a ``Future``.  Traced (telemetry on)
         calls get a child of the ambient context — or a fresh trace —
         and record their ``client.<op>`` span on completion; untraced
         ones carry the ambient context, if any."""
-        call = _Call(request, self._epoch)
+        call = _Call(request, self._epoch,
+                     _Blocking() if lead else concurrent.futures.Future())
         tm = get_telemetry()
         call.trace = trace_context.current()
         if tm.enabled:
@@ -638,11 +653,13 @@ class _Client:
             )
             call.trace, call.tracer = outer.child(), tm.tracer
             call.started = call.tracer.now()
-        # Not cancellable from here on: a reading or timer thread resolves it.
-        call.future.set_running_or_notify_cancel()
+        if not lead:
+            # Not cancellable from here on: a reading or timer thread
+            # resolves it.
+            call.future.set_running_or_notify_cancel()
         chan = self._send(call, lead)
         if chan is not None:
-            chan.read(lambda: chan.pending.get(call.id) is not call)
+            chan.read(call)
         return call.future
 
     def _call(
@@ -666,7 +683,7 @@ class _Client:
             if call.epoch != self._epoch:
                 raise ServiceError("client closed")
             chan = self._next_channel()
-            if not call.header:
+            if call.header is None:
                 request = call.request
                 call.header, call.payload, call.segments = request.build(
                     request.nbytes >= protocol.SHM_MIN_BYTES
@@ -735,7 +752,7 @@ class _Client:
                 self._finish(call, reply=reply, error=error)
                 return
             self._release(call.segments)
-            call.header, call.segments = {}, _INLINE  # rebuilt inline
+            call.header, call.segments = None, _INLINE  # rebuilt inline
             self._send_later(call)
 
     def _finish(
@@ -753,8 +770,9 @@ class _Client:
         except Exception as exc:  # finish() raised — surface it
             error = exc
         finally:
-            self._release(call.segments, reuse=reply is not None)
-            call.segments = _INLINE
+            if call.segments is not _INLINE:
+                self._release(call.segments, reuse=reply is not None)
+                call.segments = _INLINE
         if call.tracer is not None:
             op = call.request.op
             span = call.tracer.add_span(
@@ -832,15 +850,10 @@ class _Client:
         keyframe_every: int = 8,
         session_id: str | None = None,
     ) -> "ServiceSession":
-        """Open a stateful temporal-compression stream on the daemon.
-
-        The session id is generated *client-side* by default: the
-        cluster router hashes it for shard placement, so the id must be
-        fixed before the SESSION_OPEN frame is routed (a server-chosen
-        id could land the open on one shard and the steps on another).
-        Returns a :class:`ServiceSession`; use it as a context manager
-        so the daemon-side state is torn down deterministically.
-        """
+        """Open a stateful temporal stream on the daemon; a
+        :class:`ServiceSession` (a context manager).  The id is made
+        client-side: the router places a session by it, so it must be
+        fixed before the SESSION_OPEN frame is routed."""
         reply, _ = self._call({
             "op": "session_open",
             protocol.SESSION_FIELD: session_id or uuid.uuid4().hex,
@@ -859,15 +872,11 @@ class _Client:
         expect_ref: str | None = ...,
         timeout_ms: float | None = None,
     ) -> tuple[dict[str, Any], bytes]:
-        """One snapshot through an open session; returns (reply, TMP1 bytes).
-
-        ``expect_ref`` is the reference digest the client believes the
-        daemon holds (``None`` before the first step); the daemon
-        refuses with ``session_desync`` on mismatch.  Pass the default
-        sentinel to skip the check entirely.  Most callers want the
-        :class:`ServiceSession` wrapper, which tracks the digest chain
-        automatically.
-        """
+        """One snapshot through an open session: ``(reply, TMP1 bytes)``.
+        ``expect_ref`` is the reference digest the daemon should hold
+        (``None`` before the first step; a mismatch is refused
+        ``session_desync``; the default skips the check).
+        :class:`ServiceSession` tracks the chain for you."""
         return self._submit(self._session_step_request(
             session_id, data, expect_ref, timeout_ms
         ), lead=True).result()
@@ -892,24 +901,15 @@ class _Client:
         return reply
 
     def metrics_text(self) -> str:
-        """The daemon's metrics in Prometheus text exposition format.
-
-        Against a cluster router this is the *fleet* exposition: every
-        per-shard sample gains a ``shard="..."`` label and the router's
-        own metrics appear under ``shard="router"``.
-        """
+        """The daemon's metrics in Prometheus text format (a router's:
+        the fleet's, each sample labelled ``shard="..."``)."""
         _, body = self._call({"op": "metrics"})
         return body.decode("utf-8")
 
     def cluster(self) -> dict[str, Any]:
-        """Topology and membership of the cluster router this client dialed.
-
-        Only a :class:`repro.service.cluster.ClusterRouter` answers the
-        CLUSTER op — a plain daemon replies with ``bad_op``, which
-        surfaces here as :class:`~repro.errors.ServiceError`.  The reply
-        carries per-shard membership state, probe/hedge counters, and
-        ring ownership shares (see ``docs/CLUSTER.md``).
-        """
+        """Topology, membership and ring shares of the cluster router
+        dialed (``docs/CLUSTER.md``); a plain daemon answers ``bad_op``,
+        raised as :class:`~repro.errors.ServiceError`."""
         reply, _ = self._call({"op": "cluster"})
         return reply
 

@@ -1,53 +1,33 @@
 """The cluster router: N compression daemons behaving as one service.
 
-One daemon (:mod:`repro.service.server`) is a process; this module is
-the *system* — the front-end that makes a fleet of daemon shards look
-like a single MSG1 endpoint to every existing client.  A
-:class:`ClusterRouter` accepts the same wire protocol the daemon
-speaks, so :class:`~repro.service.client.ServiceClient` (and anything
-else that talks MSG1) points at the router unchanged, and adds the
-four things a single process cannot have:
+A :class:`ClusterRouter` speaks the daemon's MSG1 protocol, so any
+client points at it unchanged, and adds what one process cannot have:
 
-* **placement** — COMPRESS/DECOMPRESS/SWEEP requests are routed by a
-  consistent hash of their cache identity
-  (:func:`routing_key` → :class:`~repro.service.ring.HashRing`), so a
-  repeat sweep of the same field lands on the shard whose
-  :class:`~repro.cache.ResultCache` is already warm;
-* **membership** — a per-shard HEALTH probe loop feeds the
-  :class:`~repro.service.membership.MembershipTable`; a shard that
-  misses ``fail_after`` consecutive probes is drained from the ring
-  (its keyspace arcs fail over to its ring neighbours) and re-admitted
-  after ``recover_after`` clean probes;
-* **hedging / failover** — a forward that errors fails over to the
-  next shard in the key's ring preference order; a forward that is
-  merely *slow* is hedged after ``hedge_after_s`` (a duplicate goes to
-  the next preference, first reply wins, the loser's request id is
-  abandoned: its late reply is drained off the shard's pipelined
-  channel with the connection kept, so a late duplicate reply can
-  never be delivered);
-* **fleet observability** — STATS merges every shard's snapshot into
-  one picture, METRICS re-labels every shard's Prometheus exposition
-  with ``shard="..."`` (the router itself reports as
-  ``shard="router"``), and the CLUSTER op dumps topology, membership
-  state, and ring ownership shares.
+* **placement** — COMPRESS/DECOMPRESS/SWEEP route by a consistent hash
+  of their cache identity (:func:`routing_key` →
+  :class:`~repro.service.ring.HashRing`), so a repeat sweep lands on
+  the shard whose :class:`~repro.cache.ResultCache` is warm;
+* **membership** — per-shard HEALTH probes feed the
+  :class:`~repro.service.membership.MembershipTable`; ``fail_after``
+  missed probes drain a shard from the ring (its arcs fail over to ring
+  neighbours), ``recover_after`` clean ones re-admit it;
+* **hedging / failover** — a failed forward moves to the key's next
+  preference; a slow one is hedged after ``hedge_after_s`` (first reply
+  wins; the loser's late reply is drained off the shard's pipelined
+  channel, never delivered);
+* **fleet observability** — STATS merges shard snapshots, METRICS
+  re-labels each shard's exposition with ``shard="..."`` (the router as
+  ``shard="router"``), CLUSTER dumps topology, membership and ring
+  shares.
 
-The client-facing half — accept loop, pipelined dispatch, accounting,
-error replies, HELLO, CANCEL, drain — is
-:class:`repro.service.core.FrameServer`, shared with the daemon; a
+The client-facing half is :class:`repro.service.core.FrameServer`; a
 client CANCEL of a stateless routed request abandons its forwards and
-is answered ``cancelled``, exactly as the daemon answers it.
-
-Shards are either **addressed** (a ``host:port`` list — processes some
-init system owns) or **spawned** (``spawn=N`` local subprocesses,
-supervised through :class:`repro.parallel.daemons.DaemonProcess`,
-SIGTERM-drained when the router drains).
-
-A traced request stays one tree across the extra hop: the router
-adopts the client's context, opens ``router.request`` /
-``router.forward`` spans under it, and re-injects its context into the
-forwarded header — so the shard's ``service.request`` (and its queue /
-dispatch / worker-process spans) stitch under the router's forward
-span, client → router → shard → worker (``docs/OBSERVABILITY.md``).
+is answered ``cancelled``.  Shards are **addressed** (``host:port``) or
+**spawned** (``spawn=N`` local subprocesses via
+:class:`repro.parallel.daemons.DaemonProcess`, drained with the router).
+A traced request stays one tree across the hop: ``router.request`` /
+``router.forward`` spans under the client's, and the forwarded header
+carries the router's context (``docs/OBSERVABILITY.md``).
 
 The routing key is deterministic and cheap (one blake2b over the
 header's cache identity plus the payload):
@@ -604,10 +584,9 @@ class ClusterRouter(FrameServer):
             # reach: the shard would finish the step regardless and the
             # client's reference digest would fall behind.
             sticky = op.startswith("session")
-            with conn.cancellable(
-                None if sticky else header.get("id"), asyncio.current_task()
-            ):
-                h, body, shard_id = await self._route(op, fwd, payload, sticky)
+            route = asyncio.ensure_future(self._route(op, fwd, payload, sticky))
+            with conn.cancellable(None if sticky else header.get("id"), route):
+                h, body, shard_id = await route
             h.setdefault(protocol.SHARD_FIELD, shard_id)
             await reply(h, body)
 

@@ -1,30 +1,27 @@
 """The connection core every MSG1 front-end is built on.
 
 The daemon (:mod:`repro.service.server`) and the cluster router
-(:mod:`repro.service.cluster`) speak the same protocol to their
-clients, so everything that is *about the protocol* rather than about
-compressing or routing lives here exactly once:
+(:mod:`repro.service.cluster`) speak the same protocol, so what is
+*about the protocol* rather than about compressing or routing lives
+here once:
 
 * :class:`FrameServer` — bind (with a self-installed telemetry domain),
-  the accept/read loop, pipelined per-frame dispatch (at most
-  :data:`PIPELINE_DEPTH` frames of one connection in flight, replies in
-  completion order under a per-connection send lock), per-request
-  accounting under the front-end's metric namespace, the mapping from
-  exceptions to error replies, the ops answered identically everywhere
-  (HELLO, CANCEL, the ``draining`` refusal), graceful drain, and the
-  ``--trace-out`` dump.  A front-end subclasses it and supplies its
-  ``role``/``ns``, :meth:`~FrameServer._caps`, the
-  :meth:`~FrameServer._open` / :meth:`~FrameServer._close` resource
-  hooks, and :meth:`~FrameServer._dispatch`.
-* :class:`ServerThread` — run a front-end on a background thread (the
-  embedding entry point of tests, benchmarks, and notebooks).
+  per-request accounting under the front-end's metric namespace, the
+  exception → error-reply map, the ops answered the same everywhere
+  (HELLO, CANCEL, the ``draining`` refusal), graceful drain and the
+  ``--trace-out`` dump.  A front-end supplies ``role``/``ns``,
+  :meth:`~FrameServer._caps`, the :meth:`~FrameServer._open` /
+  :meth:`~FrameServer._close` hooks and :meth:`~FrameServer._dispatch`.
+* :class:`Connection` — one client connection: frames cut as bytes
+  arrive and started at once (at most :data:`PIPELINE_DEPTH` in flight),
+  replies in completion order, the CANCEL index.
+* :class:`ServerThread` — a front-end on a background thread (tests,
+  benchmarks, notebooks).
 
-**HELLO** grants the intersection of what the client offered and what
-the front-end supports; a HELLO without a ``caps`` list is granted
-nothing.  **CANCEL** revokes, by ``id``, a request of the same
-connection that registered itself cancellable (a queued daemon request,
-a stateless routed forward); the revoked request is answered
-``code="cancelled"`` and the CANCEL frame itself ``cancelled: true``.
+**HELLO** grants what the client offered ∩ what the front-end supports
+(no ``caps`` list: nothing).  **CANCEL** revokes, by ``id``, a request
+of the same connection that registered itself cancellable; it is
+answered ``code="cancelled"`` and the CANCEL frame ``cancelled: true``.
 
 >>> percentile([0.010, 0.020, 0.030, 0.040], 50)
 0.03
@@ -36,6 +33,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import contextvars
 import logging
 import signal
 import threading
@@ -45,8 +43,8 @@ from typing import Any, Awaitable, Callable, Iterator
 
 from repro.errors import ProtocolError, ReproError, ServiceError
 from repro.service import protocol
-from repro.telemetry import (DEFAULT_MS_BUCKETS, NullTelemetry, Telemetry,
-                             get_telemetry, set_telemetry)
+from repro.telemetry import (DEFAULT_MS_BUCKETS, Bound, NullTelemetry,
+                             Telemetry, get_telemetry, set_telemetry)
 from repro.telemetry import context as trace_context
 
 logger = logging.getLogger("repro.service")
@@ -79,22 +77,140 @@ def percentile(values: list[float], q: float) -> float:
     return ordered[rank]
 
 
-class Connection:
-    """Per-connection pipelining state: reply serialization + CANCEL index.
+class _Resume:
+    """The rest of a frame whose first step suspended on ``waiting``:
+    ``await``-ed by the frame's task, it drives ``coro`` on as the task
+    would, each step in ``ctx`` (where the first ran, so its context
+    variable tokens stay valid)."""
 
-    With concurrent frame dispatch, replies from many tasks interleave
-    on one stream — ``send_lock`` keeps each frame atomic.  ``inflight``
-    maps request ``id`` → something with a ``cancel()`` (a queued
-    request's future, a routing task) for as long as that request can
-    still be revoked by a CANCEL frame.
-    """
+    __slots__ = ("coro", "waiting", "ctx")
 
-    __slots__ = ("send_lock", "inflight", "cancelled")
+    def __init__(self, coro: Any, waiting: Any, ctx: contextvars.Context) -> None:
+        self.coro, self.waiting, self.ctx = coro, waiting, ctx
 
-    def __init__(self) -> None:
+    def __await__(self):
+        coro, waiting, run = self.coro, self.waiting, self.ctx.run
+        while True:
+            try:
+                sent = yield waiting
+            except BaseException as exc:  # a cancel: the frame answers it
+                step, arg = coro.throw, exc
+            else:
+                step, arg = coro.send, sent
+            try:
+                waiting = run(step, arg)
+            except StopIteration as stop:
+                return stop.value
+
+
+class Connection(asyncio.Protocol):
+    """One client connection of a :class:`FrameServer`, and the writer
+    of its replies.  Frames are cut from the byte stream as it arrives;
+    each starts at once, in a context of its own.  One served without
+    suspending (a loop-thread request) needs no task; one that suspends
+    continues as one, at most :data:`PIPELINE_DEPTH` per connection
+    (reading pauses meanwhile).  Replies go out one frame at a time under
+    ``send_lock``.  ``inflight`` maps a request ``id`` to something with
+    a ``cancel()`` while a CANCEL frame can still revoke it."""
+
+    def __init__(self, server: "FrameServer | None" = None) -> None:
+        self.server = server
         self.send_lock = asyncio.Lock()
         self.inflight: dict[Any, Any] = {}
         self.cancelled: set[Any] = set()
+        self.tasks: set[asyncio.Task] = set()
+        self.buf = bytearray()
+        #: Set while the transport's write buffer is above its high mark.
+        self.unpaused: asyncio.Future | None = None
+
+    def connection_made(self, transport: Any) -> None:
+        self.transport = transport
+        self.lost = asyncio.get_running_loop().create_future()
+        self.server._connections.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        self.buf += data
+        self._cut()
+
+    def _cut(self) -> None:
+        buf, server, size = self.buf, self.server, protocol.PREFIX.size
+        while len(buf) >= size and not self.transport.is_closing():
+            if len(self.tasks) >= PIPELINE_DEPTH:
+                self.transport.pause_reading()  # until a frame ends
+                return
+            try:
+                hlen, plen = protocol.parse_prefix(bytes(buf[:size]))
+                if len(buf) < size + hlen + plen:
+                    return
+                with memoryview(buf) as view:
+                    header = protocol.decode_header(bytes(view[size:size + hlen]))
+                    payload = bytes(view[size + hlen:size + hlen + plen])
+            except ProtocolError as exc:
+                # Malformed framing: answer, then hang up — resync is
+                # impossible.
+                get_telemetry().count(f"{server.ns}.protocol_errors")
+                self.write(protocol.encode_frame(
+                    {"status": "error", "code": "protocol", "error": str(exc)}
+                ))
+                self.transport.close()
+                return
+            del buf[:size + hlen + plen]
+            server._inflight += 1
+            ctx = contextvars.copy_context()
+            coro = server._serve_frame(self, header, payload)
+            try:
+                waiting = ctx.run(coro.send, None)
+            except StopIteration:
+                server._frame_done()
+                continue
+            except Exception:  # what a frame task would have logged
+                server._frame_done()
+                logger.exception("unhandled error serving a frame")
+                continue
+            task = asyncio.ensure_future(_Resume(coro, waiting, ctx))
+            self.tasks.add(task)
+            task.add_done_callback(self._frame_ended)
+
+    def eof_received(self) -> None:
+        if self.buf and len(self.tasks) < PIPELINE_DEPTH:  # hung up mid-frame
+            get_telemetry().count(f"{self.server.ns}.protocol_errors")
+
+    def _frame_ended(self, task: asyncio.Task) -> None:
+        # A done-callback, not a ``finally`` in the task: it also runs
+        # for a frame task cancelled before its first step.
+        self.tasks.discard(task)
+        self.server._frame_done()
+        self.transport.resume_reading()
+        self._cut()
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        if exc is not None:
+            logger.debug("peer reset: %s", exc)
+        self.server._connections.discard(self)
+        # In-flight frames can no longer deliver replies anywhere useful.
+        for task in self.tasks:
+            task.cancel()
+        self.resume_writing()
+        self.lost.set_result(None)
+
+    def write(self, data: bytes) -> None:
+        self.transport.write(data)
+
+    async def drain(self) -> None:
+        while (unpaused := self.unpaused) is not None:
+            await asyncio.shield(unpaused)  # a cancelled waiter leaves it be
+        if self.transport.is_closing():
+            raise ConnectionResetError("connection lost")
+
+    def pause_writing(self) -> None:
+        self.unpaused = asyncio.get_running_loop().create_future()
+
+    def resume_writing(self) -> None:
+        if self.unpaused is not None:
+            self.unpaused.set_result(None)
+            self.unpaused = None
+
+    # -- CANCEL ------------------------------------------------------------
 
     @contextlib.contextmanager
     def cancellable(self, rid: Any, handle: Any) -> Iterator[None]:
@@ -150,12 +266,23 @@ class FrameServer:
         self.trace_out = trace_out
         self._server: asyncio.AbstractServer | None = None
         self._draining = asyncio.Event()
-        self._connections: set[asyncio.Task] = set()
+        self._connections: set[Connection] = set()
         self._started = time.perf_counter()
         self._requests_total = 0
         self._inflight = 0
         self._latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)
         self._installed_telemetry = False
+        ns = self.ns
+        #: Per-request instruments, bound once per registry and op label.
+        self._meters = Bound(lambda m, _: (
+            m.counter(f"{ns}.requests"), m.counter(f"{ns}.bytes_in"),
+            m.counter(f"{ns}.bytes_out"), m.gauge(f"{ns}.requests_inflight"),
+            m.histogram(f"{ns}.latency_ms", DEFAULT_MS_BUCKETS),
+        ))
+        self._op_meters = Bound(lambda m, op: (
+            m.counter(f"{ns}.requests.{op}"),
+            m.histogram(f'{ns}.latency_ms{{op="{op}"}}', DEFAULT_MS_BUCKETS),
+        ))
 
     # -- what a front-end supplies -------------------------------------------
 
@@ -202,8 +329,8 @@ class FrameServer:
             self._installed_telemetry = True
         try:
             await self._open()
-            self._server = await asyncio.start_server(
-                self._on_connection, self.host, self.port
+            self._server = await asyncio.get_running_loop().create_server(
+                lambda: Connection(self), self.host, self.port
             )
         except BaseException:
             await self._release()
@@ -245,10 +372,13 @@ class FrameServer:
         give_up = loop.time() + self.drain_grace_s
         while self._inflight and loop.time() < give_up:
             await asyncio.sleep(0.005)
-        for task in self._connections:
-            task.cancel()
-        if self._connections:
-            await asyncio.gather(*self._connections, return_exceptions=True)
+        conns = list(self._connections)
+        tasks = [task for conn in conns for task in conn.tasks]
+        for conn in conns:
+            conn.transport.close()  # its frames are cancelled as it goes
+        await asyncio.gather(
+            *tasks, *(conn.lost for conn in conns), return_exceptions=True
+        )
         logger.info(
             "%s drained after %d request(s); bye",
             self.role, self._requests_total,
@@ -282,82 +412,12 @@ class FrameServer:
 
     # -- connection handling ---------------------------------------------------
 
-    def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        # A plain callback owning the task: handed a coroutine, Python
-        # 3.11's stream server logs a traceback for every connection
-        # task a drain cancels.
-        task = asyncio.get_running_loop().create_task(
-            self._serve_connection(reader, writer)
-        )
-        self._connections.add(task)
-        task.add_done_callback(self._connections.discard)
-
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        peer = writer.get_extra_info("peername")
-        conn = Connection()
-        gate = asyncio.Semaphore(PIPELINE_DEPTH)
-        loop = asyncio.get_running_loop()
-        tasks: set[asyncio.Task] = set()
-
-        def done(task: asyncio.Task) -> None:
-            # A done-callback, not a ``finally`` in the task: it also
-            # runs for a frame task cancelled before its first step.
-            tasks.discard(task)
-            gate.release()
-            self._inflight -= 1
-            get_telemetry().set_gauge(
-                f"{self.ns}.requests_inflight", float(self._inflight)
-            )
-
-        try:
-            while True:
-                try:
-                    frame = await protocol.read_frame(reader)
-                except ProtocolError as exc:
-                    # Malformed framing: answer if the transport still
-                    # works, then hang up — resync is impossible.
-                    get_telemetry().count(f"{self.ns}.protocol_errors")
-                    with contextlib.suppress(Exception):
-                        async with conn.send_lock:
-                            await protocol.write_frame(
-                                writer,
-                                {"status": "error", "code": "protocol",
-                                 "error": str(exc)},
-                            )
-                    return
-                if frame is None:  # clean EOF between frames
-                    return
-                # Pipelined dispatch: don't await the request — spawn it
-                # and read the next frame.  The semaphore bounds how far
-                # one connection can run ahead of its replies.
-                await gate.acquire()
-                self._inflight += 1
-                task = loop.create_task(self._serve_frame(conn, writer, *frame))
-                tasks.add(task)
-                task.add_done_callback(done)
-        except (ConnectionResetError, BrokenPipeError):
-            logger.debug("peer %s reset", peer)
-        finally:
-            if tasks:
-                # The reader is done (EOF/reset/drain-cancel); in-flight
-                # frames can no longer deliver replies anywhere useful.
-                for task in list(tasks):
-                    task.cancel()
-                await asyncio.gather(*tasks, return_exceptions=True)
-            with contextlib.suppress(Exception):
-                writer.close()
-                await writer.wait_closed()
+    def _frame_done(self) -> None:
+        self._inflight -= 1
+        self._meters(get_telemetry().metrics)[3].set(float(self._inflight))
 
     async def _serve_frame(
-        self,
-        conn: Connection,
-        writer: asyncio.StreamWriter,
-        header: dict[str, Any],
-        payload: bytes,
+        self, conn: Connection, header: dict[str, Any], payload: bytes
     ) -> None:
         """One request: accounting, dispatch, and the error → reply map."""
         tm = get_telemetry()
@@ -368,25 +428,27 @@ class FrameServer:
         t0 = time.perf_counter()
         self._requests_total += 1
         seq = self._requests_total
-        tm.set_gauge(f"{ns}.requests_inflight", float(self._inflight))
-        tm.count(f"{ns}.requests")
-        tm.count(f"{ns}.requests.{label}")
-        tm.count(f"{ns}.bytes_in", len(payload))
+        requests, bytes_in, bytes_out, inflight, latency_all = \
+            self._meters(tm.metrics)
+        requests_op, latency_op = self._op_meters(tm.metrics, label)
+        inflight.set(float(self._inflight))
+        requests.inc()
+        requests_op.inc()
+        bytes_in.inc(len(payload))
 
         async def reply(h: dict[str, Any], body: bytes = b"") -> None:
             if rid is not None:
                 h["id"] = rid
             if self.shard_id is not None:
                 h.setdefault(protocol.SHARD_FIELD, self.shard_id)
-            tm.count(f"{ns}.bytes_out", len(body))
+            bytes_out.inc(len(body))
             with tm.span(f"{ns}.reply", op=op, bytes=len(body)):
                 async with conn.send_lock:
-                    await protocol.write_frame(writer, h, body)
+                    await protocol.write_frame(conn, h, body)
             latency = time.perf_counter() - t0
             self._latencies.append(latency)
-            tm.observe(f"{ns}.latency_ms", latency * 1e3, DEFAULT_MS_BUCKETS)
-            tm.observe(f'{ns}.latency_ms{{op="{label}"}}', latency * 1e3,
-                       DEFAULT_MS_BUCKETS)
+            latency_all.observe(latency * 1e3)
+            latency_op.observe(latency * 1e3)
 
         # Serve under the client's trace context (if the header carries
         # one): the <ns>.request span then chains under the client's

@@ -1,76 +1,41 @@
 """The compression daemon: an asyncio TCP server over the batcher.
 
-``CompressionService`` is compression-as-a-service for the library
-below it: clients connect over TCP, speak MSG1 frames
-(:mod:`repro.service.protocol`), and the server turns their requests
-into codec dispatches (:mod:`repro.service.batch`, one request each)
-through the same registry / parallel-executor / shm / cache layers the
-batch CLIs use — so a byte compressed through the daemon is identical to
-a byte compressed through
-:func:`repro.compressors.registry.get_compressor` directly.
-
-Operations
-----------
+``CompressionService`` serves MSG1 frames (:mod:`repro.service.protocol`)
+and turns requests into codec dispatches (:mod:`repro.service.batch`)
+through the same registry / executor / shm / cache layers the batch
+CLIs use, so a byte compressed through the daemon is identical to one
+from :func:`repro.compressors.registry.get_compressor`.
 
 ============= ================================================================
 op            semantics
 ============= ================================================================
 COMPRESS      one ndarray in, one compressed stream out
 DECOMPRESS    one compressed stream in, one ndarray out
-SWEEP         server-side CBench cell fan-out over one field; rows out; repeat
-              sweeps are served warm from the result cache
-SESSION_OPEN  open a stateful temporal-compression stream (docs/INSITU.md);
-              the daemon keeps the reference snapshot in its session table
-SESSION_STEP  one snapshot in, one delta/keyframe TMP1 stream out; replies
-              echo the post-step reference digest so desync fails fast
+SWEEP         server-side CBench cells over one field; rows out (cached)
+SESSION_OPEN  open a stateful temporal stream (docs/INSITU.md)
+SESSION_STEP  one snapshot in, one TMP1 stream out; echoes the reference digest
 SESSION_CLOSE tear down a session; returns its step/byte accounting
 HELLO         capability negotiation (``pipeline``, ``shm``); never queued
-CANCEL        best-effort cancel of a queued request by its ``id`` — answered
-              ``cancelled`` — from another frame of the same connection
+CANCEL        best-effort cancel of a queued request of the same connection
 LIST          registered compressor names
 HEALTH        liveness + drain state + queue depth (never queued)
-STATS         telemetry counters, dispatches, bytes in/out, p50/p99 latency,
-              open sessions
+STATS         counters, dispatches, bytes, p50/p99 latency, open sessions
 METRICS       the same registry in Prometheus text exposition format
 ============= ================================================================
 
-**Connections.**  The accept/read loop, pipelined per-frame dispatch,
-request accounting, error replies, HELLO, CANCEL and graceful drain are
-:class:`repro.service.core.FrameServer`'s — shared with the cluster
-router; this module supplies what the *daemon* does with a request.
-Frames on one connection are dispatched concurrently; replies may
-arrive out of request order, correlated by the echoed ``id``.  A
-blocking client keeps one request in flight and so still sees strict
-ordering.
-
-**Shared-memory handoff.**  A request whose header carries the ``shm``
-field ships its payload as a client-published segment (the frame
-payload is empty); the daemon attaches it read-only for the codec call
-— zero serialization copies client → daemon codec.  A request offering ``reply_shm``
-gets its bulk reply written into that client-owned scratch segment
-(header field ``shm_nbytes``) instead of inline bytes.  The daemon
-*never* owns a data-plane segment: it attaches, copies, and detaches,
-so client death cannot leak daemon memory and daemon death cannot leak
-client segments (the client's ``resource_tracker`` covers those).
-
-Control-plane ops (HEALTH/STATS/LIST/METRICS) bypass the admission
-queue: a saturated daemon must still answer its monitoring.
-
-**Tracing.**  A request header carrying a ``trace`` field (see
-:mod:`repro.telemetry.context`) is served under that distributed trace:
-the ``service.request`` span, the batcher's queue-wait/dispatch spans,
-and the codec spans (a SWEEP's also from worker processes) all stitch
-under the client's call span.
-``trace_out`` dumps every finished span as JSONL when the daemon drains
-(one stitched timeline per traced request).
-
-Backpressure: the admission queue is bounded (``max_pending``); when it
-is full the reply is ``status="busy"`` with a suggested
-``retry_after_ms`` and the connection stays healthy — the client
-library sleeps with jitter and retries.  During **drain** (SIGTERM or
-:meth:`CompressionService.request_drain`) new work is refused the same
-way with ``code="draining"`` while queued and in-flight requests finish
-and get their replies; then ``serve`` returns.
+Connections, accounting, error replies, HELLO, CANCEL and drain are
+:class:`repro.service.core.FrameServer`'s (shared with the router);
+frames of one connection run concurrently, replies correlated by the
+echoed ``id``.  **Shared memory:** a request with an ``shm`` field ships
+its payload as a client-owned segment the daemon attaches read-only for
+the codec call; one offering ``reply_shm`` gets its bulk reply written
+there (``shm_nbytes``).  The daemon never owns a data-plane segment.
+Control-plane ops bypass the admission queue.  **Tracing:** a request
+carrying a ``trace`` field is served under that trace (request, queue
+wait, dispatch and codec spans); ``trace_out`` dumps every span as JSONL
+at drain.  **Backpressure:** a full queue answers ``busy`` with
+``retry_after_ms``; during drain (SIGTERM or :meth:`request_drain`) new
+work is refused ``draining`` while admitted work finishes.
 """
 
 from __future__ import annotations
@@ -309,8 +274,11 @@ class CompressionService(FrameServer):
         # not anyone waits for it.
         rid = None if op == "session_step" else header.get("id")
         try:
-            with conn.cancellable(rid, request.future):
-                result = await request.future
+            if request.future.done():  # served on the loop thread already
+                result = request.future.result()
+            else:
+                with conn.cancellable(rid, request.future):
+                    result = await request.future
         except TimeoutError as exc:
             await reply(
                 {"status": "error", "code": "deadline", "error": str(exc)}

@@ -36,6 +36,7 @@ from repro.telemetry.metrics import (
     DEFAULT_BIT_BUCKETS,
     DEFAULT_BYTE_BUCKETS,
     DEFAULT_MS_BUCKETS,
+    Bound,
     Counter,
     Gauge,
     Histogram,
@@ -60,6 +61,7 @@ __all__ = [
     "Span",
     "TraceContext",
     "MetricsRegistry",
+    "Bound",
     "Counter",
     "Gauge",
     "Histogram",

@@ -20,6 +20,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 __all__ = [
+    "Bound",
     "Counter",
     "Gauge",
     "Histogram",
@@ -182,6 +183,9 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._instruments: dict[str, Counter | Gauge | Histogram] = {}
+        #: Bumped by :meth:`clear`; a :class:`Bound` binding older than
+        #: that rebinds.
+        self.generation = 0
 
     def _get_or_create(self, name: str, kind: type, *args: Any) -> Any:
         inst = self._instruments.get(name)
@@ -239,3 +243,36 @@ class MetricsRegistry:
     def clear(self) -> None:
         with self._lock:
             self._instruments.clear()
+            self.generation += 1
+
+
+class Bound:
+    """What ``make(registry, key)`` builds — an instrument or a tuple of
+    them — bound once per key on one registry, and rebound when a
+    different registry is live or this one was cleared.  A hot path
+    keyed by a label pays one lookup, not a name format and a registry
+    lookup per update.
+
+    >>> hits = Bound(lambda m, op: m.counter(f"hits.{op}"))
+    >>> registry = MetricsRegistry()
+    >>> hits(registry, "get").inc()
+    >>> hits(registry, "get") is registry.counter("hits.get")
+    True
+    """
+
+    __slots__ = ("_make", "_state")
+
+    def __init__(self, make: Any) -> None:
+        self._make = make
+        #: ``(registry, its generation, {key: binding})``, swapped whole.
+        self._state: tuple[Any, int, dict] = (None, -1, {})
+
+    def __call__(self, registry: MetricsRegistry, key: Any = None) -> Any:
+        bound_to, generation, bound = self._state
+        if bound_to is not registry or generation != registry.generation:
+            bound = {}
+            self._state = (registry, registry.generation, bound)
+        inst = bound.get(key)
+        if inst is None:
+            inst = bound[key] = self._make(registry, key)
+        return inst

@@ -567,6 +567,35 @@ class TestClientTransport:
         assert len(readers) == 2
         assert all(t is threading.current_thread() for t in readers)
 
+    def test_a_blocking_call_makes_no_future(self, monkeypatch):
+        # A caller that reads its own reply waits on a plain lock: only
+        # the async calls pay for a Future (a Condition, callbacks, a
+        # state machine).
+        import concurrent.futures
+        import types
+
+        from repro.service import client as client_mod
+
+        made = []
+
+        class Counting(concurrent.futures.Future):
+            def __init__(self):
+                made.append(self)
+                super().__init__()
+
+        monkeypatch.setattr(client_mod, "concurrent", types.SimpleNamespace(
+            futures=types.SimpleNamespace(Future=Counting)))
+        arr = _field(kib=4)
+        with ServiceThread() as st, \
+                PooledClient(port=st.port, connections=1, shm=False) as pool:
+            pool.health()
+            assert pool.compress(arr, "store", value=0.0).payload \
+                == arr.tobytes()
+            assert made == []
+            future = pool.compress_async(arr, "store", value=0.0)
+            assert future.result(timeout=10).payload == arr.tobytes()
+        assert made == [future]
+
     def test_reader_thread_reads_for_a_caller_once_the_reading_one_returns(
         self, fake_peer
     ):

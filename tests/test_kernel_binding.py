@@ -159,3 +159,39 @@ def test_a_shadowed_registry_call_sees_every_codec_kernel():
         del kernels.REGISTRY.call
     assert seen >= {"sz.encode", "sz.decode", "huffman.code", "huffman.encode",
                     "huffman.decode", "zfp.encode", "zfp.decode"}
+
+
+def test_tiers_follow_every_selector(monkeypatch):
+    # ``tiers`` reads the selection once for several kernels and must
+    # see each selector change on the very next call, as ``resolve`` does.
+    reg = _registry()
+    assert reg.tiers(("demo.k", "demo.k")) == ("native", "native")
+    reg.set_backend("numpy")
+    assert reg.tiers(("demo.k",)) == ("numpy",)
+    reg.set_backend(None)
+    monkeypatch.setenv(BACKEND_ENV, "numpy")
+    assert reg.tiers(("demo.k",)) == ("numpy",)
+    monkeypatch.delenv(BACKEND_ENV)
+    assert reg.tiers(("demo.k",)) == ("native",)
+
+
+@pytest.mark.parametrize("name,knobs", [("sz", {"error_bound": 0.05}),
+                                        ("zfp", {"rate": 8.0})])
+def test_a_read_only_input_gives_the_same_stream_on_the_native_tier(name, knobs):
+    # A request's payload reaches the codec as a read-only view of the
+    # frame's bytes; the native wrappers take its address without
+    # ``arr.ctypes`` and must produce the bytes a writable copy does.
+    from repro.kernels import native
+
+    if not kernels.REGISTRY.backends()["native"].available():
+        pytest.skip("native tier unavailable")
+    field = np.random.default_rng(5).standard_normal((16, 16, 16)).astype(np.float32)
+    raw = field.tobytes()
+    view = np.frombuffer(raw, dtype=np.float32).reshape(field.shape)
+    assert not view.flags.writeable and native._p(view) is raw
+    offset = np.frombuffer(raw, dtype=np.float32, offset=4)  # not the whole buffer
+    assert native._p(offset) == offset.ctypes.data
+    with kernels.use("native"):
+        codec = get_compressor(name)
+        assert codec.compress(view, **knobs).payload \
+            == codec.compress(field.copy(), **knobs).payload

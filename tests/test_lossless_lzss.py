@@ -91,3 +91,39 @@ class TestLZSS:
         with pytest.raises(CorruptStreamError, match="declares 4194304 bytes"):
             lzss_decompress(ZERO_BOMB, 2**22 - 1)
         assert lzss_decompress(ZERO_BOMB, 2**22) == b"\0" * 2**22
+
+
+class TestWritableStreams:
+    """A stream handed over as a ``bytearray`` or ``memoryview`` (a
+    request buffer) decodes like its ``bytes``, or fails typed."""
+
+    @pytest.fixture(scope="class")
+    def sz_lzss(self):
+        from repro.compressors.sz import SZCompressor
+
+        field = np.cumsum(
+            np.random.default_rng(3).standard_normal((16, 16, 16)), axis=0
+        ).astype(np.float32)
+        codec = SZCompressor(lossless=["lzss"])
+        buf = codec.compress(field, error_bound=1e-2)
+        return codec, buf, codec.decompress(buf).tobytes()
+
+    @pytest.mark.parametrize("wrap", [bytearray, memoryview],
+                             ids=["bytearray", "memoryview"])
+    def test_sz_lzss_stream_decodes_byte_identical(self, sz_lzss, wrap):
+        codec, buf, want = sz_lzss
+        assert codec.decompress(wrap(buf.payload)).tobytes() == want
+
+    def test_truncated_bytearray_stream_is_corrupt(self, sz_lzss):
+        codec, buf, _ = sz_lzss
+        for cut in (10, len(buf.payload) // 2, len(buf.payload) - 1):
+            with pytest.raises(CorruptStreamError):
+                codec.decompress(bytearray(buf.payload[:cut]))
+
+    @pytest.mark.parametrize("wrap", [bytearray, memoryview])
+    def test_lzss_stage_alone(self, wrap):
+        data = b"abcabcabd" * 50
+        stream = lzss_compress(data)
+        assert lzss_decompress(wrap(stream), len(data)) == data
+        with pytest.raises(CorruptStreamError):
+            lzss_decompress(wrap(stream[:12]), len(data))

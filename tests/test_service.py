@@ -856,6 +856,63 @@ def _dispatch_paths(tm) -> list[str]:
             if s.name == "service.dispatch"]
 
 
+class TestFramePath:
+    """How a connection turns bytes into frames: at most PIPELINE_DEPTH
+    in flight per connection, and a loop-thread request served on the
+    read without a task."""
+
+    def test_no_frame_is_read_past_the_pipeline_depth(self):
+        from repro.service.core import PIPELINE_DEPTH
+
+        n = PIPELINE_DEPTH + 8
+        payload = protocol.pack_array(_field(4))
+        GatedCompressor.entered.clear()
+        GatedCompressor.gate.clear()
+        with ServiceThread(workers=1, max_pending=2 * n) as st, \
+                socket.create_connection(("127.0.0.1", st.port)) as sock:
+            for rid in range(1, n + 1):  # one holds the slot, the rest queue
+                protocol.write_frame_sock(sock, {
+                    "op": "compress", "id": rid, "compressor": "gated-test",
+                    "mode": "abs", "value": 1.0,
+                    **protocol.array_fields(_field(4)),
+                }, payload)
+            try:
+                assert GatedCompressor.entered.wait(30)
+                with ServiceClient(port=st.port) as client:
+                    _wait_queued(client, PIPELINE_DEPTH - 1)
+                    time.sleep(0.2)  # a frame read past the gate would queue
+                    stats = client.stats()
+                assert stats["queue_depth"] == PIPELINE_DEPTH - 1
+                assert _counter(stats, "service.requests.compress") == PIPELINE_DEPTH
+            finally:
+                GatedCompressor.gate.set()
+            ids = sorted(protocol.read_frame_sock(sock)[0]["id"] for _ in range(n))
+        assert ids == list(range(1, n + 1))
+
+    def test_a_loop_thread_request_runs_without_a_task(self, monkeypatch):
+        from repro.service import core
+
+        resumed = []
+        init = core._Resume.__init__
+
+        def spy(self, *args):
+            resumed.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(core._Resume, "__init__", spy)
+        with kernels.use("native"):
+            if not _native():
+                pytest.skip("the native tier is not built on this host")
+            with ServiceThread() as st, ServiceClient(port=st.port) as client:
+                buf = client.compress(_field(16), "sz", mode="abs", value=0.5)
+                client.decompress(buf)
+                loop_frames = len(resumed)
+                client.compress(_field(4), "sleepy-test", mode="abs",
+                                value=1.0, options={"delay": 0.0})
+        assert loop_frames == 0
+        assert len(resumed) == 1  # the pool-bound one suspends
+
+
 class TestLoopDispatch:
     """Small requests skip the thread hop: a *bounded* request that
     would start at once runs on the event-loop thread."""

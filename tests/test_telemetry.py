@@ -126,6 +126,22 @@ class TestMetrics:
         with pytest.raises(ValueError):
             Histogram("h", bounds=())
 
+    def test_bound_instruments_follow_the_live_registry(self):
+        # Bound once per key; a different registry, or a cleared one,
+        # gets its own instruments, so no update lands in a stale one.
+        from repro.telemetry import Bound, MetricsRegistry
+
+        hits = Bound(lambda m, op: m.counter(f"hits.{op}"))
+        first, second = MetricsRegistry(), MetricsRegistry()
+        hits(first, "get").inc()
+        assert hits(first, "get") is first.counter("hits.get")
+        hits(second, "get").inc(2)
+        assert first.counter("hits.get").value == 1
+        assert second.counter("hits.get").value == 2
+        first.clear()
+        hits(first, "get").inc()
+        assert first.snapshot()["hits.get"]["value"] == 1
+
     def test_registry_type_conflict(self, tm):
         tm.metrics.counter("x")
         with pytest.raises(TypeError):
