@@ -269,6 +269,8 @@ class TemporalCompressor(Compressor):
         magic, flags, head_len = _PREFIX.unpack_from(payload)
         if magic != TMP_MAGIC:
             raise CorruptStreamError(f"bad temporal magic {magic!r}")
+        if flags & ~_FLAG_KEYFRAME:  # no writer sets another bit
+            raise CorruptStreamError(f"unknown TMP1 flags {flags:#04x}")
         end = _PREFIX.size + head_len
         if len(payload) < end:
             raise CorruptStreamError("TMP1 header truncated")

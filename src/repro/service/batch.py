@@ -55,7 +55,7 @@ from repro.compressors.base import CompressedBuffer, CompressorMode
 from repro.compressors.registry import get_compressor, is_registered
 from repro.compressors.sz import SZCompressor
 from repro.compressors.zfp import ZFPCompressor
-from repro.errors import ReproError, ServiceError
+from repro.errors import DataError, ReproError, ServiceError
 from repro.parallel.executor import resolve_workers
 from repro.parallel.shm import SharedArray, ShmDescriptor
 from repro.service import protocol
@@ -153,8 +153,8 @@ def payload_view(header: dict[str, Any], payload: bytes, shm: ShmDescriptor | No
     the request completes — memoizing the attachment
     (:func:`attach_cached`) would pin dead segments' pages in the
     long-lived daemon, so the mapping only lives for the block.
-    Attach failures surface as :class:`ServiceError` (the segment owner
-    vanished mid-request), not as a dispatch failure.
+    A segment that is gone or short is a :class:`ServiceError` with code
+    ``shm_attach``, on which the client re-sends the request inline.
     """
     if shm is None:
         return nullcontext(protocol.unpack_array(header, payload))
@@ -165,9 +165,11 @@ def payload_view(header: dict[str, Any], payload: bytes, shm: ShmDescriptor | No
 def _attached(shm: ShmDescriptor):
     try:
         handle = SharedArray.attach(shm)
-    except OSError as exc:
+    except (DataError, OSError) as exc:  # gone or short
+        get_telemetry().count("service.shm_attach_errors")
         raise ServiceError(
-            f"cannot attach payload segment {shm.name!r}: {exc}"
+            f"cannot attach payload segment {shm.name!r}: {exc}",
+            code="shm_attach",
         ) from exc
     try:
         yield handle.array

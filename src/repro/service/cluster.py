@@ -49,7 +49,6 @@ See ``docs/CLUSTER.md`` for the operator's handbook.
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import hashlib
 import json
 import logging
@@ -63,7 +62,8 @@ from typing import Any
 from repro.errors import ProtocolError, ServiceError
 from repro.parallel.shm import shm_enabled
 from repro.service import protocol
-from repro.service.core import Connection, FrameServer, Reply, ServerThread
+from repro.service.core import (Connection, FrameServer, FrameStream,
+                                Reply, ServerThread)
 from repro.service.membership import MembershipTable
 from repro.service.ring import HashRing
 from repro.telemetry import get_telemetry
@@ -138,54 +138,45 @@ def routing_key(header: dict[str, Any], payload: bytes) -> bytes | None:
     return h.digest()
 
 
-class ShardChannel:
+class ShardChannel(FrameStream):
     """One pipelined connection to a shard, multiplexed by request id.
 
-    The router assigns its *own* per-channel ids (replies come back
-    without one; the front-end restores the client's ``id``), writes
-    frames under a send lock, and
-    a reader task completes per-request futures as replies arrive — in
-    any order.  Cancelling a waiter (hedge loser, timeout) just forgets
-    its id: when the shard's reply eventually lands, the reader drops
-    it by id and the connection stays open — no socket churn, and a
-    late duplicate reply can never reach a client.
+    The router gives every frame an id of its *own* — HELLO's too — and
+    a reply cut from the stream resolves that id's future then and
+    there, in any order; the front-end restores the client's ``id``.
+    An abandoned id (hedge loser, timeout) is chased by a best-effort
+    CANCEL, and its late reply is dropped by id with the connection
+    kept: no socket churn, and a late duplicate can never reach a
+    client.  A bad frame, EOF, a reset or :meth:`close` fails every
+    pending request with :class:`ProtocolError` or :class:`OSError`.
     """
 
     def __init__(self, shard_id: str, host: str, port: int) -> None:
+        super().__init__()
         self.shard_id = shard_id
         self.host = host
         self.port = port
-        self._reader: asyncio.StreamReader | None = None
-        self._writer: asyncio.StreamWriter | None = None
-        self._send_lock = asyncio.Lock()
         self._pending: dict[int, asyncio.Future] = {}
         self._next_id = 0
-        self._reader_task: asyncio.Task | None = None
-        self._closed = False
         #: Late replies dropped by id with the connection kept open.
         self.drains = 0
 
     @property
     def closed(self) -> bool:
-        return self._closed
+        return self.transport is None or self.transport.is_closing()
 
     async def open(self) -> None:
         """Dial and HELLO; a shard that does not grant ``pipeline`` (no
         daemon of this codebase) is a :class:`ProtocolError`."""
         try:
-            self._reader, self._writer = await asyncio.open_connection(
-                self.host, self.port
+            await asyncio.get_running_loop().create_connection(
+                lambda: self, self.host, self.port
             )
-            await protocol.write_frame(
-                self._writer,
+            reply, _ = await self.request(
                 {"op": "hello", protocol.CAPS_FIELD: [protocol.CAP_PIPELINE]},
+                b"", None,
             )
-            frame = await protocol.read_frame(self._reader)
-            if frame is None:
-                raise ProtocolError(
-                    f"shard {self.shard_id} closed during HELLO"
-                )
-            caps = frame[0].get(protocol.CAPS_FIELD)
+            caps = reply.get(protocol.CAPS_FIELD)
             if not isinstance(caps, list) or protocol.CAP_PIPELINE not in caps:
                 raise ProtocolError(
                     f"shard {self.shard_id} does not grant "
@@ -194,94 +185,65 @@ class ShardChannel:
         except BaseException:
             self.close()
             raise
-        self._reader_task = asyncio.get_running_loop().create_task(
-            self._read_loop()
-        )
 
-    async def _send(
+    def _send(
         self, header: dict[str, Any], payload: bytes = b""
     ) -> tuple[int, asyncio.Future]:
         """Write one frame under a fresh id; ``(id, reply future)``."""
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        async with self._send_lock:
-            if self._closed:
-                raise ProtocolError(f"channel to {self.shard_id} is closed")
-            self._next_id += 1
-            rid = self._next_id
-            self._pending[rid] = future
-            try:
-                await protocol.write_frame(
-                    self._writer, {**header, "id": rid}, payload
-                )
-            except OSError:
-                self._pending.pop(rid, None)
-                self._fail(ProtocolError(
-                    f"channel to {self.shard_id} broke mid-send"
-                ))
-                raise
+        if self.closed:
+            raise ProtocolError(f"channel to {self.shard_id} is closed")
+        self._next_id += 1
+        rid = self._next_id
+        self.write_frame({**header, "id": rid}, payload)
+        future = self._pending[rid] = asyncio.get_running_loop().create_future()
         return rid, future
 
     async def request(
-        self, header: dict[str, Any], payload: bytes, timeout_s: float
+        self, header: dict[str, Any], payload: bytes, timeout_s: float | None
     ) -> tuple[dict[str, Any], bytes]:
         """One multiplexed round trip; safe to cancel at any point.  The
         reply comes back without the channel's id — the front-end stamps
         the client's own on what it sends on."""
-        rid, future = await self._send(header, payload)
+        rid, future = self._send(header, payload)
         try:
+            await self.drain()
             return await asyncio.wait_for(future, timeout=timeout_s)
-        except (asyncio.CancelledError, asyncio.TimeoutError):
-            # Abandon the id; the reader will drain the late reply and
-            # keep the connection.  Tell the shard not to bother if the
-            # request is still queued over there.
-            if self._pending.pop(rid, None) is not None:
-                asyncio.get_running_loop().create_task(self._cancel(rid))
-            raise
+        finally:
+            # Still pending: abandoned, so the late reply will be drained.
+            # Tell the shard not to bother if it is still queued there.
+            if self._pending.pop(rid, None) is not None and not self.closed:
+                self._send({"op": "cancel", "cancel_id": rid})
 
-    async def _cancel(self, target: int) -> None:
-        """Best-effort CANCEL for an abandoned id (fire and forget)."""
-        with contextlib.suppress(OSError, ProtocolError, asyncio.CancelledError):
-            _, future = await self._send({"op": "cancel", "cancel_id": target})
-            # Nobody awaits the answer; consume it so asyncio stays quiet.
-            future.add_done_callback(lambda f: f.cancelled() or f.exception())
+    def frame_received(self, header: dict[str, Any], payload: bytes) -> None:
+        future = self._pending.pop(header.pop("id", None), None)
+        if future is None:
+            # A hedge loser's (or timed-out) reply — drained.
+            self.drains += 1
+            get_telemetry().count("router.hedge_drains")
+        elif not future.done():
+            future.set_result((header, payload))
 
-    async def _read_loop(self) -> None:
-        try:
-            while True:
-                frame = await protocol.read_frame(self._reader)
-                if frame is None:
-                    self._fail(ProtocolError(
-                        f"shard {self.shard_id} closed the channel"
-                    ))
-                    return
-                reply, body = frame
-                future = self._pending.pop(reply.pop("id", None), None)
-                if future is None:
-                    # A hedge loser's (or timed-out) reply — drained.
-                    self.drains += 1
-                    get_telemetry().count("router.hedge_drains")
-                    continue
-                if not future.done():
-                    future.set_result((reply, body))
-        except (OSError, ProtocolError) as exc:
-            self._fail(exc)
+    def frame_error(self, exc: ProtocolError) -> None:
+        self._fail(exc)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        super().connection_lost(exc)
+        self._fail(exc or ProtocolError(
+            f"shard {self.shard_id} closed the channel"
+            + (" mid-frame" if self.buf else "")
+        ))
 
     def _fail(self, exc: Exception) -> None:
-        self._closed = True
         pending, self._pending = self._pending, {}
         for future in pending.values():
             if not future.done():
                 future.set_exception(exc)
-        if self._writer is not None:
-            with contextlib.suppress(Exception):
-                self._writer.close()
+                future.exception()  # a CANCEL's, awaited by nobody, logs nothing
 
     def close(self) -> None:
-        self._closed = True
-        if self._reader_task is not None:
-            self._reader_task.cancel()
-            self._reader_task = None
         self._fail(ProtocolError(f"channel to {self.shard_id} closed"))
+        if self.transport is not None:
+            self.transport.close()
 
 
 class ShardHandle:
@@ -621,9 +583,9 @@ class ClusterRouter(FrameServer):
 
         Returns ``(reply_header, body, shard_id)`` of the first shard
         whose reply arrived.  Losing hedge attempts are cancelled, which
-        just abandons their request id — the late reply is drained by
-        the channel's reader (connection kept, a best-effort CANCEL
-        chases the queued work).  The duplicate-suppression guarantee: a
+        just abandons their request id — the channel drops the late
+        reply by id (connection kept, a best-effort CANCEL chases the
+        queued work).  The duplicate-suppression guarantee: a
         reply is only delivered to a waiter the router still has, and it
         keeps at most one winner.
 

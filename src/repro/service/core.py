@@ -12,9 +12,11 @@ here once:
   ``--trace-out`` dump.  A front-end supplies ``role``/``ns``,
   :meth:`~FrameServer._caps`, the :meth:`~FrameServer._open` /
   :meth:`~FrameServer._close` hooks and :meth:`~FrameServer._dispatch`.
-* :class:`Connection` — one client connection: frames cut as bytes
-  arrive and started at once (at most :data:`PIPELINE_DEPTH` in flight),
-  replies in completion order, the CANCEL index.
+* :class:`FrameStream` — the one MSG1 frame cutter and writer on the
+  event loop, for both directions of a hop.
+* :class:`Connection` — one client connection: a :class:`FrameStream`
+  whose frames start at once (at most :data:`PIPELINE_DEPTH` in
+  flight), replies in completion order, the CANCEL index.
 * :class:`ServerThread` — a front-end on a background thread (tests,
   benchmarks, notebooks).
 
@@ -103,41 +105,31 @@ class _Resume:
                 return stop.value
 
 
-class Connection(asyncio.Protocol):
-    """One client connection of a :class:`FrameServer`, and the writer
-    of its replies.  Frames are cut from the byte stream as it arrives;
-    each starts at once, in a context of its own.  One served without
-    suspending (a loop-thread request) needs no task; one that suspends
-    continues as one, at most :data:`PIPELINE_DEPTH` per connection
-    (reading pauses meanwhile).  Replies go out one frame at a time under
-    ``send_lock``.  ``inflight`` maps a request ``id`` to something with
-    a ``cancel()`` while a CANCEL frame can still revoke it."""
+class FrameStream(asyncio.Protocol):
+    """One MSG1 byte stream on the event loop, either end of it: frames
+    are cut as bytes arrive and handed to :meth:`frame_received`, a
+    malformed one to :meth:`frame_error`.  :meth:`write_frame` writes a
+    whole frame at once, so concurrent writers need no lock; a writer
+    awaits :meth:`drain` while the transport's buffer is above its high
+    mark."""
 
-    def __init__(self, server: "FrameServer | None" = None) -> None:
-        self.server = server
-        self.send_lock = asyncio.Lock()
-        self.inflight: dict[Any, Any] = {}
-        self.cancelled: set[Any] = set()
-        self.tasks: set[asyncio.Task] = set()
+    transport: Any = None
+
+    def __init__(self) -> None:
         self.buf = bytearray()
         #: Set while the transport's write buffer is above its high mark.
         self.unpaused: asyncio.Future | None = None
 
     def connection_made(self, transport: Any) -> None:
         self.transport = transport
-        self.lost = asyncio.get_running_loop().create_future()
-        self.server._connections.add(self)
 
     def data_received(self, data: bytes) -> None:
         self.buf += data
         self._cut()
 
     def _cut(self) -> None:
-        buf, server, size = self.buf, self.server, protocol.PREFIX.size
-        while len(buf) >= size and not self.transport.is_closing():
-            if len(self.tasks) >= PIPELINE_DEPTH:
-                self.transport.pause_reading()  # until a frame ends
-                return
+        buf, size = self.buf, protocol.PREFIX.size
+        while len(buf) >= size and self._reading():
             try:
                 hlen, plen = protocol.parse_prefix(bytes(buf[:size]))
                 if len(buf) < size + hlen + plen:
@@ -146,30 +138,103 @@ class Connection(asyncio.Protocol):
                     header = protocol.decode_header(bytes(view[size:size + hlen]))
                     payload = bytes(view[size + hlen:size + hlen + plen])
             except ProtocolError as exc:
-                # Malformed framing: answer, then hang up — resync is
-                # impossible.
-                get_telemetry().count(f"{server.ns}.protocol_errors")
-                self.write(protocol.encode_frame(
-                    {"status": "error", "code": "protocol", "error": str(exc)}
-                ))
-                self.transport.close()
+                self.frame_error(exc)
+                self.transport.close()  # a stream cannot resync
                 return
             del buf[:size + hlen + plen]
-            server._inflight += 1
-            ctx = contextvars.copy_context()
-            coro = server._serve_frame(self, header, payload)
-            try:
-                waiting = ctx.run(coro.send, None)
-            except StopIteration:
-                server._frame_done()
-                continue
-            except Exception:  # what a frame task would have logged
-                server._frame_done()
-                logger.exception("unhandled error serving a frame")
-                continue
-            task = asyncio.ensure_future(_Resume(coro, waiting, ctx))
-            self.tasks.add(task)
-            task.add_done_callback(self._frame_ended)
+            self.frame_received(header, payload)
+
+    def _reading(self) -> bool:
+        """Whether the next frame is cut now."""
+        return not self.transport.is_closing()
+
+    def frame_received(self, header: dict[str, Any], payload: bytes) -> None:
+        raise NotImplementedError
+
+    def frame_error(self, exc: ProtocolError) -> None:
+        """A malformed frame, just before the stream closes."""
+
+    def write_frame(self, header: dict[str, Any], payload: bytes = b"") -> None:
+        """Write one frame; a large payload as a buffer of its own (the
+        concatenation would be one more copy of it)."""
+        if len(payload) >= protocol._WRITE_SPLIT_BYTES:
+            raw = protocol.encode_header(header)
+            if len(raw) > protocol.MAX_HEADER_BYTES:
+                raise ProtocolError(f"header too large: {len(raw)} bytes")
+            self.transport.write(
+                protocol.PREFIX.pack(protocol.MAGIC, len(raw), len(payload)) + raw
+            )
+            self.transport.write(payload)
+        else:
+            self.transport.write(protocol.encode_frame(header, payload))
+
+    async def drain(self) -> None:
+        while (unpaused := self.unpaused) is not None:
+            await asyncio.shield(unpaused)  # a cancelled waiter leaves it be
+        if self.transport.is_closing():
+            raise ConnectionResetError("connection lost")
+
+    def pause_writing(self) -> None:
+        self.unpaused = asyncio.get_running_loop().create_future()
+
+    def resume_writing(self) -> None:
+        if self.unpaused is not None:
+            self.unpaused.set_result(None)
+            self.unpaused = None
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.resume_writing()
+
+
+class Connection(FrameStream):
+    """One client connection of a :class:`FrameServer`, and the writer
+    of its replies.  Each frame starts as it is cut, in a context of its
+    own.  One served without suspending (a loop-thread request) needs no
+    task; one that suspends continues as one, at most
+    :data:`PIPELINE_DEPTH` per connection (reading pauses meanwhile).
+    ``inflight`` maps a request ``id`` to something with a ``cancel()``
+    while a CANCEL frame can still revoke it."""
+
+    def __init__(self, server: "FrameServer | None" = None) -> None:
+        super().__init__()
+        self.server = server
+        self.inflight: dict[Any, Any] = {}
+        self.cancelled: set[Any] = set()
+        self.tasks: set[asyncio.Task] = set()
+
+    def connection_made(self, transport: Any) -> None:
+        super().connection_made(transport)
+        self.lost = asyncio.get_running_loop().create_future()
+        self.server._connections.add(self)
+
+    def _reading(self) -> bool:
+        if len(self.tasks) < PIPELINE_DEPTH:
+            return super()._reading()
+        self.transport.pause_reading()  # until a frame ends
+        return False
+
+    def frame_received(self, header: dict[str, Any], payload: bytes) -> None:
+        server = self.server
+        server._inflight += 1
+        ctx = contextvars.copy_context()
+        coro = server._serve_frame(self, header, payload)
+        try:
+            waiting = ctx.run(coro.send, None)
+        except StopIteration:
+            server._frame_done()
+            return
+        except Exception:  # what a frame task would have logged
+            server._frame_done()
+            logger.exception("unhandled error serving a frame")
+            return
+        task = asyncio.ensure_future(_Resume(coro, waiting, ctx))
+        self.tasks.add(task)
+        task.add_done_callback(self._frame_ended)
+
+    def frame_error(self, exc: ProtocolError) -> None:
+        # Malformed framing: answer before the hang-up.
+        get_telemetry().count(f"{self.server.ns}.protocol_errors")
+        self.write_frame({"status": "error", "code": "protocol", "error": str(exc)})
 
     def eof_received(self) -> None:
         if self.buf and len(self.tasks) < PIPELINE_DEPTH:  # hung up mid-frame
@@ -190,25 +255,8 @@ class Connection(asyncio.Protocol):
         # In-flight frames can no longer deliver replies anywhere useful.
         for task in self.tasks:
             task.cancel()
-        self.resume_writing()
+        super().connection_lost(exc)
         self.lost.set_result(None)
-
-    def write(self, data: bytes) -> None:
-        self.transport.write(data)
-
-    async def drain(self) -> None:
-        while (unpaused := self.unpaused) is not None:
-            await asyncio.shield(unpaused)  # a cancelled waiter leaves it be
-        if self.transport.is_closing():
-            raise ConnectionResetError("connection lost")
-
-    def pause_writing(self) -> None:
-        self.unpaused = asyncio.get_running_loop().create_future()
-
-    def resume_writing(self) -> None:
-        if self.unpaused is not None:
-            self.unpaused.set_result(None)
-            self.unpaused = None
 
     # -- CANCEL ------------------------------------------------------------
 
@@ -443,8 +491,8 @@ class FrameServer:
                 h.setdefault(protocol.SHARD_FIELD, self.shard_id)
             bytes_out.inc(len(body))
             with tm.span(f"{ns}.reply", op=op, bytes=len(body)):
-                async with conn.send_lock:
-                    await protocol.write_frame(conn, h, body)
+                conn.write_frame(h, body)
+                await conn.drain()
             latency = time.perf_counter() - t0
             self._latencies.append(latency)
             latency_all.observe(latency * 1e3)

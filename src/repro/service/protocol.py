@@ -194,53 +194,10 @@ def decode_frame(
     return header, buf[PREFIX.size + header_len :]
 
 
-# -- asyncio stream I/O ------------------------------------------------------
-
-
-async def read_frame(
-    reader, max_payload_bytes: int = MAX_PAYLOAD_BYTES
-) -> tuple[dict[str, Any], bytes] | None:
-    """Read one frame from an ``asyncio.StreamReader``.
-
-    Returns ``None`` on clean EOF *before* a frame starts; raises
-    :class:`ProtocolError` on EOF mid-frame or malformed content.
-    """
-    import asyncio
-
-    try:
-        prefix = await reader.readexactly(PREFIX.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise ProtocolError(
-            f"connection closed mid-prefix ({len(exc.partial)} bytes)"
-        ) from exc
-    header_len, payload_len = parse_prefix(prefix, max_payload_bytes)
-    try:
-        raw = await reader.readexactly(header_len + payload_len)
-    except asyncio.IncompleteReadError as exc:
-        raise ProtocolError("connection closed mid-frame") from exc
-    header = decode_header(raw[:header_len])
-    return header, raw[header_len:]
-
-
 #: Payloads at or above this size are written as a separate buffer
 #: instead of being concatenated into one frame bytes object — at data
 #: plane sizes the concat is a measurable extra copy per frame.
 _WRITE_SPLIT_BYTES = 1 << 16
-
-
-async def write_frame(writer, header: dict[str, Any], payload: bytes = b"") -> None:
-    """Write one frame to an ``asyncio.StreamWriter`` and drain."""
-    if len(payload) >= _WRITE_SPLIT_BYTES:
-        raw = encode_header(header)
-        if len(raw) > MAX_HEADER_BYTES:
-            raise ProtocolError(f"header too large: {len(raw)} bytes")
-        writer.write(PREFIX.pack(MAGIC, len(raw), len(payload)) + raw)
-        writer.write(payload)
-    else:
-        writer.write(encode_frame(header, payload))
-    await writer.drain()
 
 
 # -- blocking socket I/O (client side) ---------------------------------------

@@ -226,17 +226,6 @@ class CompressionService(FrameServer):
                      "error": "REPRO_NO_SHM is set on the server"}
                 )
                 return None
-            # Fail fast, here and with a clean code, when the segment is
-            # gone or short; whoever consumes the data attaches again.
-            try:
-                SharedArray.attach(shm_desc).close()
-            except (DataError, OSError) as exc:
-                tm.count("service.shm_attach_errors")
-                await reply(
-                    {"status": "error", "code": "shm_attach",
-                     "error": f"{type(exc).__name__}: {exc}"}
-                )
-                return None
             tm.count("service.shm_requests")
             tm.count("service.bytes_in", shm_desc.nbytes)
         reply_shm = None

@@ -9,6 +9,7 @@ stand in for the slow and crashed fleet members the router must route
 around.
 """
 
+import asyncio
 import re
 import socket
 import threading
@@ -19,9 +20,9 @@ import pytest
 
 from repro import telemetry
 from repro.compressors.registry import get_compressor
-from repro.errors import ServiceError
+from repro.errors import ProtocolError, ServiceError
 from repro.service import ServiceClient, ServiceThread, protocol, routing_key
-from repro.service.cluster import ClusterThread
+from repro.service.cluster import ClusterThread, ShardHandle
 from repro.service.membership import MembershipTable
 from repro.service.ring import HashRing
 
@@ -134,6 +135,93 @@ class _StubShard:
         self._stop.set()
         self._server.close()
         self._thread.join(timeout=5)
+
+
+class _FramingShard:
+    """A fake shard that grants ``pipeline`` and answers every ``batch``
+    requests with one reply frame each, handed to ``send(conn, frames)``
+    — which decides how the bytes reach the router.  A redialed
+    connection is answered in order, with one ``sendall`` per frame."""
+
+    def __init__(self, send, batch):
+        self.send, self.batch = send, batch
+        self.accepted = 0
+        self._server = socket.create_server(("127.0.0.1", 0))
+        self.port = self._server.getsockname()[1]
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        while True:
+            try:
+                conn, _ = self._server.accept()
+            except OSError:
+                return
+            self.accepted += 1
+            send = self.send if self.accepted == 1 else _in_order
+            threading.Thread(target=self._peer, args=(conn, send),
+                             daemon=True).start()
+
+    def _peer(self, conn, send):
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        with conn:
+            try:
+                hello, _ = protocol.read_frame_sock(conn)
+                protocol.write_frame_sock(conn, {
+                    "status": "ok", "id": hello.get("id"),
+                    protocol.CAPS_FIELD: [protocol.CAP_PIPELINE]})
+                while True:
+                    frames = [protocol.read_frame_sock(conn)
+                              for _ in range(self.batch)]
+                    send(conn, [protocol.encode_frame(
+                        {"status": "ok", "id": h["id"], "n": h["n"]}, p[::-1]
+                    ) for h, p in frames])
+            except (OSError, ProtocolError):
+                return  # the router hung up
+
+    def close(self):
+        self._server.close()
+        self._thread.join(timeout=5)
+
+
+def _in_order(conn, frames):
+    for frame in frames:
+        conn.sendall(frame)
+
+
+def _payload(n):
+    return bytes(range(n, n + 64))
+
+
+def _exchange(send, batch):
+    """``batch`` concurrent forwards through one :class:`ShardHandle`,
+    then ``batch`` more on whatever channel it has next: ``(first
+    outcomes, second outcomes, connections the shard accepted)``."""
+    shard = _FramingShard(send, batch)
+
+    async def forwards():
+        channel = await handle.get_channel()
+        return await asyncio.gather(*(
+            channel.request({"op": "compress", "n": n}, _payload(n), 10.0)
+            for n in range(batch)
+        ), return_exceptions=True)
+
+    async def main():
+        try:
+            return await forwards(), await forwards()
+        finally:
+            handle.close()
+
+    handle = ShardHandle("fake", "127.0.0.1", shard.port)
+    try:
+        first, second = asyncio.run(main())
+    finally:
+        shard.close()
+    return first, second, shard.accepted
+
+
+def _replies(batch):
+    return [({"status": "ok", "n": n}, _payload(n)[::-1]) for n in range(batch)]
 
 
 def _dead_endpoint():
@@ -301,6 +389,51 @@ class TestRoutedRequests:
                 ServiceClient(port=svc.port) as client:
             with pytest.raises(ServiceError, match="bad_op|unknown op"):
                 client.cluster()
+
+
+# -- the router's shard channel on arbitrary TCP segmentation ---------------
+
+
+class TestShardChannelFraming:
+    def test_a_reply_written_a_byte_at_a_time(self):
+        def bytewise(conn, frames):
+            for frame in frames:
+                for i in range(len(frame)):
+                    conn.sendall(frame[i:i + 1])
+                    time.sleep(0.0005)
+
+        first, second, accepted = _exchange(bytewise, batch=1)
+        assert first == second == _replies(1)
+        assert accepted == 1
+
+    def test_three_replies_in_one_write_resolve_in_any_order(self):
+        def batched(conn, frames):
+            conn.sendall(b"".join(reversed(frames)))
+
+        first, second, accepted = _exchange(batched, batch=3)
+        assert first == second == _replies(3)
+        assert accepted == 1
+
+    def test_a_hangup_mid_frame_fails_every_pending_forward(self):
+        def hang_up(conn, frames):
+            conn.sendall(frames[0][:len(frames[0]) // 2])
+            conn.shutdown(socket.SHUT_RDWR)
+
+        first, second, accepted = _exchange(hang_up, batch=2)
+        assert len(first) == 2
+        assert all(isinstance(r, ProtocolError) for r in first), first
+        assert "mid-frame" in str(first[0])
+        assert second == _replies(2) and accepted == 2  # redialed
+
+    def test_a_bad_magic_fails_every_pending_forward(self):
+        def bad_magic(conn, frames):
+            conn.sendall(b"XXXX" + frames[0][4:])
+
+        first, second, accepted = _exchange(bad_magic, batch=2)
+        assert len(first) == 2
+        assert all(isinstance(r, ProtocolError) for r in first), first
+        assert "bad magic" in str(first[0])
+        assert second == _replies(2) and accepted == 2  # redialed
 
 
 # -- failover and hedging ----------------------------------------------------

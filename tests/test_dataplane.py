@@ -366,6 +366,22 @@ class TestShmInlineEquivalence:
                 assert _counter(stats, "service.shm_requests") >= 2
                 assert _counter(stats, "service.shm_replies") >= 1
 
+    @requires_shm
+    def test_shm_compress_attaches_each_segment_once(self):
+        # The daemon maps the request segment once, on the codec thread,
+        # and the reply segment once, to write the result into it.
+        arr = _field(kib=256)
+        with ServiceThread() as st, \
+                ServiceClient(port=st.port, shm=True) as client:
+            before = client.stats()
+            buf = client.compress(arr, "store", mode="abs", value=0.0)
+            assert buf.payload == arr.tobytes()
+            after = client.stats()
+        names = ("service.shm_requests", "service.shm_replies",
+                 "shm.segments_attached")
+        assert {n: _counter(after, n) - _counter(before, n) for n in names} \
+            == dict(zip(names, (1, 1, 2)))
+
     def test_pooled_client_matches_blocking_inline(self):
         arr = _field(kib=256)
         with ServiceThread() as st, \

@@ -239,3 +239,15 @@ def test_temporal_golden_series(row, backend):
                for r in recon)
     assert array_digest(np.stack(recon)) == row["recon_sha256"]
     assert hashlib.sha256(again).hexdigest() == row["reencode_sha256"]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_temporal_unknown_flag_bit_is_corrupt(backend):
+    """Only the keyframe bit is defined: a frame with bit 0x02 set is
+    refused, not decoded as if the bit were not there."""
+    row = TEMPORAL_MANIFEST[0]
+    stored = np.load(GOLDEN / "temporal" / f"{row['name']}.npz")
+    frame = bytearray(split_frames(stored["payload"].tobytes())[0])
+    frame[4] |= 0x02  # the flags byte, after the magic
+    with kernels.use(backend), pytest.raises(CorruptStreamError, match="flags"):
+        temporal_codec(row).decode_series([bytes(frame)])
